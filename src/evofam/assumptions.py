@@ -67,11 +67,18 @@ def _xi_at(coords, j) -> list[float]:
     return [float(c[j]) for c in coords]
 
 
-def _sector_lambdas(theta: float, plan: SamplePlan) -> np.ndarray:
-    fractions = np.linspace(-1.0, 1.0, 2 * plan.rays + 1)
-    moduli = np.geomspace(*plan.modulus_range, plan.moduli_per_ray)
-    lams = (moduli[None, :] * np.exp(1j * theta * fractions[:, None])).reshape(-1)
-    return lams
+def _sector_lambdas(theta: float, rays: int, moduli: np.ndarray) -> np.ndarray:
+    """lambda = modulus * e^{i phi} on 2 rays + 1 arguments phi in [-theta, theta]."""
+    fractions = np.linspace(-1.0, 1.0, 2 * rays + 1)
+    return (moduli[None, :] * np.exp(1j * theta * fractions[:, None])).reshape(-1)
+
+
+def _refined(measure, plan: SamplePlan):
+    """Base results of `measure` (constant first), the constant on the
+    refined plan, and the relative delta between the two constants."""
+    base = measure(plan)
+    fine = measure(plan.refined())[0]
+    return base, fine, abs(fine - base[0]) / max(base[0], 1e-300)
 
 
 @dataclass(frozen=True)
@@ -101,8 +108,8 @@ def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
     def measure(p: SamplePlan):
         ts = np.linspace(0.0, spec.horizon, p.time_samples)
         a, coords = _symbol_matrix(spec, grid, ts)
-        lams = _sector_lambdas(theta, p)
-        worst = {"value": 0.0}
+        lams = _sector_lambdas(theta, p.rays,
+                               np.geomspace(*p.modulus_range, p.moduli_per_ray))
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / np.abs(a)
         inv = np.where(np.isfinite(inv), inv, p.cap * 2)
@@ -124,9 +131,7 @@ def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
                          "xi": _xi_at(coords, j)}
         return m_meas, worst, len(ts) * len(lams)
 
-    m_base, witness, count = measure(plan)
-    m_fine, _, _ = measure(plan.refined())
-    delta = abs(m_fine - m_base) / max(m_base, 1e-300)
+    (m_base, witness, count), m_fine, delta = _refined(measure, plan)
     return SectorParams(theta=theta, m=m_base,
                         verdict=bool(m_base <= plan.cap),
                         witness=witness, samples=count,
@@ -208,13 +213,9 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
                 log_semi = -np.sum(taus[:, None] * rows.real, axis=0)
                 bound = np.log(m) + w * float(np.sum(taus))
                 worst_semi = max(worst_semi, float(np.exp(np.max(log_semi) - bound)))
-        return w, worst_res, worst_semi, tested
+        return max(worst_res, worst_semi), w, worst_res, worst_semi, tested
 
-    w, res_base, semi_base, tested = measure(plan)
-    _, res_fine, semi_fine, _ = measure(plan.refined())
-    base = max(res_base, semi_base)
-    fine = max(res_fine, semi_fine)
-    delta = abs(fine - base) / max(base, 1e-300)
+    (base, w, res_base, semi_base, tested), fine, delta = _refined(measure, plan)
     return StabilityCertificate(
         m=m, omega=w, kmax=plan.kato_kmax, partitions_tested=tested,
         max_resolvent_ratio=res_base, max_semigroup_ratio=semi_base,
@@ -237,6 +238,16 @@ def _pair_set(T: float, grid_count: int, deltas) -> list[tuple[float, float]]:
     return pairs
 
 
+def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int, deltas):
+    """`_pair_set` pairs as (s, t, row_s, row_t), with the symbol matrix
+    over the sorted union of their times and the flat coordinates."""
+    pairs = _pair_set(spec.horizon, grid_count, deltas)
+    times = sorted({t for pair in pairs for t in pair})
+    index = {t: i for i, t in enumerate(times)}
+    a, coords = _symbol_matrix(spec, grid, np.array(times))
+    return [(s, t, index[s], index[t]) for s, t in pairs], a, coords
+
+
 @dataclass(frozen=True)
 class LipschitzComponent:
     value: float
@@ -245,15 +256,6 @@ class LipschitzComponent:
     pair_count: int
     refined_value: float = float("nan")
     refinement_delta: float = float("nan")
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    """A3 operator constant L, resolvent constant C', semigroup constant C."""
-
-    operator: LipschitzComponent
-    resolvent: LipschitzComponent
-    semigroup: LipschitzComponent
 
 
 def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
@@ -265,15 +267,12 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
     """
 
     def measure(p: SamplePlan):
-        pairs = _pair_set(spec.horizon, p.pair_grid, p.pair_deltas)
-        times = sorted({t for pair in pairs for t in pair})
-        index = {t: i for i, t in enumerate(times)}
-        a, coords = _symbol_matrix(spec, grid, np.array(times))
+        pairs, a, coords = _pair_table(spec, grid, p.pair_grid, p.pair_deltas)
         best, witness = 0.0, {}
-        for s, t in pairs:
+        for s, t, i, k in pairs:
             # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
             with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.abs(a[index[s]] - a[index[t]]) / np.abs(a[index[s]]) / (t - s)
+                q = np.abs(a[i] - a[k]) / np.abs(a[i]) / (t - s)
             q = np.where(np.isfinite(q), q, p.cap * 2)
             j = int(np.argmax(q))
             if float(q[j]) > best:
@@ -281,9 +280,7 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
                 witness = {"t": t, "s": s, "xi": _xi_at(coords, j), "value": best}
         return best, witness, len(pairs)
 
-    base, witness, count = measure(plan)
-    fine, _, _ = measure(plan.refined())
-    delta = abs(fine - base) / max(base, 1e-300)
+    (base, witness, count), fine, delta = _refined(measure, plan)
     return LipschitzComponent(value=base, verdict=bool(base <= plan.cap),
                               witness=witness, pair_count=count,
                               refined_value=fine, refinement_delta=delta)
@@ -295,19 +292,17 @@ def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
     over pairs and sector lambda samples."""
 
     def measure(p: SamplePlan):
-        pairs = _pair_set(spec.horizon, p.resolvent_pair_grid, p.pair_deltas)
-        times = sorted({t for pair in pairs for t in pair})
-        index = {t: i for i, t in enumerate(times)}
-        a, coords = _symbol_matrix(spec, grid, np.array(times))
-        fractions = np.linspace(-1.0, 1.0, 2 * p.rays + 1)
-        moduli = np.geomspace(*p.resolvent_modulus_range, p.resolvent_moduli)
-        lams = (moduli[None, :] * np.exp(1j * theta * fractions[:, None])).reshape(-1)
+        pairs, a, coords = _pair_table(spec, grid, p.resolvent_pair_grid,
+                                       p.pair_deltas)
+        lams = _sector_lambdas(theta, p.rays,
+                               np.geomspace(*p.resolvent_modulus_range,
+                                            p.resolvent_moduli))
         best, witness = 0.0, {}
         for lam in lams:
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = 1.0 / (lam + a)
-            for s, t in pairs:
-                q = np.abs(lam) * np.abs(r[index[t]] - r[index[s]]) / (t - s)
+            for s, t, i, k in pairs:
+                q = np.abs(lam) * np.abs(r[k] - r[i]) / (t - s)
                 q = np.where(np.isfinite(q), q, p.cap * 2)
                 j = int(np.argmax(q))
                 if float(q[j]) > best:
@@ -317,9 +312,7 @@ def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
                                "xi": _xi_at(coords, j), "value": best}
         return best, witness, len(pairs) * len(lams)
 
-    base, witness, count = measure(plan)
-    fine, _, _ = measure(plan.refined())
-    delta = abs(fine - base) / max(base, 1e-300)
+    (base, witness, count), fine, delta = _refined(measure, plan)
     return LipschitzComponent(value=base, verdict=bool(base <= plan.cap),
                               witness=witness, pair_count=count,
                               refined_value=fine, refinement_delta=delta)
@@ -330,16 +323,14 @@ def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
     """C = max over tau, pairs of max_xi |e^{-tau a(t)} - e^{-tau a(s)}| / |t-s|."""
 
     def measure(p: SamplePlan):
-        pairs = _pair_set(spec.horizon, p.resolvent_pair_grid, p.pair_deltas)
-        times = sorted({t for pair in pairs for t in pair})
-        index = {t: i for i, t in enumerate(times)}
-        a, coords = _symbol_matrix(spec, grid, np.array(times))
+        pairs, a, coords = _pair_table(spec, grid, p.resolvent_pair_grid,
+                                       p.pair_deltas)
         taus = np.geomspace(1e-3, spec.horizon, p.tau_samples)
         best, witness = 0.0, {}
         for tau in taus:
             e = np.exp(-tau * a)
-            for s, t in pairs:
-                q = np.abs(e[index[t]] - e[index[s]]) / (t - s)
+            for s, t, i, k in pairs:
+                q = np.abs(e[k] - e[i]) / (t - s)
                 j = int(np.argmax(q))
                 if float(q[j]) > best:
                     best = float(q[j])
@@ -347,21 +338,10 @@ def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
                                "xi": _xi_at(coords, j), "value": best}
         return best, witness, len(pairs) * len(taus)
 
-    base, witness, count = measure(plan)
-    fine, _, _ = measure(plan.refined())
-    delta = abs(fine - base) / max(base, 1e-300)
+    (base, witness, count), fine, delta = _refined(measure, plan)
     return LipschitzComponent(value=base, verdict=bool(base <= plan.cap),
                               witness=witness, pair_count=count,
                               refined_value=fine, refinement_delta=delta)
-
-
-def lipschitz_report(spec: SymbolSpec, grid: Grid, theta: float,
-                     plan: SamplePlan = SamplePlan()) -> LipschitzReport:
-    return LipschitzReport(
-        operator=check_operator_lipschitz(spec, grid, plan),
-        resolvent=check_resolvent_lipschitz(spec, grid, theta, plan),
-        semigroup=check_semigroup_lipschitz(spec, grid, plan),
-    )
 
 
 @dataclass(frozen=True)
@@ -398,9 +378,7 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
                  "value": float(inv[il, jl])}
         return max(upper["value"], lower["value"]), upper, lower
 
-    kappa, upper, lower = measure(plan)
-    kappa_fine, _, _ = measure(plan.refined())
-    delta = abs(kappa_fine - kappa) / max(kappa, 1e-300)
+    (kappa, upper, lower), kappa_fine, delta = _refined(measure, plan)
     return EquivalenceReport(kappa=kappa, witness_upper=upper,
                              witness_lower=lower,
                              verdict=bool(np.isfinite(kappa) and kappa <= plan.cap),
@@ -453,11 +431,9 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
         raise ConfigurationError("need at least one test vector")
     stability = check_kato_stability(spec, grid, plan)
 
-    pairs = _pair_set(spec.horizon, plan.resolvent_pair_grid, plan.pair_deltas)
-    times = sorted({t for pair in pairs for t in pair})
-    index = {t: i for i, t in enumerate(times)}
+    pairs, a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid,
+                              plan.pair_deltas)
     axes = grid.xi_axes()
-    a = spec.time_matrix(np.array(times), axes).reshape(len(times), -1)
 
     lips = spec.coefficient_lipschitz()
     monos = spec.monomials(axes)
@@ -480,8 +456,8 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
         else:
             vec_bound = float(np.sqrt(np.sum((rate_flat * fhat) ** 2) * w))
         bound_x = max(bound_x, vec_bound)
-        for s, t in pairs:
-            da = np.abs(a[index[t]] - a[index[s]]) / (t - s)
+        for s, t, i, k in pairs:
+            da = np.abs(a[k] - a[i]) / (t - s)
             qx = float(np.sqrt(np.sum((da * fhat) ** 2) * w))
             if gauge_defined:
                 qm1 = float(np.sqrt(np.sum((da / a0 * fhat) ** 2) * w))

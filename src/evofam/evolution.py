@@ -10,12 +10,13 @@ the exact engine at first resp. second order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import Grid, GridFunction, L2, NormSpec, norm
+from .semigroup import gauss_legendre_panels
+from .spectral import Grid, GridFunction, norm
 from .symbols import SymbolSpec
 
 EXACT = "exact"
@@ -26,20 +27,13 @@ def _quadrature_integral(spec: SymbolSpec, s: float, t: float, xi_axes,
                          nodes: int, panel_width: float) -> np.ndarray:
     """Gauss-Legendre integral of a(tau, .) over [s, t], panels split at
     coefficient breakpoints so step terms stay exactly integrable."""
-    edges = {s, t}
-    edges.update(b for b in spec.breakpoints() if s < b < t)
-    edges = sorted(edges)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    total = None
+    edges = sorted({s, t, *(b for b in spec.breakpoints() if s < b < t)})
+    total = np.asarray(0.0 + 0.0j)
     for lo, hi in zip(edges[:-1], edges[1:]):
         panels = max(1, int(np.ceil((hi - lo) / panel_width)))
-        sub = np.linspace(lo, hi, panels + 1)
-        for a_, b_ in zip(sub[:-1], sub[1:]):
-            mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-            for xn, wn in zip(x, w):
-                val = half * wn * spec.on_axes(mid + half * xn, xi_axes)
-                total = val if total is None else total + val
-    return total if total is not None else np.asarray(0.0 + 0.0j)
+        for tau, w in zip(*gauss_legendre_panels(lo, hi, panels, nodes)):
+            total = total + w * spec.on_axes(tau, xi_axes)
+    return total
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,6 @@ class PropagatorEngine:
     panel_width: float = 0.25
     steps: int = 64
     rule: str = "left"
-    self_check: bool = True
 
     def __post_init__(self):
         if self.method not in (EXACT, PRODUCT):
@@ -68,7 +61,7 @@ class PropagatorEngine:
             raise ConfigurationError(f"unknown product rule {self.rule!r}")
         if self.method == PRODUCT and self.steps < 1:
             raise ConfigurationError("product formula needs steps >= 1")
-        if self.method == EXACT and self.self_check:
+        if self.method == EXACT:
             self._verify_antiderivative()
 
     def _verify_antiderivative(self):
@@ -198,21 +191,6 @@ def growth_bound(engine: PropagatorEngine, samples, m: float, omega: float,
             worst, witness = ratio, (float(s), float(t))
     return GrowthReport(m=m, omega=omega, max_ratio=worst,
                         verdict=bool(worst <= 1.0 + slack), witness=witness)
-
-
-def extrapolated_propagate(engine: PropagatorEngine, s: float, t: float,
-                           f: GridFunction, gauge: NormSpec | None = None):
-    """U_{-1}(t,s) f with its norm read in the requested gauge.
-
-    The extrapolated family acts by the same diagonal multiplier, so the
-    restriction to X is bin-wise identical to U(t,s) f; the returned
-    restriction defect is exactly 0 by construction and asserted here.
-    """
-    result = engine.propagate(s, t, f)
-    restricted = engine.propagate(s, t, f)
-    defect = float(np.max(np.abs(result.values - restricted.values)))
-    gauge_norm = norm(result, gauge if gauge is not None else L2)
-    return result, gauge_norm, defect
 
 
 def observed_orders(errors, factors=None) -> list[float]:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, UnsupportedError
 from .evolution import PropagatorEngine
+from .semigroup import FrozenOperator, gauss_legendre_panels
 from .spectral import (FREQUENCY, Grid, GridFunction, extrapolated_norm,
                        gaussian_bump, negative_sobolev, norm)
 from .symbols import CoefficientFunction, SymbolSpec, constant
@@ -103,25 +104,22 @@ class SmoothingComposite:
     """B(t) f = b(t, .) * (1 + |xi|^2)^{-order/2} f with b(t,x) = c(t) w(x).
 
     The physical multiplication does not commute with symbol multipliers,
-    giving the genuinely non-commuting test case.  w defaults to a
-    Gaussian bump centered in the box.
+    giving the genuinely non-commuting test case.  w is a Gaussian bump
+    centered in the box, built once per grid.
     """
 
-    def __init__(self, order: int = 2, coefficient: CoefficientFunction = None,
-                 window=None):
+    def __init__(self, order: int = 2, coefficient: CoefficientFunction = None):
         if order < 1:
             raise ConfigurationError("smoothing order must be >= 1")
         self.order = order
         self.coefficient = (coefficient if coefficient is not None
                             else CoefficientFunction(const=1.0, poly=((1, 1.0),)))
-        self.window = window      # callable grid -> GridFunction, or None
         self._window_cache: dict = {}
 
     def _window_values(self, grid: Grid) -> np.ndarray:
         key = (grid.dim, grid.n, grid.box)
         if key not in self._window_cache:
-            w = self.window(grid) if self.window is not None else gaussian_bump(grid)
-            self._window_cache[key] = w.to_physical().values.real
+            self._window_cache[key] = gaussian_bump(grid).to_physical().values.real
         return self._window_cache[key]
 
     def apply(self, t: float, f: GridFunction) -> GridFunction:
@@ -368,24 +366,26 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
     sig = trajectory.sigmas
     xhat = x.to_frequency().values
     xnorm = max(_l2(xhat, w), 1e-300)
-    nodes, weights = np.polynomial.legendre.leggauss(gl_nodes)
+    steps = len(sig) - 1
+    taus, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
+                                          gl_nodes)
+    taus = taus.reshape(steps, gl_nodes).tolist()
+    weights = weights.reshape(steps, gl_nodes).tolist()
 
     acc = np.zeros(grid.shape, dtype=complex)      # integral transported to sig[j]
     current = xhat.copy()
     worst = 0.0
-    for j in range(len(sig) - 1):
+    for j in range(steps):
         lo, hi = float(sig[j]), float(sig[j + 1])
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         step_mult = np.exp(-engine.exponent(lo, hi))
         contrib = np.zeros(grid.shape, dtype=complex)
-        for xn, wn in zip(nodes, weights):
-            tau = mid + half * xn
+        for tau, wn in zip(taus[j], weights[j]):
             frac = (tau - lo) / (hi - lo)
             v_tau = ((1.0 - frac) * trajectory.states[j].values
                      + frac * trajectory.states[j + 1].values)
             g = family.apply(tau, GridFunction(grid, FREQUENCY, v_tau)).values
             transport = np.exp(-engine.exponent(tau, hi))
-            contrib += (half * wn) * transport * g
+            contrib += wn * transport * g
         acc = step_mult * acc + contrib
         current = step_mult * current
         resid = _l2(trajectory.states[j + 1].values - current - acc, w) / xnorm
@@ -459,8 +459,6 @@ def check_domain_to_favard(spec: SymbolSpec, grid: Grid, family, vectors,
     band limits; a growing graph norm flags an unbounded family (identity
     perturbations fail, genuine order-m smoothers pass).
     """
-    from .semigroup import FrozenOperator
-
     op0 = FrozenOperator(spec, 0.0)
     t_grid = np.linspace(0.0, spec.horizon, 12)
     deltas = [1e-3, 1e-2, 1e-1]
@@ -488,13 +486,7 @@ def check_domain_to_favard(spec: SymbolSpec, grid: Grid, family, vectors,
     ratios = []
     for band in (grid.n // 8, grid.n // 4):
         fhat = rough.to_frequency().values.copy()
-        k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-        mask = np.zeros(grid.shape, dtype=bool)
-        for j in range(grid.dim):
-            shape = [1] * grid.dim
-            shape[j] = grid.n
-            mask |= np.broadcast_to(np.abs(k.reshape(shape)) > band, grid.shape)
-        fhat[mask] = 0.0
+        fhat[grid.max_mode() > band] = 0.0
         probe = GridFunction(grid, FREQUENCY, fhat)
         worst = 0.0
         for t in t_grid:

@@ -67,6 +67,11 @@ class Grid:
             out.append(axis.reshape(shape))
         return tuple(out)
 
+    def max_mode(self) -> np.ndarray:
+        """max_j |k_j| per bin, k_j the integer mode index on axis j."""
+        k = np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n))
+        return np.max(np.meshgrid(*[k] * self.dim, indexing="ij"), axis=0)
+
     def xi_squared(self) -> np.ndarray:
         total = np.zeros(self.shape)
         for ax in self.xi_axes():
@@ -219,21 +224,14 @@ def multiplier_operator_norm(m, grid: Grid, space: NormSpec = L2) -> float:
     return float(np.max(np.abs(values)))
 
 
-def spectral_tail_fraction(f: GridFunction, inner_fraction: float = 0.5) -> float:
-    """Fraction of L2 mass in bins with any |k_j| >= inner_fraction * N/2.
+def spectral_tail_fraction(f: GridFunction) -> float:
+    """Fraction of L2 mass in bins with any |k_j| >= N/4 (half the band).
 
     Test functions should keep this tiny (the CLI warns above 1e-8);
     otherwise box truncation pollutes the spectral model.
     """
     fhat = f.to_frequency().values
-    n = f.grid.n
-    cutoff = inner_fraction * (n // 2)
-    k_axis = np.fft.fftfreq(n, d=1.0 / n)
-    mask = np.zeros(f.grid.shape, dtype=bool)
-    for j in range(f.grid.dim):
-        shape = [1] * f.grid.dim
-        shape[j] = n
-        mask |= np.abs(k_axis.reshape(shape)) >= cutoff
+    mask = f.grid.max_mode() >= 0.5 * (f.grid.n // 2)
     total = np.sum(np.abs(fhat) ** 2)
     if total == 0.0:
         return 0.0
@@ -264,12 +262,7 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, band: int = 4,
     if band < 1 or band > grid.n // 2 - 1:
         raise ConfigurationError(f"band {band} outside grid range")
     values = np.zeros(grid.shape, dtype=complex)
-    axes = [np.fft.fftfreq(grid.n, d=1.0 / grid.n).reshape(
-        [grid.n if j == i else 1 for i in range(grid.dim)])
-        for j in range(grid.dim)]
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax in axes:
-        mask &= np.broadcast_to(np.abs(ax) <= band, grid.shape)
+    mask = grid.max_mode() <= band
     count = int(np.sum(mask))
     values[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     f = GridFunction(grid, FREQUENCY, values)

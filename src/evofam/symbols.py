@@ -10,7 +10,6 @@ certification routines rely on those closed forms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,27 +138,18 @@ class SymbolSpec:
 
     def eval(self, t, xi) -> complex:
         """a(t, xi) at a single time and frequency vector."""
-        self._check_time(t)
-        return self._accumulate(t, xi, principal_only=False)
+        return self._at_point(t, xi, principal_only=False)
 
     def eval_principal(self, t, xi) -> complex:
         """Principal part a_m(t, xi): only the |alpha| = m terms."""
-        self._check_time(t)
-        return self._accumulate(t, xi, principal_only=True)
+        return self._at_point(t, xi, principal_only=True)
 
-    def _accumulate(self, t, xi, principal_only: bool):
+    def _at_point(self, t, xi, principal_only: bool) -> complex:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if xi.shape[0] != self.dim:
             raise DomainError(f"frequency vector has dim {xi.shape[0]}, expected {self.dim}")
-        total = 0.0 + 0.0j
-        for alpha, coef in self.coefficients.items():
-            if principal_only and sum(alpha) != self.order:
-                continue
-            mono = 1.0 + 0.0j
-            for j, a_j in enumerate(alpha):
-                mono *= (1j * xi[j]) ** a_j
-            total += coef(t) * mono
-        return total
+        axes = tuple(xi[j:j + 1] for j in range(self.dim))
+        return complex(self.time_matrix([t], axes, principal_only).reshape(-1)[0])
 
     def monomials(self, xi_axes: tuple[np.ndarray, ...]) -> dict[tuple[int, ...], np.ndarray]:
         """(i xi)^alpha on broadcastable frequency axes, one array per alpha."""
@@ -293,13 +283,6 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int = 512,
         time_samples=time_samples,
         margin=margin,
     )
-
-
-def multi_indices(dim: int, max_order: int):
-    """All multi-indices alpha with |alpha| <= max_order."""
-    for combo in itertools.product(range(max_order + 1), repeat=dim):
-        if sum(combo) <= max_order:
-            yield combo
 
 
 def heat_symbol(shift: float = 1.0, dim: int = 1, horizon: float = 1.0) -> SymbolSpec:

@@ -154,23 +154,27 @@ def transport_solve(problem: TransportProblem, s: float, t: float,
             f"CFL violated: dt={dt:.3e} exceeds {dt_max:.3e}; no silent sub-stepping")
 
     h = problem.h
-    faces = problem.faces()
-    centers = problem.centers()
     outflow = 0.0
     history = [] if record_history else None
     for k in range(steps):
-        t_mid = s + (k + 0.5) * dt
-        g_face = problem.velocity(t_mid, faces)
-        mu = problem.decay(t_mid, centers)
-        upwind = np.concatenate([[0.0], f[:-1]])        # inflow value 0 at x=0
-        flux_out = g_face[1:] * f
-        flux_in = g_face[:-1] * upwind
+        f, flux_out, _ = _upwind_step(problem, f, s + (k + 0.5) * dt, dt)
         outflow += dt * flux_out[-1]                    # mass leaving this step
-        f = f - (dt / h) * (flux_out - flux_in) - dt * mu * f
         if history is not None:
             history.append((s + (k + 1) * dt, float(np.sum(f) * h),
                             float(np.sum(np.abs(f)) * h)))
     return TransportState(problem, f, t, outflow=outflow, history=history)
+
+
+def _upwind_step(problem: TransportProblem, f: np.ndarray, t_mid: float,
+                 dt: float):
+    """One conservative upwind step with g and mu frozen at `t_mid`: the new
+    values, the flux out of each cell's right face, and mu per cell."""
+    g_face = problem.velocity(t_mid, problem.faces())
+    mu = problem.decay(t_mid, problem.centers())
+    upwind = np.concatenate([[0.0], f[:-1]])            # inflow value 0 at x=0
+    flux_out = g_face[1:] * f
+    flux_in = g_face[:-1] * upwind
+    return f - (dt / problem.h) * (flux_out - flux_in) - dt * mu * f, flux_out, mu
 
 
 def characteristics_oracle(problem: TransportProblem, s: float, t: float,
@@ -237,17 +241,9 @@ def _mass_balance_defect(problem: TransportProblem, s: float, t: float,
     f = np.asarray(f0, dtype=float).copy()
     dt = (t - s) / steps
     h = problem.h
-    faces = problem.faces()
-    centers = problem.centers()
     worst = 0.0
     for k in range(steps):
-        t_mid = s + (k + 0.5) * dt
-        g_face = problem.velocity(t_mid, faces)
-        mu = problem.decay(t_mid, centers)
-        upwind = np.concatenate([[0.0], f[:-1]])
-        flux_out = g_face[1:] * f
-        flux_in = g_face[:-1] * upwind
-        f_new = f - (dt / h) * (flux_out - flux_in) - dt * mu * f
+        f_new, flux_out, mu = _upwind_step(problem, f, s + (k + 0.5) * dt, dt)
         lhs = np.sum(f_new) * h - np.sum(f) * h
         rhs = -dt * np.sum(mu * f) * h - dt * flux_out[-1]
         scale = max(abs(np.sum(f) * h), 1e-300)
@@ -257,7 +253,7 @@ def _mass_balance_defect(problem: TransportProblem, s: float, t: float,
 
 
 def convergence_study(problem_factory, s: float, t: float, f0_fn,
-                      cell_counts, steps_factor: float = 1.0):
+                      cell_counts):
     """L1 errors against the characteristics oracle over grid refinements.
 
     `problem_factory(cells)` builds the problem at each resolution; dt/h
@@ -267,7 +263,7 @@ def convergence_study(problem_factory, s: float, t: float, f0_fn,
     for cells in cell_counts:
         problem = problem_factory(int(cells))
         f0 = sample_initial(problem, f0_fn)
-        steps = int(np.ceil((t - s) / (problem.cfl_step() * steps_factor)))
+        steps = int(np.ceil((t - s) / problem.cfl_step()))
         state = transport_solve(problem, s, t, f0, steps)
         exact = characteristics_oracle(problem, s, t, f0_fn)
         errors.append(float(np.sum(np.abs(state.values - exact)) * problem.h))

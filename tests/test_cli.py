@@ -190,6 +190,29 @@ class TestOtherPipelines:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:          # argparse rejects the command line
+        return exc.code
+
+
+EXIT_CASES = [
+    *[([p, c], 0) for p in ("evolve", "convergence", "favard") for c in ("h1", "td1")],
+    (["transport", "transport"], 0),
+    (["evolve", "h1", "--refine", "2"], 2),     # --refine belongs to check only
+]
+
+
+@pytest.mark.parametrize("args,expected", EXIT_CASES,
+                         ids=[" ".join(a) for a, _ in EXIT_CASES])
+def test_bundled_exit_codes(args, expected, tmp_path):
+    from importlib import resources
+    config = resources.files("evofam.data").joinpath("configs").joinpath(f"{args[1]}.json")
+    argv = [args[0], "--config", str(config), "--out", str(tmp_path), "--stable"]
+    assert _exit_code(argv + args[2:]) == expected
+
+
 class TestBundledConfigs:
     def test_bundled_configs_validate(self):
         from importlib import resources

@@ -3,8 +3,7 @@ import pytest
 
 from evofam.errors import ConfigurationError, DomainError
 from evofam.evolution import (PropagatorEngine, cocycle_defect,
-                              derivative_defect, growth_bound,
-                              extrapolated_propagate, observed_orders,
+                              derivative_defect, growth_bound, observed_orders,
                               product_formula_errors)
 from evofam.semigroup import FrozenOperator
 from evofam.spectral import Grid, GridFunction, extrapolated_norm, mode, norm, \
@@ -138,13 +137,6 @@ class TestGrowthAndGauges:
 
     def test_trivial_at_equal_times(self, engine):
         assert engine.operator_norm(1.0, 1.0) == pytest.approx(1.0)
-
-    def test_extrapolated_restriction_zero_defect(self, engine, grid, td1, rng):
-        f = random_band_limited(grid, rng, band=8)
-        out, gnorm, defect = extrapolated_propagate(
-            engine, 0.0, 1.5, f, extrapolated_norm(td1, 0.0))
-        assert defect == 0.0
-        assert gnorm == pytest.approx(norm(out, extrapolated_norm(td1, 0.0)))
 
     def test_extrapolated_operator_norm_gauge_free(self, engine, grid, td1):
         # diagonal gauges cancel: same operator norm in X and X_{-1} readings

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evofam.errors import ConfigurationError, DomainError, NumericError
 from evofam.semigroup import (FavardEstimate, FrozenOperator, favard_norm,
@@ -98,10 +100,22 @@ class TestLaplaceTransform:
         with pytest.raises(DomainError):
             laplace_transform_check(op_h1, 2.0, mode(grid, 0), -1.0, 8)
 
-    def test_gl_panel_weights_sum(self):
-        nodes, weights = gauss_legendre_panels(0.0, 3.0, 5, nodes=6)
-        assert np.sum(weights) == pytest.approx(3.0)
-        assert nodes.min() > 0.0 and nodes.max() < 3.0
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(-2.0, 2.0), width=st.floats(0.1, 3.0),
+           panels=st.integers(1, 9), nodes=st.integers(1, 8), data=st.data())
+    def test_gl_panels_exact_on_polynomials(self, a, width, panels, nodes, data):
+        # the composite rule integrates every degree <= 2 nodes - 1 exactly
+        b = a + width
+        coefs = data.draw(st.lists(st.integers(-5, 5), min_size=1,
+                                   max_size=2 * nodes))
+        poly = np.polynomial.Polynomial(coefs)
+        taus, weights = gauss_legendre_panels(a, b, panels, nodes=nodes)
+        assert taus.shape == weights.shape == (panels * nodes,)
+        assert a < taus.min() and taus.max() < b
+        exact = poly.integ()(b) - poly.integ()(a)
+        scale = (width * sum(abs(c) for c in coefs)
+                 * max(abs(a), abs(b), 1.0) ** len(coefs))
+        assert np.sum(weights * poly(taus)) == pytest.approx(exact, abs=1e-13 * scale)
 
 
 class TestGeneratorQuotient:
