@@ -55,16 +55,9 @@ class SamplePlan:
         )
 
 
-def _symbol_matrix(spec: SymbolSpec, grid: Grid, ts: np.ndarray):
-    """a(t_i, xi_j) flattened over bins, plus flat per-axis coordinates."""
-    axes = grid.xi_axes()
-    a = spec.time_matrix(ts, axes).reshape(len(ts), -1)
-    coords = [np.broadcast_to(ax, grid.shape).reshape(-1) for ax in axes]
-    return a, coords
-
-
-def _xi_at(coords, j) -> list[float]:
-    return [float(c[j]) for c in coords]
+def _symbol_matrix(spec: SymbolSpec, grid: Grid, ts: np.ndarray) -> np.ndarray:
+    """a(t_i, xi_j), shape (times, bins), bins in the order of `grid.xi_rows()`."""
+    return spec.time_matrix(ts, grid.xi_axes()).reshape(len(ts), -1)
 
 
 def _sector_lambdas(theta: float, rays: int, moduli: np.ndarray) -> np.ndarray:
@@ -94,6 +87,37 @@ class SectorParams:
     refinement_delta: float = float("nan")
 
 
+def _sector_measure(spec: SymbolSpec, grid: Grid, theta: float, plan: SamplePlan):
+    """Sector constant M on `plan` (no refinement), its witness and the
+    sample count."""
+    if not np.pi / 2 < theta < np.pi:
+        raise DomainError(f"theta must lie in (pi/2, pi), got {theta}")
+    ts = np.linspace(0.0, spec.horizon, plan.time_samples)
+    a = _symbol_matrix(spec, grid, ts)
+    lams = _sector_lambdas(theta, plan.rays,
+                           np.geomspace(*plan.modulus_range, plan.moduli_per_ray))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / np.abs(a)
+    inv = np.where(np.isfinite(inv), inv, plan.cap * 2)
+    i, j = np.unravel_index(np.argmax(inv), inv.shape)
+    m_meas = float(inv[i, j])
+    worst = {"kind": "inverse_bound", "value": m_meas, "t": float(ts[i]),
+             "lambda": None, "xi": grid.xi_rows()[j].tolist()}
+    for lam in lams:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(lam) / np.abs(lam + a)
+        ratio = np.where(np.isfinite(ratio), ratio, plan.cap * 2)
+        i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+        val = float(ratio[i, j])
+        if val > m_meas:
+            m_meas = val
+            worst = {"kind": "resolvent_ratio", "value": val,
+                     "t": float(ts[i]),
+                     "lambda": [float(lam.real), float(lam.imag)],
+                     "xi": grid.xi_rows()[j].tolist()}
+    return m_meas, worst, len(ts) * len(lams)
+
+
 def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
                  plan: SamplePlan = SamplePlan()) -> SectorParams:
     """Assumption: resolvent bound M/|lambda| on the sector of angle theta.
@@ -102,36 +126,8 @@ def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
     the positive axis, moduli log-spaced; M also covers the uniform bound
     on |a|^{-1} (the inverse-operator part of the assumption).
     """
-    if not np.pi / 2 < theta < np.pi:
-        raise DomainError(f"theta must lie in (pi/2, pi), got {theta}")
-
-    def measure(p: SamplePlan):
-        ts = np.linspace(0.0, spec.horizon, p.time_samples)
-        a, coords = _symbol_matrix(spec, grid, ts)
-        lams = _sector_lambdas(theta, p.rays,
-                               np.geomspace(*p.modulus_range, p.moduli_per_ray))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / np.abs(a)
-        inv = np.where(np.isfinite(inv), inv, p.cap * 2)
-        i, j = np.unravel_index(np.argmax(inv), inv.shape)
-        m_meas = float(inv[i, j])
-        worst = {"kind": "inverse_bound", "value": m_meas, "t": float(ts[i]),
-                 "lambda": None, "xi": _xi_at(coords, j)}
-        for lam in lams:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.abs(lam) / np.abs(lam + a)
-            ratio = np.where(np.isfinite(ratio), ratio, p.cap * 2)
-            i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
-            val = float(ratio[i, j])
-            if val > m_meas:
-                m_meas = val
-                worst = {"kind": "resolvent_ratio", "value": val,
-                         "t": float(ts[i]),
-                         "lambda": [float(lam.real), float(lam.imag)],
-                         "xi": _xi_at(coords, j)}
-        return m_meas, worst, len(ts) * len(lams)
-
-    (m_base, witness, count), m_fine, delta = _refined(measure, plan)
+    (m_base, witness, count), m_fine, delta = _refined(
+        lambda p: _sector_measure(spec, grid, theta, p), plan)
     return SectorParams(theta=theta, m=m_base,
                         verdict=bool(m_base <= plan.cap),
                         witness=witness, samples=count,
@@ -141,12 +137,13 @@ def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
 def largest_passing_theta(spec: SymbolSpec, grid: Grid,
                           plan: SamplePlan = SamplePlan(),
                           thetas: np.ndarray | None = None) -> float:
-    """Largest sampled sector angle that still passes (nan if none)."""
+    """Largest sampled sector angle whose `check_sector` verdict passes (nan
+    if none); the verdict reads the base plan only, so only that is measured."""
     if thetas is None:
         thetas = np.pi * np.linspace(0.55, 0.95, 9)
     best = float("nan")
     for theta in thetas:
-        if check_sector(spec, grid, float(theta), plan).verdict:
+        if _sector_measure(spec, grid, float(theta), plan)[0] <= plan.cap:
             best = float(theta)
     return best
 
@@ -191,7 +188,7 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
     def measure(p: SamplePlan):
         rng = np.random.default_rng(p.seed)
         ts = np.linspace(0.0, spec.horizon, p.time_samples)
-        a, _ = _symbol_matrix(spec, grid, ts)
+        a = _symbol_matrix(spec, grid, ts)
         w = omega if omega is not None else -float(np.min(a.real))
         lams = w + np.geomspace(1e-1, 1e3, p.kato_lambdas)
         anchors = np.linspace(0.0, spec.horizon, 9)
@@ -240,12 +237,12 @@ def _pair_set(T: float, grid_count: int, deltas) -> list[tuple[float, float]]:
 
 def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int, deltas):
     """`_pair_set` pairs as (s, t, row_s, row_t), with the symbol matrix
-    over the sorted union of their times and the flat coordinates."""
+    over the sorted union of their times."""
     pairs = _pair_set(spec.horizon, grid_count, deltas)
     times = sorted({t for pair in pairs for t in pair})
     index = {t: i for i, t in enumerate(times)}
-    a, coords = _symbol_matrix(spec, grid, np.array(times))
-    return [(s, t, index[s], index[t]) for s, t in pairs], a, coords
+    a = _symbol_matrix(spec, grid, np.array(times))
+    return [(s, t, index[s], index[t]) for s, t in pairs], a
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,7 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
     """
 
     def measure(p: SamplePlan):
-        pairs, a, coords = _pair_table(spec, grid, p.pair_grid, p.pair_deltas)
+        pairs, a = _pair_table(spec, grid, p.pair_grid, p.pair_deltas)
         best, witness = 0.0, {}
         for s, t, i, k in pairs:
             # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
@@ -277,7 +274,7 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
             j = int(np.argmax(q))
             if float(q[j]) > best:
                 best = float(q[j])
-                witness = {"t": t, "s": s, "xi": _xi_at(coords, j), "value": best}
+                witness = {"t": t, "s": s, "xi": grid.xi_rows()[j].tolist(), "value": best}
         return best, witness, len(pairs)
 
     (base, witness, count), fine, delta = _refined(measure, plan)
@@ -292,8 +289,8 @@ def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
     over pairs and sector lambda samples."""
 
     def measure(p: SamplePlan):
-        pairs, a, coords = _pair_table(spec, grid, p.resolvent_pair_grid,
-                                       p.pair_deltas)
+        pairs, a = _pair_table(spec, grid, p.resolvent_pair_grid,
+                               p.pair_deltas)
         lams = _sector_lambdas(theta, p.rays,
                                np.geomspace(*p.resolvent_modulus_range,
                                             p.resolvent_moduli))
@@ -309,7 +306,7 @@ def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
                     best = float(q[j])
                     witness = {"t": t, "s": s,
                                "lambda": [float(lam.real), float(lam.imag)],
-                               "xi": _xi_at(coords, j), "value": best}
+                               "xi": grid.xi_rows()[j].tolist(), "value": best}
         return best, witness, len(pairs) * len(lams)
 
     (base, witness, count), fine, delta = _refined(measure, plan)
@@ -323,8 +320,8 @@ def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
     """C = max over tau, pairs of max_xi |e^{-tau a(t)} - e^{-tau a(s)}| / |t-s|."""
 
     def measure(p: SamplePlan):
-        pairs, a, coords = _pair_table(spec, grid, p.resolvent_pair_grid,
-                                       p.pair_deltas)
+        pairs, a = _pair_table(spec, grid, p.resolvent_pair_grid,
+                               p.pair_deltas)
         taus = np.geomspace(1e-3, spec.horizon, p.tau_samples)
         best, witness = 0.0, {}
         for tau in taus:
@@ -335,7 +332,7 @@ def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
                 if float(q[j]) > best:
                     best = float(q[j])
                     witness = {"t": t, "s": s, "tau": float(tau),
-                               "xi": _xi_at(coords, j), "value": best}
+                               "xi": grid.xi_rows()[j].tolist(), "value": best}
         return best, witness, len(pairs) * len(taus)
 
     (base, witness, count), fine, delta = _refined(measure, plan)
@@ -363,18 +360,18 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
 
     def measure(p: SamplePlan):
         ts = np.linspace(0.0, spec.horizon, p.time_samples)
-        a, coords = _symbol_matrix(spec, grid, ts)
+        a = _symbol_matrix(spec, grid, ts)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.abs(a / a[0][None, :])
         ratio = np.where(np.isfinite(ratio), ratio, p.cap * 2)
         iu, ju = np.unravel_index(np.argmax(ratio), ratio.shape)
-        upper = {"t": float(ts[iu]), "xi": _xi_at(coords, ju),
+        upper = {"t": float(ts[iu]), "xi": grid.xi_rows()[ju].tolist(),
                  "value": float(ratio[iu, ju])}
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / ratio
         inv = np.where(np.isfinite(inv), inv, p.cap * 2)
         il, jl = np.unravel_index(np.argmax(inv), inv.shape)
-        lower = {"t": float(ts[il]), "xi": _xi_at(coords, jl),
+        lower = {"t": float(ts[il]), "xi": grid.xi_rows()[jl].tolist(),
                  "value": float(inv[il, jl])}
         return max(upper["value"], lower["value"]), upper, lower
 
@@ -431,8 +428,8 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
         raise ConfigurationError("need at least one test vector")
     stability = check_kato_stability(spec, grid, plan)
 
-    pairs, a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid,
-                              plan.pair_deltas)
+    pairs, a = _pair_table(spec, grid, plan.resolvent_pair_grid,
+                           plan.pair_deltas)
     axes = grid.xi_axes()
 
     lips = spec.coefficient_lipschitz()

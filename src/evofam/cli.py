@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,10 @@ from .errors import ConfigurationError, ConvergenceError, DomainError, NumericEr
 from .reporting import (StageTimer, config_hash, dump_json, environment_stamp,
                         write_csv)
 from .semigroup import FrozenOperator, favard_norm
-from .spectral import (GridFunction, extrapolated_norm, norm, save_function,
-                       spectral_tail_fraction, xminus1_model_ratio)
+from .spectral import (GridFunction, extrapolated_norm, indicator, norm,
+                       random_band_limited, save_function, spectral_tail_fraction,
+                       xminus1_model_ratio)
+from .symbols import certify_ellipticity
 
 # Verdict tolerances.
 TAIL_WARN = 1e-8            # spectral tail mass above which box truncation pollutes the model
@@ -45,18 +48,24 @@ def _orders_in(orders, band) -> bool:
     return bool(all(band[0] <= o <= band[1] for o in orders))
 
 
+def _order_verdict(errors, orders, band, f: GridFunction) -> bool:
+    """A method whose errors all lie at or below the roundoff floor
+    EXACT_ULPS * eps * ||f|| is exact and passes without a fit; otherwise
+    its fitted orders must lie in `band`."""
+    floor = EXACT_ULPS * np.finfo(float).eps * norm(f)
+    return all(e <= floor for e in errors) or _orders_in(orders, band)
+
+
 def _product_orders(spec, grid, s: float, t: float, f: GridFunction, steps):
     """CSV rows, fitted orders and order verdicts of the left and midpoint
-    product rules.  A rule whose errors all lie at or below the roundoff
-    floor EXACT_ULPS * eps * ||f|| is exact and passes without a fit."""
-    floor = EXACT_ULPS * np.finfo(float).eps * norm(f)
+    product rules against one exact U(t,s) f."""
+    target = evo.PropagatorEngine(spec, grid).propagate(s, t, f)
     rows, orders, verdicts = [], {}, {}
     for rule, band in (("left", FIRST_ORDER), ("midpoint", SECOND_ORDER)):
-        errs = evo.product_formula_errors(spec, grid, s, t, f, rule, steps)
+        errs = evo.product_formula_errors(spec, s, t, f, target, rule, steps)
         orders[rule] = evo.observed_orders(errs)
         rows += [[rule, n, e] for n, e in zip(steps, errs)]
-        exact = all(e <= floor for e in errs)
-        verdicts[f"{rule}_order"] = exact or _orders_in(orders[rule], band)
+        verdicts[f"{rule}_order"] = _order_verdict(errs, orders[rule], band, f)
     return rows, orders, verdicts
 
 
@@ -78,17 +87,12 @@ def run_check(config: dict, out: Path, seed: int, refine: int):
         plan = plan.refined(refine)
     rng = np.random.default_rng(seed)
     vec_cfg = config.get("vectors", {})
-    from .spectral import random_band_limited
     vectors = [random_band_limited(grid, rng, band=int(vec_cfg.get("band", 4)))
                for _ in range(int(vec_cfg.get("count", 4)))]
 
     timer = StageTimer()
-    from .symbols import certify_ellipticity
-    flat_xi = np.stack([c.reshape(-1) for c in
-                        (np.broadcast_to(ax, grid.shape) for ax in grid.xi_axes())],
-                       axis=1)
     ellip = certify_ellipticity(spec, time_samples=plan.time_samples,
-                                frequencies=flat_xi)
+                                frequencies=grid.xi_rows())
     timer.mark("ellipticity")
     a1 = asm.check_sector(spec, grid, theta, plan)
     timer.mark("a1_sector")
@@ -214,8 +218,7 @@ def run_evolve(config: dict, out: Path, seed: int):
     timer.mark("defects")
 
     ts = np.linspace(0.0, spec.horizon, 64)
-    a = spec.time_matrix(ts, grid.xi_axes()).reshape(len(ts), -1)
-    omega = -float(np.min(a.real))
+    omega = -float(np.min(asm._symbol_matrix(spec, grid, ts).real))
     pairs = [tuple(np.sort(rng.uniform(0.0, spec.horizon, 2))) for _ in range(16)]
     growth = evo.growth_bound(engine, pairs, m=1.0, omega=omega)
     timer.mark("growth")
@@ -275,8 +278,7 @@ def run_perturb(config: dict, out: Path, seed: int):
         errs = []
         for m_steps in (solver.steps // 4, solver.steps // 2, solver.steps):
             tr = per.solve_perturbed(engine, family, s, t, x,
-                                     per.VolterraSolver(m_steps, solver.tolerance,
-                                                        solver.max_sweeps))
+                                     replace(solver, steps=m_steps))
             errs.append(norm(GridFunction(grid, "frequency",
                                           tr.final().values - oracle.values)))
         oracle_error = errs[-1]
@@ -285,11 +287,9 @@ def run_perturb(config: dict, out: Path, seed: int):
 
     family_rep = per.perturbed_family_checks(
         engine, family, s, 0.5 * (s + t), t, x,
-        per.VolterraSolver(max(solver.steps // 2, 8), solver.tolerance,
-                           solver.max_sweeps))
+        replace(solver, steps=max(solver.steps // 2, 8)))
     timer.mark("family_checks")
 
-    from .spectral import indicator
     reg = per.perturbation_regularity_report(family, [indicator(grid), x], spec)
     timer.mark("regularity")
 
@@ -301,7 +301,8 @@ def run_perturb(config: dict, out: Path, seed: int):
     }
     if oracle_error is not None:
         verdicts["oracle"] = bool(oracle_error <= VOLTERRA_TOL)
-        verdicts["oracle_order"] = _orders_in(oracle_orders, SECOND_ORDER)
+        verdicts["oracle_order"] = _order_verdict(errs, oracle_orders,
+                                                  SECOND_ORDER, x)
     report = {
         "s": s, "t": t, "steps": solver.steps,
         "duhamel_residual": residual,

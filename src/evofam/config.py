@@ -90,8 +90,6 @@ def build_engine(entry: dict | None, spec: SymbolSpec, grid: Grid) -> Propagator
     return PropagatorEngine(
         spec, grid,
         method=entry.get("method", "exact"),
-        gl_nodes=int(entry.get("gl_nodes", 12)),
-        panel_width=float(entry.get("panel_width", 0.25)),
         steps=int(entry.get("steps", 64)),
         rule=entry.get("rule", "left"),
     )

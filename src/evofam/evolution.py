@@ -1,9 +1,9 @@
 """Evolution families U(t,s) for time-dependent multiplier generators.
 
 The exact engine applies exp(-integral of a(tau, .) over [s, t]) using
-closed-form antiderivatives of the coefficient family; Gauss-Legendre
-quadrature of the same integral is kept as a construction-time
-cross-check.  The product engine composes frozen-time semigroup factors
+closed-form antiderivatives of the coefficient family; at construction
+each coefficient's antiderivative is cross-checked against Gauss-Legendre
+quadrature.  The product engine composes frozen-time semigroup factors
 on a uniform ladder (left-endpoint or midpoint rule) and converges to
 the exact engine at first resp. second order.
 """
@@ -21,36 +21,23 @@ from .symbols import SymbolSpec
 
 EXACT = "exact"
 PRODUCT = "product"
-
-
-def _quadrature_integral(spec: SymbolSpec, s: float, t: float, xi_axes,
-                         nodes: int, panel_width: float) -> np.ndarray:
-    """Gauss-Legendre integral of a(tau, .) over [s, t], panels split at
-    coefficient breakpoints so step terms stay exactly integrable."""
-    edges = sorted({s, t, *(b for b in spec.breakpoints() if s < b < t)})
-    total = np.asarray(0.0 + 0.0j)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        panels = max(1, int(np.ceil((hi - lo) / panel_width)))
-        for tau, w in zip(*gauss_legendre_panels(lo, hi, panels, nodes)):
-            total = total + w * spec.on_axes(tau, xi_axes)
-    return total
+CHECK_PANEL = 0.25      # panel width of the antiderivative cross-check
+CHECK_TOL = 1e-12       # its relative tolerance
 
 
 @dataclass(frozen=True)
 class PropagatorEngine:
     """Produces the action of U(t,s) on grid functions.
 
-    method "exact": multiplier exp(-closed-form integral); gl_nodes and
-    panel_width parameterize the quadrature cross-check run at
-    construction (tolerance 1e-12).  method "product": `steps` frozen
-    factors per call with `rule` in {"left", "midpoint"}.
+    method "exact": multiplier exp(-closed-form integral); construction
+    checks every coefficient's antiderivative against quadrature.  method
+    "product": `steps` frozen factors per call with `rule` in {"left",
+    "midpoint"}.
     """
 
     spec: SymbolSpec
     grid: Grid
     method: str = EXACT
-    gl_nodes: int = 12
-    panel_width: float = 0.25
     steps: int = 64
     rule: str = "left"
 
@@ -65,18 +52,25 @@ class PropagatorEngine:
             self._verify_antiderivative()
 
     def _verify_antiderivative(self):
-        """Closed-form integral must match quadrature to 1e-12 at probe points."""
+        """Each coefficient's closed-form integral over three probe intervals
+        must match composite Gauss-Legendre quadrature (12 nodes, panels of
+        width <= CHECK_PANEL, split at the coefficient's breakpoints so step
+        terms stay exactly integrable) to CHECK_TOL relative."""
         T = self.spec.horizon
         probes = [(0.0, T), (0.11 * T, 0.63 * T), (0.5 * T, 0.9 * T)]
-        xi = tuple(np.array([v]) for v in ([1.0] + [0.0] * (self.spec.dim - 1)))
-        for s, t in probes:
-            closed = self.spec.integral_on_axes(s, t, xi)
-            quad = _quadrature_integral(self.spec, s, t, xi, self.gl_nodes,
-                                        self.panel_width)
-            scale = max(1.0, float(np.max(np.abs(closed))))
-            if float(np.max(np.abs(closed - quad))) > 1e-12 * scale:
-                raise ConfigurationError(
-                    f"antiderivative disagrees with quadrature on [{s}, {t}]")
+        for alpha, coef in self.spec.coefficients.items():
+            for s, t in probes:
+                edges = sorted({s, t, *(b for b in coef.breakpoints() if s < b < t)})
+                quad = 0.0
+                for lo, hi in zip(edges[:-1], edges[1:]):
+                    panels = max(1, int(np.ceil((hi - lo) / CHECK_PANEL)))
+                    taus, weights = gauss_legendre_panels(lo, hi, panels)
+                    quad += np.dot(weights, coef(taus))
+                closed = coef.antiderivative(t) - coef.antiderivative(s)
+                if abs(closed - quad) > CHECK_TOL * max(1.0, abs(closed)):
+                    raise ConfigurationError(
+                        f"antiderivative of coefficient {alpha} disagrees with "
+                        f"quadrature on [{s}, {t}]")
 
     def _check_interval(self, s: float, t: float):
         if not 0.0 <= s <= t <= self.spec.horizon:
@@ -94,8 +88,7 @@ class PropagatorEngine:
         total = np.zeros(self.grid.shape, dtype=complex)
         for j in range(self.steps):
             tau = s + j * dt if self.rule == "left" else s + (j + 0.5) * dt
-            total += dt * np.broadcast_to(self.spec.on_axes(tau, axes),
-                                          self.grid.shape)
+            total += dt * self.spec.on_axes(tau, axes)
         return total
 
     def multiplier(self, s: float, t: float) -> np.ndarray:
@@ -151,22 +144,19 @@ def derivative_defect(engine: PropagatorEngine, s: float, t: float,
         raise ConfigurationError(f"which must be 'dt' or 'ds', got {which!r}")
     if h is None:
         h = default_derivative_step(s, t)
-    axes = engine.grid.xi_axes()
     base = engine.propagate(s, t, f)
     if which == "dt":
         if t - h < s or t + h > engine.spec.horizon:
             raise DomainError("dt stencil leaves the time triangle")
-        plus = engine.propagate(s, t + h, f)
-        minus = engine.propagate(s, t - h, f)
-        gen = np.broadcast_to(engine.spec.on_axes(t, axes), engine.grid.shape)
-        resid = (plus.values - minus.values) / (2.0 * h) + gen * base.values
+        plus, minus = engine.propagate(s, t + h, f), engine.propagate(s, t - h, f)
+        at, sign = t, 1.0
     else:
         if s - h < 0 or s + h > t:
             raise DomainError("ds stencil leaves the time triangle")
-        plus = engine.propagate(s + h, t, f)
-        minus = engine.propagate(s - h, t, f)
-        gen = np.broadcast_to(engine.spec.on_axes(s, axes), engine.grid.shape)
-        resid = (plus.values - minus.values) / (2.0 * h) - gen * base.values
+        plus, minus = engine.propagate(s + h, t, f), engine.propagate(s - h, t, f)
+        at, sign = s, -1.0
+    gen = engine.spec.on_axes(at, engine.grid.xi_axes())
+    resid = (plus.values - minus.values) / (2.0 * h) + sign * gen * base.values
     return norm(GridFunction(engine.grid, "frequency", resid))
 
 
@@ -193,32 +183,29 @@ def growth_bound(engine: PropagatorEngine, samples, m: float, omega: float,
                         verdict=bool(worst <= 1.0 + slack), witness=witness)
 
 
-def observed_orders(errors, factors=None) -> list[float]:
-    """Pairwise convergence orders log(e_i/e_{i+1}) / log(factor)."""
+def observed_orders(errors) -> list[float]:
+    """Pairwise convergence orders log2(e_i/e_{i+1}) of a halving sequence."""
     errors = list(errors)
     if len(errors) < 2:
         raise ConfigurationError("need at least two errors to estimate an order")
-    if factors is None:
-        factors = [2.0] * (len(errors) - 1)
     orders = []
-    for e0, e1, fac in zip(errors[:-1], errors[1:], factors):
+    for e0, e1 in zip(errors[:-1], errors[1:]):
         if e1 == 0.0:
             orders.append(float("inf"))
         else:
-            orders.append(float(np.log(e0 / e1) / np.log(fac)))
+            orders.append(float(np.log(e0 / e1) / np.log(2.0)))
     return orders
 
 
-def product_formula_errors(spec: SymbolSpec, grid: Grid, s: float, t: float,
-                           f: GridFunction, rule: str,
+def product_formula_errors(spec: SymbolSpec, s: float, t: float,
+                           f: GridFunction, target: GridFunction, rule: str,
                            step_counts) -> list[float]:
-    """L2 errors of the product engine against the exact engine."""
-    exact = PropagatorEngine(spec, grid, method=EXACT)
-    target = exact.propagate(s, t, f)
+    """L2 errors against `target`, the exact U(t,s) f, of the product
+    engine with `rule` at each step count."""
     errors = []
     for n in step_counts:
-        eng = PropagatorEngine(spec, grid, method=PRODUCT, steps=int(n), rule=rule)
+        eng = PropagatorEngine(spec, f.grid, method=PRODUCT, steps=int(n), rule=rule)
         approx = eng.propagate(s, t, f)
-        diff = GridFunction(grid, "frequency", approx.values - target.values)
+        diff = GridFunction(f.grid, "frequency", approx.values - target.values)
         errors.append(norm(diff))
     return errors

@@ -28,7 +28,7 @@ from .errors import ConfigurationError, ConvergenceError, DomainError, Unsupport
 from .evolution import PropagatorEngine
 from .semigroup import FrozenOperator, gauss_legendre_panels
 from .spectral import (FREQUENCY, Grid, GridFunction, extrapolated_norm,
-                       gaussian_bump, negative_sobolev, norm)
+                       gaussian_bump, memo, negative_sobolev, norm)
 from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
@@ -51,9 +51,8 @@ class Mollifier:
     def apply(self, t: float, f: GridFunction) -> GridFunction:
         if t == 0.0:
             return f.to_frequency()
-        fhat = f.to_frequency()
-        m = np.broadcast_to(self.multiplier(t, f.grid.xi_axes()), f.grid.shape)
-        return GridFunction(f.grid, FREQUENCY, fhat.values * m)
+        return GridFunction(f.grid, FREQUENCY,
+                            f.to_frequency().values * self.multiplier(t, f.grid.xi_axes()))
 
     diagonal = True
     has_integral = False
@@ -71,16 +70,18 @@ class MultiplierFamily:
             raise ConfigurationError("rational profile needs a nonzero denominator")
 
     def _profile(self, xi_axes) -> np.ndarray:
-        r2 = np.asarray(0.0)
-        for ax in xi_axes:
-            r2 = r2 + ax**2
-        num = np.zeros_like(r2, dtype=float)
-        for k, c in enumerate(self.profile_num):
-            num = num + c * r2**k
-        den = np.zeros_like(r2, dtype=float)
-        for k, c in enumerate(self.profile_den):
-            den = den + c * r2**k
-        return num / den
+        def build():
+            r2 = np.asarray(0.0)
+            for ax in xi_axes:
+                r2 = r2 + ax**2
+            num = np.zeros_like(r2, dtype=float)
+            for k, c in enumerate(self.profile_num):
+                num = num + c * r2**k
+            den = np.zeros_like(r2, dtype=float)
+            for k, c in enumerate(self.profile_den):
+                den = den + c * r2**k
+            return num / den
+        return memo(self, "profile", build, xi_axes)
 
     def multiplier(self, t: float, xi_axes) -> np.ndarray:
         return self.coefficient(t) * self._profile(xi_axes)
@@ -91,10 +92,8 @@ class MultiplierFamily:
         return dc * self._profile(xi_axes)
 
     def apply(self, t: float, f: GridFunction) -> GridFunction:
-        fhat = f.to_frequency()
-        m = np.broadcast_to(np.asarray(self.multiplier(t, f.grid.xi_axes()),
-                                       dtype=complex), f.grid.shape)
-        return GridFunction(f.grid, FREQUENCY, fhat.values * m)
+        return GridFunction(f.grid, FREQUENCY,
+                            f.to_frequency().values * self.multiplier(t, f.grid.xi_axes()))
 
     diagonal = True
     has_integral = True
@@ -105,7 +104,8 @@ class SmoothingComposite:
 
     The physical multiplication does not commute with symbol multipliers,
     giving the genuinely non-commuting test case.  w is a Gaussian bump
-    centered in the box, built once per grid.
+    centered in the box; it and the smoothing multiplier are built once
+    per grid.
     """
 
     def __init__(self, order: int = 2, coefficient: CoefficientFunction = None):
@@ -114,22 +114,16 @@ class SmoothingComposite:
         self.order = order
         self.coefficient = (coefficient if coefficient is not None
                             else CoefficientFunction(const=1.0, poly=((1, 1.0),)))
-        self._window_cache: dict = {}
-
-    def _window_values(self, grid: Grid) -> np.ndarray:
-        key = (grid.dim, grid.n, grid.box)
-        if key not in self._window_cache:
-            self._window_cache[key] = gaussian_bump(grid).to_physical().values.real
-        return self._window_cache[key]
 
     def apply(self, t: float, f: GridFunction) -> GridFunction:
         grid = f.grid
-        smooth = (1.0 + grid.xi_squared()) ** (-self.order / 2.0)
-        fhat = f.to_frequency()
-        smoothed = GridFunction(grid, FREQUENCY, fhat.values * smooth)
-        phys = smoothed.to_physical()
-        b = self.coefficient(t) * self._window_values(grid)
-        return GridFunction(grid, "physical", phys.values * b).to_frequency()
+        smooth = memo(self, "smoothing",
+                      lambda: (1.0 + grid.xi_squared()) ** (-self.order / 2.0), grid)
+        window = memo(self, "window",
+                      lambda: gaussian_bump(grid).to_physical().values.real, grid)
+        phys = GridFunction(grid, FREQUENCY, f.to_frequency().values * smooth).to_physical()
+        return GridFunction(grid, "physical",
+                            phys.values * (self.coefficient(t) * window)).to_frequency()
 
     diagonal = False
     has_integral = False
@@ -352,8 +346,7 @@ def commuting_oracle(engine: PropagatorEngine, family: MultiplierFamily,
                                "closed-form time integrals")
     axes = engine.grid.xi_axes()
     expo = -engine.spec.integral_on_axes(s, t, axes) + family.integral(s, t, axes)
-    mult = np.broadcast_to(np.exp(expo), engine.grid.shape)
-    return GridFunction(engine.grid, FREQUENCY, x.to_frequency().values * mult)
+    return GridFunction(engine.grid, FREQUENCY, x.to_frequency().values * np.exp(expo))
 
 
 def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
@@ -462,13 +455,19 @@ def check_domain_to_favard(spec: SymbolSpec, grid: Grid, family, vectors,
     op0 = FrozenOperator(spec, 0.0)
     t_grid = np.linspace(0.0, spec.horizon, 12)
     deltas = [1e-3, 1e-2, 1e-1]
-    sup_graph, lips, verdicts = [], [], []
-    for f in vectors:
-        fhat = f.to_frequency()
+
+    def graph_sup(fhat):
+        """sup over t_grid of ||A(0) B(t) f|| + ||B(t) f||."""
         worst = 0.0
         for t in t_grid:
             g = apply_perturbation(family, float(t), fhat)
             worst = max(worst, norm(op0.apply(g)) + norm(g))
+        return worst
+
+    sup_graph, lips, verdicts = [], [], []
+    for f in vectors:
+        fhat = f.to_frequency()
+        worst = graph_sup(fhat)
         sup_graph.append(worst)
         lip = 0.0
         for delta in deltas:
@@ -487,12 +486,7 @@ def check_domain_to_favard(spec: SymbolSpec, grid: Grid, family, vectors,
     for band in (grid.n // 8, grid.n // 4):
         fhat = rough.to_frequency().values.copy()
         fhat[grid.max_mode() > band] = 0.0
-        probe = GridFunction(grid, FREQUENCY, fhat)
-        worst = 0.0
-        for t in t_grid:
-            g = apply_perturbation(family, float(t), probe)
-            worst = max(worst, norm(op0.apply(g)) + norm(g))
-        ratios.append(worst)
+        ratios.append(graph_sup(GridFunction(grid, FREQUENCY, fhat)))
     band_growth = ratios[1] / max(ratios[0], 1e-300)
     bounded = bool(band_growth <= growth_limit)
     return DomainBoundReport(sup_graph_norm=sup_graph, lipschitz_l2=lips,

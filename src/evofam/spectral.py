@@ -8,6 +8,10 @@ Conventions fixed here and relied on everywhere else:
 * Transforms are the unitary ("ortho") DFT, so Plancherel reads
   sum |f(x_j)|^2 h^d = sum |fhat_k|^2 h^d with the same weight on both
   sides; every norm below uses that weight.
+* A grid's tables (frequency axes, |xi|^2, mode maxima, frequency rows)
+  and the per-grid tables that symbols and perturbation families build on
+  them go through `memo`: each is built once and then shared, read-only,
+  by every caller.  Copy a table before writing to it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,32 @@ from .errors import ConfigurationError, DomainError, NumericError, StateError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
+
+
+def memo(owner, name: str, build, anchor=None):
+    """`owner`'s table `name` for `anchor`, built by `build()` on first use.
+
+    The table lives on `owner` and is handed out read-only from then on.
+    `anchor` (a grid, a tuple of frequency axes, or None) is matched by
+    identity and kept alive beside its table, so one anchor's table never
+    serves another.  Axes with a writeable array may change in place, so
+    for them `build()` runs on every call and nothing is kept.
+    """
+    if isinstance(anchor, tuple) and any(ax.flags.writeable for ax in anchor):
+        return build()
+    tables = vars(owner).setdefault("_tables", {})
+    key = (name, id(anchor))
+    if key not in tables:
+        tables[key] = (anchor, _read_only(build()))
+    return tables[key][1]
+
+
+def _read_only(table):
+    """Lock an array, or the arrays of a tuple or dict."""
+    parts = table.values() if isinstance(table, dict) else table
+    for part in parts if isinstance(table, (tuple, dict)) else (table,):
+        part.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -57,26 +87,39 @@ class Grid:
         """Frequencies 2 pi k / L in FFT order for one axis."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
+    def _on_axis(self, j: int, values: np.ndarray) -> np.ndarray:
+        """Per-point values along axis j, shaped for broadcasting to `shape`."""
+        return values.reshape([self.n if k == j else 1 for k in range(self.dim)])
+
+    def separable(self, axis_values: np.ndarray) -> np.ndarray:
+        """prod_j v(x_j) on the grid for per-axis values v."""
+        values = np.ones(self.shape)
+        for j in range(self.dim):
+            values = values * self._on_axis(j, axis_values)
+        return values
+
     def xi_axes(self) -> tuple[np.ndarray, ...]:
         """Per-axis frequency arrays shaped for broadcasting to `shape`."""
-        axis = self.xi_axis()
-        out = []
-        for j in range(self.dim):
-            shape = [1] * self.dim
-            shape[j] = self.n
-            out.append(axis.reshape(shape))
-        return tuple(out)
+        def build():
+            axis = self.xi_axis()
+            return tuple(self._on_axis(j, axis) for j in range(self.dim))
+        return memo(self, "xi_axes", build)
+
+    def xi_rows(self) -> np.ndarray:
+        """Frequency vector of every bin, shape (bins, dim), bins in C order."""
+        return memo(self, "xi_rows", lambda: np.stack(
+            [np.broadcast_to(ax, self.shape).reshape(-1) for ax in self.xi_axes()],
+            axis=1))
 
     def max_mode(self) -> np.ndarray:
         """max_j |k_j| per bin, k_j the integer mode index on axis j."""
-        k = np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n))
-        return np.max(np.meshgrid(*[k] * self.dim, indexing="ij"), axis=0)
+        return memo(self, "max_mode", lambda: np.max(np.meshgrid(
+            *[np.abs(np.fft.fftfreq(self.n, d=1.0 / self.n))] * self.dim,
+            indexing="ij"), axis=0))
 
     def xi_squared(self) -> np.ndarray:
-        total = np.zeros(self.shape)
-        for ax in self.xi_axes():
-            total = total + ax**2
-        return total
+        return memo(self, "xi_squared", lambda: sum(
+            (ax**2 for ax in self.xi_axes()), np.zeros(self.shape)))
 
     def mode_index(self, k: int) -> int:
         """FFT-order index of integer mode k on one axis."""
@@ -256,32 +299,21 @@ def mode(grid: Grid, k, amplitude: complex = None) -> GridFunction:
     return GridFunction(grid, FREQUENCY, values)
 
 
-def random_band_limited(grid: Grid, rng: np.random.Generator, band: int = 4,
-                        normalize: bool = True) -> GridFunction:
-    """Random spectrum supported on modes with all |k_j| <= band."""
+def random_band_limited(grid: Grid, rng: np.random.Generator, band: int = 4) -> GridFunction:
+    """Random unit-norm spectrum supported on modes with all |k_j| <= band."""
     if band < 1 or band > grid.n // 2 - 1:
         raise ConfigurationError(f"band {band} outside grid range")
     values = np.zeros(grid.shape, dtype=complex)
     mask = grid.max_mode() <= band
     count = int(np.sum(mask))
     values[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    f = GridFunction(grid, FREQUENCY, values)
-    if normalize:
-        nrm = norm(f)
-        f = GridFunction(grid, FREQUENCY, values / nrm)
-    return f
+    return GridFunction(grid, FREQUENCY, values / norm(GridFunction(grid, FREQUENCY, values)))
 
 
 def indicator(grid: Grid, lo: float = 0.0, hi: float = 1.0) -> GridFunction:
     """Indicator of the box (lo, hi)^d sampled at grid points (a rough vector)."""
     x = grid.points_axis()
-    axis_mask = (x > lo) & (x < hi)
-    values = np.ones(grid.shape)
-    for j in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[j] = grid.n
-        values = values * axis_mask.reshape(shape)
-    return GridFunction(grid, PHYSICAL, values.astype(complex))
+    return GridFunction(grid, PHYSICAL, grid.separable((x > lo) & (x < hi)).astype(complex))
 
 
 def gaussian_bump(grid: Grid, center: float = None, width: float = None) -> GridFunction:
@@ -292,12 +324,7 @@ def gaussian_bump(grid: Grid, center: float = None, width: float = None) -> Grid
         width = grid.box / 16.0
     x = grid.points_axis()
     axis_vals = np.exp(-((x - center) ** 2) / (2.0 * width**2))
-    values = np.ones(grid.shape)
-    for j in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[j] = grid.n
-        values = values * axis_vals.reshape(shape)
-    return GridFunction(grid, PHYSICAL, values.astype(complex))
+    return GridFunction(grid, PHYSICAL, grid.separable(axis_vals).astype(complex))
 
 
 def refine(f: GridFunction, factor: int = 2) -> GridFunction:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .spectral import memo
 
 
 @dataclass(frozen=True)
@@ -148,19 +149,22 @@ class SymbolSpec:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if xi.shape[0] != self.dim:
             raise DomainError(f"frequency vector has dim {xi.shape[0]}, expected {self.dim}")
-        axes = tuple(xi[j:j + 1] for j in range(self.dim))
-        return complex(self.time_matrix([t], axes, principal_only).reshape(-1)[0])
+        return complex(self.time_matrix([t], tuple(xi[:, None]),
+                                        principal_only).reshape(-1)[0])
 
     def monomials(self, xi_axes: tuple[np.ndarray, ...]) -> dict[tuple[int, ...], np.ndarray]:
-        """(i xi)^alpha on broadcastable frequency axes, one array per alpha."""
-        out = {}
-        for alpha in self.coefficients:
-            mono = np.asarray(1.0 + 0.0j)
-            for j, a_j in enumerate(alpha):
-                if a_j:
-                    mono = mono * (1j * xi_axes[j]) ** a_j
-            out[alpha] = mono
-        return out
+        """(i xi)^alpha on broadcastable frequency axes, one array per alpha;
+        built once per axes tuple and shared read-only."""
+        def build():
+            out = {}
+            for alpha in self.coefficients:
+                mono = np.asarray(1.0 + 0.0j)
+                for j, a_j in enumerate(alpha):
+                    if a_j:
+                        mono = mono * (1j * xi_axes[j]) ** a_j
+                out[alpha] = mono
+            return out
+        return memo(self, "monomials", build, xi_axes)
 
     def on_axes(self, t, xi_axes: tuple[np.ndarray, ...]) -> np.ndarray:
         """a(t, .) evaluated on broadcastable frequency axes, scalar t."""
@@ -199,16 +203,6 @@ class SymbolSpec:
         """Per-multi-index closed-form Lipschitz bounds on [0, T]."""
         return {alpha: coef.lipschitz_bound(self.horizon)
                 for alpha, coef in self.coefficients.items()}
-
-    def breakpoints(self) -> tuple[float, ...]:
-        pts = set()
-        for coef in self.coefficients.values():
-            pts.update(coef.breakpoints())
-        return tuple(sorted(p for p in pts if 0.0 < p < self.horizon))
-
-    @property
-    def is_autonomous(self) -> bool:
-        return all(c.is_constant for c in self.coefficients.values())
 
 
 @dataclass(frozen=True)
@@ -257,14 +251,12 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int = 512,
         frequencies = sphere
     frequencies = np.vstack([frequencies, np.zeros((1, spec.dim))])
 
-    axes_sphere = tuple(sphere[:, j] for j in range(spec.dim))
-    principal = spec.time_matrix(ts, axes_sphere, principal_only=True)
+    principal = spec.time_matrix(ts, tuple(sphere.T), principal_only=True)
     idx = np.unravel_index(np.argmin(principal.real), principal.shape)
     c_meas = float(principal.real[idx])
     wit_c = (float(ts[idx[0]]), sphere[idx[1]].tolist())
 
-    axes_full = tuple(frequencies[:, j] for j in range(spec.dim))
-    full = spec.time_matrix(ts, axes_full)
+    full = spec.time_matrix(ts, tuple(frequencies.T))
     jdx = np.unravel_index(np.argmin(full.real), full.shape)
     omega_meas = float(full.real[jdx])
     wit_o = (float(ts[jdx[0]]), frequencies[jdx[1]].tolist())

@@ -213,6 +213,52 @@ def test_bundled_exit_codes(args, expected, tmp_path):
     assert _exit_code(argv + args[2:]) == expected
 
 
+def zero_perturbation_h1(tmp_path):
+    """Bundled h1 on 64 bins and 64 Volterra steps with B = 0, so the
+    Volterra solve and the oracle agree to roundoff."""
+    from importlib import resources
+    config = json.loads(resources.files("evofam.data").joinpath("configs")
+                        .joinpath("h1.json").read_text())
+    config["grid"]["n"] = 64
+    config["solver"]["steps"] = 64
+    config["perturbation"]["coefficient"]["const"] = [0.0, 0.0]
+    return write_config(tmp_path, config)
+
+
+def test_exact_oracle_passes_without_order_fit(tmp_path):
+    # oracle errors are ~1e-16, so their fitted orders are noise
+    path = zero_perturbation_h1(tmp_path)
+    out = tmp_path / "o"
+    assert main(["perturb", "--config", str(path), "--out", str(out),
+                 "--stable"]) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["oracle_error"] <= 1e-13
+    assert report["verdicts"]["oracle_order"] is True
+
+
+def test_perturb_builds_frequency_axes_once_per_grid(tmp_path, monkeypatch):
+    from evofam.spectral import Grid
+    calls, grids = [], []
+    fftfreq, post_init = np.fft.fftfreq, Grid.__post_init__
+    monkeypatch.setattr(np.fft, "fftfreq",
+                        lambda *a, **k: calls.append(a) or fftfreq(*a, **k))
+    monkeypatch.setattr(Grid, "__post_init__",
+                        lambda self: grids.append(self) or post_init(self))
+    path = zero_perturbation_h1(tmp_path)
+    assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--stable"]) == 0
+    # xi_axes and max_mode each call fftfreq once per grid
+    assert 0 < len(calls) <= 2 * len(grids)
+
+
+@pytest.mark.parametrize("key,value", [("gl_nodes", 12), ("panel_width", 0.25)])
+def test_engine_quadrature_keys_rejected(tmp_path, key, value):
+    config = fast_td1_config(engine={"method": "exact", key: value})
+    path = write_config(tmp_path, config)
+    assert main(["evolve", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
 class TestBundledConfigs:
     def test_bundled_configs_validate(self):
         from importlib import resources

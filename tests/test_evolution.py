@@ -11,6 +11,13 @@ from evofam.spectral import Grid, GridFunction, extrapolated_norm, mode, norm, \
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
 
 
+class Broken(CoefficientFunction):
+    """A coefficient whose antiderivative is deliberately inconsistent."""
+
+    def antiderivative(self, t):
+        return np.zeros_like(np.asarray(t), dtype=complex)[()]
+
+
 @pytest.fixture(scope="module")
 def engine(td1, grid):
     return PropagatorEngine(td1, grid)
@@ -39,15 +46,15 @@ class TestExactPropagator:
         with pytest.raises(DomainError):
             engine.propagate(2.0, 1.0, mode(grid, 0))
 
-    def test_antiderivative_self_check_catches_lies(self):
-        # a coefficient whose antiderivative is deliberately inconsistent
-        class Broken(CoefficientFunction):
-            def antiderivative(self, t):
-                return np.zeros_like(np.asarray(t), dtype=complex)[()]
-        bad = SymbolSpec(dim=1, order=2, horizon=1.0, coefficients={
-            (2,): Broken(const=-1.0), (0,): Broken(const=1.0)})
+    @pytest.mark.parametrize("dim, coefficients", [
+        (1, {(2,): Broken(const=-1.0), (0,): Broken(const=1.0)}),
+        # the lie is off the first axis, invisible to a probe at xi = (1, 0)
+        (2, {(2, 0): constant(-1.0), (0, 2): Broken(const=-1.0)}),
+    ], ids=["1d", "2d_second_axis"])
+    def test_antiderivative_self_check_catches_lies(self, dim, coefficients):
+        bad = SymbolSpec(dim=dim, order=2, horizon=1.0, coefficients=coefficients)
         with pytest.raises(ConfigurationError):
-            PropagatorEngine(bad, Grid(1, 64, 2 * np.pi))
+            PropagatorEngine(bad, Grid(dim, 64, 2 * np.pi))
 
     def test_step_symbol_quadrature_splits_panels(self, grid):
         step = SymbolSpec(dim=1, order=2, horizon=2.0, coefficients={
@@ -166,14 +173,16 @@ class TestStrongContinuity:
 class TestProductFormula:
     def test_left_endpoint_first_order(self, td1, grid, rng):
         f = random_band_limited(grid, rng, band=4)
-        errs = product_formula_errors(td1, grid, 0.0, 2.0, f, "left",
+        target = PropagatorEngine(td1, grid).propagate(0.0, 2.0, f)
+        errs = product_formula_errors(td1, 0.0, 2.0, f, target, "left",
                                       [64, 128, 256])
         for order in observed_orders(errs):
             assert 0.8 <= order <= 1.2
 
     def test_midpoint_second_order(self, td1, grid, rng):
         f = random_band_limited(grid, rng, band=4)
-        errs = product_formula_errors(td1, grid, 0.0, 2.0, f, "midpoint",
+        target = PropagatorEngine(td1, grid).propagate(0.0, 2.0, f)
+        errs = product_formula_errors(td1, 0.0, 2.0, f, target, "midpoint",
                                       [64, 128, 256])
         for order in observed_orders(errs):
             assert 1.7 <= order <= 2.3

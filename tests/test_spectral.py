@@ -11,6 +11,8 @@ from evofam.spectral import (FREQUENCY, PHYSICAL, Grid, GridFunction, L2,
                              negative_sobolev, norm, random_band_limited, refine,
                              save_function, spectral_tail_fraction, transform,
                              xminus1_model_ratio)
+from evofam.perturbation import MultiplierFamily, SmoothingComposite
+from evofam.symbols import heat_symbol
 
 
 class TestGrid:
@@ -30,6 +32,51 @@ class TestGrid:
 
     def test_integer_modes_on_2pi_box(self, grid):
         assert grid.xi_axis()[3] == pytest.approx(3.0)
+
+
+class TestGridTables:
+    def test_built_once(self, small_grid):
+        assert small_grid.xi_axes() is small_grid.xi_axes()
+        for table in ("xi_squared", "max_mode", "xi_rows"):
+            assert getattr(small_grid, table)() is getattr(small_grid, table)()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tables_read_only(self, dim):
+        grid = Grid(dim, 16, 2.0 * np.pi)
+        axes = grid.xi_axes()
+        monos = heat_symbol(dim=dim).monomials(axes)
+        tables = [*axes, grid.xi_squared(), grid.max_mode(), grid.xi_rows(),
+                  *monos.values(), MultiplierFamily()._profile(axes)]
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 1.0
+
+    def test_equal_grids_do_not_share(self):
+        a, b = Grid(1, 16, 1.0), Grid(1, 16, 1.0)
+        assert a == b and a.xi_axes() is not b.xi_axes()
+        spec = heat_symbol()
+        assert spec.monomials(a.xi_axes()) is not spec.monomials(b.xi_axes())
+
+    def test_writeable_axes_are_not_memoized(self):
+        # the caller may overwrite its own axes, so their identity proves nothing
+        spec, axes = heat_symbol(), (np.array([1.0, 2.0]),)
+        assert np.allclose(spec.monomials(axes)[(2,)], [-1.0, -4.0])
+        axes[0][:] = 3.0
+        assert np.allclose(spec.monomials(axes)[(2,)], [-9.0, -9.0])
+
+    def test_tables_follow_their_grid(self):
+        coarse, fine = Grid(1, 16, 2.0 * np.pi), Grid(1, 32, 2.0 * np.pi)
+        spec, family, smoother = heat_symbol(), MultiplierFamily(), SmoothingComposite()
+        for grid in (coarse, fine, coarse, fine):
+            axes = grid.xi_axes()
+            xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+            assert np.array_equal(axes[0], xi)
+            assert np.array_equal(grid.xi_rows()[:, 0], xi)
+            assert np.array_equal(spec.monomials(axes)[(2,)], (1j * xi) ** 2)
+            assert np.array_equal(family._profile(axes), 1.0 / (1.0 + xi**2))
+            f = mode(grid, 1)
+            assert np.array_equal(smoother.apply(0.5, f).values,
+                                  SmoothingComposite().apply(0.5, f).values)
 
 
 class TestTransform:

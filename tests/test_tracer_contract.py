@@ -1,0 +1,34 @@
+"""The benchmark tracer (perfbench/tracer.py) wraps named evofam methods and
+rebinds names that `evofam.cli` imports; a refactor that turns one of those
+methods into a property, or drops one of those imports, breaks `--trace 1`.
+These checks load the tracer module without installing it."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_methods_are_plain_functions(tracer):
+    for layer, cls_name, method, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"evofam.{layer}"), cls_name)
+        assert inspect.isfunction(cls.__dict__.get(method)), \
+            f"{layer}.{cls_name}.{method} is not a plain method"
+
+
+def test_cli_imports_exist(tracer):
+    cli = importlib.import_module("evofam.cli")
+    for name in tracer.CLI_IMPORTS:
+        assert inspect.isfunction(getattr(cli, name, None)), f"evofam.cli.{name}"
