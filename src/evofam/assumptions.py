@@ -8,6 +8,15 @@ recorded.  All "for all lambda in the sector" conditions are sampled on
 log-spaced moduli along the boundary rays plus interior rays; refinement
 stability (constants move less than 5 percent when the plan doubles) is
 reported in lieu of proof.
+
+Every sampled sup goes through `_steepest`: a non-finite quotient reads
+as 2 cap (a violation at cap) and the first maximum in sample-then-bin
+order is the witness.  Lipschitz quotients |f(t) - f(s)|/(t - s) are
+sampled on the pairs of a uniform base grid of [0, T] plus centred
+near-coincident pairs.  For fixed xi and lambda (or tau, or test vector)
+the triangle inequality puts the sup over all base pairs on a neighbouring
+pair, in an L2 norm as in modulus, so C', C and the cd quotients sweep
+neighbouring base pairs only; A3 divides by |a(s)| and sweeps all pairs.
 """
 
 from __future__ import annotations
@@ -17,8 +26,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import Grid, GridFunction, extrapolated_norm, norm
+from .semigroup import FrozenOperator, frozen_resolvent
+from .spectral import Grid, GridFunction, norm
 from .symbols import SymbolSpec
+
+BLOCK_ELEMENTS = 1 << 16      # quotients per block of rows: ~1 MB complex temporaries
+KATO_TOL = 1e-9               # Kato ratios may exceed 1 by roundoff only
+CD_SLACK = 0.05               # cd X quotient against its coefficient bound
+COMMUTING_DRAWS = 3           # (t, s, lambda, mu) draws per test vector
+THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,28 @@ def _refined(measure, plan: SamplePlan):
     return base, fine, abs(fine - base[0]) / max(base[0], 1e-300)
 
 
+def _steepest(quotient, samples: int, rows: int, width: int, cap: float):
+    """Largest nonnegative quotient and its (sample, row, column).
+
+    `quotient(m, lo, hi)` returns sample m's quotients on rows lo:hi as a
+    (hi - lo, columns) array; a row costs about `width` elements, so blocks
+    of rows keep temporaries near BLOCK_ELEMENTS.  A non-finite quotient
+    reads as 2 cap; the first maximum in sample-row-column order wins
+    ((0, 0, 0) when every quotient is 0).
+    """
+    best, at = 0.0, (0, 0, 0)
+    step = max(1, BLOCK_ELEMENTS // width)
+    for m in range(samples):
+        for lo in range(0, rows, step):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                q = quotient(m, lo, min(lo + step, rows))
+            q = np.where(np.isfinite(q), q, 2.0 * cap)
+            i, j = np.unravel_index(np.argmax(q), q.shape)
+            if q[i, j] > best:
+                best, at = float(q[i, j]), (m, lo + int(i), int(j))
+    return best, at
+
+
 @dataclass(frozen=True)
 class SectorParams:
     """Measured sector bound: max of |lambda|/|lambda + a| and 1/|a|."""
@@ -96,26 +134,14 @@ def _sector_measure(spec: SymbolSpec, grid: Grid, theta: float, plan: SamplePlan
     a = _symbol_matrix(spec, grid, ts)
     lams = _sector_lambdas(theta, plan.rays,
                            np.geomspace(*plan.modulus_range, plan.moduli_per_ray))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / np.abs(a)
-    inv = np.where(np.isfinite(inv), inv, plan.cap * 2)
-    i, j = np.unravel_index(np.argmax(inv), inv.shape)
-    m_meas = float(inv[i, j])
-    worst = {"kind": "inverse_bound", "value": m_meas, "t": float(ts[i]),
-             "lambda": None, "xi": grid.xi_rows()[j].tolist()}
-    for lam in lams:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(lam) / np.abs(lam + a)
-        ratio = np.where(np.isfinite(ratio), ratio, plan.cap * 2)
-        i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
-        val = float(ratio[i, j])
-        if val > m_meas:
-            m_meas = val
-            worst = {"kind": "resolvent_ratio", "value": val,
-                     "t": float(ts[i]),
-                     "lambda": [float(lam.real), float(lam.imag)],
-                     "xi": grid.xi_rows()[j].tolist()}
-    return m_meas, worst, len(ts) * len(lams)
+    # sample 0 is 1/|0 + a|, sample m the ratio at lams[m - 1]
+    shifts, scales = np.append(0.0, lams), np.append(1.0, np.abs(lams))
+    quotient = lambda m, lo, hi: scales[m] / np.abs(shifts[m] + a[lo:hi])
+    value, (m, i, j) = _steepest(quotient, len(shifts), len(ts), a.shape[1], plan.cap)
+    lam = [float(shifts[m].real), float(shifts[m].imag)] if m else None
+    worst = {"kind": "resolvent_ratio" if m else "inverse_bound", "value": value,
+             "t": float(ts[i]), "lambda": lam, "xi": grid.xi_rows()[j].tolist()}
+    return value, worst, len(ts) * len(lams)
 
 
 def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
@@ -135,14 +161,11 @@ def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
 
 
 def largest_passing_theta(spec: SymbolSpec, grid: Grid,
-                          plan: SamplePlan = SamplePlan(),
-                          thetas: np.ndarray | None = None) -> float:
-    """Largest sampled sector angle whose `check_sector` verdict passes (nan
-    if none); the verdict reads the base plan only, so only that is measured."""
-    if thetas is None:
-        thetas = np.pi * np.linspace(0.55, 0.95, 9)
+                          plan: SamplePlan = SamplePlan()) -> float:
+    """Largest THETA_SCAN angle whose `check_sector` verdict passes (nan if
+    none); the verdict reads the base plan only, so only that is measured."""
     best = float("nan")
-    for theta in thetas:
+    for theta in THETA_SCAN:
         if _sector_measure(spec, grid, float(theta), plan)[0] <= plan.cap:
             best = float(theta)
     return best
@@ -175,8 +198,8 @@ def _partitions(T: float, k: int, count: int, rng: np.random.Generator,
 
 def check_kato_stability(spec: SymbolSpec, grid: Grid,
                          plan: SamplePlan = SamplePlan(),
-                         m: float = 1.0, omega: float | None = None,
-                         tol: float = 1e-9) -> StabilityCertificate:
+                         m: float = 1.0,
+                         omega: float | None = None) -> StabilityCertificate:
     """Certify the product bounds over ordered partitions up to k = kmax.
 
     Multipliers commute, so the product norm equals the grid maximum of
@@ -216,33 +239,32 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
     return StabilityCertificate(
         m=m, omega=w, kmax=plan.kato_kmax, partitions_tested=tested,
         max_resolvent_ratio=res_base, max_semigroup_ratio=semi_base,
-        verdict=bool(base <= 1.0 + tol),
+        verdict=bool(base <= 1.0 + KATO_TOL),
         refined_ratio=fine, refinement_delta=delta)
 
 
-def _pair_set(T: float, grid_count: int, deltas) -> list[tuple[float, float]]:
-    """Ordered pairs from a uniform base grid plus centered near-coincident
-    pairs at every base point (and at T/2, where degenerate configs jump)."""
+def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int, deltas,
+                neighbours: bool = True):
+    """Pairs s < t as arrays (s, t, row_s, row_t) into the symbol matrix over
+    the sorted union of their times, that matrix, and the number of pairs
+    the sup covers: every base-grid pair plus the centred pairs.  With
+    `neighbours` only neighbouring base pairs are listed (exact for
+    quotients whose sup the triangle inequality puts on them)."""
+    T = spec.horizon
     base = np.linspace(0.0, T, grid_count)
-    pairs = [(float(s), float(t)) for i, s in enumerate(base)
-             for t in base[i + 1:]]
+    i, k = np.triu_indices(grid_count, 1)
+    covered = len(i)
+    if neighbours:
+        i, k = i[k == i + 1], k[k == i + 1]
     centers = np.append(base, 0.5 * T)
-    for delta in deltas:
-        for c in centers:
-            s, t = c - delta / 2.0, c + delta / 2.0
-            if s >= 0.0 and t <= T and t > s:
-                pairs.append((s, t))
-    return pairs
-
-
-def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int, deltas):
-    """`_pair_set` pairs as (s, t, row_s, row_t), with the symbol matrix
-    over the sorted union of their times."""
-    pairs = _pair_set(spec.horizon, grid_count, deltas)
-    times = sorted({t for pair in pairs for t in pair})
-    index = {t: i for i, t in enumerate(times)}
-    a = _symbol_matrix(spec, grid, np.array(times))
-    return [(s, t, index[s], index[t]) for s, t in pairs], a
+    half = np.asarray(deltas, dtype=float)[:, None] / 2.0
+    cs, ct = (centers - half).ravel(), (centers + half).ravel()
+    keep = (cs >= 0.0) & (ct <= T) & (ct > cs)
+    s = np.concatenate([base[i], cs[keep]])
+    t = np.concatenate([base[k], ct[keep]])
+    times, rows = np.unique(np.concatenate([s, t]), return_inverse=True)
+    return ((s, t, rows[:len(s)], rows[len(s):]), _symbol_matrix(spec, grid, times),
+            covered + int(np.count_nonzero(keep)))
 
 
 @dataclass(frozen=True)
@@ -250,9 +272,31 @@ class LipschitzComponent:
     value: float
     verdict: bool            # finite below cap
     witness: dict
-    pair_count: int
+    pair_count: int          # pairs the sup covers, times lambda or tau samples
     refined_value: float = float("nan")
     refinement_delta: float = float("nan")
+
+
+def _lipschitz(measure, plan: SamplePlan) -> LipschitzComponent:
+    (value, witness, count), fine, delta = _refined(measure, plan)
+    return LipschitzComponent(value=value, verdict=bool(value <= plan.cap),
+                              witness=witness, pair_count=count,
+                              refined_value=fine, refinement_delta=delta)
+
+
+def _pair_sweep(spec: SymbolSpec, grid: Grid, p: SamplePlan, grid_count: int,
+                quotient, key=None, samples=(None,), neighbours: bool = True):
+    """Steepest `quotient(a, m, row_s, row_t) / (t - s)` over (sample m,
+    pair) rows, its witness ({} when every quotient is 0) and the number
+    of (sample, pair) samples the sup covers."""
+    (s, t, i, k), a, count = _pair_table(spec, grid, grid_count, p.pair_deltas,
+                                         neighbours)
+    rows = lambda m, lo, hi: quotient(a, m, i[lo:hi], k[lo:hi]) / (t - s)[lo:hi, None]
+    value, (m, q, j) = _steepest(rows, len(samples), len(s), a.shape[1], p.cap)
+    witness = {} if value == 0.0 else {
+        "t": float(t[q]), "s": float(s[q]), "xi": grid.xi_rows()[j].tolist(),
+        "value": value, **({key: samples[m]} if key else {})}
+    return value, witness, count * len(samples)
 
 
 def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
@@ -262,25 +306,10 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
     In the multiplier model this is exactly ||Id - A(t) A(s)^{-1}|| and
     coincides with the extrapolated version (the symbols commute).
     """
-
-    def measure(p: SamplePlan):
-        pairs, a = _pair_table(spec, grid, p.pair_grid, p.pair_deltas)
-        best, witness = 0.0, {}
-        for s, t, i, k in pairs:
-            # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.abs(a[i] - a[k]) / np.abs(a[i]) / (t - s)
-            q = np.where(np.isfinite(q), q, p.cap * 2)
-            j = int(np.argmax(q))
-            if float(q[j]) > best:
-                best = float(q[j])
-                witness = {"t": t, "s": s, "xi": grid.xi_rows()[j].tolist(), "value": best}
-        return best, witness, len(pairs)
-
-    (base, witness, count), fine, delta = _refined(measure, plan)
-    return LipschitzComponent(value=base, verdict=bool(base <= plan.cap),
-                              witness=witness, pair_count=count,
-                              refined_value=fine, refinement_delta=delta)
+    # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
+    quotient = lambda a, _, i, k: np.abs(a[i] - a[k]) / np.abs(a[i])
+    return _lipschitz(lambda p: _pair_sweep(spec, grid, p, p.pair_grid, quotient,
+                                            neighbours=False), plan)
 
 
 def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
@@ -289,30 +318,14 @@ def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
     over pairs and sector lambda samples."""
 
     def measure(p: SamplePlan):
-        pairs, a = _pair_table(spec, grid, p.resolvent_pair_grid,
-                               p.pair_deltas)
-        lams = _sector_lambdas(theta, p.rays,
-                               np.geomspace(*p.resolvent_modulus_range,
-                                            p.resolvent_moduli))
-        best, witness = 0.0, {}
-        for lam in lams:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = 1.0 / (lam + a)
-            for s, t, i, k in pairs:
-                q = np.abs(lam) * np.abs(r[k] - r[i]) / (t - s)
-                q = np.where(np.isfinite(q), q, p.cap * 2)
-                j = int(np.argmax(q))
-                if float(q[j]) > best:
-                    best = float(q[j])
-                    witness = {"t": t, "s": s,
-                               "lambda": [float(lam.real), float(lam.imag)],
-                               "xi": grid.xi_rows()[j].tolist(), "value": best}
-        return best, witness, len(pairs) * len(lams)
+        lams = _sector_lambdas(theta, p.rays, np.geomspace(*p.resolvent_modulus_range,
+                                                            p.resolvent_moduli))
+        quotient = lambda a, m, i, k: np.abs(lams[m]) * np.abs(
+            1.0 / (lams[m] + a[k]) - 1.0 / (lams[m] + a[i]))
+        return _pair_sweep(spec, grid, p, p.resolvent_pair_grid, quotient, "lambda",
+                           [[float(lam.real), float(lam.imag)] for lam in lams])
 
-    (base, witness, count), fine, delta = _refined(measure, plan)
-    return LipschitzComponent(value=base, verdict=bool(base <= plan.cap),
-                              witness=witness, pair_count=count,
-                              refined_value=fine, refinement_delta=delta)
+    return _lipschitz(measure, plan)
 
 
 def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
@@ -320,25 +333,13 @@ def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
     """C = max over tau, pairs of max_xi |e^{-tau a(t)} - e^{-tau a(s)}| / |t-s|."""
 
     def measure(p: SamplePlan):
-        pairs, a = _pair_table(spec, grid, p.resolvent_pair_grid,
-                               p.pair_deltas)
         taus = np.geomspace(1e-3, spec.horizon, p.tau_samples)
-        best, witness = 0.0, {}
-        for tau in taus:
-            e = np.exp(-tau * a)
-            for s, t, i, k in pairs:
-                q = np.abs(e[k] - e[i]) / (t - s)
-                j = int(np.argmax(q))
-                if float(q[j]) > best:
-                    best = float(q[j])
-                    witness = {"t": t, "s": s, "tau": float(tau),
-                               "xi": grid.xi_rows()[j].tolist(), "value": best}
-        return best, witness, len(pairs) * len(taus)
+        quotient = lambda a, m, i, k: np.abs(np.exp(-taus[m] * a[k])
+                                             - np.exp(-taus[m] * a[i]))
+        return _pair_sweep(spec, grid, p, p.resolvent_pair_grid, quotient, "tau",
+                           [float(tau) for tau in taus])
 
-    (base, witness, count), fine, delta = _refined(measure, plan)
-    return LipschitzComponent(value=base, verdict=bool(base <= plan.cap),
-                              witness=witness, pair_count=count,
-                              refined_value=fine, refinement_delta=delta)
+    return _lipschitz(measure, plan)
 
 
 @dataclass(frozen=True)
@@ -361,19 +362,15 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
     def measure(p: SamplePlan):
         ts = np.linspace(0.0, spec.horizon, p.time_samples)
         a = _symbol_matrix(spec, grid, ts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(a / a[0][None, :])
-        ratio = np.where(np.isfinite(ratio), ratio, p.cap * 2)
-        iu, ju = np.unravel_index(np.argmax(ratio), ratio.shape)
-        upper = {"t": float(ts[iu]), "xi": grid.xi_rows()[ju].tolist(),
-                 "value": float(ratio[iu, ju])}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / ratio
-        inv = np.where(np.isfinite(inv), inv, p.cap * 2)
-        il, jl = np.unravel_index(np.argmax(inv), inv.shape)
-        lower = {"t": float(ts[il]), "xi": grid.xi_rows()[jl].tolist(),
-                 "value": float(inv[il, jl])}
-        return max(upper["value"], lower["value"]), upper, lower
+        upper = lambda _, lo, hi: np.abs(a[lo:hi] / a[0])
+        # the lower ratio inverts the upper one read by the non-finite rule
+        lower = lambda _, lo, hi: 1.0 / np.fmin(upper(_, lo, hi), 2.0 * p.cap)
+        sides = []
+        for ratio in (upper, lower):
+            value, (_, i, j) = _steepest(ratio, 1, len(ts), a.shape[1], p.cap)
+            sides.append({"t": float(ts[i]), "xi": grid.xi_rows()[j].tolist(),
+                          "value": value})
+        return max(sides[0]["value"], sides[1]["value"]), *sides
 
     (kappa, upper, lower), kappa_fine, delta = _refined(measure, plan)
     return EquivalenceReport(kappa=kappa, witness_upper=upper,
@@ -382,17 +379,14 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
                              refined_kappa=kappa_fine, refinement_delta=delta)
 
 
-def check_commuting(spec: SymbolSpec, grid: Grid, vectors,
-                    draws: int = 3, seed: int = 5) -> float:
+def check_commuting(spec: SymbolSpec, grid: Grid, vectors, seed: int = 5) -> float:
     """Max relative defect of R(lambda,A(t)) R(mu,A(s)) against the swapped
     order on test vectors.  Validates the implementation (diagonal
     operators commute exactly); expected <= 1e-12."""
-    from .semigroup import FrozenOperator, frozen_resolvent
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for f in vectors:
-        for _ in range(draws):
+        for _ in range(COMMUTING_DRAWS):
             t, s = rng.uniform(0.0, spec.horizon, 2)
             lam = complex(rng.uniform(0.5, 5.0), rng.uniform(-1.0, 1.0))
             mu = complex(rng.uniform(0.5, 5.0), rng.uniform(-1.0, 1.0))
@@ -419,8 +413,7 @@ class CDSystemReport:
 
 
 def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
-                      plan: SamplePlan = SamplePlan(),
-                      slack: float = 0.05) -> CDSystemReport:
+                      plan: SamplePlan = SamplePlan()) -> CDSystemReport:
     """Verdict: constant domain (structural in the multiplier model) and
     Kato stability and strong Lipschitz continuity of t -> A(t) on the
     declared test vectors, at the X level and in the X_{-1} gauge."""
@@ -428,8 +421,8 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
         raise ConfigurationError("need at least one test vector")
     stability = check_kato_stability(spec, grid, plan)
 
-    pairs, a = _pair_table(spec, grid, plan.resolvent_pair_grid,
-                           plan.pair_deltas)
+    (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid,
+                                     plan.pair_deltas)
     axes = grid.xi_axes()
 
     lips = spec.coefficient_lipschitz()
@@ -441,32 +434,27 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
             rate = rate + bound * np.abs(np.broadcast_to(monos[alpha], grid.shape))
     rate_flat = rate.reshape(-1)
     a0 = np.abs(np.broadcast_to(spec.on_axes(0.0, axes), grid.shape)).reshape(-1)
-    gauge_defined = bool(np.all(a0 > 0.0))
 
     w = grid.cell_volume
-    worst_x, worst_m1, bound_x = 0.0, 0.0, 0.0
-    witness = {}
-    for f in vectors:
-        fhat = np.abs(f.to_frequency().values.reshape(-1))
-        if unbounded:
-            vec_bound = float("inf")
-        else:
-            vec_bound = float(np.sqrt(np.sum((rate_flat * fhat) ** 2) * w))
-        bound_x = max(bound_x, vec_bound)
-        for s, t, i, k in pairs:
-            da = np.abs(a[k] - a[i]) / (t - s)
-            qx = float(np.sqrt(np.sum((da * fhat) ** 2) * w))
-            if gauge_defined:
-                qm1 = float(np.sqrt(np.sum((da / a0 * fhat) ** 2) * w))
-            else:
-                qm1 = float("inf")     # X_{-1} gauge undefined: a(0,.) vanishes
-            if qx > worst_x:
-                worst_x = qx
-                witness = {"t": t, "s": s, "quotient": qx}
-            worst_m1 = max(worst_m1, qm1)
+    fhats = np.array([np.abs(f.to_frequency().values.reshape(-1)) for f in vectors])
+    bound_x = (float("inf") if unbounded else
+               float(np.max(np.sqrt(np.sum((rate_flat * fhats) ** 2, axis=1) * w))))
+
+    def sup(gauge):
+        """Steepest L2 quotient over (vector, pair) and where it sits."""
+        def quotient(v, lo, hi):
+            da = np.abs(a[k[lo:hi]] - a[i[lo:hi]]) / (t - s)[lo:hi, None]
+            return np.sqrt(np.sum((gauge(da) * fhats[v]) ** 2, axis=1) * w)[:, None]
+        return _steepest(quotient, len(vectors), len(s), a.shape[1], plan.cap)
+
+    worst_x, (_, q, _) = sup(lambda da: da)
+    witness = ({"t": float(t[q]), "s": float(s[q]), "quotient": worst_x}
+               if worst_x > 0.0 else {})
+    # the X_{-1} gauge is undefined where a(0,.) vanishes
+    worst_m1 = sup(lambda da: da / a0)[0] if np.all(a0 > 0.0) else float("inf")
 
     pass_x = bool(stability.verdict and worst_x <= plan.cap
-                  and worst_x <= bound_x * (1.0 + slack))
+                  and worst_x <= bound_x * (1.0 + CD_SLACK))
     pass_m1 = bool(stability.verdict and worst_m1 <= plan.cap)
     return CDSystemReport(
         constant_domain=True, stability=stability,

@@ -248,7 +248,7 @@ def norm(f: GridFunction, n: NormSpec = L2) -> float:
             return float(np.sqrt(np.sum(np.abs(vals) ** 2) * w))
         vals = f.to_physical().values
         return float((np.sum(np.abs(vals) ** n.p) * w) ** (1.0 / n.p))
-    weight = _frequency_weight(n, f.grid)
+    weight = memo(n, "weight", lambda: _frequency_weight(n, f.grid), f.grid)
     vals = f.to_frequency().values
     return float(np.sqrt(np.sum((weight * np.abs(vals)) ** 2) * w))
 

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evofam import assumptions as asm
 from evofam.assumptions import (SamplePlan, certify_cd_system, check_commuting,
                                 check_kato_stability, check_norm_equivalence,
                                 check_operator_lipschitz,
@@ -8,7 +13,7 @@ from evofam.assumptions import (SamplePlan, certify_cd_system, check_commuting,
                                 check_semigroup_lipschitz, check_sector,
                                 largest_passing_theta)
 from evofam.errors import DomainError
-from evofam.spectral import random_band_limited
+from evofam.spectral import Grid, random_band_limited
 from evofam.symbols import (CoefficientFunction, SymbolSpec, constant,
                             drift_symbol)
 
@@ -109,6 +114,53 @@ class TestLipschitz:
 
     def test_semigroup_constant_finite_iff(self, h1, grid, thin_plan):
         assert check_semigroup_lipschitz(h1, grid, thin_plan).value == 0.0
+
+    def test_semigroup_overflow_is_a_violation(self, grid):
+        # backward heat: e^{-tau a} overflows at high |xi|, so every row of
+        # quotients holds a NaN next to its finite violations
+        backward = SymbolSpec(dim=1, order=2, horizon=1.0, coefficients={
+            (2,): CoefficientFunction(const=3.0, poly=((1, 1.0),)),
+            (0,): constant(1.0)})
+        plan = SamplePlan(resolvent_pair_grid=10, tau_samples=8)
+        rep = check_semigroup_lipschitz(backward, grid, plan)
+        assert not rep.verdict
+        assert rep.value > plan.cap
+        assert rep.witness["value"] == rep.value and rep.witness["s"] < rep.witness["t"]
+
+
+NEIGHBOUR_PLAN = SamplePlan(time_samples=8, rays=1, resolvent_pair_grid=7,
+                            resolvent_moduli=3, tau_samples=3, pair_deltas=(),
+                            kato_lambdas=2, kato_partitions=2, kato_kmax=2)
+coefficients = st.floats(-0.5, 0.5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lead=st.floats(-3.0, -1.0), slope=st.floats(0.1, 0.5), omega=st.floats(0.5, 6.0),
+       cos=coefficients, sin=coefficients, shift=coefficients, drift=coefficients)
+def test_neighbour_pairs_reach_the_all_pairs_sup(lead, slope, omega, cos, sin,
+                                                 shift, drift):
+    grid = Grid(1, 16, 2.0 * np.pi)
+    spec = SymbolSpec(dim=1, order=2, horizon=1.5, coefficients={
+        (2,): CoefficientFunction(const=lead, poly=((1, slope), (2, drift)),
+                                  trig=((omega, cos, sin),)),
+        (0,): CoefficientFunction(const=1.0 + 1j * shift, trig=((omega, sin, cos),))})
+    vectors = [random_band_limited(grid, np.random.default_rng(v), band=4)
+               for v in range(2)]
+
+    def sups():
+        cd = certify_cd_system(spec, grid, vectors, NEIGHBOUR_PLAN)
+        cprime = check_resolvent_lipschitz(spec, grid, THETA, NEIGHBOUR_PLAN)
+        c = check_semigroup_lipschitz(spec, grid, NEIGHBOUR_PLAN)
+        return [cprime.value, cprime.refined_value, c.value, c.refined_value,
+                cd.strong_lipschitz, cd.strong_lipschitz_xminus1]
+
+    neighbours = sups()
+    table = asm._pair_table
+    with mock.patch.object(asm, "_pair_table",
+                           lambda *args: table(*args[:4], neighbours=False)):
+        every_pair = sups()
+    assert neighbours == pytest.approx(every_pair, rel=1e-12, abs=0.0)
+    assert all(v > 0.0 for v in neighbours)
 
 
 class TestEquivalence:

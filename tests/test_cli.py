@@ -238,17 +238,36 @@ def test_exact_oracle_passes_without_order_fit(tmp_path):
 
 def test_perturb_builds_frequency_axes_once_per_grid(tmp_path, monkeypatch):
     from evofam.spectral import Grid
-    calls, grids = [], []
+    from evofam.symbols import SymbolSpec
+    calls, grids, symbols = [], [], []
     fftfreq, post_init = np.fft.fftfreq, Grid.__post_init__
+    on_axes = SymbolSpec.on_axes
     monkeypatch.setattr(np.fft, "fftfreq",
                         lambda *a, **k: calls.append(a) or fftfreq(*a, **k))
     monkeypatch.setattr(Grid, "__post_init__",
                         lambda self: grids.append(self) or post_init(self))
+    monkeypatch.setattr(SymbolSpec, "on_axes",
+                        lambda self, *a: symbols.append(a) or on_axes(self, *a))
     path = zero_perturbation_h1(tmp_path)
     assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--stable"]) == 0
     # xi_axes and max_mode each call fftfreq once per grid
     assert 0 < len(calls) <= 2 * len(grids)
+    # one extrapolated-norm weight per norm spec and grid, not one per norm call
+    assert 0 < len(symbols) <= 4
+
+
+def test_check_certifies_kato_once(td1_cfg_path, tmp_path, monkeypatch):
+    from evofam import assumptions as asm
+    calls = []
+    kato = asm.check_kato_stability
+    monkeypatch.setattr(asm, "check_kato_stability",
+                        lambda *a, **k: calls.append(a) or kato(*a, **k))
+    assert main(["check", "--config", str(td1_cfg_path), "--out", str(tmp_path),
+                 "--stable"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert len(calls) == 1
+    assert report["kato"] == report["cd_system"]["stability"]
 
 
 @pytest.mark.parametrize("key,value", [("gl_nodes", 12), ("panel_width", 0.25)])
