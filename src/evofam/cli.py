@@ -42,6 +42,7 @@ TRANSPORT_ORDER_MIN = 0.45  # upwind on a box profile converges at order 1/2 in 
 FIRST_ORDER = (0.8, 1.2)    # accepted band of fitted first orders
 SECOND_ORDER = (1.7, 2.3)   # accepted band of fitted second orders
 EXACT_ULPS = 256            # errors <= EXACT_ULPS * eps * ||f|| mean the method is exact
+ORACLE_MIN_STEPS = 4        # the oracle ladder solves steps // 4, steps // 2 and steps
 
 
 def _orders_in(orders, band) -> bool:
@@ -181,7 +182,7 @@ def run_check(config: dict, out: Path, seed: int, refine: int):
         "refinement_deltas": deltas,
         "verdicts": verdicts,
     }
-    return (0 if all(verdicts.values()) else 1), report, timer
+    return report, timer
 
 
 def run_evolve(config: dict, out: Path, seed: int):
@@ -243,7 +244,7 @@ def run_evolve(config: dict, out: Path, seed: int):
         "spectral_tail_fraction": tail,
         "verdicts": verdicts,
     }
-    return (0 if all(verdicts.values()) else 1), report, timer
+    return report, timer
 
 
 def run_perturb(config: dict, out: Path, seed: int):
@@ -258,10 +259,22 @@ def run_perturb(config: dict, out: Path, seed: int):
     x = cfg.build_initial(section["initial"], grid, rng)
     family = cfg.build_perturbation(config.get("perturbation"), spec.dim)
     solver = cfg.build_solver(config.get("solver"))
+    has_oracle = isinstance(family, per.MultiplierFamily)
+    if has_oracle and solver.steps < ORACLE_MIN_STEPS:
+        raise ConfigurationError(
+            f"config invalid at solver/steps: {solver.steps} is less than the "
+            f"oracle ladder's minimum of {ORACLE_MIN_STEPS}")
     tail = spectral_tail_fraction(x)
+    runs = {}                           # s -> t trajectories, one solve per step count
+
+    def run(steps):
+        if steps not in runs:
+            runs[steps] = per.solve_perturbed(engine, family, s, t, x,
+                                              replace(solver, steps=steps))
+        return runs[steps]
 
     timer = StageTimer()
-    traj = per.solve_perturbed(engine, family, s, t, x, solver)
+    traj = run(solver.steps)
     timer.mark("solve")
     gauge = extrapolated_norm(spec, 0.0)
     rows = [[float(sig), norm(v), norm(v, gauge)]
@@ -272,21 +285,21 @@ def run_perturb(config: dict, out: Path, seed: int):
     timer.mark("duhamel")
 
     oracle_error, oracle_orders = None, None
-    if getattr(family, "has_integral", False):
+    if has_oracle:
         oracle = per.commuting_oracle(engine, family, s, t, x)
-        errs = []
-        for m_steps in (solver.steps // 4, solver.steps // 2, solver.steps):
-            tr = per.solve_perturbed(engine, family, s, t, x,
-                                     replace(solver, steps=m_steps))
-            errs.append(norm(GridFunction(grid, "frequency",
-                                          tr.final().values - oracle.values)))
+        # the M/4 level serves only the oracle, so only its final state is kept
+        quarter = per.solve_perturbed(engine, family, s, t, x,
+                                      replace(solver, steps=solver.steps // 4)).final()
+        finals = [quarter, run(solver.steps // 2).final(), traj.final()]
+        errs = [norm(GridFunction(grid, "frequency", v.values - oracle.values))
+                for v in finals]
         oracle_error = errs[-1]
         oracle_orders = evo.observed_orders(errs)
     timer.mark("oracle")
 
-    family_rep = per.perturbed_family_checks(
-        engine, family, s, 0.5 * (s + t), t, x,
-        replace(solver, steps=max(solver.steps // 2, 8)))
+    half = replace(solver, steps=max(solver.steps // 2, 8))
+    family_rep = per.perturbed_family_checks(engine, family, run(half.steps),
+                                             0.5 * (s + t), half)
     timer.mark("family_checks")
 
     reg = per.perturbation_regularity_report(family, [indicator(grid), x], spec)
@@ -317,7 +330,7 @@ def run_perturb(config: dict, out: Path, seed: int):
         "spectral_tail_fraction": tail,
         "verdicts": verdicts,
     }
-    return (0 if all(verdicts.values()) else 1), report, timer
+    return report, timer
 
 
 def run_favard(config: dict, out: Path, seed: int):
@@ -346,7 +359,7 @@ def run_favard(config: dict, out: Path, seed: int):
     timer.mark("favard")
     verdicts = {"favard_identities": bool(ok)}
     report = {"times": times, "results": results, "verdicts": verdicts}
-    return (0 if ok else 1), report, timer
+    return report, timer
 
 
 def run_transport(config: dict, out: Path, seed: int):
@@ -397,7 +410,7 @@ def run_transport(config: dict, out: Path, seed: int):
         "family_checks": checks, "convergence_orders": orders,
         "verdicts": verdicts,
     }
-    return (0 if all(verdicts.values()) else 1), report, timer
+    return report, timer
 
 
 def run_convergence(config: dict, out: Path, seed: int):
@@ -418,7 +431,7 @@ def run_convergence(config: dict, out: Path, seed: int):
 
     report = {"s": s, "t": t, "steps": steps, "orders": orders,
               "verdicts": verdicts}
-    return (0 if all(verdicts.values()) else 1), report, timer
+    return report, timer
 
 
 PIPELINES = {
@@ -464,7 +477,7 @@ def main(argv=None) -> int:
 
     extra = (max(args.refine, 1),) if args.subcommand == "check" else ()
     try:
-        code, report, timer = PIPELINES[args.subcommand](config, out, seed, *extra)
+        report, timer = PIPELINES[args.subcommand](config, out, seed, *extra)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -487,7 +500,7 @@ def main(argv=None) -> int:
     dump_json(envelope, out / "report.json")
     for name, value in sorted(report["verdicts"].items()):
         print(f"{name}: {'pass' if value else 'FAIL'}")
-    return code
+    return 0 if all(report["verdicts"].values()) else 1
 
 
 if __name__ == "__main__":

@@ -122,8 +122,7 @@ def build_solver(entry: dict | None) -> VolterraSolver:
                           max_sweeps=int(entry.get("max_sweeps", 20)))
 
 
-def build_initial(entry: dict, grid: Grid, rng: np.random.Generator,
-                  base_dir: Path | None = None) -> GridFunction:
+def build_initial(entry: dict, grid: Grid, rng: np.random.Generator) -> GridFunction:
     kind = entry["kind"]
     if kind == "mode":
         return mode(grid, entry.get("k", 1))
@@ -134,10 +133,7 @@ def build_initial(entry: dict, grid: Grid, rng: np.random.Generator,
     if kind == "gaussian":
         return gaussian_bump(grid, entry.get("center"), entry.get("width"))
     if kind == "file":
-        stem = Path(entry["stem"])
-        if base_dir is not None and not stem.is_absolute():
-            stem = base_dir / stem
-        return load_function(stem)
+        return load_function(entry["stem"])
     raise ConfigurationError(f"unknown initial kind {kind!r} for grid functions")
 
 

@@ -1,6 +1,10 @@
 """Perturbation families B(t) and the variation-of-constants solver.
 
-Three families:
+Family protocol: every family has `apply(t, f)`, which returns B(t) f in
+frequency representation.  The diagonal families (Mollifier,
+MultiplierFamily) also have `multiplier(t, xi_axes)`.  Only
+MultiplierFamily has the closed-form time `integral` and hence the
+commuting oracle.  Three families:
 
 * Mollifier: the moving box average, B(0) = Id and for t > 0 the
   multiplier prod_j sinc(t xi_j).  Continuous but not Lipschitz into L2;
@@ -15,7 +19,9 @@ The solver marches the Volterra equation
 V(t,s)x = U(t,s)x + int_s^t U_-1(t,sigma) B(sigma) V(sigma,s)x dsigma
 with trapezoid quadrature, resolving the implicit endpoint by Picard
 sweeps (the kernel is bounded on the discretized space, so the
-contraction factor is about dsigma ||B|| / 2).
+contraction factor is about dsigma ||B|| / 2).  `cli.run_perturb` solves
+each (s, t, steps) once: its trajectory is the oracle's finest level, and
+the half-step run feeds both the oracle and the family checks.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, DomainError, UnsupportedError
 from .evolution import PropagatorEngine
 from .semigroup import FrozenOperator, gauss_legendre_panels
-from .spectral import (FREQUENCY, Grid, GridFunction, extrapolated_norm,
-                       gaussian_bump, memo, negative_sobolev, norm)
+from .spectral import (FREQUENCY, L2, Grid, GridFunction, extrapolated_norm,
+                       gaussian_bump, indicator, memo, negative_sobolev, norm)
 from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
@@ -53,9 +59,6 @@ class Mollifier:
             return f.to_frequency()
         return GridFunction(f.grid, FREQUENCY,
                             f.to_frequency().values * self.multiplier(t, f.grid.xi_axes()))
-
-    diagonal = True
-    has_integral = False
 
 
 class MultiplierFamily:
@@ -95,9 +98,6 @@ class MultiplierFamily:
         return GridFunction(f.grid, FREQUENCY,
                             f.to_frequency().values * self.multiplier(t, f.grid.xi_axes()))
 
-    diagonal = True
-    has_integral = True
-
 
 class SmoothingComposite:
     """B(t) f = b(t, .) * (1 + |xi|^2)^{-order/2} f with b(t,x) = c(t) w(x).
@@ -125,16 +125,13 @@ class SmoothingComposite:
         return GridFunction(grid, "physical",
                             phys.values * (self.coefficient(t) * window)).to_frequency()
 
-    diagonal = False
-    has_integral = False
 
-
-def apply_perturbation(family, t: float, f: GridFunction,
-                       horizon: float | None = None) -> GridFunction:
-    """B(t) f in frequency representation."""
-    if t < 0 or (horizon is not None and t > horizon):
-        raise DomainError(f"perturbation time {t} outside [0, {horizon}]")
-    return family.apply(t, f)
+def _increments(family, f: GridFunction, delta: float, bases):
+    """B(b + delta) f - B(b) f for each base point b."""
+    for b in bases:
+        g0 = family.apply(float(b), f)
+        g1 = family.apply(float(b + delta), f)
+        yield GridFunction(f.grid, FREQUENCY, g1.values - g0.values)
 
 
 # -- regularity measurement ---------------------------------------------------
@@ -160,7 +157,15 @@ def loglog_fit(xs, ys) -> SlopeFit:
     return SlopeFit(slope=float(coef[0]), residual=resid, separations=int(xs.size))
 
 
+def _slope(separations, values) -> SlopeFit:
+    # a time-constant family has identically zero moduli: no slope
+    if max(values) == 0.0:
+        return SlopeFit(slope=float("nan"), residual=0.0, separations=len(values))
+    return loglog_fit(separations, values)
+
+
 DEFAULT_SEPARATIONS = tuple(2.0 ** (-k) for k in range(1, 7))
+BASE_POINTS = 16        # base points in (0, horizon - delta] besides t = 0
 
 
 @dataclass(frozen=True)
@@ -182,58 +187,36 @@ class RegularityReport:
 
 
 def perturbation_regularity_report(family, vectors, spec: SymbolSpec,
-                                   separations=DEFAULT_SEPARATIONS,
-                                   base_points: int = 16,
-                                   horizon: float | None = None) -> RegularityReport:
+                                   separations=DEFAULT_SEPARATIONS) -> RegularityReport:
     if len(separations) < 3:
         raise ConfigurationError("need at least 3 separations")
-    if horizon is None:
-        horizon = spec.horizon
-    gauges = {
-        "sobolev": negative_sobolev(-float(spec.order)),
-        "extrapolated": extrapolated_norm(spec, 0.0),
-    }
-    sup_norm, lip_sob, lip_ext = [], [], []
-    sl_l2, sl_sob, sl_ext = [], [], []
-    t_grid = np.linspace(0.0, horizon, 24)
+    gauges = {"l2": L2, "sobolev": negative_sobolev(-float(spec.order)),
+              "extrapolated": extrapolated_norm(spec, 0.0)}
+    sup_norm = []
+    lips = {"sobolev": [], "extrapolated": []}
+    slopes = {name: [] for name in gauges}
+    t_grid = np.linspace(0.0, spec.horizon, 24)
     for f in vectors:
         fhat = f.to_frequency()
-        sup_norm.append(max(norm(apply_perturbation(family, float(t), fhat))
-                            for t in t_grid))
-        mods = {"l2": [], "sobolev": [], "extrapolated": []}
-        quot = {"sobolev": 0.0, "extrapolated": 0.0}
+        sup_norm.append(max(norm(family.apply(float(t), fhat)) for t in t_grid))
+        mods = {name: [] for name in gauges}
         for delta in separations:
             bases = np.concatenate([[0.0],
-                                    np.linspace(1e-3, horizon - delta, base_points)])
-            best = {"l2": 0.0, "sobolev": 0.0, "extrapolated": 0.0}
-            for b in bases:
-                g0 = apply_perturbation(family, float(b), fhat)
-                g1 = apply_perturbation(family, float(b + delta), fhat)
-                diff = GridFunction(f.grid, FREQUENCY, g1.values - g0.values)
-                best["l2"] = max(best["l2"], norm(diff))
+                                    np.linspace(1e-3, spec.horizon - delta, BASE_POINTS)])
+            best = dict.fromkeys(gauges, 0.0)
+            for diff in _increments(family, fhat, delta, bases):
                 for name, gauge in gauges.items():
-                    val = norm(diff, gauge)
-                    best[name] = max(best[name], val)
-                    quot[name] = max(quot[name], val / delta)
-            for name in mods:
+                    best[name] = max(best[name], norm(diff, gauge))
+            for name in gauges:
                 mods[name].append(best[name])
-        lip_sob.append(quot["sobolev"])
-        lip_ext.append(quot["extrapolated"])
-
-        def fit(values):
-            # a time-constant family has identically zero moduli: no slope
-            if max(values) == 0.0:
-                return SlopeFit(slope=float("nan"), residual=0.0,
-                                separations=len(values))
-            return loglog_fit(separations, values)
-
-        sl_l2.append(fit(mods["l2"]))
-        sl_sob.append(fit(mods["sobolev"]))
-        sl_ext.append(fit(mods["extrapolated"]))
-    return RegularityReport(sup_norm=sup_norm, lip_sobolev=lip_sob,
-                            lip_extrapolated=lip_ext, slopes_l2=sl_l2,
-                            slopes_sobolev=sl_sob, slopes_extrapolated=sl_ext,
-                            separations=tuple(separations))
+        for name in lips:
+            lips[name].append(max(m / d for m, d in zip(mods[name], separations)))
+        for name in gauges:
+            slopes[name].append(_slope(separations, mods[name]))
+    return RegularityReport(
+        sup_norm=sup_norm, lip_sobolev=lips["sobolev"], lip_extrapolated=lips["extrapolated"],
+        slopes_l2=slopes["l2"], slopes_sobolev=slopes["sobolev"],
+        slopes_extrapolated=slopes["extrapolated"], separations=tuple(separations))
 
 
 # -- Volterra solver ----------------------------------------------------------
@@ -268,14 +251,11 @@ def _l2(values: np.ndarray, w: float) -> float:
 
 
 def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
-                    x: GridFunction, solver: VolterraSolver = VolterraSolver(),
-                    gauge_multiplier: np.ndarray | None = None) -> Trajectory:
+                    x: GridFunction, solver: VolterraSolver = VolterraSolver()) -> Trajectory:
     """March the variation-of-constants equation on a uniform sigma grid.
 
     Trapezoid in sigma; the implicit endpoint is resolved by Picard sweeps
-    to the solver tolerance.  `gauge_multiplier` conjugates the whole
-    solve by a diagonal weight (used for the X_{-1}-gauge consistency
-    check); the returned states are already conjugated back.
+    to the solver tolerance.
     """
     if engine.method != "exact":
         raise ConfigurationError("the Volterra solver requires the exact engine")
@@ -287,15 +267,10 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
     sigmas = np.linspace(s, t, M + 1)
     dsig = (t - s) / M
 
-    gm = gauge_multiplier
     def b_apply(tau: float, values: np.ndarray) -> np.ndarray:
-        f = GridFunction(grid, FREQUENCY, values if gm is None else values / gm)
-        out = family.apply(tau, f).values
-        return out if gm is None else out * gm
+        return family.apply(tau, GridFunction(grid, FREQUENCY, values)).values
 
     xhat = x.to_frequency().values
-    if gm is not None:
-        xhat = xhat * gm
     xnorm = _l2(xhat, w)
 
     states = [xhat.copy()]
@@ -327,8 +302,6 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
                 residual=resid)
         states.append(v)
 
-    if gm is not None:
-        states = [v / gm for v in states]
     bnorm = max(_l2(b_apply(s, xhat), w) / max(xnorm, 1e-300), 1e-300)
     return Trajectory(
         sigmas=sigmas,
@@ -341,16 +314,18 @@ def commuting_oracle(engine: PropagatorEngine, family: MultiplierFamily,
                      s: float, t: float, x: GridFunction) -> GridFunction:
     """Closed-form perturbed propagator exp(-int a + int m_B) x for
     commuting multiplier perturbations."""
-    if not getattr(family, "has_integral", False):
+    if not isinstance(family, MultiplierFamily):
         raise UnsupportedError("oracle requires a multiplier family with "
                                "closed-form time integrals")
-    axes = engine.grid.xi_axes()
-    expo = -engine.spec.integral_on_axes(s, t, axes) + family.integral(s, t, axes)
+    expo = -engine.exponent(s, t) + family.integral(s, t, engine.grid.xi_axes())
     return GridFunction(engine.grid, FREQUENCY, x.to_frequency().values * np.exp(expo))
 
 
+DUHAMEL_NODES = 4       # Gauss-Legendre nodes per sigma step of the residual
+
+
 def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
-                     s: float, x: GridFunction, gl_nodes: int = 4) -> float:
+                     s: float, x: GridFunction) -> float:
     """Max over nodes of || V_k - U(sigma_k,s)x - GL-quadrature of the
     Duhamel integral || / ||x||, with V linearly interpolated at the
     Gauss-Legendre nodes inside each step."""
@@ -361,9 +336,9 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
     xnorm = max(_l2(xhat, w), 1e-300)
     steps = len(sig) - 1
     taus, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
-                                          gl_nodes)
-    taus = taus.reshape(steps, gl_nodes).tolist()
-    weights = weights.reshape(steps, gl_nodes).tolist()
+                                          DUHAMEL_NODES)
+    taus = taus.reshape(steps, DUHAMEL_NODES).tolist()
+    weights = weights.reshape(steps, DUHAMEL_NODES).tolist()
 
     acc = np.zeros(grid.shape, dtype=complex)      # integral transported to sig[j]
     current = xhat.copy()
@@ -395,24 +370,27 @@ class PerturbedFamilyReport:
     envelope_ok: bool
 
 
-def perturbed_family_checks(engine: PropagatorEngine, family, s: float,
-                            r: float, t: float, x: GridFunction,
-                            solver: VolterraSolver = VolterraSolver()) -> PerturbedFamilyReport:
-    """Evolution-family axioms for V: cocycle defect through the midpoint r,
-    and the fitted growth envelope M_V e^{omega_V (sigma - s)} that the
-    trajectory norms must stay below (restriction-to-X claim).
+def perturbed_family_checks(engine: PropagatorEngine, family, full: Trajectory,
+                            r: float, solver: VolterraSolver) -> PerturbedFamilyReport:
+    """Evolution-family axioms for V along the s -> t trajectory `full`
+    (solved with `solver`): cocycle defect through the midpoint r, and the
+    fitted growth envelope M_V e^{omega_V (sigma - s)} that the trajectory
+    norms must stay below (restriction-to-X claim).
 
     Each leg runs with its own ladder of `solver.steps` steps, so the
     defect measures genuine discretization (O(dsigma^2)); aligned ladders
     would telescope to roundoff.
     """
+    if len(full.sigmas) != solver.steps + 1:
+        raise ConfigurationError(f"trajectory has {len(full.sigmas) - 1} steps, "
+                                 f"the solver {solver.steps}")
+    s, t, x = float(full.sigmas[0]), float(full.sigmas[-1]), full.states[0]
     if not s < r < t:
         raise DomainError("need s < r < t")
-    full = solve_perturbed(engine, family, s, t, x, solver)
     leg1 = solve_perturbed(engine, family, s, r, x, solver)
     leg2 = solve_perturbed(engine, family, r, t, leg1.final(), solver)
     w = engine.grid.cell_volume
-    xnorm = max(_l2(x.to_frequency().values, w), 1e-300)
+    xnorm = max(_l2(x.values, w), 1e-300)
     defect = _l2(leg2.final().values - full.final().values, w) / xnorm
 
     norms = [norm(v) for v in full.states]
@@ -440,27 +418,29 @@ class DomainBoundReport:
     bounded_in_band: bool
 
 
-def check_domain_to_favard(spec: SymbolSpec, grid: Grid, family, vectors,
-                           rough: GridFunction | None = None,
-                           cap: float = 1e8,
-                           growth_limit: float = 1.5) -> DomainBoundReport:
+DOMAIN_CAP = 1e8         # graph-norm sup and L2 Lipschitz bound of a bounded family
+DOMAIN_DELTAS = (1e-3, 1e-2, 1e-1)
+BAND_GROWTH_LIMIT = 1.5  # graph-norm ratio under band doubling of a bounded family
+
+
+def check_domain_to_favard(spec: SymbolSpec, grid: Grid, family,
+                           vectors) -> DomainBoundReport:
     """Bounded into the graph-norm space (F1 proxy, valid since F1 = dom in
     the reflexive model) and Lipschitz into X: the hypotheses under which a
     perturbed family stays a well-posed system at the X level.
 
-    The band probe applies the family to a rough vector truncated at two
+    The band probe applies the family to the indicator truncated at two
     band limits; a growing graph norm flags an unbounded family (identity
     perturbations fail, genuine order-m smoothers pass).
     """
     op0 = FrozenOperator(spec, 0.0)
     t_grid = np.linspace(0.0, spec.horizon, 12)
-    deltas = [1e-3, 1e-2, 1e-1]
 
     def graph_sup(fhat):
         """sup over t_grid of ||A(0) B(t) f|| + ||B(t) f||."""
         worst = 0.0
         for t in t_grid:
-            g = apply_perturbation(family, float(t), fhat)
+            g = family.apply(float(t), fhat)
             worst = max(worst, norm(op0.apply(g)) + norm(g))
         return worst
 
@@ -469,26 +449,18 @@ def check_domain_to_favard(spec: SymbolSpec, grid: Grid, family, vectors,
         fhat = f.to_frequency()
         worst = graph_sup(fhat)
         sup_graph.append(worst)
-        lip = 0.0
-        for delta in deltas:
-            for b in np.linspace(0.0, spec.horizon - delta, 8):
-                g0 = apply_perturbation(family, float(b), fhat)
-                g1 = apply_perturbation(family, float(b + delta), fhat)
-                diff = GridFunction(grid, FREQUENCY, g1.values - g0.values)
-                lip = max(lip, norm(diff) / delta)
+        lip = max(norm(diff) / delta for delta in DOMAIN_DELTAS
+                  for diff in _increments(family, fhat, delta,
+                                          np.linspace(0.0, spec.horizon - delta, 8)))
         lips.append(lip)
-        verdicts.append(bool(worst <= cap and lip <= cap))
+        verdicts.append(bool(worst <= DOMAIN_CAP and lip <= DOMAIN_CAP))
 
-    if rough is None:
-        from .spectral import indicator
-        rough = indicator(grid)
-    ratios = []
-    for band in (grid.n // 8, grid.n // 4):
-        fhat = rough.to_frequency().values.copy()
-        fhat[grid.max_mode() > band] = 0.0
-        ratios.append(graph_sup(GridFunction(grid, FREQUENCY, fhat)))
+    rough = indicator(grid).to_frequency().values
+    ratios = [graph_sup(GridFunction(grid, FREQUENCY,
+                                     np.where(grid.max_mode() > band, 0.0, rough)))
+              for band in (grid.n // 8, grid.n // 4)]
     band_growth = ratios[1] / max(ratios[0], 1e-300)
-    bounded = bool(band_growth <= growth_limit)
+    bounded = bool(band_growth <= BAND_GROWTH_LIMIT)
     return DomainBoundReport(sup_graph_norm=sup_graph, lipschitz_l2=lips,
                              band_growth=float(band_growth),
                              verdicts=[v and bounded for v in verdicts],

@@ -198,7 +198,8 @@ def _exit_code(argv) -> int:
 
 
 EXIT_CASES = [
-    *[([p, c], 0) for p in ("evolve", "convergence", "favard") for c in ("h1", "td1")],
+    *[([p, c], 0) for p in ("evolve", "convergence", "favard", "perturb")
+      for c in ("h1", "td1")],
     (["transport", "transport"], 0),
     (["evolve", "h1", "--refine", "2"], 2),     # --refine belongs to check only
 ]
@@ -234,6 +235,46 @@ def test_exact_oracle_passes_without_order_fit(tmp_path):
     report = json.loads((out / "report.json").read_text())["report"]
     assert report["oracle_error"] <= 1e-13
     assert report["verdicts"]["oracle_order"] is True
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_oracle_ladder_needs_four_steps(tmp_path, capsys, monkeypatch, steps):
+    # the multiplier family's oracle ladder solves steps // 4, steps // 2, steps
+    from evofam import perturbation as per
+    config = json.loads(zero_perturbation_h1(tmp_path).read_text())
+    config["solver"]["steps"] = steps
+    path = write_config(tmp_path, config)
+    solves = []
+    solve = per.solve_perturbed
+    monkeypatch.setattr(per, "solve_perturbed",
+                        lambda *a, **k: solves.append(a) or solve(*a, **k))
+    assert main(["perturb", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config invalid at solver/steps" in err
+    assert "minimum of 4" in err
+    assert solves == []
+
+
+@pytest.mark.parametrize("kind,expected", [("multiplier", 5), ("smoothing", 4)])
+def test_perturb_solves_each_run_once(tmp_path, monkeypatch, kind, expected):
+    # multiplier: M, M/4, M/2 (oracle and family checks) and the two legs;
+    # without the oracle: M, M/2 and the two legs
+    from evofam import perturbation as per
+    config = json.loads(zero_perturbation_h1(tmp_path).read_text())
+    if kind == "smoothing":
+        config["perturbation"] = {"kind": "smoothing", "order": 2}
+    path = write_config(tmp_path, config)
+    solves = []
+    solve = per.solve_perturbed
+    monkeypatch.setattr(per, "solve_perturbed", lambda engine, family, s, t, x, solver:
+                        solves.append((s, t, solver.steps))
+                        or solve(engine, family, s, t, x, solver))
+    # at 64 steps the smoothing run misses the Duhamel tolerance: exit 1
+    assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--stable"]) in (0, 1)
+    assert len(solves) == expected
+    assert len(set(solves)) == expected
 
 
 def test_perturb_builds_frequency_axes_once_per_grid(tmp_path, monkeypatch):

@@ -32,3 +32,20 @@ def test_cli_imports_exist(tracer):
     cli = importlib.import_module("evofam.cli")
     for name in tracer.CLI_IMPORTS:
         assert inspect.isfunction(getattr(cli, name, None)), f"evofam.cli.{name}"
+
+
+def test_metric_spans_name_traced_callables(tracer):
+    # a rename or deletion of a measured function must fail here, not only
+    # in a traced benchmark run
+    spans = {name for *_, name in tracer.METHODS}
+    for layer in tracer.LAYERS:
+        module = importlib.import_module(f"evofam.{layer}")
+        spans |= {tracer.ALIASES.get(f"{layer}.{attr}", f"{layer}.{attr}")
+                  for attr, fn in vars(module).items()
+                  if not attr.startswith("_") and inspect.isfunction(fn)
+                  and fn.__module__ == module.__name__}
+    read = {name.rsplit(".", 1)[0] for name, *_ in tracer.LAYER_METRICS
+            if name not in tracer.COUNTER_NAMES and name != tracer.PER_STEP}
+    read |= set(tracer.COUNTERS)
+    assert len(read) >= 27
+    assert read <= spans, f"metric spans with no traced callable: {sorted(read - spans)}"
