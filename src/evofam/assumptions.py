@@ -35,6 +35,8 @@ KATO_TOL = 1e-9               # Kato ratios may exceed 1 by roundoff only
 CD_SLACK = 0.05               # cd X quotient against its coefficient bound
 COMMUTING_DRAWS = 3           # (t, s, lambda, mu) draws per test vector
 THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)
+MODULUS_RANGE = (1e-3, 1e6)            # |lambda| range of the sector sweep
+RESOLVENT_MODULUS_RANGE = (1e-2, 1e4)  # |lambda| range of the C' sweep
 
 
 @dataclass(frozen=True)
@@ -45,12 +47,10 @@ class SamplePlan:
     time_samples: int = 128
     rays: int = 3                  # interior ray pairs; args = k/rays * theta
     moduli_per_ray: int = 32
-    modulus_range: tuple[float, float] = (1e-3, 1e6)
     pair_grid: int = 48
     pair_deltas: tuple[float, ...] = (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
     resolvent_pair_grid: int = 16
     resolvent_moduli: int = 12
-    resolvent_modulus_range: tuple[float, float] = (1e-2, 1e4)
     tau_samples: int = 12
     kato_lambdas: int = 12
     kato_partitions: int = 12
@@ -133,7 +133,7 @@ def _sector_measure(spec: SymbolSpec, grid: Grid, theta: float, plan: SamplePlan
     ts = np.linspace(0.0, spec.horizon, plan.time_samples)
     a = _symbol_matrix(spec, grid, ts)
     lams = _sector_lambdas(theta, plan.rays,
-                           np.geomspace(*plan.modulus_range, plan.moduli_per_ray))
+                           np.geomspace(*MODULUS_RANGE, plan.moduli_per_ray))
     # sample 0 is 1/|0 + a|, sample m the ratio at lams[m - 1]
     shifts, scales = np.append(0.0, lams), np.append(1.0, np.abs(lams))
     quotient = lambda m, lo, hi: scales[m] / np.abs(shifts[m] + a[lo:hi])
@@ -318,7 +318,7 @@ def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
     over pairs and sector lambda samples."""
 
     def measure(p: SamplePlan):
-        lams = _sector_lambdas(theta, p.rays, np.geomspace(*p.resolvent_modulus_range,
+        lams = _sector_lambdas(theta, p.rays, np.geomspace(*RESOLVENT_MODULUS_RANGE,
                                                             p.resolvent_moduli))
         quotient = lambda a, m, i, k: np.abs(lams[m]) * np.abs(
             1.0 / (lams[m] + a[k]) - 1.0 / (lams[m] + a[i]))

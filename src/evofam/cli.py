@@ -112,8 +112,8 @@ def run_check(config: dict, out: Path, seed: int, refine: int):
     timer.mark("cd_system")
     # the dual-scale model comparison needs an invertible reference symbol
     models = xminus1_model_ratio(spec, grid, vectors) if ellip.verdict else None
-    thin = asm.SamplePlan(seed=seed, time_samples=max(plan.time_samples // 4, 8),
-                          moduli_per_ray=max(plan.moduli_per_ray // 2, 8))
+    thin = replace(plan, time_samples=max(plan.time_samples // 4, 8),
+                   moduli_per_ray=max(plan.moduli_per_ray // 2, 8))
     theta_star = asm.largest_passing_theta(spec, grid, thin)
     timer.mark("theta_scan")
 

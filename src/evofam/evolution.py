@@ -23,6 +23,7 @@ EXACT = "exact"
 PRODUCT = "product"
 CHECK_PANEL = 0.25      # panel width of the antiderivative cross-check
 CHECK_TOL = 1e-12       # its relative tolerance
+GROWTH_SLACK = 1e-12    # relative roundoff a growth ratio may exceed 1 by
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,8 @@ class GrowthReport:
     witness: tuple
 
 
-def growth_bound(engine: PropagatorEngine, samples, m: float, omega: float,
-                 slack: float = 1e-12) -> GrowthReport:
+def growth_bound(engine: PropagatorEngine, samples, m: float,
+                 omega: float) -> GrowthReport:
     """Check ||U(t,s)|| <= M e^{omega (t-s)} over (s,t) samples."""
     worst, witness = 0.0, (0.0, 0.0)
     for s, t in samples:
@@ -180,7 +181,7 @@ def growth_bound(engine: PropagatorEngine, samples, m: float, omega: float,
         if ratio > worst:
             worst, witness = ratio, (float(s), float(t))
     return GrowthReport(m=m, omega=omega, max_ratio=worst,
-                        verdict=bool(worst <= 1.0 + slack), witness=witness)
+                        verdict=bool(worst <= 1.0 + GROWTH_SLACK), witness=witness)
 
 
 def observed_orders(errors) -> list[float]:

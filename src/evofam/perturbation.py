@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, UnsupportedError
 from .evolution import PropagatorEngine
-from .semigroup import FrozenOperator, gauss_legendre_panels
-from .spectral import (FREQUENCY, L2, Grid, GridFunction, extrapolated_norm,
-                       gaussian_bump, indicator, memo, negative_sobolev, norm)
+from .semigroup import gauss_legendre_panels
+from .spectral import (FREQUENCY, L2, GridFunction, extrapolated_norm, gaussian_bump,
+                       memo, negative_sobolev, norm)
 from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
@@ -126,14 +126,6 @@ class SmoothingComposite:
                             phys.values * (self.coefficient(t) * window)).to_frequency()
 
 
-def _increments(family, f: GridFunction, delta: float, bases):
-    """B(b + delta) f - B(b) f for each base point b."""
-    for b in bases:
-        g0 = family.apply(float(b), f)
-        g1 = family.apply(float(b + delta), f)
-        yield GridFunction(f.grid, FREQUENCY, g1.values - g0.values)
-
-
 # -- regularity measurement ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -204,7 +196,10 @@ def perturbation_regularity_report(family, vectors, spec: SymbolSpec,
             bases = np.concatenate([[0.0],
                                     np.linspace(1e-3, spec.horizon - delta, BASE_POINTS)])
             best = dict.fromkeys(gauges, 0.0)
-            for diff in _increments(family, fhat, delta, bases):
+            for b in bases:
+                g0 = family.apply(float(b), fhat)
+                g1 = family.apply(float(b + delta), fhat)
+                diff = GridFunction(f.grid, FREQUENCY, g1.values - g0.values)
                 for name, gauge in gauges.items():
                     best[name] = max(best[name], norm(diff, gauge))
             for name in gauges:
@@ -405,63 +400,3 @@ def perturbed_family_checks(engine: PropagatorEngine, family, full: Trajectory,
     return PerturbedFamilyReport(cocycle_defect=float(defect), norms=norms,
                                  envelope_m=m_v, envelope_omega=omega_v,
                                  envelope_ok=ok)
-
-
-@dataclass(frozen=True)
-class DomainBoundReport:
-    """Per-vector hypotheses of the dom -> F1 perturbation theorem."""
-
-    sup_graph_norm: list[float]        # sup_t (||A(0) B(t) f|| + ||B(t) f||)
-    lipschitz_l2: list[float]          # Lip constant of t -> B(t) f in L2
-    band_growth: float                 # graph-norm ratio under band doubling
-    verdicts: list[bool]
-    bounded_in_band: bool
-
-
-DOMAIN_CAP = 1e8         # graph-norm sup and L2 Lipschitz bound of a bounded family
-DOMAIN_DELTAS = (1e-3, 1e-2, 1e-1)
-BAND_GROWTH_LIMIT = 1.5  # graph-norm ratio under band doubling of a bounded family
-
-
-def check_domain_to_favard(spec: SymbolSpec, grid: Grid, family,
-                           vectors) -> DomainBoundReport:
-    """Bounded into the graph-norm space (F1 proxy, valid since F1 = dom in
-    the reflexive model) and Lipschitz into X: the hypotheses under which a
-    perturbed family stays a well-posed system at the X level.
-
-    The band probe applies the family to the indicator truncated at two
-    band limits; a growing graph norm flags an unbounded family (identity
-    perturbations fail, genuine order-m smoothers pass).
-    """
-    op0 = FrozenOperator(spec, 0.0)
-    t_grid = np.linspace(0.0, spec.horizon, 12)
-
-    def graph_sup(fhat):
-        """sup over t_grid of ||A(0) B(t) f|| + ||B(t) f||."""
-        worst = 0.0
-        for t in t_grid:
-            g = family.apply(float(t), fhat)
-            worst = max(worst, norm(op0.apply(g)) + norm(g))
-        return worst
-
-    sup_graph, lips, verdicts = [], [], []
-    for f in vectors:
-        fhat = f.to_frequency()
-        worst = graph_sup(fhat)
-        sup_graph.append(worst)
-        lip = max(norm(diff) / delta for delta in DOMAIN_DELTAS
-                  for diff in _increments(family, fhat, delta,
-                                          np.linspace(0.0, spec.horizon - delta, 8)))
-        lips.append(lip)
-        verdicts.append(bool(worst <= DOMAIN_CAP and lip <= DOMAIN_CAP))
-
-    rough = indicator(grid).to_frequency().values
-    ratios = [graph_sup(GridFunction(grid, FREQUENCY,
-                                     np.where(grid.max_mode() > band, 0.0, rough)))
-              for band in (grid.n // 8, grid.n // 4)]
-    band_growth = ratios[1] / max(ratios[0], 1e-300)
-    bounded = bool(band_growth <= BAND_GROWTH_LIMIT)
-    return DomainBoundReport(sup_graph_norm=sup_graph, lipschitz_l2=lips,
-                             band_growth=float(band_growth),
-                             verdicts=[v and bounded for v in verdicts],
-                             bounded_in_band=bounded)

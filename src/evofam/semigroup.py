@@ -13,9 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .spectral import (GridFunction, L2, NormSpec, apply_multiplier,
+from .spectral import (GridFunction, NormSpec, _frequency_weight, apply_multiplier,
                        extrapolated_norm, norm)
 from .symbols import SymbolSpec
+
+SINGULAR_TOL = 1e-14    # |lambda + a| below which the resolvent is singular
 
 
 @dataclass(frozen=True)
@@ -49,12 +51,11 @@ def frozen_semigroup(op: FrozenOperator, tau: float, f: GridFunction) -> GridFun
     return apply_multiplier(lambda xi: np.exp(-tau * op.spec.on_axes(op.time, xi)), f)
 
 
-def frozen_resolvent(op: FrozenOperator, lam: complex, f: GridFunction,
-                     singular_tol: float = 1e-14) -> GridFunction:
+def frozen_resolvent(op: FrozenOperator, lam: complex, f: GridFunction) -> GridFunction:
     """R(lambda, A(s)) f = f / (lambda + a(s, .))."""
     a = op.symbol_on(f.grid)
     denom = lam + a
-    bad = np.abs(denom) < singular_tol
+    bad = np.abs(denom) < SINGULAR_TOL
     if np.any(bad):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise NumericError(
@@ -78,20 +79,19 @@ def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int = 12):
 
 
 def laplace_transform_check(op: FrozenOperator, lam: complex, f: GridFunction,
-                            horizon: float, panels: int,
-                            nodes_per_panel: int = 12) -> float:
+                            horizon: float, panels: int) -> float:
     """L2 residual of the truncated Laplace transform against the resolvent.
 
     Integrates e^{-lambda tau} T(tau) f over [0, horizon] with composite
-    Gauss-Legendre quadrature and returns the L2 distance to
-    R(lambda, A(s)) f.  The contract bounds the residual by the tail
-    e^{-(Re lambda + omega) H} ||f|| / (Re lambda + omega) plus quadrature
-    tolerance; see laplace_tail_bound.
+    Gauss-Legendre quadrature (`panels` panels of 12 nodes) and returns the
+    L2 distance to R(lambda, A(s)) f.  The contract bounds the residual by
+    the tail e^{-(Re lambda + omega) H} ||f|| / (Re lambda + omega) plus
+    quadrature tolerance; see laplace_tail_bound.
     """
     if horizon <= 0:
         raise DomainError(f"truncation horizon must be positive, got {horizon}")
     a = op.symbol_on(f.grid)
-    taus, weights = gauss_legendre_panels(0.0, horizon, panels, nodes_per_panel)
+    taus, weights = gauss_legendre_panels(0.0, horizon, panels)
     fhat = f.to_frequency().values
     acc = np.zeros(f.grid.shape, dtype=complex)
     for tau, w in zip(taus, weights):
@@ -141,8 +141,7 @@ def _stable_expm1_abs(z_real: np.ndarray, z_imag: np.ndarray) -> np.ndarray:
 
 
 def favard_norm(op: FrozenOperator, f: GridFunction, space: str = "F1",
-                t_samples: np.ndarray | None = None,
-                gauge: NormSpec | None = None) -> FavardEstimate:
+                t_samples: np.ndarray | None = None) -> FavardEstimate:
     """sup over sampled t of (1/t) || T(t) f - f ||, in L2 (F1) or X_{-1} (F0).
 
     The default geometric grid runs from 1 down to 2^-40 with ratio 2.  For
@@ -163,10 +162,7 @@ def favard_norm(op: FrozenOperator, f: GridFunction, space: str = "F1",
     a = op.symbol_on(f.grid)
     fhat = np.abs(f.to_frequency().values)
     if space == "F0":
-        if gauge is None:
-            gauge = op.gauge()
-        from .spectral import _frequency_weight
-        fhat = fhat * _frequency_weight(gauge, f.grid)
+        fhat = fhat * _frequency_weight(op.gauge(), f.grid)
 
     w = f.grid.cell_volume
     best, best_t = 0.0, float(t_samples[0])

@@ -283,8 +283,8 @@ def spectral_tail_fraction(f: GridFunction) -> float:
 
 # -- standard test vectors ---------------------------------------------------
 
-def mode(grid: Grid, k, amplitude: complex = None) -> GridFunction:
-    """Single Fourier mode e^{i xi_k . x}, unit L2 norm unless amplitude given.
+def mode(grid: Grid, k) -> GridFunction:
+    """Single Fourier mode e^{i xi_k . x} with unit L2 norm.
 
     `k` is an integer (d = 1) or tuple of per-axis integers.
     """
@@ -293,9 +293,7 @@ def mode(grid: Grid, k, amplitude: complex = None) -> GridFunction:
         raise DomainError(f"mode index {ks} has wrong dimension")
     values = np.zeros(grid.shape, dtype=complex)
     idx = tuple(grid.mode_index(kj) for kj in ks)
-    if amplitude is None:
-        amplitude = 1.0 / np.sqrt(grid.cell_volume)   # unit L2 norm
-    values[idx] = amplitude
+    values[idx] = 1.0 / np.sqrt(grid.cell_volume)
     return GridFunction(grid, FREQUENCY, values)
 
 
@@ -371,19 +369,6 @@ def load_function(stem) -> GridFunction:
         raise ConfigurationError("binary payload size does not match sidecar")
     values = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
     return GridFunction(grid, meta["representation"], values)
-
-
-def export_slice_csv(f: GridFunction, path, axis: int = 0, index: int = 0):
-    """CSV of a 1-d physical slice: columns x, re, im."""
-    phys = f.to_physical()
-    sl = [index] * f.grid.dim
-    sl[axis] = slice(None)
-    line = phys.values[tuple(sl)]
-    x = f.grid.points_axis()
-    with open(path, "w") as fh:
-        fh.write("x,re,im\n")
-        for xj, vj in zip(x, line):
-            fh.write(f"{xj:.17g},{vj.real:.17g},{vj.imag:.17g}\n")
 
 
 def xminus1_model_ratio(spec, grid: Grid, vectors) -> dict:

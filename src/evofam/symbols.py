@@ -3,9 +3,9 @@
 A symbol is a(t, xi) = sum over multi-indices |alpha| <= m of
 a_alpha(t) * (i xi)^alpha.  Coefficient functions are restricted to a
 family (constant + polynomial + trigonometric, plus optional step terms
-for degenerate configurations) that has closed-form derivatives,
-antiderivatives and Lipschitz bounds; the exact propagator and all
-certification routines rely on those closed forms.
+for degenerate configurations) that has closed-form antiderivatives and
+Lipschitz bounds; the exact propagator and all certification routines
+rely on those closed forms.
 """
 
 from __future__ import annotations
@@ -54,16 +54,6 @@ class CoefficientFunction:
             value = value + ccos * np.cos(omega * t) + csin * np.sin(omega * t)
         for t0, jump in self.steps:
             value = value + jump * (t >= t0)
-        return value[()] if value.ndim == 0 else value
-
-    def derivative(self, t):
-        """d/dt c(t); step terms contribute 0 away from their jumps."""
-        t = np.asarray(t)
-        value = np.zeros(t.shape, dtype=complex)
-        for degree, coef in self.poly:
-            value = value + degree * coef * t ** (degree - 1)
-        for omega, ccos, csin in self.trig:
-            value = value + omega * (-ccos * np.sin(omega * t) + csin * np.cos(omega * t))
         return value[()] if value.ndim == 0 else value
 
     def antiderivative(self, t):

@@ -111,6 +111,18 @@ class TestCheckCommand:
         assert main(["check", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_theta_scan_reads_the_config_plan(self, tmp_path):
+        # td1's sector constant is 1/sin(pi - theta): sqrt(2) at 0.75 pi and
+        # 1.24 at 0.70 pi, so a cap of 1.3 fails a1 and stops the scan at 0.70 pi
+        config = fast_td1_config()
+        config["plans"]["cap"] = 1.3
+        path = write_config(tmp_path, config)
+        assert main(["check", "--config", str(path), "--out", str(tmp_path),
+                     "--stable"]) == 1
+        report = json.loads((tmp_path / "report.json").read_text())["report"]
+        assert report["a1"]["m"] > 1.3 and not report["verdicts"]["a1"]
+        assert report["largest_passing_theta"] < config["theta"]
+
 
 class TestDeterminism:
     def test_stable_reports_byte_identical(self, td1_cfg_path, tmp_path):

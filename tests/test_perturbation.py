@@ -7,8 +7,8 @@ from evofam.errors import ConfigurationError, DomainError, UnsupportedError
 from evofam.evolution import PropagatorEngine, observed_orders
 from evofam.perturbation import (DEFAULT_SEPARATIONS, Mollifier,
                                  MultiplierFamily, SmoothingComposite,
-                                 VolterraSolver, check_domain_to_favard,
-                                 commuting_oracle, duhamel_residual, loglog_fit,
+                                 VolterraSolver, commuting_oracle,
+                                 duhamel_residual, loglog_fit,
                                  perturbation_regularity_report,
                                  perturbed_family_checks, solve_perturbed)
 from evofam.spectral import (Grid, GridFunction, indicator, mode, norm,
@@ -203,26 +203,6 @@ class TestPerturbedFamily:
         rep = perturbed_family_checks(engine, fam, full, 0.6, VolterraSolver(64))
         assert rep.norms[0] == pytest.approx(norm(xband), rel=1e-14)
         assert len(rep.norms) == 65
-
-
-class TestDomainToFavardHypotheses:
-    def test_smoothing_passes(self, td1, grid, xband):
-        rep = check_domain_to_favard(td1, grid, SmoothingComposite(order=2),
-                                     [xband])
-        assert rep.bounded_in_band
-        assert all(rep.verdicts)
-
-    def test_identity_fails_band_probe(self, td1, grid, xband):
-        ident = MultiplierFamily(constant(1.0), profile_num=(1.0,),
-                                 profile_den=(1.0,))
-        rep = check_domain_to_favard(td1, grid, ident, [xband])
-        assert not rep.bounded_in_band
-        assert not all(rep.verdicts)
-
-    def test_zero_passes(self, td1, grid, xband):
-        zero = MultiplierFamily(constant(0.0))
-        rep = check_domain_to_favard(td1, grid, zero, [xband])
-        assert all(rep.verdicts)
 
 
 COMMUTING_GRID = Grid(1, 64, 2.0 * np.pi)

@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,7 @@ from hypothesis import strategies as st
 
 from evofam.errors import ConfigurationError, NumericError, StateError
 from evofam.spectral import (FREQUENCY, PHYSICAL, Grid, GridFunction, L2,
-                             apply_multiplier, export_slice_csv,
-                             extrapolated_norm, gaussian_bump, indicator,
+                             apply_multiplier, extrapolated_norm, indicator,
                              load_function, lp_norm, mode, multiplier_operator_norm,
                              negative_sobolev, norm, random_band_limited, refine,
                              save_function, spectral_tail_fraction, transform,
@@ -240,17 +241,27 @@ class TestVectorsAndSerialization:
         assert g.representation == f.representation
         assert np.array_equal(g.values, f.values)
 
-    def test_slice_csv(self, small_grid, tmp_path):
-        f = gaussian_bump(small_grid)
-        path = tmp_path / "slice.csv"
-        export_slice_csv(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,re,im"
-        assert len(lines) == small_grid.n + 1
-
     def test_xminus1_models_agree_up_to_ellipticity(self, grid, h1, rng):
         vecs = [random_band_limited(grid, rng, band=8) for _ in range(3)]
         rep = xminus1_model_ratio(h1, grid, vecs)
         # |a(0,xi)| = 1 + xi^2 vs (1 + xi^2): gauge weights coincide for H1
         assert rep["min_ratio"] == pytest.approx(1.0, rel=1e-9)
         assert rep["max_ratio"] == pytest.approx(1.0, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 2), n=st.sampled_from([2, 4, 8, 16]),
+       representation=st.sampled_from([PHYSICAL, FREQUENCY]),
+       seed=st.integers(0, 2**32 - 1))
+def test_save_load_round_trip_property(dim, n, representation, seed):
+    """The grid, the representation and every value come back exactly."""
+    grid = Grid(dim, n, 2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(grid, representation,
+                     rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_function(f, f"{tmp}/vec")
+        g = load_function(f"{tmp}/vec")
+    assert g.grid == f.grid
+    assert g.representation == f.representation
+    assert np.array_equal(g.values, f.values)

@@ -10,14 +10,12 @@ from evofam.symbols import (CoefficientFunction, SymbolSpec, certify_ellipticity
 
 
 class TestCoefficientFunction:
-    def test_evaluation_and_derivative(self):
+    def test_evaluation(self):
         c = CoefficientFunction(const=1.0, poly=((2, 0.5),),
                                 trig=((2.0, 1.0, -0.5),))
         t = 0.7
         expected = 1.0 + 0.5 * t**2 + np.cos(2 * t) - 0.5 * np.sin(2 * t)
         assert c(t) == pytest.approx(expected)
-        d_expected = t - 2 * np.sin(2 * t) - np.cos(2 * t)
-        assert c.derivative(t) == pytest.approx(d_expected)
 
     def test_antiderivative_matches_quadrature(self):
         c = CoefficientFunction(const=0.3, poly=((1, 2.0), (3, -0.25)),

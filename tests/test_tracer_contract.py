@@ -49,3 +49,29 @@ def test_metric_spans_name_traced_callables(tracer):
     read |= set(tracer.COUNTERS)
     assert len(read) >= 27
     assert read <= spans, f"metric spans with no traced callable: {sorted(read - spans)}"
+
+
+def _traced_callable(tracer, span):
+    """The function or method the tracer records under `span`."""
+    for layer, cls_name, method, name in tracer.METHODS:
+        if name == span:
+            cls = getattr(importlib.import_module(f"evofam.{layer}"), cls_name)
+            return getattr(cls, method)
+    names = {alias: original for original, alias in tracer.ALIASES.items()}
+    layer, attr = names.get(span, span).split(".")
+    return getattr(importlib.import_module(f"evofam.{layer}"), attr)
+
+
+def test_counter_hooks_read_parameters_of_the_traced_callable(tracer):
+    # a hook reads bound arguments by name (a["cfl_safety"]); renaming the
+    # parameter would otherwise break only a traced run
+    checked = 0
+    for span, hooks in tracer.COUNTERS.items():
+        params = inspect.signature(_traced_callable(tracer, span)).parameters
+        for _, hook in hooks:
+            names = {c for c in hook.__code__.co_consts
+                     if isinstance(c, str) and c.isidentifier() and c != hook.__doc__}
+            missing = names - set(params)
+            assert not missing, f"{span} hook reads {sorted(missing)}"
+            checked += len(names)
+    assert checked >= 7

@@ -115,6 +115,18 @@ class TestFamilyChecks:
                                       np.zeros(advect_decay.cells))
         assert rep.cocycle_defect == 0.0
 
+    def test_solves_only_the_two_legs(self, advect_decay, monkeypatch):
+        # the single r -> t run is the mass-balance march, not a third solve
+        from evofam import transport as trn
+        solves = []
+        solve = trn.transport_solve
+        monkeypatch.setattr(trn, "transport_solve",
+                            lambda *a, **k: solves.append(a[1:3]) or solve(*a, **k))
+        f0 = sample_initial(advect_decay, box_fn())
+        rep = transport_family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
+        assert solves == [(0.0, 0.25), (0.25, 0.75)]
+        assert rep.cocycle_defect <= 1e-12
+
     def test_time_varying_coefficients(self):
         gvar = TimeSpaceCoefficient(
             CoefficientFunction(const=1.0, trig=((1.0, 0.0, 0.2),)),
@@ -151,10 +163,6 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             TransportProblem(1.0, 6.0, 100, constant_field(-1.0),
                              constant_field(1.0))
-
-    def test_decay_hypothesis_flag(self, pure_advection, advect_decay):
-        assert not pure_advection.satisfies_decay_hypothesis()
-        assert advect_decay.satisfies_decay_hypothesis()
 
     def test_cfl_step_positive(self, advect_decay):
         assert 0 < advect_decay.cfl_step() <= 0.9 * advect_decay.h
