@@ -26,14 +26,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .semigroup import FrozenOperator, frozen_resolvent
-from .spectral import Grid, GridFunction, norm
+from .spectral import Grid
 from .symbols import SymbolSpec
 
 BLOCK_ELEMENTS = 1 << 16      # quotients per block of rows: ~1 MB complex temporaries
 KATO_TOL = 1e-9               # Kato ratios may exceed 1 by roundoff only
 CD_SLACK = 0.05               # cd X quotient against its coefficient bound
-COMMUTING_DRAWS = 3           # (t, s, lambda, mu) draws per test vector
 THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)
 MODULUS_RANGE = (1e-3, 1e6)            # |lambda| range of the sector sweep
 RESOLVENT_MODULUS_RANGE = (1e-2, 1e4)  # |lambda| range of the C' sweep
@@ -379,30 +377,11 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
                              refined_kappa=kappa_fine, refinement_delta=delta)
 
 
-def check_commuting(spec: SymbolSpec, grid: Grid, vectors, seed: int = 5) -> float:
-    """Max relative defect of R(lambda,A(t)) R(mu,A(s)) against the swapped
-    order on test vectors.  Validates the implementation (diagonal
-    operators commute exactly); expected <= 1e-12."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for f in vectors:
-        for _ in range(COMMUTING_DRAWS):
-            t, s = rng.uniform(0.0, spec.horizon, 2)
-            lam = complex(rng.uniform(0.5, 5.0), rng.uniform(-1.0, 1.0))
-            mu = complex(rng.uniform(0.5, 5.0), rng.uniform(-1.0, 1.0))
-            op_t, op_s = FrozenOperator(spec, t), FrozenOperator(spec, s)
-            one = frozen_resolvent(op_t, lam, frozen_resolvent(op_s, mu, f))
-            two = frozen_resolvent(op_s, mu, frozen_resolvent(op_t, lam, f))
-            diff = GridFunction(grid, "frequency", one.values - two.values)
-            worst = max(worst, norm(diff) / max(norm(f), 1e-300))
-    return worst
-
-
 @dataclass(frozen=True)
 class CDSystemReport:
-    """Constant domain (structural), stability, strong Lipschitz continuity."""
+    """Kato stability and strong Lipschitz continuity; the domain is
+    constant by construction of the multiplier model."""
 
-    constant_domain: bool
     stability: StabilityCertificate
     strong_lipschitz: float           # max over pairs and vectors, X level
     strong_lipschitz_bound: float     # per-vector coefficient bound, maxed
@@ -457,7 +436,7 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
                   and worst_x <= bound_x * (1.0 + CD_SLACK))
     pass_m1 = bool(stability.verdict and worst_m1 <= plan.cap)
     return CDSystemReport(
-        constant_domain=True, stability=stability,
+        stability=stability,
         strong_lipschitz=worst_x, strong_lipschitz_bound=bound_x,
         pass_x=pass_x, pass_xminus1=pass_m1,
         strong_lipschitz_xminus1=worst_m1, witness=witness)

@@ -105,8 +105,6 @@ def run_check(config: dict, out: Path, seed: int, refine: int):
     timer.mark("resolvent_lipschitz")
     csemi = asm.check_semigroup_lipschitz(spec, grid, plan)
     timer.mark("semigroup_lipschitz")
-    commuting = asm.check_commuting(spec, grid, vectors, seed=seed)
-    timer.mark("commuting")
     cd = asm.certify_cd_system(spec, grid, vectors, plan)
     kato = cd.stability
     timer.mark("cd_system")
@@ -132,7 +130,6 @@ def run_check(config: dict, out: Path, seed: int, refine: int):
         "resolvent_lipschitz": cprime.verdict,
         "semigroup_lipschitz": csemi.verdict,
         "lemma_chain": chain_ok,
-        "commuting": bool(commuting <= ROUNDOFF),
         "cd_system_x": cd.pass_x, "cd_system_xminus1": cd.pass_xminus1,
         "refinement_stable": stable,
     }
@@ -177,7 +174,7 @@ def run_check(config: dict, out: Path, seed: int, refine: int):
         "resolvent_lipschitz": cprime, "semigroup_lipschitz": csemi,
         "lemma_chain": {"Cprime": cprime.value, "M2L": a1.m**2 * a3.value,
                         "pass": chain_ok},
-        "commuting_defect": commuting, "cd_system": cd,
+        "cd_system": cd,
         "xminus1_models": models, "largest_passing_theta": theta_star,
         "refinement_deltas": deltas,
         "verdicts": verdicts,
@@ -258,23 +255,22 @@ def run_perturb(config: dict, out: Path, seed: int):
     rng = np.random.default_rng(seed)
     x = cfg.build_initial(section["initial"], grid, rng)
     family = cfg.build_perturbation(config.get("perturbation"), spec.dim)
-    solver = cfg.build_solver(config.get("solver"))
+    steps = cfg.build_solver(config.get("solver"))
     has_oracle = isinstance(family, per.MultiplierFamily)
-    if has_oracle and solver.steps < ORACLE_MIN_STEPS:
+    if has_oracle and steps < ORACLE_MIN_STEPS:
         raise ConfigurationError(
-            f"config invalid at solver/steps: {solver.steps} is less than the "
+            f"config invalid at solver/steps: {steps} is less than the "
             f"oracle ladder's minimum of {ORACLE_MIN_STEPS}")
     tail = spectral_tail_fraction(x)
     runs = {}                           # s -> t trajectories, one solve per step count
 
-    def run(steps):
-        if steps not in runs:
-            runs[steps] = per.solve_perturbed(engine, family, s, t, x,
-                                              replace(solver, steps=steps))
-        return runs[steps]
+    def run(m):
+        if m not in runs:
+            runs[m] = per.solve_perturbed(engine, family, s, t, x, m)
+        return runs[m]
 
     timer = StageTimer()
-    traj = run(solver.steps)
+    traj = run(steps)
     timer.mark("solve")
     gauge = extrapolated_norm(spec, 0.0)
     rows = [[float(sig), norm(v), norm(v, gauge)]
@@ -288,18 +284,16 @@ def run_perturb(config: dict, out: Path, seed: int):
     if has_oracle:
         oracle = per.commuting_oracle(engine, family, s, t, x)
         # the M/4 level serves only the oracle, so only its final state is kept
-        quarter = per.solve_perturbed(engine, family, s, t, x,
-                                      replace(solver, steps=solver.steps // 4)).final()
-        finals = [quarter, run(solver.steps // 2).final(), traj.final()]
+        quarter = per.solve_perturbed(engine, family, s, t, x, steps // 4).final()
+        finals = [quarter, run(steps // 2).final(), traj.final()]
         errs = [norm(GridFunction(grid, "frequency", v.values - oracle.values))
                 for v in finals]
         oracle_error = errs[-1]
         oracle_orders = evo.observed_orders(errs)
     timer.mark("oracle")
 
-    half = replace(solver, steps=max(solver.steps // 2, 8))
-    family_rep = per.perturbed_family_checks(engine, family, run(half.steps),
-                                             0.5 * (s + t), half)
+    family_rep = per.perturbed_family_checks(engine, family, run(max(steps // 2, 8)),
+                                             0.5 * (s + t))
     timer.mark("family_checks")
 
     reg = per.perturbation_regularity_report(family, [indicator(grid), x], spec)
@@ -308,7 +302,6 @@ def run_perturb(config: dict, out: Path, seed: int):
     verdicts = {
         "duhamel": bool(residual <= VOLTERRA_TOL),
         "envelope": family_rep.envelope_ok,
-        "picard": bool(traj.sweeps_max <= solver.max_sweeps),
         "spectral_tail": bool(tail <= TAIL_WARN),
     }
     if oracle_error is not None:
@@ -316,7 +309,7 @@ def run_perturb(config: dict, out: Path, seed: int):
         verdicts["oracle_order"] = _order_verdict(errs, oracle_orders,
                                                   SECOND_ORDER, x)
     report = {
-        "s": s, "t": t, "steps": solver.steps,
+        "s": s, "t": t, "steps": steps,
         "duhamel_residual": residual,
         "oracle_error": oracle_error, "oracle_orders": oracle_orders,
         "cocycle_defect": family_rep.cocycle_defect,
@@ -476,25 +469,26 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else int(config.get("seed", 1))
 
     extra = (max(args.refine, 1),) if args.subcommand == "check" else ()
+    envelope = {
+        "subcommand": args.subcommand,
+        "seed": seed,
+        "config_hash": config_hash(config),
+        "environment": environment_stamp(),
+    }
     try:
         report, timer = PIPELINES[args.subcommand](config, out, seed, *extra)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ConvergenceError, DomainError) as exc:
-        dump_json({"error": str(exc),
-                   "witness": getattr(exc, "witness", None)},
-                  out / "report.json")
+        # `error` stays a top-level key: it marks the report of a failed run
+        envelope.update(error=str(exc), witness=getattr(exc, "witness", None),
+                        residual=getattr(exc, "residual", None))
+        dump_json(envelope, out / "report.json")
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 
-    envelope = {
-        "subcommand": args.subcommand,
-        "seed": seed,
-        "config_hash": config_hash(config),
-        "environment": environment_stamp(),
-        "report": report,
-    }
+    envelope["report"] = report
     if not args.stable:
         envelope["timings"] = timer.stages
     dump_json(envelope, out / "report.json")

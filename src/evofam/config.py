@@ -12,8 +12,7 @@ import numpy as np
 from .assumptions import SamplePlan
 from .errors import ConfigurationError
 from .evolution import PropagatorEngine
-from .perturbation import (Mollifier, MultiplierFamily, SmoothingComposite,
-                           VolterraSolver)
+from .perturbation import Mollifier, MultiplierFamily, SmoothingComposite
 from .spectral import (Grid, GridFunction, gaussian_bump, indicator,
                        load_function, mode, random_band_limited)
 from .symbols import CoefficientFunction, SymbolSpec
@@ -115,11 +114,9 @@ def build_perturbation(entry: dict | None, dim: int):
     raise ConfigurationError(f"unknown perturbation kind {kind!r}")
 
 
-def build_solver(entry: dict | None) -> VolterraSolver:
-    entry = entry or {}
-    return VolterraSolver(steps=int(entry.get("steps", 1024)),
-                          tolerance=float(entry.get("tolerance", 1e-12)),
-                          max_sweeps=int(entry.get("max_sweeps", 20)))
+def build_solver(entry: dict | None) -> int:
+    """The Volterra step count."""
+    return int((entry or {}).get("steps", 1024))
 
 
 def build_initial(entry: dict, grid: Grid, rng: np.random.Generator) -> GridFunction:

@@ -5,10 +5,9 @@
 the first-order transport system on L1(R>=0) with positive velocity g
 bounded away from zero and decay mu >= mu_min > 0.  The half-line is
 truncated at x_max with free outflow; coefficients are frozen per step
-at the step midpoint in time.  One upwind update (`_upwind_step`) serves
-`transport_solve` and the mass-balance march of the family checks; that
-march is also the single r -> t run the cocycle legs are compared to, so
-the checks march the ladder once besides the two legs.
+at the step midpoint in time.  `transport_solve` is the one upwind march:
+it also records the per-step mass-balance defect, so the family checks'
+single r -> t run is a `transport_solve` call besides the two legs.
 """
 
 from __future__ import annotations
@@ -107,6 +106,7 @@ class TransportState:
     time: float
     outflow: float = 0.0
     history: list | None = None        # (time, mass, l1 norm) per step if recorded
+    mass_balance_defect: float = 0.0   # max per-step conservation residual
 
     def mass(self) -> float:
         return float(np.sum(self.values) * self.problem.h)
@@ -137,7 +137,8 @@ def transport_solve(problem: TransportProblem, s: float, t: float,
 
     Coefficients are frozen at the step midpoint.  If `steps` is given it
     must satisfy the CFL bound dt <= cfl_safety * h / sup g; there is no
-    silent sub-stepping.
+    silent sub-stepping.  The state keeps the max per-step defect of
+    mass_new - mass_old + dt(sum mu f h) + outflux, relative to mass_old.
     """
     if not 0.0 <= s <= t <= problem.horizon:
         raise DomainError(f"need 0 <= s <= t <= {problem.horizon}")
@@ -156,27 +157,28 @@ def transport_solve(problem: TransportProblem, s: float, t: float,
             f"CFL violated: dt={dt:.3e} exceeds {dt_max:.3e}; no silent sub-stepping")
 
     h = problem.h
-    outflow = 0.0
+    outflow, balance = 0.0, 0.0
     history = [] if record_history else None
+    faces, centers = problem.faces(), problem.centers()
+    mass = np.sum(f) * h
     for k in range(steps):
-        f, flux_out, _ = _upwind_step(problem, f, s + (k + 0.5) * dt, dt)
+        t_mid = s + (k + 0.5) * dt
+        g_face = problem.velocity(t_mid, faces)
+        mu = problem.decay(t_mid, centers)
+        upwind = np.concatenate([[0.0], f[:-1]])        # inflow value 0 at x=0
+        flux_out = g_face[1:] * f
+        flux_in = g_face[:-1] * upwind
+        f_new = f - (dt / h) * (flux_out - flux_in) - dt * mu * f
+        mass_new = np.sum(f_new) * h
+        expected = -dt * np.sum(mu * f) * h - dt * flux_out[-1]   # decay sink, outflow
+        balance = max(balance, abs(mass_new - mass - expected) / max(abs(mass), 1e-300))
         outflow += dt * flux_out[-1]                    # mass leaving this step
+        f, mass = f_new, mass_new
         if history is not None:
-            history.append((s + (k + 1) * dt, float(np.sum(f) * h),
+            history.append((s + (k + 1) * dt, float(mass),
                             float(np.sum(np.abs(f)) * h)))
-    return TransportState(problem, f, t, outflow=outflow, history=history)
-
-
-def _upwind_step(problem: TransportProblem, f: np.ndarray, t_mid: float,
-                 dt: float):
-    """One conservative upwind step with g and mu frozen at `t_mid`: the new
-    values, the flux out of each cell's right face, and mu per cell."""
-    g_face = problem.velocity(t_mid, problem.faces())
-    mu = problem.decay(t_mid, problem.centers())
-    upwind = np.concatenate([[0.0], f[:-1]])            # inflow value 0 at x=0
-    flux_out = g_face[1:] * f
-    flux_in = g_face[:-1] * upwind
-    return f - (dt / problem.h) * (flux_out - flux_in) - dt * mu * f, flux_out, mu
+    return TransportState(problem, f, t, outflow=outflow, history=history,
+                          mass_balance_defect=float(balance))
 
 
 def characteristics_oracle(problem: TransportProblem, s: float, t: float,
@@ -209,8 +211,8 @@ def transport_family_checks(problem: TransportProblem, r: float, s: float,
 
     The midpoint is snapped onto a global CFL-safe ladder so both legs
     reuse exactly the step times of the single run; the composed solve
-    then reproduces it to roundoff.  The single run is the mass-balance
-    march over the whole ladder.
+    then reproduces it to roundoff.  The single run also yields the mass
+    balance.
     """
     if not r <= s <= t:
         raise DomainError("need r <= s <= t")
@@ -221,10 +223,10 @@ def transport_family_checks(problem: TransportProblem, r: float, s: float,
 
     legA = transport_solve(problem, r, s_used, f0, n1)
     legB = transport_solve(problem, s_used, t, legA.values, n_total - n1)
-    # mass balance over the whole run: initial = final + outflow + decay sink
-    one, balance = _mass_balance_march(problem, r, t, f0, n_total)
-    one_l1 = float(np.sum(np.abs(one)) * problem.h)
-    defect = float(np.sum(np.abs(legB.values - one)) * problem.h) / max(one_l1, 1e-300)
+    one = transport_solve(problem, r, t, f0, n_total)
+    one_l1 = one.l1_norm()
+    defect = (float(np.sum(np.abs(legB.values - one.values)) * problem.h)
+              / max(one_l1, 1e-300))
 
     f0_l1 = float(np.sum(np.abs(f0)) * problem.h)
     ratio = one_l1 / max(f0_l1, 1e-300)
@@ -233,26 +235,7 @@ def transport_family_checks(problem: TransportProblem, r: float, s: float,
     return TransportFamilyReport(
         cocycle_defect=defect, decay_ratio=ratio, decay_bound=bound,
         decay_ok=bool(ratio <= bound * (1.0 + 10.0 * problem.h)),
-        mass_balance_defect=balance)
-
-
-def _mass_balance_march(problem: TransportProblem, s: float, t: float,
-                        f0: np.ndarray, steps: int) -> tuple[np.ndarray, float]:
-    """March f0 from s to t on the ladder `transport_solve(..., steps)` uses;
-    return the final values and the max per-step defect of
-    mass_new - mass_old + dt(sum mu f h) + outflux."""
-    f = np.asarray(f0, dtype=float).copy()
-    dt = (t - s) / steps
-    h = problem.h
-    worst = 0.0
-    for k in range(steps):
-        f_new, flux_out, mu = _upwind_step(problem, f, s + (k + 0.5) * dt, dt)
-        lhs = np.sum(f_new) * h - np.sum(f) * h
-        rhs = -dt * np.sum(mu * f) * h - dt * flux_out[-1]
-        scale = max(abs(np.sum(f) * h), 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
-        f = f_new
-    return f, worst
+        mass_balance_defect=one.mass_balance_defect)
 
 
 def convergence_study(problem_factory, s: float, t: float, f0_fn,

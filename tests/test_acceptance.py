@@ -123,15 +123,13 @@ def test_criterion_07_variation_of_constants_oracle(engine, grid, xband):
     oracle = per.commuting_oracle(engine, fam, 0.0, 1.0, xband)
     errs = []
     for m in (256, 512, 1024):
-        traj = per.solve_perturbed(engine, fam, 0.0, 1.0, xband,
-                                   per.VolterraSolver(m))
+        traj = per.solve_perturbed(engine, fam, 0.0, 1.0, xband, m)
         errs.append(norm(GridFunction(grid, "frequency",
                                       traj.final().values - oracle.values)))
     assert errs[-1] <= 1e-6
     for o in observed_orders(errs):
         assert 1.7 <= o <= 2.3
-    final = per.solve_perturbed(engine, fam, 0.0, 1.0, xband,
-                                per.VolterraSolver(1024))
+    final = per.solve_perturbed(engine, fam, 0.0, 1.0, xband, 1024)
     assert per.duhamel_residual(final, engine, fam, 0.0, xband) <= 1e-6
 
 
@@ -141,11 +139,10 @@ def test_criterion_08_perturbed_family_axioms(engine, grid, xband):
     growth envelope."""
     defects = []
     for m in (128, 256, 512):
-        solver = per.VolterraSolver(m)
         full = per.solve_perturbed(engine, per.SmoothingComposite(2), 0.0, 1.5,
-                                   xband, solver)
+                                   xband, m)
         rep = per.perturbed_family_checks(engine, per.SmoothingComposite(2),
-                                          full, 0.7, solver)
+                                          full, 0.7)
         defects.append(rep.cocycle_defect)
         assert rep.envelope_ok
         assert all(np.isfinite(v) for v in rep.norms)
@@ -153,9 +150,9 @@ def test_criterion_08_perturbed_family_axioms(engine, grid, xband):
         assert o >= 1.7
 
     from evofam.symbols import constant
-    fam, solver = per.MultiplierFamily(constant(0.5)), per.VolterraSolver(512)
-    full = per.solve_perturbed(engine, fam, 0.0, 1.0, xband, solver)
-    rep = per.perturbed_family_checks(engine, fam, full, 0.5, solver)
+    fam = per.MultiplierFamily(constant(0.5))
+    full = per.solve_perturbed(engine, fam, 0.0, 1.0, xband, 512)
+    rep = per.perturbed_family_checks(engine, fam, full, 0.5)
     assert rep.cocycle_defect <= 1e-6
     assert rep.envelope_ok
 

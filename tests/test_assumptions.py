@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofam import assumptions as asm
-from evofam.assumptions import (SamplePlan, certify_cd_system, check_commuting,
+from evofam.assumptions import (SamplePlan, certify_cd_system,
                                 check_kato_stability, check_norm_equivalence,
                                 check_operator_lipschitz,
                                 check_resolvent_lipschitz,
@@ -183,12 +183,8 @@ class TestEquivalence:
 
 
 class TestCommutingAndCD:
-    def test_diagonal_model_commutes(self, td1, grid, band_vectors):
-        assert check_commuting(td1, grid, band_vectors[:3]) <= 1e-12
-
     def test_td1_cd_system(self, td1, grid, band_vectors, thin_plan):
         rep = certify_cd_system(td1, grid, band_vectors, thin_plan)
-        assert rep.constant_domain
         assert rep.pass_x and rep.pass_xminus1
         assert rep.strong_lipschitz <= rep.strong_lipschitz_bound * 1.05
 

@@ -36,7 +36,7 @@ def fast_td1_config(**overrides):
         "perturbation": {"kind": "multiplier",
                          "coefficient": {"const": [0.5, 0.0]},
                          "profile_num": [1.0], "profile_den": [1.0, 1.0]},
-        "solver": {"steps": 256, "tolerance": 1e-12, "max_sweeps": 20},
+        "solver": {"steps": 256},
         "perturb": {"s": 0.0, "t": 1.0,
                     "initial": {"kind": "random_band", "band": 4}},
         "favard": {"times": [0.0, 1.0],
@@ -238,6 +238,29 @@ def zero_perturbation_h1(tmp_path):
     return write_config(tmp_path, config)
 
 
+def test_numeric_failure_keeps_the_run_envelope(tmp_path, capsys):
+    # B = 0.5 |xi|^2 on 128 bins: the Picard factor h sup|m_B| / 2 = 0.9
+    # at 1024 steps, so node 1 fails to contract
+    from importlib import resources
+    from evofam.perturbation import PICARD_TOL
+    from evofam.reporting import config_hash
+    config = json.loads(resources.files("evofam.data").joinpath("configs")
+                        .joinpath("h1.json").read_text())
+    config["grid"]["n"] = 128
+    config["perturbation"].update(profile_num=[0.0, 1.0], profile_den=[1.0])
+    config["perturb"]["initial"] = {"kind": "indicator"}
+    path = write_config(tmp_path, config)
+    assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--seed", "4", "--stable"]) == 1
+    assert "Picard failed to contract at node 1" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert set(doc) == {"subcommand", "seed", "config_hash", "environment",
+                        "error", "witness", "residual"}
+    assert (doc["subcommand"], doc["seed"]) == ("perturb", 4)
+    assert doc["config_hash"] == config_hash(config)
+    assert doc["residual"] > PICARD_TOL
+
+
 def test_exact_oracle_passes_without_order_fit(tmp_path):
     # oracle errors are ~1e-16, so their fitted orders are noise
     path = zero_perturbation_h1(tmp_path)
@@ -279,9 +302,9 @@ def test_perturb_solves_each_run_once(tmp_path, monkeypatch, kind, expected):
     path = write_config(tmp_path, config)
     solves = []
     solve = per.solve_perturbed
-    monkeypatch.setattr(per, "solve_perturbed", lambda engine, family, s, t, x, solver:
-                        solves.append((s, t, solver.steps))
-                        or solve(engine, family, s, t, x, solver))
+    monkeypatch.setattr(per, "solve_perturbed", lambda engine, family, s, t, x, steps:
+                        solves.append((s, t, steps))
+                        or solve(engine, family, s, t, x, steps))
     # at 64 steps the smoothing run misses the Duhamel tolerance: exit 1
     assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--stable"]) in (0, 1)

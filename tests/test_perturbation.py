@@ -7,7 +7,7 @@ from evofam.errors import ConfigurationError, DomainError, UnsupportedError
 from evofam.evolution import PropagatorEngine, observed_orders
 from evofam.perturbation import (DEFAULT_SEPARATIONS, Mollifier,
                                  MultiplierFamily, SmoothingComposite,
-                                 VolterraSolver, commuting_oracle,
+                                 commuting_oracle,
                                  duhamel_residual, loglog_fit,
                                  perturbation_regularity_report,
                                  perturbed_family_checks, solve_perturbed)
@@ -105,7 +105,7 @@ class TestRegularityReport:
 class TestVolterraSolver:
     def test_zero_perturbation_reproduces_engine(self, engine, grid, xband):
         zero = MultiplierFamily(constant(0.0))
-        traj = solve_perturbed(engine, zero, 0.0, 1.0, xband, VolterraSolver(128))
+        traj = solve_perturbed(engine, zero, 0.0, 1.0, xband, 128)
         ref = engine.propagate(0.0, 1.0, xband)
         diff = norm(GridFunction(grid, "frequency",
                                  traj.final().values - ref.values))
@@ -115,7 +115,7 @@ class TestVolterraSolver:
     def test_commuting_oracle_zero_mode(self, engine, grid):
         fam = MultiplierFamily(constant(0.5))
         x = mode(grid, 0)
-        traj = solve_perturbed(engine, fam, 0.0, 1.0, x, VolterraSolver(1024))
+        traj = solve_perturbed(engine, fam, 0.0, 1.0, x, 1024)
         assert norm(traj.final()) == pytest.approx(np.exp(-0.5), abs=1e-6)
 
     def test_commuting_oracle_band(self, engine, grid, xband):
@@ -123,8 +123,7 @@ class TestVolterraSolver:
         oracle = commuting_oracle(engine, fam, 0.0, 1.0, xband)
         errs = []
         for m in (256, 512, 1024):
-            traj = solve_perturbed(engine, fam, 0.0, 1.0, xband,
-                                   VolterraSolver(m))
+            traj = solve_perturbed(engine, fam, 0.0, 1.0, xband, m)
             errs.append(norm(GridFunction(grid, "frequency",
                                           traj.final().values - oracle.values)))
         assert errs[-1] <= 1e-6
@@ -136,20 +135,17 @@ class TestVolterraSolver:
             commuting_oracle(engine, Mollifier(1), 0.0, 1.0, xband)
 
     def test_duhamel_residual_converged(self, engine, grid, xband):
-        traj = solve_perturbed(engine, Mollifier(1), 0.0, 1.0, xband,
-                               VolterraSolver(1024))
+        traj = solve_perturbed(engine, Mollifier(1), 0.0, 1.0, xband, 1024)
         assert duhamel_residual(traj, engine, Mollifier(1), 0.0, xband) <= 1e-6
 
     def test_zero_initial(self, engine, grid):
         z = GridFunction(grid, "frequency", np.zeros(grid.shape, dtype=complex))
-        traj = solve_perturbed(engine, Mollifier(1), 0.0, 0.5, z,
-                               VolterraSolver(64))
+        traj = solve_perturbed(engine, Mollifier(1), 0.0, 0.5, z, 64)
         assert duhamel_residual(traj, engine, Mollifier(1), 0.0, z) == 0.0
 
     def test_mollifier_growth_bound(self, engine, grid, xband):
         # omega = -1 and sup ||B|| <= 1: perturbed norms stay below ||x||
-        traj = solve_perturbed(engine, Mollifier(1), 0.0, 2.0, xband,
-                               VolterraSolver(256))
+        traj = solve_perturbed(engine, Mollifier(1), 0.0, 2.0, xband, 256)
         assert max(norm(v) for v in traj.states) <= norm(xband) * (1.0 + 1e-9)
 
     def test_picard_failure_reported(self, engine, grid, xband):
@@ -157,15 +153,25 @@ class TestVolterraSolver:
         big = MultiplierFamily(constant(4000.0), profile_num=(1.0,),
                                profile_den=(1.0,))
         with pytest.raises(ConvergenceError):
-            solve_perturbed(engine, big, 0.0, 1.0, xband,
-                            VolterraSolver(16, max_sweeps=4))
+            solve_perturbed(engine, big, 0.0, 1.0, xband, 16)
+
+    def test_contraction_is_the_measured_sweep_ratio(self):
+        # B = 0.5 |xi|^2 has the generator's order: on 64 bins and 1024 steps
+        # over [0, 0.9] the sweeps contract by nearly h sup|m_B| / 2 = 0.225
+        grid = Grid(1, 64, 2.0 * np.pi)
+        engine = PropagatorEngine(heat_symbol(horizon=1.0), grid)
+        family = MultiplierFamily(constant(0.5), profile_num=(0.0, 1.0),
+                                  profile_den=(1.0,))
+        traj = solve_perturbed(engine, family, 0.0, 0.9, indicator(grid), 1024)
+        bound = 0.5 * (0.9 / 1024) * np.max(np.abs(family.multiplier(0.0, grid.xi_axes())))
+        assert bound == pytest.approx(0.225)
+        assert 0.1 <= traj.contraction <= 1.05 * bound
 
 
 def family_checks(engine, family, s, r, t, x, steps):
     """perturbed_family_checks on the s -> t trajectory solved at `steps`."""
-    solver = VolterraSolver(steps)
-    full = solve_perturbed(engine, family, s, t, x, solver)
-    return perturbed_family_checks(engine, family, full, r, solver)
+    full = solve_perturbed(engine, family, s, t, x, steps)
+    return perturbed_family_checks(engine, family, full, r)
 
 
 class TestPerturbedFamily:
@@ -189,18 +195,12 @@ class TestPerturbedFamily:
         rep = family_checks(engine, zero, 0.0, 0.5, 1.0, xband, 256)
         assert rep.cocycle_defect <= 1e-10
 
-    def test_trajectory_must_match_solver(self, engine, xband):
-        zero = MultiplierFamily(constant(0.0))
-        full = solve_perturbed(engine, zero, 0.0, 1.0, xband, VolterraSolver(16))
-        with pytest.raises(ConfigurationError):
-            perturbed_family_checks(engine, zero, full, 0.5, VolterraSolver(32))
-
     def test_reads_s_t_and_x_from_the_trajectory(self, engine, xband):
         fam = MultiplierFamily(constant(0.5))
-        full = solve_perturbed(engine, fam, 0.25, 1.0, xband, VolterraSolver(64))
+        full = solve_perturbed(engine, fam, 0.25, 1.0, xband, 64)
         with pytest.raises(DomainError):         # r must lie strictly inside (s, t)
-            perturbed_family_checks(engine, fam, full, 0.2, VolterraSolver(64))
-        rep = perturbed_family_checks(engine, fam, full, 0.6, VolterraSolver(64))
+            perturbed_family_checks(engine, fam, full, 0.2)
+        rep = perturbed_family_checks(engine, fam, full, 0.6)
         assert rep.norms[0] == pytest.approx(norm(xband), rel=1e-14)
         assert len(rep.norms) == 65
 
@@ -226,7 +226,7 @@ def test_commuting_solve_matches_oracle_and_duhamel(c, a, b, symbol, seed):
     engine = PropagatorEngine(COMMUTING_SYMBOLS[symbol], COMMUTING_GRID)
     family = MultiplierFamily(constant(c), profile_num=(a,), profile_den=(1.0, b))
     x = random_band_limited(COMMUTING_GRID, np.random.default_rng(seed), band=4)
-    traj = solve_perturbed(engine, family, 0.0, 1.0, x, VolterraSolver(COMMUTING_STEPS))
+    traj = solve_perturbed(engine, family, 0.0, 1.0, x, COMMUTING_STEPS)
     oracle = commuting_oracle(engine, family, 0.0, 1.0, x)
     error = norm(GridFunction(COMMUTING_GRID, "frequency",
                               traj.final().values - oracle.values))

@@ -12,6 +12,7 @@ from evofam.semigroup import (FavardEstimate, FrozenOperator, favard_norm,
 from evofam.spectral import (GridFunction, extrapolated_norm, mode,
                              multiplier_operator_norm, norm,
                              random_band_limited)
+from test_evolution import COCYCLE_GRID, elliptic_symbols
 
 
 @pytest.fixture()
@@ -180,3 +181,32 @@ class TestExtrapolationModel:
         op = FrozenOperator(td1, 1.3)
         f = random_band_limited(grid, rng, band=100)
         assert norm(op.apply(f), op.gauge()) == pytest.approx(norm(f), rel=1e-12)
+
+
+RESOLVENT_ULPS = 8      # roundoff multiples allowed per bin by the identity check
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=elliptic_symbols(), time=st.floats(0.0, 1.5),
+       shifts=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=2),
+       heights=st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_resolvent_identity_on_random_symbols(spec, time, shifts, heights, seed):
+    """R(lambda) - R(mu) = (mu - lambda) R(lambda) R(mu) for the frozen
+    generator of a random elliptic symbol, with lambda and mu in the right
+    half-plane shifted past its spectrum: lambda = omega + z, Re z >= 0 and
+    omega = 1/2 - min Re a(time, .), so |lambda + a| >= 1/2.  Per bin the
+    computed sides differ by a few eps |f| (|lambda| + |mu| + 2|a|) /
+    (|lambda + a| |mu + a|)."""
+    op = FrozenOperator(spec, time)
+    a = op.symbol_on(COCYCLE_GRID)
+    omega = 0.5 - float(np.min(a.real))
+    lam, mu = (omega + x + 1j * y for x, y in zip(shifts, heights))
+    f = random_band_limited(COCYCLE_GRID, np.random.default_rng(seed), band=4)
+    lhs = frozen_resolvent(op, lam, f).values - frozen_resolvent(op, mu, f).values
+    rhs = (mu - lam) * frozen_resolvent(op, lam, frozen_resolvent(op, mu, f)).values
+    scale = (np.abs(f.to_frequency().values) * (abs(lam) + abs(mu) + 2.0 * np.abs(a))
+             / (np.abs(lam + a) * np.abs(mu + a)))
+    defect = norm(GridFunction(COCYCLE_GRID, "frequency", lhs - rhs))
+    floor = norm(GridFunction(COCYCLE_GRID, "frequency", scale))
+    assert defect <= RESOLVENT_ULPS * np.finfo(float).eps * floor

@@ -115,8 +115,8 @@ class TestFamilyChecks:
                                       np.zeros(advect_decay.cells))
         assert rep.cocycle_defect == 0.0
 
-    def test_solves_only_the_two_legs(self, advect_decay, monkeypatch):
-        # the single r -> t run is the mass-balance march, not a third solve
+    def test_solves_the_two_legs_and_the_whole_run(self, advect_decay, monkeypatch):
+        # the single r -> t run is the third solve and carries the mass balance
         from evofam import transport as trn
         solves = []
         solve = trn.transport_solve
@@ -124,7 +124,7 @@ class TestFamilyChecks:
                             lambda *a, **k: solves.append(a[1:3]) or solve(*a, **k))
         f0 = sample_initial(advect_decay, box_fn())
         rep = transport_family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
-        assert solves == [(0.0, 0.25), (0.25, 0.75)]
+        assert solves == [(0.0, 0.25), (0.25, 0.75), (0.0, 0.75)]
         assert rep.cocycle_defect <= 1e-12
 
     def test_time_varying_coefficients(self):
