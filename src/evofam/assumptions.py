@@ -55,17 +55,17 @@ class SamplePlan:
     kato_kmax: int = 8
     cap: float = 1e8
 
-    def refined(self, factor: int = 2) -> "SamplePlan":
+    def refined(self) -> "SamplePlan":
         return replace(
             self,
-            time_samples=self.time_samples * factor,
-            moduli_per_ray=self.moduli_per_ray * factor,
-            pair_grid=self.pair_grid * factor,
-            resolvent_pair_grid=self.resolvent_pair_grid * factor,
-            resolvent_moduli=self.resolvent_moduli * factor,
-            tau_samples=self.tau_samples * factor,
-            kato_lambdas=self.kato_lambdas * factor,
-            kato_partitions=self.kato_partitions * factor,
+            time_samples=self.time_samples * 2,
+            moduli_per_ray=self.moduli_per_ray * 2,
+            pair_grid=self.pair_grid * 2,
+            resolvent_pair_grid=self.resolvent_pair_grid * 2,
+            resolvent_moduli=self.resolvent_moduli * 2,
+            tau_samples=self.tau_samples * 2,
+            kato_lambdas=self.kato_lambdas * 2,
+            kato_partitions=self.kato_partitions * 2,
         )
 
 

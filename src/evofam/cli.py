@@ -57,13 +57,13 @@ def _order_verdict(errors, orders, band, f: GridFunction) -> bool:
     return all(e <= floor for e in errors) or _orders_in(orders, band)
 
 
-def _product_orders(spec, grid, s: float, t: float, f: GridFunction, steps):
+def _product_orders(engine, s: float, t: float, f: GridFunction, steps):
     """CSV rows, fitted orders and order verdicts of the left and midpoint
-    product rules against one exact U(t,s) f."""
-    target = evo.PropagatorEngine(spec, grid).propagate(s, t, f)
+    product rules against the engine's U(t,s) f."""
+    target = engine.propagate(s, t, f)
     rows, orders, verdicts = [], {}, {}
     for rule, band in (("left", FIRST_ORDER), ("midpoint", SECOND_ORDER)):
-        errs = evo.product_formula_errors(spec, s, t, f, target, rule, steps)
+        errs = evo.product_formula_errors(engine.spec, s, t, f, target, rule, steps)
         orders[rule] = evo.observed_orders(errs)
         rows += [[rule, n, e] for n, e in zip(steps, errs)]
         verdicts[f"{rule}_order"] = _order_verdict(errs, orders[rule], band, f)
@@ -79,19 +79,16 @@ def _witness_row(check: str, constant: str, value, refined, delta, w: dict):
             ";".join(format(float(v), ".17g") for v in xi) if xi else None]
 
 
-def run_check(config: dict, out: Path, seed: int, refine: int):
+def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
     spec = cfg.build_symbol(config["symbol"])
     grid = cfg.build_grid(config["grid"])
     theta = float(config.get("theta", 3.0 * np.pi / 4.0))
     plan = cfg.build_plan(config.get("plans"), seed)
-    if refine > 1:
-        plan = plan.refined(refine)
     rng = np.random.default_rng(seed)
     vec_cfg = config.get("vectors", {})
     vectors = [random_band_limited(grid, rng, band=int(vec_cfg.get("band", 4)))
                for _ in range(int(vec_cfg.get("count", 4)))]
 
-    timer = StageTimer()
     ellip = certify_ellipticity(spec, time_samples=plan.time_samples,
                                 frequencies=grid.xi_rows())
     timer.mark("ellipticity")
@@ -179,13 +176,13 @@ def run_check(config: dict, out: Path, seed: int, refine: int):
         "refinement_deltas": deltas,
         "verdicts": verdicts,
     }
-    return report, timer
+    return report
 
 
-def run_evolve(config: dict, out: Path, seed: int):
+def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
     spec = cfg.build_symbol(config["symbol"])
     grid = cfg.build_grid(config["grid"])
-    engine = cfg.build_engine(config.get("engine"), spec, grid)
+    engine = evo.PropagatorEngine(spec, grid)
     section = config.get("evolve")
     if section is None:
         raise ConfigurationError("config has no 'evolve' section")
@@ -194,7 +191,6 @@ def run_evolve(config: dict, out: Path, seed: int):
     initial = cfg.build_initial(section["initial"], grid, rng)
     tail = spectral_tail_fraction(initial)
 
-    timer = StageTimer()
     result = engine.propagate(s, t, initial)
     save_function(result, out / "evolved")
     timer.mark("propagate")
@@ -220,14 +216,14 @@ def run_evolve(config: dict, out: Path, seed: int):
     growth = evo.growth_bound(engine, pairs, m=1.0, omega=omega)
     timer.mark("growth")
 
-    conv_rows, orders, order_verdicts = _product_orders(spec, grid, s, t, initial,
+    conv_rows, orders, order_verdicts = _product_orders(engine, s, t, initial,
                                                         [16, 32, 64, 128])
     write_csv(out / "evolution_convergence.csv", ["rule", "steps", "l2_error"],
               conv_rows)
     timer.mark("convergence")
 
     verdicts = {
-        "cocycle": bool(cocycle <= COCYCLE_TOL if engine.method == "exact" else True),
+        "cocycle": bool(cocycle <= COCYCLE_TOL),
         "derivative_dt_order": _orders_in([np.log2(d_dt[0] / d_dt[1])], SECOND_ORDER),
         "derivative_ds_order": _orders_in([np.log2(d_ds[0] / d_ds[1])], SECOND_ORDER),
         "growth": growth.verdict,
@@ -241,13 +237,13 @@ def run_evolve(config: dict, out: Path, seed: int):
         "spectral_tail_fraction": tail,
         "verdicts": verdicts,
     }
-    return report, timer
+    return report
 
 
-def run_perturb(config: dict, out: Path, seed: int):
+def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
     spec = cfg.build_symbol(config["symbol"])
     grid = cfg.build_grid(config["grid"])
-    engine = cfg.build_engine(config.get("engine"), spec, grid)
+    engine = evo.PropagatorEngine(spec, grid)
     section = config.get("perturb")
     if section is None:
         raise ConfigurationError("config has no 'perturb' section")
@@ -269,7 +265,6 @@ def run_perturb(config: dict, out: Path, seed: int):
             runs[m] = per.solve_perturbed(engine, family, s, t, x, m)
         return runs[m]
 
-    timer = StageTimer()
     traj = run(steps)
     timer.mark("solve")
     gauge = extrapolated_norm(spec, 0.0)
@@ -301,7 +296,6 @@ def run_perturb(config: dict, out: Path, seed: int):
 
     verdicts = {
         "duhamel": bool(residual <= VOLTERRA_TOL),
-        "envelope": family_rep.envelope_ok,
         "spectral_tail": bool(tail <= TAIL_WARN),
     }
     if oracle_error is not None:
@@ -314,8 +308,7 @@ def run_perturb(config: dict, out: Path, seed: int):
         "oracle_error": oracle_error, "oracle_orders": oracle_orders,
         "cocycle_defect": family_rep.cocycle_defect,
         "envelope": {"M": family_rep.envelope_m,
-                     "omega": family_rep.envelope_omega,
-                     "ok": family_rep.envelope_ok},
+                     "omega": family_rep.envelope_omega},
         "picard": {"max_sweeps": traj.sweeps_max,
                    "last_residual": traj.last_residual,
                    "contraction": traj.contraction},
@@ -323,10 +316,10 @@ def run_perturb(config: dict, out: Path, seed: int):
         "spectral_tail_fraction": tail,
         "verdicts": verdicts,
     }
-    return report, timer
+    return report
 
 
-def run_favard(config: dict, out: Path, seed: int):
+def run_favard(config: dict, out: Path, seed: int, timer: StageTimer):
     spec = cfg.build_symbol(config["symbol"])
     grid = cfg.build_grid(config["grid"])
     section = config.get("favard", {})
@@ -335,7 +328,6 @@ def run_favard(config: dict, out: Path, seed: int):
     initial_cfg = section.get("initial", {"kind": "random_band", "band": 4})
     f = cfg.build_initial(initial_cfg, grid, rng)
 
-    timer = StageTimer()
     results, ok = [], True
     for s in times:
         op = FrozenOperator(spec, s)
@@ -352,10 +344,10 @@ def run_favard(config: dict, out: Path, seed: int):
     timer.mark("favard")
     verdicts = {"favard_identities": bool(ok)}
     report = {"times": times, "results": results, "verdicts": verdicts}
-    return report, timer
+    return report
 
 
-def run_transport(config: dict, out: Path, seed: int):
+def run_transport(config: dict, out: Path, seed: int, timer: StageTimer):
     section = config.get("transport")
     if section is None:
         raise ConfigurationError("config has no 'transport' section")
@@ -364,9 +356,7 @@ def run_transport(config: dict, out: Path, seed: int):
     f0 = trn.sample_initial(problem, f0_fn)
     s = float(section.get("s", 0.0))
     t = float(section.get("t", problem.horizon))
-    r = float(section.get("r", s))
 
-    timer = StageTimer()
     state = trn.transport_solve(problem, s, t, f0, record_history=True)
     write_csv(out / "transport_series.csv", ["time", "mass", "l1_norm"],
               state.history)
@@ -374,7 +364,7 @@ def run_transport(config: dict, out: Path, seed: int):
               list(zip(problem.centers(), state.values)))
     timer.mark("solve")
 
-    checks = trn.transport_family_checks(problem, min(r, s), 0.5 * (s + t), t, f0)
+    checks = trn.transport_family_checks(problem, s, 0.5 * (s + t), t, f0)
     timer.mark("family_checks")
 
     orders = None
@@ -403,10 +393,10 @@ def run_transport(config: dict, out: Path, seed: int):
         "family_checks": checks, "convergence_orders": orders,
         "verdicts": verdicts,
     }
-    return report, timer
+    return report
 
 
-def run_convergence(config: dict, out: Path, seed: int):
+def run_convergence(config: dict, out: Path, seed: int, timer: StageTimer):
     spec = cfg.build_symbol(config["symbol"])
     grid = cfg.build_grid(config["grid"])
     section = config.get("convergence", {})
@@ -417,14 +407,14 @@ def run_convergence(config: dict, out: Path, seed: int):
     initial_cfg = section.get("initial", {"kind": "random_band", "band": 4})
     f = cfg.build_initial(initial_cfg, grid, rng)
 
-    timer = StageTimer()
-    rows, orders, verdicts = _product_orders(spec, grid, s, t, f, steps)
+    rows, orders, verdicts = _product_orders(evo.PropagatorEngine(spec, grid),
+                                             s, t, f, steps)
     write_csv(out / "convergence.csv", ["rule", "steps", "l2_error"], rows)
     timer.mark("convergence")
 
     report = {"s": s, "t": t, "steps": steps, "orders": orders,
               "verdicts": verdicts}
-    return report, timer
+    return report
 
 
 PIPELINES = {
@@ -451,9 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--stable", action="store_true",
                        help="omit timings for byte-identical reports")
-        if name == "check":
-            p.add_argument("--refine", type=int, default=1,
-                           help="sample-plan density multiplier")
     return parser
 
 
@@ -468,29 +455,30 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else int(config.get("seed", 1))
 
-    extra = (max(args.refine, 1),) if args.subcommand == "check" else ()
     envelope = {
         "subcommand": args.subcommand,
         "seed": seed,
         "config_hash": config_hash(config),
         "environment": environment_stamp(),
     }
+    timer = StageTimer()            # the pipeline marks its stages in place
+    if not args.stable:
+        envelope["timings"] = timer.stages
     try:
-        report, timer = PIPELINES[args.subcommand](config, out, seed, *extra)
-    except ConfigurationError as exc:
+        report = PIPELINES[args.subcommand](config, out, seed, timer)
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ConvergenceError, DomainError) as exc:
         # `error` stays a top-level key: it marks the report of a failed run
         envelope.update(error=str(exc), witness=getattr(exc, "witness", None),
-                        residual=getattr(exc, "residual", None))
+                        residual=getattr(exc, "residual", None),
+                        stages=list(timer.stages))
         dump_json(envelope, out / "report.json")
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 
     envelope["report"] = report
-    if not args.stable:
-        envelope["timings"] = timer.stages
     dump_json(envelope, out / "report.json")
     for name, value in sorted(report["verdicts"].items()):
         print(f"{name}: {'pass' if value else 'FAIL'}")

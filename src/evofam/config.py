@@ -11,7 +11,6 @@ import numpy as np
 
 from .assumptions import SamplePlan
 from .errors import ConfigurationError
-from .evolution import PropagatorEngine
 from .perturbation import Mollifier, MultiplierFamily, SmoothingComposite
 from .spectral import (Grid, GridFunction, gaussian_bump, indicator,
                        load_function, mode, random_band_limited)
@@ -82,16 +81,6 @@ def build_grid(entry: dict) -> Grid:
 def build_plan(entry: dict | None, seed: int) -> SamplePlan:
     entry = dict(entry or {})
     return SamplePlan(seed=seed, **entry)
-
-
-def build_engine(entry: dict | None, spec: SymbolSpec, grid: Grid) -> PropagatorEngine:
-    entry = entry or {}
-    return PropagatorEngine(
-        spec, grid,
-        method=entry.get("method", "exact"),
-        steps=int(entry.get("steps", 64)),
-        rule=entry.get("rule", "left"),
-    )
 
 
 def build_perturbation(entry: dict | None, dim: int):

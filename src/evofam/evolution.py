@@ -1,11 +1,11 @@
 """Evolution families U(t,s) for time-dependent multiplier generators.
 
-The exact engine applies exp(-integral of a(tau, .) over [s, t]) using
+The engine applies exp(-integral of a(tau, .) over [s, t]) using
 closed-form antiderivatives of the coefficient family; at construction
 each coefficient's antiderivative is cross-checked against Gauss-Legendre
-quadrature.  The product engine composes frozen-time semigroup factors
-on a uniform ladder (left-endpoint or midpoint rule) and converges to
-the exact engine at first resp. second order.
+quadrature.  The frozen-coefficient product formula, which composes
+frozen-time semigroup factors on a uniform ladder, is measured against
+it in `product_formula_errors`.
 """
 
 from __future__ import annotations
@@ -19,38 +19,23 @@ from .semigroup import gauss_legendre_panels
 from .spectral import Grid, GridFunction, norm
 from .symbols import SymbolSpec
 
-EXACT = "exact"
-PRODUCT = "product"
 CHECK_PANEL = 0.25      # panel width of the antiderivative cross-check
 CHECK_TOL = 1e-12       # its relative tolerance
 GROWTH_SLACK = 1e-12    # relative roundoff a growth ratio may exceed 1 by
+RULE_OFFSETS = {"left": 0.0, "midpoint": 0.5}   # node offsets in steps
 
 
 @dataclass(frozen=True)
 class PropagatorEngine:
-    """Produces the action of U(t,s) on grid functions.
-
-    method "exact": multiplier exp(-closed-form integral); construction
-    checks every coefficient's antiderivative against quadrature.  method
-    "product": `steps` frozen factors per call with `rule` in {"left",
-    "midpoint"}.
-    """
+    """Produces the action of U(t,s) on grid functions: the multiplier
+    exp(-closed-form integral); construction checks every coefficient's
+    antiderivative against quadrature."""
 
     spec: SymbolSpec
     grid: Grid
-    method: str = EXACT
-    steps: int = 64
-    rule: str = "left"
 
     def __post_init__(self):
-        if self.method not in (EXACT, PRODUCT):
-            raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.method == PRODUCT and self.rule not in ("left", "midpoint"):
-            raise ConfigurationError(f"unknown product rule {self.rule!r}")
-        if self.method == PRODUCT and self.steps < 1:
-            raise ConfigurationError("product formula needs steps >= 1")
-        if self.method == EXACT:
-            self._verify_antiderivative()
+        self._verify_antiderivative()
 
     def _verify_antiderivative(self):
         """Each coefficient's closed-form integral over three probe intervals
@@ -81,16 +66,8 @@ class PropagatorEngine:
     def exponent(self, s: float, t: float) -> np.ndarray:
         """Integral of a(tau, .) over [s, t] on the engine's grid."""
         self._check_interval(s, t)
-        axes = self.grid.xi_axes()
-        if self.method == EXACT:
-            return np.broadcast_to(self.spec.integral_on_axes(s, t, axes),
-                                   self.grid.shape).copy()
-        dt = (t - s) / self.steps
-        total = np.zeros(self.grid.shape, dtype=complex)
-        for j in range(self.steps):
-            tau = s + j * dt if self.rule == "left" else s + (j + 0.5) * dt
-            total += dt * self.spec.on_axes(tau, axes)
-        return total
+        return np.broadcast_to(self.spec.integral_on_axes(s, t, self.grid.xi_axes()),
+                               self.grid.shape).copy()
 
     def multiplier(self, s: float, t: float) -> np.ndarray:
         return np.exp(-self.exponent(s, t))
@@ -114,8 +91,7 @@ def cocycle_defect(engine: PropagatorEngine, r: float, s: float, t: float,
                    f: GridFunction) -> float:
     """|| U(t,s) U(s,r) f  -  U(t,r) f || / ||f||.
 
-    At most ~1e-10 for the exact engine (exponent additivity); O(dt) for
-    product engines.
+    At most ~1e-10: the closed-form exponents are additive.
     """
     if not r <= s <= t:
         raise DomainError(f"need r <= s <= t, got {r}, {s}, {t}")
@@ -202,11 +178,20 @@ def product_formula_errors(spec: SymbolSpec, s: float, t: float,
                            f: GridFunction, target: GridFunction, rule: str,
                            step_counts) -> list[float]:
     """L2 errors against `target`, the exact U(t,s) f, of the product
-    engine with `rule` at each step count."""
+    formula exp(-sum_j dt a(tau_j, .)) f at each step count, with nodes
+    tau_j = s + j dt for `rule` "left" (first order) and s + (j + 1/2) dt
+    for "midpoint" (second order)."""
+    if rule not in RULE_OFFSETS:
+        raise ConfigurationError(f"unknown product rule {rule!r}")
+    offset = RULE_OFFSETS[rule]
+    axes = f.grid.xi_axes()
+    fhat = f.to_frequency().values
     errors = []
     for n in step_counts:
-        eng = PropagatorEngine(spec, f.grid, method=PRODUCT, steps=int(n), rule=rule)
-        approx = eng.propagate(s, t, f)
-        diff = GridFunction(f.grid, "frequency", approx.values - target.values)
+        dt = (t - s) / n
+        total = np.zeros(f.grid.shape, dtype=complex)
+        for j in range(n):
+            total += dt * spec.on_axes(s + (j + offset) * dt, axes)
+        diff = GridFunction(f.grid, "frequency", fhat * np.exp(-total) - target.values)
         errors.append(norm(diff))
     return errors

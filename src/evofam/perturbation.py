@@ -253,8 +253,6 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
     """
     if steps < 1:
         raise ConfigurationError("need at least one step")
-    if engine.method != "exact":
-        raise ConfigurationError("the Volterra solver requires the exact engine")
     if not 0.0 <= s <= t <= engine.spec.horizon:
         raise DomainError(f"need 0 <= s <= t <= {engine.spec.horizon}")
     grid = engine.grid
@@ -351,15 +349,16 @@ class PerturbedFamilyReport:
     norms: list[float]                 # ||V(sigma_k, s) x||_L2 along the run
     envelope_m: float
     envelope_omega: float
-    envelope_ok: bool
 
 
 def perturbed_family_checks(engine: PropagatorEngine, family, full: Trajectory,
                             r: float) -> PerturbedFamilyReport:
     """Evolution-family axioms for V along the s -> t trajectory `full`:
-    cocycle defect through the midpoint r, and the fitted growth envelope
-    M_V e^{omega_V (sigma - s)} that the trajectory norms must stay below
-    (restriction-to-X claim).
+    cocycle defect through the midpoint r, and the growth envelope
+    M_V e^{omega_V (sigma - s)} of the trajectory norms (restriction-to-X
+    claim).  omega_V is the least-squares slope of log ||V_k||; M_V is the
+    smallest constant for which the envelope covers every norm, so it holds
+    by construction and is reported, not judged.
 
     Each leg marches as many steps as `full` on its own ladder, so the
     defect measures genuine discretization (O(dsigma^2)); aligned ladders
@@ -382,8 +381,5 @@ def perturbed_family_checks(engine: PropagatorEngine, family, full: Trajectory,
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     omega_v = float(coef[0])
     m_v = float(np.exp(np.max(logs - omega_v * elapsed)))
-    envelope = m_v * np.exp(omega_v * elapsed)
-    ok = bool(np.all(norms <= envelope * (1.0 + 1e-9)) and np.all(np.isfinite(norms)))
     return PerturbedFamilyReport(cocycle_defect=float(defect), norms=norms,
-                                 envelope_m=m_v, envelope_omega=omega_v,
-                                 envelope_ok=ok)
+                                 envelope_m=m_v, envelope_omega=omega_v)

