@@ -211,7 +211,7 @@ def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
     timer.mark("defects")
 
     ts = np.linspace(0.0, spec.horizon, 64)
-    omega = -float(np.min(asm._symbol_matrix(spec, grid, ts).real))
+    omega = -float(np.min(spec.time_matrix(ts, grid.xi_axes()).real))
     pairs = [tuple(np.sort(rng.uniform(0.0, spec.horizon, 2))) for _ in range(16)]
     growth = evo.growth_bound(engine, pairs, m=1.0, omega=omega)
     timer.mark("growth")
@@ -248,6 +248,8 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
     if section is None:
         raise ConfigurationError("config has no 'perturb' section")
     s, t = float(section["s"]), float(section["t"])
+    if not s < t:
+        raise ConfigurationError(f"config invalid at perturb: need s < t, got {s!r}, {t!r}")
     rng = np.random.default_rng(seed)
     x = cfg.build_initial(section["initial"], grid, rng)
     family = cfg.build_perturbation(config.get("perturbation"), spec.dim)
@@ -258,14 +260,8 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
             f"config invalid at solver/steps: {steps} is less than the "
             f"oracle ladder's minimum of {ORACLE_MIN_STEPS}")
     tail = spectral_tail_fraction(x)
-    runs = {}                           # s -> t trajectories, one solve per step count
 
-    def run(m):
-        if m not in runs:
-            runs[m] = per.solve_perturbed(engine, family, s, t, x, m)
-        return runs[m]
-
-    traj = run(steps)
+    traj = per.solve_perturbed(engine, family, s, t, x, steps)
     timer.mark("solve")
     gauge = extrapolated_norm(spec, 0.0)
     rows = [[float(sig), norm(v), norm(v, gauge)]
@@ -275,21 +271,21 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
     residual = per.duhamel_residual(traj, engine, family, s, x)
     timer.mark("duhamel")
 
+    half = per.solve_perturbed(engine, family, s, t, x, steps // 2)
+    family_rep = per.perturbed_family_checks(traj, half)
+    timer.mark("family_checks")
+
     oracle_error, oracle_orders = None, None
     if has_oracle:
         oracle = per.commuting_oracle(engine, family, s, t, x)
         # the M/4 level serves only the oracle, so only its final state is kept
         quarter = per.solve_perturbed(engine, family, s, t, x, steps // 4).final()
-        finals = [quarter, run(steps // 2).final(), traj.final()]
+        finals = [quarter, half.final(), traj.final()]
         errs = [norm(GridFunction(grid, "frequency", v.values - oracle.values))
                 for v in finals]
         oracle_error = errs[-1]
         oracle_orders = evo.observed_orders(errs)
     timer.mark("oracle")
-
-    family_rep = per.perturbed_family_checks(engine, family, run(max(steps // 2, 8)),
-                                             0.5 * (s + t))
-    timer.mark("family_checks")
 
     reg = per.perturbation_regularity_report(family, [indicator(grid), x], spec)
     timer.mark("regularity")
@@ -356,6 +352,8 @@ def run_transport(config: dict, out: Path, seed: int, timer: StageTimer):
     f0 = trn.sample_initial(problem, f0_fn)
     s = float(section.get("s", 0.0))
     t = float(section.get("t", problem.horizon))
+    if not s < t:
+        raise ConfigurationError(f"config invalid at transport: need s < t, got {s!r}, {t!r}")
 
     state = trn.transport_solve(problem, s, t, f0, record_history=True)
     write_csv(out / "transport_series.csv", ["time", "mass", "l1_norm"],
@@ -364,7 +362,7 @@ def run_transport(config: dict, out: Path, seed: int, timer: StageTimer):
               list(zip(problem.centers(), state.values)))
     timer.mark("solve")
 
-    checks = trn.transport_family_checks(problem, s, 0.5 * (s + t), t, f0)
+    checks = trn.transport_family_checks(problem, s, 0.5 * (s + t), state, f0)
     timer.mark("family_checks")
 
     orders = None

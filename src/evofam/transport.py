@@ -5,9 +5,9 @@
 the first-order transport system on L1(R>=0) with positive velocity g
 bounded away from zero and decay mu >= mu_min > 0.  The half-line is
 truncated at x_max with free outflow; coefficients are frozen per step
-at the step midpoint in time.  `transport_solve` is the one upwind march:
-it also records the per-step mass-balance defect, so the family checks'
-single r -> t run is a `transport_solve` call besides the two legs.
+at the step midpoint in time.  `transport_solve` is the one upwind march;
+it also records the per-step mass-balance defect, so the family checks
+read the pipeline's r -> t run and march only the two cocycle legs.
 """
 
 from __future__ import annotations
@@ -205,25 +205,26 @@ class TransportFamilyReport:
 
 
 def transport_family_checks(problem: TransportProblem, r: float, s: float,
-                            t: float, f0: np.ndarray) -> TransportFamilyReport:
+                            one: TransportState, f0: np.ndarray) -> TransportFamilyReport:
     """Cocycle on aligned step ladders, L1 decay against e^{-mu_min dt},
-    and the discrete mass balance (decay sinks + boundary outflow).
+    and the discrete mass balance (decay sinks + boundary outflow) of the
+    r -> t run `one` that `transport_solve` marched from f0.
 
-    The midpoint is snapped onto a global CFL-safe ladder so both legs
-    reuse exactly the step times of the single run; the composed solve
-    then reproduces it to roundoff.  The single run also yields the mass
-    balance.
+    The midpoint is snapped onto `one`'s CFL-safe ladder,
+    ceil((t - r) / cfl_step()) steps, so both legs reuse exactly its step
+    times and compose to it up to roundoff; a one-step run composes as the
+    identity and the whole run.
     """
-    if not r <= s <= t:
-        raise DomainError("need r <= s <= t")
-    n_total = max(2, int(np.ceil((t - r) / problem.cfl_step())))
+    t = one.time
+    if not r <= s <= t or r == t:
+        raise DomainError("need r <= s <= t and r < t")
+    n_total = int(np.ceil((t - r) / problem.cfl_step()))
     dt = (t - r) / n_total
     n1 = min(max(1, int(round((s - r) / dt))), n_total - 1)
     s_used = r + n1 * dt
 
     legA = transport_solve(problem, r, s_used, f0, n1)
     legB = transport_solve(problem, s_used, t, legA.values, n_total - n1)
-    one = transport_solve(problem, r, t, f0, n_total)
     one_l1 = one.l1_norm()
     defect = (float(np.sum(np.abs(legB.values - one.values)) * problem.h)
               / max(one_l1, 1e-300))

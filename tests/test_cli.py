@@ -227,12 +227,16 @@ def test_bundled_exit_codes(args, expected, tmp_path):
     assert _exit_code(argv + args[2:]) == expected
 
 
+def bundled_config(name):
+    from importlib import resources
+    return json.loads(resources.files("evofam.data").joinpath("configs")
+                      .joinpath(f"{name}.json").read_text())
+
+
 def zero_perturbation_h1(tmp_path):
     """Bundled h1 on 64 bins and 64 Volterra steps with B = 0, so the
     Volterra solve and the oracle agree to roundoff."""
-    from importlib import resources
-    config = json.loads(resources.files("evofam.data").joinpath("configs")
-                        .joinpath("h1.json").read_text())
+    config = bundled_config("h1")
     config["grid"]["n"] = 64
     config["solver"]["steps"] = 64
     config["perturbation"]["coefficient"]["const"] = [0.0, 0.0]
@@ -242,9 +246,7 @@ def zero_perturbation_h1(tmp_path):
 def ds_h1(n):
     """Bundled h1 on `n` bins with the DS perturbation B = 0.5 |xi|^2 and
     indicator data."""
-    from importlib import resources
-    config = json.loads(resources.files("evofam.data").joinpath("configs")
-                        .joinpath("h1.json").read_text())
+    config = bundled_config("h1")
     config["grid"]["n"] = n
     config["perturbation"].update(profile_num=[0.0, 1.0], profile_den=[1.0])
     config["perturb"]["initial"] = {"kind": "indicator"}
@@ -273,7 +275,8 @@ def test_numeric_failure_keeps_the_run_envelope(tmp_path, capsys):
 @pytest.mark.parametrize("stable", [True, False])
 def test_numeric_failure_records_completed_stages(tmp_path, capsys, stable):
     # on 64 bins the 1024-step solve contracts (factor 0.225), but the
-    # oracle's 256-step solve has factor 0.9 and fails after solve and duhamel
+    # 512-step solve of the family checks has factor 0.45 and fails after
+    # solve and duhamel
     path = write_config(tmp_path, ds_h1(64))
     out = tmp_path / "o"
     assert main(["perturb", "--config", str(path), "--out", str(out)]
@@ -317,10 +320,13 @@ def test_oracle_ladder_needs_four_steps(tmp_path, capsys, monkeypatch, steps):
     assert solves == []
 
 
-@pytest.mark.parametrize("kind,expected", [("multiplier", 5), ("smoothing", 4)])
+@pytest.mark.parametrize("kind,expected", [
+    ("multiplier", [(0.0, 0.9, 64), (0.0, 0.9, 32), (0.0, 0.9, 16)]),
+    ("smoothing", [(0.0, 0.9, 64), (0.0, 0.9, 32)]),
+], ids=["multiplier", "smoothing"])
 def test_perturb_solves_each_run_once(tmp_path, monkeypatch, kind, expected):
-    # multiplier: M, M/4, M/2 (oracle and family checks) and the two legs;
-    # without the oracle: M, M/2 and the two legs
+    # M and M/2 feed the family checks, which solve nothing; the multiplier
+    # oracle reads M/2 as well and adds M/4
     from evofam import perturbation as per
     config = json.loads(zero_perturbation_h1(tmp_path).read_text())
     if kind == "smoothing":
@@ -334,8 +340,7 @@ def test_perturb_solves_each_run_once(tmp_path, monkeypatch, kind, expected):
     # at 64 steps the smoothing run misses the Duhamel tolerance: exit 1
     assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--stable"]) in (0, 1)
-    assert len(solves) == expected
-    assert len(set(solves)) == expected
+    assert solves == expected
 
 
 def test_perturb_builds_frequency_axes_once_per_grid(tmp_path, monkeypatch):
@@ -372,6 +377,30 @@ def test_check_certifies_kato_once(td1_cfg_path, tmp_path, monkeypatch):
     assert report["kato"] == report["cd_system"]["stability"]
 
 
+@pytest.mark.parametrize("pipeline", ["perturb", "transport"])
+def test_empty_interval_exits_2(tmp_path, capsys, monkeypatch, pipeline):
+    # at s == t the Duhamel residual and the transport midpoint divided by
+    # zero; the section is rejected before any solve
+    from evofam import perturbation as per
+    from evofam import transport as trn
+    if pipeline == "perturb":
+        config = bundled_config("h1")
+        config["grid"]["n"] = 64
+    else:
+        config = bundled_config("transport")
+    config[pipeline]["t"] = config[pipeline]["s"]
+    path = write_config(tmp_path, config)
+    solves = []
+    for module, name in ((per, "solve_perturbed"), (trn, "transport_solve")):
+        monkeypatch.setattr(module, name, lambda *a, **k: solves.append(a))
+    assert main([pipeline, "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config invalid at {pipeline}: ")
+    assert "Traceback" not in err
+    assert solves == []
+
+
 @pytest.mark.parametrize("section", [{"method": "exact"},
                                      {"method": "product", "steps": 64}],
                          ids=["exact", "product"])
@@ -385,9 +414,7 @@ def test_engine_section_rejected(tmp_path, capsys, section):
 
 def test_transport_r_rejected(tmp_path, capsys):
     # the family checks start at s, where the initial data is sampled
-    from importlib import resources
-    config = json.loads(resources.files("evofam.data").joinpath("configs")
-                        .joinpath("transport.json").read_text())
+    config = bundled_config("transport")
     config["transport"]["r"] = 0.0
     path = write_config(tmp_path, config)
     assert main(["transport", "--config", str(path),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofam.errors import ConfigurationError, DomainError, UnsupportedError
+from evofam.errors import ConfigurationError, UnsupportedError
 from evofam.evolution import PropagatorEngine, observed_orders
 from evofam.perturbation import (DEFAULT_SEPARATIONS, Mollifier,
                                  MultiplierFamily, SmoothingComposite,
@@ -168,40 +168,80 @@ class TestVolterraSolver:
         assert 0.1 <= traj.contraction <= 1.05 * bound
 
 
-def family_checks(engine, family, s, r, t, x, steps):
-    """perturbed_family_checks on the s -> t trajectory solved at `steps`."""
-    full = solve_perturbed(engine, family, s, t, x, steps)
-    return perturbed_family_checks(engine, family, full, r)
+def pipeline_checks(engine, family, s, t, x, steps):
+    """perturbed_family_checks on the s -> t runs at `steps` and `steps // 2`,
+    the two runs `perturb` marches."""
+    return perturbed_family_checks(solve_perturbed(engine, family, s, t, x, steps),
+                                   solve_perturbed(engine, family, s, t, x, steps // 2))
+
+
+def composed_defect(engine, family, s, r, t, x, steps):
+    """||V(t,r)V(r,s)x - V(t,s)x|| / ||x|| with each of the three runs at
+    `steps` on its own ladder: off the midpoint the legs do not retrace the
+    s -> t run, so the defect measures genuine discretization."""
+    whole = solve_perturbed(engine, family, s, t, x, steps)
+    leg1 = solve_perturbed(engine, family, s, r, x, steps)
+    leg2 = solve_perturbed(engine, family, r, t, leg1.final(), steps)
+    diff = GridFunction(x.grid, "frequency", leg2.final().values - whole.final().values)
+    return norm(diff) / norm(x)
 
 
 class TestPerturbedFamily:
     def test_commuting_cocycle_tracks_oracle(self, engine, grid, xband):
         fam = MultiplierFamily(constant(0.5))
-        rep = family_checks(engine, fam, 0.0, 0.5, 1.0, xband, 512)
+        rep = pipeline_checks(engine, fam, 0.0, 1.0, xband, 1024)
         assert rep.cocycle_defect <= 1e-6
 
     def test_smoothing_self_convergence(self, engine, grid, xband):
-        defects = []
-        for m in (128, 256, 512):
-            rep = family_checks(engine, SmoothingComposite(order=2),
-                                0.0, 0.7, 1.5, xband, m)
-            defects.append(rep.cocycle_defect)
+        defects = [composed_defect(engine, SmoothingComposite(order=2),
+                                   0.0, 0.7, 1.5, xband, m)
+                   for m in (128, 256, 512)]
         orders = observed_orders(defects)
         assert all(o >= 1.7 for o in orders)
 
     def test_zero_perturbation_cocycle(self, engine, grid, xband):
         zero = MultiplierFamily(constant(0.0))
-        rep = family_checks(engine, zero, 0.0, 0.5, 1.0, xband, 256)
+        rep = pipeline_checks(engine, zero, 0.0, 1.0, xband, 512)
         assert rep.cocycle_defect <= 1e-10
 
     def test_reads_s_t_and_x_from_the_trajectory(self, engine, xband):
         fam = MultiplierFamily(constant(0.5))
-        full = solve_perturbed(engine, fam, 0.25, 1.0, xband, 64)
-        with pytest.raises(DomainError):         # r must lie strictly inside (s, t)
-            perturbed_family_checks(engine, fam, full, 0.2)
-        rep = perturbed_family_checks(engine, fam, full, 0.6)
+        rep = pipeline_checks(engine, fam, 0.25, 1.0, xband, 128)
         assert rep.norms[0] == pytest.approx(norm(xband), rel=1e-14)
         assert len(rep.norms) == 65
+        # legs through r = 0.6, off the aligned ladder, obey the same law
+        assert composed_defect(engine, fam, 0.25, 0.6, 1.0, xband, 64) <= 1e-6
+
+
+LEG_GRID = Grid(1, 64, 2.0 * np.pi)
+LEG_FAMILIES = {"multiplier": MultiplierFamily(constant(0.5)),
+                "mollifier": Mollifier(1), "smoothing": SmoothingComposite(2)}
+LEG_STEPS = 32
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25])
+@pytest.mark.parametrize("family", sorted(LEG_FAMILIES))
+@pytest.mark.parametrize("symbol", ["heat", "oscillating"])
+def test_midpoint_legs_retrace_the_whole_run(symbol, family, s):
+    """The midpoint legs of m steps march the two halves of the 2m-step
+    s -> t run: leg 1 ends at its node m and leg 2 at its final state, within
+    16 eps ||x|| (a run peaked at 1.6 eps).  This is why the family checks
+    read the cocycle defect off the pipeline's M- and M/2-step runs.  At
+    t = 0.9 the legs' nodes are not dyadic, so they differ from the whole
+    run's nodes by roundoff."""
+    spec = heat_symbol(horizon=1.0) if symbol == "heat" else oscillating_symbol()
+    engine = PropagatorEngine(spec, LEG_GRID)
+    fam = LEG_FAMILIES[family]
+    x = random_band_limited(LEG_GRID, np.random.default_rng(5), band=4)
+    t = 0.9
+    r = 0.5 * (s + t)
+    whole = solve_perturbed(engine, fam, s, t, x, 2 * LEG_STEPS)
+    leg1 = solve_perturbed(engine, fam, s, r, x, LEG_STEPS)
+    leg2 = solve_perturbed(engine, fam, r, t, leg1.final(), LEG_STEPS)
+    tol = 16 * np.finfo(float).eps * norm(x)
+    for leg, node in ((leg1, whole.states[LEG_STEPS]), (leg2, whole.final())):
+        assert norm(GridFunction(LEG_GRID, "frequency",
+                                 leg.final().values - node.values)) <= tol
 
 
 COMMUTING_GRID = Grid(1, 64, 2.0 * np.pi)

@@ -93,38 +93,47 @@ class TestOracle:
             characteristics_oracle(p, 0.0, 0.5, box_fn())
 
 
+def family_checks(problem, r, s, t, f0):
+    """transport_family_checks against the r -> t run the pipeline marches."""
+    return transport_family_checks(problem, r, s, transport_solve(problem, r, t, f0), f0)
+
+
 class TestFamilyChecks:
     def test_aligned_ladders_compose_exactly(self, advect_decay):
         f0 = sample_initial(advect_decay, box_fn())
-        rep = transport_family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
+        rep = family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
         assert rep.cocycle_defect <= 1e-12
 
     def test_decay_bound(self, advect_decay):
         f0 = sample_initial(advect_decay, box_fn())
-        rep = transport_family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
+        rep = family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
         assert rep.decay_ok
         assert rep.decay_ratio <= np.exp(-0.75) * (1.0 + 10 * advect_decay.h)
 
     def test_mass_balance_per_step(self, advect_decay):
         f0 = sample_initial(advect_decay, box_fn())
-        rep = transport_family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
+        rep = family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
         assert rep.mass_balance_defect <= 1e-12
 
     def test_zero_data_all_zero_defects(self, advect_decay):
-        rep = transport_family_checks(advect_decay, 0.0, 0.25, 0.75,
-                                      np.zeros(advect_decay.cells))
+        rep = family_checks(advect_decay, 0.0, 0.25, 0.75, np.zeros(advect_decay.cells))
         assert rep.cocycle_defect == 0.0
 
-    def test_solves_the_two_legs_and_the_whole_run(self, advect_decay, monkeypatch):
-        # the single r -> t run is the third solve and carries the mass balance
+    @pytest.mark.parametrize("s,t,legs", [(0.25, 0.75, [(0.0, 0.25), (0.25, 0.75)]),
+                                          (0.0025, 0.005, [(0.0, 0.0), (0.0, 0.005)])],
+                             ids=["ladder", "one_step"])
+    def test_marches_only_the_two_legs(self, advect_decay, monkeypatch, s, t, legs):
+        # the r -> t run comes from the caller and carries the mass balance;
+        # below one CFL step (0.009) the legs are the identity and the whole run
         from evofam import transport as trn
+        one = transport_solve(advect_decay, 0.0, t, sample_initial(advect_decay, box_fn()))
         solves = []
         solve = trn.transport_solve
         monkeypatch.setattr(trn, "transport_solve",
                             lambda *a, **k: solves.append(a[1:3]) or solve(*a, **k))
         f0 = sample_initial(advect_decay, box_fn())
-        rep = transport_family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
-        assert solves == [(0.0, 0.25), (0.25, 0.75), (0.0, 0.75)]
+        rep = transport_family_checks(advect_decay, 0.0, s, one, f0)
+        assert solves == legs
         assert rep.cocycle_defect <= 1e-12
 
     def test_time_varying_coefficients(self):
@@ -133,7 +142,7 @@ class TestFamilyChecks:
             w0=1.0, w1=0.3)
         p = TransportProblem(1.0, 6.0, 400, gvar, constant_field(1.0))
         f0 = sample_initial(p, box_fn())
-        rep = transport_family_checks(p, 0.0, 0.3, 0.8, f0)
+        rep = family_checks(p, 0.0, 0.3, 0.8, f0)
         assert rep.cocycle_defect <= 1e-12
         assert rep.mass_balance_defect <= 1e-12
         assert rep.decay_ok
