@@ -26,10 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import Grid
+from .spectral import BLOCK_ELEMENTS, Grid
 from .symbols import SymbolSpec
 
-BLOCK_ELEMENTS = 1 << 16      # quotients per block of rows: ~1 MB complex temporaries
 KATO_TOL = 1e-9               # Kato ratios may exceed 1 by roundoff only
 CD_SLACK = 0.05               # cd X quotient against its coefficient bound
 THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)

@@ -45,6 +45,12 @@ EXACT_ULPS = 256            # errors <= EXACT_ULPS * eps * ||f|| mean the method
 ORACLE_MIN_STEPS = 4        # the oracle ladder solves steps // 4, steps // 2 and steps
 
 
+def _check_interval(section: str, s: float, t: float):
+    """A pipeline's [s, t] must be nonempty: reject t <= s before any solve."""
+    if not s < t:
+        raise ConfigurationError(f"config invalid at {section}: need s < t, got {s!r}, {t!r}")
+
+
 def _orders_in(orders, band) -> bool:
     return bool(all(band[0] <= o <= band[1] for o in orders))
 
@@ -187,6 +193,7 @@ def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
     if section is None:
         raise ConfigurationError("config has no 'evolve' section")
     s, t = float(section["s"]), float(section["t"])
+    _check_interval("evolve", s, t)
     rng = np.random.default_rng(seed)
     initial = cfg.build_initial(section["initial"], grid, rng)
     tail = spectral_tail_fraction(initial)
@@ -248,8 +255,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
     if section is None:
         raise ConfigurationError("config has no 'perturb' section")
     s, t = float(section["s"]), float(section["t"])
-    if not s < t:
-        raise ConfigurationError(f"config invalid at perturb: need s < t, got {s!r}, {t!r}")
+    _check_interval("perturb", s, t)
     rng = np.random.default_rng(seed)
     x = cfg.build_initial(section["initial"], grid, rng)
     family = cfg.build_perturbation(config.get("perturbation"), spec.dim)
@@ -352,8 +358,7 @@ def run_transport(config: dict, out: Path, seed: int, timer: StageTimer):
     f0 = trn.sample_initial(problem, f0_fn)
     s = float(section.get("s", 0.0))
     t = float(section.get("t", problem.horizon))
-    if not s < t:
-        raise ConfigurationError(f"config invalid at transport: need s < t, got {s!r}, {t!r}")
+    _check_interval("transport", s, t)
 
     state = trn.transport_solve(problem, s, t, f0, record_history=True)
     write_csv(out / "transport_series.csv", ["time", "mass", "l1_norm"],
@@ -374,7 +379,7 @@ def run_transport(config: dict, out: Path, seed: int, timer: StageTimer):
         def factory(cells):
             return trn.TransportProblem(problem.horizon, problem.x_max, cells,
                                         problem.velocity, problem.decay)
-        errs = trn.convergence_study(factory, s, t, f0_fn, refinements)
+        errs = trn.convergence_study(factory, s, t, f0_fn, refinements, state)
         orders = evo.observed_orders(errs)
     timer.mark("convergence")
 
@@ -400,6 +405,7 @@ def run_convergence(config: dict, out: Path, seed: int, timer: StageTimer):
     section = config.get("convergence", {})
     s = float(section.get("s", 0.0))
     t = float(section.get("t", min(spec.horizon, 2.0)))
+    _check_interval("convergence", s, t)
     steps = [int(v) for v in section.get("steps", [32, 64, 128, 256])]
     rng = np.random.default_rng(seed)
     initial_cfg = section.get("initial", {"kind": "random_band", "band": 4})

@@ -58,16 +58,21 @@ class PropagatorEngine:
                         f"antiderivative of coefficient {alpha} disagrees with "
                         f"quadrature on [{s}, {t}]")
 
-    def _check_interval(self, s: float, t: float):
-        if not 0.0 <= s <= t <= self.spec.horizon:
+    def _check_interval(self, s, t):
+        if not np.all((0.0 <= s) & (s <= t) & (t <= self.spec.horizon)):
             raise DomainError(
                 f"need 0 <= s <= t <= {self.spec.horizon}, got s={s}, t={t}")
 
-    def exponent(self, s: float, t: float) -> np.ndarray:
-        """Integral of a(tau, .) over [s, t] on the engine's grid."""
+    def exponent(self, s, t) -> np.ndarray:
+        """Integral of a(tau, .) over [s, t] on the engine's grid.
+
+        `s` and `t` are scalars or equal-shape arrays of interval ends; the
+        result has one row per interval, shape np.shape(s) + grid.shape,
+        and every row must lie in the time triangle.  A row equals the
+        scalar call on its own interval bit for bit.
+        """
         self._check_interval(s, t)
-        return np.broadcast_to(self.spec.integral_on_axes(s, t, self.grid.xi_axes()),
-                               self.grid.shape).copy()
+        return self.spec.integral_on_axes(s, t, self.grid.xi_axes())
 
     def multiplier(self, s: float, t: float) -> np.ndarray:
         return np.exp(-self.exponent(s, t))

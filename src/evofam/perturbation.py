@@ -24,7 +24,8 @@ a B of the generator's order (a genuine Desch-Schappacher perturbation)
 needs more steps as the grid is refined; the trajectory reports the
 largest measured sweep ratio.  `cli.run_perturb` solves each
 (s, t, steps) once; the M- and M/2-step runs feed the oracle and the
-family checks, which solve nothing.
+family checks, which solve nothing.  The march and the Duhamel residual
+read their step factors e^{-E} by the block (`_step_decays`).
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, DomainError, UnsupportedError
 from .evolution import PropagatorEngine
 from .semigroup import gauss_legendre_panels
-from .spectral import (FREQUENCY, L2, GridFunction, extrapolated_norm, gaussian_bump,
-                       memo, negative_sobolev, norm)
+from .spectral import (BLOCK_ELEMENTS, FREQUENCY, L2, GridFunction, extrapolated_norm,
+                       gaussian_bump, memo, negative_sobolev, norm)
 from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
@@ -239,6 +240,18 @@ def _l2(values: np.ndarray, w: float) -> float:
     return float(np.sqrt(np.sum(np.abs(values) ** 2) * w))
 
 
+def _step_decays(engine: PropagatorEngine, lo: np.ndarray, hi: np.ndarray):
+    """e^{-E} on the intervals (lo[k], hi[k]) in order, one row each: one
+    `engine.exponent` call and one `np.exp` per block of about
+    BLOCK_ELEMENTS values, each row bit for bit the scalar factor."""
+    size = max(1, BLOCK_ELEMENTS // engine.grid.n ** engine.grid.dim)
+    for start in range(0, len(lo), size):
+        block = engine.exponent(lo[start:start + size], hi[start:start + size])
+        np.negative(block, out=block)
+        np.exp(block, out=block)            # in place: no second block of temporaries
+        yield from block
+
+
 def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
                     x: GridFunction, steps: int) -> Trajectory:
     """March the variation-of-constants equation on a uniform sigma grid
@@ -246,10 +259,11 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
 
         V_k = e^{-E_k} (V_{k-1} + h/2 B(sigma_{k-1}) V_{k-1}) + h/2 B(sigma_k) V_k,
 
-    E_k the exact step exponent; the implicit endpoint is resolved by Picard
-    sweeps to PICARD_TOL.  The reported contraction is the largest ratio of
-    successive sweep updates over all nodes (0 when every node converges in
-    one sweep).
+    E_k the exact step exponent over (sigma_{k-1}, sigma_k), taken a block of
+    steps per `engine.exponent` call; the implicit endpoint is resolved by
+    Picard sweeps to PICARD_TOL.  The reported contraction is the largest
+    ratio of successive sweep updates over all nodes (0 when every node
+    converges in one sweep).
     """
     if steps < 1:
         raise ConfigurationError("need at least one step")
@@ -265,9 +279,9 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
 
     states = [x.to_frequency().values.copy()]
     sweeps_max, last_resid, contraction = 0, 0.0, 0.0
-    for k in range(1, steps + 1):
+    for k, decay in enumerate(_step_decays(engine, sigmas[:-1], sigmas[1:]), start=1):
         lo, hi, prev = float(sigmas[k - 1]), float(sigmas[k]), states[-1]
-        rhs = np.exp(-engine.exponent(lo, hi)) * (prev + half * b_apply(lo, prev))
+        rhs = decay * (prev + half * b_apply(lo, prev))
         v = rhs + half * b_apply(hi, prev)
         update = 0.0
         for sweep in range(1, PICARD_SWEEPS + 1):
@@ -310,7 +324,9 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
                      s: float, x: GridFunction) -> float:
     """Max over nodes of || V_k - U(sigma_k,s)x - GL-quadrature of the
     Duhamel integral || / ||x||, with V linearly interpolated at the
-    Gauss-Legendre nodes inside each step."""
+    Gauss-Legendre nodes inside each step.  Step j reads the factors
+    e^{-E} over (sigma_j, sigma_{j+1}) and over (tau_n, sigma_{j+1}) per
+    node, in that order, by the block."""
     grid = engine.grid
     w = grid.cell_volume
     sig = trajectory.sigmas
@@ -319,23 +335,24 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
     steps = len(sig) - 1
     taus, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
                                           DUHAMEL_NODES)
-    taus = taus.reshape(steps, DUHAMEL_NODES).tolist()
-    weights = weights.reshape(steps, DUHAMEL_NODES).tolist()
+    taus = taus.reshape(steps, DUHAMEL_NODES)
+    decays = _step_decays(engine, np.column_stack([sig[:-1], taus]).ravel(),
+                          np.repeat(sig[1:], DUHAMEL_NODES + 1))
+    taus, weights = taus.tolist(), weights.reshape(steps, DUHAMEL_NODES).tolist()
 
     acc = np.zeros(grid.shape, dtype=complex)      # integral transported to sig[j]
     current = xhat.copy()
     worst = 0.0
     for j in range(steps):
         lo, hi = float(sig[j]), float(sig[j + 1])
-        step_mult = np.exp(-engine.exponent(lo, hi))
+        step_mult = next(decays)
         contrib = np.zeros(grid.shape, dtype=complex)
         for tau, wn in zip(taus[j], weights[j]):
             frac = (tau - lo) / (hi - lo)
             v_tau = ((1.0 - frac) * trajectory.states[j].values
                      + frac * trajectory.states[j + 1].values)
             g = family.apply(tau, GridFunction(grid, FREQUENCY, v_tau)).values
-            transport = np.exp(-engine.exponent(tau, hi))
-            contrib += wn * transport * g
+            contrib += wn * next(decays) * g
         acc = step_mult * acc + contrib
         current = step_mult * current
         resid = _l2(trajectory.states[j + 1].values - current - acc, w) / xnorm

@@ -12,6 +12,9 @@ Conventions fixed here and relied on everywhere else:
   and the per-grid tables that symbols and perturbation families build on
   them go through `memo`: each is built once and then shared, read-only,
   by every caller.  Copy a table before writing to it.
+* Blocked sweeps (the certifiers' sampled sups, the Volterra and Duhamel
+  marches) hold about BLOCK_ELEMENTS values per block, so no
+  (samples x bins) table is ever built whole.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import ConfigurationError, DomainError, NumericError, StateError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
+BLOCK_ELEMENTS = 1 << 14    # values per block of a blocked sweep: ~256 KB complex
 
 
 def memo(owner, name: str, build, anchor=None):

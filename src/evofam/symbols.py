@@ -57,14 +57,18 @@ class CoefficientFunction:
         return value[()] if value.ndim == 0 else value
 
     def antiderivative(self, t):
-        """Antiderivative C(t) with C(0) = 0, exact for every term."""
+        """Antiderivative C(t) with C(0) = 0, exact for every term.
+
+        Each term is a complex coefficient times a real function of t, so
+        an element of an array call equals the scalar call bit for bit.
+        """
         t = np.asarray(t)
         value = np.asarray(complex(self.const) * t, dtype=complex)
         for degree, coef in self.poly:
-            value = value + coef * t ** (degree + 1) / (degree + 1)
+            value = value + coef * (t ** (degree + 1) / (degree + 1))
         for omega, ccos, csin in self.trig:
-            value = value + ccos * np.sin(omega * t) / omega
-            value = value + csin * (1.0 - np.cos(omega * t)) / omega
+            value = value + ccos * (np.sin(omega * t) / omega)
+            value = value + csin * ((1.0 - np.cos(omega * t)) / omega)
         for t0, jump in self.steps:
             value = value + jump * np.maximum(t - t0, 0.0)
         return value[()] if value.ndim == 0 else value
@@ -166,13 +170,22 @@ class SymbolSpec:
         return total
 
     def integral_on_axes(self, s, t, xi_axes: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Closed-form integral of a(tau, .) over tau in [s, t], on axes."""
-        self._check_time(s)
-        self._check_time(t)
+        """Closed-form integral of a(tau, .) over tau in [s, t], on axes.
+
+        `s` and `t` are scalars or equal-shape arrays of interval ends; the
+        result has one row per interval, shape np.shape(s) + the axes'
+        broadcast shape.  Each increment C(t) - C(s) gets trailing axes
+        before it multiplies its monomial, so a row equals the scalar call
+        on its own interval bit for bit.
+        """
+        s, t = self._check_time(s), self._check_time(t)
         monos = self.monomials(xi_axes)
-        total = np.asarray(0.0 + 0.0j)
+        pad = (...,) + (None,) * len(xi_axes)
+        total = np.zeros(s.shape + np.broadcast_shapes(*(ax.shape for ax in xi_axes)),
+                         dtype=complex)
         for alpha, coef in self.coefficients.items():
-            total = total + (coef.antiderivative(t) - coef.antiderivative(s)) * monos[alpha]
+            increment = np.asarray(coef.antiderivative(t) - coef.antiderivative(s))
+            total += increment[pad] * monos[alpha]
         return total
 
     def time_matrix(self, ts: np.ndarray, xi_axes: tuple[np.ndarray, ...],

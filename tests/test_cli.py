@@ -343,6 +343,21 @@ def test_perturb_solves_each_run_once(tmp_path, monkeypatch, kind, expected):
     assert solves == expected
 
 
+def test_transport_marches_each_run_once(tmp_path, monkeypatch):
+    # the finest convergence level is the pipeline's own s -> t run
+    from evofam import transport as trn
+    solves = []
+    solve = trn.transport_solve
+    monkeypatch.setattr(trn, "transport_solve", lambda problem, s, t, *a, **k:
+                        solves.append((problem.cells, s, t))
+                        or solve(problem, s, t, *a, **k))
+    path = write_config(tmp_path, bundled_config("transport"))
+    assert main(["transport", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--stable"]) == 0
+    legs = [(600, 0.0, 0.25), (600, 0.25, 0.5)]
+    assert solves == [(600, 0.0, 0.5), *legs, (150, 0.0, 0.5), (300, 0.0, 0.5)]
+
+
 def test_perturb_builds_frequency_axes_once_per_grid(tmp_path, monkeypatch):
     from evofam.spectral import Grid
     from evofam.symbols import SymbolSpec
@@ -377,22 +392,26 @@ def test_check_certifies_kato_once(td1_cfg_path, tmp_path, monkeypatch):
     assert report["kato"] == report["cd_system"]["stability"]
 
 
-@pytest.mark.parametrize("pipeline", ["perturb", "transport"])
+@pytest.mark.parametrize("pipeline", ["perturb", "transport", "evolve", "convergence"])
 def test_empty_interval_exits_2(tmp_path, capsys, monkeypatch, pipeline):
     # at s == t the Duhamel residual and the transport midpoint divided by
-    # zero; the section is rejected before any solve
+    # zero, evolve's derivative stencil left the time triangle and every
+    # convergence order read inf; the section is rejected before any solve
+    from evofam import evolution as evo
     from evofam import perturbation as per
     from evofam import transport as trn
-    if pipeline == "perturb":
+    if pipeline == "transport":
+        config = bundled_config("transport")
+    else:
         config = bundled_config("h1")
         config["grid"]["n"] = 64
-    else:
-        config = bundled_config("transport")
     config[pipeline]["t"] = config[pipeline]["s"]
     path = write_config(tmp_path, config)
     solves = []
-    for module, name in ((per, "solve_perturbed"), (trn, "transport_solve")):
-        monkeypatch.setattr(module, name, lambda *a, **k: solves.append(a))
+    for owner, name in ((per, "solve_perturbed"), (trn, "transport_solve"),
+                        (evo.PropagatorEngine, "propagate"),
+                        (evo, "product_formula_errors")):
+        monkeypatch.setattr(owner, name, lambda *a, **k: solves.append(a))
     assert main([pipeline, "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,3 +253,58 @@ def test_product_rules_exact_on_autonomous_symbols(spec, times, steps, seed):
     for rule in ("left", "midpoint"):
         [error] = product_formula_errors(spec, s, t, f, target, rule, [steps])
         assert error <= floor
+
+
+@st.composite
+def coefficient_functions(draw):
+    """const, poly and trig terms with complex weights."""
+    c = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    terms = st.integers(0, 2)
+    return CoefficientFunction(
+        const=draw(c),
+        poly=tuple((draw(st.integers(1, 4)), draw(c)) for _ in range(draw(terms))),
+        trig=tuple((draw(st.floats(0.3, 6.0)), draw(c), draw(c))
+                   for _ in range(draw(terms))))
+
+
+ROW_GRIDS = (Grid(1, 32, 2.0 * np.pi), Grid(2, 16, 2.0 * np.pi))
+
+
+@st.composite
+def row_engines(draw):
+    """Engines on a 1-D or 2-D grid for order-2 symbols on [0, 1.5] with
+    random coefficients on a random set of multi-indices."""
+    grid = draw(st.sampled_from(ROW_GRIDS))
+    alphas = [a for a in itertools.product(range(3), repeat=grid.dim) if sum(a) <= 2]
+    full = (2,) + (0,) * (grid.dim - 1)
+    chosen = draw(st.lists(st.sampled_from(alphas), unique=True))
+    coefficients = {alpha: draw(coefficient_functions())
+                    for alpha in [full] + [a for a in chosen if a != full]}
+    return PropagatorEngine(SymbolSpec(dim=grid.dim, order=2, horizon=1.5,
+                                       coefficients=coefficients), grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine=row_engines(),
+       ends=st.lists(st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2),
+                     min_size=1, max_size=12),
+       bad=st.sampled_from(["reversed", "early", "late"]),
+       data=st.data())
+def test_exponent_rows_equal_scalar_calls(engine, ends, bad, data):
+    """Row k of engine.exponent(s, t) on arrays of interval ends is the
+    scalar call on (s[k], t[k]) bit for bit; one row outside the time
+    triangle fails the whole call."""
+    s, t = np.sort(np.array(ends), axis=1).T.copy()
+    rows = engine.exponent(s, t)
+    assert rows.shape == s.shape + engine.grid.shape
+    for k in range(len(s)):
+        assert rows[k].tobytes() == engine.exponent(s[k], t[k]).tobytes()
+    k = data.draw(st.integers(0, len(s) - 1))
+    if bad == "reversed":
+        s[k] = t[k] + 0.25
+    elif bad == "early":
+        s[k] = -0.25
+    else:
+        t[k] = engine.spec.horizon + 0.25
+    with pytest.raises(DomainError, match=r"need 0 <= s <= t <= 1\.5, got s="):
+        engine.exponent(s, t)

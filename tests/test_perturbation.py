@@ -273,3 +273,30 @@ def test_commuting_solve_matches_oracle_and_duhamel(c, a, b, symbol, seed):
     tol = max(1e-4, m**3 * np.exp(max(c * a, 0.0)) / (12.0 * COMMUTING_STEPS**2))
     assert duhamel_residual(traj, engine, family, 0.0, x) <= tol
     assert error <= tol
+
+
+BLOCK_STEPS = 10
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("family", sorted(LEG_FAMILIES))
+def test_block_boundaries_leave_the_march_unchanged(monkeypatch, family, rows):
+    """Both marches read e^{-E} a block of rows at a time.  At the default
+    budget the 10-step run and its 50 Duhamel rows fit one block; a budget
+    of `rows` grid rows per block (1: the scalar march, 3: blocks that
+    divide neither the steps nor the five rows of a Duhamel step) must
+    give the same states and residual bit for bit."""
+    from evofam import perturbation as per
+    engine = PropagatorEngine(oscillating_symbol(), LEG_GRID)
+    fam = LEG_FAMILIES[family]
+    x = random_band_limited(LEG_GRID, np.random.default_rng(9), band=4)
+
+    def march():
+        traj = solve_perturbed(engine, fam, 0.25, 0.9, x, BLOCK_STEPS)
+        return ([v.values.tobytes() for v in traj.states],
+                duhamel_residual(traj, engine, fam, 0.25, x))
+
+    assert per.BLOCK_ELEMENTS >= 5 * (BLOCK_STEPS + 1) * LEG_GRID.n
+    default = march()
+    monkeypatch.setattr(per, "BLOCK_ELEMENTS", rows * LEG_GRID.n)
+    assert march() == default

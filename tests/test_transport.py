@@ -160,6 +160,23 @@ class TestConvergence:
         for order in observed_orders(errs):
             assert 0.8 <= order <= 1.1
 
+    def test_marched_run_stands_in_for_its_level(self, monkeypatch):
+        # the pipeline's own run on the finest problem gives that level's
+        # error bit for bit, and only the coarser levels are marched
+        from evofam import transport as trn
+        levels = [100, 200, 400]
+        fine = self.factory(400)
+        marched = transport_solve(fine, 0.0, 0.5, sample_initial(fine, box_fn()),
+                                  record_history=True)
+        fresh = convergence_study(self.factory, 0.0, 0.5, box_fn(), levels)
+        solves = []
+        solve = trn.transport_solve
+        monkeypatch.setattr(trn, "transport_solve", lambda problem, *a, **k:
+                            solves.append(problem.cells) or solve(problem, *a, **k))
+        assert convergence_study(self.factory, 0.0, 0.5, box_fn(), levels,
+                                 marched) == fresh
+        assert solves == [100, 200]
+
     def test_indicator_at_least_half_order(self):
         errs = convergence_study(self.factory, 0.0, 0.5, box_fn(),
                                  [100, 200, 400, 800])
