@@ -45,10 +45,12 @@ EXACT_ULPS = 256            # errors <= EXACT_ULPS * eps * ||f|| mean the method
 ORACLE_MIN_STEPS = 4        # the oracle ladder solves steps // 4, steps // 2 and steps
 
 
-def _check_interval(section: str, s: float, t: float):
-    """A pipeline's [s, t] must be nonempty: reject t <= s before any solve."""
-    if not s < t:
-        raise ConfigurationError(f"config invalid at {section}: need s < t, got {s!r}, {t!r}")
+def _check_interval(section: str, s: float, t: float, horizon: float):
+    """A pipeline's [s, t] must be a nonempty part of [0, horizon]: reject it
+    otherwise before any solve."""
+    if not 0.0 <= s < t <= horizon:
+        raise ConfigurationError(f"config invalid at {section}: need "
+                                 f"0 <= s < t <= {horizon!r}, got {s!r}, {t!r}")
 
 
 def _orders_in(orders, band) -> bool:
@@ -89,6 +91,9 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
     spec = cfg.build_symbol(config["symbol"])
     grid = cfg.build_grid(config["grid"])
     theta = float(config.get("theta", 3.0 * np.pi / 4.0))
+    if not np.pi / 2 < theta < np.pi:
+        raise ConfigurationError(f"config invalid at theta: need pi/2 < theta < pi, "
+                                 f"got {theta!r}")
     plan = cfg.build_plan(config.get("plans"), seed)
     rng = np.random.default_rng(seed)
     vec_cfg = config.get("vectors", {})
@@ -193,7 +198,7 @@ def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
     if section is None:
         raise ConfigurationError("config has no 'evolve' section")
     s, t = float(section["s"]), float(section["t"])
-    _check_interval("evolve", s, t)
+    _check_interval("evolve", s, t, spec.horizon)
     rng = np.random.default_rng(seed)
     initial = cfg.build_initial(section["initial"], grid, rng)
     tail = spectral_tail_fraction(initial)
@@ -255,7 +260,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
     if section is None:
         raise ConfigurationError("config has no 'perturb' section")
     s, t = float(section["s"]), float(section["t"])
-    _check_interval("perturb", s, t)
+    _check_interval("perturb", s, t, spec.horizon)
     rng = np.random.default_rng(seed)
     x = cfg.build_initial(section["initial"], grid, rng)
     family = cfg.build_perturbation(config.get("perturbation"), spec.dim)
@@ -326,6 +331,9 @@ def run_favard(config: dict, out: Path, seed: int, timer: StageTimer):
     grid = cfg.build_grid(config["grid"])
     section = config.get("favard", {})
     times = [float(v) for v in section.get("times", [0.0])]
+    if not all(0.0 <= v <= spec.horizon for v in times):
+        raise ConfigurationError(f"config invalid at favard/times: need every time in "
+                                 f"[0, {spec.horizon!r}], got {times!r}")
     rng = np.random.default_rng(seed)
     initial_cfg = section.get("initial", {"kind": "random_band", "band": 4})
     f = cfg.build_initial(initial_cfg, grid, rng)
@@ -358,7 +366,7 @@ def run_transport(config: dict, out: Path, seed: int, timer: StageTimer):
     f0 = trn.sample_initial(problem, f0_fn)
     s = float(section.get("s", 0.0))
     t = float(section.get("t", problem.horizon))
-    _check_interval("transport", s, t)
+    _check_interval("transport", s, t, problem.horizon)
 
     state = trn.transport_solve(problem, s, t, f0, record_history=True)
     write_csv(out / "transport_series.csv", ["time", "mass", "l1_norm"],
@@ -405,7 +413,7 @@ def run_convergence(config: dict, out: Path, seed: int, timer: StageTimer):
     section = config.get("convergence", {})
     s = float(section.get("s", 0.0))
     t = float(section.get("t", min(spec.horizon, 2.0)))
-    _check_interval("convergence", s, t)
+    _check_interval("convergence", s, t, spec.horizon)
     steps = [int(v) for v in section.get("steps", [32, 64, 128, 256])]
     rng = np.random.default_rng(seed)
     initial_cfg = section.get("initial", {"kind": "random_band", "band": 4})

@@ -46,9 +46,9 @@ def load_config(path) -> dict:
     return config
 
 
-def _complexish(value, default=0.0) -> complex:
+def _complexish(value) -> complex:
     if value is None:
-        return complex(default)
+        return 0j
     if isinstance(value, (int, float)):
         return complex(value)
     return complex(value[0], value[1])

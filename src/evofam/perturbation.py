@@ -38,7 +38,7 @@ from .errors import ConfigurationError, ConvergenceError, DomainError, Unsupport
 from .evolution import PropagatorEngine
 from .semigroup import gauss_legendre_panels
 from .spectral import (BLOCK_ELEMENTS, FREQUENCY, L2, GridFunction, extrapolated_norm,
-                       gaussian_bump, memo, negative_sobolev, norm)
+                       gaussian_bump, memo, negative_sobolev, norm, plancherel_norm)
 from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
@@ -154,8 +154,9 @@ def loglog_fit(xs, ys) -> SlopeFit:
 
 
 def _slope(separations, values) -> SlopeFit:
-    # a time-constant family has identically zero moduli: no slope
-    if max(values) == 0.0:
+    # a zero modulus has no logarithm: a time-constant family has only zero
+    # moduli, and a step in B is missed by every base pair at some separations
+    if min(values) == 0.0:
         return SlopeFit(slope=float("nan"), residual=0.0, separations=len(values))
     return loglog_fit(separations, values)
 
@@ -236,10 +237,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _l2(values: np.ndarray, w: float) -> float:
-    return float(np.sqrt(np.sum(np.abs(values) ** 2) * w))
-
-
 def _step_decays(engine: PropagatorEngine, lo: np.ndarray, hi: np.ndarray):
     """e^{-E} on the intervals (lo[k], hi[k]) in order, one row each: one
     `engine.exponent` call and one `np.exp` per block of about
@@ -286,10 +283,10 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
         update = 0.0
         for sweep in range(1, PICARD_SWEEPS + 1):
             v_next = rhs + half * b_apply(hi, v)
-            change = _l2(v_next - v, w)
+            change = plancherel_norm(v_next - v, w)
             if update > 0.0:
                 contraction = max(contraction, change / update)
-            resid = change / max(_l2(v_next, w), 1e-300)
+            resid = change / max(plancherel_norm(v_next, w), 1e-300)
             v, update = v_next, change
             if resid <= PICARD_TOL:
                 break
@@ -331,7 +328,7 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
     w = grid.cell_volume
     sig = trajectory.sigmas
     xhat = x.to_frequency().values
-    xnorm = max(_l2(xhat, w), 1e-300)
+    xnorm = max(plancherel_norm(xhat, w), 1e-300)
     steps = len(sig) - 1
     taus, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
                                           DUHAMEL_NODES)
@@ -355,7 +352,8 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
             contrib += wn * next(decays) * g
         acc = step_mult * acc + contrib
         current = step_mult * current
-        resid = _l2(trajectory.states[j + 1].values - current - acc, w) / xnorm
+        resid = plancherel_norm(trajectory.states[j + 1].values - current - acc,
+                                w) / xnorm
         worst = max(worst, resid)
     return worst
 
@@ -381,8 +379,8 @@ def perturbed_family_checks(full: Trajectory, half: Trajectory) -> PerturbedFami
     """
     x = full.states[0]
     w = x.grid.cell_volume
-    xnorm = max(_l2(x.values, w), 1e-300)
-    defect = _l2(full.final().values - half.final().values, w) / xnorm
+    xnorm = max(plancherel_norm(x.values, w), 1e-300)
+    defect = plancherel_norm(full.final().values - half.final().values, w) / xnorm
 
     norms = [norm(v) for v in half.states]
     elapsed = half.sigmas - half.sigmas[0]

@@ -188,34 +188,42 @@ def apply_multiplier(m, f: GridFunction) -> GridFunction:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm: Lp, NegativeSobolev (p=2, order s), or Extrapolated.
+    """Which norm: L2, NegativeSobolev (order s) or Extrapolated.
 
-    Extrapolated is the weighted frequency norm || f / a(t0, .) ||_L2 for a
-    reference symbol; it requires |a(t0, .)| > 0 on the whole grid.
+    Each is the L2 norm of a frequency weight times the spectrum; L2 is
+    the unweighted case.  Extrapolated is the weighted frequency norm
+    || f / a(t0, .) ||_L2 for a reference symbol; it requires |a(t0, .)| > 0
+    on the whole grid.
     """
 
-    variant: str                 # "lp" | "negative_sobolev" | "extrapolated"
-    p: float = 2.0
+    variant: str                 # "l2" | "negative_sobolev" | "extrapolated"
     s: float = 0.0
     reference: object = None     # SymbolSpec for "extrapolated"
     reference_time: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in ("lp", "negative_sobolev", "extrapolated"):
+        if self.variant not in ("l2", "negative_sobolev", "extrapolated"):
             raise ConfigurationError(f"unknown norm variant {self.variant!r}")
-        if self.variant == "lp" and not 1.0 < self.p < np.inf:
-            raise ConfigurationError(f"Lp norm needs p in (1, inf), got {self.p}")
-        if self.variant == "negative_sobolev" and self.p != 2.0:
-            raise ConfigurationError("negative Sobolev norms are implemented for p = 2 only")
         if self.variant == "extrapolated" and self.reference is None:
             raise ConfigurationError("extrapolated norm needs a reference symbol")
 
+    def weight(self, grid: Grid) -> np.ndarray:
+        """This norm's frequency weight on `grid`, built once per grid."""
+        def build():
+            if self.variant == "negative_sobolev":
+                return (1.0 + grid.xi_squared()) ** (self.s / 2.0)
+            if self.variant == "l2":
+                raise ConfigurationError("the L2 norm has no frequency weight")
+            a0 = np.broadcast_to(self.reference.on_axes(self.reference_time,
+                                                        grid.xi_axes()), grid.shape)
+            if np.any(np.abs(a0) == 0.0):
+                raise NumericError("reference symbol vanishes on the grid; "
+                                   "extrapolated norm undefined")
+            return 1.0 / np.abs(a0)
+        return memo(self, "weight", build, grid)
 
-L2 = NormSpec("lp", p=2.0)
 
-
-def lp_norm(p: float) -> NormSpec:
-    return NormSpec("lp", p=p)
+L2 = NormSpec("l2")
 
 
 def negative_sobolev(s: float) -> NormSpec:
@@ -226,49 +234,21 @@ def extrapolated_norm(reference, reference_time: float = 0.0) -> NormSpec:
     return NormSpec("extrapolated", reference=reference, reference_time=reference_time)
 
 
-def _frequency_weight(n: NormSpec, grid: Grid) -> np.ndarray:
-    if n.variant == "negative_sobolev":
-        return (1.0 + grid.xi_squared()) ** (n.s / 2.0)
-    if n.variant == "extrapolated":
-        a0 = np.broadcast_to(n.reference.on_axes(n.reference_time, grid.xi_axes()),
-                             grid.shape)
-        if np.any(np.abs(a0) == 0.0):
-            raise NumericError("reference symbol vanishes on the grid; "
-                               "extrapolated norm undefined")
-        return 1.0 / np.abs(a0)
-    raise ConfigurationError(f"no frequency weight for variant {n.variant}")
+def plancherel_norm(values: np.ndarray, cell_volume: float) -> float:
+    """sqrt(sum |v|^2 h^d): the L2 norm of grid values in either
+    representation, since the unitary DFT keeps the cell weight."""
+    return float(np.sqrt(np.sum(np.abs(values) ** 2) * cell_volume))
 
 
 def norm(f: GridFunction, n: NormSpec = L2) -> float:
-    """Norm functional.  L2 always goes through Plancherel (frequency side);
-    other Lp are composite quadrature on physical values and are estimates.
-    """
+    """Norm functional: the spectrum, times the weight of a weighted norm,
+    reduced by `plancherel_norm` on the frequency side."""
     if not np.all(np.isfinite(f.values)):
         raise NumericError("non-finite values in grid function")
-    w = f.grid.cell_volume
-    if n.variant == "lp":
-        if n.p == 2.0:
-            vals = f.to_frequency().values
-            return float(np.sqrt(np.sum(np.abs(vals) ** 2) * w))
-        vals = f.to_physical().values
-        return float((np.sum(np.abs(vals) ** n.p) * w) ** (1.0 / n.p))
-    weight = memo(n, "weight", lambda: _frequency_weight(n, f.grid), f.grid)
     vals = f.to_frequency().values
-    return float(np.sqrt(np.sum((weight * np.abs(vals)) ** 2) * w))
-
-
-def multiplier_operator_norm(m, grid: Grid, space: NormSpec = L2) -> float:
-    """Operator norm of a multiplier on the discretized space.
-
-    By Plancherel this is the max modulus over bins, in the plain L2 gauge
-    and in any diagonal weighted gauge alike (the weight cancels).
-    """
-    if space.variant == "lp" and space.p != 2.0:
-        raise ConfigurationError("multiplier operator norms are exact only at p = 2")
-    values = np.broadcast_to(np.asarray(m(grid.xi_axes()), dtype=complex), grid.shape)
-    if not np.all(np.isfinite(values)):
-        raise NumericError("multiplier non-finite on the grid")
-    return float(np.max(np.abs(values)))
+    if n.variant != "l2":
+        vals = n.weight(f.grid) * np.abs(vals)
+    return plancherel_norm(vals, f.grid.cell_volume)
 
 
 def spectral_tail_fraction(f: GridFunction) -> float:
@@ -327,23 +307,6 @@ def gaussian_bump(grid: Grid, center: float = None, width: float = None) -> Grid
     x = grid.points_axis()
     axis_vals = np.exp(-((x - center) ** 2) / (2.0 * width**2))
     return GridFunction(grid, PHYSICAL, grid.separable(axis_vals).astype(complex))
-
-
-def refine(f: GridFunction, factor: int = 2) -> GridFunction:
-    """Trigonometric interpolation onto a grid with factor x points per axis."""
-    if factor < 1 or factor & (factor - 1):
-        raise ConfigurationError("refinement factor must be a power of two")
-    if factor == 1:
-        return f
-    g = f.grid
-    fine = Grid(g.dim, g.n * factor, g.box)
-    src = np.fft.fftshift(f.to_frequency().values)
-    pad = (fine.n - g.n) // 2
-    padded = np.pad(src, [(pad, pad)] * g.dim)
-    # ortho normalization scales by sqrt(points ratio) to preserve values
-    scale = factor ** (g.dim / 2.0)
-    values = np.fft.ifftshift(padded) * scale
-    return GridFunction(fine, FREQUENCY, values)
 
 
 # -- serialization -----------------------------------------------------------

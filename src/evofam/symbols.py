@@ -131,21 +131,6 @@ class SymbolSpec:
             raise DomainError(f"time {t} outside [0, {self.horizon}]")
         return t
 
-    def eval(self, t, xi) -> complex:
-        """a(t, xi) at a single time and frequency vector."""
-        return self._at_point(t, xi, principal_only=False)
-
-    def eval_principal(self, t, xi) -> complex:
-        """Principal part a_m(t, xi): only the |alpha| = m terms."""
-        return self._at_point(t, xi, principal_only=True)
-
-    def _at_point(self, t, xi, principal_only: bool) -> complex:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if xi.shape[0] != self.dim:
-            raise DomainError(f"frequency vector has dim {xi.shape[0]}, expected {self.dim}")
-        return complex(self.time_matrix([t], tuple(xi[:, None]),
-                                        principal_only).reshape(-1)[0])
-
     def monomials(self, xi_axes: tuple[np.ndarray, ...]) -> dict[tuple[int, ...], np.ndarray]:
         """(i xi)^alpha on broadcastable frequency axes, one array per alpha;
         built once per axes tuple and shared read-only."""
@@ -208,6 +193,9 @@ class SymbolSpec:
                 for alpha, coef in self.coefficients.items()}
 
 
+SPHERE_SAMPLES = 64     # unit-sphere directions for d >= 2 (d = 1 uses +-1)
+
+
 @dataclass(frozen=True)
 class EllipticityReport:
     """Measured strong-ellipticity constants with a pass/fail verdict."""
@@ -221,23 +209,20 @@ class EllipticityReport:
     margin: float              # max possible dip of Re a_m between t-samples
 
 
-def unit_sphere_samples(dim: int, count: int) -> np.ndarray:
-    """Deterministic points on the unit sphere, shape (count, dim).
+def unit_sphere_samples(dim: int) -> np.ndarray:
+    """Deterministic points on the unit sphere, shape (SPHERE_SAMPLES, dim).
 
     d = 1 reduces to {-1, +1}; higher d uses a seeded uniform draw,
     sufficient because a_m is continuous and homogeneous.
     """
-    if count < 1:
-        raise ConfigurationError("need at least one sphere sample")
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     rng = np.random.default_rng(180)
-    pts = rng.standard_normal((count, dim))
+    pts = rng.standard_normal((SPHERE_SAMPLES, dim))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def certify_ellipticity(spec: SymbolSpec, time_samples: int = 512,
-                        sphere_samples: int = 64,
                         frequencies: np.ndarray | None = None) -> EllipticityReport:
     """Measure c with Re a_m(t, xi) >= c |xi|^m and omega with Re a >= omega.
 
@@ -249,7 +234,7 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int = 512,
     if time_samples < 1:
         raise ConfigurationError("need at least one time sample")
     ts = np.linspace(0.0, spec.horizon, time_samples)
-    sphere = unit_sphere_samples(spec.dim, sphere_samples)
+    sphere = unit_sphere_samples(spec.dim)
     if frequencies is None:
         frequencies = sphere
     frequencies = np.vstack([frequencies, np.zeros((1, spec.dim))])
@@ -278,30 +263,3 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int = 512,
         time_samples=time_samples,
         margin=margin,
     )
-
-
-def heat_symbol(shift: float = 1.0, dim: int = 1, horizon: float = 1.0) -> SymbolSpec:
-    """Autonomous a(xi) = |xi|^2 + shift, the generator Delta - shift."""
-    coeffs = {}
-    for j in range(dim):
-        alpha = tuple(2 if k == j else 0 for k in range(dim))
-        coeffs[alpha] = constant(-1.0)
-    coeffs[(0,) * dim] = constant(shift)
-    return SymbolSpec(dim=dim, order=2, horizon=horizon, coefficients=coeffs)
-
-
-def oscillating_symbol(horizon: float = 2.0 * np.pi) -> SymbolSpec:
-    """a(t, xi) = (2 + sin t) xi^2 + 1 in one dimension."""
-    return SymbolSpec(
-        dim=1, order=2, horizon=horizon,
-        coefficients={
-            (2,): CoefficientFunction(const=-2.0, trig=(((1.0, 0.0, -1.0)),)),
-            (0,): constant(1.0),
-        },
-    )
-
-
-def drift_symbol(horizon: float = 1.0) -> SymbolSpec:
-    """Non-elliptic a(t, xi) = i xi (first-order drift, Re a_m = 0)."""
-    return SymbolSpec(dim=1, order=1, horizon=horizon,
-                      coefficients={(1,): constant(1.0)})

@@ -3,7 +3,7 @@ import pytest
 
 from evofam.assumptions import SamplePlan
 from evofam.spectral import Grid, random_band_limited
-from evofam.symbols import heat_symbol, oscillating_symbol
+from reference import heat_symbol, oscillating_symbol
 
 
 @pytest.fixture(scope="session")

@@ -15,11 +15,10 @@ from evofam import perturbation as per
 from evofam.evolution import (PropagatorEngine, cocycle_defect,
                               derivative_defect, observed_orders,
                               product_formula_errors)
-from evofam.semigroup import (FrozenOperator, favard_norm,
-                              laplace_transform_check)
+from evofam.semigroup import FrozenOperator, favard_norm
 from evofam.spectral import GridFunction, indicator, mode, norm, \
     random_band_limited
-from evofam.symbols import drift_symbol
+from reference import drift_symbol, laplace_transform_check
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,8 @@ from evofam.assumptions import (SamplePlan, certify_cd_system,
                                 largest_passing_theta)
 from evofam.errors import DomainError
 from evofam.spectral import Grid, random_band_limited
-from evofam.symbols import (CoefficientFunction, SymbolSpec, constant,
-                            drift_symbol)
+from evofam.symbols import CoefficientFunction, SymbolSpec, constant
+from reference import drift_symbol
 
 THETA = 3.0 * np.pi / 4.0
 

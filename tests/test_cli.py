@@ -392,32 +392,70 @@ def test_check_certifies_kato_once(td1_cfg_path, tmp_path, monkeypatch):
     assert report["kato"] == report["cd_system"]["stability"]
 
 
-@pytest.mark.parametrize("pipeline", ["perturb", "transport", "evolve", "convergence"])
-def test_empty_interval_exits_2(tmp_path, capsys, monkeypatch, pipeline):
+RANGE_CASES = {
     # at s == t the Duhamel residual and the transport midpoint divided by
     # zero, evolve's derivative stencil left the time triangle and every
-    # convergence order read inf; the section is rejected before any solve
+    # convergence order read inf
+    **{pipeline: (pipeline, pipeline, "t", "s")
+       for pipeline in ("perturb", "transport", "evolve", "convergence")},
+    # beyond [0, horizon] the symbol or the transport problem is undefined
+    **{f"{pipeline}-beyond_horizon": (pipeline, pipeline, "t", 1.5)
+       for pipeline in ("perturb", "transport", "evolve", "convergence")},
+    "perturb-negative_s": ("perturb", "perturb", "s", -0.5),
+    # the sector certifiers need pi/2 < theta < pi
+    "check-theta": ("check", "theta", "theta", 1.0),
+    # a frozen time must lie in [0, horizon]
+    "favard-times": ("favard", "favard/times", "times", [2.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(RANGE_CASES.values()), ids=list(RANGE_CASES))
+def test_empty_interval_exits_2(tmp_path, capsys, monkeypatch, case):
+    # an empty or out-of-range interval, theta or frozen time is rejected
+    # before any solve or sweep
+    from evofam import assumptions as asm
+    from evofam import cli
     from evofam import evolution as evo
     from evofam import perturbation as per
     from evofam import transport as trn
-    if pipeline == "transport":
-        config = bundled_config("transport")
-    else:
-        config = bundled_config("h1")
-        config["grid"]["n"] = 64
-    config[pipeline]["t"] = config[pipeline]["s"]
+    pipeline, where, key, value = case
+    config = bundled_config("transport" if pipeline == "transport" else "h1")
+    config["grid"]["n"] = 64
+    section = config if key == "theta" else config[pipeline]
+    section[key] = section["s"] if value == "s" else value
     path = write_config(tmp_path, config)
     solves = []
     for owner, name in ((per, "solve_perturbed"), (trn, "transport_solve"),
                         (evo.PropagatorEngine, "propagate"),
-                        (evo, "product_formula_errors")):
+                        (evo, "product_formula_errors"), (asm, "check_sector"),
+                        (cli, "certify_ellipticity"), (cli, "favard_norm")):
         monkeypatch.setattr(owner, name, lambda *a, **k: solves.append(a))
     assert main([pipeline, "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config invalid at {pipeline}: ")
+    assert err.startswith(f"error: config invalid at {where}: ")
     assert "Traceback" not in err
     assert solves == []
+
+
+def test_step_coefficient_perturb_reports_verdicts(tmp_path, capsys):
+    # a jump in B at t = 0.5: at separations where no base pair straddles
+    # the jump the modulus is 0, so that slope is nan instead of a failed
+    # fit; the run is judged, and the oracle order fails as it should
+    config = bundled_config("h1")
+    config["grid"]["n"] = 64
+    config["perturbation"]["coefficient"] = {"const": 0.5, "steps": [[0.5, 0.1, 0]]}
+    path = write_config(tmp_path, config)
+    assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--stable"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "duhamel", "oracle", "oracle_order", "spectral_tail"]
+    assert "oracle_order: FAIL" in lines
+    report = json.loads((tmp_path / "o" / "report.json").read_text())["report"]
+    assert [fit["slope"] for fit in report["regularity"]["slopes_l2"]] == ["nan", "nan"]
 
 
 @pytest.mark.parametrize("section", [{"method": "exact"},

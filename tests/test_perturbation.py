@@ -13,7 +13,8 @@ from evofam.perturbation import (DEFAULT_SEPARATIONS, Mollifier,
                                  perturbed_family_checks, solve_perturbed)
 from evofam.spectral import (Grid, GridFunction, indicator, mode, norm,
                              random_band_limited)
-from evofam.symbols import constant, heat_symbol, oscillating_symbol
+from evofam.symbols import constant
+from reference import heat_symbol, oscillating_symbol
 
 
 @pytest.fixture(scope="module")

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofam.errors import ConfigurationError, NumericError, StateError
-from evofam.spectral import (FREQUENCY, PHYSICAL, Grid, GridFunction, L2,
+from evofam.evolution import PropagatorEngine
+from evofam.spectral import (FREQUENCY, PHYSICAL, Grid, GridFunction,
                              apply_multiplier, extrapolated_norm, indicator,
-                             load_function, lp_norm, mode, multiplier_operator_norm,
-                             negative_sobolev, norm, random_band_limited, refine,
-                             save_function, spectral_tail_fraction, transform,
-                             xminus1_model_ratio)
+                             load_function, mode, negative_sobolev, norm,
+                             random_band_limited, save_function,
+                             spectral_tail_fraction, transform, xminus1_model_ratio)
 from evofam.perturbation import MultiplierFamily, SmoothingComposite
-from evofam.symbols import heat_symbol
+from reference import heat_symbol, oscillating_symbol
 
 
 class TestGrid:
@@ -145,11 +145,11 @@ class TestMultiplier:
 
 class TestNorms:
     def test_constant_lp(self, small_grid):
+        # the L2 norm of 1 is |box|^(1/2)
         f = GridFunction(small_grid, PHYSICAL,
                          np.ones(small_grid.shape, dtype=complex))
         vol = small_grid.box ** small_grid.dim
-        for p in (1.5, 2.0, 3.0):
-            assert norm(f, lp_norm(p)) == pytest.approx(vol ** (1.0 / p))
+        assert norm(f) == pytest.approx(vol ** 0.5)
 
     def test_negative_sobolev_single_mode(self, grid):
         assert norm(mode(grid, 2), negative_sobolev(-2.0)) == pytest.approx(0.2)
@@ -166,54 +166,24 @@ class TestNorms:
                                * small_grid.cell_volume)
         assert norm(f) == pytest.approx(physical_sum, rel=1e-10)
 
-    def test_quadrature_norm_stable_under_refinement(self, small_grid, rng):
-        f = random_band_limited(small_grid, rng, band=16)
-        fine = refine(f, 2)
-        for p in (1.5, 3.0):
-            coarse_val = norm(f, lp_norm(p))
-            fine_val = norm(fine, lp_norm(p))
-            assert abs(fine_val - coarse_val) <= 0.01 * coarse_val
-
-    def test_refine_preserves_values(self, small_grid, rng):
-        f = random_band_limited(small_grid, rng, band=10)
-        fine = refine(f, 2)
-        coarse_phys = f.to_physical().values
-        fine_phys = fine.to_physical().values
-        assert np.allclose(fine_phys[::2], coarse_phys, atol=1e-12)
-
 
 class TestOperatorNorm:
-    def test_heat_multiplier(self, grid):
-        val = multiplier_operator_norm(lambda xi: np.exp(-(1.0 + xi[0] ** 2)), grid)
+    def test_heat_multiplier(self, grid, h1):
+        # ||U(1, 0)|| on H1 is the max modulus of e^{-(1 + xi^2)}
+        val = PropagatorEngine(h1, grid).operator_norm(0.0, 1.0)
         assert val == pytest.approx(np.exp(-1.0))
-
-    def test_constant(self, grid):
-        assert multiplier_operator_norm(lambda xi: -2.5 * np.ones_like(xi[0]),
-                                        grid) == pytest.approx(2.5)
-
-    def test_resolvent_profile(self, grid):
-        val = multiplier_operator_norm(lambda xi: 3.0 / (3.0 + 1.0 + xi[0] ** 2),
-                                       grid)
-        assert val == pytest.approx(0.75)
-
-    def test_gauge_invariance(self, grid, h1):
-        m = lambda xi: np.exp(-0.7 * (1.0 + xi[0] ** 2))
-        assert multiplier_operator_norm(m, grid) == multiplier_operator_norm(
-            m, grid, extrapolated_norm(h1, 0.0))
 
 
 @settings(max_examples=20, deadline=None)
-@given(c1=st.floats(0.2, 3.0), c2=st.floats(0.2, 3.0),
-       p1=st.floats(0.5, 4.0), p2=st.floats(0.5, 4.0))
-def test_operator_norm_submultiplicative(c1, c2, p1, p2):
-    g = Grid(1, 64, 2.0 * np.pi)
-    m1 = lambda xi: c1 / (1.0 + xi[0] ** 2) ** p1
-    m2 = lambda xi: c2 / (1.0 + xi[0] ** 2) ** p2
-    prod = lambda xi: m1(xi) * m2(xi)
-    lhs = multiplier_operator_norm(prod, g)
-    rhs = multiplier_operator_norm(m1, g) * multiplier_operator_norm(m2, g)
+@given(times=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=3, max_size=3))
+def test_operator_norm_submultiplicative(times):
+    # ||U(t,r)|| = ||U(t,s) U(s,r)|| <= ||U(t,s)|| ||U(s,r)|| on the oscillating symbol
+    r, s, t = sorted(times)
+    engine = PropagatorEngine(oscillating_symbol(), Grid(1, 64, 2.0 * np.pi))
+    lhs = engine.operator_norm(r, t)
+    rhs = engine.operator_norm(s, t) * engine.operator_norm(r, s)
     assert lhs <= rhs * (1.0 + 1e-12)
-    # aligned argmax (both peak at 0): equality
+    # aligned argmax (every factor peaks at xi = 0): equality
     assert lhs == pytest.approx(rhs)
 
 
