@@ -6,8 +6,8 @@ MultiplierFamily) also have `multiplier(t, xi_axes)`.  Only
 MultiplierFamily has the closed-form time `integral` and hence the
 commuting oracle.  Three families:
 
-* Mollifier: the moving box average, B(0) = Id and for t > 0 the
-  multiplier prod_j sinc(t xi_j).  Continuous but not Lipschitz into L2;
+* Mollifier: the moving box average, the multiplier prod_j sinc(t xi_j);
+  B(0) = Id because sinc(0) = 1.  Continuous but not Lipschitz into L2;
   Lipschitz into the order -m dual scale.
 * MultiplierFamily: c(t) times a fixed rational profile of |xi|^2.
   Commutes with every symbol, which yields a closed-form perturbed
@@ -43,7 +43,7 @@ from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
 class Mollifier:
-    """Box-average family: identity at t = 0, sinc multiplier for t > 0."""
+    """Box-average family: the sinc multiplier, the identity at t = 0."""
 
     def __init__(self, dim: int = 1):
         if dim < 1:
@@ -51,16 +51,12 @@ class Mollifier:
         self.dim = dim
 
     def multiplier(self, t: float, xi_axes) -> np.ndarray:
-        if t == 0.0:
-            return np.asarray(1.0 + 0.0j)
         total = np.asarray(1.0 + 0.0j)
         for ax in xi_axes:
             total = total * np.sinc(t * ax / np.pi)   # sin(t xi)/(t xi)
         return total
 
     def apply(self, t: float, f: GridFunction) -> GridFunction:
-        if t == 0.0:
-            return f.to_frequency()
         return GridFunction(f.grid, FREQUENCY,
                             f.to_frequency().values * self.multiplier(t, f.grid.xi_axes()))
 
@@ -161,7 +157,7 @@ def _slope(separations, values) -> SlopeFit:
     return loglog_fit(separations, values)
 
 
-DEFAULT_SEPARATIONS = tuple(2.0 ** (-k) for k in range(1, 7))
+SEPARATIONS = tuple(2.0 ** (-k) for k in range(1, 7))   # the dyadic deltas of every fit
 BASE_POINTS = 16        # base points in (0, horizon - delta] besides t = 0
 
 
@@ -183,10 +179,7 @@ class RegularityReport:
     separations: tuple[float, ...]
 
 
-def perturbation_regularity_report(family, vectors, spec: SymbolSpec,
-                                   separations=DEFAULT_SEPARATIONS) -> RegularityReport:
-    if len(separations) < 3:
-        raise ConfigurationError("need at least 3 separations")
+def perturbation_regularity_report(family, vectors, spec: SymbolSpec) -> RegularityReport:
     gauges = {"l2": L2, "sobolev": negative_sobolev(-float(spec.order)),
               "extrapolated": extrapolated_norm(spec, 0.0)}
     sup_norm = []
@@ -197,7 +190,7 @@ def perturbation_regularity_report(family, vectors, spec: SymbolSpec,
         fhat = f.to_frequency()
         sup_norm.append(max(norm(family.apply(float(t), fhat)) for t in t_grid))
         mods = {name: [] for name in gauges}
-        for delta in separations:
+        for delta in SEPARATIONS:
             bases = np.concatenate([[0.0],
                                     np.linspace(1e-3, spec.horizon - delta, BASE_POINTS)])
             best = dict.fromkeys(gauges, 0.0)
@@ -210,13 +203,13 @@ def perturbation_regularity_report(family, vectors, spec: SymbolSpec,
             for name in gauges:
                 mods[name].append(best[name])
         for name in lips:
-            lips[name].append(max(m / d for m, d in zip(mods[name], separations)))
+            lips[name].append(max(m / d for m, d in zip(mods[name], SEPARATIONS)))
         for name in gauges:
-            slopes[name].append(_slope(separations, mods[name]))
+            slopes[name].append(_slope(SEPARATIONS, mods[name]))
     return RegularityReport(
         sup_norm=sup_norm, lip_sobolev=lips["sobolev"], lip_extrapolated=lips["extrapolated"],
         slopes_l2=slopes["l2"], slopes_sobolev=slopes["sobolev"],
-        slopes_extrapolated=slopes["extrapolated"], separations=tuple(separations))
+        slopes_extrapolated=slopes["extrapolated"], separations=SEPARATIONS)
 
 
 # -- Volterra solver ----------------------------------------------------------
@@ -317,17 +310,16 @@ def commuting_oracle(engine: PropagatorEngine, family: MultiplierFamily,
 DUHAMEL_NODES = 4       # Gauss-Legendre nodes per sigma step of the residual
 
 
-def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
-                     s: float, x: GridFunction) -> float:
+def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -> float:
     """Max over nodes of || V_k - U(sigma_k,s)x - GL-quadrature of the
-    Duhamel integral || / ||x||, with V linearly interpolated at the
-    Gauss-Legendre nodes inside each step.  Step j reads the factors
-    e^{-E} over (sigma_j, sigma_{j+1}) and over (tau_n, sigma_{j+1}) per
-    node, in that order, by the block."""
+    Duhamel integral || / ||x||, with s and x the run's first node and
+    state and V linearly interpolated at the Gauss-Legendre nodes inside
+    each step.  Step j reads the factors e^{-E} over (sigma_j, sigma_{j+1})
+    and over (tau_n, sigma_{j+1}) per node, in that order, by the block."""
     grid = engine.grid
     w = grid.cell_volume
     sig = trajectory.sigmas
-    xhat = x.to_frequency().values
+    xhat = trajectory.states[0].values
     xnorm = max(plancherel_norm(xhat, w), 1e-300)
     steps = len(sig) - 1
     taus, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
@@ -361,7 +353,6 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family,
 @dataclass(frozen=True)
 class PerturbedFamilyReport:
     cocycle_defect: float
-    norms: list[float]                 # ||V(sigma_k, s) x||_L2 along the run
     envelope_m: float
     envelope_omega: float
 
@@ -389,5 +380,5 @@ def perturbed_family_checks(full: Trajectory, half: Trajectory) -> PerturbedFami
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     omega_v = float(coef[0])
     m_v = float(np.exp(np.max(logs - omega_v * elapsed)))
-    return PerturbedFamilyReport(cocycle_defect=float(defect), norms=norms,
-                                 envelope_m=m_v, envelope_omega=omega_v)
+    return PerturbedFamilyReport(cocycle_defect=float(defect), envelope_m=m_v,
+                                 envelope_omega=omega_v)

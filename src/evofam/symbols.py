@@ -146,13 +146,9 @@ class SymbolSpec:
         return memo(self, "monomials", build, xi_axes)
 
     def on_axes(self, t, xi_axes: tuple[np.ndarray, ...]) -> np.ndarray:
-        """a(t, .) evaluated on broadcastable frequency axes, scalar t."""
-        self._check_time(t)
-        monos = self.monomials(xi_axes)
-        total = np.asarray(0.0 + 0.0j)
-        for alpha, coef in self.coefficients.items():
-            total = total + coef(t) * monos[alpha]
-        return total
+        """a(t, .) on broadcastable frequency axes at one time t: row 0 of
+        `time_matrix` at [t]."""
+        return self.time_matrix([t], xi_axes)[0]
 
     def integral_on_axes(self, s, t, xi_axes: tuple[np.ndarray, ...]) -> np.ndarray:
         """Closed-form integral of a(tau, .) over tau in [s, t], on axes.
@@ -222,21 +218,19 @@ def unit_sphere_samples(dim: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def certify_ellipticity(spec: SymbolSpec, time_samples: int = 512,
-                        frequencies: np.ndarray | None = None) -> EllipticityReport:
+def certify_ellipticity(spec: SymbolSpec, time_samples: int,
+                        frequencies: np.ndarray) -> EllipticityReport:
     """Measure c with Re a_m(t, xi) >= c |xi|^m and omega with Re a >= omega.
 
-    c is minimized over a uniform t-grid times unit-sphere samples
-    (homogeneity makes the sphere sufficient); omega over the same t-grid
-    times ``frequencies`` (rows = frequency vectors) plus xi = 0.  Passing
-    no frequencies uses the sphere points and 0.
+    c is minimized over `time_samples` uniform times and the unit-sphere
+    samples (homogeneity makes the sphere sufficient); omega over the same
+    times and ``frequencies`` (rows = frequency vectors; `check` passes the
+    grid's) plus xi = 0.
     """
     if time_samples < 1:
         raise ConfigurationError("need at least one time sample")
     ts = np.linspace(0.0, spec.horizon, time_samples)
     sphere = unit_sphere_samples(spec.dim)
-    if frequencies is None:
-        frequencies = sphere
     frequencies = np.vstack([frequencies, np.zeros((1, spec.dim))])
 
     principal = spec.time_matrix(ts, tuple(sphere.T), principal_only=True)

@@ -12,7 +12,7 @@ read the pipeline's r -> t run and march only the two cocycle legs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -239,25 +239,25 @@ def transport_family_checks(problem: TransportProblem, r: float, s: float,
         mass_balance_defect=one.mass_balance_defect)
 
 
-def convergence_study(problem_factory, s: float, t: float, f0_fn,
-                      cell_counts, marched: TransportState | None = None):
+def convergence_study(problem: TransportProblem, s: float, t: float, f0_fn,
+                      cell_counts, marched: TransportState):
     """L1 errors against the characteristics oracle over grid refinements.
 
-    `problem_factory(cells)` builds the problem at each resolution; dt/h
-    is held fixed across refinements.  `marched`, the s -> t run that
+    Each level is `problem` with its cell count replaced; dt/h is held
+    fixed across refinements.  `marched`, the s -> t run that
     `transport_solve` marched on its default CFL ladder from f0_fn's
     samples, stands in for the level whose problem it solved, so that
     level is not marched twice.
     """
     errors = []
     for cells in cell_counts:
-        problem = problem_factory(int(cells))
-        if marched is not None and marched.problem == problem:
+        level = replace(problem, cells=int(cells))
+        if marched.problem == level:
             state = marched
         else:
-            f0 = sample_initial(problem, f0_fn)
-            steps = int(np.ceil((t - s) / problem.cfl_step()))
-            state = transport_solve(problem, s, t, f0, steps)
-        exact = characteristics_oracle(problem, s, t, f0_fn)
-        errors.append(float(np.sum(np.abs(state.values - exact)) * problem.h))
+            f0 = sample_initial(level, f0_fn)
+            steps = int(np.ceil((t - s) / level.cfl_step()))
+            state = transport_solve(level, s, t, f0, steps)
+        exact = characteristics_oracle(level, s, t, f0_fn)
+        errors.append(float(np.sum(np.abs(state.values - exact)) * level.h))
     return errors

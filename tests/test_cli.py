@@ -406,6 +406,14 @@ RANGE_CASES = {
     "check-theta": ("check", "theta", "theta", 1.0),
     # a frozen time must lie in [0, horizon]
     "favard-times": ("favard", "favard/times", "times", [2.0]),
+    # no frozen time judges nothing, and one level fits no order
+    "favard-no_times": ("favard", "favard/times", "times", []),
+    "convergence-one_level": ("convergence", "convergence/steps", "steps", [64]),
+    "transport-one_level": ("transport", "transport/refinements", "refinements", [150]),
+    # evolve's dt stencil (at s = 0, t = 5e-5) and ds stencil (t = 2e-4) of
+    # width 1e-4 would leave the time triangle
+    "evolve-dt_stencil": ("evolve", "evolve", "t", 5e-5),
+    "evolve-ds_stencil": ("evolve", "evolve", "t", 2e-4),
 }
 
 

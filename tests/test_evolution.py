@@ -38,7 +38,8 @@ class TestExactPropagator:
     def test_identity_at_equal_times(self, engine, grid, rng):
         f = random_band_limited(grid, rng)
         out = engine.propagate(1.2, 1.2, f)
-        assert np.allclose(out.values, f.values)
+        # the exponent over [s, s] is 0 and e^{-0} = 1: U(s, s) = Id bit for bit
+        assert np.array_equal(out.values, f.to_frequency().values)
 
     def test_autonomous_reduces_to_semigroup(self, h1, grid, rng):
         eng = PropagatorEngine(h1, grid)
@@ -175,6 +176,23 @@ class TestProductFormula:
         f = mode(grid, 1)
         with pytest.raises(ConfigurationError):
             product_formula_errors(td1, 0.0, 1.0, f, f, "simpson", [16])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_block_boundaries_leave_the_errors_unchanged(self, monkeypatch, td1, rows):
+        # the symbol rows are read a block at a time: one row per block is
+        # the node-by-node sum, and blocks of 3 rows divide no step count
+        from evofam import evolution as evo
+        grid = Grid(1, 64, 2.0 * np.pi)
+        f = random_band_limited(grid, np.random.default_rng(4), band=4)
+        target = PropagatorEngine(td1, grid).propagate(0.0, 2.0, f)
+
+        def errors():
+            return [product_formula_errors(td1, 0.0, 2.0, f, target, rule, [8, 16])
+                    for rule in ("left", "midpoint")]
+
+        default = errors()
+        monkeypatch.setattr(evo, "BLOCK_ELEMENTS", rows * grid.n)
+        assert errors() == default
 
 
 def test_observed_orders_requires_two_errors():

@@ -2,7 +2,10 @@
 
 Every public module-level function and public method must be referenced by
 name somewhere in `src/evofam` outside its own `def`; a function that only
-tests call belongs in the tests (see `reference.py`) or nowhere.
+tests call belongs in the tests (see `reference.py`) or nowhere.  Every
+defaulted parameter of those must be passed, by keyword or by position, by
+some call in `src/`, `tests/` or `perfbench/`; a default that every caller
+keeps is a constant.
 """
 
 import ast
@@ -12,7 +15,11 @@ from pathlib import Path
 import evofam
 
 SRC = Path(evofam.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 ENTRY_POINTS = {"cli.main"}     # called by the console script, not by src
+# perfbench's cell-step counter reads cfl_safety from transport_solve's bound
+# arguments, so the parameter stays although every caller keeps its default
+KEPT_DEFAULTS = {"transport.transport_solve.cfl_safety"}
 
 
 def _names(node) -> Counter:
@@ -49,3 +56,60 @@ def unreferenced_in(src: Path) -> list[str]:
 
 def test_every_public_function_has_a_caller_in_src():
     assert unreferenced_in(SRC) == []
+
+
+def _callables(module: str, tree: ast.Module):
+    """(qualified name, def node, name calls use) of each public function and
+    method, and of each class's __init__, which calls reach by the class name."""
+    for qualname, node in _public_defs(module, tree):
+        yield qualname, node, node.name
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield f"{module}.{cls.name}.__init__", item, cls.name
+
+
+def _defaulted(node: ast.FunctionDef, is_method: bool):
+    """(name, call position or None) of each parameter with a default."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - int(is_method)
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether `call` sets the parameter by keyword or by plain position."""
+    if any(kw.arg == name for kw in call.keywords):
+        return True
+    plain = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)),
+                 len(call.args))
+    return position is not None and plain > position
+
+
+def never_passed(src: Path, callers) -> list[str]:
+    """Defaulted parameters in `src` that no call under `callers` sets; calls
+    are matched to definitions by the name they call."""
+    calls = {}
+    for path in (p for folder in callers for p in sorted(folder.rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for path in sorted(src.glob("*.py")):
+        for qualname, node, called_as in _callables(path.stem, ast.parse(path.read_text())):
+            for param, position in _defaulted(node, qualname.count(".") == 2):
+                if not any(_passes(call, param, position)
+                           for call in calls.get(called_as, [])):
+                    unpassed.append(f"{qualname}.{param}")
+    return sorted(unpassed)
+
+
+def test_every_default_is_overridden_by_some_caller():
+    callers = (SRC, ROOT / "tests", ROOT / "perfbench")
+    assert never_passed(SRC, callers) == sorted(KEPT_DEFAULTS)

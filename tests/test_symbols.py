@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evofam.errors import ConfigurationError, DomainError
 from evofam.symbols import (CoefficientFunction, SymbolSpec, certify_ellipticity,
-                            constant)
+                            constant, unit_sphere_samples)
 from reference import drift_symbol, oscillating_symbol
 
 
@@ -113,9 +113,14 @@ def test_time_lipschitz_bound(t, s, xi):
     assert abs(at(spec, t, xi) - at(spec, s, xi)) <= abs(t - s) * budget + 1e-9
 
 
+def sphere_ellipticity(spec, time_samples=512):
+    """certify_ellipticity with omega taken over the unit sphere and 0."""
+    return certify_ellipticity(spec, time_samples, unit_sphere_samples(spec.dim))
+
+
 class TestEllipticity:
     def test_td1_constants(self, td1):
-        rep = certify_ellipticity(td1)
+        rep = sphere_ellipticity(td1)
         assert rep.verdict
         assert rep.constant == pytest.approx(1.0, abs=1e-3)
         assert rep.lower_bound == pytest.approx(1.0, abs=1e-3)
@@ -123,19 +128,19 @@ class TestEllipticity:
         assert rep.witness_constant[0] == pytest.approx(3 * np.pi / 2, abs=0.05)
 
     def test_h1_constants(self, h1):
-        rep = certify_ellipticity(h1)
+        rep = sphere_ellipticity(h1)
         assert rep.verdict
         assert rep.constant == pytest.approx(1.0)
         assert rep.lower_bound == pytest.approx(1.0)
 
     def test_drift_fails(self):
-        rep = certify_ellipticity(drift_symbol())
+        rep = sphere_ellipticity(drift_symbol())
         assert not rep.verdict
         assert rep.constant <= 0.0
 
     def test_empty_sample_plan_rejected(self, h1):
         with pytest.raises(ConfigurationError):
-            certify_ellipticity(h1, time_samples=0)
+            sphere_ellipticity(h1, time_samples=0)
 
 
 class TestCoefficientLipschitzMap:

@@ -148,15 +148,19 @@ class TestFamilyChecks:
         assert rep.decay_ok
 
 
-class TestConvergence:
-    def factory(self, cells):
-        return TransportProblem(1.0, 6.0, cells, constant_field(1.0),
-                                constant_field(1.0))
+def study(cells, f0_fn, levels):
+    """convergence_study on advect_decay's field at `levels`, reusing the
+    pipeline-style run marched on the problem with `cells` cells."""
+    problem = TransportProblem(1.0, 6.0, cells, constant_field(1.0),
+                               constant_field(1.0))
+    marched = transport_solve(problem, 0.0, 0.5, sample_initial(problem, f0_fn),
+                              record_history=True)
+    return convergence_study(problem, 0.0, 0.5, f0_fn, levels, marched)
 
+
+class TestConvergence:
     def test_smooth_first_order(self):
-        errs = convergence_study(self.factory, 0.0, 0.5,
-                                 gaussian_initial(1.5, 0.25),
-                                 [100, 200, 400, 800])
+        errs = study(800, gaussian_initial(1.5, 0.25), [100, 200, 400, 800])
         for order in observed_orders(errs):
             assert 0.8 <= order <= 1.1
 
@@ -165,21 +169,16 @@ class TestConvergence:
         # error bit for bit, and only the coarser levels are marched
         from evofam import transport as trn
         levels = [100, 200, 400]
-        fine = self.factory(400)
-        marched = transport_solve(fine, 0.0, 0.5, sample_initial(fine, box_fn()),
-                                  record_history=True)
-        fresh = convergence_study(self.factory, 0.0, 0.5, box_fn(), levels)
+        fresh = study(100, box_fn(), levels)        # marches the 400 level
         solves = []
         solve = trn.transport_solve
         monkeypatch.setattr(trn, "transport_solve", lambda problem, *a, **k:
                             solves.append(problem.cells) or solve(problem, *a, **k))
-        assert convergence_study(self.factory, 0.0, 0.5, box_fn(), levels,
-                                 marched) == fresh
+        assert study(400, box_fn(), levels) == fresh
         assert solves == [100, 200]
 
     def test_indicator_at_least_half_order(self):
-        errs = convergence_study(self.factory, 0.0, 0.5, box_fn(),
-                                 [100, 200, 400, 800])
+        errs = study(800, box_fn(), [100, 200, 400, 800])
         for order in observed_orders(errs):
             assert order >= 0.45
 
