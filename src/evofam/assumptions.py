@@ -372,7 +372,7 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
     (kappa, upper, lower), kappa_fine, delta = _refined(measure, plan)
     return EquivalenceReport(kappa=kappa, witness_upper=upper,
                              witness_lower=lower,
-                             verdict=bool(np.isfinite(kappa) and kappa <= plan.cap),
+                             verdict=bool(kappa <= plan.cap),
                              refined_kappa=kappa_fine, refinement_delta=delta)
 
 

@@ -228,7 +228,7 @@ def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
     ts = np.linspace(0.0, spec.horizon, 64)
     omega = -float(np.min(spec.time_matrix(ts, grid.xi_axes()).real))
     pairs = [tuple(np.sort(rng.uniform(0.0, spec.horizon, 2))) for _ in range(16)]
-    growth = evo.growth_bound(engine, pairs, m=1.0, omega=omega)
+    growth = evo.growth_bound(engine, pairs, omega=omega)
     timer.mark("growth")
 
     conv_rows, orders, order_verdicts = _product_orders(engine, s, t, initial,

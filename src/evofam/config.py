@@ -14,9 +14,9 @@ from .errors import ConfigurationError
 from .perturbation import Mollifier, MultiplierFamily, SmoothingComposite
 from .spectral import (Grid, GridFunction, gaussian_bump, indicator,
                        load_function, mode, random_band_limited)
-from .symbols import CoefficientFunction, SymbolSpec
+from .symbols import CoefficientFunction, SymbolSpec, constant
 from .transport import (TimeSpaceCoefficient, TransportProblem, box_initial,
-                        constant_field, gaussian_initial)
+                        gaussian_initial)
 
 
 def load_schema() -> dict:
@@ -34,10 +34,16 @@ def validate_config(config: dict) -> None:
         raise ConfigurationError(f"config invalid at {path}: {err.message}")
 
 
+def _non_finite(name: str):
+    # NaN and Infinity are not JSON; an infinite plans.cap would pass every
+    # sampled constant it bounds
+    raise ConfigurationError(f"config holds the non-finite number {name}")
+
+
 def load_config(path) -> dict:
     path = Path(path)
     try:
-        config = json.loads(path.read_text())
+        config = json.loads(path.read_text(), parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: "
@@ -47,21 +53,18 @@ def load_config(path) -> dict:
 
 
 def _complexish(value) -> complex:
-    if value is None:
-        return 0j
     if isinstance(value, (int, float)):
         return complex(value)
     return complex(value[0], value[1])
 
 
-def build_coefficient(entry: dict | None) -> CoefficientFunction:
-    entry = entry or {}
+def build_coefficient(entry: dict) -> CoefficientFunction:
     poly = tuple((int(k), complex(re, im)) for k, re, im in entry.get("poly", []))
     trig = tuple((float(w), complex(cr, ci), complex(sr, si))
                  for w, cr, ci, sr, si in entry.get("trig", []))
     steps = tuple((float(t0), complex(re, im))
                   for t0, re, im in entry.get("steps", []))
-    return CoefficientFunction(const=_complexish(entry.get("const")),
+    return CoefficientFunction(const=_complexish(entry.get("const", 0.0)),
                                poly=poly, trig=trig, steps=steps)
 
 
@@ -88,18 +91,17 @@ def build_perturbation(entry: dict | None, dim: int):
     kind = entry["kind"]
     if kind == "mollifier":
         return Mollifier(dim)
+    # an absent coefficient takes the family's own default (None); a present
+    # one is built as written, so {} is c = 0
+    coeff = build_coefficient(entry["coefficient"]) if "coefficient" in entry else None
     if kind == "multiplier":
         return MultiplierFamily(
-            coefficient=build_coefficient(entry.get("coefficient")),
+            coefficient=coeff,
             profile_num=tuple(entry.get("profile_num", (1.0,))),
             profile_den=tuple(entry.get("profile_den", (1.0, 1.0))),
         )
     if kind == "smoothing":
-        coeff = entry.get("coefficient")
-        return SmoothingComposite(
-            order=int(entry.get("order", 2)),
-            coefficient=build_coefficient(coeff) if coeff else None,
-        )
+        return SmoothingComposite(order=int(entry.get("order", 2)), coefficient=coeff)
     raise ConfigurationError(f"unknown perturbation kind {kind!r}")
 
 
@@ -124,9 +126,10 @@ def build_initial(entry: dict, grid: Grid, rng: np.random.Generator) -> GridFunc
 
 
 def build_field(entry: dict) -> TimeSpaceCoefficient:
-    if "const" in entry and "time" not in entry:
-        return constant_field(float(entry["const"]))
-    time_part = build_coefficient(entry.get("time"))
+    """c(t) (w0 + w1 x/(1+x)); the schema requires exactly one of `const`
+    and `time` for c."""
+    time_part = (constant(float(entry["const"])) if "const" in entry
+                 else build_coefficient(entry["time"]))
     return TimeSpaceCoefficient(time_part,
                                 w0=float(entry.get("w0", 1.0)),
                                 w1=float(entry.get("w1", 0.0)))

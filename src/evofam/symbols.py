@@ -92,9 +92,6 @@ class CoefficientFunction:
     def is_constant(self) -> bool:
         return not self.poly and not self.trig and not self.steps
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(t0 for t0, jump in self.steps if jump != 0)
-
 
 def constant(value) -> CoefficientFunction:
     return CoefficientFunction(const=complex(value))

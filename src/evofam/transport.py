@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UnsupportedError
-from .symbols import CoefficientFunction, constant
+from .symbols import CoefficientFunction
 
 FIELD_SAMPLES = 64      # per-axis (t, x) samples of the coefficient range checks
 
@@ -46,10 +46,6 @@ class TimeSpaceCoefficient:
         if not self.is_constant:
             raise UnsupportedError("coefficient is not constant")
         return float(np.real(self.time_part(0.0))) * self.w0
-
-
-def constant_field(value: float) -> TimeSpaceCoefficient:
-    return TimeSpaceCoefficient(constant(value))
 
 
 @dataclass(frozen=True)

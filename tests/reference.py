@@ -10,7 +10,9 @@ each piece backs an invariant the evolution-family theory rests on:
 * `laplace_transform_check` and `laplace_tail_bound`: the resolvent as the
   Laplace transform of the semigroup (acceptance criterion 10);
 * `heat_symbol`, `oscillating_symbol` and `drift_symbol`: the autonomous,
-  time-dependent and non-elliptic symbols the fixtures are built from.
+  time-dependent and non-elliptic symbols the fixtures are built from;
+* `constant_field`: a constant transport coefficient, the case the
+  characteristics oracle solves exactly.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from evofam.errors import DomainError, NumericError
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
 from evofam.spectral import GridFunction, apply_multiplier, norm
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
+from evofam.transport import TimeSpaceCoefficient
 
 SINGULAR_TOL = 1e-14    # |lambda + a| below which the resolvent is singular
 
@@ -102,3 +105,8 @@ def drift_symbol(horizon: float = 1.0) -> SymbolSpec:
     """Non-elliptic a(t, xi) = i xi (first-order drift, Re a_m = 0)."""
     return SymbolSpec(dim=1, order=1, horizon=horizon,
                       coefficients={(1,): constant(1.0)})
+
+
+def constant_field(value: float) -> TimeSpaceCoefficient:
+    """The transport coefficient c(t, x) = value."""
+    return TimeSpaceCoefficient(constant(value))

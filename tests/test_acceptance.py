@@ -18,7 +18,7 @@ from evofam.evolution import (PropagatorEngine, cocycle_defect,
 from evofam.semigroup import FrozenOperator, favard_norm
 from evofam.spectral import GridFunction, indicator, mode, norm, \
     random_band_limited
-from reference import drift_symbol, laplace_transform_check
+from reference import constant_field, drift_symbol, laplace_transform_check
 
 
 @pytest.fixture(scope="module")
@@ -179,10 +179,10 @@ def test_criterion_11_transport_family():
     """Upwind transport: L1 order 0.8-1.1 on smooth data over three
     halvings, aligned-ladder cocycle <= 1e-12, L1 decay under the
     exponential bound with mu_min = 1."""
-    from evofam.transport import (TransportProblem, constant_field,
+    from evofam.transport import (TransportProblem, box_initial,
                                   convergence_study, gaussian_initial,
-                                  sample_initial, box_initial,
-                                  transport_family_checks, transport_solve)
+                                  sample_initial, transport_family_checks,
+                                  transport_solve)
 
     fine = TransportProblem(1.0, 6.0, 800, constant_field(1.0), constant_field(1.0))
     smooth = gaussian_initial(1.5, 0.25)

@@ -522,3 +522,95 @@ class TestBundledConfigs:
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(path), "--out", str(out),
                      "--stable"]) == 0
+
+
+@pytest.mark.parametrize("kind,coefficient,expected", [
+    ("multiplier", None, 1.0), ("multiplier", {}, 0.0),
+    ("smoothing", None, 1.5), ("smoothing", {}, 0.0),
+], ids=["multiplier-absent", "multiplier-empty", "smoothing-absent", "smoothing-empty"])
+def test_perturbation_coefficient_default(kind, coefficient, expected):
+    # an absent coefficient takes the family's default (1 for the multiplier,
+    # 1 + t for the smoothing composite); a present one is built as written
+    from evofam.config import build_perturbation
+    entry = {"kind": kind}
+    if coefficient is not None:
+        entry["coefficient"] = coefficient
+    assert build_perturbation(entry, 1).coefficient(0.5) == expected
+
+
+def test_transport_field_applies_w1_to_a_constant(tmp_path):
+    # g = 1 + 0.5 x/(1+x) varies in x: the run must differ from g = 1 and
+    # must not be judged by the constant-coefficient oracle
+    reports = []
+    for g in ({"const": 1.0}, {"const": 1.0, "w1": 0.5}):
+        config = bundled_config("transport")
+        config["transport"]["g"] = g
+        path = write_config(tmp_path, config, name=f"t{len(reports)}.json")
+        out = tmp_path / f"o{len(reports)}"
+        main(["transport", "--config", str(path), "--out", str(out), "--stable"])
+        reports.append(json.loads((out / "report.json").read_text())["report"])
+    constant, varying = reports
+    assert constant["convergence_orders"] is not None
+    assert varying["convergence_orders"] is None
+    assert "order" not in varying["verdicts"]
+    assert varying["final_mass"] != constant["final_mass"]
+
+
+@pytest.mark.parametrize("field,message", [
+    ({"const": 1.0, "time": {"const": 1.0}}, "is valid under each of"),
+    ({"w0": 1.0}, "is not valid under any of"),
+], ids=["const_and_time", "neither"])
+def test_transport_field_needs_exactly_one_of_const_and_time(tmp_path, capsys,
+                                                            field, message):
+    config = bundled_config("transport")
+    config["transport"]["g"] = field
+    path = write_config(tmp_path, config)
+    assert main(["transport", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config invalid at transport/g: ") and message in err
+
+
+@pytest.mark.parametrize("cap", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_non_finite_numbers_rejected(tmp_path, capsys, cap):
+    # json.dumps writes Infinity and NaN, which are not JSON; a cap of
+    # Infinity would pass every capped constant, a2's kappa included
+    config = fast_td1_config()
+    config["plans"]["cap"] = cap
+    path = write_config(tmp_path, config)
+    assert main(["check", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite number" in capsys.readouterr().err
+
+
+def test_schema_version_other_than_1_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, fast_td1_config(schema_version=2))
+    assert main(["evolve", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config invalid at schema_version: 1 was expected" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fast_trig_path(tmp_path_factory):
+    """td1 on 64 bins over [0, 1] with the xi^2 coefficient -2 - sin(200 t)
+    and every interval [0, 0.9]: a frequency too fast for a fixed-panel
+    quadrature, which the closed-form propagator integrates exactly."""
+    config = bundled_config("td1")
+    config["grid"]["n"] = 64
+    config["symbol"]["horizon"] = 1.0
+    config["symbol"]["coefficients"][0]["trig"][0][0] = 200.0
+    for section in ("evolve", "perturb", "convergence"):
+        config[section]["t"] = 0.9
+    return write_config(tmp_path_factory.mktemp("fast"), config)
+
+
+@pytest.mark.parametrize("pipeline", ["evolve", "perturb", "convergence"])
+def test_fast_trig_symbol_is_judged(fast_trig_path, tmp_path, capsys, pipeline):
+    # the product-rule ladders cannot resolve w = 200, so a verdict may fail;
+    # the run still ends in a judged report, never in a configuration error
+    code = main([pipeline, "--config", str(fast_trig_path),
+                 "--out", str(tmp_path), "--stable"])
+    assert code in (0, 1)
+    assert "error" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["verdicts"]

@@ -17,13 +17,6 @@ from evofam.symbols import CoefficientFunction, SymbolSpec, constant
 from reference import frozen_semigroup
 
 
-class Broken(CoefficientFunction):
-    """A coefficient whose antiderivative is deliberately inconsistent."""
-
-    def antiderivative(self, t):
-        return np.zeros_like(np.asarray(t), dtype=complex)[()]
-
-
 @pytest.fixture(scope="module")
 def engine(td1, grid):
     return PropagatorEngine(td1, grid)
@@ -52,21 +45,24 @@ class TestExactPropagator:
         with pytest.raises(DomainError):
             engine.propagate(2.0, 1.0, mode(grid, 0))
 
-    @pytest.mark.parametrize("dim, coefficients", [
-        (1, {(2,): Broken(const=-1.0), (0,): Broken(const=1.0)}),
-        # the lie is off the first axis, invisible to a probe at xi = (1, 0)
-        (2, {(2, 0): constant(-1.0), (0, 2): Broken(const=-1.0)}),
-    ], ids=["1d", "2d_second_axis"])
-    def test_antiderivative_self_check_catches_lies(self, dim, coefficients):
-        bad = SymbolSpec(dim=dim, order=2, horizon=1.0, coefficients=coefficients)
-        with pytest.raises(ConfigurationError):
-            PropagatorEngine(bad, Grid(dim, 64, 2 * np.pi))
+    def test_fast_trig_symbol_is_exact(self, grid):
+        # a(t, xi) = (2 + sin 200 t) xi^2 + 1: the closed form integrates any
+        # frequency, so the engine builds and U(1, 0) e_1 decays by exactly
+        # exp(-(3 + (1 - cos 200) / 200))
+        fast = SymbolSpec(dim=1, order=2, horizon=1.0, coefficients={
+            (2,): CoefficientFunction(const=-2.0, trig=((200.0, 0.0, -1.0),)),
+            (0,): constant(1.0)})
+        out = PropagatorEngine(fast, grid).propagate(0.0, 1.0, mode(grid, 1))
+        expected = np.exp(-(3.0 + (1.0 - np.cos(200.0)) / 200.0))
+        assert norm(out) == pytest.approx(expected, rel=1e-12)
 
     def test_step_symbol_quadrature_splits_panels(self, grid):
         step = SymbolSpec(dim=1, order=2, horizon=2.0, coefficients={
             (2,): CoefficientFunction(const=-2.0, steps=((1.0, -1.0),)),
             (0,): constant(1.0)})
-        eng = PropagatorEngine(step, grid)    # construction self-check passes
+        # nothing is checked at construction: the hinge max(t - 1, 0) is the
+        # step term's exact antiderivative on either side of the jump
+        eng = PropagatorEngine(step, grid)
         out = eng.propagate(0.5, 1.5, mode(grid, 1))
         # xi^2 weight integrates to 2*0.5 + 3*0.5 = 2.5; a0 adds the length 1
         assert norm(out) == pytest.approx(np.exp(-3.5), rel=1e-12)
@@ -119,7 +115,7 @@ class TestDerivatives:
 
     def test_zero_vector(self, engine, grid):
         z = GridFunction(grid, "frequency", np.zeros(grid.shape, dtype=complex))
-        assert derivative_defect(engine, 0.3, 1.0, z, which="dt") == 0.0
+        assert derivative_defect(engine, 0.3, 1.0, z, h=1e-3, which="dt") == 0.0
 
     def test_stencil_domain_guard(self, engine, grid):
         with pytest.raises(DomainError):
@@ -135,7 +131,7 @@ class TestGrowthAndGauges:
     def test_growth_certificate(self, engine, rng):
         pairs = [tuple(np.sort(rng.uniform(0.0, engine.spec.horizon, 2)))
                  for _ in range(25)]
-        rep = growth_bound(engine, pairs, m=1.0, omega=-1.0)
+        rep = growth_bound(engine, pairs, omega=-1.0)
         assert rep.verdict
         assert rep.max_ratio == pytest.approx(1.0, rel=1e-9)
 

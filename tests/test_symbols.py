@@ -4,9 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofam.errors import ConfigurationError, DomainError
+from evofam.semigroup import gauss_legendre_panels
 from evofam.symbols import (CoefficientFunction, SymbolSpec, certify_ellipticity,
                             constant, unit_sphere_samples)
 from reference import drift_symbol, oscillating_symbol
+
+ANTIDERIVATIVE_TOL = 1e-12  # relative gap of closed form and quadrature
+
+
+@st.composite
+def coefficients(draw):
+    """const, poly (degree 1-4), trig (w up to 300) and step terms on [0, 1]
+    with complex weights of modulus at most 3."""
+    c = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    terms = st.integers(0, 2)
+    return CoefficientFunction(
+        const=draw(c),
+        poly=tuple((draw(st.integers(1, 4)), draw(c)) for _ in range(draw(terms))),
+        trig=tuple((draw(st.floats(0.1, 300.0)), draw(c), draw(c))
+                   for _ in range(draw(terms))),
+        steps=tuple((draw(st.floats(0.0, 1.0)), draw(c)) for _ in range(draw(terms))))
 
 
 def at(spec, t, xi, principal_only=False) -> complex:
@@ -24,14 +41,26 @@ class TestCoefficientFunction:
         expected = 1.0 + 0.5 * t**2 + np.cos(2 * t) - 0.5 * np.sin(2 * t)
         assert c(t) == pytest.approx(expected)
 
-    def test_antiderivative_matches_quadrature(self):
-        c = CoefficientFunction(const=0.3, poly=((1, 2.0), (3, -0.25)),
-                                trig=((1.5, 0.2, 0.9),))
-        ts = np.linspace(0.0, 2.0, 9)
-        for t in ts:
-            grid = np.linspace(0.0, t, 20001)
-            quad = np.trapezoid(np.real(c(grid)), grid)
-            assert np.real(c.antiderivative(t)) == pytest.approx(quad, abs=1e-8)
+    @settings(max_examples=200, deadline=None)
+    @given(c=coefficients(), ends=st.lists(st.floats(0.0, 1.0), min_size=2,
+                                           max_size=2))
+    def test_antiderivative_matches_quadrature(self, c, ends):
+        """C(t) - C(s) equals composite 12-node Gauss-Legendre quadrature of
+        c over [s, t] to ANTIDERIVATIVE_TOL relative.  Panels are at most
+        min(0.25, 1/w) wide for the fastest frequency w, which resolves every
+        oscillation, and end at the jump times, where a step term is smooth
+        on either side."""
+        s, t = sorted(ends)
+        fastest = max((omega for omega, _, _ in c.trig), default=1.0)
+        width = min(0.25, 1.0 / fastest)
+        edges = sorted({s, t, *(t0 for t0, _ in c.steps if s < t0 < t)})
+        quad = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            panels = max(1, int(np.ceil((hi - lo) / width)))
+            taus, weights = gauss_legendre_panels(lo, hi, panels)
+            quad += np.dot(weights, c(taus))
+        closed = c.antiderivative(t) - c.antiderivative(s)
+        assert abs(closed - quad) <= ANTIDERIVATIVE_TOL * max(1.0, abs(closed))
 
     def test_lipschitz_bound_quadratic(self):
         # c(t) = t^2 on [0, 2] has sup |c'| = 4

@@ -6,9 +6,10 @@ from evofam.evolution import observed_orders
 from evofam.symbols import CoefficientFunction
 from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
                               box_initial, characteristics_oracle,
-                              constant_field, convergence_study,
-                              gaussian_initial, sample_initial,
-                              transport_family_checks, transport_solve)
+                              convergence_study, gaussian_initial,
+                              sample_initial, transport_family_checks,
+                              transport_solve)
+from reference import constant_field
 
 
 @pytest.fixture()
