@@ -266,7 +266,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
     _check_interval("perturb", s, t, spec.horizon)
     rng = np.random.default_rng(seed)
     x = cfg.build_initial(section["initial"], grid, rng)
-    family = cfg.build_perturbation(config.get("perturbation"), spec.dim)
+    family = cfg.build_perturbation(config.get("perturbation"))
     steps = cfg.build_solver(config.get("solver"))
     has_oracle = isinstance(family, per.MultiplierFamily)
     if has_oracle and steps < ORACLE_MIN_STEPS:

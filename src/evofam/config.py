@@ -86,11 +86,11 @@ def build_plan(entry: dict | None, seed: int) -> SamplePlan:
     return SamplePlan(seed=seed, **entry)
 
 
-def build_perturbation(entry: dict | None, dim: int):
+def build_perturbation(entry: dict | None):
     entry = entry or {"kind": "mollifier"}
     kind = entry["kind"]
     if kind == "mollifier":
-        return Mollifier(dim)
+        return Mollifier()
     # an absent coefficient takes the family's own default (None); a present
     # one is built as written, so {} is c = 0
     coeff = build_coefficient(entry["coefficient"]) if "coefficient" in entry else None

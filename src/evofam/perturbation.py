@@ -2,9 +2,10 @@
 
 Family protocol: every family has `apply(t, f)`, which returns B(t) f in
 frequency representation.  The diagonal families (Mollifier,
-MultiplierFamily) also have `multiplier(t, xi_axes)`.  Only
-MultiplierFamily has the closed-form time `integral` and hence the
-commuting oracle.  Three families:
+MultiplierFamily) also have `multiplier(t, xi_axes)`: the row at a time t,
+or one row per time of an array t.  Only MultiplierFamily has the
+closed-form time `integral` and hence the commuting oracle.  Three
+families:
 
 * Mollifier: the moving box average, the multiplier prod_j sinc(t xi_j);
   B(0) = Id because sinc(0) = 1.  Continuous but not Lipschitz into L2;
@@ -25,7 +26,9 @@ needs more steps as the grid is refined; the trajectory reports the
 largest measured sweep ratio.  `cli.run_perturb` solves each
 (s, t, steps) once; the M- and M/2-step runs feed the oracle and the
 family checks, which solve nothing.  The march and the Duhamel residual
-read their step factors e^{-E} by the block (`_step_decays`).
+read their step factors e^{-E} by the block (`_step_decays`).  A diagonal
+row m_B(sigma) is built once per time: the march's repeated `apply` at
+sigma_k reuses the last row, and the Duhamel residual reads rows by the block.
 """
 
 from __future__ import annotations
@@ -42,19 +45,34 @@ from .spectral import (BLOCK_ELEMENTS, FREQUENCY, L2, GridFunction, extrapolated
 from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
+def _rows(family, t, xi_axes, build) -> np.ndarray:
+    """`build(t)`: one multiplier row at a scalar `t`, or one row per time of
+    an array `t` (shaped to broadcast against the grid), each bit for bit the
+    scalar call.  A scalar `t` reuses the last row built for the same `t` and
+    axes tuple, handed out read-only; as in `spectral.memo`, writeable axes
+    may change in place, so their rows are rebuilt on every call."""
+    if np.ndim(t):
+        return build(np.reshape(t, np.shape(t) + (1,) * len(xi_axes)))
+    if any(ax.flags.writeable for ax in xi_axes):
+        return build(t)
+    last = vars(family).get("_last_row")
+    if last is None or last[0] != t or last[1] is not xi_axes:
+        last = family._last_row = (t, xi_axes, build(t))
+        last[2].flags.writeable = False
+    return last[2]
+
+
 class Mollifier:
     """Box-average family: the sinc multiplier, the identity at t = 0."""
 
-    def __init__(self, dim: int = 1):
-        if dim < 1:
-            raise ConfigurationError("mollifier dimension must be >= 1")
-        self.dim = dim
-
-    def multiplier(self, t: float, xi_axes) -> np.ndarray:
-        total = np.asarray(1.0 + 0.0j)
-        for ax in xi_axes:
-            total = total * np.sinc(t * ax / np.pi)   # sin(t xi)/(t xi)
-        return total
+    def multiplier(self, t, xi_axes) -> np.ndarray:
+        """prod_j sinc(t xi_j): one row per time, via `_rows`."""
+        def build(t):
+            total = np.asarray(1.0 + 0.0j)
+            for ax in xi_axes:
+                total = total * np.sinc(t * ax / np.pi)   # sin(t xi)/(t xi)
+            return total
+        return _rows(self, t, xi_axes, build)
 
     def apply(self, t: float, f: GridFunction) -> GridFunction:
         return GridFunction(f.grid, FREQUENCY,
@@ -86,8 +104,10 @@ class MultiplierFamily:
             return num / den
         return memo(self, "profile", build, xi_axes)
 
-    def multiplier(self, t: float, xi_axes) -> np.ndarray:
-        return self.coefficient(t) * self._profile(xi_axes)
+    def multiplier(self, t, xi_axes) -> np.ndarray:
+        """c(t) P(|xi|^2)/Q(|xi|^2): one row per time, via `_rows`."""
+        return _rows(self, t, xi_axes,
+                     lambda t: self.coefficient(t) * self._profile(xi_axes))
 
     def integral(self, s: float, t: float, xi_axes) -> np.ndarray:
         """Closed-form integral of m_B over [s, t] (the oracle ingredient)."""
@@ -230,13 +250,18 @@ class Trajectory:
         return self.states[-1]
 
 
+def _blocks(grid, count: int):
+    """Consecutive slices of `count` grid rows, ~BLOCK_ELEMENTS values each."""
+    size = max(1, BLOCK_ELEMENTS // grid.n ** grid.dim)
+    return (slice(start, start + size) for start in range(0, count, size))
+
+
 def _step_decays(engine: PropagatorEngine, lo: np.ndarray, hi: np.ndarray):
     """e^{-E} on the intervals (lo[k], hi[k]) in order, one row each: one
-    `engine.exponent` call and one `np.exp` per block of about
-    BLOCK_ELEMENTS values, each row bit for bit the scalar factor."""
-    size = max(1, BLOCK_ELEMENTS // engine.grid.n ** engine.grid.dim)
-    for start in range(0, len(lo), size):
-        block = engine.exponent(lo[start:start + size], hi[start:start + size])
+    `engine.exponent` call and one `np.exp` per `_blocks` block, each row
+    bit for bit the scalar factor."""
+    for part in _blocks(engine.grid, len(lo)):
+        block = engine.exponent(lo[part], hi[part])
         np.negative(block, out=block)
         np.exp(block, out=block)            # in place: no second block of temporaries
         yield from block
@@ -315,16 +340,20 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -
     Duhamel integral || / ||x||, with s and x the run's first node and
     state and V linearly interpolated at the Gauss-Legendre nodes inside
     each step.  Step j reads the factors e^{-E} over (sigma_j, sigma_{j+1})
-    and over (tau_n, sigma_{j+1}) per node, in that order, by the block."""
+    and over (tau_n, sigma_{j+1}) per node, in that order, by the block, and
+    a diagonal family's node rows m_B(tau_n) by the block too."""
     grid = engine.grid
     w = grid.cell_volume
     sig = trajectory.sigmas
     xhat = trajectory.states[0].values
     xnorm = max(plancherel_norm(xhat, w), 1e-300)
     steps = len(sig) - 1
-    taus, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
-                                          DUHAMEL_NODES)
-    taus = taus.reshape(steps, DUHAMEL_NODES)
+    nodes, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
+                                           DUHAMEL_NODES)
+    rows = ((row for part in _blocks(grid, nodes.size)
+             for row in family.multiplier(nodes[part], grid.xi_axes()))
+            if hasattr(family, "multiplier") else None)
+    taus = nodes.reshape(steps, DUHAMEL_NODES)
     decays = _step_decays(engine, np.column_stack([sig[:-1], taus]).ravel(),
                           np.repeat(sig[1:], DUHAMEL_NODES + 1))
     taus, weights = taus.tolist(), weights.reshape(steps, DUHAMEL_NODES).tolist()
@@ -340,7 +369,8 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -
             frac = (tau - lo) / (hi - lo)
             v_tau = ((1.0 - frac) * trajectory.states[j].values
                      + frac * trajectory.states[j + 1].values)
-            g = family.apply(tau, GridFunction(grid, FREQUENCY, v_tau)).values
+            g = (v_tau * next(rows) if rows is not None else
+                 family.apply(tau, GridFunction(grid, FREQUENCY, v_tau)).values)
             contrib += wn * next(decays) * g
         acc = step_mult * acc + contrib
         current = step_mult * current

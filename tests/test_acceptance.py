@@ -156,7 +156,7 @@ def test_criterion_08_perturbed_family_axioms(engine, grid, xband):
 def test_criterion_09_mollifier_dichotomy(td1, grid):
     """Indicator data: L2 modulus exponent 0.5 +- 0.1, dual-scale exponent
     1.0 +- 0.1, both log-log fits with rms residual <= 0.05."""
-    rep = per.perturbation_regularity_report(per.Mollifier(1),
+    rep = per.perturbation_regularity_report(per.Mollifier(),
                                              [indicator(grid)], td1)
     l2 = rep.slopes_l2[0]
     dual = rep.slopes_sobolev[0]

@@ -535,7 +535,24 @@ def test_perturbation_coefficient_default(kind, coefficient, expected):
     entry = {"kind": kind}
     if coefficient is not None:
         entry["coefficient"] = coefficient
-    assert build_perturbation(entry, 1).coefficient(0.5) == expected
+    assert build_perturbation(entry).coefficient(0.5) == expected
+
+
+@pytest.mark.parametrize("entry,unexpected", [
+    ({"kind": "mollifier", "coefficient": {"const": 5.0}, "order": 3},
+     "('coefficient', 'order' were unexpected)"),
+    ({"kind": "smoothing", "profile_num": [0.0, 1.0]}, "('profile_num' was unexpected)"),
+], ids=["mollifier-coefficient_order", "smoothing-profile_num"])
+def test_perturbation_keys_of_another_kind_rejected(tmp_path, capsys, entry, unexpected):
+    # each kind takes only its own keys: a mollifier has none besides its
+    # kind, and a smoothing composite has no rational profile
+    config = bundled_config("h1")
+    config["perturbation"] = entry
+    path = write_config(tmp_path, config)
+    assert main(["perturb", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config invalid at perturbation: ") and unexpected in err
 
 
 def test_transport_field_applies_w1_to_a_constant(tmp_path):

@@ -12,7 +12,7 @@ from evofam.perturbation import (Mollifier, MultiplierFamily, SmoothingComposite
                                  perturbed_family_checks, solve_perturbed)
 from evofam.spectral import (Grid, GridFunction, indicator, mode, norm,
                              random_band_limited)
-from evofam.symbols import constant
+from evofam.symbols import CoefficientFunction, constant
 from reference import heat_symbol, oscillating_symbol
 
 
@@ -33,16 +33,16 @@ class TestMollifierAction:
         # sinc(0) = 1 exactly, so the sinc multiplier is B(0) = Id bit for bit
         g = Grid(dim, 32, 2.0 * np.pi)
         f = random_band_limited(g, rng)
-        out = Mollifier(dim).apply(0.0, f)
+        out = Mollifier().apply(0.0, f)
         assert np.array_equal(out.values, f.to_frequency().values)
 
     def test_mean_preserved(self, grid):
         f = indicator(grid)
-        out = Mollifier(1).apply(0.7, f)
+        out = Mollifier().apply(0.7, f)
         assert out.values[0] == pytest.approx(f.to_frequency().values[0])
 
     def test_indicator_becomes_trapezoid(self, grid):
-        out = Mollifier(1).apply(0.5, indicator(grid)).to_physical()
+        out = Mollifier().apply(0.5, indicator(grid)).to_physical()
         vals = out.values.real
         x = grid.points_axis()
         assert vals[0] == pytest.approx(0.5, abs=0.01)          # edge midpoint
@@ -55,13 +55,13 @@ class TestMollifierAction:
     def test_contraction_in_l2(self, grid, rng):
         f = random_band_limited(grid, rng)
         for t in (0.1, 0.5, 2.0):
-            assert norm(Mollifier(1).apply(t, f)) \
+            assert norm(Mollifier().apply(t, f)) \
                 <= norm(f) * (1.0 + 1e-12)
 
     def test_2d_product_multiplier(self, rng):
         g2 = Grid(2, 32, 2.0 * np.pi)
         f = random_band_limited(g2, rng, band=4)
-        out = Mollifier(2).apply(0.3, f)
+        out = Mollifier().apply(0.3, f)
         assert norm(out) <= norm(f) * (1.0 + 1e-12)
         idx = (0, 0)
         assert out.values[idx] == pytest.approx(f.to_frequency().values[idx])
@@ -70,7 +70,7 @@ class TestMollifierAction:
 @pytest.fixture(scope="module")
 def report(grid, td1, xband):
     return perturbation_regularity_report(
-        Mollifier(1), [indicator(grid), xband], td1)
+        Mollifier(), [indicator(grid), xband], td1)
 
 
 class TestRegularityReport:
@@ -130,20 +130,20 @@ class TestVolterraSolver:
 
     def test_oracle_requires_integrable_family(self, engine, grid, xband):
         with pytest.raises(UnsupportedError):
-            commuting_oracle(engine, Mollifier(1), 0.0, 1.0, xband)
+            commuting_oracle(engine, Mollifier(), 0.0, 1.0, xband)
 
     def test_duhamel_residual_converged(self, engine, grid, xband):
-        traj = solve_perturbed(engine, Mollifier(1), 0.0, 1.0, xband, 1024)
-        assert duhamel_residual(traj, engine, Mollifier(1)) <= 1e-6
+        traj = solve_perturbed(engine, Mollifier(), 0.0, 1.0, xband, 1024)
+        assert duhamel_residual(traj, engine, Mollifier()) <= 1e-6
 
     def test_zero_initial(self, engine, grid):
         z = GridFunction(grid, "frequency", np.zeros(grid.shape, dtype=complex))
-        traj = solve_perturbed(engine, Mollifier(1), 0.0, 0.5, z, 64)
-        assert duhamel_residual(traj, engine, Mollifier(1)) == 0.0
+        traj = solve_perturbed(engine, Mollifier(), 0.0, 0.5, z, 64)
+        assert duhamel_residual(traj, engine, Mollifier()) == 0.0
 
     def test_mollifier_growth_bound(self, engine, grid, xband):
         # omega = -1 and sup ||B|| <= 1: perturbed norms stay below ||x||
-        traj = solve_perturbed(engine, Mollifier(1), 0.0, 2.0, xband, 256)
+        traj = solve_perturbed(engine, Mollifier(), 0.0, 2.0, xband, 256)
         assert max(norm(v) for v in traj.states) <= norm(xband) * (1.0 + 1e-9)
 
     def test_picard_failure_reported(self, engine, grid, xband):
@@ -213,7 +213,7 @@ class TestPerturbedFamily:
 
 LEG_GRID = Grid(1, 64, 2.0 * np.pi)
 LEG_FAMILIES = {"multiplier": MultiplierFamily(constant(0.5)),
-                "mollifier": Mollifier(1), "smoothing": SmoothingComposite(2)}
+                "mollifier": Mollifier(), "smoothing": SmoothingComposite(2)}
 LEG_STEPS = 32
 
 
@@ -273,17 +273,108 @@ def test_commuting_solve_matches_oracle_and_duhamel(c, a, b, symbol, seed):
     assert error <= tol
 
 
+ROW_FAMILIES = {"mollifier": Mollifier(),
+                "multiplier": MultiplierFamily(
+                    CoefficientFunction(const=0.5, poly=((1, 0.25),),
+                                        trig=((3.0, 0.1, -0.2),), steps=((0.4, 0.3),)),
+                    profile_num=(1.0, 0.5), profile_den=(1.0, 1.0))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(ROW_FAMILIES)), dim=st.sampled_from([1, 2]),
+       times=st.lists(st.floats(0.0, 7.0), min_size=1, max_size=9))
+def test_multiplier_rows_equal_the_scalar_call(family, dim, times):
+    """`multiplier` on an array of times gives one row per time, each the
+    scalar call bit for bit, so the Duhamel check may read its node rows by
+    the block."""
+    fam = ROW_FAMILIES[family]
+    axes = Grid(dim, 16, 2.0 * np.pi).xi_axes()
+    rows = fam.multiplier(np.array(times), axes)
+    assert rows.shape == (len(times),) + (16,) * dim
+    for t, row in zip(times, rows):
+        assert row.tobytes() == fam.multiplier(t, axes).tobytes()
+
+
+def test_scalar_row_is_kept_read_only_until_t_or_the_axes_change():
+    fam = Mollifier()
+    axes = LEG_GRID.xi_axes()
+    row = fam.multiplier(0.3, axes)
+    assert not row.flags.writeable
+    assert fam.multiplier(0.3, axes) is row
+    assert fam.multiplier(0.4, axes) is not row
+    # writeable axes may change in place, so their rows are rebuilt
+    loose = tuple(ax.copy() for ax in axes)
+    first = fam.multiplier(0.3, loose)
+    loose[0][1] = 0.0
+    assert fam.multiplier(0.3, loose)[1] == 1.0 != first[1]
+
+
+ROW_STEPS = 100
+
+
+def test_each_sinc_row_is_built_once(monkeypatch):
+    """The march builds B(sigma_k) once for all its uses (the next step's
+    explicit term and every Picard sweep): M + 1 rows on M steps.  The
+    Duhamel check takes its 4M node rows in blocks of BLOCK_ELEMENTS / bins
+    rows, one `np.sinc` call per block."""
+    from evofam import perturbation as per
+    engine = PropagatorEngine(heat_symbol(horizon=1.0), LEG_GRID)
+    x = random_band_limited(LEG_GRID, np.random.default_rng(3), band=4)
+    sinc, sizes = np.sinc, []
+
+    def counted(v):
+        sizes.append(np.size(v))
+        return sinc(v)
+
+    monkeypatch.setattr(np, "sinc", counted)
+    traj = solve_perturbed(engine, Mollifier(), 0.0, 0.9, x, ROW_STEPS)
+    assert traj.sweeps_max >= 2
+    assert sizes == [LEG_GRID.n] * (ROW_STEPS + 1)
+    sizes.clear()
+    duhamel_residual(traj, engine, Mollifier())
+    per_block = per.BLOCK_ELEMENTS // LEG_GRID.n
+    nodes = per.DUHAMEL_NODES * ROW_STEPS
+    assert len(sizes) == -(-nodes // per_block) > 1
+    assert sum(sizes) == nodes * LEG_GRID.n
+
+
+class ApplyOnly:
+    """A Mollifier seen only through `apply`, as a non-diagonal family is."""
+
+    def __init__(self):
+        self.inner = Mollifier()
+
+    def apply(self, t, f):
+        return self.inner.apply(t, f)
+
+
+def test_block_rows_match_the_per_node_apply():
+    # the Duhamel check reads a Mollifier's node rows by the block and an
+    # apply-only family's node by node: the states and residual agree bit
+    # for bit
+    engine = PropagatorEngine(oscillating_symbol(), LEG_GRID)
+    x = random_band_limited(LEG_GRID, np.random.default_rng(4), band=4)
+    runs = []
+    for fam in (Mollifier(), ApplyOnly()):
+        traj = solve_perturbed(engine, fam, 0.25, 0.9, x, ROW_STEPS)
+        runs.append(([v.values.tobytes() for v in traj.states],
+                     duhamel_residual(traj, engine, fam)))
+    assert runs[0] == runs[1]
+
+
 BLOCK_STEPS = 10
 
 
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("family", sorted(LEG_FAMILIES))
 def test_block_boundaries_leave_the_march_unchanged(monkeypatch, family, rows):
-    """Both marches read e^{-E} a block of rows at a time.  At the default
-    budget the 10-step run and its 50 Duhamel rows fit one block; a budget
-    of `rows` grid rows per block (1: the scalar march, 3: blocks that
-    divide neither the steps nor the five rows of a Duhamel step) must
-    give the same states and residual bit for bit."""
+    """Both marches read e^{-E} a block of rows at a time, and the Duhamel
+    check reads a diagonal family's node rows m_B(tau_n) the same way.  At
+    the default budget the 10-step run, its 50 Duhamel factors and its 40
+    node rows each fit one block; a budget of `rows` grid rows per block (1:
+    the scalar march, 3: blocks that divide neither the steps nor the five
+    factors or four nodes of a Duhamel step) must give the same states and
+    residual bit for bit."""
     from evofam import perturbation as per
     engine = PropagatorEngine(oscillating_symbol(), LEG_GRID)
     fam = LEG_FAMILIES[family]
