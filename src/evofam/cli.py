@@ -35,7 +35,6 @@ TAIL_WARN = 1e-8            # spectral tail mass above which box truncation poll
 REFINE_DELTA = 0.05         # max relative move of a sampled constant when the plan doubles
 CHAIN_SLACK = 0.05          # C' <= M^2 L (1 + slack): sampling slack of the lemma chain
 ROUNDOFF = 1e-12            # identities that hold exactly up to roundoff
-COCYCLE_TOL = 1e-10         # exact-engine cocycle (exponent additivity over ~1e2 bins)
 VOLTERRA_TOL = 1e-6         # Duhamel residual and oracle error of the Volterra solver
 FAVARD_GAP = 0.01           # relative gap of a Favard estimate to its t -> 0 limit
 TRANSPORT_ORDER_MIN = 0.45  # upwind on a box profile converges at order 1/2 in L1
@@ -214,11 +213,6 @@ def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
     save_function(result, out / "evolved")
     timer.mark("propagate")
 
-    mid = 0.5 * (s + t)
-    triples = [(s, mid, t)]
-    triples += [tuple(np.sort(rng.uniform(s, t, 3))) for _ in range(4)]
-    cocycle = max(evo.cocycle_defect(engine, *tr, initial) for tr in triples)
-
     d_dt = [evo.derivative_defect(engine, s, inner_t, initial, h=h, which="dt")
             for h in (h0, h0 / 2)]
     d_ds = [evo.derivative_defect(engine, ds_point, t, initial, h=h, which="ds")
@@ -238,7 +232,6 @@ def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
     timer.mark("convergence")
 
     verdicts = {
-        "cocycle": bool(cocycle <= COCYCLE_TOL),
         "derivative_dt_order": _orders_in(evo.observed_orders(d_dt), SECOND_ORDER),
         "derivative_ds_order": _orders_in(evo.observed_orders(d_ds), SECOND_ORDER),
         "growth": growth.verdict,
@@ -246,7 +239,7 @@ def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
         "spectral_tail": bool(tail <= TAIL_WARN),
     }
     report = {
-        "s": s, "t": t, "cocycle_defect": cocycle,
+        "s": s, "t": t,
         "derivative_dt_defects": d_dt, "derivative_ds_defects": d_ds,
         "growth": growth, "product_orders": orders,
         "spectral_tail_fraction": tail,
@@ -378,7 +371,7 @@ def run_transport(config: dict, out: Path, seed: int, timer: StageTimer):
               list(zip(problem.centers(), state.values)))
     timer.mark("solve")
 
-    checks = trn.transport_family_checks(problem, s, 0.5 * (s + t), state, f0)
+    checks = trn.transport_family_checks(problem, s, state, f0)
     timer.mark("family_checks")
 
     orders = None
@@ -391,11 +384,7 @@ def run_transport(config: dict, out: Path, seed: int, timer: StageTimer):
         orders = evo.observed_orders(errs)
     timer.mark("convergence")
 
-    verdicts = {
-        "cocycle": bool(checks.cocycle_defect <= ROUNDOFF),
-        "decay": checks.decay_ok,
-        "mass_balance": bool(checks.mass_balance_defect <= ROUNDOFF),
-    }
+    verdicts = {"decay": checks.decay_ok}
     if orders is not None:
         verdicts["order"] = bool(all(o >= TRANSPORT_ORDER_MIN for o in orders))
     report = {

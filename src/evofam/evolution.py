@@ -2,7 +2,8 @@
 
 The engine applies exp(-integral of a(tau, .) over [s, t]) using the
 closed-form antiderivatives of the coefficient family.  They are exact for
-every term the family admits, so nothing is checked at construction.  The
+every term the family admits, so nothing is checked at construction, and
+additive, so U(t,s) U(s,r) = U(t,r) holds up to roundoff.  The
 frozen-coefficient product formula, which composes frozen-time semigroup
 factors on a uniform ladder, is measured against it in
 `product_formula_errors`.
@@ -53,23 +54,6 @@ class PropagatorEngine:
     def operator_norm(self, s: float, t: float) -> float:
         """||U(t,s)|| on L2 = max over bins of |multiplier|."""
         return float(np.max(np.exp(-self.exponent(s, t).real)))
-
-
-def cocycle_defect(engine: PropagatorEngine, r: float, s: float, t: float,
-                   f: GridFunction) -> float:
-    """|| U(t,s) U(s,r) f  -  U(t,r) f || / ||f||.
-
-    At most ~1e-10: the closed-form exponents are additive.
-    """
-    if not r <= s <= t:
-        raise DomainError(f"need r <= s <= t, got {r}, {s}, {t}")
-    nf = norm(f)
-    if nf == 0.0:
-        return 0.0
-    two_leg = engine.propagate(s, t, engine.propagate(r, s, f))
-    one_leg = engine.propagate(r, t, f)
-    diff = GridFunction(f.grid, "frequency", two_leg.values - one_leg.values)
-    return norm(diff) / nf
 
 
 def default_derivative_step(s: float, t: float) -> float:

@@ -9,6 +9,13 @@ each piece backs an invariant the evolution-family theory rests on:
   R(lambda) - R(mu) = (mu - lambda) R(lambda) R(mu);
 * `laplace_transform_check` and `laplace_tail_bound`: the resolvent as the
   Laplace transform of the semigroup (acceptance criterion 10);
+* `cocycle_defect`: the cocycle U(t,s) U(s,r) = U(t,r) of the exact
+  propagator, whose closed-form exponents are additive (criterion 1);
+* `aligned_ladder_cocycle` and `mass_balance_defect`: the cocycle of the
+  upwind transport march on its own step ladder, and its per-step mass
+  balance, which the telescoping flux form makes exact (criterion 11);
+* `cd_lipschitz_bound`: the coefficient bound on the strong Lipschitz
+  quotient that `certify_cd_system` samples;
 * `heat_symbol`, `oscillating_symbol` and `drift_symbol`: the autonomous,
   time-dependent and non-elliptic symbols the fixtures are built from;
 * `constant_field`: a constant transport coefficient, the case the
@@ -18,12 +25,15 @@ each piece backs an invariant the evolution-family theory rests on:
 import numpy as np
 
 from evofam.errors import DomainError, NumericError
+from evofam.evolution import PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
-from evofam.spectral import GridFunction, apply_multiplier, norm
+from evofam.spectral import Grid, GridFunction, apply_multiplier, norm
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
-from evofam.transport import TimeSpaceCoefficient
+from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
+                              TransportState, transport_solve)
 
 SINGULAR_TOL = 1e-14    # |lambda + a| below which the resolvent is singular
+COCYCLE_TOL = 1e-10     # exact-engine cocycle (exponent additivity over ~1e2 bins)
 
 
 def frozen_semigroup(op: FrozenOperator, tau: float, f: GridFunction) -> GridFunction:
@@ -78,6 +88,83 @@ def laplace_tail_bound(lam: complex, omega: float, horizon: float,
     if rate <= 0:
         raise DomainError("need Re lambda > -omega for integrability")
     return float(np.exp(-rate * horizon) * f_norm / rate)
+
+
+def cocycle_defect(engine: PropagatorEngine, r: float, s: float, t: float,
+                   f: GridFunction) -> float:
+    """|| U(t,s) U(s,r) f  -  U(t,r) f || / ||f||.
+
+    At most COCYCLE_TOL: the closed-form exponents are additive.
+    """
+    if not r <= s <= t:
+        raise DomainError(f"need r <= s <= t, got {r}, {s}, {t}")
+    nf = norm(f)
+    if nf == 0.0:
+        return 0.0
+    two_leg = engine.propagate(s, t, engine.propagate(r, s, f))
+    one_leg = engine.propagate(r, t, f)
+    diff = GridFunction(f.grid, "frequency", two_leg.values - one_leg.values)
+    return norm(diff) / nf
+
+
+def aligned_ladder_cocycle(problem: TransportProblem, r: float, s: float,
+                           one: TransportState, f0: np.ndarray) -> float:
+    """Relative L1 gap between the r -> t run `one` marched from f0 and its
+    two legs r -> s', s' -> t.
+
+    s is snapped onto `one`'s CFL-safe ladder, ceil((t - r) / cfl_step())
+    steps, so both legs replay exactly its step times and compose to it up
+    to roundoff; a one-step run composes as the identity and the whole run.
+    """
+    t = one.time
+    if not r <= s <= t or r == t:
+        raise DomainError("need r <= s <= t and r < t")
+    n_total = int(np.ceil((t - r) / problem.cfl_step()))
+    dt = (t - r) / n_total
+    n1 = min(max(1, int(round((s - r) / dt))), n_total - 1)
+    s_used = r + n1 * dt
+    leg_a = transport_solve(problem, r, s_used, f0, n1)
+    leg_b = transport_solve(problem, s_used, t, leg_a.values, n_total - n1)
+    gap = float(np.sum(np.abs(leg_b.values - one.values)) * problem.h)
+    return gap / max(one.l1_norm(), 1e-300)
+
+
+def mass_balance_defect(problem: TransportProblem, s: float, t: float,
+                        f0: np.ndarray) -> float:
+    """Max over the steps of the s -> t run on its CFL ladder of
+    |mass_new - mass_old + decay sink + outflux| / |mass_old|.
+
+    Each step is a one-step `transport_solve` call; the sink
+    dt sum(mu f h) and the outflux dt g(x_max) f_last are computed here at
+    the step midpoint, where the march freezes the coefficients.
+    """
+    steps = int(np.ceil((t - s) / problem.cfl_step()))
+    f, worst = np.asarray(f0, dtype=float), 0.0
+    for k in range(steps):
+        lo, hi = s + k * (t - s) / steps, s + (k + 1) * (t - s) / steps
+        mid, dt = lo + 0.5 * (hi - lo), hi - lo
+        mass = np.sum(f) * problem.h
+        sink = dt * np.sum(problem.decay(mid, problem.centers()) * f) * problem.h
+        outflux = dt * problem.velocity(mid, problem.faces()[-1]) * f[-1]
+        f = transport_solve(problem, lo, hi, f, 1).values
+        defect = abs(np.sum(f) * problem.h - mass + sink + outflux)
+        worst = max(worst, float(defect / max(abs(mass), 1e-300)))
+    return worst
+
+
+def cd_lipschitz_bound(spec: SymbolSpec, grid: Grid, vectors) -> float:
+    """max over the vectors f of the L2 norm of
+    sum_alpha Lip(a_alpha) |xi^alpha| |f^(xi)|: by the mean value theorem
+    a bound on every sampled X-level quotient of `certify_cd_system`, and
+    infinite when a coefficient jumps."""
+    lips = spec.coefficient_lipschitz()
+    if not all(np.isfinite(b) for b in lips.values()):
+        return float("inf")
+    monos = spec.monomials(grid.xi_axes())
+    rate = sum(b * np.abs(np.broadcast_to(monos[alpha], grid.shape))
+               for alpha, b in lips.items())
+    return max(float(np.sqrt(np.sum((rate * np.abs(f.to_frequency().values)) ** 2)
+                             * grid.cell_volume)) for f in vectors)
 
 
 def heat_symbol(shift: float = 1.0, dim: int = 1, horizon: float = 1.0) -> SymbolSpec:

@@ -12,13 +12,13 @@ import pytest
 
 from evofam import assumptions as asm
 from evofam import perturbation as per
-from evofam.evolution import (PropagatorEngine, cocycle_defect,
-                              derivative_defect, observed_orders,
-                              product_formula_errors)
+from evofam.evolution import (PropagatorEngine, derivative_defect,
+                              observed_orders, product_formula_errors)
 from evofam.semigroup import FrozenOperator, favard_norm
 from evofam.spectral import GridFunction, indicator, mode, norm, \
     random_band_limited
-from reference import constant_field, drift_symbol, laplace_transform_check
+from reference import (aligned_ladder_cocycle, cocycle_defect, constant_field,
+                       drift_symbol, laplace_transform_check, mass_balance_defect)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ def test_criterion_10_laplace_transform_residual(h1, grid, xband):
 def test_criterion_11_transport_family():
     """Upwind transport: L1 order 0.8-1.1 on smooth data over three
     halvings, aligned-ladder cocycle <= 1e-12, L1 decay under the
-    exponential bound with mu_min = 1."""
+    exponential bound with mu_min = 1, per-step mass balance <= 1e-12."""
     from evofam.transport import (TransportProblem, box_initial,
                                   convergence_study, gaussian_initial,
                                   sample_initial, transport_family_checks,
@@ -194,10 +194,10 @@ def test_criterion_11_transport_family():
     problem = TransportProblem(1.0, 6.0, 600, constant_field(1.0), constant_field(1.0))
     f0 = sample_initial(problem, box_initial(1.0, 2.0))
     one = transport_solve(problem, 0.0, 0.75, f0)
-    rep = transport_family_checks(problem, 0.0, 0.25, one, f0)
-    assert rep.cocycle_defect <= 1e-12
+    rep = transport_family_checks(problem, 0.0, one, f0)
+    assert aligned_ladder_cocycle(problem, 0.0, 0.25, one, f0) <= 1e-12
     assert rep.decay_ratio <= rep.decay_bound * (1.0 + 10.0 * problem.h)
-    assert rep.mass_balance_defect <= 1e-12
+    assert mass_balance_defect(problem, 0.0, 0.75, f0) <= 1e-12
 
 
 def test_criterion_12_stable_reports_deterministic(tmp_path):

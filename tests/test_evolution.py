@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofam.cli import COCYCLE_TOL, EXACT_ULPS
+from evofam.cli import EXACT_ULPS
 from evofam.errors import ConfigurationError, DomainError
-from evofam.evolution import (PropagatorEngine, cocycle_defect,
-                              derivative_defect, growth_bound, observed_orders,
-                              product_formula_errors)
+from evofam.evolution import (PropagatorEngine, derivative_defect, growth_bound,
+                              observed_orders, product_formula_errors)
 from evofam.semigroup import FrozenOperator
 from evofam.spectral import Grid, GridFunction, mode, norm, \
     random_band_limited
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
-from reference import frozen_semigroup
+from reference import COCYCLE_TOL, cocycle_defect, frozen_semigroup
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,9 @@ name somewhere in `src/evofam` outside its own `def`; a function that only
 tests call belongs in the tests (see `reference.py`) or nowhere.  Every
 defaulted parameter of those must be passed, by keyword or by position, by
 some call in `src/`, `tests/` or `perfbench/`; a default that every caller
-keeps is a constant.
+keeps is a constant.  Every module-level UPPER_CASE name must be read in
+`src/evofam` outside its own assignment; a tolerance that only tests read
+guards nothing the pipelines do.
 """
 
 import ast
@@ -113,3 +115,29 @@ def never_passed(src: Path, callers) -> list[str]:
 def test_every_default_is_overridden_by_some_caller():
     callers = (SRC, ROOT / "tests", ROOT / "perfbench")
     assert never_passed(SRC, callers) == sorted(KEPT_DEFAULTS)
+
+
+def _constants(tree: ast.Module):
+    """(name, assignment node) of each module-level UPPER_CASE assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper():
+                yield target.id, node
+
+
+def unread_constants(src: Path) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name, node in _constants(tree)
+            if everywhere[name] - _names(node)[name] <= 0]
+
+
+def test_every_constant_is_read_in_src():
+    assert unread_constants(SRC) == []

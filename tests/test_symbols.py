@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,14 +134,39 @@ def test_conjugation_symmetry_real_coefficients(t, xi):
                                              rel=1e-12, abs=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
-@given(t=st.floats(0.0, 2.0 * np.pi), s=st.floats(0.0, 2.0 * np.pi),
+@st.composite
+def lipschitz_symbols(draw):
+    """a(t, xi) = sum_{k <= 2} c_k(t) (i xi)^k on [0, 2], each c_k a const
+    plus at most one poly (degree 1-3) and one trig (w <= 50) term, with
+    complex weights of modulus at most 3; with a drawn flag c_2 also jumps
+    once."""
+    c = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    terms = st.integers(0, 1)
+    coeffs = {(k,): CoefficientFunction(
+        const=draw(c),
+        poly=tuple((draw(st.integers(1, 3)), draw(c)) for _ in range(draw(terms))),
+        trig=tuple((draw(st.floats(0.1, 50.0)), draw(c), draw(c))
+                   for _ in range(draw(terms)))) for k in range(3)}
+    if draw(st.booleans()):
+        jump = draw(c.filter(lambda z: z != 0))
+        coeffs[(2,)] = replace(coeffs[(2,)], steps=((draw(st.floats(0.0, 2.0)), jump),))
+    return SymbolSpec(dim=1, order=2, horizon=2.0, coefficients=coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=lipschitz_symbols(), t=st.floats(0.0, 2.0), gap=st.floats(-0.05, 0.05),
        xi=st.floats(-32.0, 32.0))
-def test_time_lipschitz_bound(t, s, xi):
-    spec = oscillating_symbol()
+def test_time_lipschitz_bound(spec, t, gap, xi):
+    """|a(t,xi) - a(s,xi)| <= |t - s| sum_alpha Lip_alpha |xi|^|alpha|, the
+    bound the sampled cd quotients rest on; a jump makes Lip infinite.  The
+    bound is tightest on close pairs, so s lies within 0.05 of t."""
+    s = min(max(t + gap, 0.0), 2.0)
     lips = spec.coefficient_lipschitz()
-    budget = sum(b * abs(xi) ** sum(alpha) for alpha, b in lips.items())
-    assert abs(at(spec, t, xi) - at(spec, s, xi)) <= abs(t - s) * budget + 1e-9
+    jumps = bool(spec.coefficients[(2,)].steps)
+    assert np.isinf(lips[(2,)]) == jumps
+    if not jumps:
+        budget = sum(b * abs(xi) ** sum(alpha) for alpha, b in lips.items())
+        assert abs(at(spec, t, xi) - at(spec, s, xi)) <= abs(t - s) * budget + 1e-9
 
 
 def sphere_ellipticity(spec, time_samples=512):

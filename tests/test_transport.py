@@ -9,7 +9,7 @@ from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
                               convergence_study, gaussian_initial,
                               sample_initial, transport_family_checks,
                               transport_solve)
-from reference import constant_field
+from reference import aligned_ladder_cocycle, constant_field, mass_balance_defect
 
 
 @pytest.fixture()
@@ -94,48 +94,46 @@ class TestOracle:
             characteristics_oracle(p, 0.0, 0.5, box_fn())
 
 
-def family_checks(problem, r, s, t, f0):
-    """transport_family_checks against the r -> t run the pipeline marches."""
-    return transport_family_checks(problem, r, s, transport_solve(problem, r, t, f0), f0)
-
-
 class TestFamilyChecks:
     def test_aligned_ladders_compose_exactly(self, advect_decay):
         f0 = sample_initial(advect_decay, box_fn())
-        rep = family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
-        assert rep.cocycle_defect <= 1e-12
+        one = transport_solve(advect_decay, 0.0, 0.75, f0)
+        assert aligned_ladder_cocycle(advect_decay, 0.0, 0.25, one, f0) <= 1e-12
 
     def test_decay_bound(self, advect_decay):
         f0 = sample_initial(advect_decay, box_fn())
-        rep = family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
+        one = transport_solve(advect_decay, 0.0, 0.75, f0)
+        rep = transport_family_checks(advect_decay, 0.0, one, f0)
         assert rep.decay_ok
         assert rep.decay_ratio <= np.exp(-0.75) * (1.0 + 10 * advect_decay.h)
 
     def test_mass_balance_per_step(self, advect_decay):
         f0 = sample_initial(advect_decay, box_fn())
-        rep = family_checks(advect_decay, 0.0, 0.25, 0.75, f0)
-        assert rep.mass_balance_defect <= 1e-12
+        assert mass_balance_defect(advect_decay, 0.0, 0.75, f0) <= 1e-12
 
     def test_zero_data_all_zero_defects(self, advect_decay):
-        rep = family_checks(advect_decay, 0.0, 0.25, 0.75, np.zeros(advect_decay.cells))
-        assert rep.cocycle_defect == 0.0
+        zero = np.zeros(advect_decay.cells)
+        one = transport_solve(advect_decay, 0.0, 0.75, zero)
+        assert aligned_ladder_cocycle(advect_decay, 0.0, 0.25, one, zero) == 0.0
+        assert mass_balance_defect(advect_decay, 0.0, 0.75, zero) == 0.0
 
-    @pytest.mark.parametrize("s,t,legs", [(0.25, 0.75, [(0.0, 0.25), (0.25, 0.75)]),
-                                          (0.0025, 0.005, [(0.0, 0.0), (0.0, 0.005)])],
-                             ids=["ladder", "one_step"])
-    def test_marches_only_the_two_legs(self, advect_decay, monkeypatch, s, t, legs):
-        # the r -> t run comes from the caller and carries the mass balance;
+    def test_one_step_run_composes_as_identity_and_whole_run(self, advect_decay):
         # below one CFL step (0.009) the legs are the identity and the whole run
+        f0 = sample_initial(advect_decay, box_fn())
+        one = transport_solve(advect_decay, 0.0, 0.005, f0)
+        assert aligned_ladder_cocycle(advect_decay, 0.0, 0.0025, one, f0) == 0.0
+
+    def test_marches_nothing(self, advect_decay, monkeypatch):
+        # the decay check reads the r -> t run the caller marched
         from evofam import transport as trn
-        one = transport_solve(advect_decay, 0.0, t, sample_initial(advect_decay, box_fn()))
+        f0 = sample_initial(advect_decay, box_fn())
+        one = transport_solve(advect_decay, 0.0, 0.75, f0)
         solves = []
         solve = trn.transport_solve
         monkeypatch.setattr(trn, "transport_solve",
                             lambda *a, **k: solves.append(a[1:3]) or solve(*a, **k))
-        f0 = sample_initial(advect_decay, box_fn())
-        rep = transport_family_checks(advect_decay, 0.0, s, one, f0)
-        assert solves == legs
-        assert rep.cocycle_defect <= 1e-12
+        assert transport_family_checks(advect_decay, 0.0, one, f0).decay_ok
+        assert solves == []
 
     def test_time_varying_coefficients(self):
         gvar = TimeSpaceCoefficient(
@@ -143,10 +141,10 @@ class TestFamilyChecks:
             w0=1.0, w1=0.3)
         p = TransportProblem(1.0, 6.0, 400, gvar, constant_field(1.0))
         f0 = sample_initial(p, box_fn())
-        rep = family_checks(p, 0.0, 0.3, 0.8, f0)
-        assert rep.cocycle_defect <= 1e-12
-        assert rep.mass_balance_defect <= 1e-12
-        assert rep.decay_ok
+        one = transport_solve(p, 0.0, 0.8, f0)
+        assert aligned_ladder_cocycle(p, 0.0, 0.3, one, f0) <= 1e-12
+        assert mass_balance_defect(p, 0.0, 0.8, f0) <= 1e-12
+        assert transport_family_checks(p, 0.0, one, f0).decay_ok
 
 
 def study(cells, f0_fn, levels):
