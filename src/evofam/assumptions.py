@@ -2,10 +2,11 @@
 Lipschitz hypotheses for a time-dependent symbol family.
 
 Every checker measures its constant as a maximum over a seeded sample
-plan and never claims an analytic disproof: when a sampled ratio exceeds
+plan and never claims an analytic disproof: when a measured ratio exceeds
 the plan's cap the verdict is "violation at cap" with the witness sample
-recorded.  All "for all lambda in the sector" conditions are sampled on
-log-spaced moduli along the boundary rays plus interior rays; refinement
+recorded.  The sector bound takes its sup over lambda in closed form per
+(t, xi) cell, so only t and xi are sampled; the C' sweep samples lambda on
+log-spaced moduli along the boundary rays plus interior rays.  Refinement
 stability (constants move less than 5 percent when the plan doubles) is
 reported in lieu of proof.
 
@@ -30,10 +31,9 @@ from .spectral import BLOCK_ELEMENTS, Grid
 from .symbols import SymbolSpec
 
 KATO_TOL = 1e-9               # Kato ratios may exceed 1 by roundoff only
-RAYS = 3                      # interior ray pairs of a sector sweep: args k/RAYS * theta
+RAYS = 3                      # interior ray pairs of the C' sweep: args k/RAYS * theta
 PAIR_DELTAS = (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)   # widths of the centred pairs
 THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)
-MODULUS_RANGE = (1e-3, 1e6)            # |lambda| range of the sector sweep
 RESOLVENT_MODULUS_RANGE = (1e-2, 1e4)  # |lambda| range of the C' sweep
 
 
@@ -57,7 +57,6 @@ class SamplePlan:
         return replace(
             self,
             time_samples=self.time_samples * 2,
-            moduli_per_ray=self.moduli_per_ray * 2,
             pair_grid=self.pair_grid * 2,
             resolvent_pair_grid=self.resolvent_pair_grid * 2,
             resolvent_moduli=self.resolvent_moduli * 2,
@@ -101,8 +100,13 @@ def _steepest(quotient, samples: int, rows: int, width: int, cap: float):
         for lo in range(0, rows, step):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 q = quotient(m, lo, min(lo + step, rows))
-            q = np.where(np.isfinite(q), q, 2.0 * cap)
-            i, j = np.unravel_index(np.argmax(q), q.shape)
+            k = np.argmax(q)
+            # argmax picks the first NaN and +inf is the maximum, so a finite
+            # pick means every quotient is finite
+            if not np.isfinite(q.flat[k]):
+                q = np.where(np.isfinite(q), q, 2.0 * cap)
+                k = np.argmax(q)
+            i, j = np.unravel_index(k, q.shape)
             if q[i, j] > best:
                 best, at = float(q[i, j]), (m, lo + int(i), int(j))
     return best, at
@@ -110,7 +114,9 @@ def _steepest(quotient, samples: int, rows: int, width: int, cap: float):
 
 @dataclass(frozen=True)
 class SectorParams:
-    """Measured sector bound: max of |lambda|/|lambda + a| and 1/|a|."""
+    """Sector bound: max over the sampled (t, xi) cells of 1/|a| and of the
+    exact sup over the sector of |lambda|/|lambda + a|; `samples` counts
+    the cells."""
 
     theta: float
     m: float
@@ -121,31 +127,56 @@ class SectorParams:
     refinement_delta: float = float("nan")
 
 
+def _sector_sup(a: np.ndarray, theta: float) -> np.ndarray:
+    """Per bin, sup of |lambda|/|lambda + a| over 0 < |lambda|, |arg lambda| <= theta.
+
+    With psi = |arg(-a)| - theta, the angle from -a to the nearer boundary
+    ray, the sup is +inf if psi <= 0 (the pole -a lies in the sector),
+    1/sin psi if 0 < psi < pi/2, and 1 (as |lambda| -> inf) otherwise; it
+    is 1 at a = 0.
+    """
+    psi = np.abs(np.angle(-a)) - theta
+    sup = np.where(psi > 0.0, 1.0 / np.sin(np.minimum(psi, np.pi / 2)), np.inf)
+    return np.where(a == 0, 1.0, sup)
+
+
+def _sector_argmax(a: complex, theta: float):
+    """The lambda where `_sector_sup` is attained: |a|/cos psi on the boundary
+    ray nearer -a, or the pole -a when it lies in the sector; None when the
+    sup is only approached as |lambda| -> inf."""
+    phi = float(np.angle(-a))
+    psi = abs(phi) - theta
+    if psi >= np.pi / 2:
+        return None
+    lam = -a if psi <= 0.0 else abs(a) / np.cos(psi) * np.exp(1j * np.sign(phi) * theta)
+    return [float(lam.real), float(lam.imag)]
+
+
 def _sector_measure(spec: SymbolSpec, grid: Grid, theta: float, plan: SamplePlan):
     """Sector constant M on `plan` (no refinement), its witness and the
-    sample count."""
+    number of (t, xi) cells."""
     if not np.pi / 2 < theta < np.pi:
         raise DomainError(f"theta must lie in (pi/2, pi), got {theta}")
     ts = np.linspace(0.0, spec.horizon, plan.time_samples)
     a = _symbol_matrix(spec, grid, ts)
-    lams = _sector_lambdas(theta, np.geomspace(*MODULUS_RANGE, plan.moduli_per_ray))
-    # sample 0 is 1/|0 + a|, sample m the ratio at lams[m - 1]
-    shifts, scales = np.append(0.0, lams), np.append(1.0, np.abs(lams))
-    quotient = lambda m, lo, hi: scales[m] / np.abs(shifts[m] + a[lo:hi])
-    value, (m, i, j) = _steepest(quotient, len(shifts), len(ts), a.shape[1], plan.cap)
-    lam = [float(shifts[m].real), float(shifts[m].imag)] if m else None
+    # sample 0 is 1/|a|, sample 1 the sup over the sector of |lambda|/|lambda + a|
+    parts = (lambda b: 1.0 / np.abs(b), lambda b: _sector_sup(b, theta))
+    quotient = lambda m, lo, hi: parts[m](a[lo:hi])
+    value, (m, i, j) = _steepest(quotient, 2, len(ts), a.shape[1], plan.cap)
     worst = {"kind": "resolvent_ratio" if m else "inverse_bound", "value": value,
-             "t": float(ts[i]), "lambda": lam, "xi": grid.xi_rows()[j].tolist()}
-    return value, worst, len(ts) * len(lams)
+             "t": float(ts[i]), "lambda": _sector_argmax(a[i, j], theta) if m else None,
+             "xi": grid.xi_rows()[j].tolist()}
+    return value, worst, a.size
 
 
 def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
                  plan: SamplePlan = SamplePlan()) -> SectorParams:
     """Assumption: resolvent bound M/|lambda| on the sector of angle theta.
 
-    Samples lambda on the boundary rays arg = +-theta, interior rays and
-    the positive axis, moduli log-spaced; M also covers the uniform bound
-    on |a|^{-1} (the inverse-operator part of the assumption).
+    M is the max over the sampled (t, xi) cells of the exact sup over
+    lambda in the sector (`_sector_sup`) and of |a|^{-1} (the
+    inverse-operator part of the assumption); the refined plan doubles
+    the time samples.
     """
     (m_base, witness, count), m_fine, delta = _refined(
         lambda p: _sector_measure(spec, grid, theta, p), plan)
@@ -158,7 +189,8 @@ def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
 def largest_passing_theta(spec: SymbolSpec, grid: Grid,
                           plan: SamplePlan = SamplePlan()) -> float:
     """Largest THETA_SCAN angle whose `check_sector` verdict passes (nan if
-    none); the verdict reads the base plan only, so only that is measured."""
+    none); the verdict reads the base plan only, so only that is measured,
+    one pass over the (t, xi) cells per angle."""
     best = float("nan")
     for theta in THETA_SCAN:
         if _sector_measure(spec, grid, float(theta), plan)[0] <= plan.cap:

@@ -61,8 +61,10 @@ def default_derivative_step(s: float, t: float) -> float:
 
 
 def derivative_defect(engine: PropagatorEngine, s: float, t: float,
-                      f: GridFunction, h: float, which: str = "dt") -> float:
-    """Central-difference defect of the generator identities.
+                      f: GridFunction, base: GridFunction, h: float,
+                      which: str = "dt") -> float:
+    """Central-difference defect of the generator identities, with `base`
+    the caller's U(t,s) f.
 
     which="dt": || (U(t+h,s)f - U(t-h,s)f)/(2h) + a(t,.) U(t,s) f ||
     which="ds": || (U(t,s+h)f - U(t,s-h)f)/(2h) - a(s,.) U(t,s) f ||
@@ -70,7 +72,6 @@ def derivative_defect(engine: PropagatorEngine, s: float, t: float,
     """
     if which not in ("dt", "ds"):
         raise ConfigurationError(f"which must be 'dt' or 'ds', got {which!r}")
-    base = engine.propagate(s, t, f)
     if which == "dt":
         if t - h < s or t + h > engine.spec.horizon:
             raise DomainError("dt stencil leaves the time triangle")

@@ -16,6 +16,9 @@ each piece backs an invariant the evolution-family theory rests on:
   balance, which the telescoping flux form makes exact (criterion 11);
 * `cd_lipschitz_bound`: the coefficient bound on the strong Lipschitz
   quotient that `certify_cd_system` samples;
+* `sampled_sector_ratios` and `sampled_sector_constant`: the lambda sweep
+  the sector bound was once measured by, a lower bound on the closed-form
+  sup that `check_sector` takes;
 * `heat_symbol`, `oscillating_symbol` and `drift_symbol`: the autonomous,
   time-dependent and non-elliptic symbols the fixtures are built from;
 * `constant_field`: a constant transport coefficient, the case the
@@ -24,6 +27,7 @@ each piece backs an invariant the evolution-family theory rests on:
 
 import numpy as np
 
+from evofam.assumptions import SamplePlan, _sector_lambdas
 from evofam.errors import DomainError, NumericError
 from evofam.evolution import PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
@@ -34,6 +38,7 @@ from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
 
 SINGULAR_TOL = 1e-14    # |lambda + a| below which the resolvent is singular
 COCYCLE_TOL = 1e-10     # exact-engine cocycle (exponent additivity over ~1e2 bins)
+MODULUS_RANGE = (1e-3, 1e6)   # |lambda| range of the sampled sector sweep
 
 
 def frozen_semigroup(op: FrozenOperator, tau: float, f: GridFunction) -> GridFunction:
@@ -165,6 +170,28 @@ def cd_lipschitz_bound(spec: SymbolSpec, grid: Grid, vectors) -> float:
                for alpha, b in lips.items())
     return max(float(np.sqrt(np.sum((rate * np.abs(f.to_frequency().values)) ** 2)
                              * grid.cell_volume)) for f in vectors)
+
+
+def sampled_sector_ratios(a: np.ndarray, theta: float, moduli_per_ray: int) -> np.ndarray:
+    """|lambda|/|lambda + a| at every lambda of the sampled sweep, shape
+    (lambdas,) + a.shape: `moduli_per_ray` log-spaced moduli over
+    MODULUS_RANGE on the rays of `_sector_lambdas`."""
+    lams = _sector_lambdas(theta, np.geomspace(*MODULUS_RANGE, moduli_per_ray))
+    lams = lams.reshape((-1,) + (1,) * np.ndim(a))
+    return np.abs(lams) / np.abs(lams + a)
+
+
+def sampled_sector_constant(spec: SymbolSpec, grid: Grid, theta: float,
+                            plan: SamplePlan) -> float:
+    """max of 1/|a| and the sampled ratios over the plan's time samples and
+    the grid's bins, as the sector bound was measured before its sup over
+    lambda was taken in closed form."""
+    ts = np.linspace(0.0, spec.horizon, plan.time_samples)
+    a = spec.time_matrix(ts, grid.xi_axes())
+    with np.errstate(divide="ignore"):
+        inverse = np.max(1.0 / np.abs(a))
+    return float(max(inverse, np.max(sampled_sector_ratios(a, theta,
+                                                             plan.moduli_per_ray))))
 
 
 def heat_symbol(shift: float = 1.0, dim: int = 1, horizon: float = 1.0) -> SymbolSpec:

@@ -15,7 +15,9 @@ from evofam.assumptions import (SamplePlan, certify_cd_system,
 from evofam.errors import DomainError
 from evofam.spectral import Grid, random_band_limited
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
-from reference import cd_lipschitz_bound, drift_symbol
+from reference import (cd_lipschitz_bound, drift_symbol, heat_symbol,
+                       oscillating_symbol, sampled_sector_constant,
+                       sampled_sector_ratios)
 
 THETA = 3.0 * np.pi / 4.0
 
@@ -45,6 +47,40 @@ class TestSector:
         assert not rep.verdict
         assert rep.m > thin_plan.cap
         assert rep.witness["value"] > thin_plan.cap
+        # a = i xi puts the pole -a in the sector at every xi != 0 and
+        # vanishes at xi = 0: both parts are infinite, so both plans read
+        # 2 cap and the inverse bound, sample 0, keeps the witness
+        assert rep.m == rep.refined_m == 2.0 * thin_plan.cap
+        assert rep.refinement_delta == 0.0
+        assert rep.witness["kind"] == "inverse_bound"
+        assert rep.witness["xi"] == [0.0] and rep.witness["lambda"] is None
+
+    def test_exact_sup_bounds_the_sampled_sweep(self, grid, thin_plan):
+        # real symbols >= 1 all sit at psi = pi - theta: M = 1/sin(pi - theta)
+        for spec in (heat_symbol(), oscillating_symbol()):
+            rep = check_sector(spec, grid, THETA, thin_plan)
+            sampled = sampled_sector_constant(spec, grid, THETA, thin_plan)
+            assert sampled <= rep.m == rep.refined_m == 1.0 / np.sin(np.pi - THETA)
+            assert sampled == pytest.approx(rep.m, rel=1e-5)
+            assert rep.samples == thin_plan.time_samples * grid.n
+
+    def test_convection_diffusion_dense_search(self):
+        # a = 1 + xi^2 + i c xi: arg a, and so psi, changes from bin to bin;
+        # the shift keeps 1/|a| <= 1 at xi = 0
+        c, grid = 1.0, Grid(1, 64, 2.0 * np.pi)
+        spec = SymbolSpec(dim=1, order=2, horizon=1.0, coefficients={
+            (2,): constant(-1.0), (1,): constant(c), (0,): constant(1.0)})
+        plan = SamplePlan(time_samples=2, moduli_per_ray=2000)
+        rep = check_sector(spec, grid, THETA, plan)
+        xi = grid.xi_rows()[:, 0]
+        psi = np.pi - THETA - np.arctan(np.abs(c * xi) / (1.0 + xi**2))
+        assert rep.m == pytest.approx(1.0 / np.sin(psi.min()), rel=1e-12)
+        assert rep.witness["xi"] == [1.0] and rep.witness["kind"] == "resolvent_ratio"
+        lam = complex(*rep.witness["lambda"])
+        a = 2.0 + 1j * c
+        assert abs(lam) / abs(lam + a) == pytest.approx(rep.m, rel=1e-12)
+        dense = sampled_sector_constant(spec, grid, THETA, plan)
+        assert 0.99 * rep.m <= dense <= rep.m * (1.0 + 1e-12)
 
     def test_theta_domain(self, h1, grid, thin_plan):
         with pytest.raises(DomainError):
@@ -54,6 +90,47 @@ class TestSector:
         thin = SamplePlan(time_samples=8, moduli_per_ray=8)
         best = largest_passing_theta(h1, grid, thin)
         assert best >= 0.9 * np.pi            # real spectrum: all angles pass
+
+
+thetas = st.floats(np.pi / 2, np.pi, exclude_min=True, exclude_max=True)
+symbol_values = st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                            allow_infinity=False),
+                         min_size=1, max_size=8)
+
+
+def _roundoff(sup):
+    """Relative roundoff of a ratio near its sup: |lambda + a| is then a
+    difference of two numbers of size |a| that cancels to |a| / sup."""
+    return 1e-12 + 8.0 * np.finfo(float).eps * sup
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=symbol_values, theta=thetas)
+def test_sampled_ratios_never_exceed_the_exact_sup(values, theta):
+    a = np.array(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sup = asm._sector_sup(a, theta)
+        ratios = sampled_sector_ratios(a, theta, 64)
+    assert np.all(ratios <= sup * (1.0 + _roundoff(sup)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
+                                allow_nan=False, allow_infinity=False),
+       theta=thetas)
+def test_sector_witness_attains_the_exact_sup(value, theta):
+    lam = asm._sector_argmax(value, theta)
+    with np.errstate(divide="ignore"):
+        sup = float(asm._sector_sup(np.array(value), theta))
+    if lam is None:
+        assert sup == 1.0
+        return
+    lam = complex(*lam)
+    assert abs(np.angle(lam)) <= theta * (1.0 + 1e-15)
+    if np.isinf(sup):               # the pole -a lies in the sector
+        assert lam == -value
+    else:
+        assert abs(lam) / abs(lam + value) == pytest.approx(sup, rel=_roundoff(sup))
 
 
 class TestKato:

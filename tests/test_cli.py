@@ -222,6 +222,7 @@ EXIT_CASES = [
     *[([p, c], 0) for p in ("evolve", "convergence", "favard", "perturb")
       for c in ("h1", "td1")],
     (["transport", "transport"], 0),
+    (["check", "td1"], 0), (["check", "h1"], 0), (["check", "nonelliptic"], 1),
     # every subcommand takes --config, --out, --seed and --stable only
     (["evolve", "h1", "--refine", "2"], 2),
     (["check", "td1", "--refine", "2"], 2),
@@ -241,6 +242,42 @@ def bundled_config(name):
     from importlib import resources
     return json.loads(resources.files("evofam.data").joinpath("configs")
                       .joinpath(f"{name}.json").read_text())
+
+
+def test_nonelliptic_check_fails_a1_but_is_refinement_stable(tmp_path):
+    # a = i xi has its pole in the sector at every xi != 0 and vanishes at
+    # xi = 0, so a1 reads 2 cap on both plans: its refinement delta is 0
+    path = write_config(tmp_path, bundled_config("nonelliptic"))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path),
+                 "--stable"]) == 1
+    from evofam.assumptions import SamplePlan
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["a1"]["m"] == report["a1"]["refined_m"] == 2.0 * SamplePlan().cap
+    assert report["refinement_deltas"]["a1"] == 0.0
+    assert not report["verdicts"]["a1"] and report["verdicts"]["refinement_stable"]
+
+
+# td1: the saved state, which is also the dt stencil base and the product
+# rules' target, the ds stencil base and the eight stencil legs.  h1 ending
+# at its horizon moves the dt stencil inward, so its base is one more state.
+@pytest.mark.parametrize("name,t,count", [("td1", 2.0, 10), ("h1", 1.0, 11)])
+def test_evolve_propagates_each_state_once(name, t, count, tmp_path):
+    from unittest import mock
+
+    from evofam.evolution import PropagatorEngine
+    calls, propagate = [], PropagatorEngine.propagate
+
+    def counted(self, s, t, f):
+        calls.append((s, t))
+        return propagate(self, s, t, f)
+
+    config = bundled_config(name)
+    config["evolve"]["t"] = t
+    path = write_config(tmp_path, config)
+    with mock.patch.object(PropagatorEngine, "propagate", counted):
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path),
+                     "--stable"]) == 0
+    assert len(calls) == len(set(calls)) == count
 
 
 def zero_perturbation_h1(tmp_path):

@@ -86,14 +86,16 @@ class TestCocycle:
 class TestDerivatives:
     def test_dt_second_order(self, engine, grid):
         f = mode(grid, 1)
-        d1 = derivative_defect(engine, 0.3, 2.0, f, h=1e-3, which="dt")
-        d2 = derivative_defect(engine, 0.3, 2.0, f, h=5e-4, which="dt")
+        base = engine.propagate(0.3, 2.0, f)
+        d1 = derivative_defect(engine, 0.3, 2.0, f, base, h=1e-3, which="dt")
+        d2 = derivative_defect(engine, 0.3, 2.0, f, base, h=5e-4, which="dt")
         assert 3.5 <= d1 / d2 <= 4.5
 
     def test_ds_second_order(self, engine, grid, rng):
         f = random_band_limited(grid, rng, band=4)
-        d1 = derivative_defect(engine, 0.5, 2.0, f, h=1e-3, which="ds")
-        d2 = derivative_defect(engine, 0.5, 2.0, f, h=5e-4, which="ds")
+        base = engine.propagate(0.5, 2.0, f)
+        d1 = derivative_defect(engine, 0.5, 2.0, f, base, h=1e-3, which="ds")
+        d2 = derivative_defect(engine, 0.5, 2.0, f, base, h=5e-4, which="ds")
         assert 3.5 <= d1 / d2 <= 4.5
 
     def test_autonomous_matches_frozen_generator_check(self, h1, grid, rng):
@@ -102,7 +104,8 @@ class TestDerivatives:
         f = random_band_limited(grid, rng, band=4)
         eng = PropagatorEngine(h1, grid)
         h = 1e-3
-        via_family = derivative_defect(eng, 0.1, 0.7, f, h=h, which="dt")
+        via_family = derivative_defect(eng, 0.1, 0.7, f, eng.propagate(0.1, 0.7, f),
+                                       h=h, which="dt")
         op = FrozenOperator(h1, 0.0)
         base = frozen_semigroup(op, 0.6, f)
         plus = frozen_semigroup(op, 0.6 + h, f)
@@ -114,11 +117,13 @@ class TestDerivatives:
 
     def test_zero_vector(self, engine, grid):
         z = GridFunction(grid, "frequency", np.zeros(grid.shape, dtype=complex))
-        assert derivative_defect(engine, 0.3, 1.0, z, h=1e-3, which="dt") == 0.0
+        assert derivative_defect(engine, 0.3, 1.0, z, z, h=1e-3, which="dt") == 0.0
 
     def test_stencil_domain_guard(self, engine, grid):
+        f = mode(grid, 0)
+        base = engine.propagate(0.0, engine.spec.horizon, f)
         with pytest.raises(DomainError):
-            derivative_defect(engine, 0.0, engine.spec.horizon, mode(grid, 0),
+            derivative_defect(engine, 0.0, engine.spec.horizon, f, base,
                               h=1e-3, which="dt")
 
 
