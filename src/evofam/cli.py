@@ -25,9 +25,8 @@ from .errors import ConfigurationError, ConvergenceError, DomainError, NumericEr
 from .reporting import (StageTimer, config_hash, dump_json, environment_stamp,
                         write_csv)
 from .semigroup import FrozenOperator, favard_norm
-from .spectral import (GridFunction, extrapolated_norm, indicator, norm,
-                       random_band_limited, save_function, spectral_tail_fraction,
-                       xminus1_model_ratio)
+from .spectral import (GridFunction, NormSpec, indicator, norm, random_band_limited,
+                       save_function, spectral_tail_fraction)
 from .symbols import certify_ellipticity
 
 # Verdict tolerances.
@@ -113,8 +112,6 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
     cd = asm.certify_cd_system(spec, grid, vectors, plan)
     kato = cd.stability
     timer.mark("cd_system")
-    # the dual-scale model comparison needs an invertible reference symbol
-    models = xminus1_model_ratio(spec, grid, vectors) if ellip.verdict else None
     thin = replace(plan, time_samples=max(plan.time_samples // 4, 8))
     theta_star = asm.largest_passing_theta(spec, grid, thin)
     timer.mark("theta_scan")
@@ -179,7 +176,7 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
         "lemma_chain": {"Cprime": cprime.value, "M2L": a1.m**2 * a3.value,
                         "pass": chain_ok},
         "cd_system": cd,
-        "xminus1_models": models, "largest_passing_theta": theta_star,
+        "largest_passing_theta": theta_star,
         "refinement_deltas": deltas,
         "verdicts": verdicts,
     }
@@ -272,7 +269,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
 
     traj = per.solve_perturbed(engine, family, s, t, x, steps)
     timer.mark("solve")
-    gauge = extrapolated_norm(spec, 0.0)
+    gauge = NormSpec(spec, 0.0)
     rows = [[float(sig), norm(v), norm(v, gauge)]
             for sig, v in zip(traj.sigmas, traj.states)]
     write_csv(out / "trajectory.csv", ["sigma", "norm_X", "norm_Xminus1"], rows)
@@ -281,7 +278,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
     timer.mark("duhamel")
 
     half = per.solve_perturbed(engine, family, s, t, x, steps // 2)
-    family_rep = per.perturbed_family_checks(traj, half)
+    cocycle_defect = per.perturbed_family_checks(traj, half)
     timer.mark("family_checks")
 
     oracle_error, oracle_orders = None, None
@@ -311,9 +308,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
         "s": s, "t": t, "steps": steps,
         "duhamel_residual": residual,
         "oracle_error": oracle_error, "oracle_orders": oracle_orders,
-        "cocycle_defect": family_rep.cocycle_defect,
-        "envelope": {"M": family_rep.envelope_m,
-                     "omega": family_rep.envelope_omega},
+        "cocycle_defect": cocycle_defect,
         "picard": {"max_sweeps": traj.sweeps_max,
                    "last_residual": traj.last_residual,
                    "contraction": traj.contraction},

@@ -106,7 +106,8 @@ def build_perturbation(entry: dict | None):
 
 
 def build_solver(entry: dict | None) -> int:
-    """The Volterra step count."""
+    """The Volterra step count M; the schema's minimum of 2 keeps the
+    family checks' M // 2 run nonempty."""
     return int((entry or {}).get("steps", 1024))
 
 

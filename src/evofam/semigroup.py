@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import (GridFunction, NormSpec, apply_multiplier, extrapolated_norm,
-                       plancherel_norm)
+from .spectral import GridFunction, NormSpec, apply_multiplier, plancherel_norm
 from .symbols import SymbolSpec
 
 FAVARD_SAMPLES = 2.0 ** (-np.arange(41, dtype=float))   # t = 1 down to 2^-40, ratio 2
@@ -41,7 +40,7 @@ class FrozenOperator:
 
     def gauge(self) -> NormSpec:
         """This operator's own extrapolation norm || a(s,.)^{-1} f ||_L2."""
-        return extrapolated_norm(self.spec, self.time)
+        return NormSpec(self.spec, self.time)
 
 
 def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int = 12):

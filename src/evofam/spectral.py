@@ -188,32 +188,20 @@ def apply_multiplier(m, f: GridFunction) -> GridFunction:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm: L2, NegativeSobolev (order s) or Extrapolated.
+    """The extrapolation gauge of X_{-1}: || f / a(t0, .) ||_L2.
 
-    Each is the L2 norm of a frequency weight times the spectrum; L2 is
-    the unweighted case.  Extrapolated is the weighted frequency norm
-    || f / a(t0, .) ||_L2 for a reference symbol; it requires |a(t0, .)| > 0
-    on the whole grid.
+    X_{-1} is the extrapolation space of A(t0) with a(t0, .) the reference
+    symbol at `reference_time`; its norm is the L2 norm of the spectrum
+    times the weight 1/|a(t0, .)|, which requires |a(t0, .)| > 0 on the
+    whole grid.
     """
 
-    variant: str                 # "l2" | "negative_sobolev" | "extrapolated"
-    s: float = 0.0
-    reference: object = None     # SymbolSpec for "extrapolated"
-    reference_time: float = 0.0
-
-    def __post_init__(self):
-        if self.variant not in ("l2", "negative_sobolev", "extrapolated"):
-            raise ConfigurationError(f"unknown norm variant {self.variant!r}")
-        if self.variant == "extrapolated" and self.reference is None:
-            raise ConfigurationError("extrapolated norm needs a reference symbol")
+    reference: object            # SymbolSpec
+    reference_time: float
 
     def weight(self, grid: Grid) -> np.ndarray:
-        """This norm's frequency weight on `grid`, built once per grid."""
+        """The frequency weight 1/|a(t0, .)| on `grid`, built once per grid."""
         def build():
-            if self.variant == "negative_sobolev":
-                return (1.0 + grid.xi_squared()) ** (self.s / 2.0)
-            if self.variant == "l2":
-                raise ConfigurationError("the L2 norm has no frequency weight")
             a0 = np.broadcast_to(self.reference.on_axes(self.reference_time,
                                                         grid.xi_axes()), grid.shape)
             if np.any(np.abs(a0) == 0.0):
@@ -223,31 +211,21 @@ class NormSpec:
         return memo(self, "weight", build, grid)
 
 
-L2 = NormSpec("l2")
-
-
-def negative_sobolev(s: float) -> NormSpec:
-    return NormSpec("negative_sobolev", s=s)
-
-
-def extrapolated_norm(reference, reference_time: float = 0.0) -> NormSpec:
-    return NormSpec("extrapolated", reference=reference, reference_time=reference_time)
-
-
 def plancherel_norm(values: np.ndarray, cell_volume: float) -> float:
     """sqrt(sum |v|^2 h^d): the L2 norm of grid values in either
     representation, since the unitary DFT keeps the cell weight."""
     return float(np.sqrt(np.sum(np.abs(values) ** 2) * cell_volume))
 
 
-def norm(f: GridFunction, n: NormSpec = L2) -> float:
-    """Norm functional: the spectrum, times the weight of a weighted norm,
-    reduced by `plancherel_norm` on the frequency side."""
+def norm(f: GridFunction, gauge: NormSpec = None) -> float:
+    """The L2 norm of `f`, or its X_{-1} norm in `gauge`: the spectrum, times
+    the gauge's weight if one is given, reduced by `plancherel_norm` on the
+    frequency side."""
     if not np.all(np.isfinite(f.values)):
         raise NumericError("non-finite values in grid function")
     vals = f.to_frequency().values
-    if n.variant != "l2":
-        vals = n.weight(f.grid) * np.abs(vals)
+    if gauge is not None:
+        vals = gauge.weight(f.grid) * np.abs(vals)
     return plancherel_norm(vals, f.grid.cell_volume)
 
 
@@ -336,24 +314,3 @@ def load_function(stem) -> GridFunction:
         raise ConfigurationError("binary payload size does not match sidecar")
     values = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
     return GridFunction(grid, meta["representation"], values)
-
-
-def xminus1_model_ratio(spec, grid: Grid, vectors) -> dict:
-    """Cross-check of the two X_{-1} models on test vectors.
-
-    Ratio of the extrapolated norm (gauge 1/|a(0,.)|) to the negative
-    Sobolev norm of order -m; bounded above and below by the symbol's
-    ellipticity, so the measured spread certifies model consistency.
-    """
-    extra = extrapolated_norm(spec, 0.0)
-    sob = negative_sobolev(-float(spec.order))
-    ratios = []
-    for f in vectors:
-        ns = norm(f, sob)
-        if ns == 0.0:
-            continue
-        ratios.append(norm(f, extra) / ns)
-    if not ratios:
-        raise ConfigurationError("no nonzero test vectors supplied")
-    return {"min_ratio": float(min(ratios)), "max_ratio": float(max(ratios)),
-            "vectors": len(ratios)}

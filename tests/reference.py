@@ -19,6 +19,12 @@ each piece backs an invariant the evolution-family theory rests on:
 * `sampled_sector_ratios` and `sampled_sector_constant`: the lambda sweep
   the sector bound was once measured by, a lower bound on the closed-form
   sup that `check_sector` takes;
+* `bessel_weight` and `bessel_norm`: the order -m Sobolev weight
+  (1 + |xi|^2)^{-m/2}, a second model of X_{-1} that ellipticity makes
+  equivalent to the extrapolation gauge 1/|a(0, .)| the pipelines use;
+* `dual_scale_moduli`: the moduli of t -> B(t) f in that Bessel norm, on
+  the separations and base points of `perturbation_regularity_report`
+  (the Mollifier is Lipschitz, slope 1, in it on indicator data);
 * `heat_symbol`, `oscillating_symbol` and `drift_symbol`: the autonomous,
   time-dependent and non-elliptic symbols the fixtures are built from;
 * `constant_field`: a constant transport coefficient, the case the
@@ -31,7 +37,8 @@ from evofam.assumptions import SamplePlan, _sector_lambdas
 from evofam.errors import DomainError, NumericError
 from evofam.evolution import PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
-from evofam.spectral import Grid, GridFunction, apply_multiplier, norm
+from evofam.perturbation import BASE_POINTS, SEPARATIONS
+from evofam.spectral import Grid, GridFunction, apply_multiplier, norm, plancherel_norm
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
 from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
                               TransportState, transport_solve)
@@ -192,6 +199,31 @@ def sampled_sector_constant(spec: SymbolSpec, grid: Grid, theta: float,
         inverse = np.max(1.0 / np.abs(a))
     return float(max(inverse, np.max(sampled_sector_ratios(a, theta,
                                                              plan.moduli_per_ray))))
+
+
+def bessel_weight(grid: Grid, m: float) -> np.ndarray:
+    """(1 + |xi|^2)^{-m/2} on `grid`: the weight of the order -m Sobolev norm."""
+    return (1.0 + grid.xi_squared()) ** (-m / 2.0)
+
+
+def bessel_norm(f: GridFunction, m: float) -> float:
+    """|| (1 + |xi|^2)^{-m/2} f^ ||_L2, the order -m Sobolev norm of f."""
+    return plancherel_norm(bessel_weight(f.grid, m) * np.abs(f.to_frequency().values),
+                           f.grid.cell_volume)
+
+
+def dual_scale_moduli(family, f: GridFunction, spec: SymbolSpec) -> list:
+    """Per delta of SEPARATIONS, the max over the base points t = 0 and
+    BASE_POINTS points of [1e-3, T - delta] of ||B(b + delta) f - B(b) f||
+    in the Bessel norm of order -spec.order."""
+    fhat = f.to_frequency()
+    mods = []
+    for delta in SEPARATIONS:
+        bases = np.concatenate([[0.0], np.linspace(1e-3, spec.horizon - delta, BASE_POINTS)])
+        mods.append(max(bessel_norm(GridFunction(
+            f.grid, "frequency", family.apply(float(b + delta), fhat).values
+            - family.apply(float(b), fhat).values), spec.order) for b in bases))
+    return mods
 
 
 def heat_symbol(shift: float = 1.0, dim: int = 1, horizon: float = 1.0) -> SymbolSpec:

@@ -13,7 +13,7 @@ from evofam.assumptions import (SamplePlan, certify_cd_system,
                                 check_semigroup_lipschitz, check_sector,
                                 largest_passing_theta)
 from evofam.errors import DomainError
-from evofam.spectral import Grid, random_band_limited
+from evofam.spectral import Grid, GridFunction, NormSpec, norm, random_band_limited
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
 from reference import (cd_lipschitz_bound, drift_symbol, heat_symbol,
                        oscillating_symbol, sampled_sector_constant,
@@ -265,6 +265,22 @@ class TestCommutingAndCD:
         assert rep.pass_x and rep.pass_xminus1
         bound = cd_lipschitz_bound(td1, grid, band_vectors)
         assert rep.strong_lipschitz <= bound * 1.05
+
+    def test_xminus1_quotient_is_the_spectral_gauge(self, td1, grid, band_vectors,
+                                                     thin_plan):
+        # the certifier weights by its own 1/|a(0,.)|: it must be the one X_{-1}
+        # model, the gauge `spectral.norm` applies
+        rep = certify_cd_system(td1, grid, band_vectors, thin_plan)
+        gauge, axes = NormSpec(td1, 0.0), grid.xi_axes()
+        (s, t, _, _), _, _ = asm._pair_table(td1, grid, thin_plan.resolvent_pair_grid)
+
+        def quotient(lo, hi, f):
+            da = td1.on_axes(float(hi), axes) - td1.on_axes(float(lo), axes)
+            return GridFunction(grid, "frequency", da * f.to_frequency().values / (hi - lo))
+
+        worst = max(norm(quotient(lo, hi, f), gauge)
+                    for lo, hi in zip(s, t) for f in band_vectors)
+        assert rep.strong_lipschitz_xminus1 == pytest.approx(worst, rel=1e-12, abs=0.0)
 
     def test_h1_cd_trivial(self, h1, grid, band_vectors, thin_plan):
         rep = certify_cd_system(h1, grid, band_vectors, thin_plan)

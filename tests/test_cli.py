@@ -348,12 +348,20 @@ def test_exact_oracle_passes_without_order_fit(tmp_path):
     assert report["verdicts"]["oracle_order"] is True
 
 
-@pytest.mark.parametrize("steps", [2, 3])
-def test_oracle_ladder_needs_four_steps(tmp_path, capsys, monkeypatch, steps):
-    # the multiplier family's oracle ladder solves steps // 4, steps // 2, steps
+@pytest.mark.parametrize("steps,kind,minimum", [
+    pytest.param(2, "multiplier", 4, id="2"),
+    pytest.param(3, "multiplier", 4, id="3"),
+    pytest.param(1, "mollifier", 2, id="mollifier-1"),
+])
+def test_oracle_ladder_needs_four_steps(tmp_path, capsys, monkeypatch, steps, kind,
+                                        minimum):
+    # the multiplier family's oracle ladder solves steps // 4, steps // 2, steps;
+    # every family's checks read the steps // 2 run, so the schema asks for 2
     from evofam import perturbation as per
     config = json.loads(zero_perturbation_h1(tmp_path).read_text())
     config["solver"]["steps"] = steps
+    if kind == "mollifier":
+        config["perturbation"] = {"kind": "mollifier"}
     path = write_config(tmp_path, config)
     solves = []
     solve = per.solve_perturbed
@@ -363,8 +371,10 @@ def test_oracle_ladder_needs_four_steps(tmp_path, capsys, monkeypatch, steps):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config invalid at solver/steps" in err
-    assert "minimum of 4" in err
+    assert f"minimum of {minimum}" in err
+    assert "Traceback" not in err
     assert solves == []
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("kind,expected", [

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evofam import perturbation as per
 from evofam.errors import UnsupportedError
 from evofam.evolution import PropagatorEngine, observed_orders
-from evofam.perturbation import (Mollifier, MultiplierFamily, SmoothingComposite,
-                                 commuting_oracle,
-                                 duhamel_residual, loglog_fit,
-                                 perturbation_regularity_report,
+from evofam.perturbation import (SEPARATIONS, Mollifier, MultiplierFamily,
+                                 SmoothingComposite, _slope, commuting_oracle,
+                                 duhamel_residual, perturbation_regularity_report,
                                  perturbed_family_checks, solve_perturbed)
 from evofam.spectral import (Grid, GridFunction, indicator, mode, norm,
                              random_band_limited)
 from evofam.symbols import CoefficientFunction, constant
-from reference import heat_symbol, oscillating_symbol
+from reference import dual_scale_moduli, heat_symbol, oscillating_symbol
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +79,8 @@ class TestRegularityReport:
         assert 0.4 <= fit.slope <= 0.6
         assert fit.residual <= 0.05
 
-    def test_indicator_dual_scale_slope_one(self, report):
-        fit = report.slopes_sobolev[0]
+    def test_indicator_dual_scale_slope_one(self, report, grid, td1):
+        fit = _slope(SEPARATIONS, dual_scale_moduli(Mollifier(), indicator(grid), td1))
         assert 0.9 <= fit.slope <= 1.1
         assert fit.residual <= 0.05
         fit_e = report.slopes_extrapolated[0]
@@ -89,13 +89,25 @@ class TestRegularityReport:
     def test_sup_norms_contractive(self, report):
         assert all(v <= 1.0 + 1e-9 for v in report.sup_norm)
 
-    def test_dual_lipschitz_constants_finite(self, report):
-        assert all(np.isfinite(v) for v in report.lip_sobolev)
+    def test_dual_lipschitz_constants_finite(self, report, grid, td1, xband):
+        for f in (indicator(grid), xband):
+            mods = dual_scale_moduli(Mollifier(), f, td1)
+            assert np.isfinite(max(m / d for m, d in zip(mods, SEPARATIONS)))
         assert all(np.isfinite(v) for v in report.lip_extrapolated)
+
+    def test_each_row_is_built_once_per_visit(self, grid, td1, xband, monkeypatch):
+        # 24 sup-norm times, then 6 separations x 17 base points x 2 ends,
+        # each row shared by both vectors
+        builds = []
+        rows = per._rows
+        monkeypatch.setattr(per, "_rows", lambda family, t, axes, build: rows(
+            family, t, axes, lambda t: builds.append(t) or build(t)))
+        perturbation_regularity_report(Mollifier(), [indicator(grid), xband], td1)
+        assert len(builds) == 228
 
     def test_loglog_fit_recovers_powers(self):
         xs = 2.0 ** (-np.arange(1, 8))
-        fit = loglog_fit(xs, 3.0 * xs**1.5)
+        fit = _slope(xs, 3.0 * xs**1.5)
         assert fit.slope == pytest.approx(1.5, abs=1e-9)
         assert fit.residual <= 1e-12
 
@@ -167,8 +179,8 @@ class TestVolterraSolver:
 
 
 def pipeline_checks(engine, family, s, t, x, steps):
-    """perturbed_family_checks on the s -> t runs at `steps` and `steps // 2`,
-    the two runs `perturb` marches."""
+    """The cocycle defect of perturbed_family_checks on the s -> t runs at
+    `steps` and `steps // 2`, the two runs `perturb` marches."""
     return perturbed_family_checks(solve_perturbed(engine, family, s, t, x, steps),
                                    solve_perturbed(engine, family, s, t, x, steps // 2))
 
@@ -187,8 +199,7 @@ def composed_defect(engine, family, s, r, t, x, steps):
 class TestPerturbedFamily:
     def test_commuting_cocycle_tracks_oracle(self, engine, grid, xband):
         fam = MultiplierFamily(constant(0.5))
-        rep = pipeline_checks(engine, fam, 0.0, 1.0, xband, 1024)
-        assert rep.cocycle_defect <= 1e-6
+        assert pipeline_checks(engine, fam, 0.0, 1.0, xband, 1024) <= 1e-6
 
     def test_smoothing_self_convergence(self, engine, grid, xband):
         defects = [composed_defect(engine, SmoothingComposite(order=2),
@@ -199,14 +210,10 @@ class TestPerturbedFamily:
 
     def test_zero_perturbation_cocycle(self, engine, grid, xband):
         zero = MultiplierFamily(constant(0.0))
-        rep = pipeline_checks(engine, zero, 0.0, 1.0, xband, 512)
-        assert rep.cocycle_defect <= 1e-10
+        assert pipeline_checks(engine, zero, 0.0, 1.0, xband, 512) <= 1e-10
 
     def test_reads_s_t_and_x_from_the_trajectory(self, engine, xband):
         fam = MultiplierFamily(constant(0.5))
-        rep = pipeline_checks(engine, fam, 0.25, 1.0, xband, 128)
-        # the envelope's fit starts at the runs' own s with their own x
-        assert rep.envelope_m >= norm(xband) * (1.0 - 1e-14)
         # legs through r = 0.6, off the aligned ladder, obey the same law
         assert composed_defect(engine, fam, 0.25, 0.6, 1.0, xband, 64) <= 1e-6
 

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from evofam.errors import ConfigurationError, NumericError, StateError
 from evofam.evolution import PropagatorEngine
-from evofam.spectral import (FREQUENCY, PHYSICAL, Grid, GridFunction,
-                             apply_multiplier, extrapolated_norm, indicator,
-                             load_function, mode, negative_sobolev, norm,
+from evofam.spectral import (FREQUENCY, PHYSICAL, Grid, GridFunction, NormSpec,
+                             apply_multiplier, indicator, load_function, mode, norm,
                              random_band_limited, save_function,
-                             spectral_tail_fraction, transform, xminus1_model_ratio)
+                             spectral_tail_fraction, transform)
 from evofam.perturbation import MultiplierFamily, SmoothingComposite
-from reference import heat_symbol, oscillating_symbol
+from reference import bessel_norm, heat_symbol, oscillating_symbol
 
 
 class TestGrid:
@@ -152,11 +151,10 @@ class TestNorms:
         assert norm(f) == pytest.approx(vol ** 0.5)
 
     def test_negative_sobolev_single_mode(self, grid):
-        assert norm(mode(grid, 2), negative_sobolev(-2.0)) == pytest.approx(0.2)
+        assert bessel_norm(mode(grid, 2), 2.0) == pytest.approx(0.2)
 
     def test_extrapolated_single_mode(self, grid, h1):
-        n = extrapolated_norm(h1, 0.0)
-        assert norm(mode(grid, 1), n) == pytest.approx(0.5)
+        assert norm(mode(grid, 1), NormSpec(h1, 0.0)) == pytest.approx(0.5)
 
     def test_plancherel(self, small_grid, rng):
         values = rng.standard_normal(small_grid.shape) \
@@ -213,10 +211,10 @@ class TestVectorsAndSerialization:
 
     def test_xminus1_models_agree_up_to_ellipticity(self, grid, h1, rng):
         vecs = [random_band_limited(grid, rng, band=8) for _ in range(3)]
-        rep = xminus1_model_ratio(h1, grid, vecs)
+        ratios = [norm(f, NormSpec(h1, 0.0)) / bessel_norm(f, h1.order) for f in vecs]
         # |a(0,xi)| = 1 + xi^2 vs (1 + xi^2): gauge weights coincide for H1
-        assert rep["min_ratio"] == pytest.approx(1.0, rel=1e-9)
-        assert rep["max_ratio"] == pytest.approx(1.0, rel=1e-9)
+        assert min(ratios) == pytest.approx(1.0, rel=1e-9)
+        assert max(ratios) == pytest.approx(1.0, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
