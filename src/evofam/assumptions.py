@@ -18,6 +18,14 @@ near-coincident pairs.  For fixed xi and lambda (or tau, or test vector)
 the triangle inequality puts the sup over all base pairs on a neighbouring
 pair, in an L2 norm as in modulus, so C', C and the cd quotients sweep
 neighbouring base pairs only; A3 divides by |a(s)| and sweeps all pairs.
+
+The C' quotient |lambda| |R(lambda, a(t)) - R(lambda, a(s))| / (t - s) is
+taken in the exact factored form |lambda| D / |(lambda + a(s))(lambda + a(t))|
+with the slope D = |a(t) - a(s)| / (t - s) computed once per plan (the cd
+quotients weight the same slope).  Pairs, lambdas, bins and reduction are
+those of the difference of reciprocals, so it is the same sampled sup; only
+rounding differs, and the factored form does not cancel on near-coincident
+pairs.
 """
 
 from __future__ import annotations
@@ -311,14 +319,25 @@ def _lipschitz(measure, plan: SamplePlan) -> LipschitzComponent:
                               refined_value=fine, refinement_delta=delta)
 
 
+def _slope(a: np.ndarray, pairs) -> np.ndarray:
+    """|a(t) - a(s)| / (t - s) per (pair, bin): the factor of the C' and cd
+    quotients that depends on neither lambda nor the test vector."""
+    s, t, i, k = pairs
+    return np.abs(a[k] - a[i]) / (t - s)[:, None]
+
+
 def _pair_sweep(spec: SymbolSpec, grid: Grid, p: SamplePlan, grid_count: int,
                 quotient, key=None, samples=(None,), neighbours: bool = True):
-    """Steepest `quotient(a, m, row_s, row_t) / (t - s)` over (sample m,
-    pair) rows, its witness ({} when every quotient is 0) and the number
-    of (sample, pair) samples the sup covers."""
-    (s, t, i, k), a, count = _pair_table(spec, grid, grid_count, neighbours)
-    rows = lambda m, lo, hi: quotient(a, m, i[lo:hi], k[lo:hi]) / (t - s)[lo:hi, None]
-    value, (m, q, j) = _steepest(rows, len(samples), len(s), a.shape[1], p.cap)
+    """Steepest difference quotient |f_m(t) - f_m(s)| / (t - s) over (sample
+    m, pair) rows, its witness ({} when every quotient is 0) and the number
+    of (sample, pair) samples the sup covers.  `quotient(a, pairs)` gets the
+    symbol matrix and the pair table (s, t, row_s, row_t) once per plan and
+    returns `rows(m, lo, hi)`, sample m's quotients on pairs lo:hi, so what
+    does not depend on m is computed once."""
+    pairs, a, count = _pair_table(spec, grid, grid_count, neighbours)
+    s, t = pairs[:2]
+    value, (m, q, j) = _steepest(quotient(a, pairs), len(samples), len(s),
+                                 a.shape[1], p.cap)
     witness = {} if value == 0.0 else {
         "t": float(t[q]), "s": float(s[q]), "xi": grid.xi_rows()[j].tolist(),
         "value": value, **({key: samples[m]} if key else {})}
@@ -332,22 +351,46 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
     In the multiplier model this is exactly ||Id - A(t) A(s)^{-1}|| and
     coincides with the extrapolated version (the symbols commute).
     """
-    # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
-    quotient = lambda a, _, i, k: np.abs(a[i] - a[k]) / np.abs(a[i])
+
+    def quotient(a, pairs):
+        s, t, i, k = pairs
+        # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
+        return lambda _, lo, hi: (np.abs(a[i[lo:hi]] - a[k[lo:hi]]) / np.abs(a[i[lo:hi]])
+                                  / (t - s)[lo:hi, None])
+
     return _lipschitz(lambda p: _pair_sweep(spec, grid, p, p.pair_grid, quotient,
                                             neighbours=False), plan)
+
+
+def _resolvent_quotient(lam: complex, a_s: np.ndarray, a_t: np.ndarray,
+                        slope: np.ndarray) -> np.ndarray:
+    """|lambda| |R(lambda, a_t) - R(lambda, a_s)| / (t - s) from the slope
+    D = |a_t - a_s| / (t - s), as |lambda| D / |(lambda + a_s)(lambda + a_t)|.
+    It stays within a few eps of the exact quotient of its inputs, where the
+    difference of reciprocals loses about eps |lambda + a| / |a_t - a_s|."""
+    return abs(lam) * slope / np.abs((lam + a_s) * (lam + a_t))
 
 
 def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
                               plan: SamplePlan = SamplePlan()) -> LipschitzComponent:
     """C' = max of |lambda| max_xi |R(lambda,a(t)) - R(lambda,a(s))| / |t-s|
-    over pairs and sector lambda samples."""
+    over pairs and sector lambda samples.
+
+    Each quotient is `_resolvent_quotient`'s factored form, with the slope
+    and the rows a(s), a(t) gathered once per plan.  Pairs, lambdas, bins
+    and the non-finite rule are those of the difference of reciprocals, so
+    the sup is the same sampled sup up to rounding.
+    """
 
     def measure(p: SamplePlan):
         lams = _sector_lambdas(theta, np.geomspace(*RESOLVENT_MODULUS_RANGE,
                                                    p.resolvent_moduli))
-        quotient = lambda a, m, i, k: np.abs(lams[m]) * np.abs(
-            1.0 / (lams[m] + a[k]) - 1.0 / (lams[m] + a[i]))
+
+        def quotient(a, pairs):
+            a_s, a_t, slope = a[pairs[2]], a[pairs[3]], _slope(a, pairs)
+            return lambda m, lo, hi: _resolvent_quotient(
+                lams[m], a_s[lo:hi], a_t[lo:hi], slope[lo:hi])
+
         return _pair_sweep(spec, grid, p, p.resolvent_pair_grid, quotient, "lambda",
                            [[float(lam.real), float(lam.imag)] for lam in lams])
 
@@ -360,8 +403,13 @@ def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
 
     def measure(p: SamplePlan):
         taus = np.geomspace(1e-3, spec.horizon, p.tau_samples)
-        quotient = lambda a, m, i, k: np.abs(np.exp(-taus[m] * a[k])
-                                             - np.exp(-taus[m] * a[i]))
+
+        def quotient(a, pairs):
+            s, t, i, k = pairs
+            return lambda m, lo, hi: (np.abs(np.exp(-taus[m] * a[k[lo:hi]])
+                                             - np.exp(-taus[m] * a[i[lo:hi]]))
+                                      / (t - s)[lo:hi, None])
+
         return _pair_sweep(spec, grid, p, p.resolvent_pair_grid, quotient, "tau",
                            [float(tau) for tau in taus])
 
@@ -429,25 +477,26 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
         raise ConfigurationError("need at least one test vector")
     stability = check_kato_stability(spec, grid, plan)
 
-    (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
+    pairs, a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
+    s, t = pairs[:2]
+    slope = _slope(a, pairs)
     a0 = np.abs(np.broadcast_to(spec.on_axes(0.0, grid.xi_axes()),
                                 grid.shape)).reshape(-1)
 
     w = grid.cell_volume
     fhats = np.array([np.abs(f.to_frequency().values.reshape(-1)) for f in vectors])
 
-    def sup(gauge):
-        """Steepest L2 quotient over (vector, pair) and where it sits."""
-        def quotient(v, lo, hi):
-            da = np.abs(a[k[lo:hi]] - a[i[lo:hi]]) / (t - s)[lo:hi, None]
-            return np.sqrt(np.sum((gauge(da) * fhats[v]) ** 2, axis=1) * w)[:, None]
+    def sup(weighted):
+        """Steepest L2 quotient ||weighted * f^|| over (vector, pair) and where it sits."""
+        quotient = lambda v, lo, hi: np.sqrt(
+            np.sum((weighted[lo:hi] * fhats[v]) ** 2, axis=1) * w)[:, None]
         return _steepest(quotient, len(vectors), len(s), a.shape[1], plan.cap)
 
-    worst_x, (_, q, _) = sup(lambda da: da)
+    worst_x, (_, q, _) = sup(slope)
     witness = ({"t": float(t[q]), "s": float(s[q]), "quotient": worst_x}
                if worst_x > 0.0 else {})
     # the X_{-1} gauge is undefined where a(0,.) vanishes
-    worst_m1 = sup(lambda da: da / a0)[0] if np.all(a0 > 0.0) else float("inf")
+    worst_m1 = sup(slope / a0)[0] if np.all(a0 > 0.0) else float("inf")
 
     pass_x = bool(stability.verdict and worst_x <= plan.cap)
     pass_m1 = bool(stability.verdict and worst_m1 <= plan.cap)

@@ -19,6 +19,10 @@ each piece backs an invariant the evolution-family theory rests on:
 * `sampled_sector_ratios` and `sampled_sector_constant`: the lambda sweep
   the sector bound was once measured by, a lower bound on the closed-form
   sup that `check_sector` takes;
+* `reciprocal_resolvent_quotient` and `sampled_resolvent_lipschitz`: the
+  C' quotient as a difference of reciprocals, the form
+  `check_resolvent_lipschitz` took before it factored out the slope
+  |a(t) - a(s)|/(t - s); it cancels on near-coincident pairs;
 * `bessel_weight` and `bessel_norm`: the order -m Sobolev weight
   (1 + |xi|^2)^{-m/2}, a second model of X_{-1} that ellipticity makes
   equivalent to the extrapolation gauge 1/|a(0, .)| the pipelines use;
@@ -33,7 +37,8 @@ each piece backs an invariant the evolution-family theory rests on:
 
 import numpy as np
 
-from evofam.assumptions import SamplePlan, _sector_lambdas
+from evofam.assumptions import (RESOLVENT_MODULUS_RANGE, SamplePlan, _pair_table,
+                                _sector_lambdas)
 from evofam.errors import DomainError, NumericError
 from evofam.evolution import PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
@@ -199,6 +204,25 @@ def sampled_sector_constant(spec: SymbolSpec, grid: Grid, theta: float,
         inverse = np.max(1.0 / np.abs(a))
     return float(max(inverse, np.max(sampled_sector_ratios(a, theta,
                                                              plan.moduli_per_ray))))
+
+
+def reciprocal_resolvent_quotient(lam: complex, a_s, a_t, dt):
+    """|lambda| |1/(lambda + a_t) - 1/(lambda + a_s)| / dt in this order of
+    operations."""
+    return np.abs(lam) * np.abs(1.0 / (lam + a_t) - 1.0 / (lam + a_s)) / dt
+
+
+def sampled_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
+                                plan: SamplePlan) -> float:
+    """C' on the plan's pairs and lambdas (no refinement) in the reciprocal
+    form, as `check_resolvent_lipschitz` measured it before the factored
+    quotient; quotients are assumed finite."""
+    (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
+    lams = _sector_lambdas(theta, np.geomspace(*RESOLVENT_MODULUS_RANGE,
+                                               plan.resolvent_moduli))
+    dt = (t - s)[:, None]
+    return float(max(np.max(reciprocal_resolvent_quotient(lam, a[i], a[k], dt))
+                     for lam in lams))
 
 
 def bessel_weight(grid: Grid, m: float) -> np.ndarray:

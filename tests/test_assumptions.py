@@ -1,5 +1,6 @@
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from evofam.errors import DomainError
 from evofam.spectral import Grid, GridFunction, NormSpec, norm, random_band_limited
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
 from reference import (cd_lipschitz_bound, drift_symbol, heat_symbol,
-                       oscillating_symbol, sampled_sector_constant,
+                       oscillating_symbol, reciprocal_resolvent_quotient,
+                       sampled_resolvent_lipschitz, sampled_sector_constant,
                        sampled_sector_ratios)
 
 THETA = 3.0 * np.pi / 4.0
@@ -181,6 +183,23 @@ class TestLipschitz:
     def test_h1_resolvent_constant_zero(self, h1, grid, thin_plan):
         assert check_resolvent_lipschitz(h1, grid, THETA, thin_plan).value == 0.0
 
+    def test_nonelliptic_resolvent_constant_zero(self, grid):
+        # a = i xi does not depend on t: every slope, and so every quotient,
+        # is 0 on the base and on the refined plan of the bundled check
+        rep = check_resolvent_lipschitz(drift_symbol(), grid, THETA, SamplePlan())
+        assert rep.value == 0.0 and rep.refined_value == 0.0
+        assert rep.witness == {}
+
+    def test_factored_sweep_matches_the_reciprocal_sweep(self, td1, grid, thin_plan,
+                                                         td1_suite):
+        # same pairs, lambdas and bins; the reciprocal form loses about
+        # eps |lambda + a| / |a(t) - a(s)|, ~1.5e-7 at td1's witness
+        # (1e-9-wide pair, xi = 79, |lambda| = 1e4)
+        for plan, rep in ((thin_plan, check_resolvent_lipschitz(td1, grid, THETA, thin_plan)),
+                          (td1_suite["plan"], td1_suite["cprime"])):
+            sampled = sampled_resolvent_lipschitz(td1, grid, THETA, plan)
+            assert rep.value == pytest.approx(sampled, rel=1e-6)
+
     def test_td1_lemma_chain(self, td1, grid, thin_plan):
         a1 = check_sector(td1, grid, THETA, thin_plan)
         a3 = check_operator_lipschitz(td1, grid, thin_plan)
@@ -203,6 +222,35 @@ class TestLipschitz:
         assert not rep.verdict
         assert rep.value > plan.cap
         assert rep.witness["value"] == rep.value and rep.witness["s"] < rep.witness["t"]
+
+
+QUOTIENT_DELTAS = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
+
+
+# derandomized: the reciprocal form's miss at delta = 1e-9 is a rounding
+# event, so the draws stay the same from run to run
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(modulus=st.floats(1.0, 1e6), phase=st.floats(-0.95, 0.95),
+       lam_modulus=st.floats(*asm.RESOLVENT_MODULUS_RANGE),
+       ray=st.integers(0, 2 * asm.RAYS), delta=st.sampled_from(QUOTIENT_DELTAS))
+def test_factored_resolvent_quotient_is_accurate(modulus, phase, lam_modulus, ray, delta):
+    # a(s) on A1's side of the sector (|arg a| < pi - theta), a(t) = a(s)(1 + delta)
+    # and lambda on a sweep ray, all read as exact doubles; s = 0 and t = delta
+    a_s = modulus * np.exp(1j * phase * (np.pi - THETA))
+    a_t = a_s * (1.0 + delta)
+    lam = asm._sector_lambdas(THETA, np.array([lam_modulus]))[ray]
+    a = np.array([[a_s], [a_t]])
+    pairs = (np.array([0.0]), np.array([delta]), np.array([0]), np.array([1]))
+    factored = float(asm._resolvent_quotient(lam, a[0], a[1], asm._slope(a, pairs))[0, 0])
+    reciprocal = float(reciprocal_resolvent_quotient(lam, a_s, a_t, delta))
+    with mpmath.workdps(50):
+        lam_, s_, t_ = (mpmath.mpc(z.real, z.imag) for z in (lam, a_s, a_t))
+        exact = abs(lam_) * abs(1 / (lam_ + t_) - 1 / (lam_ + s_)) / delta
+        errors = [float(abs(q - exact) / exact) for q in (factored, reciprocal)]
+    eps = np.finfo(float).eps
+    assert errors[0] <= 8.0 * eps
+    if delta == 1e-9:               # the difference of reciprocals cancels
+        assert errors[1] > 8.0 * eps
 
 
 NEIGHBOUR_PLAN = SamplePlan(time_samples=8, resolvent_pair_grid=7,
