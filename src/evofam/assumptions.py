@@ -1,14 +1,13 @@
-"""Numerical certification of the sectoriality, stability, equivalence and
+"""Numerical measurement of the sectoriality, stability, equivalence and
 Lipschitz hypotheses for a time-dependent symbol family.
 
-Every checker measures its constant as a maximum over a seeded sample
-plan and never claims an analytic disproof: when a measured ratio exceeds
-the plan's cap the verdict is "violation at cap" with the witness sample
-recorded.  The sector bound takes its sup over lambda in closed form per
-(t, xi) cell, so only t and xi are sampled; the C' sweep samples lambda on
-log-spaced moduli along the boundary rays plus interior rays.  Refinement
-stability (constants move less than 5 percent when the plan doubles) is
-reported in lieu of proof.
+Every checker returns measurements only: its constant, with a witness, as
+a maximum over a seeded sample plan and on the doubled plan (refinement
+stability, in lieu of proof).  `cli.run_check` judges it against the cap
+(a "violation at cap", never an analytic disproof) or a named tolerance.
+The sector bound takes its sup over lambda in closed form per (t, xi)
+cell, so only t and xi are sampled; the C' sweep samples lambda on
+log-spaced moduli along the boundary rays plus interior rays.
 
 Every sampled sup goes through `_steepest`: a non-finite quotient reads
 as 2 cap (a violation at cap) and the first maximum in sample-then-bin
@@ -35,10 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import BLOCK_ELEMENTS, Grid
+from .spectral import Grid, row_blocks
 from .symbols import SymbolSpec
 
-KATO_TOL = 1e-9               # Kato ratios may exceed 1 by roundoff only
 RAYS = 3                      # interior ray pairs of the C' sweep: args k/RAYS * theta
 PAIR_DELTAS = (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)   # widths of the centred pairs
 THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)
@@ -97,17 +95,17 @@ def _steepest(quotient, samples: int, rows: int, width: int, cap: float):
     """Largest nonnegative quotient and its (sample, row, column).
 
     `quotient(m, lo, hi)` returns sample m's quotients on rows lo:hi as a
-    (hi - lo, columns) array; a row costs about `width` elements, so blocks
-    of rows keep temporaries near BLOCK_ELEMENTS.  A non-finite quotient
-    reads as 2 cap; the first maximum in sample-row-column order wins
-    ((0, 0, 0) when every quotient is 0).
+    (hi - lo, columns) array; a row costs about `width` elements, so the
+    `row_blocks` of rows keep temporaries near BLOCK_ELEMENTS.  A non-finite
+    quotient reads as 2 cap, so a cap comparison fails it; the first maximum
+    in sample-row-column order wins ((0, 0, 0) when every quotient is 0).
     """
     best, at = 0.0, (0, 0, 0)
-    step = max(1, BLOCK_ELEMENTS // width)
+    blocks = row_blocks(rows, width)
     for m in range(samples):
-        for lo in range(0, rows, step):
+        for part in blocks:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                q = quotient(m, lo, min(lo + step, rows))
+                q = quotient(m, part.start, part.stop)
             k = np.argmax(q)
             # argmax picks the first NaN and +inf is the maximum, so a finite
             # pick means every quotient is finite
@@ -116,7 +114,7 @@ def _steepest(quotient, samples: int, rows: int, width: int, cap: float):
                 k = np.argmax(q)
             i, j = np.unravel_index(k, q.shape)
             if q[i, j] > best:
-                best, at = float(q[i, j]), (m, lo + int(i), int(j))
+                best, at = float(q[i, j]), (m, part.start + int(i), int(j))
     return best, at
 
 
@@ -128,7 +126,6 @@ class SectorParams:
 
     theta: float
     m: float
-    verdict: bool
     witness: dict
     samples: int
     refined_m: float = float("nan")
@@ -188,17 +185,16 @@ def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
     """
     (m_base, witness, count), m_fine, delta = _refined(
         lambda p: _sector_measure(spec, grid, theta, p), plan)
-    return SectorParams(theta=theta, m=m_base,
-                        verdict=bool(m_base <= plan.cap),
-                        witness=witness, samples=count,
+    return SectorParams(theta=theta, m=m_base, witness=witness, samples=count,
                         refined_m=m_fine, refinement_delta=delta)
 
 
 def largest_passing_theta(spec: SymbolSpec, grid: Grid,
                           plan: SamplePlan = SamplePlan()) -> float:
-    """Largest THETA_SCAN angle whose `check_sector` verdict passes (nan if
-    none); the verdict reads the base plan only, so only that is measured,
-    one pass over the (t, xi) cells per angle."""
+    """Largest THETA_SCAN angle whose sector constant M is at most the
+    plan's cap, the `a1` rule of `cli.run_check` (nan if none); that rule
+    reads the base plan only, so only that is measured, one pass over the
+    (t, xi) cells per angle."""
     best = float("nan")
     for theta in THETA_SCAN:
         if _sector_measure(spec, grid, float(theta), plan)[0] <= plan.cap:
@@ -216,7 +212,6 @@ class StabilityCertificate:
     partitions_tested: int
     max_resolvent_ratio: float     # worst product / (M / (lambda - omega)^k)
     max_semigroup_ratio: float     # worst product / (M e^{omega sum tau})
-    verdict: bool
     refined_ratio: float = float("nan")
     refinement_delta: float = float("nan")
 
@@ -235,7 +230,7 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
                          plan: SamplePlan = SamplePlan(),
                          m: float = 1.0,
                          omega: float | None = None) -> StabilityCertificate:
-    """Certify the product bounds over ordered partitions up to k = kmax.
+    """Measure the product bounds over ordered partitions up to k = kmax.
 
     Multipliers commute, so the product norm equals the grid maximum of
     the product of the per-factor moduli.  When `omega` is omitted it is
@@ -270,11 +265,10 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
                 worst_semi = max(worst_semi, float(np.exp(np.max(log_semi) - bound)))
         return max(worst_res, worst_semi), w, worst_res, worst_semi, tested
 
-    (base, w, res_base, semi_base, tested), fine, delta = _refined(measure, plan)
+    (_, w, res_base, semi_base, tested), fine, delta = _refined(measure, plan)
     return StabilityCertificate(
         m=m, omega=w, kmax=plan.kato_kmax, partitions_tested=tested,
         max_resolvent_ratio=res_base, max_semigroup_ratio=semi_base,
-        verdict=bool(base <= 1.0 + KATO_TOL),
         refined_ratio=fine, refinement_delta=delta)
 
 
@@ -305,7 +299,6 @@ def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int,
 @dataclass(frozen=True)
 class LipschitzComponent:
     value: float
-    verdict: bool            # finite below cap
     witness: dict
     pair_count: int          # pairs the sup covers, times lambda or tau samples
     refined_value: float = float("nan")
@@ -314,8 +307,7 @@ class LipschitzComponent:
 
 def _lipschitz(measure, plan: SamplePlan) -> LipschitzComponent:
     (value, witness, count), fine, delta = _refined(measure, plan)
-    return LipschitzComponent(value=value, verdict=bool(value <= plan.cap),
-                              witness=witness, pair_count=count,
+    return LipschitzComponent(value=value, witness=witness, pair_count=count,
                               refined_value=fine, refinement_delta=delta)
 
 
@@ -423,7 +415,6 @@ class EquivalenceReport:
     kappa: float
     witness_upper: dict
     witness_lower: dict
-    verdict: bool
     refined_kappa: float = float("nan")
     refinement_delta: float = float("nan")
 
@@ -447,36 +438,29 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
         return max(sides[0]["value"], sides[1]["value"]), *sides
 
     (kappa, upper, lower), kappa_fine, delta = _refined(measure, plan)
-    return EquivalenceReport(kappa=kappa, witness_upper=upper,
-                             witness_lower=lower,
-                             verdict=bool(kappa <= plan.cap),
+    return EquivalenceReport(kappa=kappa, witness_upper=upper, witness_lower=lower,
                              refined_kappa=kappa_fine, refinement_delta=delta)
 
 
 @dataclass(frozen=True)
 class CDSystemReport:
-    """Kato stability and strong Lipschitz continuity; the domain is
-    constant by construction of the multiplier model.  By the mean value
-    theorem the X-level quotient is at most sum_alpha Lip(a_alpha) |xi^alpha|
-    pointwise, so only Kato and the cap can fail `pass_x`."""
+    """Strong Lipschitz quotients of t -> A(t); the domain is constant by
+    construction of the multiplier model.  By the mean value theorem the
+    X-level quotient is at most sum_alpha Lip(a_alpha) |xi^alpha| pointwise.
+    `cli.run_check` passes the CD system on Kato and each quotient <= cap."""
 
-    stability: StabilityCertificate
     strong_lipschitz: float           # max over pairs and vectors, X level
-    pass_x: bool
-    pass_xminus1: bool
     strong_lipschitz_xminus1: float
     witness: dict
 
 
 def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
                       plan: SamplePlan = SamplePlan()) -> CDSystemReport:
-    """Verdict: constant domain (structural in the multiplier model) and
-    Kato stability and strong Lipschitz continuity of t -> A(t) on the
-    declared test vectors, at the X level and in the X_{-1} gauge."""
+    """Strong Lipschitz quotients of t -> A(t) on the declared test vectors,
+    at the X level and in the X_{-1} gauge (inf where a(0,.) vanishes); the
+    caller measures Kato stability, the CD system's other half, once."""
     if not vectors:
         raise ConfigurationError("need at least one test vector")
-    stability = check_kato_stability(spec, grid, plan)
-
     pairs, a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
     s, t = pairs[:2]
     slope = _slope(a, pairs)
@@ -497,11 +481,5 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
                if worst_x > 0.0 else {})
     # the X_{-1} gauge is undefined where a(0,.) vanishes
     worst_m1 = sup(slope / a0)[0] if np.all(a0 > 0.0) else float("inf")
-
-    pass_x = bool(stability.verdict and worst_x <= plan.cap)
-    pass_m1 = bool(stability.verdict and worst_m1 <= plan.cap)
-    return CDSystemReport(
-        stability=stability,
-        strong_lipschitz=worst_x,
-        pass_x=pass_x, pass_xminus1=pass_m1,
-        strong_lipschitz_xminus1=worst_m1, witness=witness)
+    return CDSystemReport(strong_lipschitz=worst_x, strong_lipschitz_xminus1=worst_m1,
+                          witness=witness)

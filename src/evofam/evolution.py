@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import BLOCK_ELEMENTS, Grid, GridFunction, norm
+from .spectral import Grid, GridFunction, norm, row_blocks
 from .symbols import SymbolSpec
 
-GROWTH_SLACK = 1e-12    # relative roundoff a growth ratio may exceed 1 by
-GROWTH_M = 1.0          # Re a >= -omega gives ||U(t,s)|| <= 1 * e^{omega (t-s)}
 RULE_OFFSETS = {"left": 0.0, "midpoint": 0.5}   # node offsets in steps
+# product-rule blocks hold BLOCK_ELEMENTS / 4 values (64 KiB), which glibc keeps in the
+# heap; blocks of 256 KiB went back to the OS and were faulted afresh, block after block
+PRODUCT_BLOCK_DIVISOR = 4
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,6 @@ class PropagatorEngine:
         exponent is 0, so U(s,s) = Id exactly."""
         decay = np.exp(-self.exponent(s, t))
         return GridFunction(self.grid, "frequency", f.to_frequency().values * decay)
-
-    def operator_norm(self, s: float, t: float) -> float:
-        """||U(t,s)|| on L2 = max over bins of |multiplier|."""
-        return float(np.max(np.exp(-self.exponent(s, t).real)))
 
 
 def default_derivative_step(s: float, t: float) -> float:
@@ -87,39 +84,20 @@ def derivative_defect(engine: PropagatorEngine, s: float, t: float,
     return norm(GridFunction(engine.grid, "frequency", resid))
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    m: float
-    omega: float
-    max_ratio: float       # max over samples of ||U(t,s)|| / (M e^{omega (t-s)})
-    verdict: bool
-    witness: tuple
-
-
-def growth_bound(engine: PropagatorEngine, samples, omega: float) -> GrowthReport:
-    """Check ||U(t,s)|| <= M e^{omega (t-s)} over (s,t) samples, M = GROWTH_M."""
-    worst, witness = 0.0, (0.0, 0.0)
-    for s, t in samples:
-        measured = engine.operator_norm(s, t)
-        bound = GROWTH_M * np.exp(omega * (t - s))
-        ratio = measured / bound
-        if ratio > worst:
-            worst, witness = ratio, (float(s), float(t))
-    return GrowthReport(m=GROWTH_M, omega=omega, max_ratio=worst,
-                        verdict=bool(worst <= 1.0 + GROWTH_SLACK), witness=witness)
-
-
-def observed_orders(errors) -> list[float]:
-    """Pairwise convergence orders log2(e_i/e_{i+1}) of a halving sequence."""
-    errors = list(errors)
-    if len(errors) < 2:
-        raise ConfigurationError("need at least two errors to estimate an order")
+def observed_orders(errors, levels) -> list[float]:
+    """Pairwise convergence orders log(e_i/e_{i+1}) / log(n_{i+1}/n_i) of
+    the errors e_i at the refinement levels n_i (step or cell counts, or
+    reciprocal step sizes); inf where e_{i+1} is 0."""
+    errors, levels = list(errors), list(levels)
+    if len(errors) < 2 or len(levels) != len(errors):
+        raise ConfigurationError("need at least two errors, one per level, "
+                                 "to estimate an order")
     orders = []
-    for e0, e1 in zip(errors[:-1], errors[1:]):
+    for e0, e1, n0, n1 in zip(errors[:-1], errors[1:], levels[:-1], levels[1:]):
         if e1 == 0.0:
             orders.append(float("inf"))
         else:
-            orders.append(float(np.log(e0 / e1) / np.log(2.0)))
+            orders.append(float(np.log(e0 / e1) / np.log(n1 / n0)))
     return orders
 
 
@@ -130,21 +108,20 @@ def product_formula_errors(spec: SymbolSpec, s: float, t: float,
     formula exp(-sum_j dt a(tau_j, .)) f at each step count, with nodes
     tau_j = s + j dt for `rule` "left" (first order) and s + (j + 1/2) dt
     for "midpoint" (second order).  The rows a(tau_j, .) come from
-    `time_matrix` a block of about BLOCK_ELEMENTS values at a time, so no
-    step count holds its whole table, and are summed in node order."""
+    `time_matrix` a block of `row_blocks` at a time, so no step count holds
+    its whole table, and are summed in node order."""
     if rule not in RULE_OFFSETS:
         raise ConfigurationError(f"unknown product rule {rule!r}")
     offset = RULE_OFFSETS[rule]
     axes = f.grid.xi_axes()
     fhat = f.to_frequency().values
-    size = max(1, BLOCK_ELEMENTS // f.grid.n ** f.grid.dim)
     errors = []
     for n in step_counts:
         dt = (t - s) / n
         nodes = s + (np.arange(n) + offset) * dt
         total = np.zeros(f.grid.shape, dtype=complex)
-        for start in range(0, n, size):
-            for row in spec.time_matrix(nodes[start:start + size], axes):
+        for part in row_blocks(n, PRODUCT_BLOCK_DIVISOR * f.grid.n ** f.grid.dim):
+            for row in spec.time_matrix(nodes[part], axes):
                 total += dt * row
         diff = GridFunction(f.grid, "frequency", fhat * np.exp(-total) - target.values)
         errors.append(norm(diff))

@@ -40,8 +40,8 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, DomainError, UnsupportedError
 from .evolution import PropagatorEngine
 from .semigroup import gauss_legendre_panels
-from .spectral import (BLOCK_ELEMENTS, FREQUENCY, GridFunction, NormSpec, gaussian_bump,
-                       memo, norm, plancherel_norm)
+from .spectral import (FREQUENCY, GridFunction, NormSpec, gaussian_bump, memo, norm,
+                       plancherel_norm, row_blocks)
 from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
@@ -232,17 +232,11 @@ class Trajectory:
         return self.states[-1]
 
 
-def _blocks(grid, count: int):
-    """Consecutive slices of `count` grid rows, ~BLOCK_ELEMENTS values each."""
-    size = max(1, BLOCK_ELEMENTS // grid.n ** grid.dim)
-    return (slice(start, start + size) for start in range(0, count, size))
-
-
 def _step_decays(engine: PropagatorEngine, lo: np.ndarray, hi: np.ndarray):
     """e^{-E} on the intervals (lo[k], hi[k]) in order, one row each: one
-    `engine.exponent` call and one `np.exp` per `_blocks` block, each row
-    bit for bit the scalar factor."""
-    for part in _blocks(engine.grid, len(lo)):
+    `engine.exponent` call and one `np.exp` per `row_blocks` block of grid
+    rows, each row bit for bit the scalar factor."""
+    for part in row_blocks(len(lo), engine.grid.n ** engine.grid.dim):
         block = engine.exponent(lo[part], hi[part])
         np.negative(block, out=block)
         np.exp(block, out=block)            # in place: no second block of temporaries
@@ -332,7 +326,7 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -
     steps = len(sig) - 1
     nodes, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
                                            DUHAMEL_NODES)
-    rows = ((row for part in _blocks(grid, nodes.size)
+    rows = ((row for part in row_blocks(nodes.size, grid.n ** grid.dim)
              for row in family.multiplier(nodes[part], grid.xi_axes()))
             if hasattr(family, "multiplier") else None)
     taus = nodes.reshape(steps, DUHAMEL_NODES)

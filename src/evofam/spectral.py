@@ -13,8 +13,9 @@ Conventions fixed here and relied on everywhere else:
   them go through `memo`: each is built once and then shared, read-only,
   by every caller.  Copy a table before writing to it.
 * Blocked sweeps (the certifiers' sampled sups, the Volterra and Duhamel
-  marches) hold about BLOCK_ELEMENTS values per block, so no
-  (samples x bins) table is ever built whole.
+  marches, the product rules) take their rows by `row_blocks`, at most
+  BLOCK_ELEMENTS values per block, so no (samples x bins) table is ever
+  built whole.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from .errors import ConfigurationError, DomainError, NumericError, StateError
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
 BLOCK_ELEMENTS = 1 << 14    # values per block of a blocked sweep: ~256 KB complex
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices of `rows` rows of `width` values each, about
+    BLOCK_ELEMENTS values (and at least one row) per slice."""
+    size = max(1, BLOCK_ELEMENTS // width)
+    return [slice(lo, min(lo + size, rows)) for lo in range(0, rows, size)]
 
 
 def memo(owner, name: str, build, anchor=None):

@@ -11,6 +11,9 @@ each piece backs an invariant the evolution-family theory rests on:
   Laplace transform of the semigroup (acceptance criterion 10);
 * `cocycle_defect`: the cocycle U(t,s) U(s,r) = U(t,r) of the exact
   propagator, whose closed-form exponents are additive (criterion 1);
+* `operator_norm`: ||U(t,s)|| on L2, the largest modulus of the
+  propagator's multiplier, and with it the growth bound
+  ||U(t,s)|| <= e^{omega (t - s)} when Re a >= -omega;
 * `aligned_ladder_cocycle` and `mass_balance_defect`: the cocycle of the
   upwind transport march on its own step ladder, and its per-step mass
   balance, which the telescoping flux form makes exact (criterion 11);
@@ -122,6 +125,11 @@ def cocycle_defect(engine: PropagatorEngine, r: float, s: float, t: float,
     one_leg = engine.propagate(r, t, f)
     diff = GridFunction(f.grid, "frequency", two_leg.values - one_leg.values)
     return norm(diff) / nf
+
+
+def operator_norm(engine: PropagatorEngine, s: float, t: float) -> float:
+    """||U(t,s)|| on L2 = max over bins of |e^{-exponent(s, t)}|."""
+    return float(np.max(np.exp(-engine.exponent(s, t).real)))
 
 
 def aligned_ladder_cocycle(problem: TransportProblem, r: float, s: float,

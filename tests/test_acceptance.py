@@ -12,6 +12,7 @@ import pytest
 
 from evofam import assumptions as asm
 from evofam import perturbation as per
+from evofam.cli import DECAY_SLACK, KATO_TOL
 from evofam.evolution import (PropagatorEngine, derivative_defect,
                               observed_orders, product_formula_errors)
 from evofam.semigroup import FrozenOperator, favard_norm
@@ -51,7 +52,7 @@ def test_criterion_02_derivative_identities(engine, grid, xband):
         for h in (2e-3, 1e-3, 5e-4):
             orders.append(derivative_defect(engine, s, t, xband, base, h=h,
                                             which=which))
-        for o in observed_orders(orders):
+        for o in observed_orders(orders, [1, 2, 4]):
             assert 1.7 <= o <= 2.3, f"{which} stencil order {o}"
 
 
@@ -61,11 +62,11 @@ def test_criterion_03_product_formula_orders(td1, grid, xband):
     target = PropagatorEngine(td1, grid).propagate(0.0, 2.0, xband)
     errs = product_formula_errors(td1, 0.0, 2.0, xband, target, "left",
                                   [64, 128, 256])
-    for o in observed_orders(errs):
+    for o in observed_orders(errs, [64, 128, 256]):
         assert 0.8 <= o <= 1.2
     errs = product_formula_errors(td1, 0.0, 2.0, xband, target, "midpoint",
                                   [64, 128, 256])
-    for o in observed_orders(errs):
+    for o in observed_orders(errs, [64, 128, 256]):
         assert 1.7 <= o <= 2.3
 
 
@@ -74,17 +75,18 @@ def test_criterion_04_assumption_suite(td1_suite, grid, band_vectors):
     L <= 1 + 5%; Kato certificate with M = 1, omega = -1 up to k = 8;
     C' <= M^2 L (1 + 5%); the non-elliptic symbol fails A1 with witness."""
     a1, a2, a3 = td1_suite["a1"], td1_suite["a2"], td1_suite["a3"]
-    kato, cprime = td1_suite["kato"], td1_suite["cprime"]
-    assert a1.verdict and a1.m <= (math.sqrt(2.0) + 1.0) * 1.05
-    assert a2.verdict and abs(a2.kappa - 2.0) <= 0.02 * 2.0
-    assert a3.verdict and a3.value <= 1.0 * 1.05
-    assert kato.verdict and kato.m == 1.0 and kato.kmax == 8
+    kato, cprime, cap = td1_suite["kato"], td1_suite["cprime"], td1_suite["plan"].cap
+    assert a1.m <= cap and a1.m <= (math.sqrt(2.0) + 1.0) * 1.05
+    assert a2.kappa <= cap and abs(a2.kappa - 2.0) <= 0.02 * 2.0
+    assert a3.value <= cap and a3.value <= 1.0 * 1.05
+    assert max(kato.max_resolvent_ratio, kato.max_semigroup_ratio) <= 1.0 + KATO_TOL
+    assert kato.m == 1.0 and kato.kmax == 8
     assert kato.omega == pytest.approx(-1.0, abs=1e-6)
     assert cprime.value <= a1.m**2 * a3.value * 1.05
 
     bad = asm.check_sector(drift_symbol(), grid, td1_suite["theta"],
                            asm.SamplePlan(time_samples=16, moduli_per_ray=8))
-    assert not bad.verdict
+    assert bad.m > asm.SamplePlan().cap
     assert bad.witness["value"] > asm.SamplePlan().cap
     assert bad.witness["xi"] is not None
 
@@ -127,7 +129,7 @@ def test_criterion_07_variation_of_constants_oracle(engine, grid, xband):
         errs.append(norm(GridFunction(grid, "frequency",
                                       traj.final().values - oracle.values)))
     assert errs[-1] <= 1e-6
-    for o in observed_orders(errs):
+    for o in observed_orders(errs, [256, 512, 1024]):
         assert 1.7 <= o <= 2.3
     final = per.solve_perturbed(engine, fam, 0.0, 1.0, xband, 1024)
     assert per.duhamel_residual(final, engine, fam) <= 1e-6
@@ -147,7 +149,7 @@ def test_criterion_08_perturbed_family_axioms(engine, grid, xband):
                                  leg2.final().values - whole.final().values)) / norm(xband)
 
     defects = [defect(per.SmoothingComposite(2), 0.7, 1.5, m) for m in (128, 256, 512)]
-    for o in observed_orders(defects):
+    for o in observed_orders(defects, [128, 256, 512]):
         assert o >= 1.7
 
     from evofam.symbols import constant
@@ -190,7 +192,7 @@ def test_criterion_11_transport_family():
     smooth = gaussian_initial(1.5, 0.25)
     marched = transport_solve(fine, 0.0, 0.5, sample_initial(fine, smooth))
     errs = convergence_study(fine, 0.0, 0.5, smooth, [100, 200, 400, 800], marched)
-    for o in observed_orders(errs):
+    for o in observed_orders(errs, [100, 200, 400, 800]):
         assert 0.8 <= o <= 1.1
 
     problem = TransportProblem(1.0, 6.0, 600, constant_field(1.0), constant_field(1.0))
@@ -198,7 +200,7 @@ def test_criterion_11_transport_family():
     one = transport_solve(problem, 0.0, 0.75, f0)
     rep = transport_family_checks(problem, 0.0, one, f0)
     assert aligned_ladder_cocycle(problem, 0.0, 0.25, one, f0) <= 1e-12
-    assert rep.decay_ratio <= rep.decay_bound * (1.0 + 10.0 * problem.h)
+    assert rep.decay_ratio <= rep.decay_bound * (1.0 + DECAY_SLACK * problem.h)
     assert mass_balance_defect(problem, 0.0, 0.75, f0) <= 1e-12
 
 

@@ -444,9 +444,66 @@ def test_check_certifies_kato_once(td1_cfg_path, tmp_path, monkeypatch):
                         lambda *a, **k: calls.append(a) or kato(*a, **k))
     assert main(["check", "--config", str(td1_cfg_path), "--out", str(tmp_path),
                  "--stable"]) == 0
-    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    text = (tmp_path / "report.json").read_text()
+    report = json.loads(text)["report"]
     assert len(calls) == 1
-    assert report["kato"] == report["cd_system"]["stability"]
+    # one Kato record, under "kato"; the CD system keeps only its quotients
+    assert text.count('"max_resolvent_ratio"') == 1
+    assert set(report["cd_system"]) == {"strong_lipschitz", "strong_lipschitz_xminus1",
+                                        "witness"}
+
+
+def test_cd_system_verdicts_read_kato(td1_cfg_path, tmp_path, monkeypatch):
+    # a Kato ratio above 1 + KATO_TOL fails Kato and both CD-system verdicts
+    from dataclasses import replace
+
+    from evofam import assumptions as asm
+    from evofam.cli import KATO_TOL
+    kato = asm.check_kato_stability
+    monkeypatch.setattr(asm, "check_kato_stability", lambda *a: replace(
+        kato(*a), max_semigroup_ratio=1.0 + 2.0 * KATO_TOL))
+    assert main(["check", "--config", str(td1_cfg_path), "--out", str(tmp_path),
+                 "--stable"]) == 1
+    verdicts = json.loads((tmp_path / "report.json").read_text())["report"]["verdicts"]
+    assert {name for name, ok in verdicts.items() if not ok} == {
+        "kato", "cd_system_x", "cd_system_xminus1"}
+
+
+def test_check_judges_each_constant_against_the_plan_cap(tmp_path, capsys):
+    # td1 reads M = sqrt(2), kappa = 2 and an X-level strong Lipschitz
+    # quotient of 10.5; L (0.73), C' (0.98), C (0.21) and the X_{-1}
+    # quotient (0.46) stay below a cap of 1.2
+    config = bundled_config("td1")
+    config["plans"] = {"cap": 1.2}
+    path = write_config(tmp_path, config)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path),
+                 "--stable"]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    failed = {name for name, ok in report["verdicts"].items() if not ok}
+    assert failed == {"a1", "a2", "cd_system_x"}
+    assert report["a1"]["m"] > 1.2 and report["a2"]["kappa"] > 1.2
+    assert report["cd_system"]["strong_lipschitz"] > 1.2
+    assert report["cd_system"]["strong_lipschitz_xminus1"] <= 1.2
+    # assumptions.json reads the same verdicts, and stdout prints them
+    doc = json.loads((tmp_path / "assumptions.json").read_text())
+    assert [doc[k]["pass"] for k in ("a1", "a2", "a3", "kato", "resolvent_lipschitz")] \
+        == [False, False, True, True, True]
+    assert doc["cd_system"] == {"pass_X": False, "pass_Xminus1": True}
+    out = capsys.readouterr().out
+    assert "a1: FAIL" in out and "cd_system_x: FAIL" in out and "a3: pass" in out
+
+
+def test_convergence_orders_read_the_ladder_ratio(tmp_path):
+    # steps grow by 1.5, not 2: dividing by log 2 read left orders of 0.60
+    # and midpoint orders of 1.17, and the run failed both
+    config = bundled_config("td1")
+    config["convergence"]["steps"] = [32, 48, 72, 108]
+    path = write_config(tmp_path, config)
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path),
+                 "--stable"]) == 0
+    orders = json.loads((tmp_path / "report.json").read_text())["report"]["orders"]
+    assert all(1.0 <= o <= 1.03 for o in orders["left"])
+    assert orders["midpoint"] == pytest.approx([2.0] * 3, abs=1e-5)
 
 
 RANGE_CASES = {

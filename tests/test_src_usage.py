@@ -7,7 +7,9 @@ defaulted parameter of those must be passed, by keyword or by position, by
 some call in `src/`, `tests/` or `perfbench/`; a default that every caller
 keeps is a constant.  Every module-level UPPER_CASE name must be read in
 `src/evofam` outside its own assignment; a tolerance that only tests read
-guards nothing the pipelines do.
+guards nothing the pipelines do.  No dataclass outside `cli.py` has a
+`bool` field: the library returns measurements, and `cli` decides every
+verdict, so each verdict is stored once.
 """
 
 import ast
@@ -141,3 +143,26 @@ def unread_constants(src: Path) -> list[str]:
 
 def test_every_constant_is_read_in_src():
     assert unread_constants(SRC) == []
+
+
+def bool_fields(src: Path) -> list[str]:
+    """`bool`-annotated dataclass fields in `src`, outside `cli.py`."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in _names(d) for d in cls.decorator_list):
+                found += [f"{path.stem}.{cls.name}.{item.target.id}" for item in cls.body
+                          if isinstance(item, ast.AnnAssign)
+                          and "bool" in _names(item.annotation)]
+    return found
+
+
+def test_no_verdict_field_outside_cli(tmp_path):
+    assert bool_fields(SRC) == []
+    (tmp_path / "probe.py").write_text(
+        "from dataclasses import dataclass\n\n@dataclass(frozen=True)\n"
+        "class Report:\n    value: float\n    verdict: bool\n")
+    assert bool_fields(tmp_path) == ["probe.Report.verdict"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from evofam.errors import ConfigurationError, DomainError
 from evofam.semigroup import gauss_legendre_panels
+from evofam.spectral import Grid
 from evofam.symbols import (CoefficientFunction, SymbolSpec, certify_ellipticity,
                             constant, unit_sphere_samples)
 from reference import drift_symbol, oscillating_symbol
@@ -115,6 +116,21 @@ class TestSymbolEvaluation:
         # (i xi1)(i xi2) - (i xi1)^2 at xi = (2, 3)
         assert at(spec, 0.0, (2.0, 3.0)) == pytest.approx(-6.0 + 4.0)
 
+    def test_terms_broadcast_into_the_sum(self):
+        # each term multiplies its monomial at the monomial's own shape (a
+        # scalar, or one axis of the grid) and broadcasts in the sum: bit for
+        # bit the sum of full-size terms
+        grid = Grid(2, 16, 2.0 * np.pi)
+        spec = SymbolSpec(dim=2, order=2, horizon=1.0, coefficients={
+            (2, 0): CoefficientFunction(const=-1.0, trig=((3.0, 0.1, 0.2),)),
+            (0, 2): constant(-2.0), (1, 0): constant(0.3j), (0, 0): constant(1.0)})
+        ts, axes = np.linspace(0.0, 1.0, 5), grid.xi_axes()
+        monos = spec.monomials(axes)
+        full = np.zeros((len(ts),) + grid.shape, dtype=complex)
+        for alpha, coef in spec.coefficients.items():
+            full += coef(ts)[:, None, None] * np.broadcast_to(monos[alpha], grid.shape)
+        assert spec.time_matrix(ts, axes).tobytes() == full.tobytes()
+
 
 @settings(max_examples=50, deadline=None)
 @given(t=st.floats(0.0, 2.0 * np.pi), xi=st.floats(-64.0, 64.0),
@@ -177,7 +193,7 @@ def sphere_ellipticity(spec, time_samples=512):
 class TestEllipticity:
     def test_td1_constants(self, td1):
         rep = sphere_ellipticity(td1)
-        assert rep.verdict
+        assert rep.constant > 0 and rep.lower_bound > 0
         assert rep.constant == pytest.approx(1.0, abs=1e-3)
         assert rep.lower_bound == pytest.approx(1.0, abs=1e-3)
         # closed-form minimum of 2 + sin t sits at t = 3 pi / 2
@@ -185,13 +201,12 @@ class TestEllipticity:
 
     def test_h1_constants(self, h1):
         rep = sphere_ellipticity(h1)
-        assert rep.verdict
+        assert rep.constant > 0 and rep.lower_bound > 0
         assert rep.constant == pytest.approx(1.0)
         assert rep.lower_bound == pytest.approx(1.0)
 
     def test_drift_fails(self):
         rep = sphere_ellipticity(drift_symbol())
-        assert not rep.verdict
         assert rep.constant <= 0.0
 
     def test_empty_sample_plan_rejected(self, h1):

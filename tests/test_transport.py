@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evofam.cli import DECAY_SLACK, HALF_ORDER
 from evofam.errors import ConfigurationError, DomainError, UnsupportedError
 from evofam.evolution import observed_orders
 from evofam.symbols import CoefficientFunction
@@ -104,8 +105,8 @@ class TestFamilyChecks:
         f0 = sample_initial(advect_decay, box_fn())
         one = transport_solve(advect_decay, 0.0, 0.75, f0)
         rep = transport_family_checks(advect_decay, 0.0, one, f0)
-        assert rep.decay_ok
-        assert rep.decay_ratio <= np.exp(-0.75) * (1.0 + 10 * advect_decay.h)
+        assert rep.decay_bound == pytest.approx(np.exp(-0.75), rel=1e-15)
+        assert rep.decay_ratio <= rep.decay_bound * (1.0 + DECAY_SLACK * advect_decay.h)
 
     def test_mass_balance_per_step(self, advect_decay):
         f0 = sample_initial(advect_decay, box_fn())
@@ -132,7 +133,8 @@ class TestFamilyChecks:
         solve = trn.transport_solve
         monkeypatch.setattr(trn, "transport_solve",
                             lambda *a, **k: solves.append(a[1:3]) or solve(*a, **k))
-        assert transport_family_checks(advect_decay, 0.0, one, f0).decay_ok
+        rep = transport_family_checks(advect_decay, 0.0, one, f0)
+        assert rep.decay_ratio <= rep.decay_bound * (1.0 + DECAY_SLACK * advect_decay.h)
         assert solves == []
 
     def test_time_varying_coefficients(self):
@@ -144,7 +146,8 @@ class TestFamilyChecks:
         one = transport_solve(p, 0.0, 0.8, f0)
         assert aligned_ladder_cocycle(p, 0.0, 0.3, one, f0) <= 1e-12
         assert mass_balance_defect(p, 0.0, 0.8, f0) <= 1e-12
-        assert transport_family_checks(p, 0.0, one, f0).decay_ok
+        rep = transport_family_checks(p, 0.0, one, f0)
+        assert rep.decay_ratio <= rep.decay_bound * (1.0 + DECAY_SLACK * p.h)
 
 
 def study(cells, f0_fn, levels):
@@ -160,7 +163,7 @@ def study(cells, f0_fn, levels):
 class TestConvergence:
     def test_smooth_first_order(self):
         errs = study(800, gaussian_initial(1.5, 0.25), [100, 200, 400, 800])
-        for order in observed_orders(errs):
+        for order in observed_orders(errs, [100, 200, 400, 800]):
             assert 0.8 <= order <= 1.1
 
     def test_marched_run_stands_in_for_its_level(self, monkeypatch):
@@ -178,8 +181,8 @@ class TestConvergence:
 
     def test_indicator_at_least_half_order(self):
         errs = study(800, box_fn(), [100, 200, 400, 800])
-        for order in observed_orders(errs):
-            assert order >= 0.45
+        for order in observed_orders(errs, [100, 200, 400, 800]):
+            assert order >= HALF_ORDER[0]
 
 
 class TestProblemValidation:
