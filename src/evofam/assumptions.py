@@ -25,6 +25,20 @@ quotients weight the same slope).  Pairs, lambdas, bins and reduction are
 those of the difference of reciprocals, so it is the same sampled sup; only
 rounding differs, and the factored form does not cancel on near-coincident
 pairs.
+
+Two rules skip repeated work without moving a sup or its witness:
+* Columns: bins whose monomials (i xi)^alpha are all equal (after + 0.0, so
+  -0 and +0 agree; xi and -xi under even terms) have equal columns of
+  a(t, .) at every t, so `_symbol_matrix` holds one column per class, at
+  its first bin.
+* Pairs: a pair with c_alpha(s) = c_alpha(t) for every alpha has
+  a(s, .) = a(t, .), so each of its C', C, A3 and cd quotients is 0 or
+  non-finite (2 cap) whatever t - s is; `_pair_table` lists the first such
+  pair per coefficient vector and every pair whose coefficients differ.
+A dropped column or pair repeats the quotients of one listed before it,
+so the first maximum in sample-row-column order, and with it the witness,
+lies on what is swept.  The reported counts (`samples`, `pair_count`)
+still count every bin and every pair.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import Grid, row_blocks
+from .spectral import Grid, memo, row_blocks
 from .symbols import SymbolSpec
 
 RAYS = 3                      # interior ray pairs of the C' sweep: args k/RAYS * theta
@@ -72,9 +86,46 @@ class SamplePlan:
         )
 
 
+def _row_keys(table: np.ndarray) -> np.ndarray:
+    """One bytes key per row of a complex table, read after + 0.0 so that
+    -0 and +0 give one key: rows have equal keys iff their values are equal."""
+    table = np.ascontiguousarray(table + 0.0)
+    return table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+
+
+def _bin_classes(spec: SymbolSpec, grid: Grid):
+    """The first bin of each class of bins whose monomials (i xi)^alpha are
+    all equal, in bin order, and the class of every bin (C order)."""
+    def build():
+        monos = spec.monomials(grid.xi_axes()).values()
+        _, first, inverse = np.unique(_row_keys(np.stack(
+            [np.broadcast_to(m, grid.shape).reshape(-1) for m in monos], axis=1)),
+            return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return first[order], np.argsort(order)[inverse]
+    return memo(spec, "bin_classes", build, grid)
+
+
 def _symbol_matrix(spec: SymbolSpec, grid: Grid, ts: np.ndarray) -> np.ndarray:
-    """a(t_i, xi_j), shape (times, bins), bins in the order of `grid.xi_rows()`."""
-    return spec.time_matrix(ts, grid.xi_axes()).reshape(len(ts), -1)
+    """a(t_i, .) on the first bin of each `_bin_classes` class, shape
+    (times, classes), classes in the order of their first bins; on the
+    grid's own axes when every bin is its own class.
+
+    Bins with equal monomials have equal a(t, .) at every t (the terms
+    differ at most in the sign of a zero, which the sum from +0 drops), and
+    a first maximum over bins falls on the first bin of its class, so a
+    sweep over the classes finds the same sup at the same witness;
+    `_bin_xi` maps a column back to that bin."""
+    first = _bin_classes(spec, grid)[0]
+    axes = grid.xi_axes() if len(first) == len(grid.xi_rows()) else memo(
+        spec, "class_axes", lambda: tuple(np.ascontiguousarray(grid.xi_rows()[first].T)),
+        grid)
+    return spec.time_matrix(ts, axes).reshape(len(ts), -1)
+
+
+def _bin_xi(spec: SymbolSpec, grid: Grid, column: int) -> list:
+    """Frequency vector of the first bin of `_symbol_matrix`'s `column`."""
+    return grid.xi_rows()[_bin_classes(spec, grid)[0][column]].tolist()
 
 
 def _sector_lambdas(theta: float, moduli: np.ndarray) -> np.ndarray:
@@ -170,8 +221,8 @@ def _sector_measure(spec: SymbolSpec, grid: Grid, theta: float, plan: SamplePlan
     value, (m, i, j) = _steepest(quotient, 2, len(ts), a.shape[1], plan.cap)
     worst = {"kind": "resolvent_ratio" if m else "inverse_bound", "value": value,
              "t": float(ts[i]), "lambda": _sector_argmax(a[i, j], theta) if m else None,
-             "xi": grid.xi_rows()[j].tolist()}
-    return value, worst, a.size
+             "xi": _bin_xi(spec, grid, j)}
+    return value, worst, len(ts) * len(grid.xi_rows())
 
 
 def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
@@ -272,13 +323,32 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
         refined_ratio=fine, refinement_delta=delta)
 
 
+def _swept_pairs(spec: SymbolSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mask of the pairs a sweep visits: every pair with c_alpha(s) !=
+    c_alpha(t) for some alpha, and the first zero-slope pair (equal
+    coefficients) per coefficient vector."""
+    times = np.concatenate([s, t])
+    keys = _row_keys(np.stack([c(times) for c in spec.coefficients.values()], axis=1))
+    zero = np.flatnonzero(keys[:len(s)] == keys[len(s):])
+    swept = np.ones(len(s), dtype=bool)
+    swept[zero] = False
+    swept[zero[np.unique(keys[zero], return_index=True)[1]]] = True
+    return swept
+
+
 def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int,
                 neighbours: bool = True):
     """Pairs s < t as arrays (s, t, row_s, row_t) into the symbol matrix over
     the sorted union of their times, that matrix, and the number of pairs
     the sup covers: every base-grid pair plus the centred pairs.  With
     `neighbours` only neighbouring base pairs are listed (exact for
-    quotients whose sup the triangle inequality puts on them)."""
+    quotients whose sup the triangle inequality puts on them).
+
+    Only the `_swept_pairs` are listed.  Equal coefficients make a(s, .)
+    and a(t, .) the same doubles, so each C', C, A3 and cd quotient of such
+    a pair is 0 or non-finite (read as 2 cap) whatever t - s is: its row is
+    that of the first pair with the same coefficients, which is listed
+    earlier, and a first maximum never falls on a dropped row."""
     T = spec.horizon
     base = np.linspace(0.0, T, grid_count)
     i, k = np.triu_indices(grid_count, 1)
@@ -291,6 +361,8 @@ def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int,
     keep = (cs >= 0.0) & (ct <= T) & (ct > cs)
     s = np.concatenate([base[i], cs[keep]])
     t = np.concatenate([base[k], ct[keep]])
+    swept = _swept_pairs(spec, s, t)
+    s, t = s[swept], t[swept]
     times, rows = np.unique(np.concatenate([s, t]), return_inverse=True)
     return ((s, t, rows[:len(s)], rows[len(s):]), _symbol_matrix(spec, grid, times),
             covered + int(np.count_nonzero(keep)))
@@ -331,7 +403,7 @@ def _pair_sweep(spec: SymbolSpec, grid: Grid, p: SamplePlan, grid_count: int,
     value, (m, q, j) = _steepest(quotient(a, pairs), len(samples), len(s),
                                  a.shape[1], p.cap)
     witness = {} if value == 0.0 else {
-        "t": float(t[q]), "s": float(s[q]), "xi": grid.xi_rows()[j].tolist(),
+        "t": float(t[q]), "s": float(s[q]), "xi": _bin_xi(spec, grid, j),
         "value": value, **({key: samples[m]} if key else {})}
     return value, witness, count * len(samples)
 
@@ -433,7 +505,7 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
         sides = []
         for ratio in (upper, lower):
             value, (_, i, j) = _steepest(ratio, 1, len(ts), a.shape[1], p.cap)
-            sides.append({"t": float(ts[i]), "xi": grid.xi_rows()[j].tolist(),
+            sides.append({"t": float(ts[i]), "xi": _bin_xi(spec, grid, j),
                           "value": value})
         return max(sides[0]["value"], sides[1]["value"]), *sides
 
@@ -463,7 +535,8 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
         raise ConfigurationError("need at least one test vector")
     pairs, a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
     s, t = pairs[:2]
-    slope = _slope(a, pairs)
+    # the L2 sums run over every bin: each bin reads its class's slope
+    slope = _slope(a, pairs)[:, _bin_classes(spec, grid)[1]]
     a0 = np.abs(np.broadcast_to(spec.on_axes(0.0, grid.xi_axes()),
                                 grid.shape)).reshape(-1)
 
@@ -474,7 +547,7 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
         """Steepest L2 quotient ||weighted * f^|| over (vector, pair) and where it sits."""
         quotient = lambda v, lo, hi: np.sqrt(
             np.sum((weighted[lo:hi] * fhats[v]) ** 2, axis=1) * w)[:, None]
-        return _steepest(quotient, len(vectors), len(s), a.shape[1], plan.cap)
+        return _steepest(quotient, len(vectors), len(s), slope.shape[1], plan.cap)
 
     worst_x, (_, q, _) = sup(slope)
     witness = ({"t": float(t[q]), "s": float(s[q]), "quotient": worst_x}

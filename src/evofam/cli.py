@@ -131,7 +131,8 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
         "semigroup_lipschitz": csemi.refinement_delta,
     }
     verdicts = {
-        "ellipticity": bool(ellip.constant > 0 and ellip.lower_bound > 0),
+        # c must clear the dip Re a_m can take between its time samples
+        "ellipticity": bool(ellip.constant - ellip.margin > 0 and ellip.lower_bound > 0),
         "a1": capped(a1.m), "a2": capped(a2.kappa), "a3": capped(a3.value),
         "kato": kato_ok,
         "resolvent_lipschitz": capped(cprime.value),

@@ -192,7 +192,8 @@ SPHERE_SAMPLES = 64     # unit-sphere directions for d >= 2 (d = 1 uses +-1)
 
 @dataclass(frozen=True)
 class EllipticityReport:
-    """Measured strong-ellipticity constants; `cli` requires both > 0."""
+    """Measured strong-ellipticity constants; `cli` requires c - margin > 0
+    and omega > 0."""
 
     constant: float            # c: min of Re a_m over times x unit sphere
     lower_bound: float         # omega: min of Re a over times x (grid + 0)

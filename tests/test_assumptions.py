@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from unittest import mock
 
 import mpmath
@@ -372,3 +373,122 @@ class TestRefinementStability:
         rep_x = check_sector(td1, grid, THETA, thin_plan)
         rep_again = check_sector(td1, grid, THETA, thin_plan)
         assert rep_x.m == rep_again.m
+
+
+def certifier_records(spec, grid, vectors, plan):
+    """Every field of every certifier's record, and the theta scan."""
+    return {
+        "sector": asdict(check_sector(spec, grid, THETA, plan)),
+        "a2": asdict(check_norm_equivalence(spec, grid, plan)),
+        "a3": asdict(check_operator_lipschitz(spec, grid, plan)),
+        "cprime": asdict(check_resolvent_lipschitz(spec, grid, THETA, plan)),
+        "c": asdict(check_semigroup_lipschitz(spec, grid, plan)),
+        "kato": asdict(check_kato_stability(spec, grid, plan)),
+        "cd": asdict(certify_cd_system(spec, grid, vectors, plan)),
+        "theta_star": largest_passing_theta(spec, grid, plan),
+    }
+
+
+complex_coefficients = st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+
+
+@pytest.mark.parametrize("kind", ["trig", "step", "autonomous"])
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=6, deadline=None)
+@given(lead=st.floats(1.0, 3.0), cross=complex_coefficients, drift=complex_coefficients,
+       shift=complex_coefficients, odd=st.booleans(), omega=st.floats(0.5, 6.0),
+       jump_time=st.floats(0.1, 1.4), jump=complex_coefficients)
+def test_sweep_rules_leave_every_record_unchanged(dim, kind, lead, cross, drift, shift,
+                                                  odd, omega, jump_time, jump):
+    # a = lead (xi_1^2 [+ xi_2^2] + cross xi_1 xi_2) [+ drift i xi_1] + 1 + shift,
+    # with lead's coefficient constant, oscillating or stepping in t
+    time_part = {"trig": {"trig": ((omega, 0.3, -0.4j),)},
+                 "step": {"steps": ((jump_time, jump),)},
+                 "autonomous": {}}[kind]
+    unit = lambda j: tuple(int(k == j) for k in range(dim))
+    coefficients = {tuple(2 * e for e in unit(j)): CoefficientFunction(
+        const=-lead, **time_part) for j in range(dim)}
+    coefficients[(0,) * dim] = constant(1.0 + shift)
+    if dim == 2:
+        coefficients[(1, 1)] = constant(-cross)
+    if odd:
+        coefficients[unit(0)] = constant(drift)
+    spec = SymbolSpec(dim=dim, order=2, horizon=1.5, coefficients=coefficients)
+    grid = Grid(dim, 16 if dim == 1 else 8, 2.0 * np.pi)
+    vectors = [random_band_limited(grid, np.random.default_rng(v), band=2)
+               for v in range(2)]
+
+    listed = lambda: len(
+        asm._pair_table(spec, grid, NEIGHBOUR_PLAN.resolvent_pair_grid)[0][0])
+    swept, pairs = certifier_records(spec, grid, vectors, NEIGHBOUR_PLAN), listed()
+    classes = len(asm._bin_classes(spec, grid)[0])
+    # both rules off: every bin its own class and no pair dropped
+    own_classes = lambda spec, grid: (np.arange(len(grid.xi_rows())),) * 2
+    every_pair = lambda spec, s, t: np.ones(len(s), dtype=bool)
+    with mock.patch.object(asm, "_bin_classes", own_classes), \
+            mock.patch.object(asm, "_swept_pairs", every_pair):
+        np.testing.assert_equal(certifier_records(spec, grid, vectors, NEIGHBOUR_PLAN),
+                                swept)
+        every = listed()
+    # the rules took effect: xi and -xi share a class unless an odd term
+    # tells them apart, an autonomous symbol sweeps one pair, and a step
+    # drops the zero-slope pairs on either side of its jump
+    assert classes < len(grid.xi_rows()) or odd
+    if kind == "autonomous":
+        assert pairs == 1
+    elif kind == "step":
+        assert pairs < every
+
+
+def steepest_rows(measure):
+    """Rows of every sweep `measure()` runs through `_steepest`."""
+    rows, steepest = [], asm._steepest
+
+    def spy(quotient, samples, count, width, cap):
+        rows.append(count)
+        return steepest(quotient, samples, count, width, cap)
+
+    with mock.patch.object(asm, "_steepest", spy):
+        result = measure()
+    return result, rows
+
+
+# a(0, .) vanishes at xi = 0 on nonelliptic, so cd sweeps no X_{-1} quotient there
+@pytest.mark.parametrize("spec,cd_sweeps", [(heat_symbol(), 2), (drift_symbol(), 1)],
+                         ids=["h1", "nonelliptic"])
+def test_autonomous_pair_sweeps_visit_one_pair_per_plan(spec, cd_sweeps, grid,
+                                                        band_vectors):
+    # every pair has a(s, .) = a(t, .); the counts still cover every pair
+    plan = SamplePlan()
+    (a3, a3_rows), (cprime, c_rows), (c, semi_rows), (_, cd_rows) = map(steepest_rows, [
+        lambda: check_operator_lipschitz(spec, grid, plan),
+        lambda: check_resolvent_lipschitz(spec, grid, THETA, plan),
+        lambda: check_semigroup_lipschitz(spec, grid, plan),
+        lambda: certify_cd_system(spec, grid, band_vectors, plan)])
+    assert a3_rows == c_rows == semi_rows == [1, 1]     # base and refined plan
+    assert cd_rows == [1] * cd_sweeps
+    assert (a3.pair_count, cprime.pair_count, c.pair_count) == (1453, 18900, 2700)
+    assert cprime.value == c.value == 0.0
+
+
+def test_td1_sweeps_every_pair_on_513_columns(td1, grid, thin_plan, band_vectors,
+                                              td1_suite):
+    # xi and -xi give equal columns: 511 pairs, xi = 0 and the Nyquist bin
+    widths, table = [], asm._symbol_matrix
+
+    def spy(spec, grid, ts):
+        a = table(spec, grid, ts)
+        widths.append(a.shape[1])
+        return a
+
+    with mock.patch.object(asm, "_symbol_matrix", spy):
+        certifier_records(td1, grid, band_vectors, thin_plan)
+    assert set(widths) == {513} and len(widths) > 8
+    # no td1 pair is zero-slope: the default plan's tables list every pair
+    listed = [len(asm._pair_table(td1, grid, count, neighbours)[0][0])
+              for count, neighbours in ((16, True), (32, True), (48, False), (96, False))]
+    assert listed == [120, 248, 1457, 5225]
+    assert td1_suite["a1"].samples == 128 * 1024
+    assert (td1_suite["a3"].pair_count, td1_suite["cprime"].pair_count,
+            td1_suite["csemi"].pair_count) == (1457, 18900, 2700)
+    assert td1_suite["kato"].partitions_tested == 196

@@ -493,6 +493,27 @@ def test_check_judges_each_constant_against_the_plan_cap(tmp_path, capsys):
     assert "a1: FAIL" in out and "cd_system_x: FAIL" in out and "a3: pass" in out
 
 
+def test_ellipticity_judges_the_dip_between_time_samples(tmp_path):
+    # c_2(t) = -0.9 + sin(w t), w = pi (time_samples - 1) / T, vanishes to
+    # roundoff at every sample, so each reads Re a_2 = 0.9 on the unit
+    # sphere; the true inf is -0.1, inside the reported margin w dt / 2
+    from evofam.assumptions import SamplePlan
+    config = bundled_config("h1")
+    config["grid"]["n"] = 64
+    omega = math.pi * (SamplePlan().time_samples - 1) / config["symbol"]["horizon"]
+    config["symbol"]["coefficients"][0].update(const=[-0.9, 0.0],
+                                               trig=[[omega, 0.0, 0.0, 1.0, 0.0]])
+    path = write_config(tmp_path, config)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path),
+                 "--stable"]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    ellipticity = report["ellipticity"]
+    assert ellipticity["constant"] == pytest.approx(0.9, abs=1e-12)
+    assert ellipticity["lower_bound"] > 0.0
+    assert ellipticity["margin"] == pytest.approx(math.pi / 2)
+    assert report["verdicts"]["ellipticity"] is False
+
+
 def test_convergence_orders_read_the_ladder_ratio(tmp_path):
     # steps grow by 1.5, not 2: dividing by log 2 read left orders of 0.60
     # and midpoint orders of 1.17, and the run failed both
