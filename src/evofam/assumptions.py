@@ -287,33 +287,59 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
     the product of the per-factor moduli.  When `omega` is omitted it is
     taken as -(min over the sampled times and grid of Re a), the natural
     quasi-contractivity bound for this symbol class.
+
+    Every factor of a partition is a row of the sampled symbol matrix, so
+    each lambda takes log|lambda + a| once over the (times, columns) table,
+    and each order k gathers its partitions' rows from that table, blocked
+    over partitions by `row_blocks`; the semigroup form gathers Re a the
+    same way.  The draws keep their order (an order's partitions, then one
+    duration vector per partition), the factor sums run in factor order and
+    each bound is the same expression, so every ratio is the double that a
+    loop over (partition, lambda) computes, and the sup, which skips a NaN
+    ratio as that loop's `max` did, is the same bit for bit.
     """
+    T = spec.horizon
 
     def measure(p: SamplePlan):
         rng = np.random.default_rng(p.seed)
-        ts = np.linspace(0.0, spec.horizon, p.time_samples)
+        ts = np.linspace(0.0, T, p.time_samples)
         a = _symbol_matrix(spec, grid, ts)
         w = omega if omega is not None else -float(np.min(a.real))
         lams = w + np.geomspace(1e-1, 1e3, p.kato_lambdas)
-        anchors = np.linspace(0.0, spec.horizon, 9)
-        t_index = lambda t: int(round(t / spec.horizon * (len(ts) - 1)))
+        anchors = np.linspace(0.0, T, 9)
+        t_index = lambda t: int(round(t / T * (len(ts) - 1)))
 
-        worst_res, worst_semi, tested = 0.0, 0.0, 0
+        # per order k: row indices and durations, (partitions, k) each, and blocks
+        orders = []
         for k in range(1, p.kato_kmax + 1):
-            parts = _partitions(spec.horizon, k, p.kato_partitions, rng, anchors)
-            tested += len(parts)
-            for part in parts:
-                rows = a[[t_index(t) for t in part], :]
-                for lam in lams:
-                    log_prod = -np.sum(np.log(np.abs(lam + rows)), axis=0)
-                    bound = np.log(m) - k * np.log(lam - w)
-                    ratio = float(np.exp(np.max(log_prod) - bound))
-                    worst_res = max(worst_res, ratio)
-                # semigroup form with random nonnegative durations
-                taus = rng.uniform(0.0, spec.horizon / k, k)
-                log_semi = -np.sum(taus[:, None] * rows.real, axis=0)
-                bound = np.log(m) + w * float(np.sum(taus))
-                worst_semi = max(worst_semi, float(np.exp(np.max(log_semi) - bound)))
+            parts = _partitions(T, k, p.kato_partitions, rng, anchors)
+            taus = np.array([rng.uniform(0.0, T / k, k) for _ in parts])
+            idx = np.array([[t_index(t) for t in part] for part in parts])
+            orders.append((k, idx, taus, row_blocks(len(parts), k * a.shape[1])))
+        log_m = np.log(m)
+
+        def worst(log_prod, bound, best):
+            """`best` raised to the largest non-NaN exp(max_xi log_prod - bound)."""
+            return float(np.fmax.reduce(np.exp(np.max(log_prod, axis=1) - bound),
+                                        initial=best))
+
+        worst_res, logs = 0.0, np.empty(a.shape)
+        for lam in lams:
+            for rows in row_blocks(*a.shape):
+                np.log(np.abs(lam + a[rows], out=logs[rows]), out=logs[rows])
+            log_gap = np.log(lam - w)
+            for k, idx, _, blocks in orders:
+                for part in blocks:
+                    worst_res = worst(-np.sum(logs[idx[part]], axis=1),
+                                      log_m - k * log_gap, worst_res)
+        # semigroup form with random nonnegative durations
+        worst_semi = 0.0
+        for _, idx, taus, blocks in orders:
+            for part in blocks:
+                worst_semi = worst(
+                    -np.sum(taus[part, :, None] * a.real[idx[part]], axis=1),
+                    log_m + w * np.sum(taus[part], axis=1), worst_semi)
+        tested = sum(len(idx) for _, idx, _, _ in orders)
         return max(worst_res, worst_semi), w, worst_res, worst_semi, tested
 
     (_, w, res_base, semi_base, tested), fine, delta = _refined(measure, plan)

@@ -10,7 +10,7 @@ rely on those closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -181,11 +181,6 @@ class SymbolSpec:
             total += np.asarray(coef(ts))[t_idx] * monos[alpha]
         return total
 
-    def coefficient_lipschitz(self) -> dict[tuple[int, ...], float]:
-        """Per-multi-index closed-form Lipschitz bounds on [0, T]."""
-        return {alpha: coef.lipschitz_bound(self.horizon)
-                for alpha, coef in self.coefficients.items()}
-
 
 SPHERE_SAMPLES = 64     # unit-sphere directions for d >= 2 (d = 1 uses +-1)
 
@@ -200,7 +195,7 @@ class EllipticityReport:
     witness_constant: tuple    # (t, xi) achieving c
     witness_lower: tuple       # (t, xi) achieving omega
     time_samples: int
-    margin: float              # max possible dip of Re a_m between t-samples
+    margin: float              # max possible dip of Re a_m off the t-samples
 
 
 def unit_sphere_samples(dim: int) -> np.ndarray:
@@ -241,10 +236,21 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int,
     omega_meas = float(full.real[jdx])
     wit_o = (float(ts[jdx[0]]), frequencies[jdx[1]].tolist())
 
-    lip_m = sum(b for alpha, b in spec.coefficient_lipschitz().items()
-                if sum(alpha) == spec.order)
+    # Re a_m moves at most lip_m per unit time between the jumps of its step
+    # terms: half a gap from the nearer of two samples, a whole gap from the
+    # one sample beside a jump (or the only sample), and without bound on a
+    # piece with no sample
+    leading = [c for alpha, c in spec.coefficients.items() if sum(alpha) == spec.order]
+    lip_m = sum(replace(c, steps=()).lipschitz_bound(spec.horizon) for c in leading)
+    jumps = sorted({t0 for c in leading for t0, jump in c.steps
+                    if jump != 0 and 0.0 < t0 <= spec.horizon})
     dt = spec.horizon / max(time_samples - 1, 1)
-    margin = 0.5 * dt * lip_m if np.isfinite(lip_m) else float("inf")
+    if not jumps and time_samples > 1:
+        margin = 0.5 * dt * lip_m
+    elif np.all(np.diff(np.searchsorted(ts, jumps + [np.inf])) > 0):
+        margin = dt * lip_m
+    else:
+        margin = float("inf")
 
     return EllipticityReport(constant=c_meas, lower_bound=omega_meas,
                              witness_constant=wit_c, witness_lower=wit_o,

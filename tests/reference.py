@@ -17,7 +17,8 @@ each piece backs an invariant the evolution-family theory rests on:
 * `aligned_ladder_cocycle` and `mass_balance_defect`: the cocycle of the
   upwind transport march on its own step ladder, and its per-step mass
   balance, which the telescoping flux form makes exact (criterion 11);
-* `cd_lipschitz_bound`: the coefficient bound on the strong Lipschitz
+* `coefficient_lipschitz` and `cd_lipschitz_bound`: the per-coefficient
+  Lipschitz bounds, and from them the bound on the strong Lipschitz
   quotient that `certify_cd_system` samples;
 * `sampled_sector_ratios` and `sampled_sector_constant`: the lambda sweep
   the sector bound was once measured by, a lower bound on the closed-form
@@ -26,6 +27,9 @@ each piece backs an invariant the evolution-family theory rests on:
   C' quotient as a difference of reciprocals, the form
   `check_resolvent_lipschitz` took before it factored out the slope
   |a(t) - a(s)|/(t - s); it cancels on near-coincident pairs;
+* `kato_reference`: the Kato product sweep one partition and one lambda
+  at a time, as `check_kato_stability` measured it before it took one
+  log|lambda + a| table per lambda; it must give the same record bit for bit;
 * `bessel_weight` and `bessel_norm`: the order -m Sobolev weight
   (1 + |xi|^2)^{-m/2}, a second model of X_{-1} that ellipticity makes
   equivalent to the extrapolation gauge 1/|a(0, .)| the pipelines use;
@@ -40,8 +44,9 @@ each piece backs an invariant the evolution-family theory rests on:
 
 import numpy as np
 
-from evofam.assumptions import (RESOLVENT_MODULUS_RANGE, SamplePlan, _pair_table,
-                                _sector_lambdas)
+from evofam.assumptions import (RESOLVENT_MODULUS_RANGE, SamplePlan, StabilityCertificate,
+                                _pair_table, _partitions, _refined, _sector_lambdas,
+                                _symbol_matrix)
 from evofam.errors import DomainError, NumericError
 from evofam.evolution import PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
@@ -177,12 +182,19 @@ def mass_balance_defect(problem: TransportProblem, s: float, t: float,
     return worst
 
 
+def coefficient_lipschitz(spec: SymbolSpec) -> dict[tuple[int, ...], float]:
+    """Per-multi-index closed-form Lipschitz bounds on [0, T] (inf for a
+    coefficient that jumps)."""
+    return {alpha: coef.lipschitz_bound(spec.horizon)
+            for alpha, coef in spec.coefficients.items()}
+
+
 def cd_lipschitz_bound(spec: SymbolSpec, grid: Grid, vectors) -> float:
     """max over the vectors f of the L2 norm of
     sum_alpha Lip(a_alpha) |xi^alpha| |f^(xi)|: by the mean value theorem
     a bound on every sampled X-level quotient of `certify_cd_system`, and
     infinite when a coefficient jumps."""
-    lips = spec.coefficient_lipschitz()
+    lips = coefficient_lipschitz(spec)
     if not all(np.isfinite(b) for b in lips.values()):
         return float("inf")
     monos = spec.monomials(grid.xi_axes())
@@ -231,6 +243,45 @@ def sampled_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
     dt = (t - s)[:, None]
     return float(max(np.max(reciprocal_resolvent_quotient(lam, a[i], a[k], dt))
                      for lam in lams))
+
+
+def kato_reference(spec: SymbolSpec, grid: Grid, plan: SamplePlan = SamplePlan(),
+                   m: float = 1.0, omega: float | None = None) -> StabilityCertificate:
+    """`check_kato_stability` as one loop over (partition, lambda): a log of
+    |lambda + a| on every factor row of every partition."""
+
+    def measure(p: SamplePlan):
+        rng = np.random.default_rng(p.seed)
+        ts = np.linspace(0.0, spec.horizon, p.time_samples)
+        a = _symbol_matrix(spec, grid, ts)
+        w = omega if omega is not None else -float(np.min(a.real))
+        lams = w + np.geomspace(1e-1, 1e3, p.kato_lambdas)
+        anchors = np.linspace(0.0, spec.horizon, 9)
+        t_index = lambda t: int(round(t / spec.horizon * (len(ts) - 1)))
+
+        worst_res, worst_semi, tested = 0.0, 0.0, 0
+        for k in range(1, p.kato_kmax + 1):
+            parts = _partitions(spec.horizon, k, p.kato_partitions, rng, anchors)
+            tested += len(parts)
+            for part in parts:
+                rows = a[[t_index(t) for t in part], :]
+                for lam in lams:
+                    log_prod = -np.sum(np.log(np.abs(lam + rows)), axis=0)
+                    bound = np.log(m) - k * np.log(lam - w)
+                    ratio = float(np.exp(np.max(log_prod) - bound))
+                    worst_res = max(worst_res, ratio)
+                # semigroup form with random nonnegative durations
+                taus = rng.uniform(0.0, spec.horizon / k, k)
+                log_semi = -np.sum(taus[:, None] * rows.real, axis=0)
+                bound = np.log(m) + w * float(np.sum(taus))
+                worst_semi = max(worst_semi, float(np.exp(np.max(log_semi) - bound)))
+        return max(worst_res, worst_semi), w, worst_res, worst_semi, tested
+
+    (_, w, res_base, semi_base, tested), fine, delta = _refined(measure, plan)
+    return StabilityCertificate(
+        m=m, omega=w, kmax=plan.kato_kmax, partitions_tested=tested,
+        max_resolvent_ratio=res_base, max_semigroup_ratio=semi_base,
+        refined_ratio=fine, refinement_delta=delta)
 
 
 def bessel_weight(grid: Grid, m: float) -> np.ndarray:

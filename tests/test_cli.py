@@ -514,6 +514,26 @@ def test_ellipticity_judges_the_dip_between_time_samples(tmp_path):
     assert report["verdicts"]["ellipticity"] is False
 
 
+@pytest.mark.parametrize("jump,constant,passes", [(-1.0, 2.0, True), (3.0, -1.0, False)])
+def test_ellipticity_margin_reads_the_continuous_terms_between_jumps(tmp_path, jump,
+                                                                      constant, passes):
+    # c_2(t) = -2 + jump 1[t >= 1] on [0, 2]: Re a_2 is 2, then 2 - jump, on
+    # the unit sphere, and no continuous term moves it, so the margin is 0;
+    # it was inf for every principal step term
+    config = bundled_config("h1")
+    config["grid"]["n"] = 64
+    config["symbol"]["horizon"] = 2.0
+    config["symbol"]["coefficients"][0].update(const=[-2.0, 0.0],
+                                               steps=[[1.0, jump, 0.0]])
+    path = write_config(tmp_path, config)
+    assert main(["check", "--config", str(path), "--out", str(tmp_path),
+                 "--stable"]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["ellipticity"]["constant"] == constant
+    assert report["ellipticity"]["margin"] == 0.0
+    assert report["verdicts"]["ellipticity"] is passes
+
+
 def test_convergence_orders_read_the_ladder_ratio(tmp_path):
     # steps grow by 1.5, not 2: dividing by log 2 read left orders of 0.60
     # and midpoint orders of 1.17, and the run failed both

@@ -10,7 +10,7 @@ from evofam.semigroup import gauss_legendre_panels
 from evofam.spectral import Grid
 from evofam.symbols import (CoefficientFunction, SymbolSpec, certify_ellipticity,
                             constant, unit_sphere_samples)
-from reference import drift_symbol, oscillating_symbol
+from reference import coefficient_lipschitz, drift_symbol, oscillating_symbol
 
 ANTIDERIVATIVE_TOL = 1e-12  # relative gap of closed form and quadrature
 
@@ -177,7 +177,7 @@ def test_time_lipschitz_bound(spec, t, gap, xi):
     bound the sampled cd quotients rest on; a jump makes Lip infinite.  The
     bound is tightest on close pairs, so s lies within 0.05 of t."""
     s = min(max(t + gap, 0.0), 2.0)
-    lips = spec.coefficient_lipschitz()
+    lips = coefficient_lipschitz(spec)
     jumps = bool(spec.coefficients[(2,)].steps)
     assert np.isinf(lips[(2,)]) == jumps
     if not jumps:
@@ -209,6 +209,21 @@ class TestEllipticity:
         rep = sphere_ellipticity(drift_symbol())
         assert rep.constant <= 0.0
 
+    def test_margin_around_jumps(self):
+        # c_2(t) = -2 + 0.5 sin t [+ steps] on [0, 2], samples 0, 0.5, ..., 2:
+        # the continuous terms move Re a_2 by at most 0.5 per unit time
+        def margin(*steps):
+            spec = SymbolSpec(dim=1, order=2, horizon=2.0, coefficients={
+                (2,): CoefficientFunction(const=-2.0, trig=((1.0, 0.0, 0.5),),
+                                          steps=steps)})
+            return sphere_ellipticity(spec, time_samples=5).margin
+        # no jump in (0, T]: half a gap from the nearer sample
+        assert margin() == margin((0.0, 1.0), (2.5, 1.0), (1.0, 0.0)) == 0.125
+        # a sample on one side only of a jump: a whole gap
+        assert margin((1.2, -1.0)) == margin((1.0, -1.0), (1.4, 1.0), (2.0, 1.0)) == 0.25
+        # no sample on [1.1, 1.3)
+        assert margin((1.1, -1.0), (1.3, 1.0)) == np.inf
+
     def test_empty_sample_plan_rejected(self, h1):
         with pytest.raises(ConfigurationError):
             sphere_ellipticity(h1, time_samples=0)
@@ -216,9 +231,24 @@ class TestEllipticity:
 
 class TestCoefficientLipschitzMap:
     def test_h1_all_zero(self, h1):
-        assert all(v == 0.0 for v in h1.coefficient_lipschitz().values())
+        assert all(v == 0.0 for v in coefficient_lipschitz(h1).values())
 
     def test_td1_bounds(self, td1):
-        lips = td1.coefficient_lipschitz()
+        lips = coefficient_lipschitz(td1)
         assert lips[(2,)] == pytest.approx(1.0)
         assert lips[(0,)] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(wave=st.tuples(st.floats(0.5, 40.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       steps=st.lists(st.tuples(st.floats(0.0, 2.5), st.floats(-2.0, 2.0)), max_size=3),
+       time_samples=st.integers(1, 17))
+def test_ellipticity_margin_bounds_the_dip_off_the_samples(wave, steps, time_samples):
+    # Re a_2 = -Re c_2 on xi = +-1: its min over a dense grid and the jump
+    # times lies at or above c - margin
+    coef = CoefficientFunction(const=-3.0, trig=(wave,), steps=tuple(steps))
+    spec = SymbolSpec(dim=1, order=2, horizon=2.0, coefficients={(2,): coef})
+    rep = sphere_ellipticity(spec, time_samples)
+    ts = np.concatenate([np.linspace(0.0, 2.0, 4001),
+                         [t0 for t0, _ in steps if t0 <= 2.0]])
+    assert np.min(-coef(ts).real) >= rep.constant - rep.margin - 1e-12
