@@ -13,9 +13,9 @@ Conventions fixed here and relied on everywhere else:
   them go through `memo`: each is built once and then shared, read-only,
   by every caller.  Copy a table before writing to it.
 * Blocked sweeps (the certifiers' sampled sups, the Volterra and Duhamel
-  marches, the product rules) take their rows by `row_blocks`, at most
-  BLOCK_ELEMENTS values per block, so no (samples x bins) table is ever
-  built whole.
+  marches) take their rows by `row_blocks`, at most BLOCK_ELEMENTS values
+  per block, so no (samples x bins) table is ever built whole; a symbol
+  table that is kept whole is built into its output a block at a time.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ rely on those closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import memo
+from .spectral import memo, row_blocks
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class SymbolSpec:
         if not any(sum(alpha) == self.order for alpha in self.coefficients):
             raise ConfigurationError("no multi-index of full order present")
 
-    def _check_time(self, t):
+    def check_time(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < 0) or np.any(t > self.horizon):
             raise DomainError(f"time {t} outside [0, {self.horizon}]")
@@ -142,44 +143,44 @@ class SymbolSpec:
             return out
         return memo(self, "monomials", build, xi_axes)
 
+    def combine(self, values: dict, xi_axes: tuple[np.ndarray, ...],
+                out: np.ndarray | None = None) -> np.ndarray:
+        """sum_alpha values[alpha] (i xi)^alpha, values of one leading shape L
+        padded to L + the axes' broadcast shape, added to 0 (or into `out`) in
+        coefficient order: the one place coefficients meet monomials."""
+        monos = self.monomials(xi_axes)
+        shape = np.broadcast_shapes(*(ax.shape for ax in xi_axes))
+        if out is None:
+            out = np.zeros(np.shape(next(iter(values.values()))) + shape, dtype=complex)
+        pad = (...,) + (None,) * len(shape)
+        for alpha in self.coefficients:
+            out += np.asarray(values[alpha])[pad] * monos[alpha]
+        return out
+
     def on_axes(self, t, xi_axes: tuple[np.ndarray, ...]) -> np.ndarray:
         """a(t, .) on broadcastable frequency axes at one time t: row 0 of
         `time_matrix` at [t]."""
         return self.time_matrix([t], xi_axes)[0]
 
     def integral_on_axes(self, s, t, xi_axes: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Closed-form integral of a(tau, .) over tau in [s, t], on axes.
+        """Closed-form integral of a(tau, .) over tau in [s, t] on axes, from the
+        increments C_alpha(t) - C_alpha(s).  `s` and `t` are scalars or equal-shape
+        arrays of interval ends; a row of the result, shape np.shape(s) + the
+        axes' broadcast shape, equals the scalar call on its interval bit for bit."""
+        s, t = self.check_time(s), self.check_time(t)
+        return self.combine({alpha: coef.antiderivative(t) - coef.antiderivative(s)
+                             for alpha, coef in self.coefficients.items()}, xi_axes)
 
-        `s` and `t` are scalars or equal-shape arrays of interval ends; the
-        result has one row per interval, shape np.shape(s) + the axes'
-        broadcast shape.  Each increment C(t) - C(s) gets trailing axes
-        before it multiplies its monomial, so a row equals the scalar call
-        on its own interval bit for bit.
-        """
-        s, t = self._check_time(s), self._check_time(t)
-        monos = self.monomials(xi_axes)
-        pad = (...,) + (None,) * len(xi_axes)
-        total = np.zeros(s.shape + np.broadcast_shapes(*(ax.shape for ax in xi_axes)),
-                         dtype=complex)
-        for alpha, coef in self.coefficients.items():
-            increment = np.asarray(coef.antiderivative(t) - coef.antiderivative(s))
-            total += increment[pad] * monos[alpha]
-        return total
-
-    def time_matrix(self, ts: np.ndarray, xi_axes: tuple[np.ndarray, ...],
-                    principal_only: bool = False) -> np.ndarray:
-        """a(t_i, xi) for a vector of times: shape (len(ts), *broadcast shape)."""
-        ts = self._check_time(ts)
-        monos = self.monomials(xi_axes)
-        shape = np.broadcast_shapes(*(m.shape for m in monos.values()))
-        total = np.zeros((len(ts),) + shape, dtype=complex)
-        t_idx = (slice(None),) + (None,) * len(shape)
-        for alpha, coef in self.coefficients.items():
-            if principal_only and sum(alpha) != self.order:
-                continue
-            # the term broadcasts in the sum: a scalar monomial costs no full-size temporary
-            total += np.asarray(coef(ts))[t_idx] * monos[alpha]
-        return total
+    def time_matrix(self, ts: np.ndarray, xi_axes: tuple[np.ndarray, ...]) -> np.ndarray:
+        """a(t_i, xi) for a vector of times, shape (len(ts), *the axes' broadcast
+        shape), combined into it a `row_blocks` block of rows at a time."""
+        ts = self.check_time(ts)
+        shape = np.broadcast_shapes(*(ax.shape for ax in xi_axes))
+        out = np.zeros((len(ts),) + shape, dtype=complex)
+        for rows in row_blocks(len(ts), math.prod(shape)):
+            self.combine({alpha: coef(ts[rows]) for alpha, coef in self.coefficients.items()},
+                         xi_axes, out[rows])
+        return out
 
 
 SPHERE_SAMPLES = 64     # unit-sphere directions for d >= 2 (d = 1 uses +-1)
@@ -226,9 +227,10 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int,
     sphere = unit_sphere_samples(spec.dim)
     frequencies = np.vstack([frequencies, np.zeros((1, spec.dim))])
 
-    principal = spec.time_matrix(ts, tuple(sphere.T), principal_only=True)
-    idx = np.unravel_index(np.argmin(principal.real), principal.shape)
-    c_meas = float(principal.real[idx])
+    leading = {alpha: c for alpha, c in spec.coefficients.items() if sum(alpha) == spec.order}
+    table = replace(spec, coefficients=leading).time_matrix(ts, tuple(sphere.T))
+    idx = np.unravel_index(np.argmin(table.real), table.shape)
+    c_meas = float(table.real[idx])
     wit_c = (float(ts[idx[0]]), sphere[idx[1]].tolist())
 
     full = spec.time_matrix(ts, tuple(frequencies.T))
@@ -240,9 +242,8 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int,
     # terms: half a gap from the nearer of two samples, a whole gap from the
     # one sample beside a jump (or the only sample), and without bound on a
     # piece with no sample
-    leading = [c for alpha, c in spec.coefficients.items() if sum(alpha) == spec.order]
-    lip_m = sum(replace(c, steps=()).lipschitz_bound(spec.horizon) for c in leading)
-    jumps = sorted({t0 for c in leading for t0, jump in c.steps
+    lip_m = sum(replace(c, steps=()).lipschitz_bound(spec.horizon) for c in leading.values())
+    jumps = sorted({t0 for c in leading.values() for t0, jump in c.steps
                     if jump != 0 and 0.0 < t0 <= spec.horizon})
     dt = spec.horizon / max(time_samples - 1, 1)
     if not jumps and time_samples > 1:

@@ -30,6 +30,10 @@ each piece backs an invariant the evolution-family theory rests on:
 * `kato_reference`: the Kato product sweep one partition and one lambda
   at a time, as `check_kato_stability` measured it before it took one
   log|lambda + a| table per lambda; it must give the same record bit for bit;
+* `product_formula_reference`: the frozen-coefficient product rules as
+  `product_formula_errors` took them before it summed the coefficients:
+  one row a(tau_j, .) per node from `time_matrix`, added in node order;
+  the two sums differ by rounding only;
 * `bessel_weight` and `bessel_norm`: the order -m Sobolev weight
   (1 + |xi|^2)^{-m/2}, a second model of X_{-1} that ellipticity makes
   equivalent to the extrapolation gauge 1/|a(0, .)| the pipelines use;
@@ -47,11 +51,12 @@ import numpy as np
 from evofam.assumptions import (RESOLVENT_MODULUS_RANGE, SamplePlan, StabilityCertificate,
                                 _pair_table, _partitions, _refined, _sector_lambdas,
                                 _symbol_matrix)
-from evofam.errors import DomainError, NumericError
-from evofam.evolution import PropagatorEngine
+from evofam.errors import ConfigurationError, DomainError, NumericError
+from evofam.evolution import RULE_OFFSETS, PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
 from evofam.perturbation import BASE_POINTS, SEPARATIONS
-from evofam.spectral import Grid, GridFunction, apply_multiplier, norm, plancherel_norm
+from evofam.spectral import (Grid, GridFunction, apply_multiplier, norm, plancherel_norm,
+                             row_blocks)
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
 from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
                               TransportState, transport_solve)
@@ -282,6 +287,38 @@ def kato_reference(spec: SymbolSpec, grid: Grid, plan: SamplePlan = SamplePlan()
         m=m, omega=w, kmax=plan.kato_kmax, partitions_tested=tested,
         max_resolvent_ratio=res_base, max_semigroup_ratio=semi_base,
         refined_ratio=fine, refinement_delta=delta)
+
+
+# product-rule blocks hold BLOCK_ELEMENTS / 4 values (64 KiB), which glibc keeps in the
+# heap; blocks of 256 KiB went back to the OS and were faulted afresh, block after block
+PRODUCT_BLOCK_DIVISOR = 4
+
+
+def product_formula_reference(spec: SymbolSpec, s: float, t: float,
+                              f: GridFunction, target: GridFunction, rule: str,
+                              step_counts) -> list[float]:
+    """L2 errors against `target`, the exact U(t,s) f, of the product
+    formula exp(-sum_j dt a(tau_j, .)) f at each step count, with nodes
+    tau_j = s + j dt for `rule` "left" (first order) and s + (j + 1/2) dt
+    for "midpoint" (second order).  The rows a(tau_j, .) come from
+    `time_matrix` a block of `row_blocks` at a time, so no step count holds
+    its whole table, and are summed in node order."""
+    if rule not in RULE_OFFSETS:
+        raise ConfigurationError(f"unknown product rule {rule!r}")
+    offset = RULE_OFFSETS[rule]
+    axes = f.grid.xi_axes()
+    fhat = f.to_frequency().values
+    errors = []
+    for n in step_counts:
+        dt = (t - s) / n
+        nodes = s + (np.arange(n) + offset) * dt
+        total = np.zeros(f.grid.shape, dtype=complex)
+        for part in row_blocks(n, PRODUCT_BLOCK_DIVISOR * f.grid.n ** f.grid.dim):
+            for row in spec.time_matrix(nodes[part], axes):
+                total += dt * row
+        diff = GridFunction(f.grid, "frequency", fhat * np.exp(-total) - target.values)
+        errors.append(norm(diff))
+    return errors
 
 
 def bessel_weight(grid: Grid, m: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofam import assumptions as asm
+from evofam import spectral
 from evofam.cli import KATO_TOL
 from evofam.assumptions import (SamplePlan, certify_cd_system,
                                 check_kato_stability, check_norm_equivalence,
@@ -542,3 +544,20 @@ def test_kato_logs_one_table_per_lambda(td1, grid, monkeypatch):
     check_kato_stability(td1, grid, plan)
     assert sum(logged) <= sum(p.kato_lambdas * (p.time_samples * columns + p.kato_kmax)
                               for p in (plan, plan.refined()))
+
+
+def test_symbol_matrix_builds_in_place(td1, grid):
+    # the refined A3 table of td1 (1426 pair times x 513 columns, 11.7 MB) is
+    # built a block of rows at a time into its output: one block-sized term
+    # and numpy's broadcast buffer (under a block) beside the table, where a
+    # whole-table sum held a second table
+    ts = np.linspace(0.0, td1.horizon, 1426)
+    asm._symbol_matrix(td1, grid, ts[:2])        # class axes and monomials, kept
+    tracemalloc.start()
+    try:
+        table = asm._symbol_matrix(td1, grid, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1426, 513)
+    assert peak < table.nbytes + 2 * spectral.BLOCK_ELEMENTS * 16

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from evofam.semigroup import FrozenOperator
 from evofam.spectral import Grid, GridFunction, mode, norm, \
     random_band_limited
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
-from reference import COCYCLE_TOL, cocycle_defect, frozen_semigroup, operator_norm
+from reference import (COCYCLE_TOL, cocycle_defect, frozen_semigroup, operator_norm,
+                       product_formula_reference)
 
 
 @pytest.fixture(scope="module")
@@ -179,24 +181,28 @@ class TestProductFormula:
         with pytest.raises(ConfigurationError):
             product_formula_errors(td1, 0.0, 1.0, f, f, "simpson", [16])
 
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_block_boundaries_leave_the_errors_unchanged(self, monkeypatch, td1, rows):
-        # the symbol rows are read a block at a time: one row per block is
-        # the node-by-node sum, and blocks of 3 rows divide no step count
-        from evofam import evolution as evo
-        from evofam import spectral
-        grid = Grid(1, 64, 2.0 * np.pi)
-        f = random_band_limited(grid, np.random.default_rng(4), band=4)
+    def test_nodes_outside_the_horizon_rejected(self, td1, grid):
+        f = mode(grid, 1)
+        with pytest.raises(DomainError):
+            product_formula_errors(td1, 0.0, td1.horizon + 1.0, f, f, "left", [16])
+
+    def test_exact_on_h1(self, h1, grid, rng):
+        # a constant coefficient's Riemann sum on a power-of-two ladder is its
+        # exact increment, and both exponents go through the same combine
+        f = random_band_limited(grid, rng, band=4)
+        target = PropagatorEngine(h1, grid).propagate(0.0, 0.9, f)
+        for rule in ("left", "midpoint"):
+            assert product_formula_errors(h1, 0.0, 0.9, f, target, rule,
+                                          [16, 32, 64, 128]) == [0.0] * 4
+
+    def test_no_symbol_table(self, td1, grid, rng):
+        # the rules sum coefficients; they build no (nodes x bins) table
+        f = random_band_limited(grid, rng, band=4)
         target = PropagatorEngine(td1, grid).propagate(0.0, 2.0, f)
-
-        def errors():
-            return [product_formula_errors(td1, 0.0, 2.0, f, target, rule, [8, 16])
-                    for rule in ("left", "midpoint")]
-
-        default = errors()
-        monkeypatch.setattr(spectral, "BLOCK_ELEMENTS",
-                            rows * evo.PRODUCT_BLOCK_DIVISOR * grid.n)
-        assert errors() == default
+        with mock.patch.object(SymbolSpec, "time_matrix",
+                               side_effect=AssertionError("time_matrix called")):
+            for rule in ("left", "midpoint"):
+                product_formula_errors(td1, 0.0, 2.0, f, target, rule, [64, 96])
 
 
 def test_observed_orders_requires_two_errors():
@@ -246,6 +252,27 @@ def test_exact_cocycle_on_random_symbols(spec, times, seed):
     f = random_band_limited(COCYCLE_GRID, np.random.default_rng(seed), band=4)
     r, s, t = sorted(times)
     assert cocycle_defect(engine, r, s, t, f) <= COCYCLE_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=elliptic_symbols(), rule=st.sampled_from(["left", "midpoint"]),
+       first=st.integers(1, 16), ratio=st.sampled_from([2.0, 1.5]),
+       ends=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_product_rules_match_the_row_by_row_sum(spec, rule, first, ratio, ends, seed):
+    """Summing each coefficient over the nodes gives the errors of the
+    row-by-row sum of a(tau_j, .) to 1e-9 relative, on ladders that double
+    or grow 1.5 times a step; errors at the exact floor EXACT_ULPS * eps *
+    ||f|| are roundoff in both, and agree to that floor."""
+    f = random_band_limited(COCYCLE_GRID, np.random.default_rng(seed), band=4)
+    s, t = sorted(ends)
+    target = PropagatorEngine(spec, COCYCLE_GRID).propagate(s, t, f)
+    ladder = [int(4 * first * ratio ** k) for k in range(3)]
+    floor = EXACT_ULPS * np.finfo(float).eps * norm(f)
+    new = product_formula_errors(spec, s, t, f, target, rule, ladder)
+    old = product_formula_reference(spec, s, t, f, target, rule, ladder)
+    for e_new, e_old in zip(new, old):
+        assert abs(e_new - e_old) <= 1e-9 * e_old + floor
 
 
 @st.composite

@@ -9,7 +9,9 @@ keeps is a constant.  Every module-level UPPER_CASE name must be read in
 `src/evofam` outside its own assignment; a tolerance that only tests read
 guards nothing the pipelines do.  No dataclass outside `cli.py` has a
 `bool` field: the library returns measurements, and `cli` decides every
-verdict, so each verdict is stored once.
+verdict, so each verdict is stored once.  Every `SamplePlan` field is read
+as an attribute in `src/evofam` outside the class; a density no sweep
+reads only pads the config schema.
 """
 
 import ast
@@ -24,6 +26,9 @@ ENTRY_POINTS = {"cli.main"}     # called by the console script, not by src
 # perfbench's cell-step counter reads cfl_safety from transport_solve's bound
 # arguments, so the parameter stays although every caller keeps its default
 KEPT_DEFAULTS = {"transport.transport_solve.cfl_safety"}
+# the closed-form sector sup took over the lambda sweep that read moduli_per_ray;
+# the field stays only while perfbench's THIN_PLAN and the config schema set it
+KEPT_PLAN_FIELDS = {"moduli_per_ray"}
 
 
 def _names(node) -> Counter:
@@ -166,3 +171,26 @@ def test_no_verdict_field_outside_cli(tmp_path):
         "from dataclasses import dataclass\n\n@dataclass(frozen=True)\n"
         "class Report:\n    value: float\n    verdict: bool\n")
     assert bool_fields(tmp_path) == ["probe.Report.verdict"]
+
+
+def unread_fields(src: Path, cls_name: str) -> list[str]:
+    """Fields of dataclass `cls_name` in `src` that no attribute access in
+    `src` outside the class reads."""
+    fields, reads = [], Counter()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name == cls_name:
+                fields += [item.target.id for item in node.body
+                           if isinstance(item, ast.AnnAssign)]
+            else:
+                reads.update(sub.attr for sub in ast.walk(node)
+                             if isinstance(sub, ast.Attribute))
+    return [name for name in fields if not reads[name]]
+
+
+def test_every_plan_field_is_read_in_src(tmp_path):
+    assert set(unread_fields(SRC, "SamplePlan")) == KEPT_PLAN_FIELDS
+    (tmp_path / "probe.py").write_text(
+        "class Plan:\n    used: int = 1\n    dead: int = 2\n\n"
+        "def sweep(plan):\n    return plan.used\n")
+    assert unread_fields(tmp_path, "Plan") == ["dead"]

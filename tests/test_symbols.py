@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evofam import spectral
 from evofam.errors import ConfigurationError, DomainError
 from evofam.semigroup import gauss_legendre_panels
 from evofam.spectral import Grid
@@ -30,10 +31,14 @@ def coefficients(draw):
 
 
 def at(spec, t, xi, principal_only=False) -> complex:
-    """a(t, xi) (or its principal part) at one time and frequency vector."""
+    """a(t, xi) (or its principal part, the symbol of the full-order terms
+    alone, as `certify_ellipticity` builds it) at one time and frequency
+    vector."""
+    if principal_only:
+        spec = replace(spec, coefficients={alpha: c for alpha, c in spec.coefficients.items()
+                                           if sum(alpha) == spec.order})
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return complex(spec.time_matrix([t], tuple(xi[:, None]),
-                                    principal_only=principal_only).reshape(-1)[0])
+    return complex(spec.time_matrix([t], tuple(xi[:, None])).reshape(-1)[0])
 
 
 class TestCoefficientFunction:
@@ -116,10 +121,11 @@ class TestSymbolEvaluation:
         # (i xi1)(i xi2) - (i xi1)^2 at xi = (2, 3)
         assert at(spec, 0.0, (2.0, 3.0)) == pytest.approx(-6.0 + 4.0)
 
-    def test_terms_broadcast_into_the_sum(self):
+    def test_terms_broadcast_into_the_sum(self, monkeypatch):
         # each term multiplies its monomial at the monomial's own shape (a
         # scalar, or one axis of the grid) and broadcasts in the sum: bit for
-        # bit the sum of full-size terms
+        # bit the sum of full-size terms, in one block of rows or in blocks
+        # of 2 rows that do not divide the 5 times
         grid = Grid(2, 16, 2.0 * np.pi)
         spec = SymbolSpec(dim=2, order=2, horizon=1.0, coefficients={
             (2, 0): CoefficientFunction(const=-1.0, trig=((3.0, 0.1, 0.2),)),
@@ -129,6 +135,8 @@ class TestSymbolEvaluation:
         full = np.zeros((len(ts),) + grid.shape, dtype=complex)
         for alpha, coef in spec.coefficients.items():
             full += coef(ts)[:, None, None] * np.broadcast_to(monos[alpha], grid.shape)
+        assert spec.time_matrix(ts, axes).tobytes() == full.tobytes()
+        monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 2 * grid.n ** 2)
         assert spec.time_matrix(ts, axes).tobytes() == full.tobytes()
 
 
