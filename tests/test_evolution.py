@@ -204,6 +204,23 @@ class TestProductFormula:
             for rule in ("left", "midpoint"):
                 product_formula_errors(td1, 0.0, 2.0, f, target, rule, [64, 96])
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_block_boundaries_leave_the_errors_unchanged(self, monkeypatch, td1, rows):
+        # the block size of the blocked sweeps must not reach the rules: one
+        # row per block, and blocks of 3 rows that divide no step count
+        from evofam import spectral
+        grid = Grid(1, 64, 2.0 * np.pi)
+        f = random_band_limited(grid, np.random.default_rng(4), band=4)
+        target = PropagatorEngine(td1, grid).propagate(0.0, 2.0, f)
+
+        def errors():
+            return [product_formula_errors(td1, 0.0, 2.0, f, target, rule, [8, 16])
+                    for rule in ("left", "midpoint")]
+
+        default = errors()
+        monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * grid.n)
+        assert errors() == default
+
 
 def test_observed_orders_requires_two_errors():
     with pytest.raises(ConfigurationError):
