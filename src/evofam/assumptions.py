@@ -53,7 +53,6 @@ from .symbols import SymbolSpec
 
 RAYS = 3                      # interior ray pairs of the C' sweep: args k/RAYS * theta
 PAIR_DELTAS = (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)   # widths of the centred pairs
-THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)
 RESOLVENT_MODULUS_RANGE = (1e-2, 1e4)  # |lambda| range of the C' sweep
 
 
@@ -242,15 +241,23 @@ def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
 
 def largest_passing_theta(spec: SymbolSpec, grid: Grid,
                           plan: SamplePlan = SamplePlan()) -> float:
-    """Largest THETA_SCAN angle whose sector constant M is at most the
-    plan's cap, the `a1` rule of `cli.run_check` (nan if none); that rule
-    reads the base plan only, so only that is measured, one pass over the
-    (t, xi) cells per angle."""
-    best = float("nan")
-    for theta in THETA_SCAN:
-        if _sector_measure(spec, grid, float(theta), plan)[0] <= plan.cap:
-            best = float(theta)
-    return best
+    """theta*, the largest sector angle that passes the `a1` rule (M <= cap)
+    on the base plan, the plan that rule judges: min over the (t, xi) cells
+    of |arg(-a)| - arcsin(1/cap), since `_sector_sup` does not grow with
+    |arg(-a)| and so the first argmin cell bounds the rest.  Near pi the
+    difference keeps few digits of psi, so theta* steps down one ulp at a time
+    while that cell's sup exceeds cap.  nan if cap < 1, if some 1/|a| > cap
+    (a = 0 included) or if theta* is not in (pi/2, pi)."""
+    a = _symbol_matrix(spec, grid, np.linspace(0.0, spec.horizon, plan.time_samples))
+    with np.errstate(divide="ignore"):
+        if plan.cap < 1.0 or np.max(1.0 / np.abs(a)) > plan.cap:
+            return float("nan")
+    args = np.abs(np.angle(-a)).ravel()
+    cell = np.argmin(args)
+    theta = float(args[cell] - np.arcsin(1.0 / plan.cap))
+    while _sector_sup(a.flat[cell], theta) > plan.cap:
+        theta = float(np.nextafter(theta, 0.0))
+    return theta if np.pi / 2 < theta < np.pi else float("nan")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +100,7 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
     vectors = [random_band_limited(grid, rng, band=int(vec_cfg.get("band", 4)))
                for _ in range(int(vec_cfg.get("count", 4)))]
 
-    ellip = certify_ellipticity(spec, plan.time_samples, grid.xi_rows())
+    ellip = certify_ellipticity(spec, plan.time_samples, grid)
     timer.mark("ellipticity")
     a1 = asm.check_sector(spec, grid, theta, plan)
     timer.mark("a1_sector")
@@ -117,8 +116,7 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
     timer.mark("kato")
     cd = asm.certify_cd_system(spec, grid, vectors, plan)
     timer.mark("cd_system")
-    thin = replace(plan, time_samples=max(plan.time_samples // 4, 8))
-    theta_star = asm.largest_passing_theta(spec, grid, thin)
+    theta_star = asm.largest_passing_theta(spec, grid, plan)
     timer.mark("theta_scan")
 
     capped = lambda value: bool(value <= plan.cap)
@@ -282,6 +280,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
 
     half = per.solve_perturbed(engine, family, s, t, x, steps // 2)
     cocycle_defect = per.perturbed_family_checks(traj, half)
+    half = half.final()     # the rest reads only the M/2 run's final state
     timer.mark("family_checks")
 
     oracle_error, oracle_orders = None, None
@@ -290,7 +289,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
         # the M/4 level serves only the oracle, so only its final state is kept
         ladder = [steps // 4, steps // 2, steps]
         quarter = per.solve_perturbed(engine, family, s, t, x, ladder[0]).final()
-        finals = [quarter, half.final(), traj.final()]
+        finals = [quarter, half, traj.final()]
         errs = [norm(GridFunction(grid, "frequency", v.values - oracle.values))
                 for v in finals]
         oracle_error = errs[-1]

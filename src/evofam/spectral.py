@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericError, StateError
+from .errors import ConfigurationError, NumericError, StateError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -136,7 +136,7 @@ class Grid:
     def mode_index(self, k: int) -> int:
         """FFT-order index of integer mode k on one axis."""
         if not -self.n // 2 <= k < self.n // 2:
-            raise DomainError(f"mode {k} outside grid band [{-self.n//2}, {self.n//2})")
+            raise ConfigurationError(f"mode {k} outside grid band [{-self.n//2}, {self.n//2})")
         return k % self.n
 
 
@@ -260,7 +260,7 @@ def mode(grid: Grid, k) -> GridFunction:
     """
     ks = (k,) if np.isscalar(k) else tuple(k)
     if len(ks) != grid.dim:
-        raise DomainError(f"mode index {ks} has wrong dimension")
+        raise ConfigurationError(f"mode index {ks} has wrong dimension")
     values = np.zeros(grid.shape, dtype=complex)
     idx = tuple(grid.mode_index(kj) for kj in ks)
     values[idx] = 1.0 / np.sqrt(grid.cell_volume)

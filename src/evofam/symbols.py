@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import memo, row_blocks
+from .spectral import Grid, memo, row_blocks
 
 
 @dataclass(frozen=True)
@@ -192,40 +192,29 @@ class EllipticityReport:
     and omega > 0."""
 
     constant: float            # c: min of Re a_m over times x unit sphere
-    lower_bound: float         # omega: min of Re a over times x (grid + 0)
+    lower_bound: float         # omega: min of Re a over times x grid bins
     witness_constant: tuple    # (t, xi) achieving c
     witness_lower: tuple       # (t, xi) achieving omega
     time_samples: int
     margin: float              # max possible dip of Re a_m off the t-samples
 
 
-def unit_sphere_samples(dim: int) -> np.ndarray:
-    """Deterministic points on the unit sphere, shape (SPHERE_SAMPLES, dim).
-
-    d = 1 reduces to {-1, +1}; higher d uses a seeded uniform draw,
-    sufficient because a_m is continuous and homogeneous.
-    """
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    rng = np.random.default_rng(180)
-    pts = rng.standard_normal((SPHERE_SAMPLES, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
 def certify_ellipticity(spec: SymbolSpec, time_samples: int,
-                        frequencies: np.ndarray) -> EllipticityReport:
+                        grid: Grid) -> EllipticityReport:
     """Measure c with Re a_m(t, xi) >= c |xi|^m and omega with Re a >= omega.
 
     c is minimized over `time_samples` uniform times and the unit-sphere
     samples (homogeneity makes the sphere sufficient); omega over the same
-    times and ``frequencies`` (rows = frequency vectors; `check` passes the
-    grid's) plus xi = 0.
+    times and the grid's own bins, on its memoised axes (xi = 0 among them),
+    so the symbol's monomials there are the ones every certifier shares.
     """
     if time_samples < 1:
         raise ConfigurationError("need at least one time sample")
     ts = np.linspace(0.0, spec.horizon, time_samples)
-    sphere = unit_sphere_samples(spec.dim)
-    frequencies = np.vstack([frequencies, np.zeros((1, spec.dim))])
+    sphere = np.array([[1.0], [-1.0]])
+    if spec.dim > 1:
+        sphere = np.random.default_rng(180).standard_normal((SPHERE_SAMPLES, spec.dim))
+        sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
 
     leading = {alpha: c for alpha, c in spec.coefficients.items() if sum(alpha) == spec.order}
     table = replace(spec, coefficients=leading).time_matrix(ts, tuple(sphere.T))
@@ -233,10 +222,10 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int,
     c_meas = float(table.real[idx])
     wit_c = (float(ts[idx[0]]), sphere[idx[1]].tolist())
 
-    full = spec.time_matrix(ts, tuple(frequencies.T))
+    full = spec.time_matrix(ts, grid.xi_axes()).reshape(time_samples, -1)
     jdx = np.unravel_index(np.argmin(full.real), full.shape)
     omega_meas = float(full.real[jdx])
-    wit_o = (float(ts[jdx[0]]), frequencies[jdx[1]].tolist())
+    wit_o = (float(ts[jdx[0]]), grid.xi_rows()[jdx[1]].tolist())
 
     # Re a_m moves at most lip_m per unit time between the jumps of its step
     # terms: half a gap from the nearer of two samples, a whole gap from the

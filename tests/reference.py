@@ -23,6 +23,10 @@ each piece backs an invariant the evolution-family theory rests on:
 * `sampled_sector_ratios` and `sampled_sector_constant`: the lambda sweep
   the sector bound was once measured by, a lower bound on the closed-form
   sup that `check_sector` takes;
+* `theta_scan_reference`: the largest of THETA_SCAN's nine angles whose
+  sector constant passes the cap on the plan, as `largest_passing_theta`
+  scanned before it took theta* in closed form; it must agree with theta*
+  on every scan angle;
 * `reciprocal_resolvent_quotient` and `sampled_resolvent_lipschitz`: the
   C' quotient as a difference of reciprocals, the form
   `check_resolvent_lipschitz` took before it factored out the slope
@@ -50,7 +54,7 @@ import numpy as np
 
 from evofam.assumptions import (RESOLVENT_MODULUS_RANGE, SamplePlan, StabilityCertificate,
                                 _pair_table, _partitions, _refined, _sector_lambdas,
-                                _symbol_matrix)
+                                _sector_measure, _symbol_matrix)
 from evofam.errors import ConfigurationError, DomainError, NumericError
 from evofam.evolution import RULE_OFFSETS, PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
@@ -64,6 +68,7 @@ from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
 SINGULAR_TOL = 1e-14    # |lambda + a| below which the resolvent is singular
 COCYCLE_TOL = 1e-10     # exact-engine cocycle (exponent additivity over ~1e2 bins)
 MODULUS_RANGE = (1e-3, 1e6)   # |lambda| range of the sampled sector sweep
+THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)   # angles of the sector-angle scan
 
 
 def frozen_semigroup(op: FrozenOperator, tau: float, f: GridFunction) -> GridFunction:
@@ -229,6 +234,16 @@ def sampled_sector_constant(spec: SymbolSpec, grid: Grid, theta: float,
         inverse = np.max(1.0 / np.abs(a))
     return float(max(inverse, np.max(sampled_sector_ratios(a, theta,
                                                              plan.moduli_per_ray))))
+
+
+def theta_scan_reference(spec: SymbolSpec, grid: Grid, plan: SamplePlan) -> float:
+    """Largest THETA_SCAN angle whose sector constant M on `plan` is at most
+    its cap (nan if none), one pass over the (t, xi) cells per angle."""
+    best = float("nan")
+    for theta in THETA_SCAN:
+        if _sector_measure(spec, grid, float(theta), plan)[0] <= plan.cap:
+            best = float(theta)
+    return best
 
 
 def reciprocal_resolvent_quotient(lam: complex, a_s, a_t, dt):

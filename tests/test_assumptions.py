@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from unittest import mock
 
 import mpmath
@@ -20,10 +20,10 @@ from evofam.assumptions import (SamplePlan, certify_cd_system,
 from evofam.errors import DomainError
 from evofam.spectral import Grid, GridFunction, NormSpec, norm, random_band_limited
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
-from reference import (cd_lipschitz_bound, drift_symbol, heat_symbol, kato_reference,
-                       oscillating_symbol, reciprocal_resolvent_quotient,
+from reference import (THETA_SCAN, cd_lipschitz_bound, drift_symbol, heat_symbol,
+                       kato_reference, oscillating_symbol, reciprocal_resolvent_quotient,
                        sampled_resolvent_lipschitz, sampled_sector_constant,
-                       sampled_sector_ratios)
+                       sampled_sector_ratios, theta_scan_reference)
 
 THETA = 3.0 * np.pi / 4.0
 
@@ -95,6 +95,19 @@ class TestSector:
         thin = SamplePlan(time_samples=8, moduli_per_ray=8)
         best = largest_passing_theta(h1, grid, thin)
         assert best >= 0.9 * np.pi            # real spectrum: all angles pass
+
+    @pytest.mark.parametrize("cap,stepped,sector", [(1.3, False, 1.3),
+                                                    (1e8, True, 99999996.16685514)])
+    def test_theta_star_in_closed_form(self, td1, grid, thin_plan, cap, stepped, sector):
+        # a >= 1 is real, so theta* = pi - arcsin(1/cap), where M reaches the
+        # cap; at 1e8 psi keeps 8 digits and M reads 100000000.6 there, so
+        # theta* steps one ulp down from it
+        plan = replace(thin_plan, cap=cap)
+        star = largest_passing_theta(td1, grid, plan)
+        closed = np.pi - np.arcsin(1.0 / cap)
+        assert star == (np.nextafter(closed, 0.0) if stepped else closed)
+        assert check_sector(td1, grid, star, plan).m == sector
+        assert check_sector(td1, grid, np.nextafter(star, 4.0), plan).m > cap
 
 
 thetas = st.floats(np.pi / 2, np.pi, exclude_min=True, exclude_max=True)
@@ -449,6 +462,32 @@ def test_sweep_rules_leave_every_record_unchanged(dim, kind, lead, cross, drift,
         assert pairs == 1
     elif kind == "step":
         assert pairs < every
+
+
+@pytest.mark.parametrize("kind", ["trig", "step", "autonomous"])
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(cap=st.floats(np.log10(1.01), 9.0).map(lambda e: 10.0 ** e), **SWEEP_SYMBOLS)
+def test_theta_star_is_the_largest_passing_angle(dim, kind, cap, lead, cross, drift, shift,
+                                                 odd, omega, jump_time, jump):
+    # the a1 rule on the base plan passes at theta* and at every scan angle
+    # below it, and fails above it; nan means no angle in (pi/2, pi) passes,
+    # and passing angles are those below some bound, so the least angle tells
+    spec, grid = sweep_symbol(dim, kind, lead, cross, drift, shift, odd, omega,
+                              jump_time, jump)
+    plan = SamplePlan(time_samples=9, cap=cap)
+    passes = lambda theta: asm._sector_measure(spec, grid, float(theta), plan)[0] <= cap
+    star = largest_passing_theta(spec, grid, plan)
+    for theta in THETA_SCAN:
+        assert passes(theta) == (theta <= star)
+    below = THETA_SCAN[THETA_SCAN <= star]
+    np.testing.assert_equal(theta_scan_reference(spec, grid, plan),
+                            below[-1] if len(below) else np.nan)
+    if np.isnan(star):
+        assert not passes(np.nextafter(np.pi / 2, np.pi))
+    else:
+        assert np.pi / 2 < star < np.pi and passes(star)
+        assert star + 1e-9 >= np.pi or not passes(star + 1e-9)
 
 
 def steepest_rows(measure):

@@ -121,8 +121,8 @@ class TestCheckCommand:
         assert "'rays' was unexpected" in err
 
     def test_theta_scan_reads_the_config_plan(self, tmp_path):
-        # td1's sector constant is 1/sin(pi - theta): sqrt(2) at 0.75 pi and
-        # 1.24 at 0.70 pi, so a cap of 1.3 fails a1 and stops the scan at 0.70 pi
+        # td1's sector constant is 1/sin(pi - theta), sqrt(2) at 0.75 pi, so a
+        # cap of 1.3 fails a1; theta* is where it reaches 1.3, pi - arcsin(1/1.3)
         config = fast_td1_config()
         config["plans"]["cap"] = 1.3
         path = write_config(tmp_path, config)
@@ -131,6 +131,8 @@ class TestCheckCommand:
         report = json.loads((tmp_path / "report.json").read_text())["report"]
         assert report["a1"]["m"] > 1.3 and not report["verdicts"]["a1"]
         assert report["largest_passing_theta"] < config["theta"]
+        assert report["largest_passing_theta"] == pytest.approx(
+            math.pi - math.asin(1.0 / 1.3), abs=1e-12)
 
 
 class TestDeterminism:
@@ -453,6 +455,25 @@ def test_check_certifies_kato_once(td1_cfg_path, tmp_path, monkeypatch):
                                         "witness"}
 
 
+@pytest.mark.parametrize("name,code,most", [("td1", 0, 3), ("nonelliptic", 1, 2)])
+def test_check_builds_the_monomials_once_per_axes(name, code, most, tmp_path, monkeypatch):
+    # the grid's axes, td1's class axes (xi and -xi share a column) and the
+    # unit sphere: every certifier, ellipticity too, reads memoised axes
+    from evofam import spectral, symbols
+    builds = []
+
+    def counting_memo(owner, table, build, anchor=None):
+        counted = lambda: builds.append(table) or build()
+        return spectral.memo(owner, table, counted if table == "monomials" else build,
+                             anchor)
+
+    monkeypatch.setattr(symbols, "memo", counting_memo)
+    path = write_config(tmp_path, bundled_config(name))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--stable"]) == code
+    assert 0 < len(builds) <= most
+
+
 def test_cd_system_verdicts_read_kato(td1_cfg_path, tmp_path, monkeypatch):
     # a Kato ratio above 1 + KATO_TOL fails Kato and both CD-system verdicts
     from dataclasses import replace
@@ -565,6 +586,14 @@ RANGE_CASES = {
     "favard-no_times": ("favard", "favard/times", "times", []),
     "convergence-one_level": ("convergence", "convergence/steps", "steps", [64]),
     "transport-one_level": ("transport", "transport/refinements", "refinements", [150]),
+    # a repeated level would divide an order fit by log 1
+    "convergence-repeated_level": ("convergence", "convergence/steps", "steps",
+                                   [32, 32, 64]),
+    "transport-repeated_level": ("transport", "transport/refinements", "refinements",
+                                 [300, 300, 600]),
+    # a mode index is an integer per axis
+    "evolve-fractional_mode": ("evolve", "evolve/initial/k/0", "initial",
+                               {"kind": "mode", "k": [1.5]}),
     # evolve's dt stencil (at s = 0, t = 5e-5) and ds stencil (t = 2e-4) of
     # width 1e-4 would leave the time triangle
     "evolve-dt_stencil": ("evolve", "evolve", "t", 5e-5),
@@ -572,32 +601,57 @@ RANGE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(RANGE_CASES.values()), ids=list(RANGE_CASES))
-def test_empty_interval_exits_2(tmp_path, capsys, monkeypatch, case):
-    # an empty or out-of-range interval, theta or frozen time is rejected
-    # before any solve or sweep
+def record_solves(monkeypatch) -> list:
+    """Replace each solve and sweep a pipeline may start by a recorder of its calls."""
     from evofam import assumptions as asm
     from evofam import cli
     from evofam import evolution as evo
     from evofam import perturbation as per
     from evofam import transport as trn
-    pipeline, where, key, value = case
-    config = bundled_config("transport" if pipeline == "transport" else "h1")
-    config["grid"]["n"] = 64
-    section = config if key == "theta" else config[pipeline]
-    section[key] = section["s"] if value == "s" else value
-    path = write_config(tmp_path, config)
     solves = []
     for owner, name in ((per, "solve_perturbed"), (trn, "transport_solve"),
                         (evo.PropagatorEngine, "propagate"),
                         (evo, "product_formula_errors"), (asm, "check_sector"),
                         (cli, "certify_ellipticity"), (cli, "favard_norm")):
         monkeypatch.setattr(owner, name, lambda *a, **k: solves.append(a))
+    return solves
+
+
+@pytest.mark.parametrize("case", list(RANGE_CASES.values()), ids=list(RANGE_CASES))
+def test_empty_interval_exits_2(tmp_path, capsys, monkeypatch, case):
+    # an empty or out-of-range interval, theta, frozen time, refinement
+    # ladder or mode index is rejected before any solve or sweep
+    pipeline, where, key, value = case
+    config = bundled_config("transport" if pipeline == "transport" else "h1")
+    config["grid"]["n"] = 64
+    section = config if key == "theta" else config[pipeline]
+    section[key] = section["s"] if value == "s" else value
+    path = write_config(tmp_path, config)
+    solves = record_solves(monkeypatch)
     assert main([pipeline, "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config invalid at {where}: ")
     assert "Traceback" not in err
+    assert solves == []
+
+
+@pytest.mark.parametrize("pipeline,k,message", [
+    ("evolve", 40, "mode 40 outside grid band [-32, 32)"),
+    ("perturb", [1, 2], "mode index (1, 2) has wrong dimension"),
+], ids=["outside_band", "wrong_length"])
+def test_initial_mode_off_the_grid_exits_2(tmp_path, capsys, monkeypatch, pipeline, k,
+                                           message):
+    # like an out-of-range band, a mode the grid does not hold is rejected
+    # before any solve
+    config = bundled_config("h1")
+    config["grid"]["n"] = 64
+    config[pipeline]["initial"] = {"kind": "mode", "k": k}
+    path = write_config(tmp_path, config)
+    solves = record_solves(monkeypatch)
+    assert main([pipeline, "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert solves == []
 
 

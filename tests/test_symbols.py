@@ -9,8 +9,7 @@ from evofam import spectral
 from evofam.errors import ConfigurationError, DomainError
 from evofam.semigroup import gauss_legendre_panels
 from evofam.spectral import Grid
-from evofam.symbols import (CoefficientFunction, SymbolSpec, certify_ellipticity,
-                            constant, unit_sphere_samples)
+from evofam.symbols import CoefficientFunction, SymbolSpec, certify_ellipticity, constant
 from reference import coefficient_lipschitz, drift_symbol, oscillating_symbol
 
 ANTIDERIVATIVE_TOL = 1e-12  # relative gap of closed form and quadrature
@@ -194,8 +193,9 @@ def test_time_lipschitz_bound(spec, t, gap, xi):
 
 
 def sphere_ellipticity(spec, time_samples=512):
-    """certify_ellipticity with omega taken over the unit sphere and 0."""
-    return certify_ellipticity(spec, time_samples, unit_sphere_samples(spec.dim))
+    """certify_ellipticity with omega taken over a 4-point grid per axis,
+    xi in {0, 1, -2, -1}."""
+    return certify_ellipticity(spec, time_samples, Grid(spec.dim, 4, 2.0 * np.pi))
 
 
 class TestEllipticity:
@@ -231,6 +231,22 @@ class TestEllipticity:
         assert margin((1.2, -1.0)) == margin((1.0, -1.0), (1.4, 1.0), (2.0, 1.0)) == 0.25
         # no sample on [1.1, 1.3)
         assert margin((1.1, -1.0), (1.3, 1.0)) == np.inf
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_omega_reads_the_grid_bins(self, dim):
+        # omega and its witness are those of the frequency rows with an extra
+        # xi = 0 row appended, as omega was taken before: the grid holds xi = 0
+        spec = SymbolSpec(dim=dim, order=2, horizon=2.0, coefficients={
+            (2,) + (0,) * (dim - 1): CoefficientFunction(const=-1.0, trig=((1.0, 0.5, 0.0),)),
+            (1,) + (0,) * (dim - 1): constant(0.3 + 0.2j),
+            (0,) * dim: CoefficientFunction(const=0.5, trig=((3.0, 0.0, 0.7),))})
+        grid = Grid(dim, 8, 2.0 * np.pi)
+        rep = certify_ellipticity(spec, 33, grid)
+        rows = np.vstack([grid.xi_rows(), np.zeros((1, dim))])
+        full = spec.time_matrix(np.linspace(0.0, 2.0, 33), tuple(rows.T)).real
+        i, j = np.unravel_index(np.argmin(full), full.shape)
+        assert rep.lower_bound == full[i, j]
+        assert rep.witness_lower == (float(np.linspace(0.0, 2.0, 33)[i]), rows[j].tolist())
 
     def test_empty_sample_plan_rejected(self, h1):
         with pytest.raises(ConfigurationError):
