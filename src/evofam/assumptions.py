@@ -255,9 +255,12 @@ def largest_passing_theta(spec: SymbolSpec, grid: Grid,
     args = np.abs(np.angle(-a)).ravel()
     cell = np.argmin(args)
     theta = float(args[cell] - np.arcsin(1.0 / plan.cap))
+    # in (pi/2, pi) each step raises psi, lowering the sup towards 1 <= cap
+    if not np.pi / 2 < theta < np.pi:
+        return float("nan")
     while _sector_sup(a.flat[cell], theta) > plan.cap:
         theta = float(np.nextafter(theta, 0.0))
-    return theta if np.pi / 2 < theta < np.pi else float("nan")
+    return theta if theta > np.pi / 2 else float("nan")
 
 
 @dataclass(frozen=True)

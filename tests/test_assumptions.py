@@ -109,8 +109,28 @@ class TestSector:
         assert check_sector(td1, grid, star, plan).m == sector
         assert check_sector(td1, grid, np.nextafter(star, 4.0), plan).m > cap
 
+    @pytest.mark.parametrize("cap", [1.3, 1.46, 3.0, 3.03, 1e8])
+    def test_theta_star_of_a_negative_symbol(self, cap):
+        # a = xi^2 - 2 reads -2 at xi = 0, so |arg(-a)| = 0 and the closed
+        # form lies below pi/2 while every 1/|a| <= 1 passes the cap; at
+        # caps 1.46 and 3.03 the sup there rounds above the cap, so stepping
+        # from that angle would never end
+        spec = SymbolSpec(dim=1, order=2, horizon=1.0, coefficients={
+            (2,): constant(-1.0), (0,): constant(-2.0)})
+        sector_sup, calls = asm._sector_sup, []
 
-thetas = st.floats(np.pi / 2, np.pi, exclude_min=True, exclude_max=True)
+        def counted(a, theta):
+            calls.append(theta)
+            assert len(calls) < 10
+            return sector_sup(a, theta)
+
+        with mock.patch.object(asm, "_sector_sup", counted):
+            star = largest_passing_theta(spec, Grid(1, 8, 2.0 * np.pi),
+                                         SamplePlan(time_samples=2, cap=cap))
+        assert np.isnan(star)
+
+
+thetas =st.floats(np.pi / 2, np.pi, exclude_min=True, exclude_max=True)
 symbol_values = st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
                                             allow_infinity=False),
                          min_size=1, max_size=8)
