@@ -276,22 +276,26 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
     write_csv(out / "trajectory.csv", ["sigma", "norm_X", "norm_Xminus1"], rows)
 
     residual = per.duhamel_residual(traj, engine, family)
+    picard = {"max_sweeps": traj.sweeps_max, "last_residual": traj.last_residual,
+              "contraction": traj.contraction}
+    # the rest reads only the M run's first and final states: release its
+    # trajectory, so that no other run is marched while it is alive
+    xhat, full = traj.states[0], traj.final()
+    del traj
     timer.mark("duhamel")
 
-    half = per.solve_perturbed(engine, family, s, t, x, steps // 2)
-    cocycle_defect = per.perturbed_family_checks(traj, half)
-    half = half.final()     # the rest reads only the M/2 run's final state
+    # each later run is read only for its final state
+    half = per.solve_perturbed(engine, family, s, t, x, steps // 2).final()
+    cocycle_defect = per.perturbed_family_checks(xhat, full, half)
     timer.mark("family_checks")
 
     oracle_error, oracle_orders = None, None
     if has_oracle:
         oracle = per.commuting_oracle(engine, family, s, t, x)
-        # the M/4 level serves only the oracle, so only its final state is kept
         ladder = [steps // 4, steps // 2, steps]
         quarter = per.solve_perturbed(engine, family, s, t, x, ladder[0]).final()
-        finals = [quarter, half, traj.final()]
         errs = [norm(GridFunction(grid, "frequency", v.values - oracle.values))
-                for v in finals]
+                for v in (quarter, half, full)]
         oracle_error = errs[-1]
         oracle_orders, order_ok = _order_verdict(errs, ladder, SECOND_ORDER, norm(x))
     timer.mark("oracle")
@@ -311,9 +315,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
         "duhamel_residual": residual,
         "oracle_error": oracle_error, "oracle_orders": oracle_orders,
         "cocycle_defect": cocycle_defect,
-        "picard": {"max_sweeps": traj.sweeps_max,
-                   "last_residual": traj.last_residual,
-                   "contraction": traj.contraction},
+        "picard": picard,
         "regularity": reg,
         "spectral_tail_fraction": tail,
         "verdicts": verdicts,

@@ -24,11 +24,16 @@ dsigma ||B(sigma)|| / 2 with the norm taken on the discretized space, so
 a B of the generator's order (a genuine Desch-Schappacher perturbation)
 needs more steps as the grid is refined; the trajectory reports the
 largest measured sweep ratio.  `cli.run_perturb` solves each
-(s, t, steps) once; the M- and M/2-step runs feed the oracle and the
-family checks, which solve nothing.  The march and the Duhamel residual
-read their step factors e^{-E} by the block (`_step_decays`).  A diagonal
-row m_B(sigma) is built once per time: the march's repeated `apply` at
-sigma_k reuses the last row, and the Duhamel residual reads rows by the block.
+(s, t, steps) once, in the order M, M/2, M/4, and holds one trajectory at
+a time.  The M-step run's every state feeds the trajectory norms and the
+Duhamel residual; then only its first and final states and its Picard
+statistics are kept, and it is released before the M/2 solve.  The family
+checks and the oracle ladder read only the final states of the M/2- and
+M/4-step runs, and solve nothing themselves.  The march and the Duhamel
+residual read their step factors e^{-E} by the block (`_step_decays`).  A
+diagonal row m_B(sigma) is built once per time: the march's repeated
+`apply` at sigma_k reuses the last row, and the Duhamel residual reads rows
+by the block.
 """
 
 from __future__ import annotations
@@ -157,9 +162,9 @@ class SlopeFit:
 
 def _slope(separations, values) -> SlopeFit:
     """Least-squares slope of log10 `values` against log10 `separations`."""
-    # a zero modulus has no logarithm: a time-constant family has only zero
-    # moduli, and a step in B is missed by every base pair at some separations
-    if min(values) == 0.0:
+    # a line needs two points; a zero modulus has no logarithm, and a
+    # time-constant family has only zero moduli
+    if len(values) < 2 or min(values) == 0.0:
         return SlopeFit(slope=float("nan"), residual=0.0, separations=len(values))
     lx, ly = np.log10(separations), np.log10(values)
     design = np.vstack([lx, np.ones_like(lx)]).T
@@ -169,14 +174,28 @@ def _slope(separations, values) -> SlopeFit:
 
 
 SEPARATIONS = tuple(2.0 ** (-k) for k in range(1, 7))   # the dyadic deltas of every fit
-BASE_POINTS = 16        # base points in (0, horizon - delta] besides t = 0
+BASE_START = 1e-3       # the first base point after t = 0
+BASE_POINTS = 16        # base points in [BASE_START, horizon - delta] besides t = 0
+
+
+def _base_points(family, delta: float, horizon: float) -> np.ndarray:
+    """Base points b of the pairs (b, b + delta), each pair inside [0, horizon]:
+    t = 0, BASE_POINTS points of [BASE_START, horizon - delta], and t0 - delta/2
+    for each jump time t0 of B's coefficient where that pair fits, so that a
+    pair straddles every jump."""
+    coefficient = getattr(family, "coefficient", None)
+    mids = [t0 - delta / 2 for t0, _ in (coefficient.steps if coefficient else ())]
+    return np.concatenate([[0.0], np.linspace(BASE_START, horizon - delta, BASE_POINTS),
+                           [b for b in mids if b >= 0.0 and b + delta <= horizon]])
 
 
 @dataclass(frozen=True)
 class RegularityReport:
     """Per-vector regularity of t -> B(t)f measured on dyadic separations.
 
-    Moduli are sups over a base-point grid (including t = 0) of
+    Only separations delta with BASE_START <= horizon - delta are measured,
+    so every time stays in [0, horizon]; with fewer than two the slopes are
+    nan.  Moduli are sups over the base pairs of `_base_points` of
     ||B(t0 + delta) f - B(t0) f|| in L2 and in the X_{-1} gauge 1/|a(0,.)|;
     the Lipschitz constant into X_{-1} is the max difference quotient over
     the same pairs.
@@ -196,10 +215,10 @@ def perturbation_regularity_report(family, vectors, spec: SymbolSpec) -> Regular
     fhats = [f.to_frequency() for f in vectors]
     sup_norm = np.max([[norm(family.apply(float(t), f)) for f in fhats]
                        for t in np.linspace(0.0, spec.horizon, 24)], axis=0)
-    mods = np.zeros((len(gauges), len(fhats), len(SEPARATIONS)))
-    for i, delta in enumerate(SEPARATIONS):
-        for b in np.concatenate([[0.0],
-                                 np.linspace(1e-3, spec.horizon - delta, BASE_POINTS)]):
+    seps = tuple(d for d in SEPARATIONS if BASE_START <= spec.horizon - d)
+    mods = np.zeros((len(gauges), len(fhats), len(seps)))
+    for i, delta in enumerate(seps):
+        for b in _base_points(family, delta, spec.horizon):
             g0 = [family.apply(float(b), f).values for f in fhats]
             g1 = [family.apply(float(b + delta), f).values for f in fhats]
             for v, f in enumerate(fhats):
@@ -208,10 +227,11 @@ def perturbation_regularity_report(family, vectors, spec: SymbolSpec) -> Regular
                     mods[k, v, i] = max(mods[k, v, i], norm(diff, gauge))
     return RegularityReport(
         sup_norm=sup_norm.tolist(),
-        lip_extrapolated=[float(np.max(m / SEPARATIONS)) for m in mods[1]],
-        slopes_l2=[_slope(SEPARATIONS, m) for m in mods[0]],
-        slopes_extrapolated=[_slope(SEPARATIONS, m) for m in mods[1]],
-        separations=SEPARATIONS)
+        lip_extrapolated=[float(np.max(m / seps)) if seps else float("nan")
+                          for m in mods[1]],
+        slopes_l2=[_slope(seps, m) for m in mods[0]],
+        slopes_extrapolated=[_slope(seps, m) for m in mods[1]],
+        separations=seps)
 
 
 # -- Volterra solver ----------------------------------------------------------
@@ -286,7 +306,8 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
                 break
         else:
             raise ConvergenceError(
-                f"Picard failed to contract at node {k} (sigma={hi:.6g})",
+                f"Picard failed to contract at node {k} of {steps} "
+                f"(sigma={hi:.6g}) in the {steps}-step run",
                 residual=resid)
         sweeps_max, last_resid = max(sweeps_max, sweep), resid
         states.append(v)
@@ -356,14 +377,17 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -
     return worst
 
 
-def perturbed_family_checks(full: Trajectory, half: Trajectory) -> float:
-    """Cocycle defect of V from the pipeline's s -> t runs `full` (M steps)
-    and `half` (M // 2 steps), relative to ||x||.  The midpoint legs
-    V(t,r)V(r,s)x of M/2 steps each march `full`'s two halves, so the defect
-    compares the final states of the M-step run and the M/2-step run (for
-    odd M, the floor(M/2)-step run): genuine discretization, O(dsigma^2).
+def perturbed_family_checks(x: GridFunction, full: GridFunction,
+                            half: GridFunction) -> float:
+    """Cocycle defect of V from the pipeline's s -> t runs, relative to ||x||:
+    `x` is the M-step run's first state (frequency representation), `full`
+    its final state and `half` the final state of the M // 2-step run.  The
+    midpoint legs V(t,r)V(r,s)x of M/2 steps each march the M-step run's two
+    halves, so the defect compares the final states of the M-step run and
+    the M/2-step run (for odd M, the floor(M/2)-step run): genuine
+    discretization, O(dsigma^2).  It reads no trajectory, so the caller may
+    release each run before the next is marched.
     """
-    x = full.states[0]
     w = x.grid.cell_volume
     xnorm = max(plancherel_norm(x.values, w), 1e-300)
-    return plancherel_norm(full.final().values - half.final().values, w) / xnorm
+    return plancherel_norm(full.values - half.values, w) / xnorm

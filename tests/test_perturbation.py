@@ -105,6 +105,42 @@ class TestRegularityReport:
         perturbation_regularity_report(Mollifier(), [indicator(grid), xband], td1)
         assert len(builds) == 228
 
+    @pytest.mark.parametrize("horizon,kept", [(0.3, SEPARATIONS[1:]), (0.01, ())])
+    def test_times_stay_in_the_horizon(self, monkeypatch, horizon, kept):
+        # a separation delta is measured only if a base pair fits in [0, T]
+        grid = Grid(1, 64, 2.0 * np.pi)
+        family = MultiplierFamily(constant(0.5))
+        times = []
+        apply = MultiplierFamily.apply
+        monkeypatch.setattr(MultiplierFamily, "apply",
+                            lambda self, t, f: times.append(t) or apply(self, t, f))
+        report = perturbation_regularity_report(family, [indicator(grid)],
+                                                heat_symbol(horizon=horizon))
+        assert times and 0.0 <= min(times) and max(times) <= horizon
+        assert report.separations == kept
+        if not kept:
+            assert np.isnan(report.lip_extrapolated[0]) and np.isnan(report.slopes_l2[0].slope)
+
+    def test_a_base_pair_straddles_each_jump(self, monkeypatch):
+        # c(t) = 0.5 + 0.1 [t >= 0.5]: every modulus holds the jump, so no
+        # L2 modulus is 0 and the L2 slope is near 0
+        grid = Grid(1, 64, 2.0 * np.pi)
+        family = MultiplierFamily(CoefficientFunction(const=0.5, steps=((0.5, 0.1),)))
+        fitted = []
+        slope = per._slope
+        monkeypatch.setattr(per, "_slope",
+                            lambda seps, values: fitted.append(list(values))
+                            or slope(seps, values))
+        x = random_band_limited(grid, np.random.default_rng(3), band=4)
+        report = perturbation_regularity_report(family, [indicator(grid), x],
+                                                heat_symbol(horizon=1.0))
+        assert all(m > 0.0 for mods in fitted[:2] for m in mods)     # L2 first
+        assert all(abs(fit.slope) <= 0.1 for fit in report.slopes_l2)
+
+    def test_fewer_than_two_separations_give_no_slope(self):
+        fit = _slope(SEPARATIONS[:1], [1.0])
+        assert np.isnan(fit.slope) and fit.separations == 1
+
     def test_loglog_fit_recovers_powers(self):
         xs = 2.0 ** (-np.arange(1, 8))
         fit = _slope(xs, 3.0 * xs**1.5)
@@ -180,9 +216,11 @@ class TestVolterraSolver:
 
 def pipeline_checks(engine, family, s, t, x, steps):
     """The cocycle defect of perturbed_family_checks on the s -> t runs at
-    `steps` and `steps // 2`, the two runs `perturb` marches."""
-    return perturbed_family_checks(solve_perturbed(engine, family, s, t, x, steps),
-                                   solve_perturbed(engine, family, s, t, x, steps // 2))
+    `steps` and `steps // 2`, the two runs `perturb` marches: the first run's
+    first and final states and the second run's final state."""
+    full = solve_perturbed(engine, family, s, t, x, steps)
+    half = solve_perturbed(engine, family, s, t, x, steps // 2)
+    return perturbed_family_checks(full.states[0], full.final(), half.final())
 
 
 def composed_defect(engine, family, s, r, t, x, steps):
