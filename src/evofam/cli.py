@@ -55,6 +55,23 @@ def _check_interval(section: str, s: float, t: float, horizon: float):
                                  f"0 <= s < t <= {horizon!r}, got {s!r}, {t!r}")
 
 
+def _check_nonzero(section: str, values: np.ndarray):
+    """Zero initial data makes every error 0 and every order inf, so nothing
+    is judged: reject it before any solve."""
+    if not np.any(values):
+        raise ConfigurationError(f"config invalid at {section}/initial: "
+                                 f"the sampled initial data is zero")
+
+
+def _initial(name: str, section: dict, grid, seed: int) -> GridFunction:
+    """The initial grid function of the config section `name`, band-4 random
+    data unless it says otherwise, drawn from a generator seeded by `seed`."""
+    entry = section.get("initial", {"kind": "random_band", "band": 4})
+    f = cfg.build_initial(entry, grid, np.random.default_rng(seed))
+    _check_nonzero(name, f.values)
+    return f
+
+
 def _order_verdict(errors, levels, band, scale: float):
     """Fitted orders of `errors` at the refinement `levels`, and the verdict
     on them: errors all at or below the roundoff floor EXACT_ULPS * eps *
@@ -198,32 +215,12 @@ def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
         raise ConfigurationError("config has no 'evolve' section")
     s, t = float(section["s"]), float(section["t"])
     _check_interval("evolve", s, t, spec.horizon)
-    # the dt stencil at inner_t and the ds stencil at ds_point reach h0 to
-    # each side; both must stay in the time triangle s <= . <= t
-    h0 = evo.default_derivative_step(s, t)
-    inner_t = min(t, spec.horizon - 2 * h0)
-    ds_point = max(s, 2 * h0)
-    if inner_t - h0 < s or ds_point + h0 > t:
-        raise ConfigurationError(
-            f"config invalid at evolve: derivative stencils of width {h0!r} "
-            f"leave the time triangle, got {s!r}, {t!r}")
-    rng = np.random.default_rng(seed)
-    initial = cfg.build_initial(section["initial"], grid, rng)
+    initial = _initial("evolve", section, grid, seed)
     tail = spectral_tail_fraction(initial)
 
     result = engine.propagate(s, t, initial)
     save_function(result, out / "evolved")
     timer.mark("propagate")
-
-    # each stencil base U(inner_t, s) f and U(t, ds_point) f is computed once
-    dt_base = result if inner_t == t else engine.propagate(s, inner_t, initial)
-    ds_base = engine.propagate(ds_point, t, initial)
-    hs = (h0, h0 / 2)
-    d_dt = [evo.derivative_defect(engine, s, inner_t, initial, dt_base, h=h, which="dt")
-            for h in hs]
-    d_ds = [evo.derivative_defect(engine, ds_point, t, initial, ds_base, h=h, which="ds")
-            for h in hs]
-    timer.mark("defects")
 
     conv_rows, orders, order_verdicts = _product_orders(engine, s, t, initial, result,
                                                         [16, 32, 64, 128])
@@ -231,20 +228,9 @@ def run_evolve(config: dict, out: Path, seed: int, timer: StageTimer):
               conv_rows)
     timer.mark("convergence")
 
-    levels, scale = [h0 / h for h in hs], norm(initial)
-    verdicts = {
-        "derivative_dt_order": _order_verdict(d_dt, levels, SECOND_ORDER, scale)[1],
-        "derivative_ds_order": _order_verdict(d_ds, levels, SECOND_ORDER, scale)[1],
-        **order_verdicts,
-        "spectral_tail": bool(tail <= TAIL_WARN),
-    }
-    report = {
-        "s": s, "t": t,
-        "derivative_dt_defects": d_dt, "derivative_ds_defects": d_ds,
-        "product_orders": orders,
-        "spectral_tail_fraction": tail,
-        "verdicts": verdicts,
-    }
+    verdicts = {**order_verdicts, "spectral_tail": bool(tail <= TAIL_WARN)}
+    report = {"s": s, "t": t, "product_orders": orders,
+              "spectral_tail_fraction": tail, "verdicts": verdicts}
     return report
 
 
@@ -257,8 +243,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
         raise ConfigurationError("config has no 'perturb' section")
     s, t = float(section["s"]), float(section["t"])
     _check_interval("perturb", s, t, spec.horizon)
-    rng = np.random.default_rng(seed)
-    x = cfg.build_initial(section["initial"], grid, rng)
+    x = _initial("perturb", section, grid, seed)
     family = cfg.build_perturbation(config.get("perturbation"))
     steps = cfg.build_solver(config.get("solver"))
     has_oracle = isinstance(family, per.MultiplierFamily)
@@ -331,9 +316,7 @@ def run_favard(config: dict, out: Path, seed: int, timer: StageTimer):
     if not all(0.0 <= v <= spec.horizon for v in times):
         raise ConfigurationError(f"config invalid at favard/times: need every time in "
                                  f"[0, {spec.horizon!r}], got {times!r}")
-    rng = np.random.default_rng(seed)
-    initial_cfg = section.get("initial", {"kind": "random_band", "band": 4})
-    f = cfg.build_initial(initial_cfg, grid, rng)
+    f = _initial("favard", section, grid, seed)
 
     results, ok = [], True
     for s in times:
@@ -361,6 +344,7 @@ def run_transport(config: dict, out: Path, seed: int, timer: StageTimer):
     problem = cfg.build_transport(section)
     f0_fn = cfg.build_transport_initial(section["initial"])
     f0 = trn.sample_initial(problem, f0_fn)
+    _check_nonzero("transport", f0)
     s = float(section.get("s", 0.0))
     t = float(section.get("t", problem.horizon))
     _check_interval("transport", s, t, problem.horizon)
@@ -407,9 +391,7 @@ def run_convergence(config: dict, out: Path, seed: int, timer: StageTimer):
     t = float(section.get("t", min(spec.horizon, 2.0)))
     _check_interval("convergence", s, t, spec.horizon)
     steps = [int(v) for v in section.get("steps", [32, 64, 128, 256])]
-    rng = np.random.default_rng(seed)
-    initial_cfg = section.get("initial", {"kind": "random_band", "band": 4})
-    f = cfg.build_initial(initial_cfg, grid, rng)
+    f = _initial("convergence", section, grid, seed)
 
     engine = evo.PropagatorEngine(spec, grid)
     rows, orders, verdicts = _product_orders(engine, s, t, f, engine.propagate(s, t, f),

@@ -3,11 +3,13 @@
 The engine applies exp(-integral of a(tau, .) over [s, t]) using the
 closed-form antiderivatives of the coefficient family.  They are exact for
 every term the family admits, so nothing is checked at construction, and
-additive, so U(t,s) U(s,r) = U(t,r) holds up to roundoff.  The
-frozen-coefficient product formula prod_j exp(-dt A(tau_j)) (Pazy 1983,
-section 5.3) is measured against it in `product_formula_errors`; its factors
-commute, so its exponent takes the coefficient-space Riemann sums
-dt sum_j c_alpha(tau_j) in place of the increments C_alpha(t) - C_alpha(s).
+additive, so U(t,s) U(s,r) = U(t,r) holds up to roundoff.  The generator
+identities d_t U(t,s) = -A(t) U(t,s) and d_s U(t,s) = U(t,s) A(s) are tested
+in tests/reference.py; no pipeline runs them.  The frozen-coefficient product
+formula prod_j exp(-dt A(tau_j)) (Pazy 1983, section 5.3) is measured against
+it in `product_formula_errors`; its factors commute, so its exponent takes the
+coefficient-space Riemann sums dt sum_j c_alpha(tau_j) in place of the
+increments C_alpha(t) - C_alpha(s).
 """
 
 from __future__ import annotations
@@ -49,37 +51,6 @@ class PropagatorEngine:
         exponent is 0, so U(s,s) = Id exactly."""
         decay = np.exp(-self.exponent(s, t))
         return GridFunction(self.grid, "frequency", f.to_frequency().values * decay)
-
-
-def default_derivative_step(s: float, t: float) -> float:
-    return max(1e-4, 1e-3 * (t - s))
-
-
-def derivative_defect(engine: PropagatorEngine, s: float, t: float,
-                      f: GridFunction, base: GridFunction, h: float,
-                      which: str = "dt") -> float:
-    """Central-difference defect of the generator identities, with `base`
-    the caller's U(t,s) f.
-
-    which="dt": || (U(t+h,s)f - U(t-h,s)f)/(2h) + a(t,.) U(t,s) f ||
-    which="ds": || (U(t,s+h)f - U(t,s-h)f)/(2h) - a(s,.) U(t,s) f ||
-    Both are O(h^2) on band-limited vectors for the smooth family.
-    """
-    if which not in ("dt", "ds"):
-        raise ConfigurationError(f"which must be 'dt' or 'ds', got {which!r}")
-    if which == "dt":
-        if t - h < s or t + h > engine.spec.horizon:
-            raise DomainError("dt stencil leaves the time triangle")
-        plus, minus = engine.propagate(s, t + h, f), engine.propagate(s, t - h, f)
-        at, sign = t, 1.0
-    else:
-        if s - h < 0 or s + h > t:
-            raise DomainError("ds stencil leaves the time triangle")
-        plus, minus = engine.propagate(s + h, t, f), engine.propagate(s - h, t, f)
-        at, sign = s, -1.0
-    gen = engine.spec.on_axes(at, engine.grid.xi_axes())
-    resid = (plus.values - minus.values) / (2.0 * h) + sign * gen * base.values
-    return norm(GridFunction(engine.grid, "frequency", resid))
 
 
 def observed_orders(errors, levels) -> list[float]:

@@ -11,6 +11,11 @@ each piece backs an invariant the evolution-family theory rests on:
   Laplace transform of the semigroup (acceptance criterion 10);
 * `cocycle_defect`: the cocycle U(t,s) U(s,r) = U(t,r) of the exact
   propagator, whose closed-form exponents are additive (criterion 1);
+* `derivative_defect`: the generator identities d/dt U(t,s) = -A(t) U(t,s)
+  and d/ds U(t,s) = U(t,s) A(s) as central differences of the exact
+  propagator, second order in the step (criterion 2); the closed-form
+  exponents satisfy them as soon as each antiderivative matches its
+  coefficient, so they are a test's job and no pipeline runs them;
 * `operator_norm`: ||U(t,s)|| on L2, the largest modulus of the
   propagator's multiplier, and with it the growth bound
   ||U(t,s)|| <= e^{omega (t - s)} when Re a >= -omega;
@@ -140,6 +145,33 @@ def cocycle_defect(engine: PropagatorEngine, r: float, s: float, t: float,
     one_leg = engine.propagate(r, t, f)
     diff = GridFunction(f.grid, "frequency", two_leg.values - one_leg.values)
     return norm(diff) / nf
+
+
+def derivative_defect(engine: PropagatorEngine, s: float, t: float,
+                      f: GridFunction, base: GridFunction, h: float,
+                      which: str = "dt") -> float:
+    """Central-difference defect of the generator identities, with `base`
+    the caller's U(t,s) f.
+
+    which="dt": || (U(t+h,s)f - U(t-h,s)f)/(2h) + a(t,.) U(t,s) f ||
+    which="ds": || (U(t,s+h)f - U(t,s-h)f)/(2h) - a(s,.) U(t,s) f ||
+    Both are O(h^2) on band-limited vectors for the smooth family.
+    """
+    if which not in ("dt", "ds"):
+        raise ConfigurationError(f"which must be 'dt' or 'ds', got {which!r}")
+    if which == "dt":
+        if t - h < s or t + h > engine.spec.horizon:
+            raise DomainError("dt stencil leaves the time triangle")
+        plus, minus = engine.propagate(s, t + h, f), engine.propagate(s, t - h, f)
+        at, sign = t, 1.0
+    else:
+        if s - h < 0 or s + h > t:
+            raise DomainError("ds stencil leaves the time triangle")
+        plus, minus = engine.propagate(s + h, t, f), engine.propagate(s - h, t, f)
+        at, sign = s, -1.0
+    gen = engine.spec.on_axes(at, engine.grid.xi_axes())
+    resid = (plus.values - minus.values) / (2.0 * h) + sign * gen * base.values
+    return norm(GridFunction(engine.grid, "frequency", resid))
 
 
 def operator_norm(engine: PropagatorEngine, s: float, t: float) -> float:

@@ -13,14 +13,13 @@ import pytest
 from evofam import assumptions as asm
 from evofam import perturbation as per
 from evofam.cli import DECAY_SLACK, KATO_TOL
-from evofam.evolution import (PropagatorEngine, derivative_defect,
-                              observed_orders, product_formula_errors)
+from evofam.evolution import PropagatorEngine, observed_orders, product_formula_errors
 from evofam.semigroup import FrozenOperator, favard_norm
 from evofam.spectral import GridFunction, indicator, mode, norm, \
     random_band_limited
 from reference import (aligned_ladder_cocycle, cocycle_defect, constant_field,
-                       drift_symbol, dual_scale_moduli, laplace_transform_check,
-                       mass_balance_defect)
+                       derivative_defect, drift_symbol, dual_scale_moduli,
+                       laplace_transform_check, mass_balance_defect)
 
 
 @pytest.fixture(scope="module")

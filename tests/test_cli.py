@@ -259,10 +259,9 @@ def test_nonelliptic_check_fails_a1_but_is_refinement_stable(tmp_path):
     assert not report["verdicts"]["a1"] and report["verdicts"]["refinement_stable"]
 
 
-# td1: the saved state, which is also the dt stencil base and the product
-# rules' target, the ds stencil base and the eight stencil legs.  h1 ending
-# at its horizon moves the dt stencil inward, so its base is one more state.
-@pytest.mark.parametrize("name,t,count", [("td1", 2.0, 10), ("h1", 1.0, 11)])
+# the saved state U(t,s) f is also the product rules' target, so evolve
+# propagates once, on td1 and on h1 ending at its horizon alike
+@pytest.mark.parametrize("name,t,count", [("td1", 2.0, 1), ("h1", 1.0, 1)])
 def test_evolve_propagates_each_state_once(name, t, count, tmp_path):
     from unittest import mock
 
@@ -608,8 +607,7 @@ def test_convergence_orders_read_the_ladder_ratio(tmp_path):
 
 RANGE_CASES = {
     # at s == t the Duhamel residual and the transport midpoint divided by
-    # zero, evolve's derivative stencil left the time triangle and every
-    # convergence order read inf
+    # zero, and every convergence order read inf
     **{pipeline: (pipeline, pipeline, "t", "s")
        for pipeline in ("perturb", "transport", "evolve", "convergence")},
     # beyond [0, horizon] the symbol or the transport problem is undefined
@@ -632,10 +630,16 @@ RANGE_CASES = {
     # a mode index is an integer per axis
     "evolve-fractional_mode": ("evolve", "evolve/initial/k/0", "initial",
                                {"kind": "mode", "k": [1.5]}),
-    # evolve's dt stencil (at s = 0, t = 5e-5) and ds stencil (t = 2e-4) of
-    # width 1e-4 would leave the time triangle
-    "evolve-dt_stencil": ("evolve", "evolve", "t", 5e-5),
-    "evolve-ds_stencil": ("evolve", "evolve", "t", 2e-4),
+    # zero initial data makes every error 0 and every order inf, so nothing
+    # would be judged
+    **{f"{pipeline}-zero_initial": (pipeline, f"{pipeline}/initial", "initial",
+                                    {"kind": "indicator", "lo": 2, "hi": 1})
+       for pipeline in ("evolve", "perturb", "favard", "convergence")},
+    "transport-zero_initial": ("transport", "transport/initial", "initial",
+                               {"kind": "box", "lo": 2, "hi": 1}),
+    # a Gaussian of width 0 divides by zero
+    "evolve-gaussian_width": ("evolve", "evolve/initial/width", "initial",
+                              {"kind": "gaussian", "width": 0}),
 }
 
 
@@ -658,7 +662,7 @@ def record_solves(monkeypatch) -> list:
 @pytest.mark.parametrize("case", list(RANGE_CASES.values()), ids=list(RANGE_CASES))
 def test_empty_interval_exits_2(tmp_path, capsys, monkeypatch, case):
     # an empty or out-of-range interval, theta, frozen time, refinement
-    # ladder or mode index is rejected before any solve or sweep
+    # ladder, mode index or initial data is rejected before any solve or sweep
     pipeline, where, key, value = case
     config = bundled_config("transport" if pipeline == "transport" else "h1")
     config["grid"]["n"] = 64

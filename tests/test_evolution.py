@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from evofam.cli import EXACT_ULPS
 from evofam.errors import ConfigurationError, DomainError
-from evofam.evolution import (PropagatorEngine, derivative_defect, observed_orders,
-                              product_formula_errors)
+from evofam.evolution import PropagatorEngine, observed_orders, product_formula_errors
 from evofam.semigroup import FrozenOperator
 from evofam.spectral import Grid, GridFunction, mode, norm, \
     random_band_limited
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
-from reference import (COCYCLE_TOL, cocycle_defect, frozen_semigroup, operator_norm,
-                       product_formula_reference)
+from reference import (COCYCLE_TOL, cocycle_defect, derivative_defect, frozen_semigroup,
+                       operator_norm, product_formula_reference)
 
 
 @pytest.fixture(scope="module")
