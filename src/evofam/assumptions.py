@@ -577,7 +577,7 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
                                 grid.shape)).reshape(-1)
 
     w = grid.cell_volume
-    fhats = np.array([np.abs(f.to_frequency().values.reshape(-1)) for f in vectors])
+    fhats = np.array([np.abs(f.values.reshape(-1)) for f in vectors])
 
     def sup(weighted):
         """Steepest L2 quotient ||weighted * f^|| over (vector, pair) and where it sits."""

@@ -279,7 +279,7 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
         oracle = per.commuting_oracle(engine, family, s, t, x)
         ladder = [steps // 4, steps // 2, steps]
         quarter = per.solve_perturbed(engine, family, s, t, x, ladder[0]).final()
-        errs = [norm(GridFunction(grid, "frequency", v.values - oracle.values))
+        errs = [norm(GridFunction(grid, v.values - oracle.values))
                 for v in (quarter, half, full)]
         oracle_error = errs[-1]
         oracle_orders, order_ok = _order_verdict(errs, ladder, SECOND_ORDER, norm(x))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -12,11 +13,10 @@ import numpy as np
 from .assumptions import SamplePlan
 from .errors import ConfigurationError
 from .perturbation import Mollifier, MultiplierFamily, SmoothingComposite
-from .spectral import (Grid, GridFunction, gaussian_bump, indicator,
-                       load_function, mode, random_band_limited)
+from .spectral import (Grid, GridFunction, box_profile, gaussian_bump, gaussian_profile,
+                       indicator, load_function, mode, random_band_limited)
 from .symbols import CoefficientFunction, SymbolSpec, constant
-from .transport import (TimeSpaceCoefficient, TransportProblem, box_initial,
-                        gaussian_initial)
+from .transport import TimeSpaceCoefficient, TransportProblem
 
 
 def load_schema() -> dict:
@@ -49,6 +49,10 @@ def load_config(path) -> dict:
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
     validate_config(config)
+    grid_dim, symbol_dim = config["grid"]["dim"], config["symbol"]["dim"]
+    if grid_dim != symbol_dim:
+        raise ConfigurationError(f"config invalid at grid/dim: the grid's dim {grid_dim} "
+                                 f"differs from the symbol's dim {symbol_dim}")
     return config
 
 
@@ -147,10 +151,12 @@ def build_transport(entry: dict) -> TransportProblem:
 
 
 def build_transport_initial(entry: dict):
+    """The initial profile as a function of the cell centres."""
     kind = entry["kind"]
     if kind == "box":
-        return box_initial(float(entry.get("lo", 1.0)), float(entry.get("hi", 2.0)))
+        return partial(box_profile, lo=float(entry.get("lo", 1.0)),
+                       hi=float(entry.get("hi", 2.0)))
     if kind == "gaussian":
-        return gaussian_initial(float(entry.get("center", 1.5)),
-                                float(entry.get("width", 0.25)))
+        return partial(gaussian_profile, center=float(entry.get("center", 1.5)),
+                       width=float(entry.get("width", 0.25)))
     raise ConfigurationError(f"unknown initial kind {kind!r} for transport")

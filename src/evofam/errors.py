@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class StateError(RuntimeError):
-    """An object is in the wrong representation or state for an operation."""
-
-
 class ConfigurationError(ValueError):
     """A sample plan, grid, or config is structurally invalid."""
 

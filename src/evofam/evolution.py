@@ -50,7 +50,7 @@ class PropagatorEngine:
         """U(t,s) f = exp(-exponent(s, t)) f, a fresh array; at t == s the
         exponent is 0, so U(s,s) = Id exactly."""
         decay = np.exp(-self.exponent(s, t))
-        return GridFunction(self.grid, "frequency", f.to_frequency().values * decay)
+        return GridFunction(self.grid, f.values * decay)
 
 
 def observed_orders(errors, levels) -> list[float]:
@@ -83,13 +83,12 @@ def product_formula_errors(spec: SymbolSpec, s: float, t: float,
         raise ConfigurationError(f"unknown product rule {rule!r}")
     offset = RULE_OFFSETS[rule]
     axes = f.grid.xi_axes()
-    fhat = f.to_frequency().values
     errors = []
     for n in step_counts:
         dt = (t - s) / n
         nodes = spec.check_time(s + (np.arange(n) + offset) * dt)
         total = spec.combine({alpha: dt * np.sum(coef(nodes))
                               for alpha, coef in spec.coefficients.items()}, axes)
-        diff = GridFunction(f.grid, "frequency", fhat * np.exp(-total) - target.values)
+        diff = GridFunction(f.grid, f.values * np.exp(-total) - target.values)
         errors.append(norm(diff))
     return errors

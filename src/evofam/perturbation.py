@@ -1,11 +1,10 @@
 """Perturbation families B(t) and the variation-of-constants solver.
 
-Family protocol: every family has `apply(t, f)`, which returns B(t) f in
-frequency representation.  The diagonal families (Mollifier,
-MultiplierFamily) also have `multiplier(t, xi_axes)`: the row at a time t,
-or one row per time of an array t.  Only MultiplierFamily has the
-closed-form time `integral` and hence the commuting oracle.  Three
-families:
+Family protocol: every family has `apply(t, f)`, which returns B(t) f.
+The diagonal families (Mollifier, MultiplierFamily) also have
+`multiplier(t, xi_axes)`: the row at a time t, or one row per time of an
+array t.  Only MultiplierFamily has the closed-form time `integral` and
+hence the commuting oracle.  Three families:
 
 * Mollifier: the moving box average, the multiplier prod_j sinc(t xi_j);
   B(0) = Id because sinc(0) = 1.  Continuous but not Lipschitz into L2;
@@ -45,8 +44,8 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, DomainError, UnsupportedError
 from .evolution import PropagatorEngine
 from .semigroup import gauss_legendre_panels
-from .spectral import (FREQUENCY, GridFunction, NormSpec, gaussian_bump, memo, norm,
-                       plancherel_norm, row_blocks)
+from .spectral import (GridFunction, NormSpec, gaussian_profile, inverse_transform,
+                       memo, norm, plancherel_norm, row_blocks, transform)
 from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
@@ -80,8 +79,7 @@ class Mollifier:
         return _rows(self, t, xi_axes, build)
 
     def apply(self, t: float, f: GridFunction) -> GridFunction:
-        return GridFunction(f.grid, FREQUENCY,
-                            f.to_frequency().values * self.multiplier(t, f.grid.xi_axes()))
+        return GridFunction(f.grid, f.values * self.multiplier(t, f.grid.xi_axes()))
 
 
 class MultiplierFamily:
@@ -92,20 +90,18 @@ class MultiplierFamily:
         self.coefficient = coefficient if coefficient is not None else constant(1.0)
         self.profile_num = tuple(float(c) for c in profile_num)
         self.profile_den = tuple(float(c) for c in profile_den)
-        if not self.profile_den or all(c == 0 for c in self.profile_den):
-            raise ConfigurationError("rational profile needs a nonzero denominator")
 
     def _profile(self, xi_axes) -> np.ndarray:
+        """P(|xi|^2)/Q(|xi|^2) on the axes; a zero of Q there is a pole."""
         def build():
-            r2 = np.asarray(0.0)
-            for ax in xi_axes:
-                r2 = r2 + ax**2
-            num = np.zeros_like(r2, dtype=float)
-            for k, c in enumerate(self.profile_num):
-                num = num + c * r2**k
-            den = np.zeros_like(r2, dtype=float)
-            for k, c in enumerate(self.profile_den):
-                den = den + c * r2**k
+            r2 = sum((ax**2 for ax in xi_axes), np.asarray(0.0))
+            num, den = (sum((c * r2**k for k, c in enumerate(coeffs)),
+                            np.zeros_like(r2, dtype=float))
+                        for coeffs in (self.profile_num, self.profile_den))
+            if np.any(den == 0.0):
+                raise ConfigurationError(
+                    "config invalid at perturbation/profile_den: Q(|xi|^2) vanishes at "
+                    f"|xi|^2 = {float(r2[den == 0.0].flat[0])!r} on the grid")
             return num / den
         return memo(self, "profile", build, xi_axes)
 
@@ -120,8 +116,7 @@ class MultiplierFamily:
         return dc * self._profile(xi_axes)
 
     def apply(self, t: float, f: GridFunction) -> GridFunction:
-        return GridFunction(f.grid, FREQUENCY,
-                            f.to_frequency().values * self.multiplier(t, f.grid.xi_axes()))
+        return GridFunction(f.grid, f.values * self.multiplier(t, f.grid.xi_axes()))
 
 
 class SmoothingComposite:
@@ -144,11 +139,10 @@ class SmoothingComposite:
         grid = f.grid
         smooth = memo(self, "smoothing",
                       lambda: (1.0 + grid.xi_squared()) ** (-self.order / 2.0), grid)
-        window = memo(self, "window",
-                      lambda: gaussian_bump(grid).to_physical().values.real, grid)
-        phys = GridFunction(grid, FREQUENCY, f.to_frequency().values * smooth).to_physical()
-        return GridFunction(grid, "physical",
-                            phys.values * (self.coefficient(t) * window)).to_frequency()
+        window = memo(self, "window", lambda: grid.separable(
+            gaussian_profile(grid.points_axis(), grid.box / 2.0, grid.box / 16.0)), grid)
+        phys = inverse_transform(f.values * smooth)
+        return GridFunction(grid, transform(phys * (self.coefficient(t) * window)))
 
 
 # -- regularity measurement ---------------------------------------------------
@@ -212,17 +206,16 @@ def perturbation_regularity_report(family, vectors, spec: SymbolSpec) -> Regular
     """Times are the outer loop and vectors the inner one, so each time's
     row of a diagonal B is built once per visit (the `_rows` cache)."""
     gauges = (None, NormSpec(spec, 0.0))          # L2, X_{-1}
-    fhats = [f.to_frequency() for f in vectors]
-    sup_norm = np.max([[norm(family.apply(float(t), f)) for f in fhats]
+    sup_norm = np.max([[norm(family.apply(float(t), f)) for f in vectors]
                        for t in np.linspace(0.0, spec.horizon, 24)], axis=0)
     seps = tuple(d for d in SEPARATIONS if BASE_START <= spec.horizon - d)
-    mods = np.zeros((len(gauges), len(fhats), len(seps)))
+    mods = np.zeros((len(gauges), len(vectors), len(seps)))
     for i, delta in enumerate(seps):
         for b in _base_points(family, delta, spec.horizon):
-            g0 = [family.apply(float(b), f).values for f in fhats]
-            g1 = [family.apply(float(b + delta), f).values for f in fhats]
-            for v, f in enumerate(fhats):
-                diff = GridFunction(f.grid, FREQUENCY, g1[v] - g0[v])
+            g0 = [family.apply(float(b), f).values for f in vectors]
+            g1 = [family.apply(float(b + delta), f).values for f in vectors]
+            for v, f in enumerate(vectors):
+                diff = GridFunction(f.grid, g1[v] - g0[v])
                 for k, gauge in enumerate(gauges):
                     mods[k, v, i] = max(mods[k, v, i], norm(diff, gauge))
     return RegularityReport(
@@ -243,7 +236,7 @@ PICARD_SWEEPS = 20      # q^20 < PICARD_TOL at a Picard factor q <= 1/4; slower 
 @dataclass
 class Trajectory:
     sigmas: np.ndarray
-    states: list[GridFunction]          # V(sigma_k, s) x, frequency rep
+    states: list[GridFunction]          # V(sigma_k, s) x
     sweeps_max: int
     last_residual: float
     contraction: float                  # largest measured Picard update ratio
@@ -286,9 +279,9 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
     half = 0.5 * (t - s) / steps
 
     def b_apply(tau: float, values: np.ndarray) -> np.ndarray:
-        return family.apply(tau, GridFunction(grid, FREQUENCY, values)).values
+        return family.apply(tau, GridFunction(grid, values)).values
 
-    states = [x.to_frequency().values.copy()]
+    states = [x.values.copy()]
     sweeps_max, last_resid, contraction = 0, 0.0, 0.0
     for k, decay in enumerate(_step_decays(engine, sigmas[:-1], sigmas[1:]), start=1):
         lo, hi, prev = float(sigmas[k - 1]), float(sigmas[k]), states[-1]
@@ -314,7 +307,7 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
 
     return Trajectory(
         sigmas=sigmas,
-        states=[GridFunction(grid, FREQUENCY, v) for v in states],
+        states=[GridFunction(grid, v) for v in states],
         sweeps_max=sweeps_max, last_residual=last_resid, contraction=contraction)
 
 
@@ -326,7 +319,7 @@ def commuting_oracle(engine: PropagatorEngine, family: MultiplierFamily,
         raise UnsupportedError("oracle requires a multiplier family with "
                                "closed-form time integrals")
     expo = -engine.exponent(s, t) + family.integral(s, t, engine.grid.xi_axes())
-    return GridFunction(engine.grid, FREQUENCY, x.to_frequency().values * np.exp(expo))
+    return GridFunction(engine.grid, x.values * np.exp(expo))
 
 
 DUHAMEL_NODES = 4       # Gauss-Legendre nodes per sigma step of the residual
@@ -367,7 +360,7 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -
             v_tau = ((1.0 - frac) * trajectory.states[j].values
                      + frac * trajectory.states[j + 1].values)
             g = (v_tau * next(rows) if rows is not None else
-                 family.apply(tau, GridFunction(grid, FREQUENCY, v_tau)).values)
+                 family.apply(tau, GridFunction(grid, v_tau)).values)
             contrib += wn * next(decays) * g
         acc = step_mult * acc + contrib
         current = step_mult * current
@@ -380,13 +373,13 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -
 def perturbed_family_checks(x: GridFunction, full: GridFunction,
                             half: GridFunction) -> float:
     """Cocycle defect of V from the pipeline's s -> t runs, relative to ||x||:
-    `x` is the M-step run's first state (frequency representation), `full`
-    its final state and `half` the final state of the M // 2-step run.  The
-    midpoint legs V(t,r)V(r,s)x of M/2 steps each march the M-step run's two
-    halves, so the defect compares the final states of the M-step run and
-    the M/2-step run (for odd M, the floor(M/2)-step run): genuine
-    discretization, O(dsigma^2).  It reads no trajectory, so the caller may
-    release each run before the next is marched.
+    `x` is the M-step run's first state, `full` its final state and `half`
+    the final state of the M // 2-step run.  The midpoint legs V(t,r)V(r,s)x
+    of M/2 steps each march the M-step run's two halves, so the defect
+    compares the final states of the M-step run and the M/2-step run (for
+    odd M, the floor(M/2)-step run): genuine discretization, O(dsigma^2).
+    It reads no trajectory, so the caller may release each run before the
+    next is marched.
     """
     w = x.grid.cell_volume
     xnorm = max(plancherel_norm(x.values, w), 1e-300)

@@ -82,7 +82,7 @@ def favard_norm(op: FrozenOperator, f: GridFunction, space: str = "F1") -> Favar
     if space not in ("F1", "F0"):
         raise ConfigurationError(f"space must be 'F1' or 'F0', got {space!r}")
     a = op.symbol_on(f.grid)
-    fhat = np.abs(f.to_frequency().values)
+    fhat = np.abs(f.values)
     if space == "F0":
         fhat = fhat * op.gauge().weight(f.grid)
 

@@ -5,9 +5,11 @@ Conventions fixed here and relied on everywhere else:
 * The box is [0, L)^d sampled at N points per axis, spacing h = L/N.
 * Frequencies are xi_k = 2 pi k / L for k in [-N/2, N/2), stored in FFT
   order (numpy fftfreq layout).
-* Transforms are the unitary ("ortho") DFT, so Plancherel reads
-  sum |f(x_j)|^2 h^d = sum |fhat_k|^2 h^d with the same weight on both
-  sides; every norm below uses that weight.
+* A `GridFunction` holds its spectrum: the unitary ("ortho") DFT of its
+  samples, in FFT order.  Samples enter once, through `transform`, and
+  leave through `inverse_transform`; these are the package's only DFTs.
+  Plancherel reads sum |f(x_j)|^2 h^d = sum |fhat_k|^2 h^d with the same
+  weight on both sides; every norm below uses that weight.
 * A grid's tables (frequency axes, |xi|^2, mode maxima, frequency rows)
   and the per-grid tables that symbols and perturbation families build on
   them go through `memo`: each is built once and then shared, read-only,
@@ -26,10 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, StateError
+from .errors import ConfigurationError, NumericError
 
-PHYSICAL = "physical"
-FREQUENCY = "frequency"
 BLOCK_ELEMENTS = 1 << 14    # values per block of a blocked sweep: ~256 KB complex
 
 
@@ -142,47 +142,34 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex values on a Grid, in physical or frequency representation."""
+    """A function on a Grid, held as its spectrum: the unitary DFT
+    coefficients of its samples, in FFT order."""
 
     grid: Grid
-    representation: str
     values: np.ndarray
 
     def __post_init__(self):
-        if self.representation not in (PHYSICAL, FREQUENCY):
-            raise ConfigurationError(f"unknown representation {self.representation!r}")
         if self.values.shape != self.grid.shape:
             raise ConfigurationError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}")
 
-    def to_frequency(self) -> "GridFunction":
-        return transform(self, FREQUENCY) if self.representation == PHYSICAL else self
 
-    def to_physical(self) -> "GridFunction":
-        return transform(self, PHYSICAL) if self.representation == FREQUENCY else self
+def transform(values: np.ndarray) -> np.ndarray:
+    """The spectrum of grid samples: their unitary DFT, in FFT order."""
+    return np.fft.fftn(values, norm="ortho")
 
 
-def transform(f: GridFunction, direction: str) -> GridFunction:
-    """Unitary DFT between representations; rejects a no-op direction."""
-    if direction == f.representation:
-        raise StateError(f"function already in {direction} representation")
-    if direction == FREQUENCY:
-        values = np.fft.fftn(f.values, norm="ortho")
-    elif direction == PHYSICAL:
-        values = np.fft.ifftn(f.values, norm="ortho")
-    else:
-        raise ConfigurationError(f"unknown direction {direction!r}")
-    return GridFunction(f.grid, direction, values)
+def inverse_transform(values: np.ndarray) -> np.ndarray:
+    """The grid samples of a spectrum: the inverse of `transform`."""
+    return np.fft.ifftn(values, norm="ortho")
 
 
 def apply_multiplier(m, f: GridFunction) -> GridFunction:
     """Apply a Fourier multiplier; `m` maps per-axis frequency arrays to values.
 
     `m` receives the tuple of broadcastable frequency axes and must return
-    an array broadcastable to the grid shape (or a scalar).  The result is
-    in frequency representation.
+    an array broadcastable to the grid shape (or a scalar).
     """
-    fhat = f.to_frequency()
     values = np.broadcast_to(np.asarray(m(f.grid.xi_axes()), dtype=complex),
                              f.grid.shape)
     bad = ~np.isfinite(values)
@@ -191,7 +178,7 @@ def apply_multiplier(m, f: GridFunction) -> GridFunction:
         xi = [float(ax.reshape(-1)[i]) for ax, i in zip(f.grid.xi_axes(), idx)]
         raise NumericError(f"multiplier non-finite at bin {idx} (xi={xi})",
                            witness={"bin": idx, "xi": xi})
-    return GridFunction(f.grid, FREQUENCY, fhat.values * values)
+    return GridFunction(f.grid, f.values * values)
 
 
 @dataclass(frozen=True)
@@ -220,20 +207,17 @@ class NormSpec:
 
 
 def plancherel_norm(values: np.ndarray, cell_volume: float) -> float:
-    """sqrt(sum |v|^2 h^d): the L2 norm of grid values in either
-    representation, since the unitary DFT keeps the cell weight."""
+    """sqrt(sum |v|^2 h^d): the L2 norm of grid samples or of their
+    spectrum alike, since the unitary DFT keeps the cell weight."""
     return float(np.sqrt(np.sum(np.abs(values) ** 2) * cell_volume))
 
 
 def norm(f: GridFunction, gauge: NormSpec = None) -> float:
     """The L2 norm of `f`, or its X_{-1} norm in `gauge`: the spectrum, times
-    the gauge's weight if one is given, reduced by `plancherel_norm` on the
-    frequency side."""
+    the gauge's weight if one is given, reduced by `plancherel_norm`."""
     if not np.all(np.isfinite(f.values)):
         raise NumericError("non-finite values in grid function")
-    vals = f.to_frequency().values
-    if gauge is not None:
-        vals = gauge.weight(f.grid) * np.abs(vals)
+    vals = f.values if gauge is None else gauge.weight(f.grid) * np.abs(f.values)
     return plancherel_norm(vals, f.grid.cell_volume)
 
 
@@ -243,12 +227,11 @@ def spectral_tail_fraction(f: GridFunction) -> float:
     Test functions should keep this tiny (the CLI warns above 1e-8);
     otherwise box truncation pollutes the spectral model.
     """
-    fhat = f.to_frequency().values
-    mask = f.grid.max_mode() >= 0.5 * (f.grid.n // 2)
-    total = np.sum(np.abs(fhat) ** 2)
+    mass = np.abs(f.values) ** 2
+    total = np.sum(mass)
     if total == 0.0:
         return 0.0
-    return float(np.sum(np.abs(fhat[mask]) ** 2) / total)
+    return float(np.sum(mass[f.grid.max_mode() >= 0.5 * (f.grid.n // 2)]) / total)
 
 
 # -- standard test vectors ---------------------------------------------------
@@ -264,7 +247,7 @@ def mode(grid: Grid, k) -> GridFunction:
     values = np.zeros(grid.shape, dtype=complex)
     idx = tuple(grid.mode_index(kj) for kj in ks)
     values[idx] = 1.0 / np.sqrt(grid.cell_volume)
-    return GridFunction(grid, FREQUENCY, values)
+    return GridFunction(grid, values)
 
 
 def random_band_limited(grid: Grid, rng: np.random.Generator, band: int = 4) -> GridFunction:
@@ -275,31 +258,44 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, band: int = 4) -> 
     mask = grid.max_mode() <= band
     count = int(np.sum(mask))
     values[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return GridFunction(grid, FREQUENCY, values / norm(GridFunction(grid, FREQUENCY, values)))
+    return GridFunction(grid, values / norm(GridFunction(grid, values)))
+
+
+def box_profile(x, lo: float, hi: float) -> np.ndarray:
+    """The box profile at points x: 1 on (lo, hi), 0 elsewhere."""
+    return ((x > lo) & (x < hi)).astype(float)
+
+
+def gaussian_profile(x, center: float, width: float) -> np.ndarray:
+    """The Gaussian profile exp(-z^2 / 2), z = |x - c| / w, at points x.  z is
+    capped at 40, where exp(-800) is 0 already, by dividing by w or by |x - c|/40,
+    whichever is larger, so that no width overflows."""
+    d = np.abs(x - center)
+    z = d / np.maximum(width, d / 40.0)
+    return np.exp(-0.5 * z * z)
 
 
 def indicator(grid: Grid, lo: float = 0.0, hi: float = 1.0) -> GridFunction:
     """Indicator of the box (lo, hi)^d sampled at grid points (a rough vector)."""
-    x = grid.points_axis()
-    return GridFunction(grid, PHYSICAL, grid.separable((x > lo) & (x < hi)).astype(complex))
+    samples = grid.separable(box_profile(grid.points_axis(), lo, hi))
+    return GridFunction(grid, transform(samples))
 
 
 def gaussian_bump(grid: Grid, center: float = None, width: float = None) -> GridFunction:
-    """Smooth bump exp(-|x - c|^2 / (2 w^2)), well localized inside the box."""
-    if center is None:
-        center = grid.box / 2.0
-    if width is None:
-        width = grid.box / 16.0
-    x = grid.points_axis()
-    axis_vals = np.exp(-((x - center) ** 2) / (2.0 * width**2))
-    return GridFunction(grid, PHYSICAL, grid.separable(axis_vals).astype(complex))
+    """Smooth bump exp(-|x - c|^2 / (2 w^2)), well localized inside the box;
+    c = box/2 and w = box/16 unless given."""
+    c = grid.box / 2.0 if center is None else center
+    w = grid.box / 16.0 if width is None else width
+    samples = grid.separable(gaussian_profile(grid.points_axis(), c, w))
+    return GridFunction(grid, transform(samples))
 
 
 # -- serialization -----------------------------------------------------------
 
 def save_function(f: GridFunction, stem) -> tuple[Path, Path]:
-    """Write `<stem>.f64` (little-endian f64 interleaved re/im, C order)
-    and sidecar `<stem>.json` with {dim, n, box, representation}."""
+    """Write the spectrum to `<stem>.f64` (little-endian f64 interleaved
+    re/im, C order) and sidecar `<stem>.json` with {dim, n, box,
+    representation}; the representation is always "frequency"."""
     stem = Path(stem)
     data_path = stem.with_suffix(".f64")
     meta_path = stem.with_suffix(".json")
@@ -308,12 +304,14 @@ def save_function(f: GridFunction, stem) -> tuple[Path, Path]:
     flat[1::2] = f.values.imag.reshape(-1)
     flat.astype("<f8").tofile(data_path)
     meta = {"dim": f.grid.dim, "n": f.grid.n, "box": f.grid.box,
-            "representation": f.representation}
+            "representation": "frequency"}
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return data_path, meta_path
 
 
 def load_function(stem) -> GridFunction:
+    """The grid function `save_function` wrote; a file whose sidecar says
+    "physical" holds samples, which are transformed once."""
     stem = Path(stem)
     meta = json.loads(stem.with_suffix(".json").read_text())
     grid = Grid(meta["dim"], meta["n"], meta["box"])
@@ -321,4 +319,8 @@ def load_function(stem) -> GridFunction:
     if flat.size != 2 * grid.n**grid.dim:
         raise ConfigurationError("binary payload size does not match sidecar")
     values = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
-    return GridFunction(grid, meta["representation"], values)
+    if meta["representation"] == "physical":
+        values = transform(values)
+    elif meta["representation"] != "frequency":
+        raise ConfigurationError(f"unknown representation {meta['representation']!r}")
+    return GridFunction(grid, values)

@@ -113,14 +113,6 @@ def sample_initial(problem: TransportProblem, fn) -> np.ndarray:
     return np.asarray(fn(problem.centers()), dtype=float)
 
 
-def box_initial(lo: float, hi: float):
-    return lambda x: ((x > lo) & (x < hi)).astype(float)
-
-
-def gaussian_initial(center: float, width: float):
-    return lambda x: np.exp(-((x - center) ** 2) / (2.0 * width**2))
-
-
 def transport_solve(problem: TransportProblem, s: float, t: float,
                     f0: np.ndarray, steps: int | None = None,
                     cfl_safety: float = 0.9,

@@ -93,8 +93,7 @@ def frozen_resolvent(op: FrozenOperator, lam: complex, f: GridFunction) -> GridF
         raise NumericError(
             f"resolvent nearly singular at bin {idx} for lambda={lam}",
             witness={"bin": idx, "lambda": lam})
-    fhat = f.to_frequency()
-    return GridFunction(f.grid, "frequency", fhat.values / denom)
+    return GridFunction(f.grid, f.values / denom)
 
 
 def laplace_transform_check(op: FrozenOperator, lam: complex, f: GridFunction,
@@ -111,13 +110,13 @@ def laplace_transform_check(op: FrozenOperator, lam: complex, f: GridFunction,
         raise DomainError(f"truncation horizon must be positive, got {horizon}")
     a = op.symbol_on(f.grid)
     taus, weights = gauss_legendre_panels(0.0, horizon, panels)
-    fhat = f.to_frequency().values
+    fhat = f.values
     acc = np.zeros(f.grid.shape, dtype=complex)
     for tau, w in zip(taus, weights):
         acc += w * np.exp(-(lam + a) * tau)
-    integral = GridFunction(f.grid, "frequency", acc * fhat)
+    integral = GridFunction(f.grid, acc * fhat)
     target = frozen_resolvent(op, lam, f)
-    diff = GridFunction(f.grid, "frequency", integral.values - target.values)
+    diff = GridFunction(f.grid, integral.values - target.values)
     return norm(diff)
 
 
@@ -143,7 +142,7 @@ def cocycle_defect(engine: PropagatorEngine, r: float, s: float, t: float,
         return 0.0
     two_leg = engine.propagate(s, t, engine.propagate(r, s, f))
     one_leg = engine.propagate(r, t, f)
-    diff = GridFunction(f.grid, "frequency", two_leg.values - one_leg.values)
+    diff = GridFunction(f.grid, two_leg.values - one_leg.values)
     return norm(diff) / nf
 
 
@@ -171,7 +170,7 @@ def derivative_defect(engine: PropagatorEngine, s: float, t: float,
         at, sign = s, -1.0
     gen = engine.spec.on_axes(at, engine.grid.xi_axes())
     resid = (plus.values - minus.values) / (2.0 * h) + sign * gen * base.values
-    return norm(GridFunction(engine.grid, "frequency", resid))
+    return norm(GridFunction(engine.grid, resid))
 
 
 def operator_norm(engine: PropagatorEngine, s: float, t: float) -> float:
@@ -242,7 +241,7 @@ def cd_lipschitz_bound(spec: SymbolSpec, grid: Grid, vectors) -> float:
     monos = spec.monomials(grid.xi_axes())
     rate = sum(b * np.abs(np.broadcast_to(monos[alpha], grid.shape))
                for alpha, b in lips.items())
-    return max(float(np.sqrt(np.sum((rate * np.abs(f.to_frequency().values)) ** 2)
+    return max(float(np.sqrt(np.sum((rate * np.abs(f.values)) ** 2)
                              * grid.cell_volume)) for f in vectors)
 
 
@@ -354,7 +353,7 @@ def product_formula_reference(spec: SymbolSpec, s: float, t: float,
         raise ConfigurationError(f"unknown product rule {rule!r}")
     offset = RULE_OFFSETS[rule]
     axes = f.grid.xi_axes()
-    fhat = f.to_frequency().values
+    fhat = f.values
     errors = []
     for n in step_counts:
         dt = (t - s) / n
@@ -363,7 +362,7 @@ def product_formula_reference(spec: SymbolSpec, s: float, t: float,
         for part in row_blocks(n, PRODUCT_BLOCK_DIVISOR * f.grid.n ** f.grid.dim):
             for row in spec.time_matrix(nodes[part], axes):
                 total += dt * row
-        diff = GridFunction(f.grid, "frequency", fhat * np.exp(-total) - target.values)
+        diff = GridFunction(f.grid, fhat * np.exp(-total) - target.values)
         errors.append(norm(diff))
     return errors
 
@@ -375,7 +374,7 @@ def bessel_weight(grid: Grid, m: float) -> np.ndarray:
 
 def bessel_norm(f: GridFunction, m: float) -> float:
     """|| (1 + |xi|^2)^{-m/2} f^ ||_L2, the order -m Sobolev norm of f."""
-    return plancherel_norm(bessel_weight(f.grid, m) * np.abs(f.to_frequency().values),
+    return plancherel_norm(bessel_weight(f.grid, m) * np.abs(f.values),
                            f.grid.cell_volume)
 
 
@@ -383,13 +382,12 @@ def dual_scale_moduli(family, f: GridFunction, spec: SymbolSpec) -> list:
     """Per delta of SEPARATIONS, the max over the base points t = 0 and
     BASE_POINTS points of [1e-3, T - delta] of ||B(b + delta) f - B(b) f||
     in the Bessel norm of order -spec.order."""
-    fhat = f.to_frequency()
     mods = []
     for delta in SEPARATIONS:
         bases = np.concatenate([[0.0], np.linspace(1e-3, spec.horizon - delta, BASE_POINTS)])
         mods.append(max(bessel_norm(GridFunction(
-            f.grid, "frequency", family.apply(float(b + delta), fhat).values
-            - family.apply(float(b), fhat).values), spec.order) for b in bases))
+            f.grid, family.apply(float(b + delta), f).values
+            - family.apply(float(b), f).values), spec.order) for b in bases))
     return mods
 
 

@@ -6,6 +6,7 @@ pass/fail line per criterion.
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -125,8 +126,7 @@ def test_criterion_07_variation_of_constants_oracle(engine, grid, xband):
     errs = []
     for m in (256, 512, 1024):
         traj = per.solve_perturbed(engine, fam, 0.0, 1.0, xband, m)
-        errs.append(norm(GridFunction(grid, "frequency",
-                                      traj.final().values - oracle.values)))
+        errs.append(norm(GridFunction(grid, traj.final().values - oracle.values)))
     assert errs[-1] <= 1e-6
     for o in observed_orders(errs, [256, 512, 1024]):
         assert 1.7 <= o <= 2.3
@@ -144,8 +144,8 @@ def test_criterion_08_perturbed_family_axioms(engine, grid, xband):
         leg1 = per.solve_perturbed(engine, family, 0.0, r, xband, m)
         leg2 = per.solve_perturbed(engine, family, r, t, leg1.final(), m)
         assert all(np.isfinite(norm(v)) for v in whole.states)
-        return norm(GridFunction(grid, "frequency",
-                                 leg2.final().values - whole.final().values)) / norm(xband)
+        diff = GridFunction(grid, leg2.final().values - whole.final().values)
+        return norm(diff) / norm(xband)
 
     defects = [defect(per.SmoothingComposite(2), 0.7, 1.5, m) for m in (128, 256, 512)]
     for o in observed_orders(defects, [128, 256, 512]):
@@ -182,20 +182,19 @@ def test_criterion_11_transport_family():
     """Upwind transport: L1 order 0.8-1.1 on smooth data over three
     halvings, aligned-ladder cocycle <= 1e-12, L1 decay under the
     exponential bound with mu_min = 1, per-step mass balance <= 1e-12."""
-    from evofam.transport import (TransportProblem, box_initial,
-                                  convergence_study, gaussian_initial,
-                                  sample_initial, transport_family_checks,
-                                  transport_solve)
+    from evofam.spectral import box_profile, gaussian_profile
+    from evofam.transport import (TransportProblem, convergence_study, sample_initial,
+                                  transport_family_checks, transport_solve)
 
     fine = TransportProblem(1.0, 6.0, 800, constant_field(1.0), constant_field(1.0))
-    smooth = gaussian_initial(1.5, 0.25)
+    smooth = partial(gaussian_profile, center=1.5, width=0.25)
     marched = transport_solve(fine, 0.0, 0.5, sample_initial(fine, smooth))
     errs = convergence_study(fine, 0.0, 0.5, smooth, [100, 200, 400, 800], marched)
     for o in observed_orders(errs, [100, 200, 400, 800]):
         assert 0.8 <= o <= 1.1
 
     problem = TransportProblem(1.0, 6.0, 600, constant_field(1.0), constant_field(1.0))
-    f0 = sample_initial(problem, box_initial(1.0, 2.0))
+    f0 = sample_initial(problem, partial(box_profile, lo=1.0, hi=2.0))
     one = transport_solve(problem, 0.0, 0.75, f0)
     rep = transport_family_checks(problem, 0.0, one, f0)
     assert aligned_ladder_cocycle(problem, 0.0, 0.25, one, f0) <= 1e-12

@@ -365,7 +365,7 @@ class TestCommutingAndCD:
 
         def quotient(lo, hi, f):
             da = td1.on_axes(float(hi), axes) - td1.on_axes(float(lo), axes)
-            return GridFunction(grid, "frequency", da * f.to_frequency().values / (hi - lo))
+            return GridFunction(grid, da * f.values / (hi - lo))
 
         worst = max(norm(quotient(lo, hi, f), gauge)
                     for lo, hi in zip(s, t) for f in band_vectors)

@@ -697,6 +697,72 @@ def test_initial_mode_off_the_grid_exits_2(tmp_path, capsys, monkeypatch, pipeli
     assert solves == []
 
 
+SYMBOL_2D = {"dim": 2, "order": 2, "horizon": 1.0, "coefficients": [
+    {"alpha": [2, 0], "const": -1.0}, {"alpha": [0, 2], "const": -1.0},
+    {"alpha": [0, 0], "const": 1.0}]}
+
+
+@pytest.mark.parametrize("pipeline", ["check", "evolve", "perturb", "favard", "convergence"])
+@pytest.mark.parametrize("direction", ["2d_symbol_1d_grid", "1d_symbol_2d_grid"])
+def test_symbol_of_another_dimension_exits_2(tmp_path, capsys, monkeypatch, pipeline,
+                                             direction):
+    # a 2-D symbol read the 1-D grid's missing second axis (IndexError), and a
+    # 1-D symbol on a 2-D grid was certified as if it had no xi_2 term
+    config = bundled_config("h1")
+    config["grid"]["n"] = 16
+    if direction == "2d_symbol_1d_grid":
+        config["symbol"] = SYMBOL_2D
+    else:
+        config["grid"]["dim"] = 2
+    path = write_config(tmp_path, config)
+    solves = record_solves(monkeypatch)
+    assert main([pipeline, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config invalid at grid/dim: ")
+    assert "Traceback" not in err
+    assert solves == []
+
+
+def test_multiplier_pole_on_the_grid_exits_2(tmp_path, capsys):
+    # Q(|xi|^2) = 1 - |xi|^2 vanishes at xi = +-1: the division warned, and
+    # the march then failed on nan as a Picard non-contraction
+    config = bundled_config("h1")
+    config["grid"]["n"] = 64
+    config["solver"]["steps"] = 64
+    config["perturbation"] = {"kind": "multiplier", "profile_den": [1.0, -1.0]}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "o"
+    assert main(["perturb", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config invalid at perturbation/profile_den: Q(|xi|^2) vanishes "
+        "at |xi|^2 = 1.0 on the grid\n")
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_narrow_gaussian_is_judged_on_the_grid(tmp_path, capsys):
+    # exp(-(x - c)^2 / (2 w^2)) overflowed at w = 1e-200 and the run ended in
+    # a numeric failure; the capped profile samples a spike at the centre
+    config = bundled_config("h1")
+    config["grid"]["n"] = 64
+    config["evolve"]["initial"] = {"kind": "gaussian", "width": 1e-200}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(path), "--out", str(out), "--stable"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "spectral_tail: FAIL" in captured.out.splitlines()
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["spectral_tail_fraction"] > 0.0 and "error" not in report
+
+
+def test_narrow_gaussian_transport_data_is_zero(tmp_path, capsys):
+    config = bundled_config("transport")
+    config["transport"]["initial"] = {"kind": "gaussian", "width": 1e-200}
+    path = write_config(tmp_path, config)
+    assert main(["transport", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: config invalid at transport/initial: "
+                                       "the sampled initial data is zero\n")
+
+
 def test_step_coefficient_perturb_reports_verdicts(tmp_path, capsys):
     # a jump in B at t = 0.5: a base pair straddles it at every separation,
     # so every L2 modulus holds the jump and the L2 slopes are finite and

@@ -32,7 +32,7 @@ class TestExactPropagator:
         f = random_band_limited(grid, rng)
         out = engine.propagate(1.2, 1.2, f)
         # the exponent over [s, s] is 0 and e^{-0} = 1: U(s, s) = Id bit for bit
-        assert np.array_equal(out.values, f.to_frequency().values)
+        assert np.array_equal(out.values, f.values)
 
     def test_autonomous_reduces_to_semigroup(self, h1, grid, rng):
         eng = PropagatorEngine(h1, grid)
@@ -76,7 +76,7 @@ class TestCocycle:
             assert cocycle_defect(engine, r, s, t, f) <= 1e-10
 
     def test_zero_vector(self, engine, grid):
-        z = GridFunction(grid, "frequency", np.zeros(grid.shape, dtype=complex))
+        z = GridFunction(grid, np.zeros(grid.shape, dtype=complex))
         assert cocycle_defect(engine, 0.1, 0.5, 1.0, z) == 0.0
 
     def test_ordering_enforced(self, engine, grid):
@@ -113,11 +113,11 @@ class TestDerivatives:
         minus = frozen_semigroup(op, 0.6 - h, f)
         a = np.broadcast_to(h1.on_axes(0.0, grid.xi_axes()), grid.shape)
         resid = (plus.values - minus.values) / (2 * h) + a * base.values
-        via_frozen = norm(GridFunction(grid, "frequency", resid))
+        via_frozen = norm(GridFunction(grid, resid))
         assert abs(via_family - via_frozen) <= 1e-8
 
     def test_zero_vector(self, engine, grid):
-        z = GridFunction(grid, "frequency", np.zeros(grid.shape, dtype=complex))
+        z = GridFunction(grid, np.zeros(grid.shape, dtype=complex))
         assert derivative_defect(engine, 0.3, 1.0, z, z, h=1e-3, which="dt") == 0.0
 
     def test_stencil_domain_guard(self, engine, grid):
@@ -154,7 +154,7 @@ class TestStrongContinuity:
         delta = 1e-3
         out0 = engine.propagate(0.0, 1.0, f)
         out1 = engine.propagate(0.0, 1.0 + delta, f)
-        diff = norm(GridFunction(grid, "frequency", out1.values - out0.values))
+        diff = norm(GridFunction(grid, out1.values - out0.values))
         assert diff <= band_max * delta * norm(f) * 1.05
 
 

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofam import perturbation as per
-from evofam.errors import UnsupportedError
+from evofam.errors import ConfigurationError, UnsupportedError
 from evofam.evolution import PropagatorEngine, observed_orders
 from evofam.perturbation import (SEPARATIONS, Mollifier, MultiplierFamily,
                                  SmoothingComposite, _slope, commuting_oracle,
                                  duhamel_residual, perturbation_regularity_report,
                                  perturbed_family_checks, solve_perturbed)
-from evofam.spectral import (Grid, GridFunction, indicator, mode, norm,
-                             random_band_limited)
+from evofam.spectral import (Grid, GridFunction, indicator, inverse_transform, mode,
+                             norm, random_band_limited)
 from evofam.symbols import CoefficientFunction, constant
 from reference import dual_scale_moduli, heat_symbol, oscillating_symbol
 
@@ -34,16 +34,15 @@ class TestMollifierAction:
         g = Grid(dim, 32, 2.0 * np.pi)
         f = random_band_limited(g, rng)
         out = Mollifier().apply(0.0, f)
-        assert np.array_equal(out.values, f.to_frequency().values)
+        assert np.array_equal(out.values, f.values)
 
     def test_mean_preserved(self, grid):
         f = indicator(grid)
         out = Mollifier().apply(0.7, f)
-        assert out.values[0] == pytest.approx(f.to_frequency().values[0])
+        assert out.values[0] == pytest.approx(f.values[0])
 
     def test_indicator_becomes_trapezoid(self, grid):
-        out = Mollifier().apply(0.5, indicator(grid)).to_physical()
-        vals = out.values.real
+        vals = inverse_transform(Mollifier().apply(0.5, indicator(grid)).values).real
         x = grid.points_axis()
         assert vals[0] == pytest.approx(0.5, abs=0.01)          # edge midpoint
         j = int(np.argmin(np.abs(x - 0.5)))
@@ -64,7 +63,7 @@ class TestMollifierAction:
         out = Mollifier().apply(0.3, f)
         assert norm(out) <= norm(f) * (1.0 + 1e-12)
         idx = (0, 0)
-        assert out.values[idx] == pytest.approx(f.to_frequency().values[idx])
+        assert out.values[idx] == pytest.approx(f.values[idx])
 
 
 @pytest.fixture(scope="module")
@@ -148,13 +147,20 @@ class TestRegularityReport:
         assert fit.residual <= 1e-12
 
 
+@pytest.mark.parametrize("den", [(0.0,), ()], ids=["zero", "empty"])
+def test_zero_denominator_vanishes_everywhere_on_the_grid(den):
+    # the grid's pole check also refuses a denominator with no nonzero term
+    family = MultiplierFamily(profile_den=den)
+    with pytest.raises(ConfigurationError, match=r"vanishes at \|xi\|\^2 = 0\.0 on the grid"):
+        family.multiplier(0.5, Grid(1, 16, 2.0 * np.pi).xi_axes())
+
+
 class TestVolterraSolver:
     def test_zero_perturbation_reproduces_engine(self, engine, grid, xband):
         zero = MultiplierFamily(constant(0.0))
         traj = solve_perturbed(engine, zero, 0.0, 1.0, xband, 128)
         ref = engine.propagate(0.0, 1.0, xband)
-        diff = norm(GridFunction(grid, "frequency",
-                                 traj.final().values - ref.values))
+        diff = norm(GridFunction(grid, traj.final().values - ref.values))
         assert diff <= 1e-12
         assert duhamel_residual(traj, engine, zero) <= 1e-10
 
@@ -170,8 +176,7 @@ class TestVolterraSolver:
         errs = []
         for m in (256, 512, 1024):
             traj = solve_perturbed(engine, fam, 0.0, 1.0, xband, m)
-            errs.append(norm(GridFunction(grid, "frequency",
-                                          traj.final().values - oracle.values)))
+            errs.append(norm(GridFunction(grid, traj.final().values - oracle.values)))
         assert errs[-1] <= 1e-6
         for ratio in (errs[0] / errs[1], errs[1] / errs[2]):
             assert 3.4 <= ratio <= 4.6
@@ -185,7 +190,7 @@ class TestVolterraSolver:
         assert duhamel_residual(traj, engine, Mollifier()) <= 1e-6
 
     def test_zero_initial(self, engine, grid):
-        z = GridFunction(grid, "frequency", np.zeros(grid.shape, dtype=complex))
+        z = GridFunction(grid, np.zeros(grid.shape, dtype=complex))
         traj = solve_perturbed(engine, Mollifier(), 0.0, 0.5, z, 64)
         assert duhamel_residual(traj, engine, Mollifier()) == 0.0
 
@@ -230,7 +235,7 @@ def composed_defect(engine, family, s, r, t, x, steps):
     whole = solve_perturbed(engine, family, s, t, x, steps)
     leg1 = solve_perturbed(engine, family, s, r, x, steps)
     leg2 = solve_perturbed(engine, family, r, t, leg1.final(), steps)
-    diff = GridFunction(x.grid, "frequency", leg2.final().values - whole.final().values)
+    diff = GridFunction(x.grid, leg2.final().values - whole.final().values)
     return norm(diff) / norm(x)
 
 
@@ -283,8 +288,7 @@ def test_midpoint_legs_retrace_the_whole_run(symbol, family, s):
     leg2 = solve_perturbed(engine, fam, r, t, leg1.final(), LEG_STEPS)
     tol = 16 * np.finfo(float).eps * norm(x)
     for leg, node in ((leg1, whole.states[LEG_STEPS]), (leg2, whole.final())):
-        assert norm(GridFunction(LEG_GRID, "frequency",
-                                 leg.final().values - node.values)) <= tol
+        assert norm(GridFunction(LEG_GRID, leg.final().values - node.values)) <= tol
 
 
 COMMUTING_GRID = Grid(1, 64, 2.0 * np.pi)
@@ -310,8 +314,7 @@ def test_commuting_solve_matches_oracle_and_duhamel(c, a, b, symbol, seed):
     x = random_band_limited(COMMUTING_GRID, np.random.default_rng(seed), band=4)
     traj = solve_perturbed(engine, family, 0.0, 1.0, x, COMMUTING_STEPS)
     oracle = commuting_oracle(engine, family, 0.0, 1.0, x)
-    error = norm(GridFunction(COMMUTING_GRID, "frequency",
-                              traj.final().values - oracle.values))
+    error = norm(GridFunction(COMMUTING_GRID, traj.final().values - oracle.values))
     m = abs(c) * a
     tol = max(1e-4, m**3 * np.exp(max(c * a, 0.0)) / (12.0 * COMMUTING_STEPS**2))
     assert duhamel_residual(traj, engine, family) <= tol

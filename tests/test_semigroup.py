@@ -30,7 +30,7 @@ class TestFrozenSemigroup:
         f = random_band_limited(grid, rng)
         one = frozen_semigroup(op_h1, 0.7, frozen_semigroup(op_h1, 0.4, f))
         two = frozen_semigroup(op_h1, 1.1, f)
-        diff = GridFunction(grid, "frequency", one.values - two.values)
+        diff = GridFunction(grid, one.values - two.values)
         assert norm(diff) <= 1e-12 * norm(f)
 
     def test_negative_time_rejected(self, op_h1, grid):
@@ -55,7 +55,7 @@ class TestFrozenResolvent:
             - frozen_resolvent(op_h1, mu, f).values
         rhs = (mu - lam) * frozen_resolvent(
             op_h1, lam, frozen_resolvent(op_h1, mu, f)).values
-        assert norm(GridFunction(grid, "frequency", lhs - rhs)) <= 1e-12 * norm(f)
+        assert norm(GridFunction(grid, lhs - rhs)) <= 1e-12 * norm(f)
 
     def test_inverts_generator_shift(self, op_h1, grid, rng):
         f = random_band_limited(grid, rng)
@@ -63,7 +63,7 @@ class TestFrozenResolvent:
         rf = frozen_resolvent(op_h1, lam, f)
         # (lambda - A) R(lambda) f = f
         back = lam * rf.values - op_h1.apply(rf).values
-        assert norm(GridFunction(grid, "frequency", back - f.values)) \
+        assert norm(GridFunction(grid, back - f.values)) \
             <= 1e-12 * norm(f)
 
     def test_singular_bin_detected(self, op_h1, grid):
@@ -132,7 +132,7 @@ class TestFavard:
         assert est.value == pytest.approx(norm(f), rel=0.01)
 
     def test_zero_vector(self, op_h1, grid):
-        z = GridFunction(grid, "frequency", np.zeros(grid.shape, dtype=complex))
+        z = GridFunction(grid, np.zeros(grid.shape, dtype=complex))
         assert favard_norm(op_h1, z, "F1").value == 0.0
 
 
@@ -166,8 +166,8 @@ def test_resolvent_identity_on_random_symbols(spec, time, shifts, heights, seed)
     f = random_band_limited(COCYCLE_GRID, np.random.default_rng(seed), band=4)
     lhs = frozen_resolvent(op, lam, f).values - frozen_resolvent(op, mu, f).values
     rhs = (mu - lam) * frozen_resolvent(op, lam, frozen_resolvent(op, mu, f)).values
-    scale = (np.abs(f.to_frequency().values) * (abs(lam) + abs(mu) + 2.0 * np.abs(a))
+    scale = (np.abs(f.values) * (abs(lam) + abs(mu) + 2.0 * np.abs(a))
              / (np.abs(lam + a) * np.abs(mu + a)))
-    defect = norm(GridFunction(COCYCLE_GRID, "frequency", lhs - rhs))
-    floor = norm(GridFunction(COCYCLE_GRID, "frequency", scale))
+    defect = norm(GridFunction(COCYCLE_GRID, lhs - rhs))
+    floor = norm(GridFunction(COCYCLE_GRID, scale))
     assert defect <= RESOLVENT_ULPS * np.finfo(float).eps * floor

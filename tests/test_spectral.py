@@ -1,3 +1,4 @@
+import json
 import tempfile
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofam.errors import ConfigurationError, NumericError, StateError
+from evofam.errors import ConfigurationError, NumericError
 from evofam.evolution import PropagatorEngine
-from evofam.spectral import (FREQUENCY, PHYSICAL, Grid, GridFunction, NormSpec,
-                             apply_multiplier, indicator, load_function, mode, norm,
+from evofam.spectral import (Grid, GridFunction, NormSpec, apply_multiplier, indicator,
+                             inverse_transform, load_function, mode, norm,
                              random_band_limited, save_function,
                              spectral_tail_fraction, transform)
 from evofam.perturbation import MultiplierFamily, SmoothingComposite
@@ -81,40 +82,26 @@ class TestGridTables:
 
 class TestTransform:
     def test_constant_concentrates_at_zero(self, small_grid):
-        f = GridFunction(small_grid, PHYSICAL,
-                         np.ones(small_grid.shape, dtype=complex))
-        fhat = transform(f, FREQUENCY)
-        mass = np.abs(fhat.values) ** 2
+        mass = np.abs(transform(np.ones(small_grid.shape, dtype=complex))) ** 2
         assert mass[0] == pytest.approx(np.sum(mass))
 
     def test_single_mode_single_bin(self, small_grid):
         x = small_grid.points_axis()
-        f = GridFunction(small_grid, PHYSICAL, np.exp(1j * 3 * x))
-        fhat = transform(f, FREQUENCY)
-        idx = small_grid.mode_index(3)
-        mass = np.abs(fhat.values) ** 2
-        assert mass[idx] == pytest.approx(np.sum(mass))
+        mass = np.abs(transform(np.exp(1j * 3 * x))) ** 2
+        assert mass[small_grid.mode_index(3)] == pytest.approx(np.sum(mass))
 
     def test_round_trip(self, small_grid, rng):
         values = rng.standard_normal(small_grid.shape) \
             + 1j * rng.standard_normal(small_grid.shape)
-        f = GridFunction(small_grid, PHYSICAL, values)
-        back = transform(transform(f, FREQUENCY), PHYSICAL)
-        rel = np.linalg.norm(back.values - values) / np.linalg.norm(values)
+        back = inverse_transform(transform(values))
+        rel = np.linalg.norm(back - values) / np.linalg.norm(values)
         assert rel <= 1e-12
-
-    def test_direction_must_change(self, small_grid):
-        f = GridFunction(small_grid, PHYSICAL,
-                         np.zeros(small_grid.shape, dtype=complex))
-        with pytest.raises(StateError):
-            transform(f, PHYSICAL)
 
     def test_round_trip_2d(self, rng):
         g = Grid(2, 32, 2.0 * np.pi)
         values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        f = GridFunction(g, PHYSICAL, values)
-        back = transform(transform(f, FREQUENCY), PHYSICAL)
-        assert np.linalg.norm(back.values - values) <= 1e-12 * np.linalg.norm(values)
+        back = inverse_transform(transform(values))
+        assert np.linalg.norm(back - values) <= 1e-12 * np.linalg.norm(values)
 
 
 class TestMultiplier:
@@ -130,9 +117,9 @@ class TestMultiplier:
 
     def test_differentiates_sine(self, grid):
         x = grid.points_axis()
-        f = GridFunction(grid, PHYSICAL, np.sin(x).astype(complex))
-        out = apply_multiplier(lambda xi: 1j * xi[0], f).to_physical()
-        assert np.max(np.abs(out.values.real - np.cos(x))) <= 1e-10
+        f = GridFunction(grid, transform(np.sin(x).astype(complex)))
+        out = inverse_transform(apply_multiplier(lambda xi: 1j * xi[0], f).values)
+        assert np.max(np.abs(out.real - np.cos(x))) <= 1e-10
 
     def test_nonfinite_multiplier_reports_witness(self, grid):
         f = mode(grid, 0)
@@ -145,8 +132,7 @@ class TestMultiplier:
 class TestNorms:
     def test_constant_lp(self, small_grid):
         # the L2 norm of 1 is |box|^(1/2)
-        f = GridFunction(small_grid, PHYSICAL,
-                         np.ones(small_grid.shape, dtype=complex))
+        f = GridFunction(small_grid, transform(np.ones(small_grid.shape, dtype=complex)))
         vol = small_grid.box ** small_grid.dim
         assert norm(f) == pytest.approx(vol ** 0.5)
 
@@ -159,7 +145,7 @@ class TestNorms:
     def test_plancherel(self, small_grid, rng):
         values = rng.standard_normal(small_grid.shape) \
             + 1j * rng.standard_normal(small_grid.shape)
-        f = GridFunction(small_grid, PHYSICAL, values)
+        f = GridFunction(small_grid, transform(values))
         physical_sum = np.sqrt(np.sum(np.abs(values) ** 2)
                                * small_grid.cell_volume)
         assert norm(f) == pytest.approx(physical_sum, rel=1e-10)
@@ -206,8 +192,19 @@ class TestVectorsAndSerialization:
         save_function(f, tmp_path / "vec")
         g = load_function(tmp_path / "vec")
         assert g.grid == f.grid
-        assert g.representation == f.representation
         assert np.array_equal(g.values, f.values)
+
+    def test_physical_file_loads_as_its_transform(self, small_grid, rng, tmp_path):
+        # older files may hold samples; any representation but the two is refused
+        samples = rng.standard_normal(small_grid.shape) + 0j
+        save_function(GridFunction(small_grid, samples), tmp_path / "vec")
+        sidecar = tmp_path / "vec.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "representation": "physical"}))
+        assert np.array_equal(load_function(tmp_path / "vec").values, transform(samples))
+        sidecar.write_text(json.dumps({**meta, "representation": "polar"}))
+        with pytest.raises(ConfigurationError, match="unknown representation 'polar'"):
+            load_function(tmp_path / "vec")
 
     def test_xminus1_models_agree_up_to_ellipticity(self, grid, h1, rng):
         vecs = [random_band_limited(grid, rng, band=8) for _ in range(3)]
@@ -219,17 +216,15 @@ class TestVectorsAndSerialization:
 
 @settings(max_examples=30, deadline=None)
 @given(dim=st.integers(1, 2), n=st.sampled_from([2, 4, 8, 16]),
-       representation=st.sampled_from([PHYSICAL, FREQUENCY]),
        seed=st.integers(0, 2**32 - 1))
-def test_save_load_round_trip_property(dim, n, representation, seed):
-    """The grid, the representation and every value come back exactly."""
+def test_save_load_round_trip_property(dim, n, seed):
+    """The grid and every value come back exactly."""
     grid = Grid(dim, n, 2.0 * np.pi)
     rng = np.random.default_rng(seed)
-    f = GridFunction(grid, representation,
-                     rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    f = GridFunction(grid, rng.standard_normal(grid.shape)
+                     + 1j * rng.standard_normal(grid.shape))
     with tempfile.TemporaryDirectory() as tmp:
         save_function(f, f"{tmp}/vec")
         g = load_function(f"{tmp}/vec")
     assert g.grid == f.grid
-    assert g.representation == f.representation
     assert np.array_equal(g.values, f.values)

@@ -11,7 +11,9 @@ guards nothing the pipelines do.  No dataclass outside `cli.py` has a
 `bool` field: the library returns measurements, and `cli` decides every
 verdict, so each verdict is stored once.  Every `SamplePlan` field is read
 as an attribute in `src/evofam` outside the class; a density no sweep
-reads only pads the config schema.
+reads only pads the config schema.  The only DFTs in `src/evofam` are
+`spectral.transform` and `spectral.inverse_transform`: a grid function is
+its spectrum, so samples enter and leave through those two alone.
 """
 
 import ast
@@ -26,6 +28,8 @@ ENTRY_POINTS = {"cli.main"}     # called by the console script, not by src
 # perfbench's cell-step counter reads cfl_safety from transport_solve's bound
 # arguments, so the parameter stays although every caller keeps its default
 KEPT_DEFAULTS = {"transport.transport_solve.cfl_safety"}
+# the functions that may call np.fft (besides fftfreq, which builds frequency axes)
+DFT_HOMES = {"spectral.transform", "spectral.inverse_transform"}
 # the closed-form sector sup took over the lambda sweep that read moduli_per_ray;
 # the field stays only while perfbench's THIN_PLAN and the config schema set it
 KEPT_PLAN_FIELDS = {"moduli_per_ray"}
@@ -194,3 +198,36 @@ def test_every_plan_field_is_read_in_src(tmp_path):
         "class Plan:\n    used: int = 1\n    dead: int = 2\n\n"
         "def sweep(plan):\n    return plan.used\n")
     assert unread_fields(tmp_path, "Plan") == ["dead"]
+
+
+def dft_uses(src: Path) -> list[str]:
+    """`module:line: code` of each np.fft call other than fftfreq outside
+    DFT_HOMES, and of each import from numpy.fft or of numpy's fft."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        homes = {id(sub) for qualname, node in _public_defs(path.stem, tree)
+                 if qualname in DFT_HOMES for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and getattr(func.value, "attr", None) == "fft"
+                    and func.attr != "fftfreq" and id(node) not in homes):
+                found.append(f"{path.stem}:{node.lineno}: {ast.unparse(func)}")
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.module == "numpy.fft"
+                    or (node.module == "numpy" and any(a.name == "fft" for a in node.names))):
+                found.append(f"{path.stem}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_only_dfts_are_transform_and_inverse_transform(tmp_path):
+    # an inline DFT elsewhere would also leave spectral.transform uncounted
+    assert dft_uses(SRC) == []
+    (tmp_path / "spectral.py").write_text(
+        "import numpy as np\n\ndef transform(v):\n    return np.fft.fftn(v)\n\n"
+        "def axis(n):\n    return np.fft.fftfreq(n)\n\n"
+        "def inline(v):\n    return np.fft.ifftn(v)\n")
+    (tmp_path / "probe.py").write_text("from numpy.fft import rfft\n")
+    assert dft_uses(tmp_path) == ["probe:1: from numpy.fft import rfft",
+                                  "spectral:10: np.fft.ifftn"]

@@ -1,13 +1,15 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from evofam.cli import DECAY_SLACK, HALF_ORDER
 from evofam.errors import ConfigurationError, DomainError, UnsupportedError
 from evofam.evolution import observed_orders
+from evofam.spectral import box_profile, gaussian_profile
 from evofam.symbols import CoefficientFunction
 from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
-                              box_initial, characteristics_oracle,
-                              convergence_study, gaussian_initial,
+                              characteristics_oracle, convergence_study,
                               sample_initial, transport_family_checks,
                               transport_solve)
 from reference import aligned_ladder_cocycle, constant_field, mass_balance_defect
@@ -26,7 +28,7 @@ def advect_decay():
 
 
 def box_fn():
-    return box_initial(1.0, 2.0)
+    return partial(box_profile, lo=1.0, hi=2.0)
 
 
 class TestSolve:
@@ -70,7 +72,7 @@ class TestSolve:
         # mass reaching the boundary leaves through the outflow ledger
         p = TransportProblem(4.0, 3.0, 300, constant_field(1.0),
                              constant_field(0.0))
-        f0 = sample_initial(p, box_initial(0.5, 1.5))
+        f0 = sample_initial(p, partial(box_profile, lo=0.5, hi=1.5))
         state = transport_solve(p, 0.0, 3.5, f0)
         assert state.mass() == pytest.approx(0.0, abs=1e-6)
         assert state.outflow == pytest.approx(1.0, abs=5 * p.h)
@@ -162,7 +164,7 @@ def study(cells, f0_fn, levels):
 
 class TestConvergence:
     def test_smooth_first_order(self):
-        errs = study(800, gaussian_initial(1.5, 0.25), [100, 200, 400, 800])
+        errs = study(800, partial(gaussian_profile, center=1.5, width=0.25), [100, 200, 400, 800])
         for order in observed_orders(errs, [100, 200, 400, 800]):
             assert 0.8 <= order <= 1.1
 
