@@ -17,22 +17,25 @@ hence the commuting oracle.  Three families:
 
 The solver marches the Volterra equation
 V(t,s)x = U(t,s)x + int_s^t U_-1(t,sigma) B(sigma) V(sigma,s)x dsigma
-with a one-step trapezoid recursion in sigma, resolving the implicit
-endpoint by Picard sweeps.  The sweeps contract by at most
-dsigma ||B(sigma)|| / 2 with the norm taken on the discretized space, so
-a B of the generator's order (a genuine Desch-Schappacher perturbation)
-needs more steps as the grid is refined; the trajectory reports the
-largest measured sweep ratio.  `cli.run_perturb` solves each
-(s, t, steps) once, in the order M, M/2, M/4, and holds one trajectory at
-a time.  The M-step run's every state feeds the trajectory norms and the
-Duhamel residual; then only its first and final states and its Picard
-statistics are kept, and it is released before the M/2 solve.  The family
-checks and the oracle ladder read only the final states of the M/2- and
-M/4-step runs, and solve nothing themselves.  The march and the Duhamel
-residual read their step factors e^{-E} by the block (`_step_decays`).  A
-diagonal row m_B(sigma) is built once per time: the march's repeated
-`apply` at sigma_k reuses the last row, and the Duhamel residual reads rows
-by the block.
+with a one-step trapezoid recursion in sigma.  A diagonal family solves
+the implicit endpoint exactly, by one division by 1 - (h/2) m_B(sigma_k);
+an apply-only family resolves it by Picard sweeps.  The sweeps contract by
+at most dsigma ||B(sigma)|| / 2 with the norm taken on the discretized
+space, so a B of the generator's order (a genuine Desch-Schappacher
+perturbation) needs more steps as the grid is refined.  A diagonal row
+gives that factor a priori, and a run whose factor exceeds the sweeps'
+reach PICARD_REACH is refused at its first such node, as Picard would fail
+there; an apply-only run reports its largest measured sweep ratio instead.
+`cli.run_perturb` solves each (s, t, steps) once, in the order M, M/2,
+M/4, and holds one trajectory at a time.  The M-step run's every state
+feeds the trajectory norms and the Duhamel residual; then only its first
+and final states and its Picard statistics are kept, and it is released
+before the M/2 solve.  The family checks and the oracle ladder read only
+the final states of the M/2- and M/4-step runs, and solve nothing
+themselves.  The march and the Duhamel residual read their step factors
+e^{-E} by the block (`_step_decays`).  A diagonal row m_B(sigma) is built
+once per time: the explicit term of step k + 1 reuses the endpoint row of
+step k, and the Duhamel residual reads rows by the block.
 """
 
 from __future__ import annotations
@@ -230,7 +233,10 @@ def perturbation_regularity_report(family, vectors, spec: SymbolSpec) -> Regular
 # -- Volterra solver ----------------------------------------------------------
 
 PICARD_TOL = 1e-12      # relative sweep update that solves a node: ~4500 eps, above roundoff
-PICARD_SWEEPS = 20      # q^20 < PICARD_TOL at a Picard factor q <= 1/4; slower is no contraction
+PICARD_SWEEPS = 20      # sweeps per node of an apply-only family; slower is no contraction
+# the largest Picard factor q with q^PICARD_SWEEPS = PICARD_TOL (~0.251): the
+# sweeps' reach, which a diagonal family's a-priori factor must not exceed
+PICARD_REACH = PICARD_TOL ** (1.0 / PICARD_SWEEPS)
 
 
 @dataclass
@@ -239,7 +245,7 @@ class Trajectory:
     states: list[GridFunction]          # V(sigma_k, s) x
     sweeps_max: int
     last_residual: float
-    contraction: float                  # largest measured Picard update ratio
+    contraction: float                  # largest Picard factor (a priori if diagonal)
 
     def final(self) -> GridFunction:
         return self.states[-1]
@@ -264,10 +270,14 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
         V_k = e^{-E_k} (V_{k-1} + h/2 B(sigma_{k-1}) V_{k-1}) + h/2 B(sigma_k) V_k,
 
     E_k the exact step exponent over (sigma_{k-1}, sigma_k), taken a block of
-    steps per `engine.exponent` call; the implicit endpoint is resolved by
-    Picard sweeps to PICARD_TOL.  The reported contraction is the largest
-    ratio of successive sweep updates over all nodes (0 when every node
-    converges in one sweep).
+    steps per `engine.exponent` call.  A family with `multiplier` solves the
+    implicit endpoint as V_k = rhs / (1 - h/2 m_B(sigma_k)), after checking
+    the a-priori Picard factor q_k = h/2 max|m_B(sigma_k)| against
+    PICARD_REACH; the run reports 0 sweeps and the largest q_k.  Any other
+    family resolves the endpoint by Picard sweeps to PICARD_TOL and reports
+    the largest ratio of successive sweep updates over all nodes (0 when
+    every node converges in one sweep).  Both raise ConvergenceError at the
+    first node they cannot solve, before its state exists.
     """
     if steps < 1:
         raise ConfigurationError("need at least one step")
@@ -281,11 +291,25 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
     def b_apply(tau: float, values: np.ndarray) -> np.ndarray:
         return family.apply(tau, GridFunction(grid, values)).values
 
+    diagonal = hasattr(family, "multiplier")
     states = [x.values.copy()]
     sweeps_max, last_resid, contraction = 0, 0.0, 0.0
     for k, decay in enumerate(_step_decays(engine, sigmas[:-1], sigmas[1:]), start=1):
         lo, hi, prev = float(sigmas[k - 1]), float(sigmas[k]), states[-1]
         rhs = decay * (prev + half * b_apply(lo, prev))
+        if diagonal:
+            # built after the explicit term's row, so the next step reuses it
+            m = family.multiplier(hi, grid.xi_axes())
+            q = half * float(np.max(np.abs(m)))
+            if q > PICARD_REACH:
+                raise ConvergenceError(
+                    f"Picard factor {q:.6g} exceeds the sweeps' reach "
+                    f"{PICARD_REACH:.6g} at node {k} of {steps} (sigma={hi:.6g}) "
+                    f"in the {steps}-step run",
+                    residual=q)
+            contraction = max(contraction, q)
+            states.append(rhs / (1.0 - half * m))
+            continue
         v = rhs + half * b_apply(hi, prev)
         update = 0.0
         for sweep in range(1, PICARD_SWEEPS + 1):

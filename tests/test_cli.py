@@ -303,20 +303,21 @@ def ds_h1(n):
 
 def test_numeric_failure_keeps_the_run_envelope(tmp_path, capsys):
     # B = 0.5 |xi|^2 on 128 bins: the Picard factor h sup|m_B| / 2 = 0.9
-    # at 1024 steps, so node 1 fails to contract
+    # at 1024 steps exceeds the sweeps' reach, so node 1 is refused
     from evofam.perturbation import PICARD_TOL
     from evofam.reporting import config_hash
     config = ds_h1(128)
     path = write_config(tmp_path, config)
     assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--seed", "4", "--stable"]) == 1
-    assert "Picard failed to contract at node 1" in capsys.readouterr().err
+    assert ("Picard factor 0.9 exceeds the sweeps' reach 0.251189 at node 1 of 1024"
+            in capsys.readouterr().err)
     doc = json.loads((tmp_path / "o" / "report.json").read_text())
     assert set(doc) == {"subcommand", "seed", "config_hash", "environment",
                         "error", "witness", "residual", "stages"}
     assert (doc["subcommand"], doc["seed"]) == ("perturb", 4)
     assert doc["config_hash"] == config_hash(config)
-    assert doc["residual"] > PICARD_TOL
+    assert doc["residual"] == 0.9 > PICARD_TOL
     assert doc["stages"] == []
 
 
@@ -332,6 +333,8 @@ def test_numeric_failure_records_completed_stages(tmp_path, capsys, stable):
     assert "numeric failure" in capsys.readouterr().err
     doc = json.loads((out / "report.json").read_text())
     assert doc["error"] and doc["residual"] is not None
+    assert doc["error"].startswith("Picard factor 0.45 exceeds the sweeps' reach "
+                                   "0.251189 at node 1 of 512 ")
     assert doc["stages"] == ["solve", "duhamel"]
     assert ("timings" in doc) is not stable
     if not stable:
@@ -424,8 +427,8 @@ def test_perturb_holds_one_trajectory_at_a_time(tmp_path):
 
 
 def test_picard_failure_names_the_failing_run(tmp_path):
-    # at steps = 2 the 2-step M run contracts, and the 1-step M/2 run (Picard
-    # factor 0.45) fails after solve and duhamel
+    # at steps = 2 the 2-step M run contracts (Picard factor 0.225), and the
+    # 1-step M/2 run (factor 0.45) is refused after solve and duhamel
     config = bundled_config("h1")
     config["grid"]["n"] = 64
     config["perturbation"] = {"kind": "mollifier"}
@@ -434,8 +437,9 @@ def test_picard_failure_names_the_failing_run(tmp_path):
     assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--stable"]) == 1
     doc = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert doc["error"] == ("Picard failed to contract at node 1 of 1 (sigma=0.9) "
-                            "in the 1-step run")
+    assert doc["error"] == ("Picard factor 0.45 exceeds the sweeps' reach 0.251189 "
+                            "at node 1 of 1 (sigma=0.9) in the 1-step run")
+    assert doc["residual"] == 0.45
     assert doc["stages"] == ["solve", "duhamel"]
 
 
@@ -816,6 +820,28 @@ def test_file_initial_errors_exit_2(tmp_path, capsys, initial, message):
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("pipeline", ["evolve", "perturb", "favard", "convergence"])
+def test_file_initial_on_another_grid_exits_2(tmp_path, capsys, monkeypatch, pipeline):
+    # a band-4 function saved at n = 16 does not live on h1's n = 64 grid:
+    # evolve and convergence died on a broadcast, and favard judged the file
+    # on its own grid
+    from evofam.spectral import Grid, random_band_limited, save_function
+    small = Grid(1, 16, 2.0 * math.pi)
+    save_function(random_band_limited(small, np.random.default_rng(2), band=4),
+                  tmp_path / "start")
+    config = bundled_config("h1")
+    config["grid"]["n"] = 64
+    config.setdefault(pipeline, {})["initial"] = {"kind": "file",
+                                                  "stem": str(tmp_path / "start")}
+    path = write_config(tmp_path, config)
+    solves = record_solves(monkeypatch)
+    assert main([pipeline, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: config invalid at {pipeline}/initial: the file's grid "
+                   f"{small} differs from the config's grid {Grid(1, 64, 2.0 * math.pi)}\n")
+    assert solves == []
 
 
 class TestBundledConfigs:

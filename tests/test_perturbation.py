@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofam import perturbation as per
-from evofam.errors import ConfigurationError, UnsupportedError
+from evofam.errors import ConfigurationError, ConvergenceError, UnsupportedError
 from evofam.evolution import PropagatorEngine, observed_orders
 from evofam.perturbation import (SEPARATIONS, Mollifier, MultiplierFamily,
                                  SmoothingComposite, _slope, commuting_oracle,
@@ -155,6 +155,18 @@ def test_zero_denominator_vanishes_everywhere_on_the_grid(den):
         family.multiplier(0.5, Grid(1, 16, 2.0 * np.pi).xi_axes())
 
 
+class ApplyOnly:
+    """A diagonal family (a Mollifier unless given) seen only through
+    `apply`, as a non-diagonal family is: the march resolves its endpoint by
+    Picard sweeps."""
+
+    def __init__(self, inner=None):
+        self.inner = inner if inner is not None else Mollifier()
+
+    def apply(self, t, f):
+        return self.inner.apply(t, f)
+
+
 class TestVolterraSolver:
     def test_zero_perturbation_reproduces_engine(self, engine, grid, xband):
         zero = MultiplierFamily(constant(0.0))
@@ -200,7 +212,6 @@ class TestVolterraSolver:
         assert max(norm(v) for v in traj.states) <= norm(xband) * (1.0 + 1e-9)
 
     def test_picard_failure_reported(self, engine, grid, xband):
-        from evofam.errors import ConvergenceError
         big = MultiplierFamily(constant(4000.0), profile_num=(1.0,),
                                profile_den=(1.0,))
         with pytest.raises(ConvergenceError):
@@ -208,15 +219,57 @@ class TestVolterraSolver:
 
     def test_contraction_is_the_measured_sweep_ratio(self):
         # B = 0.5 |xi|^2 has the generator's order: on 64 bins and 1024 steps
-        # over [0, 0.9] the sweeps contract by nearly h sup|m_B| / 2 = 0.225
+        # over [0, 0.9] the sweeps contract by nearly h sup|m_B| / 2 = 0.225,
+        # and the diagonal march reports that a-priori factor itself
         grid = Grid(1, 64, 2.0 * np.pi)
         engine = PropagatorEngine(heat_symbol(horizon=1.0), grid)
         family = MultiplierFamily(constant(0.5), profile_num=(0.0, 1.0),
                                   profile_den=(1.0,))
-        traj = solve_perturbed(engine, family, 0.0, 0.9, indicator(grid), 1024)
+        traj = solve_perturbed(engine, ApplyOnly(family), 0.0, 0.9, indicator(grid), 1024)
         bound = 0.5 * (0.9 / 1024) * np.max(np.abs(family.multiplier(0.0, grid.xi_axes())))
         assert bound == pytest.approx(0.225)
         assert 0.1 <= traj.contraction <= 1.05 * bound
+        diagonal = solve_perturbed(engine, family, 0.0, 0.9, indicator(grid), 1024)
+        assert diagonal.contraction == 0.225
+        assert (diagonal.sweeps_max, diagonal.last_residual) == (0, 0.0)
+
+    def test_factor_beyond_the_reach_is_refused_before_the_node(self, monkeypatch):
+        # c jumps from 0.1 to 1 / (h/2) at sigma = 0.5, node 4 of 8: there
+        # 1 - h/2 m_B = 0, and a division would warn (an error under the test
+        # settings), so the refusal must come before it
+        grid = Grid(1, 16, 2.0 * np.pi)
+        engine = PropagatorEngine(heat_symbol(horizon=1.0), grid)
+        family = MultiplierFamily(CoefficientFunction(const=0.1, steps=((0.5, 15.9),)),
+                                  profile_num=(1.0,), profile_den=(1.0,))
+        x = random_band_limited(grid, np.random.default_rng(6), band=4)
+        builds = []
+        rows = per._rows
+        monkeypatch.setattr(per, "_rows", lambda family, t, axes, build: rows(
+            family, t, axes, lambda t: builds.append(t) or build(t)))
+        with pytest.raises(ConvergenceError) as info:
+            solve_perturbed(engine, family, 0.0, 1.0, x, 8)
+        assert str(info.value) == ("Picard factor 1 exceeds the sweeps' reach 0.251189 "
+                                   "at node 4 of 8 (sigma=0.5) in the 8-step run")
+        assert info.value.residual == 1.0 > per.PICARD_REACH
+        assert builds == [0.0, 0.125, 0.25, 0.375, 0.5]
+        # the same family seen through `apply` fails its sweeps at that node
+        with pytest.raises(ConvergenceError, match=r"^Picard failed to contract "
+                                                   r"at node 4 of 8 \(sigma=0\.5\)"):
+            solve_perturbed(engine, ApplyOnly(family), 0.0, 1.0, x, 8)
+
+    @pytest.mark.parametrize("family", ["mollifier", "multiplier"])
+    def test_diagonal_march_applies_b_once_per_step(self, monkeypatch, family):
+        # only the explicit term goes through `apply`: the tracer's
+        # b_apply_per_step reads 1
+        fam = LEG_FAMILIES[family]
+        engine = PropagatorEngine(heat_symbol(horizon=1.0), LEG_GRID)
+        x = random_band_limited(LEG_GRID, np.random.default_rng(7), band=4)
+        calls = []
+        apply = type(fam).apply
+        monkeypatch.setattr(type(fam), "apply",
+                            lambda self, t, f: calls.append(t) or apply(self, t, f))
+        traj = solve_perturbed(engine, fam, 0.0, 0.9, x, 37)
+        assert calls == traj.sigmas[:-1].tolist()
 
 
 def pipeline_checks(engine, family, s, t, x, steps):
@@ -361,11 +414,10 @@ ROW_STEPS = 100
 
 
 def test_each_sinc_row_is_built_once(monkeypatch):
-    """The march builds B(sigma_k) once for all its uses (the next step's
-    explicit term and every Picard sweep): M + 1 rows on M steps.  The
-    Duhamel check takes its 4M node rows in blocks of BLOCK_ELEMENTS / bins
-    rows, one `np.sinc` call per block."""
-    from evofam import perturbation as per
+    """The march builds B(sigma_k) once for all its uses (its endpoint, the
+    next step's explicit term and every Picard sweep): M + 1 rows on M
+    steps.  The Duhamel check takes its 4M node rows in blocks of
+    BLOCK_ELEMENTS / bins rows, one `np.sinc` call per block."""
     from evofam import spectral
     engine = PropagatorEngine(heat_symbol(horizon=1.0), LEG_GRID)
     x = random_band_limited(LEG_GRID, np.random.default_rng(3), band=4)
@@ -376,8 +428,13 @@ def test_each_sinc_row_is_built_once(monkeypatch):
         return sinc(v)
 
     monkeypatch.setattr(np, "sinc", counted)
+    # the sweeps of an apply-only march reuse the endpoint row too
+    swept = solve_perturbed(engine, ApplyOnly(), 0.0, 0.9, x, ROW_STEPS)
+    assert swept.sweeps_max >= 2
+    assert sizes == [LEG_GRID.n] * (ROW_STEPS + 1)
+    sizes.clear()
     traj = solve_perturbed(engine, Mollifier(), 0.0, 0.9, x, ROW_STEPS)
-    assert traj.sweeps_max >= 2
+    assert traj.sweeps_max == 0
     assert sizes == [LEG_GRID.n] * (ROW_STEPS + 1)
     sizes.clear()
     duhamel_residual(traj, engine, Mollifier())
@@ -387,28 +444,28 @@ def test_each_sinc_row_is_built_once(monkeypatch):
     assert sum(sizes) == nodes * LEG_GRID.n
 
 
-class ApplyOnly:
-    """A Mollifier seen only through `apply`, as a non-diagonal family is."""
-
-    def __init__(self):
-        self.inner = Mollifier()
-
-    def apply(self, t, f):
-        return self.inner.apply(t, f)
-
-
 def test_block_rows_match_the_per_node_apply():
     # the Duhamel check reads a Mollifier's node rows by the block and an
-    # apply-only family's node by node: the states and residual agree bit
-    # for bit
+    # apply-only family's node by node: on one trajectory the residuals
+    # agree bit for bit
     engine = PropagatorEngine(oscillating_symbol(), LEG_GRID)
     x = random_band_limited(LEG_GRID, np.random.default_rng(4), band=4)
-    runs = []
-    for fam in (Mollifier(), ApplyOnly()):
-        traj = solve_perturbed(engine, fam, 0.25, 0.9, x, ROW_STEPS)
-        runs.append(([v.values.tobytes() for v in traj.states],
-                     duhamel_residual(traj, engine, fam)))
-    assert runs[0] == runs[1]
+    traj = solve_perturbed(engine, ApplyOnly(), 0.25, 0.9, x, ROW_STEPS)
+    assert (duhamel_residual(traj, engine, Mollifier())
+            == duhamel_residual(traj, engine, ApplyOnly()))
+
+
+def test_division_matches_the_picard_sweeps():
+    # the sweeps stop each node at a relative update of PICARD_TOL, so the
+    # two marches of one Mollifier agree within steps * PICARD_TOL ||x||
+    # (measured: 1e-14 ||x||)
+    engine = PropagatorEngine(oscillating_symbol(), LEG_GRID)
+    x = random_band_limited(LEG_GRID, np.random.default_rng(4), band=4)
+    divided = solve_perturbed(engine, Mollifier(), 0.25, 0.9, x, ROW_STEPS)
+    swept = solve_perturbed(engine, ApplyOnly(), 0.25, 0.9, x, ROW_STEPS)
+    tol = ROW_STEPS * per.PICARD_TOL * norm(x)
+    for u, v in zip(divided.states, swept.states):
+        assert norm(GridFunction(LEG_GRID, u.values - v.values)) <= tol
 
 
 BLOCK_STEPS = 10
