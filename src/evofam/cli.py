@@ -66,14 +66,15 @@ def _check_nonzero(section: str, values: np.ndarray):
 def _initial(name: str, section: dict, grid, seed: int) -> GridFunction:
     """The initial grid function of the config section `name`, band-4 random
     data unless it says otherwise, drawn from a generator seeded by `seed`.
-    A file saved on another grid is rejected before any solve."""
+    A file saved on another grid is rejected before any solve; one saved on
+    this grid is rebound to `grid`, so that it shares the grid's tables."""
     entry = section.get("initial", {"kind": "random_band", "band": 4})
     f = cfg.build_initial(entry, grid, np.random.default_rng(seed))
     if f.grid != grid:
         raise ConfigurationError(f"config invalid at {name}/initial: the file's grid "
                                  f"{f.grid} differs from the config's grid {grid}")
     _check_nonzero(name, f.values)
-    return f
+    return GridFunction(grid, f.values)
 
 
 def _order_verdict(errors, levels, band, scale: float):

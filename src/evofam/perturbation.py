@@ -23,9 +23,10 @@ an apply-only family resolves it by Picard sweeps.  The sweeps contract by
 at most dsigma ||B(sigma)|| / 2 with the norm taken on the discretized
 space, so a B of the generator's order (a genuine Desch-Schappacher
 perturbation) needs more steps as the grid is refined.  A diagonal row
-gives that factor a priori, and a run whose factor exceeds the sweeps'
-reach PICARD_REACH is refused at its first such node, as Picard would fail
-there; an apply-only run reports its largest measured sweep ratio instead.
+gives that factor a priori on the modes the march carries (B keeps every
+other mode at exactly 0), and a run whose factor exceeds the sweeps' reach
+PICARD_REACH is refused at its first such node; an apply-only run reports
+its largest measured sweep ratio instead.
 `cli.run_perturb` solves each (s, t, steps) once, in the order M, M/2,
 M/4, and holds one trajectory at a time.  The M-step run's every state
 feeds the trajectory norms and the Duhamel residual; then only its first
@@ -272,8 +273,9 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
     E_k the exact step exponent over (sigma_{k-1}, sigma_k), taken a block of
     steps per `engine.exponent` call.  A family with `multiplier` solves the
     implicit endpoint as V_k = rhs / (1 - h/2 m_B(sigma_k)), after checking
-    the a-priori Picard factor q_k = h/2 max|m_B(sigma_k)| against
-    PICARD_REACH; the run reports 0 sweeps and the largest q_k.  Any other
+    the a-priori Picard factor q_k = h/2 max|m_B(sigma_k)|, the maximum over
+    the modes where rhs is nonzero, against PICARD_REACH; V_k is 0 on every
+    other mode, and the run reports 0 sweeps and the largest q_k.  Any other
     family resolves the endpoint by Picard sweeps to PICARD_TOL and reports
     the largest ratio of successive sweep updates over all nodes (0 when
     every node converges in one sweep).  Both raise ConvergenceError at the
@@ -300,7 +302,10 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
         if diagonal:
             # built after the explicit term's row, so the next step reuses it
             m = family.multiplier(hi, grid.xi_axes())
-            q = half * float(np.max(np.abs(m)))
+            # q_k on the modes the march carries: a diagonal B keeps every
+            # other mode at exactly 0, where the sweeps had nothing to contract
+            carried = rhs != 0
+            q = half * float(np.max(np.abs(m), where=carried, initial=0.0))
             if q > PICARD_REACH:
                 raise ConvergenceError(
                     f"Picard factor {q:.6g} exceeds the sweeps' reach "
@@ -308,7 +313,7 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
                     f"in the {steps}-step run",
                     residual=q)
             contraction = max(contraction, q)
-            states.append(rhs / (1.0 - half * m))
+            states.append(rhs / np.where(carried, 1.0 - half * m, 1.0))
             continue
         v = rhs + half * b_apply(hi, prev)
         update = 0.0

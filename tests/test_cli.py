@@ -302,30 +302,33 @@ def ds_h1(n):
 
 
 def test_numeric_failure_keeps_the_run_envelope(tmp_path, capsys):
-    # B = 0.5 |xi|^2 on 128 bins: the Picard factor h sup|m_B| / 2 = 0.9
-    # at 1024 steps exceeds the sweeps' reach, so node 1 is refused
+    # B = 0.5 |xi|^2 on 128 bins: the indicator's highest carried mode is
+    # |xi| = 63 (its Nyquist coefficient is 0), where the Picard factor
+    # h |m_B| / 2 = 0.872 at 1024 steps exceeds the sweeps' reach, so node 1
+    # is refused
     from evofam.perturbation import PICARD_TOL
     from evofam.reporting import config_hash
     config = ds_h1(128)
     path = write_config(tmp_path, config)
     assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--seed", "4", "--stable"]) == 1
-    assert ("Picard factor 0.9 exceeds the sweeps' reach 0.251189 at node 1 of 1024"
+    assert ("Picard factor 0.872095 exceeds the sweeps' reach 0.251189 at node 1 of 1024"
             in capsys.readouterr().err)
     doc = json.loads((tmp_path / "o" / "report.json").read_text())
     assert set(doc) == {"subcommand", "seed", "config_hash", "environment",
                         "error", "witness", "residual", "stages"}
     assert (doc["subcommand"], doc["seed"]) == ("perturb", 4)
     assert doc["config_hash"] == config_hash(config)
-    assert doc["residual"] == 0.9 > PICARD_TOL
+    assert doc["residual"] == pytest.approx(0.5 * (0.9 / 1024) * 0.5 * 63**2)
+    assert doc["residual"] > PICARD_TOL
     assert doc["stages"] == []
 
 
 @pytest.mark.parametrize("stable", [True, False])
 def test_numeric_failure_records_completed_stages(tmp_path, capsys, stable):
-    # on 64 bins the 1024-step solve contracts (factor 0.225), but the
-    # 512-step solve of the family checks has factor 0.45 and fails after
-    # solve and duhamel
+    # on 64 bins the indicator carries |xi| <= 31: the 1024-step solve
+    # contracts (factor 0.211), but the 512-step solve of the family checks
+    # has factor 0.422 and fails after solve and duhamel
     path = write_config(tmp_path, ds_h1(64))
     out = tmp_path / "o"
     assert main(["perturb", "--config", str(path), "--out", str(out)]
@@ -333,12 +336,28 @@ def test_numeric_failure_records_completed_stages(tmp_path, capsys, stable):
     assert "numeric failure" in capsys.readouterr().err
     doc = json.loads((out / "report.json").read_text())
     assert doc["error"] and doc["residual"] is not None
-    assert doc["error"].startswith("Picard factor 0.45 exceeds the sweeps' reach "
+    assert doc["error"].startswith("Picard factor 0.422314 exceeds the sweeps' reach "
                                    "0.251189 at node 1 of 512 ")
     assert doc["stages"] == ["solve", "duhamel"]
     assert ("timings" in doc) is not stable
     if not stable:
         assert set(doc["timings"]) == set(doc["stages"])
+
+
+def test_band_limited_data_solves_past_the_grid_reach(tmp_path):
+    # B = 0.5 |xi|^2 on 128 bins has factor 0.9 at |xi| = 64, but band-4
+    # data carries |xi| <= 4 only, where the 1024-step factor is 0.0035:
+    # the run solves and passes, as its Picard sweeps did
+    config = ds_h1(128)
+    config["perturb"]["initial"] = bundled_config("h1")["perturb"]["initial"]
+    assert config["perturb"]["initial"] == {"kind": "random_band", "band": 4}
+    out = tmp_path / "o"
+    assert main(["perturb", "--config", str(write_config(tmp_path, config)),
+                 "--out", str(out), "--seed", "1", "--stable"]) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert all(report["verdicts"].values())
+    assert report["picard"]["max_sweeps"] == 0
+    assert report["picard"]["contraction"] == pytest.approx(0.5 * (0.9 / 1024) * 0.5 * 4**2)
 
 
 def test_exact_oracle_passes_without_order_fit(tmp_path):
@@ -842,6 +861,22 @@ def test_file_initial_on_another_grid_exits_2(tmp_path, capsys, monkeypatch, pip
     assert err == (f"error: config invalid at {pipeline}/initial: the file's grid "
                    f"{small} differs from the config's grid {Grid(1, 64, 2.0 * math.pi)}\n")
     assert solves == []
+
+
+def test_file_initial_on_the_config_grid_shares_its_tables(tmp_path):
+    # a file saved on the config's grid comes back on an equal but distinct
+    # Grid object; rebound to the config's, it shares the tables keyed by
+    # its axes
+    from evofam.cli import _initial
+    from evofam.spectral import Grid, random_band_limited, save_function
+    grid = Grid(1, 64, 2.0 * math.pi)
+    saved = random_band_limited(Grid(1, 64, 2.0 * math.pi), np.random.default_rng(2), band=4)
+    save_function(saved, tmp_path / "start")
+    f = _initial("perturb", {"initial": {"kind": "file", "stem": str(tmp_path / "start")}},
+                 grid, 1)
+    assert f.grid is grid
+    assert f.grid.xi_axes() is grid.xi_axes()
+    assert np.array_equal(f.values, saved.values)
 
 
 class TestBundledConfigs:

@@ -220,7 +220,8 @@ class TestVolterraSolver:
     def test_contraction_is_the_measured_sweep_ratio(self):
         # B = 0.5 |xi|^2 has the generator's order: on 64 bins and 1024 steps
         # over [0, 0.9] the sweeps contract by nearly h sup|m_B| / 2 = 0.225,
-        # and the diagonal march reports that a-priori factor itself
+        # and the diagonal march reports the a-priori factor on the modes it
+        # carries: the indicator's Nyquist coefficient is 0, so |xi| = 31
         grid = Grid(1, 64, 2.0 * np.pi)
         engine = PropagatorEngine(heat_symbol(horizon=1.0), grid)
         family = MultiplierFamily(constant(0.5), profile_num=(0.0, 1.0),
@@ -230,8 +231,28 @@ class TestVolterraSolver:
         assert bound == pytest.approx(0.225)
         assert 0.1 <= traj.contraction <= 1.05 * bound
         diagonal = solve_perturbed(engine, family, 0.0, 0.9, indicator(grid), 1024)
-        assert diagonal.contraction == 0.225
+        assert diagonal.contraction == 0.5 * (0.9 / 1024) * 0.5 * 31**2 < bound
         assert (diagonal.sweeps_max, diagonal.last_residual) == (0, 0.0)
+
+    def test_factor_is_taken_on_the_carried_modes(self):
+        # B = 0.5 |xi|^2 on 128 bins: h sup|m_B| / 2 = 0.9 on the grid, but
+        # band-4 data carries |xi| <= 4 only, where the factor is 0.0035 and
+        # the sweeps contract; the division solves the same run, with 0 on
+        # every other mode
+        grid = Grid(1, 128, 2.0 * np.pi)
+        engine = PropagatorEngine(heat_symbol(horizon=1.0), grid)
+        family = MultiplierFamily(constant(0.5), profile_num=(0.0, 1.0),
+                                  profile_den=(1.0,))
+        x = random_band_limited(grid, np.random.default_rng(1), band=4)
+        carried = x.values != 0
+        swept = solve_perturbed(engine, ApplyOnly(family), 0.0, 0.9, x, 1024)
+        divided = solve_perturbed(engine, family, 0.0, 0.9, x, 1024)
+        assert divided.contraction == pytest.approx(0.5 * (0.9 / 1024) * 0.5 * 4**2)
+        assert swept.contraction <= 1.05 * divided.contraction
+        tol = 1024 * per.PICARD_TOL * norm(x)
+        for u, v in zip(divided.states, swept.states):
+            assert not np.any(u.values[~carried])
+            assert norm(GridFunction(grid, u.values - v.values)) <= tol
 
     def test_factor_beyond_the_reach_is_refused_before_the_node(self, monkeypatch):
         # c jumps from 0.1 to 1 / (h/2) at sigma = 0.5, node 4 of 8: there
