@@ -24,8 +24,8 @@ from .errors import ConfigurationError, ConvergenceError, DomainError, NumericEr
 from .reporting import (StageTimer, config_hash, dump_json, environment_stamp,
                         write_csv)
 from .semigroup import FrozenOperator, favard_norm
-from .spectral import (GridFunction, NormSpec, indicator, norm, random_band_limited,
-                       save_function, spectral_tail_fraction)
+from .spectral import (GridFunction, NormSpec, indicator, norm, plancherel_norm,
+                       random_band_limited, save_function, spectral_tail_fraction)
 from .symbols import certify_ellipticity
 
 # Verdict tolerances.  The library returns measurements only; every verdict
@@ -260,23 +260,27 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
 
     traj = per.solve_perturbed(engine, family, s, t, x, steps)
     timer.mark("solve")
-    gauge = NormSpec(spec, 0.0)
-    rows = [[float(sig), norm(v), norm(v, gauge)]
-            for sig, v in zip(traj.sigmas, traj.states)]
+    # the norms of V on the bins the march carried; V is 0 on the others
+    if not np.all(np.isfinite(traj.rows)):
+        raise NumericError("non-finite values in grid function")
+    w = grid.cell_volume
+    weight = NormSpec(spec, 0.0).weight(grid).reshape(-1)[traj.bins]
+    rows = [[float(sig), plancherel_norm(v, w), plancherel_norm(weight * np.abs(v), w)]
+            for sig, v in zip(traj.sigmas, traj.rows)]
     write_csv(out / "trajectory.csv", ["sigma", "norm_X", "norm_Xminus1"], rows)
 
     residual = per.duhamel_residual(traj, engine, family)
     picard = {"max_sweeps": traj.sweeps_max, "last_residual": traj.last_residual,
               "contraction": traj.contraction}
-    # the rest reads only the M run's first and final states: release its
-    # trajectory, so that no other run is marched while it is alive
-    xhat, full = traj.states[0], traj.final()
+    # the rest reads only the M run's final state: release its trajectory,
+    # so that no other run is marched while it is alive
+    full = traj.final()
     del traj
     timer.mark("duhamel")
 
     # each later run is read only for its final state
     half = per.solve_perturbed(engine, family, s, t, x, steps // 2).final()
-    cocycle_defect = per.perturbed_family_checks(xhat, full, half)
+    cocycle_defect = per.perturbed_family_checks(x, full, half)
     timer.mark("family_checks")
 
     oracle_error, oracle_orders = None, None

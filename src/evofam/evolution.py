@@ -33,18 +33,21 @@ class PropagatorEngine:
     spec: SymbolSpec
     grid: Grid
 
-    def exponent(self, s, t) -> np.ndarray:
-        """Integral of a(tau, .) over [s, t] on the engine's grid.
+    def exponent(self, s, t, xi_axes=None) -> np.ndarray:
+        """Integral of a(tau, .) over [s, t] on `xi_axes`, the engine grid's
+        axes unless given (the Volterra march passes the axes on the bins
+        it carries, `Grid.xi_axes_at`).
 
         `s` and `t` are scalars or equal-shape arrays of interval ends; the
-        result has one row per interval, shape np.shape(s) + grid.shape,
-        and every row must lie in the time triangle.  A row equals the
-        scalar call on its own interval bit for bit.
+        result has one row per interval, shape np.shape(s) + the axes'
+        broadcast shape, and every row must lie in the time triangle.  A row
+        equals the scalar call on its own interval bit for bit.
         """
         if not np.all((0.0 <= s) & (s <= t) & (t <= self.spec.horizon)):
             raise DomainError(
                 f"need 0 <= s <= t <= {self.spec.horizon}, got s={s}, t={t}")
-        return self.spec.integral_on_axes(s, t, self.grid.xi_axes())
+        return self.spec.integral_on_axes(
+            s, t, self.grid.xi_axes() if xi_axes is None else xi_axes)
 
     def propagate(self, s: float, t: float, f: GridFunction) -> GridFunction:
         """U(t,s) f = exp(-exponent(s, t)) f, a fresh array; at t == s the

@@ -23,20 +23,27 @@ an apply-only family resolves it by Picard sweeps.  The sweeps contract by
 at most dsigma ||B(sigma)|| / 2 with the norm taken on the discretized
 space, so a B of the generator's order (a genuine Desch-Schappacher
 perturbation) needs more steps as the grid is refined.  A diagonal row
-gives that factor a priori on the modes the march carries (B keeps every
-other mode at exactly 0), and a run whose factor exceeds the sweeps' reach
-PICARD_REACH is refused at its first such node; an apply-only run reports
-its largest measured sweep ratio instead.
+gives that factor a priori on the bins the march carries, and a run whose
+factor exceeds the sweeps' reach PICARD_REACH is refused at its first such
+node; an apply-only run reports its largest measured sweep ratio instead.
+
+A diagonal B splits the equation into one scalar equation per bin, so V
+is exactly 0 wherever x is 0: its march carries only the bins where x is
+nonzero, on their frequency axes `Grid.xi_axes_at`, which are built once
+per set of bins so that the per-axes tables (`memo`, `_rows`) serve the
+M, M/2 and M/4 runs and the Duhamel check alike.  An apply-only family
+carries every bin.  A `Trajectory` holds its states on the carried bins,
+and its final state is the only one it builds on the whole grid.
 `cli.run_perturb` solves each (s, t, steps) once, in the order M, M/2,
 M/4, and holds one trajectory at a time.  The M-step run's every state
-feeds the trajectory norms and the Duhamel residual; then only its first
-and final states and its Picard statistics are kept, and it is released
-before the M/2 solve.  The family checks and the oracle ladder read only
-the final states of the M/2- and M/4-step runs, and solve nothing
-themselves.  The march and the Duhamel residual read their step factors
-e^{-E} by the block (`_step_decays`).  A diagonal row m_B(sigma) is built
-once per time: the explicit term of step k + 1 reuses the endpoint row of
-step k, and the Duhamel residual reads rows by the block.
+feeds the trajectory norms and the Duhamel residual; then only its final
+state and its Picard statistics are kept, and it is released before the
+M/2 solve.  The family checks and the oracle ladder read only the final
+states of the M/2- and M/4-step runs, and solve nothing themselves.  The
+march and the Duhamel residual read their step factors e^{-E} by the
+block (`_step_decays`).  A diagonal row m_B(sigma) is built once per
+time: the explicit term of step k + 1 reuses the endpoint row of step k,
+and the Duhamel residual reads rows by the block.
 """
 
 from __future__ import annotations
@@ -48,19 +55,21 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, DomainError, UnsupportedError
 from .evolution import PropagatorEngine
 from .semigroup import gauss_legendre_panels
-from .spectral import (GridFunction, NormSpec, gaussian_profile, inverse_transform,
-                       memo, norm, plancherel_norm, row_blocks, transform)
+from .spectral import (Grid, GridFunction, NormSpec, gaussian_profile,
+                       inverse_transform, memo, norm, plancherel_norm, row_blocks,
+                       transform)
 from .symbols import CoefficientFunction, SymbolSpec, constant
 
 
 def _rows(family, t, xi_axes, build) -> np.ndarray:
     """`build(t)`: one multiplier row at a scalar `t`, or one row per time of
-    an array `t` (shaped to broadcast against the grid), each bit for bit the
+    an array `t` (shaped to broadcast against the axes), each bit for bit the
     scalar call.  A scalar `t` reuses the last row built for the same `t` and
     axes tuple, handed out read-only; as in `spectral.memo`, writeable axes
     may change in place, so their rows are rebuilt on every call."""
     if np.ndim(t):
-        return build(np.reshape(t, np.shape(t) + (1,) * len(xi_axes)))
+        ndim = len(np.broadcast_shapes(*(ax.shape for ax in xi_axes)))
+        return build(np.reshape(t, np.shape(t) + (1,) * ndim))
     if any(ax.flags.writeable for ax in xi_axes):
         return build(t)
     last = vars(family).get("_last_row")
@@ -240,24 +249,46 @@ PICARD_SWEEPS = 20      # sweeps per node of an apply-only family; slower is no 
 PICARD_REACH = PICARD_TOL ** (1.0 / PICARD_SWEEPS)
 
 
+def _scatter(grid: Grid, bins: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The spectrum on `grid` that is `row` on the flat bins `bins`, 0 elsewhere."""
+    values = np.zeros(grid.shape, dtype=complex)
+    values.reshape(-1)[bins] = row
+    return values
+
+
+def _apply_on(family, tau: float, grid: Grid, bins: np.ndarray,
+              row: np.ndarray) -> np.ndarray:
+    """B(tau) of the spectrum `_scatter` builds from `row`, on the bins `bins`."""
+    f = GridFunction(grid, _scatter(grid, bins, row))
+    return family.apply(tau, f).values.reshape(-1)[bins]
+
+
 @dataclass
 class Trajectory:
+    """A march's states V(sigma_k, s)x on the bins it carried: the bins where
+    x is nonzero for a diagonal family, which keeps every other bin at
+    exactly 0, and every bin for any other family."""
+
+    grid: Grid
     sigmas: np.ndarray
-    states: list[GridFunction]          # V(sigma_k, s) x
+    bins: np.ndarray                    # carried flat (C-order) bins
+    rows: np.ndarray                    # V(sigma_k, s)x on `bins`, one row per node
     sweeps_max: int
     last_residual: float
     contraction: float                  # largest Picard factor (a priori if diagonal)
 
     def final(self) -> GridFunction:
-        return self.states[-1]
+        """V(t, s)x on the whole grid: the only whole-grid state built."""
+        return GridFunction(self.grid, _scatter(self.grid, self.bins, self.rows[-1]))
 
 
-def _step_decays(engine: PropagatorEngine, lo: np.ndarray, hi: np.ndarray):
-    """e^{-E} on the intervals (lo[k], hi[k]) in order, one row each: one
-    `engine.exponent` call and one `np.exp` per `row_blocks` block of grid
-    rows, each row bit for bit the scalar factor."""
-    for part in row_blocks(len(lo), engine.grid.n ** engine.grid.dim):
-        block = engine.exponent(lo[part], hi[part])
+def _step_decays(engine: PropagatorEngine, lo: np.ndarray, hi: np.ndarray, xi_axes):
+    """e^{-E} on the intervals (lo[k], hi[k]) in order, one row each on the
+    1-D axes `xi_axes` of a set of bins: one `engine.exponent` call and one
+    `np.exp` per `row_blocks` block of rows, each row bit for bit the scalar
+    factor."""
+    for part in row_blocks(len(lo), xi_axes[0].size):
+        block = engine.exponent(lo[part], hi[part], xi_axes)
         np.negative(block, out=block)
         np.exp(block, out=block)            # in place: no second block of temporaries
         yield from block
@@ -271,15 +302,18 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
         V_k = e^{-E_k} (V_{k-1} + h/2 B(sigma_{k-1}) V_{k-1}) + h/2 B(sigma_k) V_k,
 
     E_k the exact step exponent over (sigma_{k-1}, sigma_k), taken a block of
-    steps per `engine.exponent` call.  A family with `multiplier` solves the
-    implicit endpoint as V_k = rhs / (1 - h/2 m_B(sigma_k)), after checking
-    the a-priori Picard factor q_k = h/2 max|m_B(sigma_k)|, the maximum over
-    the modes where rhs is nonzero, against PICARD_REACH; V_k is 0 on every
-    other mode, and the run reports 0 sweeps and the largest q_k.  Any other
-    family resolves the endpoint by Picard sweeps to PICARD_TOL and reports
-    the largest ratio of successive sweep updates over all nodes (0 when
-    every node converges in one sweep).  Both raise ConvergenceError at the
-    first node they cannot solve, before its state exists.
+    steps per `engine.exponent` call, on the bins the run carries (see
+    `Trajectory`).  A family with `multiplier` marches those bins alone: its
+    rows m_B(sigma_k) are built on their axes, `Grid.xi_axes_at`, and B goes
+    through `apply` once, for B(s)x.  It solves the implicit endpoint as
+    V_k = rhs / (1 - h/2 m_B(sigma_k)), after checking the a-priori Picard
+    factor q_k = h/2 max|m_B(sigma_k)|, the maximum over the bins where rhs
+    is nonzero, against PICARD_REACH; V_k is 0 on every other bin, and the
+    run reports 0 sweeps and the largest q_k.  Any other family resolves the
+    endpoint by Picard sweeps to PICARD_TOL and reports the largest ratio of
+    successive sweep updates over all nodes (0 when every node converges in
+    one sweep).  Both raise ConvergenceError at the first node they cannot
+    solve, before its state exists.
     """
     if steps < 1:
         raise ConfigurationError("need at least one step")
@@ -289,21 +323,25 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
     w = grid.cell_volume
     sigmas = np.linspace(s, t, steps + 1)
     half = 0.5 * (t - s) / steps
-
-    def b_apply(tau: float, values: np.ndarray) -> np.ndarray:
-        return family.apply(tau, GridFunction(grid, values)).values
-
     diagonal = hasattr(family, "multiplier")
-    states = [x.values.copy()]
+    bins = np.flatnonzero(x.values) if diagonal else np.arange(x.values.size)
+    axes = grid.xi_axes_at(bins)
+
+    def b_apply(tau: float, row: np.ndarray) -> np.ndarray:
+        return _apply_on(family, tau, grid, bins, row)
+
+    rows = np.empty((steps + 1, bins.size), dtype=complex)
+    rows[0] = x.values.reshape(-1)[bins]
     sweeps_max, last_resid, contraction = 0, 0.0, 0.0
-    for k, decay in enumerate(_step_decays(engine, sigmas[:-1], sigmas[1:]), start=1):
-        lo, hi, prev = float(sigmas[k - 1]), float(sigmas[k]), states[-1]
-        rhs = decay * (prev + half * b_apply(lo, prev))
+    for k, decay in enumerate(_step_decays(engine, sigmas[:-1], sigmas[1:], axes), start=1):
+        lo, hi, prev = float(sigmas[k - 1]), float(sigmas[k]), rows[k - 1]
+        # a diagonal run reuses the endpoint row m of the step before
+        explicit = prev * m if diagonal and k > 1 else b_apply(lo, prev)
+        rhs = decay * (prev + half * explicit)
         if diagonal:
-            # built after the explicit term's row, so the next step reuses it
-            m = family.multiplier(hi, grid.xi_axes())
-            # q_k on the modes the march carries: a diagonal B keeps every
-            # other mode at exactly 0, where the sweeps had nothing to contract
+            m = family.multiplier(hi, axes)
+            # q_k on the bins the march carries: a diagonal B keeps every
+            # other bin at exactly 0, where the sweeps had nothing to contract
             carried = rhs != 0
             q = half * float(np.max(np.abs(m), where=carried, initial=0.0))
             if q > PICARD_REACH:
@@ -313,7 +351,7 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
                     f"in the {steps}-step run",
                     residual=q)
             contraction = max(contraction, q)
-            states.append(rhs / np.where(carried, 1.0 - half * m, 1.0))
+            rows[k] = rhs / np.where(carried, 1.0 - half * m, 1.0)
             continue
         v = rhs + half * b_apply(hi, prev)
         update = 0.0
@@ -332,12 +370,11 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
                 f"(sigma={hi:.6g}) in the {steps}-step run",
                 residual=resid)
         sweeps_max, last_resid = max(sweeps_max, sweep), resid
-        states.append(v)
+        rows[k] = v
 
-    return Trajectory(
-        sigmas=sigmas,
-        states=[GridFunction(grid, v) for v in states],
-        sweeps_max=sweeps_max, last_residual=last_resid, contraction=contraction)
+    return Trajectory(grid=grid, sigmas=sigmas, bins=bins, rows=rows,
+                      sweeps_max=sweeps_max, last_residual=last_resid,
+                      contraction=contraction)
 
 
 def commuting_oracle(engine: PropagatorEngine, family: MultiplierFamily,
@@ -358,44 +395,49 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -
     """Max over nodes of || V_k - U(sigma_k,s)x - GL-quadrature of the
     Duhamel integral || / ||x||, with s and x the run's first node and
     state and V linearly interpolated at the Gauss-Legendre nodes inside
-    each step.  Step j reads the factors e^{-E} over (sigma_j, sigma_{j+1})
-    and over (tau_n, sigma_{j+1}) per node, in that order, by the block, and
-    a diagonal family's node rows m_B(tau_n) by the block too."""
-    grid = engine.grid
-    w = grid.cell_volume
+    each step, all on the bins the run carried (V is 0 elsewhere).  Step j
+    reads the factors e^{-E} over (sigma_j, sigma_{j+1}) and over
+    (tau_n, sigma_{j+1}) per node, in that order, by the block, and a
+    diagonal family's node rows m_B(tau_n) by the block too."""
+    grid, bins, states = engine.grid, trajectory.bins, trajectory.rows
+    axes = grid.xi_axes_at(bins)
+    squares = np.zeros(grid.n ** grid.dim)
+
+    def whole_norm(row: np.ndarray) -> float:
+        # the L2 norm summed over every bin in grid order, as on the whole
+        # grid: a sum over the carried bins alone would round differently
+        squares[bins] = np.abs(row) ** 2
+        return float(np.sqrt(np.sum(squares) * grid.cell_volume))
+
     sig = trajectory.sigmas
-    xhat = trajectory.states[0].values
-    xnorm = max(plancherel_norm(xhat, w), 1e-300)
+    xnorm = max(whole_norm(states[0]), 1e-300)
     steps = len(sig) - 1
     nodes, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
                                            DUHAMEL_NODES)
-    rows = ((row for part in row_blocks(nodes.size, grid.n ** grid.dim)
-             for row in family.multiplier(nodes[part], grid.xi_axes()))
+    rows = ((row for part in row_blocks(nodes.size, bins.size)
+             for row in family.multiplier(nodes[part], axes))
             if hasattr(family, "multiplier") else None)
     taus = nodes.reshape(steps, DUHAMEL_NODES)
     decays = _step_decays(engine, np.column_stack([sig[:-1], taus]).ravel(),
-                          np.repeat(sig[1:], DUHAMEL_NODES + 1))
+                          np.repeat(sig[1:], DUHAMEL_NODES + 1), axes)
     taus, weights = taus.tolist(), weights.reshape(steps, DUHAMEL_NODES).tolist()
 
-    acc = np.zeros(grid.shape, dtype=complex)      # integral transported to sig[j]
-    current = xhat.copy()
+    acc = np.zeros(bins.size, dtype=complex)       # integral transported to sig[j]
+    current = states[0].copy()
     worst = 0.0
     for j in range(steps):
         lo, hi = float(sig[j]), float(sig[j + 1])
         step_mult = next(decays)
-        contrib = np.zeros(grid.shape, dtype=complex)
+        contrib = np.zeros(bins.size, dtype=complex)
         for tau, wn in zip(taus[j], weights[j]):
             frac = (tau - lo) / (hi - lo)
-            v_tau = ((1.0 - frac) * trajectory.states[j].values
-                     + frac * trajectory.states[j + 1].values)
+            v_tau = (1.0 - frac) * states[j] + frac * states[j + 1]
             g = (v_tau * next(rows) if rows is not None else
-                 family.apply(tau, GridFunction(grid, v_tau)).values)
+                 _apply_on(family, tau, grid, bins, v_tau))
             contrib += wn * next(decays) * g
         acc = step_mult * acc + contrib
         current = step_mult * current
-        resid = plancherel_norm(trajectory.states[j + 1].values - current - acc,
-                                w) / xnorm
-        worst = max(worst, resid)
+        worst = max(worst, whole_norm(states[j + 1] - current - acc) / xnorm)
     return worst
 
 

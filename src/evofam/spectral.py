@@ -10,10 +10,11 @@ Conventions fixed here and relied on everywhere else:
   leave through `inverse_transform`; these are the package's only DFTs.
   Plancherel reads sum |f(x_j)|^2 h^d = sum |fhat_k|^2 h^d with the same
   weight on both sides; every norm below uses that weight.
-* A grid's tables (frequency axes, |xi|^2, mode maxima, frequency rows)
-  and the per-grid tables that symbols and perturbation families build on
-  them go through `memo`: each is built once and then shared, read-only,
-  by every caller.  Copy a table before writing to it.
+* A grid's tables (frequency axes, |xi|^2, mode maxima, frequency rows,
+  the axes on a set of bins) and the per-grid tables that symbols and
+  perturbation families build on them go through `memo`: each is built
+  once and then shared, read-only, by every caller.  Copy a table before
+  writing to it.
 * Blocked sweeps (the certifiers' sampled sups, the Volterra and Duhamel
   marches) take their rows by `row_blocks`, at most BLOCK_ELEMENTS values
   per block, so no (samples x bins) table is ever built whole; a symbol
@@ -35,13 +36,15 @@ BLOCK_ELEMENTS = 1 << 14    # values per block of a blocked sweep: ~256 KB compl
 
 def row_blocks(rows: int, width: int) -> list[slice]:
     """Consecutive slices of `rows` rows of `width` values each, about
-    BLOCK_ELEMENTS values (and at least one row) per slice."""
-    size = max(1, BLOCK_ELEMENTS // width)
+    BLOCK_ELEMENTS values (and at least one row) per slice; a row of no
+    values counts as one value."""
+    size = max(1, BLOCK_ELEMENTS // max(width, 1))
     return [slice(lo, min(lo + size, rows)) for lo in range(0, rows, size)]
 
 
-def memo(owner, name: str, build, anchor=None):
-    """`owner`'s table `name` for `anchor`, built by `build()` on first use.
+def memo(owner, name, build, anchor=None):
+    """`owner`'s table `name` (any hashable) for `anchor`, built by `build()`
+    on first use.
 
     The table lives on `owner` and is handed out read-only from then on.
     `anchor` (a grid, a tuple of frequency axes, or None) is matched by
@@ -122,6 +125,14 @@ class Grid:
         return memo(self, "xi_rows", lambda: np.stack(
             [np.broadcast_to(ax, self.shape).reshape(-1) for ax in self.xi_axes()],
             axis=1))
+
+    def xi_axes_at(self, bins: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The frequency axes on the flat (C-order) bins `bins`, one 1-D array
+        per axis.  Built once per set of bins, keyed by its contents, and
+        shared read-only, so the tables keyed by axes identity serve every
+        caller on the same bins."""
+        return memo(self, ("xi_axes_at", bins.tobytes()), lambda: tuple(
+            np.ascontiguousarray(column) for column in self.xi_rows()[bins].T))
 
     def max_mode(self) -> np.ndarray:
         """max_j |k_j| per bin, k_j the integer mode index on axis j."""

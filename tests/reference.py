@@ -49,6 +49,11 @@ each piece backs an invariant the evolution-family theory rests on:
 * `dual_scale_moduli`: the moduli of t -> B(t) f in that Bessel norm, on
   the separations and base points of `perturbation_regularity_report`
   (the Mollifier is Lipschitz, slope 1, in it on indicator data);
+* `whole_grid_march` and `whole_grid_duhamel`: a diagonal family's
+  Volterra march and its Duhamel residual on every bin of the grid, as
+  `solve_perturbed` and `duhamel_residual` took them before they carried
+  only the bins where x is nonzero; the carried march must give the same
+  states and residual bit for bit, and `whole_state` scatters its rows;
 * `heat_symbol`, `oscillating_symbol` and `drift_symbol`: the autonomous,
   time-dependent and non-elliptic symbols the fixtures are built from;
 * `constant_field`: a constant transport coefficient, the case the
@@ -60,10 +65,11 @@ import numpy as np
 from evofam.assumptions import (RESOLVENT_MODULUS_RANGE, SamplePlan, StabilityCertificate,
                                 _pair_table, _partitions, _refined, _sector_lambdas,
                                 _sector_measure, _symbol_matrix)
-from evofam.errors import ConfigurationError, DomainError, NumericError
+from evofam.errors import ConfigurationError, ConvergenceError, DomainError, NumericError
 from evofam.evolution import RULE_OFFSETS, PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
-from evofam.perturbation import BASE_POINTS, SEPARATIONS
+from evofam.perturbation import (BASE_POINTS, DUHAMEL_NODES, PICARD_REACH,
+                                 SEPARATIONS, Trajectory)
 from evofam.spectral import (Grid, GridFunction, apply_multiplier, norm, plancherel_norm,
                              row_blocks)
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
@@ -389,6 +395,76 @@ def dual_scale_moduli(family, f: GridFunction, spec: SymbolSpec) -> list:
             f.grid, family.apply(float(b + delta), f).values
             - family.apply(float(b), f).values), spec.order) for b in bases))
     return mods
+
+
+def whole_state(trajectory: Trajectory, k: int) -> GridFunction:
+    """Node k of a march on the whole grid: its row on the carried bins, 0
+    elsewhere."""
+    values = np.zeros(trajectory.grid.shape, dtype=complex)
+    values.reshape(-1)[trajectory.bins] = trajectory.rows[k]
+    return GridFunction(trajectory.grid, values)
+
+
+def _whole_grid_decays(engine: PropagatorEngine, lo, hi):
+    """e^{-E} over (lo[k], hi[k]) on every bin, a `row_blocks` block at a time."""
+    for part in row_blocks(len(lo), engine.grid.n ** engine.grid.dim):
+        yield from np.exp(-engine.exponent(lo[part], hi[part]))
+
+
+def whole_grid_march(engine: PropagatorEngine, family, s: float, t: float,
+                     x: GridFunction, steps: int) -> tuple[list, float]:
+    """The states of the diagonal trapezoid march of `solve_perturbed` on
+    every bin, and its largest Picard factor: B(sigma_{k-1}) V_{k-1} through
+    `apply`, the endpoint divided by 1 - h/2 m_B(sigma_k) where rhs is
+    nonzero, and the run refused past PICARD_REACH."""
+    grid = engine.grid
+    sigmas = np.linspace(s, t, steps + 1)
+    half = 0.5 * (t - s) / steps
+    states, contraction = [x.values.copy()], 0.0
+    for k, decay in enumerate(_whole_grid_decays(engine, sigmas[:-1], sigmas[1:]),
+                              start=1):
+        lo, hi, prev = float(sigmas[k - 1]), float(sigmas[k]), states[-1]
+        rhs = decay * (prev + half * family.apply(lo, GridFunction(grid, prev)).values)
+        m = family.multiplier(hi, grid.xi_axes())
+        carried = rhs != 0
+        q = half * float(np.max(np.abs(m), where=carried, initial=0.0))
+        if q > PICARD_REACH:
+            raise ConvergenceError(f"Picard factor {q:.6g} at node {k}", residual=q)
+        contraction = max(contraction, q)
+        states.append(rhs / np.where(carried, 1.0 - half * m, 1.0))
+    return states, contraction
+
+
+def whole_grid_duhamel(states: list, sigmas: np.ndarray, engine: PropagatorEngine,
+                       family) -> float:
+    """`duhamel_residual` of a diagonal family on the whole-grid `states` at
+    the nodes `sigmas`: step j's factors over (sigma_j, sigma_{j+1}) and
+    (tau_n, sigma_{j+1}), its node rows m_B(tau_n), all on every bin."""
+    grid = engine.grid
+    w = grid.cell_volume
+    steps = len(sigmas) - 1
+    xnorm = max(plancherel_norm(states[0], w), 1e-300)
+    nodes, weights = gauss_legendre_panels(float(sigmas[0]), float(sigmas[-1]), steps,
+                                           DUHAMEL_NODES)
+    taus = nodes.reshape(steps, DUHAMEL_NODES)
+    decays = _whole_grid_decays(engine, np.column_stack([sigmas[:-1], taus]).ravel(),
+                                np.repeat(sigmas[1:], DUHAMEL_NODES + 1))
+    weights = weights.reshape(steps, DUHAMEL_NODES)
+    acc = np.zeros(grid.shape, dtype=complex)
+    current = states[0].copy()
+    worst = 0.0
+    for j in range(steps):
+        lo, hi = float(sigmas[j]), float(sigmas[j + 1])
+        step_mult = next(decays)
+        contrib = np.zeros(grid.shape, dtype=complex)
+        for tau, wn in zip(taus[j].tolist(), weights[j].tolist()):
+            frac = (tau - lo) / (hi - lo)
+            v_tau = (1.0 - frac) * states[j] + frac * states[j + 1]
+            contrib += wn * next(decays) * (v_tau * family.multiplier(tau, grid.xi_axes()))
+        acc = step_mult * acc + contrib
+        current = step_mult * current
+        worst = max(worst, plancherel_norm(states[j + 1] - current - acc, w) / xnorm)
+    return worst
 
 
 def heat_symbol(shift: float = 1.0, dim: int = 1, horizon: float = 1.0) -> SymbolSpec:

@@ -424,9 +424,10 @@ def test_perturb_solves_each_run_once(tmp_path, monkeypatch, kind, expected):
 
 
 def test_perturb_holds_one_trajectory_at_a_time(tmp_path):
-    # the M run is released before the M/2 solve: one bundled h1 op peaks at
-    # the M run's states plus a transient, below the M run's states plus half
-    # the M/2 run's (parent: the two trajectories together, 25.4 MiB)
+    # the M run is released before the M/2 solve, and a diagonal run holds
+    # its states on the bins its band-4 data carries (9 of 1024): one bundled
+    # h1 op peaks below a quarter of the M run's whole-grid states (measured:
+    # 2.2 MiB, and 18.4 MiB when every state was held on the whole grid)
     import tracemalloc
     assert main(["perturb", "--config", str(zero_perturbation_h1(tmp_path)),
                  "--out", str(tmp_path / "w"), "--stable"]) == 0   # lazy imports first
@@ -434,7 +435,7 @@ def test_perturb_holds_one_trajectory_at_a_time(tmp_path):
     path = write_config(tmp_path, config, name="h1.json")
     steps, bins = config["solver"]["steps"], config["grid"]["n"]
     state = bins * np.dtype(complex).itemsize
-    bound = (steps + 1) * state + (steps // 2 + 1) * state / 2
+    bound = (steps + 1) * state / 4
     tracemalloc.start()
     try:
         assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),

@@ -12,8 +12,9 @@ from evofam.perturbation import (SEPARATIONS, Mollifier, MultiplierFamily,
                                  perturbed_family_checks, solve_perturbed)
 from evofam.spectral import (Grid, GridFunction, indicator, inverse_transform, mode,
                              norm, random_band_limited)
-from evofam.symbols import CoefficientFunction, constant
-from reference import dual_scale_moduli, heat_symbol, oscillating_symbol
+from evofam.symbols import CoefficientFunction, SymbolSpec, constant
+from reference import (dual_scale_moduli, heat_symbol, oscillating_symbol,
+                       whole_grid_duhamel, whole_grid_march, whole_state)
 
 
 @pytest.fixture(scope="module")
@@ -202,14 +203,19 @@ class TestVolterraSolver:
         assert duhamel_residual(traj, engine, Mollifier()) <= 1e-6
 
     def test_zero_initial(self, engine, grid):
+        # zero data carries no bin: the march and its Duhamel check run on
+        # rows of no values and give exactly 0
         z = GridFunction(grid, np.zeros(grid.shape, dtype=complex))
         traj = solve_perturbed(engine, Mollifier(), 0.0, 0.5, z, 64)
+        assert traj.rows.shape == (65, 0)
+        assert traj.final().values.tobytes() == z.values.tobytes()
         assert duhamel_residual(traj, engine, Mollifier()) == 0.0
 
     def test_mollifier_growth_bound(self, engine, grid, xband):
         # omega = -1 and sup ||B|| <= 1: perturbed norms stay below ||x||
         traj = solve_perturbed(engine, Mollifier(), 0.0, 2.0, xband, 256)
-        assert max(norm(v) for v in traj.states) <= norm(xband) * (1.0 + 1e-9)
+        assert (max(norm(whole_state(traj, k)) for k in range(len(traj.rows)))
+                <= norm(xband) * (1.0 + 1e-9))
 
     def test_picard_failure_reported(self, engine, grid, xband):
         big = MultiplierFamily(constant(4000.0), profile_num=(1.0,),
@@ -244,14 +250,15 @@ class TestVolterraSolver:
         family = MultiplierFamily(constant(0.5), profile_num=(0.0, 1.0),
                                   profile_den=(1.0,))
         x = random_band_limited(grid, np.random.default_rng(1), band=4)
-        carried = x.values != 0
         swept = solve_perturbed(engine, ApplyOnly(family), 0.0, 0.9, x, 1024)
         divided = solve_perturbed(engine, family, 0.0, 0.9, x, 1024)
         assert divided.contraction == pytest.approx(0.5 * (0.9 / 1024) * 0.5 * 4**2)
         assert swept.contraction <= 1.05 * divided.contraction
+        assert np.array_equal(divided.bins, np.flatnonzero(x.values))
+        assert np.array_equal(swept.bins, np.arange(grid.n))
         tol = 1024 * per.PICARD_TOL * norm(x)
-        for u, v in zip(divided.states, swept.states):
-            assert not np.any(u.values[~carried])
+        for k in range(1025):
+            u, v = whole_state(divided, k), whole_state(swept, k)
             assert norm(GridFunction(grid, u.values - v.values)) <= tol
 
     def test_factor_beyond_the_reach_is_refused_before_the_node(self, monkeypatch):
@@ -279,18 +286,19 @@ class TestVolterraSolver:
             solve_perturbed(engine, ApplyOnly(family), 0.0, 1.0, x, 8)
 
     @pytest.mark.parametrize("family", ["mollifier", "multiplier"])
-    def test_diagonal_march_applies_b_once_per_step(self, monkeypatch, family):
-        # only the explicit term goes through `apply`: the tracer's
-        # b_apply_per_step reads 1
+    def test_diagonal_march_applies_b_once_per_run(self, monkeypatch, family):
+        # only the first explicit term B(s)x goes through `apply`, on the
+        # whole grid (the tracer's b_apply_per_step reads 1/M); every other
+        # step reuses the endpoint row of the step before
         fam = LEG_FAMILIES[family]
         engine = PropagatorEngine(heat_symbol(horizon=1.0), LEG_GRID)
         x = random_band_limited(LEG_GRID, np.random.default_rng(7), band=4)
         calls = []
         apply = type(fam).apply
-        monkeypatch.setattr(type(fam), "apply",
-                            lambda self, t, f: calls.append(t) or apply(self, t, f))
-        traj = solve_perturbed(engine, fam, 0.0, 0.9, x, 37)
-        assert calls == traj.sigmas[:-1].tolist()
+        monkeypatch.setattr(type(fam), "apply", lambda self, t, f: calls.append(
+            (t, f.values.shape)) or apply(self, t, f))
+        solve_perturbed(engine, fam, 0.25, 0.9, x, 37)
+        assert calls == [(0.25, LEG_GRID.shape)]
 
 
 def pipeline_checks(engine, family, s, t, x, steps):
@@ -299,7 +307,7 @@ def pipeline_checks(engine, family, s, t, x, steps):
     first and final states and the second run's final state."""
     full = solve_perturbed(engine, family, s, t, x, steps)
     half = solve_perturbed(engine, family, s, t, x, steps // 2)
-    return perturbed_family_checks(full.states[0], full.final(), half.final())
+    return perturbed_family_checks(x, full.final(), half.final())
 
 
 def composed_defect(engine, family, s, r, t, x, steps):
@@ -361,7 +369,7 @@ def test_midpoint_legs_retrace_the_whole_run(symbol, family, s):
     leg1 = solve_perturbed(engine, fam, s, r, x, LEG_STEPS)
     leg2 = solve_perturbed(engine, fam, r, t, leg1.final(), LEG_STEPS)
     tol = 16 * np.finfo(float).eps * norm(x)
-    for leg, node in ((leg1, whole.states[LEG_STEPS]), (leg2, whole.final())):
+    for leg, node in ((leg1, whole_state(whole, LEG_STEPS)), (leg2, whole.final())):
         assert norm(GridFunction(LEG_GRID, leg.final().values - node.values)) <= tol
 
 
@@ -404,15 +412,17 @@ ROW_FAMILIES = {"mollifier": Mollifier(),
 
 @settings(max_examples=40, deadline=None)
 @given(family=st.sampled_from(sorted(ROW_FAMILIES)), dim=st.sampled_from([1, 2]),
-       times=st.lists(st.floats(0.0, 7.0), min_size=1, max_size=9))
-def test_multiplier_rows_equal_the_scalar_call(family, dim, times):
+       on_bins=st.booleans(), times=st.lists(st.floats(0.0, 7.0), min_size=1, max_size=9))
+def test_multiplier_rows_equal_the_scalar_call(family, dim, on_bins, times):
     """`multiplier` on an array of times gives one row per time, each the
     scalar call bit for bit, so the Duhamel check may read its node rows by
-    the block."""
+    the block: on the grid's axes, and on the 1-D axes of a set of bins."""
     fam = ROW_FAMILIES[family]
-    axes = Grid(dim, 16, 2.0 * np.pi).xi_axes()
+    grid = Grid(dim, 16, 2.0 * np.pi)
+    bins = np.arange(3, grid.n ** dim, 5)
+    axes = grid.xi_axes_at(bins) if on_bins else grid.xi_axes()
     rows = fam.multiplier(np.array(times), axes)
-    assert rows.shape == (len(times),) + (16,) * dim
+    assert rows.shape == (len(times),) + ((bins.size,) if on_bins else grid.shape)
     for t, row in zip(times, rows):
         assert row.tobytes() == fam.multiplier(t, axes).tobytes()
 
@@ -437,11 +447,15 @@ ROW_STEPS = 100
 def test_each_sinc_row_is_built_once(monkeypatch):
     """The march builds B(sigma_k) once for all its uses (its endpoint, the
     next step's explicit term and every Picard sweep): M + 1 rows on M
-    steps.  The Duhamel check takes its 4M node rows in blocks of
-    BLOCK_ELEMENTS / bins rows, one `np.sinc` call per block."""
+    steps.  A diagonal march builds the row at sigma_0 on the whole grid,
+    for its one `apply`, and the M endpoint rows on the bins x carries; the
+    Duhamel check takes its 4M node rows on those bins too, in blocks of
+    BLOCK_ELEMENTS / |carried| rows, one `np.sinc` call per block."""
     from evofam import spectral
     engine = PropagatorEngine(heat_symbol(horizon=1.0), LEG_GRID)
     x = random_band_limited(LEG_GRID, np.random.default_rng(3), band=4)
+    carried = np.count_nonzero(x.values)
+    assert carried == 9
     sinc, sizes = np.sinc, []
 
     def counted(v):
@@ -456,13 +470,13 @@ def test_each_sinc_row_is_built_once(monkeypatch):
     sizes.clear()
     traj = solve_perturbed(engine, Mollifier(), 0.0, 0.9, x, ROW_STEPS)
     assert traj.sweeps_max == 0
-    assert sizes == [LEG_GRID.n] * (ROW_STEPS + 1)
+    assert sizes == [LEG_GRID.n] + [carried] * ROW_STEPS
     sizes.clear()
     duhamel_residual(traj, engine, Mollifier())
-    per_block = spectral.BLOCK_ELEMENTS // LEG_GRID.n
+    per_block = spectral.BLOCK_ELEMENTS // carried
     nodes = per.DUHAMEL_NODES * ROW_STEPS
-    assert len(sizes) == -(-nodes // per_block) > 1
-    assert sum(sizes) == nodes * LEG_GRID.n
+    assert len(sizes) == -(-nodes // per_block)
+    assert sum(sizes) == nodes * carried
 
 
 def test_block_rows_match_the_per_node_apply():
@@ -485,7 +499,8 @@ def test_division_matches_the_picard_sweeps():
     divided = solve_perturbed(engine, Mollifier(), 0.25, 0.9, x, ROW_STEPS)
     swept = solve_perturbed(engine, ApplyOnly(), 0.25, 0.9, x, ROW_STEPS)
     tol = ROW_STEPS * per.PICARD_TOL * norm(x)
-    for u, v in zip(divided.states, swept.states):
+    for k in range(ROW_STEPS + 1):
+        u, v = whole_state(divided, k), whole_state(swept, k)
         assert norm(GridFunction(LEG_GRID, u.values - v.values)) <= tol
 
 
@@ -509,10 +524,62 @@ def test_block_boundaries_leave_the_march_unchanged(monkeypatch, family, rows):
 
     def march():
         traj = solve_perturbed(engine, fam, 0.25, 0.9, x, BLOCK_STEPS)
-        return ([v.values.tobytes() for v in traj.states],
-                duhamel_residual(traj, engine, fam))
+        return traj.rows.tobytes(), duhamel_residual(traj, engine, fam)
 
     assert spectral.BLOCK_ELEMENTS >= 5 * (BLOCK_STEPS + 1) * LEG_GRID.n
     default = march()
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * LEG_GRID.n)
     assert march() == default
+
+
+CARRIED_GRID = Grid(1, 64, 2.0 * np.pi)
+CARRIED_SYMBOLS = {
+    "heat": heat_symbol(horizon=1.0), "oscillating": oscillating_symbol(),
+    # a = xi^2 + (0.5 cos 3t + 0.2 sin 3t) i xi + 1 + 0.3 sin 2t: complex decays
+    "trig": SymbolSpec(dim=1, order=2, horizon=1.0, coefficients={
+        (2,): constant(-1.0), (1,): CoefficientFunction(trig=((3.0, 0.5, 0.2),)),
+        (0,): CoefficientFunction(const=1.0, trig=((2.0, 0.0, 0.3),))})}
+
+
+def assert_carried_march_is_the_whole_grid_march(engine, family, x, steps):
+    """The march on the bins x carries against `whole_grid_march`: each
+    state bit for bit on those bins and exactly 0 off them, the same Picard
+    factor and the same Duhamel residual."""
+    traj = solve_perturbed(engine, family, 0.25, 0.9, x, steps)
+    states, contraction = whole_grid_march(engine, family, 0.25, 0.9, x, steps)
+    bins = np.flatnonzero(x.values)
+    assert np.array_equal(traj.bins, bins)
+    assert len(traj.rows) == len(states)
+    for k, ref in enumerate(states):
+        ours, ref = whole_state(traj, k).values.reshape(-1), ref.reshape(-1)
+        assert ours[bins].tobytes() == ref[bins].tobytes()
+        assert not np.any(np.delete(ours, bins)) and not np.any(np.delete(ref, bins))
+    assert traj.final().values.tobytes() == whole_state(traj, steps).values.tobytes()
+    assert traj.contraction == contraction
+    assert (duhamel_residual(traj, engine, family)
+            == whole_grid_duhamel(states, traj.sigmas, engine, family))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(ROW_FAMILIES)),
+       symbol=st.sampled_from(sorted(CARRIED_SYMBOLS)), band=st.integers(1, 8),
+       steps=st.integers(4, 24), seed=st.integers(0, 2**32 - 1))
+def test_carried_march_equals_the_whole_grid_march(family, symbol, band, steps, seed):
+    """A diagonal B keeps every bin where x is 0 at exactly 0, so marching
+    only the bins x carries changes no bit of the march it replaced."""
+    engine = PropagatorEngine(CARRIED_SYMBOLS[symbol], CARRIED_GRID)
+    x = random_band_limited(CARRIED_GRID, np.random.default_rng(seed), band=band)
+    assert_carried_march_is_the_whole_grid_march(engine, ROW_FAMILIES[family], x, steps)
+
+
+@pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
+def test_carried_march_in_two_dimensions(family):
+    """On a 32^2 grid with td1's symbol plus xi_2^2 + 0.5 xi_1 xi_2, the
+    carried bins' 1-D axes give the same march as the grid's 2-D axes."""
+    spec = SymbolSpec(dim=2, order=2, horizon=2.0 * np.pi, coefficients={
+        (2, 0): CoefficientFunction(const=-2.0, trig=((1.0, 0.0, -1.0),)),
+        (0, 2): constant(-1.0), (1, 1): constant(-0.5), (0, 0): constant(1.0)})
+    grid = Grid(2, 32, 2.0 * np.pi)
+    x = random_band_limited(grid, np.random.default_rng(8), band=4)
+    assert_carried_march_is_the_whole_grid_march(
+        PropagatorEngine(spec, grid), ROW_FAMILIES[family], x, 16)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evofam import spectral
 from evofam.errors import ConfigurationError, NumericError
 from evofam.evolution import PropagatorEngine
 from evofam.spectral import (Grid, GridFunction, NormSpec, apply_multiplier, indicator,
@@ -14,6 +15,19 @@ from evofam.spectral import (Grid, GridFunction, NormSpec, apply_multiplier, ind
                              spectral_tail_fraction, transform)
 from evofam.perturbation import MultiplierFamily, SmoothingComposite
 from reference import bessel_norm, heat_symbol, operator_norm, oscillating_symbol
+
+
+@pytest.mark.parametrize("rows,width,sizes", [
+    (10, spectral.BLOCK_ELEMENTS // 4, [4, 4, 2]),
+    (3, 2 * spectral.BLOCK_ELEMENTS, [1, 1, 1]),
+    (0, 7, []),
+    # a row of no values (a march that carries no bin) counts as one value
+    (5, 0, [5]),
+])
+def test_row_blocks(rows, width, sizes):
+    blocks = spectral.row_blocks(rows, width)
+    assert [b.stop - b.start for b in blocks] == sizes
+    assert [b.start for b in blocks] == [sum(sizes[:k]) for k in range(len(sizes))]
 
 
 class TestGrid:
@@ -64,6 +78,21 @@ class TestGridTables:
         assert np.allclose(spec.monomials(axes)[(2,)], [-1.0, -4.0])
         axes[0][:] = 3.0
         assert np.allclose(spec.monomials(axes)[(2,)], [-9.0, -9.0])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_axes_at_bins_are_built_once_per_set(self, dim):
+        # keyed by the bins' contents, so every run on one support shares
+        # the tables keyed by axes identity
+        grid = Grid(dim, 8, 2.0 * np.pi)
+        bins = np.array([0, 3, grid.n ** dim - 1])
+        axes = grid.xi_axes_at(bins)
+        assert grid.xi_axes_at(bins.copy()) is axes
+        assert grid.xi_axes_at(bins[:2]) is not axes
+        for j, ax in enumerate(axes):
+            assert ax.shape == (3,) and not ax.flags.writeable
+            assert np.array_equal(ax, np.broadcast_to(grid.xi_axes()[j],
+                                                      grid.shape).reshape(-1)[bins])
+        assert [ax.shape for ax in grid.xi_axes_at(np.array([], dtype=int))] == [(0,)] * dim
 
     def test_tables_follow_their_grid(self):
         coarse, fine = Grid(1, 16, 2.0 * np.pi), Grid(1, 32, 2.0 * np.pi)
