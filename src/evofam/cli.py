@@ -24,8 +24,8 @@ from .errors import ConfigurationError, ConvergenceError, DomainError, NumericEr
 from .reporting import (StageTimer, config_hash, dump_json, environment_stamp,
                         write_csv)
 from .semigroup import FrozenOperator, favard_norm
-from .spectral import (GridFunction, NormSpec, indicator, norm, plancherel_norm,
-                       random_band_limited, save_function, spectral_tail_fraction)
+from .spectral import (GridFunction, NormSpec, indicator, norm, random_band_limited,
+                       row_blocks, save_function, spectral_tail_fraction)
 from .symbols import certify_ellipticity
 
 # Verdict tolerances.  The library returns measurements only; every verdict
@@ -260,14 +260,19 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
 
     traj = per.solve_perturbed(engine, family, s, t, x, steps)
     timer.mark("solve")
-    # the norms of V on the bins the march carried; V is 0 on the others
+    # the norms of V on the bins the march carried (V is 0 on the others):
+    # one row sum per node, bit for bit `plancherel_norm` of that row, a
+    # `row_blocks` block of nodes at a time
     if not np.all(np.isfinite(traj.rows)):
         raise NumericError("non-finite values in grid function")
-    w = grid.cell_volume
     weight = NormSpec(spec, 0.0).weight(grid).reshape(-1)[traj.bins]
-    rows = [[float(sig), plancherel_norm(v, w), plancherel_norm(weight * np.abs(v), w)]
-            for sig, v in zip(traj.sigmas, traj.rows)]
-    write_csv(out / "trajectory.csv", ["sigma", "norm_X", "norm_Xminus1"], rows)
+    norms = np.empty((2, len(traj.rows)))
+    for part in row_blocks(len(traj.rows), traj.bins.size):
+        magnitudes = np.abs(traj.rows[part])
+        for column, v in enumerate((magnitudes, weight * magnitudes)):
+            norms[column, part] = np.sqrt(np.sum(v ** 2, axis=1) * grid.cell_volume)
+    write_csv(out / "trajectory.csv", ["sigma", "norm_X", "norm_Xminus1"],
+              zip(traj.sigmas.tolist(), *norms.tolist()))
 
     residual = per.duhamel_residual(traj, engine, family)
     picard = {"max_sweeps": traj.sweeps_max, "last_residual": traj.last_residual,

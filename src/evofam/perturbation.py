@@ -39,11 +39,14 @@ M/4, and holds one trajectory at a time.  The M-step run's every state
 feeds the trajectory norms and the Duhamel residual; then only its final
 state and its Picard statistics are kept, and it is released before the
 M/2 solve.  The family checks and the oracle ladder read only the final
-states of the M/2- and M/4-step runs, and solve nothing themselves.  The
-march and the Duhamel residual read their step factors e^{-E} by the
-block (`_step_decays`).  A diagonal row m_B(sigma) is built once per
-time: the explicit term of step k + 1 reuses the endpoint row of step k,
-and the Duhamel residual reads rows by the block.
+states of the M/2- and M/4-step runs, and solve nothing themselves.
+
+The march and the Duhamel residual go a `row_blocks` block of steps at a
+time: what does not feed a recurrence (the factors e^{-E} of
+`_step_decays`, a diagonal family's rows, the Duhamel node products and
+norms) is one array operation per block, each row bit for bit the one a
+step-by-step run builds.  A diagonal row m_B(sigma) is built once per
+time: the explicit term of step k + 1 reuses the endpoint row of step k.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, DomainError, UnsupportedError
+from .errors import (ConfigurationError, ConvergenceError, DomainError, NumericError,
+                     UnsupportedError)
 from .evolution import PropagatorEngine
 from .semigroup import gauss_legendre_panels
 from .spectral import (Grid, GridFunction, NormSpec, gaussian_profile,
@@ -282,16 +286,16 @@ class Trajectory:
         return GridFunction(self.grid, _scatter(self.grid, self.bins, self.rows[-1]))
 
 
-def _step_decays(engine: PropagatorEngine, lo: np.ndarray, hi: np.ndarray, xi_axes):
-    """e^{-E} on the intervals (lo[k], hi[k]) in order, one row each on the
-    1-D axes `xi_axes` of a set of bins: one `engine.exponent` call and one
-    `np.exp` per `row_blocks` block of rows, each row bit for bit the scalar
-    factor."""
-    for part in row_blocks(len(lo), xi_axes[0].size):
-        block = engine.exponent(lo[part], hi[part], xi_axes)
-        np.negative(block, out=block)
-        np.exp(block, out=block)            # in place: no second block of temporaries
-        yield from block
+def _step_decays(engine: PropagatorEngine, lo: np.ndarray, hi: np.ndarray,
+                 xi_axes) -> np.ndarray:
+    """e^{-E} on the intervals (lo[k], hi[k]), one row each on the 1-D axes
+    `xi_axes` of a set of bins: one `engine.exponent` call and one `np.exp`
+    for the whole block (a caller passes one `row_blocks` block of
+    intervals), each row bit for bit the scalar factor."""
+    block = engine.exponent(lo, hi, xi_axes)
+    np.negative(block, out=block)
+    np.exp(block, out=block)                # in place: no second block of temporaries
+    return block
 
 
 def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
@@ -301,19 +305,21 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
 
         V_k = e^{-E_k} (V_{k-1} + h/2 B(sigma_{k-1}) V_{k-1}) + h/2 B(sigma_k) V_k,
 
-    E_k the exact step exponent over (sigma_{k-1}, sigma_k), taken a block of
-    steps per `engine.exponent` call, on the bins the run carries (see
-    `Trajectory`).  A family with `multiplier` marches those bins alone: its
-    rows m_B(sigma_k) are built on their axes, `Grid.xi_axes_at`, and B goes
-    through `apply` once, for B(s)x.  It solves the implicit endpoint as
-    V_k = rhs / (1 - h/2 m_B(sigma_k)), after checking the a-priori Picard
-    factor q_k = h/2 max|m_B(sigma_k)|, the maximum over the bins where rhs
-    is nonzero, against PICARD_REACH; V_k is 0 on every other bin, and the
-    run reports 0 sweeps and the largest q_k.  Any other family resolves the
-    endpoint by Picard sweeps to PICARD_TOL and reports the largest ratio of
-    successive sweep updates over all nodes (0 when every node converges in
-    one sweep).  Both raise ConvergenceError at the first node they cannot
-    solve, before its state exists.
+    E_k the exact step exponent over (sigma_{k-1}, sigma_k), on the bins the
+    run carries (see `Trajectory`).  The steps go a `row_blocks` block at a
+    time: one `engine.exponent` call per block gives its factors e^{-E_k},
+    and only the recurrence runs step by step.  A family with `multiplier`
+    marches the bins x carries alone: one call per block gives its endpoint
+    rows m_B(sigma_k) on their axes, `Grid.xi_axes_at`, with the divisors
+    1 - h/2 m_B(sigma_k) and the a-priori Picard factors
+    q_k = h/2 max|m_B(sigma_k)|, and B goes through `apply` once, for B(s)x.
+    Each step checks q_k against PICARD_REACH before it divides, the
+    maximum taken over the bins where rhs is nonzero; V_k is 0 on every
+    other bin, and the run reports 0 sweeps and the largest q_k.  Any other
+    family resolves the endpoint by Picard sweeps to PICARD_TOL and reports
+    the largest ratio of successive sweep updates over all nodes (0 when
+    every node converges in one sweep).  Both raise ConvergenceError at the
+    first node they cannot solve, before its state exists.
     """
     if steps < 1:
         raise ConfigurationError("need at least one step")
@@ -330,47 +336,59 @@ def solve_perturbed(engine: PropagatorEngine, family, s: float, t: float,
     def b_apply(tau: float, row: np.ndarray) -> np.ndarray:
         return _apply_on(family, tau, grid, bins, row)
 
+    def refuse(k: int, message: str, residual: float):
+        raise ConvergenceError(f"{message} at node {k} of {steps} "
+                               f"(sigma={sigmas[k]:.6g}) in the {steps}-step run",
+                               residual=residual)
+
     rows = np.empty((steps + 1, bins.size), dtype=complex)
     rows[0] = x.values.reshape(-1)[bins]
     sweeps_max, last_resid, contraction = 0, 0.0, 0.0
-    for k, decay in enumerate(_step_decays(engine, sigmas[:-1], sigmas[1:], axes), start=1):
-        lo, hi, prev = float(sigmas[k - 1]), float(sigmas[k]), rows[k - 1]
-        # a diagonal run reuses the endpoint row m of the step before
-        explicit = prev * m if diagonal and k > 1 else b_apply(lo, prev)
-        rhs = decay * (prev + half * explicit)
+    for part in row_blocks(steps, bins.size):
+        ends = sigmas[part.start + 1:part.stop + 1]
+        decays = _step_decays(engine, sigmas[part], ends, axes)
         if diagonal:
-            m = family.multiplier(hi, axes)
-            # q_k on the bins the march carries: a diagonal B keeps every
-            # other bin at exactly 0, where the sweeps had nothing to contract
-            carried = rhs != 0
-            q = half * float(np.max(np.abs(m), where=carried, initial=0.0))
-            if q > PICARD_REACH:
-                raise ConvergenceError(
-                    f"Picard factor {q:.6g} exceeds the sweeps' reach "
-                    f"{PICARD_REACH:.6g} at node {k} of {steps} (sigma={hi:.6g}) "
-                    f"in the {steps}-step run",
-                    residual=q)
-            contraction = max(contraction, q)
-            rows[k] = rhs / np.where(carried, 1.0 - half * m, 1.0)
-            continue
-        v = rhs + half * b_apply(hi, prev)
-        update = 0.0
-        for sweep in range(1, PICARD_SWEEPS + 1):
-            v_next = rhs + half * b_apply(hi, v)
-            change = plancherel_norm(v_next - v, w)
-            if update > 0.0:
-                contraction = max(contraction, change / update)
-            resid = change / max(plancherel_norm(v_next, w), 1e-300)
-            v, update = v_next, change
-            if resid <= PICARD_TOL:
-                break
-        else:
-            raise ConvergenceError(
-                f"Picard failed to contract at node {k} of {steps} "
-                f"(sigma={hi:.6g}) in the {steps}-step run",
-                residual=resid)
-        sweeps_max, last_resid = max(sweeps_max, sweep), resid
-        rows[k] = v
+            ms = family.multiplier(ends, axes)
+            divisors = 1.0 - half * ms
+            factors = (half * np.max(np.abs(ms), axis=1, initial=0.0)).tolist()
+        for i, k in enumerate(range(part.start + 1, part.stop + 1)):
+            prev = rows[k - 1]
+            # a diagonal run reuses the endpoint row m of the step before
+            explicit = prev * m if diagonal and k > 1 else b_apply(float(sigmas[k - 1]), prev)
+            rhs = decays[i] * (prev + half * explicit)
+            if diagonal:
+                m = ms[i]
+                if np.count_nonzero(rhs) == rhs.size:     # every bin carried
+                    q, divisor = factors[i], divisors[i]
+                else:
+                    # q_k on the bins the march carries: a diagonal B keeps
+                    # every other bin at exactly 0, where the sweeps had
+                    # nothing to contract
+                    carried = rhs != 0
+                    q = half * float(np.max(np.abs(m), where=carried, initial=0.0))
+                    divisor = np.where(carried, divisors[i], 1.0)
+                if q > PICARD_REACH:
+                    refuse(k, f"Picard factor {q:.6g} exceeds the sweeps' reach "
+                              f"{PICARD_REACH:.6g}", q)
+                contraction = max(contraction, q)
+                rows[k] = rhs / divisor
+                continue
+            hi = float(sigmas[k])
+            v = rhs + half * b_apply(hi, prev)
+            update = 0.0
+            for sweep in range(1, PICARD_SWEEPS + 1):
+                v_next = rhs + half * b_apply(hi, v)
+                change = plancherel_norm(v_next - v, w)
+                if update > 0.0:
+                    contraction = max(contraction, change / update)
+                resid = change / max(plancherel_norm(v_next, w), 1e-300)
+                v, update = v_next, change
+                if resid <= PICARD_TOL:
+                    break
+            else:
+                refuse(k, "Picard failed to contract", resid)
+            sweeps_max, last_resid = max(sweeps_max, sweep), resid
+            rows[k] = v
 
     return Trajectory(grid=grid, sigmas=sigmas, bins=bins, rows=rows,
                       sweeps_max=sweeps_max, last_residual=last_resid,
@@ -395,49 +413,78 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -
     """Max over nodes of || V_k - U(sigma_k,s)x - GL-quadrature of the
     Duhamel integral || / ||x||, with s and x the run's first node and
     state and V linearly interpolated at the Gauss-Legendre nodes inside
-    each step, all on the bins the run carried (V is 0 elsewhere).  Step j
-    reads the factors e^{-E} over (sigma_j, sigma_{j+1}) and over
-    (tau_n, sigma_{j+1}) per node, in that order, by the block, and a
-    diagonal family's node rows m_B(tau_n) by the block too."""
+    each step, all on the bins the run carried (V is 0 elsewhere).
+
+    The steps go a `row_blocks` block at a time.  Per block, array
+    operations take the factors e^{-E} over (sigma_j, sigma_{j+1}) and over
+    (tau_n, sigma_{j+1}) per node, the interpolants, a diagonal family's
+    node rows m_B(tau_n) (an apply-only family is applied node by node),
+    each step's quadrature sum, added node by node in order, and the norms;
+    only the transport of the integral and of x runs step by step.  Each
+    norm sums over every bin in grid order, as on the whole grid.  A node
+    whose residual is not finite raises NumericError.
+    """
     grid, bins, states = engine.grid, trajectory.bins, trajectory.rows
     axes = grid.xi_axes_at(bins)
-    squares = np.zeros(grid.n ** grid.dim)
-
-    def whole_norm(row: np.ndarray) -> float:
-        # the L2 norm summed over every bin in grid order, as on the whole
-        # grid: a sum over the carried bins alone would round differently
-        squares[bins] = np.abs(row) ** 2
-        return float(np.sqrt(np.sum(squares) * grid.cell_volume))
-
+    size = grid.n ** grid.dim
     sig = trajectory.sigmas
-    xnorm = max(whole_norm(states[0]), 1e-300)
     steps = len(sig) - 1
+
+    def whole_norms(block: np.ndarray) -> np.ndarray:
+        # the L2 norm of each row summed over every bin in grid order, as on
+        # the whole grid (a sum over the carried bins alone would round
+        # differently), a `row_blocks` block of whole-grid rows at a time
+        out = np.empty(len(block))
+        for part in row_blocks(len(block), size):
+            squares = np.zeros((part.stop - part.start, size))
+            squares[:, bins] = np.abs(block[part]) ** 2
+            out[part] = np.sqrt(np.sum(squares, axis=1) * grid.cell_volume)
+        return out
+
+    xnorm = max(float(whole_norms(states[:1])[0]), 1e-300)
     nodes, weights = gauss_legendre_panels(float(sig[0]), float(sig[-1]), steps,
                                            DUHAMEL_NODES)
-    rows = ((row for part in row_blocks(nodes.size, bins.size)
-             for row in family.multiplier(nodes[part], axes))
-            if hasattr(family, "multiplier") else None)
-    taus = nodes.reshape(steps, DUHAMEL_NODES)
-    decays = _step_decays(engine, np.column_stack([sig[:-1], taus]).ravel(),
-                          np.repeat(sig[1:], DUHAMEL_NODES + 1), axes)
-    taus, weights = taus.tolist(), weights.reshape(steps, DUHAMEL_NODES).tolist()
+    taus, weights = (a.reshape(steps, DUHAMEL_NODES) for a in (nodes, weights))
 
     acc = np.zeros(bins.size, dtype=complex)       # integral transported to sig[j]
     current = states[0].copy()
     worst = 0.0
-    for j in range(steps):
-        lo, hi = float(sig[j]), float(sig[j + 1])
-        step_mult = next(decays)
-        contrib = np.zeros(bins.size, dtype=complex)
-        for tau, wn in zip(taus[j], weights[j]):
-            frac = (tau - lo) / (hi - lo)
-            v_tau = (1.0 - frac) * states[j] + frac * states[j + 1]
-            g = (v_tau * next(rows) if rows is not None else
-                 _apply_on(family, tau, grid, bins, v_tau))
-            contrib += wn * next(decays) * g
-        acc = step_mult * acc + contrib
-        current = step_mult * current
-        worst = max(worst, whole_norm(states[j + 1] - current - acc) / xnorm)
+    for part in row_blocks(steps, (DUHAMEL_NODES + 1) * bins.size):
+        count, after = part.stop - part.start, slice(part.start + 1, part.stop + 1)
+        lo, hi = sig[part, None], sig[after, None]
+        decays = _step_decays(engine, np.column_stack([lo, taus[part]]).ravel(),
+                              np.repeat(sig[after], DUHAMEL_NODES + 1), axes)
+        decays = decays.reshape(count, DUHAMEL_NODES + 1, bins.size)
+        frac = ((taus[part] - lo) / (hi - lo))[..., None]
+        # V interpolated at the nodes, then B V there
+        g = (1.0 - frac) * states[part, None]
+        g += frac * states[after, None]
+        if hasattr(family, "multiplier"):
+            g *= family.multiplier(taus[part].ravel(), axes).reshape(g.shape)
+        else:
+            g = np.array([[_apply_on(family, tau, grid, bins, v) for tau, v in zip(ts, vs)]
+                          for ts, vs in zip(taus[part].tolist(), g)])
+        # w_n e^{-E} B V at the nodes, in place of the node factors
+        terms = np.multiply(weights[part, :, None], decays[:, 1:], out=decays[:, 1:])
+        terms *= g
+        del g                           # one block fewer alive during the norms
+        integral = np.zeros((count, bins.size), dtype=complex)
+        for n in range(DUHAMEL_NODES):
+            integral += terms[:, n]                 # node by node, in order
+        transported = np.empty_like(integral)
+        # the only recurrences: the integral and x, each carried a step on
+        for step_mult, row, moved in zip(decays[:, 0], integral, transported):
+            row += step_mult * acc
+            acc = row
+            current = np.multiply(step_mult, current, out=moved)
+        residuals = whole_norms(states[after] - transported - integral) / xnorm
+        bad = np.flatnonzero(~np.isfinite(residuals))
+        if bad.size:
+            k = part.start + 1 + int(bad[0])
+            raise NumericError(
+                f"non-finite Duhamel residual at node {k} of {steps} "
+                f"(sigma={sig[k]:.6g})", witness={"node": k, "sigma": float(sig[k])})
+        worst = max(worst, float(np.max(residuals)))
     return worst
 
 

@@ -49,15 +49,20 @@ each piece backs an invariant the evolution-family theory rests on:
 * `dual_scale_moduli`: the moduli of t -> B(t) f in that Bessel norm, on
   the separations and base points of `perturbation_regularity_report`
   (the Mollifier is Lipschitz, slope 1, in it on indicator data);
-* `whole_grid_march` and `whole_grid_duhamel`: a diagonal family's
-  Volterra march and its Duhamel residual on every bin of the grid, as
+* `whole_grid_march` and `whole_grid_duhamel`: the Volterra march and its
+  Duhamel residual on every bin of the grid, one step at a time, as
   `solve_perturbed` and `duhamel_residual` took them before they carried
-  only the bins where x is nonzero; the carried march must give the same
-  states and residual bit for bit, and `whole_state` scatters its rows;
+  only the bins where a diagonal family's x is nonzero and before they
+  took a block of steps per array operation; an apply-only family is
+  resolved by Picard sweeps.  The carried, blocked march must give the
+  same states and residual bit for bit, and `whole_state` scatters its rows;
 * `heat_symbol`, `oscillating_symbol` and `drift_symbol`: the autonomous,
   time-dependent and non-elliptic symbols the fixtures are built from;
 * `constant_field`: a constant transport coefficient, the case the
-  characteristics oracle solves exactly.
+  characteristics oracle solves exactly;
+* `NaNOffTheGrid`: a diagonal family whose rows are NaN past a time except
+  on a march's sigma grid, so the march is finite and the Duhamel check
+  meets NaN at its Gauss-Legendre nodes.
 """
 
 import numpy as np
@@ -68,8 +73,8 @@ from evofam.assumptions import (RESOLVENT_MODULUS_RANGE, SamplePlan, StabilityCe
 from evofam.errors import ConfigurationError, ConvergenceError, DomainError, NumericError
 from evofam.evolution import RULE_OFFSETS, PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
-from evofam.perturbation import (BASE_POINTS, DUHAMEL_NODES, PICARD_REACH,
-                                 SEPARATIONS, Trajectory)
+from evofam.perturbation import (BASE_POINTS, DUHAMEL_NODES, PICARD_REACH, PICARD_SWEEPS,
+                                 PICARD_TOL, SEPARATIONS, Trajectory)
 from evofam.spectral import (Grid, GridFunction, apply_multiplier, norm, plancherel_norm,
                              row_blocks)
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
@@ -413,18 +418,39 @@ def _whole_grid_decays(engine: PropagatorEngine, lo, hi):
 
 def whole_grid_march(engine: PropagatorEngine, family, s: float, t: float,
                      x: GridFunction, steps: int) -> tuple[list, float]:
-    """The states of the diagonal trapezoid march of `solve_perturbed` on
-    every bin, and its largest Picard factor: B(sigma_{k-1}) V_{k-1} through
-    `apply`, the endpoint divided by 1 - h/2 m_B(sigma_k) where rhs is
-    nonzero, and the run refused past PICARD_REACH."""
+    """The states of the trapezoid march of `solve_perturbed` on every bin,
+    one step at a time, and its largest Picard factor: B(sigma_{k-1}) V_{k-1}
+    through `apply`; for a diagonal family the endpoint divided by
+    1 - h/2 m_B(sigma_k) where rhs is nonzero, and the run refused past
+    PICARD_REACH; for any other, Picard sweeps to PICARD_TOL."""
     grid = engine.grid
+    w = grid.cell_volume
     sigmas = np.linspace(s, t, steps + 1)
     half = 0.5 * (t - s) / steps
     states, contraction = [x.values.copy()], 0.0
+
+    def apply(tau, values):
+        return family.apply(tau, GridFunction(grid, values)).values
+
     for k, decay in enumerate(_whole_grid_decays(engine, sigmas[:-1], sigmas[1:]),
                               start=1):
         lo, hi, prev = float(sigmas[k - 1]), float(sigmas[k]), states[-1]
-        rhs = decay * (prev + half * family.apply(lo, GridFunction(grid, prev)).values)
+        rhs = decay * (prev + half * apply(lo, prev))
+        if not hasattr(family, "multiplier"):
+            v, update = rhs + half * apply(hi, prev), 0.0
+            for _ in range(PICARD_SWEEPS):
+                v_next = rhs + half * apply(hi, v)
+                change = plancherel_norm(v_next - v, w)
+                if update > 0.0:
+                    contraction = max(contraction, change / update)
+                resid = change / max(plancherel_norm(v_next, w), 1e-300)
+                v, update = v_next, change
+                if resid <= PICARD_TOL:
+                    break
+            else:
+                raise ConvergenceError(f"Picard failed at node {k}", residual=resid)
+            states.append(v)
+            continue
         m = family.multiplier(hi, grid.xi_axes())
         carried = rhs != 0
         q = half * float(np.max(np.abs(m), where=carried, initial=0.0))
@@ -437,9 +463,10 @@ def whole_grid_march(engine: PropagatorEngine, family, s: float, t: float,
 
 def whole_grid_duhamel(states: list, sigmas: np.ndarray, engine: PropagatorEngine,
                        family) -> float:
-    """`duhamel_residual` of a diagonal family on the whole-grid `states` at
-    the nodes `sigmas`: step j's factors over (sigma_j, sigma_{j+1}) and
-    (tau_n, sigma_{j+1}), its node rows m_B(tau_n), all on every bin."""
+    """`duhamel_residual` on the whole-grid `states` at the nodes `sigmas`,
+    one step at a time: step j's factors over (sigma_j, sigma_{j+1}) and
+    (tau_n, sigma_{j+1}), and B(tau_n) by its node row m_B(tau_n), or by
+    `apply` for a family without rows, all on every bin."""
     grid = engine.grid
     w = grid.cell_volume
     steps = len(sigmas) - 1
@@ -460,7 +487,10 @@ def whole_grid_duhamel(states: list, sigmas: np.ndarray, engine: PropagatorEngin
         for tau, wn in zip(taus[j].tolist(), weights[j].tolist()):
             frac = (tau - lo) / (hi - lo)
             v_tau = (1.0 - frac) * states[j] + frac * states[j + 1]
-            contrib += wn * next(decays) * (v_tau * family.multiplier(tau, grid.xi_axes()))
+            g = (v_tau * family.multiplier(tau, grid.xi_axes())
+                 if hasattr(family, "multiplier")
+                 else family.apply(tau, GridFunction(grid, v_tau)).values)
+            contrib += wn * next(decays) * g
         acc = step_mult * acc + contrib
         current = step_mult * current
         worst = max(worst, plancherel_norm(states[j + 1] - current - acc, w) / xnorm)
@@ -497,3 +527,21 @@ def drift_symbol(horizon: float = 1.0) -> SymbolSpec:
 def constant_field(value: float) -> TimeSpaceCoefficient:
     """The transport coefficient c(t, x) = value."""
     return TimeSpaceCoefficient(constant(value))
+
+
+class NaNOffTheGrid:
+    """The diagonal family `inner` with NaN rows at every time after
+    `after` that is not one of `sigmas`: a march on the sigma grid `sigmas`
+    reads finite rows only, and the Duhamel check reads NaN rows at the
+    nodes of every step that reaches past `after`."""
+
+    def __init__(self, inner, sigmas, after: float):
+        self.inner, self.sigmas, self.after = inner, sigmas, after
+
+    def multiplier(self, t, xi_axes):
+        rows = self.inner.multiplier(t, xi_axes)
+        off = (np.asarray(t) > self.after) & ~np.isin(t, self.sigmas)
+        return np.where(off[..., None] if off.ndim else off, np.nan, rows)
+
+    def apply(self, t, f: GridFunction) -> GridFunction:
+        return GridFunction(f.grid, f.values * self.multiplier(t, f.grid.xi_axes()))

@@ -446,6 +446,30 @@ def test_perturb_holds_one_trajectory_at_a_time(tmp_path):
     assert peak <= bound
 
 
+def test_a_non_finite_duhamel_node_fails_the_run(tmp_path, monkeypatch):
+    # rows NaN between the 8 sigma nodes past 0.5 keep the march finite; the
+    # Duhamel check names its first NaN node, and perturb exits 1 with the
+    # failure envelope
+    from evofam import config as cfg
+    from evofam.perturbation import MultiplierFamily
+    from evofam.symbols import constant
+    from reference import NaNOffTheGrid
+    config = bundled_config("h1")
+    config["grid"]["n"] = 64
+    config["solver"]["steps"] = 8
+    path = write_config(tmp_path, config)
+    sigmas = np.linspace(0.0, 0.9, 9)
+    monkeypatch.setattr(cfg, "build_perturbation", lambda section: NaNOffTheGrid(
+        MultiplierFamily(constant(0.5)), sigmas, 0.5))
+    assert main(["perturb", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--stable"]) == 1
+    doc = json.loads((tmp_path / "o" / "report.json").read_text())
+    # step 4 runs over (0.45, 0.5625), and its last two nodes lie past 0.5
+    assert doc["error"] == "non-finite Duhamel residual at node 5 of 8 (sigma=0.5625)"
+    assert doc["witness"] == {"node": 5, "sigma": 0.5625}
+    assert doc["stages"] == ["solve"]
+
+
 def test_picard_failure_names_the_failing_run(tmp_path):
     # at steps = 2 the 2-step M run contracts (Picard factor 0.225), and the
     # 1-step M/2 run (factor 0.45) is refused after solve and duhamel

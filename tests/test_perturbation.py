@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evofam import perturbation as per
-from evofam.errors import ConfigurationError, ConvergenceError, UnsupportedError
+from evofam.errors import ConfigurationError, ConvergenceError, NumericError, UnsupportedError
 from evofam.evolution import PropagatorEngine, observed_orders
 from evofam.perturbation import (SEPARATIONS, Mollifier, MultiplierFamily,
                                  SmoothingComposite, _slope, commuting_oracle,
@@ -13,7 +13,7 @@ from evofam.perturbation import (SEPARATIONS, Mollifier, MultiplierFamily,
 from evofam.spectral import (Grid, GridFunction, indicator, inverse_transform, mode,
                              norm, random_band_limited)
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
-from reference import (dual_scale_moduli, heat_symbol, oscillating_symbol,
+from reference import (NaNOffTheGrid, dual_scale_moduli, heat_symbol, oscillating_symbol,
                        whole_grid_duhamel, whole_grid_march, whole_state)
 
 
@@ -273,13 +273,16 @@ class TestVolterraSolver:
         builds = []
         rows = per._rows
         monkeypatch.setattr(per, "_rows", lambda family, t, axes, build: rows(
-            family, t, axes, lambda t: builds.append(t) or build(t)))
+            family, t, axes, lambda t: builds.append(np.ravel(t).tolist()) or build(t)))
         with pytest.raises(ConvergenceError) as info:
             solve_perturbed(engine, family, 0.0, 1.0, x, 8)
         assert str(info.value) == ("Picard factor 1 exceeds the sweeps' reach 0.251189 "
                                    "at node 4 of 8 (sigma=0.5) in the 8-step run")
         assert info.value.residual == 1.0 > per.PICARD_REACH
-        assert builds == [0.0, 0.125, 0.25, 0.375, 0.5]
+        # the 8 steps fit one block: its endpoint rows come in one build, the
+        # divisors 1 - h/2 m_B beside them (a subtraction, so no warning), and
+        # then the whole-grid row at sigma_0 for B(s)x
+        assert builds == [[k / 8 for k in range(1, 9)], [0.0]]
         # the same family seen through `apply` fails its sweeps at that node
         with pytest.raises(ConvergenceError, match=r"^Picard failed to contract "
                                                    r"at node 4 of 8 \(sigma=0\.5\)"):
@@ -447,10 +450,11 @@ ROW_STEPS = 100
 def test_each_sinc_row_is_built_once(monkeypatch):
     """The march builds B(sigma_k) once for all its uses (its endpoint, the
     next step's explicit term and every Picard sweep): M + 1 rows on M
-    steps.  A diagonal march builds the row at sigma_0 on the whole grid,
-    for its one `apply`, and the M endpoint rows on the bins x carries; the
-    Duhamel check takes its 4M node rows on those bins too, in blocks of
-    BLOCK_ELEMENTS / |carried| rows, one `np.sinc` call per block."""
+    steps.  A diagonal march takes the M endpoint rows on the bins x carries
+    by the block of steps, one `np.sinc` call per block, and then the row at
+    sigma_0 on the whole grid, for its one `apply`; the Duhamel check takes
+    its 4M node rows on those bins too, by the block of BLOCK_ELEMENTS /
+    (5 |carried|) steps (a step reads 5 factors e^{-E})."""
     from evofam import spectral
     engine = PropagatorEngine(heat_symbol(horizon=1.0), LEG_GRID)
     x = random_band_limited(LEG_GRID, np.random.default_rng(3), band=4)
@@ -470,12 +474,13 @@ def test_each_sinc_row_is_built_once(monkeypatch):
     sizes.clear()
     traj = solve_perturbed(engine, Mollifier(), 0.0, 0.9, x, ROW_STEPS)
     assert traj.sweeps_max == 0
-    assert sizes == [LEG_GRID.n] + [carried] * ROW_STEPS
+    assert spectral.BLOCK_ELEMENTS // carried >= ROW_STEPS
+    assert sizes == [carried * ROW_STEPS, LEG_GRID.n]
     sizes.clear()
     duhamel_residual(traj, engine, Mollifier())
-    per_block = spectral.BLOCK_ELEMENTS // carried
+    per_block = spectral.BLOCK_ELEMENTS // ((per.DUHAMEL_NODES + 1) * carried)
     nodes = per.DUHAMEL_NODES * ROW_STEPS
-    assert len(sizes) == -(-nodes // per_block)
+    assert len(sizes) == -(-ROW_STEPS // per_block)
     assert sum(sizes) == nodes * carried
 
 
@@ -488,6 +493,26 @@ def test_block_rows_match_the_per_node_apply():
     traj = solve_perturbed(engine, ApplyOnly(), 0.25, 0.9, x, ROW_STEPS)
     assert (duhamel_residual(traj, engine, Mollifier())
             == duhamel_residual(traj, engine, ApplyOnly()))
+
+
+def test_a_non_finite_duhamel_node_is_refused():
+    """Rows that are NaN between the sigma nodes past sigma = 0.5 leave the
+    march finite and unchanged, but make every Duhamel residual from the
+    first step past 0.5 on NaN: the check names that node instead of
+    returning the max over the nodes before it."""
+    engine = PropagatorEngine(heat_symbol(horizon=1.0), LEG_GRID)
+    x = random_band_limited(LEG_GRID, np.random.default_rng(2), band=4)
+    clean = MultiplierFamily(constant(0.5))
+    sigmas = np.linspace(0.0, 1.0, 9)
+    dirty = NaNOffTheGrid(clean, sigmas, 0.5)
+    traj = solve_perturbed(engine, dirty, 0.0, 1.0, x, 8)
+    assert traj.rows.tobytes() == solve_perturbed(engine, clean, 0.0, 1.0, x, 8).rows.tobytes()
+    assert np.isfinite(duhamel_residual(traj, engine, clean))
+    with pytest.raises(NumericError) as info:
+        duhamel_residual(traj, engine, dirty)
+    # step 4 runs over (0.5, 0.625): node 5 is the first past 0.5
+    assert str(info.value) == "non-finite Duhamel residual at node 5 of 8 (sigma=0.625)"
+    assert info.value.witness == {"node": 5, "sigma": 0.625}
 
 
 def test_division_matches_the_picard_sweeps():
@@ -510,13 +535,11 @@ BLOCK_STEPS = 10
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("family", sorted(LEG_FAMILIES))
 def test_block_boundaries_leave_the_march_unchanged(monkeypatch, family, rows):
-    """Both marches read e^{-E} a block of rows at a time, and the Duhamel
-    check reads a diagonal family's node rows m_B(tau_n) the same way.  At
-    the default budget the 10-step run, its 50 Duhamel factors and its 40
-    node rows each fit one block; a budget of `rows` grid rows per block (1:
-    the scalar march, 3: blocks that divide neither the steps nor the five
-    factors or four nodes of a Duhamel step) must give the same states and
-    residual bit for bit."""
+    """Both marches and the Duhamel check take a block of steps at a time.
+    At the default budget the 10-step run and its Duhamel check (5 rows a
+    step) each fit one block; a budget of `rows` grid rows per block (1: a
+    block per step, 3: march blocks of 3 steps, which do not divide the 10)
+    must give the same states and residual bit for bit."""
     from evofam import spectral
     engine = PropagatorEngine(oscillating_symbol(), LEG_GRID)
     fam = LEG_FAMILIES[family]
@@ -526,7 +549,7 @@ def test_block_boundaries_leave_the_march_unchanged(monkeypatch, family, rows):
         traj = solve_perturbed(engine, fam, 0.25, 0.9, x, BLOCK_STEPS)
         return traj.rows.tobytes(), duhamel_residual(traj, engine, fam)
 
-    assert spectral.BLOCK_ELEMENTS >= 5 * (BLOCK_STEPS + 1) * LEG_GRID.n
+    assert spectral.BLOCK_ELEMENTS >= (per.DUHAMEL_NODES + 1) * BLOCK_STEPS * LEG_GRID.n
     default = march()
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * LEG_GRID.n)
     assert march() == default
@@ -542,12 +565,14 @@ CARRIED_SYMBOLS = {
 
 
 def assert_carried_march_is_the_whole_grid_march(engine, family, x, steps):
-    """The march on the bins x carries against `whole_grid_march`: each
-    state bit for bit on those bins and exactly 0 off them, the same Picard
-    factor and the same Duhamel residual."""
+    """The march on the bins x carries (every bin for an apply-only family)
+    against `whole_grid_march`: each state bit for bit on those bins and
+    exactly 0 off them, the same Picard factor and the same Duhamel
+    residual."""
     traj = solve_perturbed(engine, family, 0.25, 0.9, x, steps)
     states, contraction = whole_grid_march(engine, family, 0.25, 0.9, x, steps)
-    bins = np.flatnonzero(x.values)
+    bins = (np.flatnonzero(x.values) if hasattr(family, "multiplier")
+            else np.arange(x.values.size))
     assert np.array_equal(traj.bins, bins)
     assert len(traj.rows) == len(states)
     for k, ref in enumerate(states):
@@ -572,14 +597,48 @@ def test_carried_march_equals_the_whole_grid_march(family, symbol, band, steps, 
     assert_carried_march_is_the_whole_grid_march(engine, ROW_FAMILIES[family], x, steps)
 
 
+# td1's symbol plus xi_2^2 + 0.5 xi_1 xi_2 on a 32^2 grid
+PLANE_SYMBOL = SymbolSpec(dim=2, order=2, horizon=2.0 * np.pi, coefficients={
+    (2, 0): CoefficientFunction(const=-2.0, trig=((1.0, 0.0, -1.0),)),
+    (0, 2): constant(-1.0), (1, 1): constant(-0.5), (0, 0): constant(1.0)})
+PLANE_GRID = Grid(2, 32, 2.0 * np.pi)
+
+
 @pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
 def test_carried_march_in_two_dimensions(family):
-    """On a 32^2 grid with td1's symbol plus xi_2^2 + 0.5 xi_1 xi_2, the
-    carried bins' 1-D axes give the same march as the grid's 2-D axes."""
-    spec = SymbolSpec(dim=2, order=2, horizon=2.0 * np.pi, coefficients={
-        (2, 0): CoefficientFunction(const=-2.0, trig=((1.0, 0.0, -1.0),)),
-        (0, 2): constant(-1.0), (1, 1): constant(-0.5), (0, 0): constant(1.0)})
-    grid = Grid(2, 32, 2.0 * np.pi)
-    x = random_band_limited(grid, np.random.default_rng(8), band=4)
+    """On PLANE_GRID the carried bins' 1-D axes give the same march as the
+    grid's 2-D axes."""
+    x = random_band_limited(PLANE_GRID, np.random.default_rng(8), band=4)
     assert_carried_march_is_the_whole_grid_march(
-        PropagatorEngine(spec, grid), ROW_FAMILIES[family], x, 16)
+        PropagatorEngine(PLANE_SYMBOL, PLANE_GRID), ROW_FAMILIES[family], x, 16)
+
+
+RAGGED_STEPS = 37       # a prime: no block of 2 or more steps divides the run
+BLOCKED_FAMILIES = {**ROW_FAMILIES, "smoothing": SmoothingComposite(2)}
+
+
+@pytest.mark.parametrize("budget", ["64 values", "15 rows"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", sorted(BLOCKED_FAMILIES))
+def test_blocked_march_equals_the_step_by_step_march(monkeypatch, family, dim, budget):
+    """The march and the Duhamel check take a block of steps per array
+    operation, and the Duhamel norms a block of whole-grid rows.  Budgets of
+    64 values, or of 15 rows of the run's carried width (9 or 81 bins of
+    band-4 data for a diagonal family, all 64 or 1024 for the smoothing
+    family), split the 37-step run into several blocks that end on a ragged
+    one: at 15 rows, march blocks of 15 + 15 + 7 steps and Duhamel blocks of
+    3 steps (a step reads 5 factor rows), 12 of them and then 1.  Each state,
+    the Picard factor and the Duhamel residual must be those of the step by
+    step `whole_grid_march` and `whole_grid_duhamel`, bit for bit."""
+    from evofam import spectral
+    engine = (PropagatorEngine(oscillating_symbol(), CARRIED_GRID) if dim == 1
+              else PropagatorEngine(PLANE_SYMBOL, PLANE_GRID))
+    fam = BLOCKED_FAMILIES[family]
+    x = random_band_limited(engine.grid, np.random.default_rng(5), band=4)
+    width = (np.count_nonzero(x.values) if hasattr(fam, "multiplier")
+             else engine.grid.n ** dim)
+    budget = 64 if budget == "64 values" else 15 * width
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", budget)
+    assert len(spectral.row_blocks(RAGGED_STEPS, width)) >= 2
+    assert len(spectral.row_blocks(RAGGED_STEPS, 5 * width)) >= 2
+    assert_carried_march_is_the_whole_grid_march(engine, fam, x, RAGGED_STEPS)
