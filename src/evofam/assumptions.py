@@ -26,19 +26,22 @@ those of the difference of reciprocals, so it is the same sampled sup; only
 rounding differs, and the factored form does not cancel on near-coincident
 pairs.
 
-Two rules skip repeated work without moving a sup or its witness:
+Three rules skip repeated work without moving a sup or its witness:
 * Columns: bins whose monomials (i xi)^alpha are all equal (after + 0.0, so
   -0 and +0 agree; xi and -xi under even terms) have equal columns of
   a(t, .) at every t, so `_symbol_matrix` holds one column per class, at
   its first bin.
-* Pairs: a pair with c_alpha(s) = c_alpha(t) for every alpha has
-  a(s, .) = a(t, .), so each of its C', C, A3 and cd quotients is 0 or
-  non-finite (2 cap) whatever t - s is; `_pair_table` lists the first such
-  pair per coefficient vector and every pair whose coefficients differ.
-A dropped column or pair repeats the quotients of one listed before it,
-so the first maximum in sample-row-column order, and with it the witness,
-lies on what is swept.  The reported counts (`samples`, `pair_count`)
-still count every bin and every pair.
+* Rows: times whose coefficients c_alpha(t) are all equal (`_time_classes`)
+  have equal rows a(t, .), so the sector, theta*, kappa and Kato tables
+  hold one row per class, at its first time.
+* Pairs: a pair whose times share a class has a(s, .) = a(t, .), so each
+  of its C', C, A3 and cd quotients is 0 or non-finite (2 cap) whatever
+  t - s is; `_pair_table` lists the first such pair per class and every
+  pair whose coefficients differ.
+A dropped column, row or pair repeats the quotients of one listed before
+it, so the first maximum in sample-row-column order, and with it the
+witness, lies on what is swept.  The reported counts (`samples`,
+`partitions_tested`, `pair_count`) still count every cell, partition and pair.
 """
 
 from __future__ import annotations
@@ -85,11 +88,15 @@ class SamplePlan:
         )
 
 
-def _row_keys(table: np.ndarray) -> np.ndarray:
-    """One bytes key per row of a complex table, read after + 0.0 so that
-    -0 and +0 give one key: rows have equal keys iff their values are equal."""
+def _classes(table: np.ndarray):
+    """The first row of each class of equal rows of a numeric table, in row
+    order, and the class of every row.  Rows are keyed by their bytes after
+    + 0.0, so -0 and +0 agree: equal keys iff equal values."""
     table = np.ascontiguousarray(table + 0.0)
-    return table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 def _bin_classes(spec: SymbolSpec, grid: Grid):
@@ -97,12 +104,15 @@ def _bin_classes(spec: SymbolSpec, grid: Grid):
     all equal, in bin order, and the class of every bin (C order)."""
     def build():
         monos = spec.monomials(grid.xi_axes()).values()
-        _, first, inverse = np.unique(_row_keys(np.stack(
-            [np.broadcast_to(m, grid.shape).reshape(-1) for m in monos], axis=1)),
-            return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        return first[order], np.argsort(order)[inverse]
+        return _classes(np.stack(
+            [np.broadcast_to(m, grid.shape).reshape(-1) for m in monos], axis=1))
     return memo(spec, "bin_classes", build, grid)
+
+
+def _time_classes(spec: SymbolSpec, ts: np.ndarray):
+    """The first time of each class of times whose coefficients c_alpha(t)
+    are all equal, in time order, and the class of every time."""
+    return _classes(np.stack([c(ts) for c in spec.coefficients.values()], axis=1))
 
 
 def _symbol_matrix(spec: SymbolSpec, grid: Grid, ts: np.ndarray) -> np.ndarray:
@@ -120,6 +130,15 @@ def _symbol_matrix(spec: SymbolSpec, grid: Grid, ts: np.ndarray) -> np.ndarray:
         spec, "class_axes", lambda: tuple(np.ascontiguousarray(grid.xi_rows()[first].T)),
         grid)
     return spec.time_matrix(ts, axes).reshape(len(ts), -1)
+
+
+def _time_rows(spec: SymbolSpec, grid: Grid, samples: int):
+    """The first time of each `_time_classes` class of `samples` uniform
+    times on [0, T], the class of every time, and `_symbol_matrix` on the
+    first times (equal coefficients give equal rows)."""
+    ts = np.linspace(0.0, spec.horizon, samples)
+    first, classes = _time_classes(spec, ts)
+    return ts[first], classes, _symbol_matrix(spec, grid, ts[first])
 
 
 def _bin_xi(spec: SymbolSpec, grid: Grid, column: int) -> list:
@@ -212,8 +231,7 @@ def _sector_measure(spec: SymbolSpec, grid: Grid, theta: float, plan: SamplePlan
     number of (t, xi) cells."""
     if not np.pi / 2 < theta < np.pi:
         raise DomainError(f"theta must lie in (pi/2, pi), got {theta}")
-    ts = np.linspace(0.0, spec.horizon, plan.time_samples)
-    a = _symbol_matrix(spec, grid, ts)
+    ts, _, a = _time_rows(spec, grid, plan.time_samples)
     # sample 0 is 1/|a|, sample 1 the sup over the sector of |lambda|/|lambda + a|
     parts = (lambda b: 1.0 / np.abs(b), lambda b: _sector_sup(b, theta))
     quotient = lambda m, lo, hi: parts[m](a[lo:hi])
@@ -221,7 +239,7 @@ def _sector_measure(spec: SymbolSpec, grid: Grid, theta: float, plan: SamplePlan
     worst = {"kind": "resolvent_ratio" if m else "inverse_bound", "value": value,
              "t": float(ts[i]), "lambda": _sector_argmax(a[i, j], theta) if m else None,
              "xi": _bin_xi(spec, grid, j)}
-    return value, worst, len(ts) * len(grid.xi_rows())
+    return value, worst, plan.time_samples * len(grid.xi_rows())
 
 
 def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
@@ -248,7 +266,7 @@ def largest_passing_theta(spec: SymbolSpec, grid: Grid,
     difference keeps few digits of psi, so theta* steps down one ulp at a time
     while that cell's sup exceeds cap.  nan if cap < 1, if some 1/|a| > cap
     (a = 0 included) or if theta* is not in (pi/2, pi)."""
-    a = _symbol_matrix(spec, grid, np.linspace(0.0, spec.horizon, plan.time_samples))
+    a = _time_rows(spec, grid, plan.time_samples)[2]
     with np.errstate(divide="ignore"):
         if plan.cap < 1.0 or np.max(1.0 / np.abs(a)) > plan.cap:
             return float("nan")
@@ -299,33 +317,33 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
     quasi-contractivity bound for this symbol class.
 
     Every factor of a partition is a row of the sampled symbol matrix, so
-    each lambda takes log|lambda + a| once over the (times, columns) table,
-    and each order k gathers its partitions' rows from that table, blocked
-    over partitions by `row_blocks`; the semigroup form gathers Re a the
-    same way.  The draws keep their order (an order's partitions, then one
-    duration vector per partition), the factor sums run in factor order and
-    each bound is the same expression, so every ratio is the double that a
-    loop over (partition, lambda) computes, and the sup, which skips a NaN
-    ratio as that loop's `max` did, is the same bit for bit.
+    each lambda takes log|lambda + a| once over the (classes, columns)
+    table, and each order k gathers its distinct tuples of factor rows from
+    that table, blocked by `row_blocks` (a repeated tuple repeats its
+    ratio); the semigroup form gathers Re a for every partition.  The draws
+    keep their order (an order's partitions, then one duration vector per
+    partition), the factor sums run in factor order and each bound is the
+    same expression, so every ratio is the double that a loop over
+    (partition, lambda) computes, and the sup, which skips a NaN ratio as
+    that loop's `max` did, is the same bit for bit.
     """
     T = spec.horizon
 
     def measure(p: SamplePlan):
         rng = np.random.default_rng(p.seed)
-        ts = np.linspace(0.0, T, p.time_samples)
-        a = _symbol_matrix(spec, grid, ts)
+        _, classes, a = _time_rows(spec, grid, p.time_samples)
         w = omega if omega is not None else -float(np.min(a.real))
         lams = w + np.geomspace(1e-1, 1e3, p.kato_lambdas)
         anchors = np.linspace(0.0, T, 9)
-        t_index = lambda t: int(round(t / T * (len(ts) - 1)))
 
-        # per order k: row indices and durations, (partitions, k) each, and blocks
+        # per order k: the distinct factor rows, then the factor rows and the
+        # durations of every partition, (partitions, k) each
         orders = []
         for k in range(1, p.kato_kmax + 1):
-            parts = _partitions(T, k, p.kato_partitions, rng, anchors)
+            parts = np.array(_partitions(T, k, p.kato_partitions, rng, anchors))
             taus = np.array([rng.uniform(0.0, T / k, k) for _ in parts])
-            idx = np.array([[t_index(t) for t in part] for part in parts])
-            orders.append((k, idx, taus, row_blocks(len(parts), k * a.shape[1])))
+            idx = classes[np.rint(parts / T * (p.time_samples - 1)).astype(int)]
+            orders.append((k, idx[_classes(idx)[0]], idx, taus))
         log_m = np.log(m)
 
         def worst(log_prod, bound, best):
@@ -338,18 +356,18 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
             for rows in row_blocks(*a.shape):
                 np.log(np.abs(lam + a[rows], out=logs[rows]), out=logs[rows])
             log_gap = np.log(lam - w)
-            for k, idx, _, blocks in orders:
-                for part in blocks:
-                    worst_res = worst(-np.sum(logs[idx[part]], axis=1),
+            for k, rows, _, _ in orders:
+                for part in row_blocks(len(rows), k * a.shape[1]):
+                    worst_res = worst(-np.sum(logs[rows[part]], axis=1),
                                       log_m - k * log_gap, worst_res)
-        # semigroup form with random nonnegative durations
+        # semigroup form with random nonnegative durations, on every partition
         worst_semi = 0.0
-        for _, idx, taus, blocks in orders:
-            for part in blocks:
+        for k, _, idx, taus in orders:
+            for part in row_blocks(len(idx), k * a.shape[1]):
                 worst_semi = worst(
                     -np.sum(taus[part, :, None] * a.real[idx[part]], axis=1),
                     log_m + w * np.sum(taus[part], axis=1), worst_semi)
-        tested = sum(len(idx) for _, idx, _, _ in orders)
+        tested = sum(len(idx) for _, _, idx, _ in orders)
         return max(worst_res, worst_semi), w, worst_res, worst_semi, tested
 
     (_, w, res_base, semi_base, tested), fine, delta = _refined(measure, plan)
@@ -360,15 +378,12 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
 
 
 def _swept_pairs(spec: SymbolSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Mask of the pairs a sweep visits: every pair with c_alpha(s) !=
-    c_alpha(t) for some alpha, and the first zero-slope pair (equal
-    coefficients) per coefficient vector."""
-    times = np.concatenate([s, t])
-    keys = _row_keys(np.stack([c(times) for c in spec.coefficients.values()], axis=1))
-    zero = np.flatnonzero(keys[:len(s)] == keys[len(s):])
-    swept = np.ones(len(s), dtype=bool)
-    swept[zero] = False
-    swept[zero[np.unique(keys[zero], return_index=True)[1]]] = True
+    """Mask of the pairs a sweep visits: every pair whose times lie in
+    different `_time_classes` classes, and the first zero-slope pair (both
+    times in one class) per class."""
+    s_class, t_class = np.split(_time_classes(spec, np.concatenate([s, t]))[1], 2)
+    swept, zero = s_class != t_class, np.flatnonzero(s_class == t_class)
+    swept[zero[np.unique(s_class[zero], return_index=True)[1]]] = True
     return swept
 
 
@@ -533,8 +548,7 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
     diagonal model (both gauges are diagonal with those weights)."""
 
     def measure(p: SamplePlan):
-        ts = np.linspace(0.0, spec.horizon, p.time_samples)
-        a = _symbol_matrix(spec, grid, ts)
+        ts, _, a = _time_rows(spec, grid, p.time_samples)
         upper = lambda _, lo, hi: np.abs(a[lo:hi] / a[0])
         # the lower ratio inverts the upper one read by the non-finite rule
         lower = lambda _, lo, hi: 1.0 / np.fmin(upper(_, lo, hi), 2.0 * p.cap)

@@ -490,14 +490,14 @@ def duhamel_residual(trajectory: Trajectory, engine: PropagatorEngine, family) -
 
 def perturbed_family_checks(x: GridFunction, full: GridFunction,
                             half: GridFunction) -> float:
-    """Cocycle defect of V from the pipeline's s -> t runs, relative to ||x||:
-    `x` is the M-step run's first state, `full` its final state and `half`
-    the final state of the M // 2-step run.  The midpoint legs V(t,r)V(r,s)x
-    of M/2 steps each march the M-step run's two halves, so the defect
-    compares the final states of the M-step run and the M/2-step run (for
-    odd M, the floor(M/2)-step run): genuine discretization, O(dsigma^2).
-    It reads no trajectory, so the caller may release each run before the
-    next is marched.
+    """Step-halving difference of V from the pipeline's s -> t runs,
+    relative to ||x||: `x` is the M-step run's first state, `full` its
+    final state and `half` the final state of the M // 2-step run (for odd
+    M, the floor(M/2)-step run).  The report calls it `cocycle_defect`, but
+    no run marches legs V(t,r)V(r,s)x through a midpoint r: it is
+    ||V_M(t,s)x - V_{M/2}(t,s)x|| / ||x||, genuine discretization,
+    O(dsigma^2).  It reads no trajectory, so the caller may release each
+    run before the next is marched.
     """
     w = x.grid.cell_volume
     xnorm = max(plancherel_norm(x.values, w), 1e-300)

@@ -25,13 +25,16 @@ each piece backs an invariant the evolution-family theory rests on:
 * `coefficient_lipschitz` and `cd_lipschitz_bound`: the per-coefficient
   Lipschitz bounds, and from them the bound on the strong Lipschitz
   quotient that `certify_cd_system` samples;
+* the references below that sample times build their tables on every
+  time of the plan, one row per time, where the certifiers take one row
+  per `_time_classes` class: the Rows rule is checked against them;
 * `sampled_sector_ratios` and `sampled_sector_constant`: the lambda sweep
   the sector bound was once measured by, a lower bound on the closed-form
   sup that `check_sector` takes;
 * `theta_scan_reference`: the largest of THETA_SCAN's nine angles whose
   sector constant passes the cap on the plan, as `largest_passing_theta`
-  scanned before it took theta* in closed form; it must agree with theta*
-  on every scan angle;
+  scanned before it took theta* in closed form, read from the closed-form
+  sup on every (t, xi) cell; it must agree with theta* on every scan angle;
 * `reciprocal_resolvent_quotient` and `sampled_resolvent_lipschitz`: the
   C' quotient as a difference of reciprocals, the form
   `check_resolvent_lipschitz` took before it factored out the slope
@@ -69,7 +72,7 @@ import numpy as np
 
 from evofam.assumptions import (RESOLVENT_MODULUS_RANGE, SamplePlan, StabilityCertificate,
                                 _pair_table, _partitions, _refined, _sector_lambdas,
-                                _sector_measure, _symbol_matrix)
+                                _sector_sup, _symbol_matrix)
 from evofam.errors import ConfigurationError, ConvergenceError, DomainError, NumericError
 from evofam.evolution import RULE_OFFSETS, PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
@@ -280,11 +283,15 @@ def sampled_sector_constant(spec: SymbolSpec, grid: Grid, theta: float,
 
 def theta_scan_reference(spec: SymbolSpec, grid: Grid, plan: SamplePlan) -> float:
     """Largest THETA_SCAN angle whose sector constant M on `plan` is at most
-    its cap (nan if none), one pass over the (t, xi) cells per angle."""
+    its cap (nan if none), one pass over every (t, xi) cell per angle: M
+    passes iff each cell's 1/|a| and sector sup is finite and at most cap."""
+    a = spec.time_matrix(np.linspace(0.0, spec.horizon, plan.time_samples), grid.xi_axes())
     best = float("nan")
-    for theta in THETA_SCAN:
-        if _sector_measure(spec, grid, float(theta), plan)[0] <= plan.cap:
-            best = float(theta)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for theta in THETA_SCAN:
+            if np.all(1.0 / np.abs(a) <= plan.cap) and \
+                    np.all(_sector_sup(a, float(theta)) <= plan.cap):
+                best = float(theta)
     return best
 
 

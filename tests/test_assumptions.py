@@ -469,22 +469,25 @@ def test_sweep_rules_leave_every_record_unchanged(dim, kind, lead, cross, drift,
         asm._pair_table(spec, grid, NEIGHBOUR_PLAN.resolvent_pair_grid)[0][0])
     swept, pairs = certifier_records(spec, grid, vectors, NEIGHBOUR_PLAN), listed()
     classes = len(asm._bin_classes(spec, grid)[0])
-    # both rules off: every bin its own class and no pair dropped
-    own_classes = lambda spec, grid: (np.arange(len(grid.xi_rows())),) * 2
-    every_pair = lambda spec, s, t: np.ones(len(s), dtype=bool)
-    with mock.patch.object(asm, "_bin_classes", own_classes), \
-            mock.patch.object(asm, "_swept_pairs", every_pair):
+    rows = len(asm._time_rows(spec, grid, NEIGHBOUR_PLAN.time_samples)[0])
+    # all three rules off: every bin and every time its own class, so no
+    # column, row or pair is dropped
+    own_bins = lambda spec, grid: (np.arange(len(grid.xi_rows())),) * 2
+    own_times = lambda spec, ts: (np.arange(len(ts)),) * 2
+    with mock.patch.object(asm, "_bin_classes", own_bins), \
+            mock.patch.object(asm, "_time_classes", own_times):
         np.testing.assert_equal(certifier_records(spec, grid, vectors, NEIGHBOUR_PLAN),
                                 swept)
         every = listed()
     # the rules took effect: xi and -xi share a class unless an odd term
-    # tells them apart, an autonomous symbol sweeps one pair, and a step
-    # drops the zero-slope pairs on either side of its jump
+    # tells them apart, an autonomous symbol sweeps one row and one pair,
+    # and a step that jumps sweeps one row per side and drops the
+    # zero-slope pairs on either side of its jump
     assert classes < len(grid.xi_rows()) or odd
     if kind == "autonomous":
-        assert pairs == 1
+        assert rows == pairs == 1
     elif kind == "step":
-        assert pairs < every
+        assert rows == 1 + (jump != 0) and pairs < every
 
 
 @pytest.mark.parametrize("kind", ["trig", "step", "autonomous"])
@@ -544,6 +547,29 @@ def test_autonomous_pair_sweeps_visit_one_pair_per_plan(spec, cd_sweeps, grid,
     assert cprime.value == c.value == 0.0
 
 
+@pytest.mark.parametrize("spec", [heat_symbol(), drift_symbol()], ids=["h1", "nonelliptic"])
+def test_autonomous_time_sweeps_visit_one_row(spec, grid):
+    # every time has the same coefficients: the sector, kappa, theta* and
+    # Kato tables hold one row per plan, and the counts still cover every
+    # (t, xi) cell and every partition
+    heights, table = [], asm._symbol_matrix
+    plan = SamplePlan()
+
+    def spy(spec, grid, ts):
+        heights.append(len(ts))
+        return table(spec, grid, ts)
+
+    with mock.patch.object(asm, "_symbol_matrix", spy):
+        sector = check_sector(spec, grid, THETA, plan)
+        check_norm_equivalence(spec, grid, plan)
+        largest_passing_theta(spec, grid, plan)
+        kato = check_kato_stability(spec, grid, plan)
+    # base and refined plan for sector, kappa and Kato; theta* judges the base plan
+    assert heights == [1] * 7
+    assert sector.samples == 128 * 1024
+    assert kato.partitions_tested == 196
+
+
 def test_td1_sweeps_every_pair_on_513_columns(td1, grid, thin_plan, band_vectors,
                                               td1_suite):
     # xi and -xi give equal columns: 511 pairs, xi = 0 and the Nyquist bin
@@ -578,6 +604,21 @@ def test_kato_tables_give_the_partition_loop_record(name, plan, omega, grid, req
         == asdict(kato_reference(spec, grid, plan, omega=omega))
 
 
+@pytest.mark.parametrize("plan", [SamplePlan(), NEIGHBOUR_PLAN], ids=["default", "thin"])
+@pytest.mark.parametrize("dip", [0.125, 0.625])
+def test_kato_factors_read_the_nearest_sample(dip, plan, grid):
+    # Re a(t, 0) = 2 - cos 2 pi (t - dip) is least only at the anchor t = dip,
+    # at sample 15.875 (1/8) or 79.375 (5/8) of 128 and 31.75 or 159.375 of
+    # 255: the sup depends on which row a factor reads, and the record is
+    # the reference's, whose factors read row round(t / T * (samples - 1))
+    spec = SymbolSpec(dim=1, order=2, horizon=1.0, coefficients={
+        (2,): constant(-1.0),
+        (0,): CoefficientFunction(const=2.0, trig=((2.0 * np.pi, -np.cos(2.0 * np.pi * dip),
+                                                    -np.sin(2.0 * np.pi * dip)),))})
+    assert asdict(check_kato_stability(spec, grid, plan)) \
+        == asdict(kato_reference(spec, grid, plan))
+
+
 @pytest.mark.parametrize("kind", ["trig", "step", "autonomous"])
 @pytest.mark.parametrize("dim", [1, 2])
 @settings(max_examples=6, deadline=None)
@@ -592,20 +633,23 @@ def test_kato_tables_give_the_partition_loop_record_on_sweep_symbols(
 
 
 def test_kato_logs_one_table_per_lambda(td1, grid, monkeypatch):
-    # np.log sees each (time sample, column) cell once per lambda, plus
-    # scalar bound logs; a log per (partition, lambda) of the partition's
-    # factor rows fed it about 22.4 M elements on td1, against about 3.9 M
-    plan, log, logged = SamplePlan(), np.log, []
+    # np.log sees each (time class, column) cell once per lambda, plus scalar
+    # bound logs; a log per (partition, lambda) of the partition's factor
+    # rows fed it about 22.4 M elements on td1, against about 3.9 M, and
+    # the autonomous nonelliptic symbol has one time class per plan
+    plan, log = SamplePlan(), np.log
+    for spec, rows in ((td1, lambda p: p.time_samples), (drift_symbol(), lambda p: 1)):
+        columns, logged = len(asm._bin_classes(spec, grid)[0]), []
 
-    def counting(x, *args, **kwargs):
-        logged.append(np.size(x))
-        return log(x, *args, **kwargs)
+        def counting(x, *args, **kwargs):
+            logged.append(np.size(x))
+            return log(x, *args, **kwargs)
 
-    columns = len(asm._bin_classes(td1, grid)[0])
-    monkeypatch.setattr(np, "log", counting)
-    check_kato_stability(td1, grid, plan)
-    assert sum(logged) <= sum(p.kato_lambdas * (p.time_samples * columns + p.kato_kmax)
-                              for p in (plan, plan.refined()))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "log", counting)
+            check_kato_stability(spec, grid, plan)
+        assert sum(logged) <= sum(p.kato_lambdas * (rows(p) * columns + p.kato_kmax)
+                                  for p in (plan, plan.refined()))
 
 
 def test_symbol_matrix_builds_in_place(td1, grid):
