@@ -32,8 +32,8 @@ Three rules skip repeated work without moving a sup or its witness:
   a(t, .) at every t, so `_symbol_matrix` holds one column per class, at
   its first bin.
 * Rows: times whose coefficients c_alpha(t) are all equal (`_time_classes`)
-  have equal rows a(t, .), so the sector, theta*, kappa and Kato tables
-  hold one row per class, at its first time.
+  have equal rows a(t, .), so the sector, theta*, kappa, Kato and pair
+  tables hold one row per class, at its first time.
 * Pairs: a pair whose times share a class has a(s, .) = a(t, .), so each
   of its C', C, A3 and cd quotients is 0 or non-finite (2 cap) whatever
   t - s is; `_pair_table` lists the first such pair per class and every
@@ -377,11 +377,10 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
         refined_ratio=fine, refinement_delta=delta)
 
 
-def _swept_pairs(spec: SymbolSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Mask of the pairs a sweep visits: every pair whose times lie in
-    different `_time_classes` classes, and the first zero-slope pair (both
-    times in one class) per class."""
-    s_class, t_class = np.split(_time_classes(spec, np.concatenate([s, t]))[1], 2)
+def _swept_pairs(s_class: np.ndarray, t_class: np.ndarray) -> np.ndarray:
+    """Mask of the pairs a sweep visits, given the `_time_classes` class of
+    each pair's times: every pair whose times lie in different classes, and
+    the first zero-slope pair (both times in one class) per class."""
     swept, zero = s_class != t_class, np.flatnonzero(s_class == t_class)
     swept[zero[np.unique(s_class[zero], return_index=True)[1]]] = True
     return swept
@@ -389,11 +388,12 @@ def _swept_pairs(spec: SymbolSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int,
                 neighbours: bool = True):
-    """Pairs s < t as arrays (s, t, row_s, row_t) into the symbol matrix over
-    the sorted union of their times, that matrix, and the number of pairs
-    the sup covers: every base-grid pair plus the centred pairs.  With
-    `neighbours` only neighbouring base pairs are listed (exact for
-    quotients whose sup the triangle inequality puts on them).
+    """Pairs s < t as arrays (s, t, row_s, row_t) into the symbol matrix on
+    the first time of each `_time_classes` class of their times (the Rows
+    rule), that matrix, and the number of pairs the sup covers: every
+    base-grid pair plus the centred pairs.  With `neighbours` only
+    neighbouring base pairs are listed (exact for quotients whose sup the
+    triangle inequality puts on them).
 
     Only the `_swept_pairs` are listed.  Equal coefficients make a(s, .)
     and a(t, .) the same doubles, so each C', C, A3 and cd quotient of such
@@ -412,11 +412,12 @@ def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int,
     keep = (cs >= 0.0) & (ct <= T) & (ct > cs)
     s = np.concatenate([base[i], cs[keep]])
     t = np.concatenate([base[k], ct[keep]])
-    swept = _swept_pairs(spec, s, t)
-    s, t = s[swept], t[swept]
     times, rows = np.unique(np.concatenate([s, t]), return_inverse=True)
-    return ((s, t, rows[:len(s)], rows[len(s):]), _symbol_matrix(spec, grid, times),
-            covered + int(np.count_nonzero(keep)))
+    first, classes = _time_classes(spec, times)
+    row_s, row_t = np.split(classes[rows], 2)
+    swept = _swept_pairs(row_s, row_t)
+    return ((s[swept], t[swept], row_s[swept], row_t[swept]),
+            _symbol_matrix(spec, grid, times[first]), covered + int(np.count_nonzero(keep)))
 
 
 @dataclass(frozen=True)

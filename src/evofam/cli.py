@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,6 @@ CHAIN_SLACK = 0.05          # C' <= M^2 L (1 + slack): sampling slack of the lem
 ROUNDOFF = 1e-12            # identities that hold exactly up to roundoff
 KATO_TOL = 1e-9             # Kato ratios may exceed 1 by roundoff only
 VOLTERRA_TOL = 1e-6         # Duhamel residual and oracle error of the Volterra solver
-FAVARD_GAP = 0.01           # relative gap of a Favard estimate to its t -> 0 limit
 # L1 decay bound e^{-mu_min (t - r)}: upwind decays by mu at cell centres and step
 # midpoints, which the sampled mu_min need not bound, an O(h) gap of a first-order scheme
 DECAY_SLACK = 10.0          # relative slack per unit cell width h
@@ -323,6 +323,11 @@ def run_perturb(config: dict, out: Path, seed: int, timer: StageTimer):
 
 
 def run_favard(config: dict, out: Path, seed: int, timer: StageTimer):
+    """The Favard norms of the initial data at each frozen time, in closed
+    form.  The identities sup_t (1/t) ||T(t) f - f|| = ||A(s) f|| (F1) and
+    = ||f|| in X_{-1} (F0) are a theorem when Re a(s, .) >= 0 on the data's
+    support (see `semigroup.FavardEstimate`), so `favard_identities` passes
+    iff that hypothesis holds at every time."""
     spec = cfg.build_symbol(config["symbol"])
     grid = cfg.build_grid(config["grid"])
     section = config.get("favard", {})
@@ -332,21 +337,10 @@ def run_favard(config: dict, out: Path, seed: int, timer: StageTimer):
                                  f"[0, {spec.horizon!r}], got {times!r}")
     f = _initial("favard", section, grid, seed)
 
-    results, ok = [], True
-    for s in times:
-        op = FrozenOperator(spec, s)
-        f1 = favard_norm(op, f, "F1")
-        f0 = favard_norm(op, f, "F0")
-        target_f1 = norm(op.apply(f))
-        target_f0 = norm(f)
-        gap1 = abs(f1.value - target_f1) / max(target_f1, 1e-300)
-        gap0 = abs(f0.value - target_f0) / max(target_f0, 1e-300)
-        ok = ok and gap1 <= FAVARD_GAP and gap0 <= FAVARD_GAP
-        results.append({"time": s, "f1": f1, "f1_target": target_f1,
-                        "f1_gap": gap1, "f0": f0, "f0_target": target_f0,
-                        "f0_gap": gap0})
+    results = [{"time": s, **asdict(favard_norm(FrozenOperator(spec, s), f))}
+               for s in times]
     timer.mark("favard")
-    verdicts = {"favard_identities": bool(ok)}
+    verdicts = {"favard_identities": all(r["min_re_a"] >= 0.0 for r in results)}
     report = {"times": times, "results": results, "verdicts": verdicts}
     return report
 

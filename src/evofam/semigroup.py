@@ -1,9 +1,13 @@
 """Frozen-time (autonomous) layer: the frozen generator, composite
 Gauss-Legendre panels and Favard norms.
 
-Freezing the symbol at time s gives the generator with multiplier
--a(s, xi); its semigroup is the multiplier e^{-tau a(s, .)}.  Everything
-here is exact modulo the grid.
+Freezing the symbol at time s gives the generator A(s) with multiplier
+-a(s, xi); its semigroup T(t) is the multiplier e^{-t a(s, .)}.  Everything
+here is exact modulo the grid.  The Favard norms are closed forms: if
+Re a(s, .) >= 0 on the support of f^, then |e^{-z} - 1| <= |z| for
+Re z >= 0, with equality as z -> 0, makes sup_{t > 0} (1/t) ||T(t) f - f||
+equal ||A(s) f|| (F1 = D(A)) and, in the X_{-1} gauge, ||f|| (F0 = X);
+see Engel & Nagel, One-Parameter Semigroups, II.5.b.
 """
 
 from __future__ import annotations
@@ -13,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .spectral import GridFunction, NormSpec, apply_multiplier, plancherel_norm
+from .spectral import GridFunction, NormSpec, norm
 from .symbols import SymbolSpec
-
-FAVARD_SAMPLES = 2.0 ** (-np.arange(41, dtype=float))   # t = 1 down to 2^-40, ratio 2
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,6 @@ class FrozenOperator:
     def symbol_on(self, grid) -> np.ndarray:
         return np.broadcast_to(self.spec.on_axes(self.time, grid.xi_axes()),
                                grid.shape)
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        """A(s) f, the multiplier -a(s, .)."""
-        return apply_multiplier(lambda xi: -self.spec.on_axes(self.time, xi), f)
 
     def gauge(self) -> NormSpec:
         """This operator's own extrapolation norm || a(s,.)^{-1} f ||_L2."""
@@ -58,39 +56,25 @@ def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int = 12):
 
 @dataclass(frozen=True)
 class FavardEstimate:
-    """Max difference quotient over a geometric t-grid."""
+    """The Favard norms of f at a frozen time s and the hypothesis they rest
+    on.  Theorem: if min_re_a >= 0, sup_{t > 0} (1/t) ||T(t) f - f|| = f1,
+    and the same sup in the operator's own X_{-1} gauge is f0."""
 
-    value: float
-    space: str                  # "F1" (quotient in X) | "F0" (quotient in X_{-1})
-    samples: int
-    argmax_t: float
-
-
-def _stable_expm1_abs(z_real: np.ndarray, z_imag: np.ndarray) -> np.ndarray:
-    """|e^z - 1| without cancellation: sqrt(expm1(x)^2 + 4 e^x sin^2(y/2))."""
-    em = np.expm1(z_real)
-    return np.sqrt(em**2 + 4.0 * np.exp(z_real) * np.sin(0.5 * z_imag) ** 2)
+    f1: float                   # ||A(s) f||, the F1 norm
+    f0: float                   # ||A(s) f||_{-1} in op.gauge(): ||f|| to roundoff
+    min_re_a: float             # min Re a(s, .) on the bins where f^ != 0 (inf if none)
+    witness_xi: list | None     # the frequency where that minimum falls
 
 
-def favard_norm(op: FrozenOperator, f: GridFunction, space: str = "F1") -> FavardEstimate:
-    """sup over FAVARD_SAMPLES of (1/t) || T(t) f - f ||, in L2 (F1) or X_{-1} (F0).
-
-    For multiplier semigroups with Re a >= omega > 0 the supremum is the
-    t -> 0 limit, which equals ||A(s) f|| for F1 and ||f|| for F0 (the F0
-    quotient is taken in the operator's own extrapolation gauge).
-    """
-    if space not in ("F1", "F0"):
-        raise ConfigurationError(f"space must be 'F1' or 'F0', got {space!r}")
+def favard_norm(op: FrozenOperator, f: GridFunction) -> FavardEstimate:
+    """The closed-form F1 and F0 norms of f at op's frozen time and min Re a
+    on the support of f^.  Both norms go through `spectral.norm`: a
+    non-finite A(s) f raises NumericError, and so does a symbol that
+    vanishes on the grid, whose X_{-1} gauge is undefined."""
     a = op.symbol_on(f.grid)
-    fhat = np.abs(f.values)
-    if space == "F0":
-        fhat = fhat * op.gauge().weight(f.grid)
-
-    best, best_t = 0.0, float(FAVARD_SAMPLES[0])
-    for t in FAVARD_SAMPLES:
-        amps = _stable_expm1_abs(-t * a.real, -t * a.imag)
-        value = plancherel_norm(amps * fhat, f.grid.cell_volume) / t
-        if value > best:
-            best, best_t = value, float(t)
-    return FavardEstimate(value=best, space=space, samples=FAVARD_SAMPLES.size,
-                          argmax_t=best_t)
+    af = GridFunction(f.grid, a * f.values)
+    support = np.flatnonzero(f.values)
+    re_a = a.real.reshape(-1)[support]
+    witness = f.grid.xi_rows()[support[np.argmin(re_a)]].tolist() if support.size else None
+    return FavardEstimate(f1=norm(af), f0=norm(af, op.gauge()),
+                          min_re_a=float(np.min(re_a, initial=np.inf)), witness_xi=witness)

@@ -175,23 +175,6 @@ def inverse_transform(values: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(values, norm="ortho")
 
 
-def apply_multiplier(m, f: GridFunction) -> GridFunction:
-    """Apply a Fourier multiplier; `m` maps per-axis frequency arrays to values.
-
-    `m` receives the tuple of broadcastable frequency axes and must return
-    an array broadcastable to the grid shape (or a scalar).
-    """
-    values = np.broadcast_to(np.asarray(m(f.grid.xi_axes()), dtype=complex),
-                             f.grid.shape)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        xi = [float(ax.reshape(-1)[i]) for ax, i in zip(f.grid.xi_axes(), idx)]
-        raise NumericError(f"multiplier non-finite at bin {idx} (xi={xi})",
-                           witness={"bin": idx, "xi": xi})
-    return GridFunction(f.grid, f.values * values)
-
-
 @dataclass(frozen=True)
 class NormSpec:
     """The extrapolation gauge of X_{-1}: || f / a(t0, .) ||_L2.
@@ -199,7 +182,7 @@ class NormSpec:
     X_{-1} is the extrapolation space of A(t0) with a(t0, .) the reference
     symbol at `reference_time`; its norm is the L2 norm of the spectrum
     times the weight 1/|a(t0, .)|, which requires |a(t0, .)| > 0 on the
-    whole grid.
+    whole grid, and large enough that the weight is a finite double.
     """
 
     reference: object            # SymbolSpec
@@ -210,10 +193,12 @@ class NormSpec:
         def build():
             a0 = np.broadcast_to(self.reference.on_axes(self.reference_time,
                                                         grid.xi_axes()), grid.shape)
-            if np.any(np.abs(a0) == 0.0):
+            with np.errstate(divide="ignore", over="ignore"):
+                weight = 1.0 / np.abs(a0)
+            if not np.all(np.isfinite(weight)):
                 raise NumericError("reference symbol vanishes on the grid; "
                                    "extrapolated norm undefined")
-            return 1.0 / np.abs(a0)
+            return weight
         return memo(self, "weight", build, grid)
 
 

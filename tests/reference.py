@@ -3,6 +3,13 @@
 No pipeline runs this code, so it lives with the tests.  It is kept because
 each piece backs an invariant the evolution-family theory rests on:
 
+* `apply_multiplier` and `frozen_generator`: a Fourier multiplier on a grid
+  function, and A(s) f = -a(s, .) f, the frozen generator the closed forms
+  of `favard_norm` and the resolvent identities are checked against;
+* `favard_sweep`: the Favard difference quotient (1/t) ||T(t) f - f|| on a
+  geometric t-grid, as `favard_norm` sampled it before it took the closed
+  forms; under Re a >= 0 on the data's support it reaches them from below,
+  and on one mode with Re a < 0 it exceeds them;
 * `frozen_semigroup`: the semigroup law T(t) T(s) = T(t + s) of the frozen
   generator, and the autonomous case U(t, s) = T(t - s) of the propagator;
 * `frozen_resolvent`: the resolvent identity
@@ -78,8 +85,7 @@ from evofam.evolution import RULE_OFFSETS, PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
 from evofam.perturbation import (BASE_POINTS, DUHAMEL_NODES, PICARD_REACH, PICARD_SWEEPS,
                                  PICARD_TOL, SEPARATIONS, Trajectory)
-from evofam.spectral import (Grid, GridFunction, apply_multiplier, norm, plancherel_norm,
-                             row_blocks)
+from evofam.spectral import Grid, GridFunction, norm, plancherel_norm, row_blocks
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
 from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
                               TransportState, transport_solve)
@@ -88,6 +94,46 @@ SINGULAR_TOL = 1e-14    # |lambda + a| below which the resolvent is singular
 COCYCLE_TOL = 1e-10     # exact-engine cocycle (exponent additivity over ~1e2 bins)
 MODULUS_RANGE = (1e-3, 1e6)   # |lambda| range of the sampled sector sweep
 THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)   # angles of the sector-angle scan
+FAVARD_SAMPLES = 2.0 ** (-np.arange(41, dtype=float))   # t = 1 down to 2^-40, ratio 2
+
+
+def apply_multiplier(m, f: GridFunction) -> GridFunction:
+    """Apply a Fourier multiplier; `m` maps per-axis frequency arrays to values.
+
+    `m` receives the tuple of broadcastable frequency axes and must return
+    an array broadcastable to the grid shape (or a scalar).
+    """
+    values = np.broadcast_to(np.asarray(m(f.grid.xi_axes()), dtype=complex),
+                             f.grid.shape)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        xi = [float(ax.reshape(-1)[i]) for ax, i in zip(f.grid.xi_axes(), idx)]
+        raise NumericError(f"multiplier non-finite at bin {idx} (xi={xi})",
+                           witness={"bin": idx, "xi": xi})
+    return GridFunction(f.grid, f.values * values)
+
+
+def frozen_generator(op: FrozenOperator, f: GridFunction) -> GridFunction:
+    """A(s) f, the multiplier -a(s, .)."""
+    return apply_multiplier(lambda xi: -op.spec.on_axes(op.time, xi), f)
+
+
+def expm1_abs(z_real: np.ndarray, z_imag: np.ndarray) -> np.ndarray:
+    """|e^z - 1| without cancellation or underflow of the squares:
+    hypot(expm1(x), 2 e^{x/2} sin(y/2))."""
+    return np.hypot(np.expm1(z_real), 2.0 * np.exp(0.5 * z_real) * np.sin(0.5 * z_imag))
+
+
+def favard_sweep(op: FrozenOperator, f: GridFunction, space: str) -> float:
+    """max over FAVARD_SAMPLES of (1/t) || T(t) f - f ||, in L2 ("F1") or in
+    the operator's own X_{-1} gauge ("F0")."""
+    a = op.symbol_on(f.grid)
+    fhat = np.abs(f.values)
+    if space == "F0":
+        fhat = fhat * op.gauge().weight(f.grid)
+    return max(plancherel_norm(expm1_abs(-t * a.real, -t * a.imag) * fhat,
+                               f.grid.cell_volume) / t for t in FAVARD_SAMPLES)
 
 
 def frozen_semigroup(op: FrozenOperator, tau: float, f: GridFunction) -> GridFunction:

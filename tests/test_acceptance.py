@@ -19,8 +19,8 @@ from evofam.semigroup import FrozenOperator, favard_norm
 from evofam.spectral import GridFunction, indicator, mode, norm, \
     random_band_limited
 from reference import (aligned_ladder_cocycle, cocycle_defect, constant_field,
-                       derivative_defect, drift_symbol, dual_scale_moduli,
-                       laplace_transform_check, mass_balance_defect)
+                       derivative_defect, drift_symbol, dual_scale_moduli, favard_sweep,
+                       frozen_generator, laplace_transform_check, mass_balance_defect)
 
 
 @pytest.fixture(scope="module")
@@ -106,15 +106,19 @@ def test_criterion_05_refinement_stability(td1_suite):
 
 
 def test_criterion_06_favard_identities(h1, td1, grid, xband):
-    """F1 estimates within 1% of ||A(s) f|| and F0 within 1% of ||f||,
-    on frozen times of both symbol families (reflexive identities)."""
+    """On frozen times of both symbol families Re a >= 0 on the data's
+    support, so the Favard norms are ||A(s) f|| (F1) and ||f|| (F0): the
+    closed forms equal them to roundoff, and the t-sweep of the difference
+    quotients reaches them from below (reflexive identities)."""
     cases = [(h1, 0.0), (h1, 0.5), (td1, 0.0), (td1, 1.0), (td1, 2.0)]
     for spec, s in cases:
         op = FrozenOperator(spec, s)
-        f1 = favard_norm(op, xband, "F1")
-        assert f1.value == pytest.approx(norm(op.apply(xband)), rel=0.01)
-        f0 = favard_norm(op, xband, "F0")
-        assert f0.value == pytest.approx(norm(xband), rel=0.01)
+        est = favard_norm(op, xband)
+        assert est.min_re_a >= 0.0
+        assert est.f1 == norm(frozen_generator(op, xband))
+        assert est.f0 == pytest.approx(norm(xband), rel=1e-14)
+        assert favard_sweep(op, xband, "F1") == pytest.approx(est.f1, rel=1e-10)
+        assert favard_sweep(op, xband, "F0") == pytest.approx(est.f0, rel=1e-10)
 
 
 def test_criterion_07_variation_of_constants_oracle(engine, grid, xband):

@@ -224,6 +224,19 @@ class TestLipschitz:
         assert rep.value > thin_plan.cap
         assert rep.witness["s"] < 1.0 < rep.witness["t"]
 
+    def test_step_symbol_pair_tables_hold_one_row_per_side(self, step_symbol, grid):
+        # the all-pairs and neighbour tables of the default plan, base and
+        # refined, list 587, 2317, 10 and 12 pairs over 66, 118, 19 and 23
+        # distinct times, but a(t, .) takes one value on each side of the jump
+        plan = SamplePlan()
+        tables = [asm._pair_table(step_symbol, grid, count, neighbours)
+                  for count, neighbours in ((plan.pair_grid, False),
+                                            (plan.refined().pair_grid, False),
+                                            (plan.resolvent_pair_grid, True),
+                                            (plan.refined().resolvent_pair_grid, True))]
+        assert [len(s) for (s, _, _, _), _, _ in tables] == [587, 2317, 10, 12]
+        assert [len(a) for _, a, _ in tables] == [2, 2, 2, 2]
+
     def test_h1_resolvent_constant_zero(self, h1, grid, thin_plan):
         assert check_resolvent_lipschitz(h1, grid, THETA, thin_plan).value == 0.0
 
@@ -465,9 +478,10 @@ def test_sweep_rules_leave_every_record_unchanged(dim, kind, lead, cross, drift,
     vectors = [random_band_limited(grid, np.random.default_rng(v), band=2)
                for v in range(2)]
 
-    listed = lambda: len(
-        asm._pair_table(spec, grid, NEIGHBOUR_PLAN.resolvent_pair_grid)[0][0])
-    swept, pairs = certifier_records(spec, grid, vectors, NEIGHBOUR_PLAN), listed()
+    table = lambda: asm._pair_table(spec, grid, NEIGHBOUR_PLAN.resolvent_pair_grid)
+    listed = lambda: len(table()[0][0])
+    swept, pairs, height = (certifier_records(spec, grid, vectors, NEIGHBOUR_PLAN),
+                            listed(), len(table()[1]))
     classes = len(asm._bin_classes(spec, grid)[0])
     rows = len(asm._time_rows(spec, grid, NEIGHBOUR_PLAN.time_samples)[0])
     # all three rules off: every bin and every time its own class, so no
@@ -481,13 +495,14 @@ def test_sweep_rules_leave_every_record_unchanged(dim, kind, lead, cross, drift,
         every = listed()
     # the rules took effect: xi and -xi share a class unless an odd term
     # tells them apart, an autonomous symbol sweeps one row and one pair,
-    # and a step that jumps sweeps one row per side and drops the
-    # zero-slope pairs on either side of its jump
+    # and a step that jumps sweeps one row per side, in the time tables and
+    # the pair tables alike, and drops the zero-slope pairs on either side
+    # of its jump
     assert classes < len(grid.xi_rows()) or odd
     if kind == "autonomous":
-        assert rows == pairs == 1
+        assert rows == pairs == height == 1
     elif kind == "step":
-        assert rows == 1 + (jump != 0) and pairs < every
+        assert rows == height == 1 + (jump != 0) and pairs < every
 
 
 @pytest.mark.parametrize("kind", ["trig", "step", "autonomous"])

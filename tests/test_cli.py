@@ -344,6 +344,50 @@ def test_numeric_failure_records_completed_stages(tmp_path, capsys, stable):
         assert set(doc["timings"]) == set(doc["stages"])
 
 
+def favard_h1(tmp_path, constant, initial=None):
+    """Bundled h1 on 64 bins with zeroth-order coefficient `constant`, so
+    that a(s, 0) = constant, and band-4 data unless `initial` is given."""
+    config = bundled_config("h1")
+    config["grid"]["n"] = 64
+    config["symbol"]["coefficients"][1]["const"] = [constant, 0.0]
+    if initial is not None:
+        config["favard"]["initial"] = initial
+    return write_config(tmp_path, config)
+
+
+@pytest.mark.parametrize("constant,initial", [(-0.5, None), (-2.0, {"kind": "mode", "k": [0]})],
+                         ids=["band4", "mode0"])
+def test_favard_fails_where_re_a_is_negative_on_the_support(tmp_path, capsys, constant,
+                                                            initial):
+    # Re a(s, 0) = constant < 0 and the data carries mode 0: the sampled
+    # sweep's sup sat at t = 2^-40, within 1% of ||A f||, and passed the band-4
+    # run; the closed forms rest on Re a >= 0 on the support, which fails
+    path = favard_h1(tmp_path, constant, initial)
+    out = tmp_path / "o"
+    assert main(["favard", "--config", str(path), "--out", str(out), "--stable"]) == 1
+    assert capsys.readouterr().out == "favard_identities: FAIL\n"
+    results = json.loads((out / "report.json").read_text())["report"]["results"]
+    assert [(r["min_re_a"], r["witness_xi"]) for r in results] == [(constant, [0.0])] * 2
+    if initial is not None:
+        assert all(r["f1"] == pytest.approx(-constant, rel=1e-15) for r in results)
+
+
+def test_favard_on_a_vanishing_symbol_keeps_the_failure_envelope(tmp_path, capsys):
+    # a(s, 0) = 0: the F0 norm has no X_{-1} gauge, so the run ends in a
+    # numeric failure and not in a verdict
+    path = favard_h1(tmp_path, 0.0)
+    out = tmp_path / "o"
+    assert main(["favard", "--config", str(path), "--out", str(out), "--stable"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numeric failure: reference symbol vanishes on the grid; "
+                            "extrapolated norm undefined\n")
+    doc = json.loads((out / "report.json").read_text())
+    assert set(doc) == {"subcommand", "seed", "config_hash", "environment",
+                        "error", "witness", "residual", "stages"}
+    assert doc["stages"] == []
+
+
 def test_band_limited_data_solves_past_the_grid_reach(tmp_path):
     # B = 0.5 |xi|^2 on 128 bins has factor 0.9 at |xi| = 64, but band-4
     # data carries |xi| <= 4 only, where the 1024-step factor is 0.0035:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from evofam.errors import DomainError, NumericError
 from evofam.semigroup import FrozenOperator, favard_norm, gauss_legendre_panels
 from evofam.spectral import GridFunction, mode, norm, random_band_limited
-from reference import (frozen_resolvent, frozen_semigroup, laplace_tail_bound,
-                       laplace_transform_check)
+from reference import (favard_sweep, frozen_generator, frozen_resolvent, frozen_semigroup,
+                       heat_symbol, laplace_tail_bound, laplace_transform_check)
 from test_evolution import COCYCLE_GRID, elliptic_symbols
 
 
@@ -62,7 +62,7 @@ class TestFrozenResolvent:
         lam = 0.8
         rf = frozen_resolvent(op_h1, lam, f)
         # (lambda - A) R(lambda) f = f
-        back = lam * rf.values - op_h1.apply(rf).values
+        back = lam * rf.values - frozen_generator(op_h1, rf).values
         assert norm(GridFunction(grid, back - f.values)) \
             <= 1e-12 * norm(f)
 
@@ -117,23 +117,70 @@ class TestLaplaceTransform:
 
 class TestFavard:
     def test_f1_single_mode(self, op_h1, grid):
-        est = favard_norm(op_h1, mode(grid, 1), "F1")
-        assert est.value == pytest.approx(2.0, rel=0.01)
+        est = favard_norm(op_h1, mode(grid, 1))
+        assert est.f1 == pytest.approx(2.0, rel=1e-15)
+        assert (est.min_re_a, est.witness_xi) == (2.0, [1.0])
 
     def test_f1_matches_generator_norm(self, op_h1, grid, rng):
         f = random_band_limited(grid, rng, band=4)
-        est = favard_norm(op_h1, f, "F1")
-        assert est.value == pytest.approx(norm(op_h1.apply(f)), rel=0.01)
+        assert favard_norm(op_h1, f).f1 == norm(frozen_generator(op_h1, f))
 
     def test_f0_recovers_plain_norm(self, td1, grid, rng):
         f = random_band_limited(grid, rng, band=4)
         op = FrozenOperator(td1, 1.0)
-        est = favard_norm(op, f, "F0")
-        assert est.value == pytest.approx(norm(f), rel=0.01)
+        assert favard_norm(op, f).f0 == pytest.approx(norm(f), rel=1e-14)
 
     def test_zero_vector(self, op_h1, grid):
         z = GridFunction(grid, np.zeros(grid.shape, dtype=complex))
-        assert favard_norm(op_h1, z, "F1").value == 0.0
+        est = favard_norm(op_h1, z)
+        assert (est.f1, est.f0, est.min_re_a, est.witness_xi) == (0.0, 0.0, np.inf, None)
+
+    def test_minimum_is_read_on_the_support_only(self, grid):
+        # a = xi^2 - 2 is negative at xi = 0 and +-1, but mode 2 lives at
+        # xi = 2 only, where a = 2
+        op = FrozenOperator(heat_symbol(horizon=1.0, shift=-2.0), 0.0)
+        assert (favard_norm(op, mode(grid, 2)).min_re_a,
+                favard_norm(op, mode(grid, 1)).min_re_a) == (2.0, -1.0)
+
+    def test_sweep_exceeds_the_closed_form_where_re_a_is_negative(self, grid):
+        # a = -2 on mode 0: (1/t) |e^{2t} - 1| is largest at the sweep's t = 1,
+        # e^2 - 1, while ||A f|| = 2; the closed form carries min Re a = -2
+        op = FrozenOperator(heat_symbol(horizon=1.0, shift=-2.0), 0.0)
+        est = favard_norm(op, mode(grid, 0))
+        assert (est.min_re_a, est.witness_xi) == (-2.0, [0.0])
+        assert est.f1 == pytest.approx(2.0, rel=1e-15)
+        assert favard_sweep(op, mode(grid, 0), "F1") == pytest.approx(np.expm1(2.0),
+                                                                       rel=1e-14)
+
+    @pytest.mark.parametrize("shift", [-1.0, 1e-310])
+    def test_vanishing_symbol_has_no_f0_gauge(self, grid, shift):
+        # a = xi^2 - 1 vanishes at xi = +-1; a = xi^2 + 1e-310 does not, but
+        # its reciprocal overflows at xi = 0, where the f0 sum would read inf * 0
+        op = FrozenOperator(heat_symbol(horizon=1.0, shift=shift), 0.0)
+        with pytest.raises(NumericError, match="reference symbol vanishes on the grid"):
+            favard_norm(op, mode(grid, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=elliptic_symbols(), time=st.floats(0.0, 1.5), seed=st.integers(0, 2**32 - 1))
+def test_favard_sweep_reaches_the_closed_forms(spec, time, seed):
+    """Where Re a >= 0 on the support of band-4 data, |e^{-z} - 1| <= |z|
+    puts every difference quotient at or below the closed forms, and the
+    smallest sample t = 2^-40 reaches them to about t |a| / 2 relative."""
+    op = FrozenOperator(spec, time)
+    f = random_band_limited(COCYCLE_GRID, np.random.default_rng(seed), band=4)
+    with np.errstate(divide="ignore", over="ignore"):
+        gauged = np.all(np.isfinite(1.0 / np.abs(op.symbol_on(COCYCLE_GRID))))
+    if not gauged:      # 1/|a(time, .)| overflows somewhere: no X_{-1} gauge
+        with pytest.raises(NumericError):
+            favard_norm(op, f)
+        return
+    est = favard_norm(op, f)
+    if est.min_re_a < 0.0:
+        return
+    for space, closed in (("F1", est.f1), ("F0", est.f0)):
+        sweep = favard_sweep(op, f, space)
+        assert closed * (1.0 - 1e-10) <= sweep <= closed * (1.0 + 1e-12)
 
 
 class TestExtrapolationModel:
@@ -141,7 +188,7 @@ class TestExtrapolationModel:
         # || A(s) f ||_{-1, s-gauge} = || f ||_2 exactly, for any grid f
         op = FrozenOperator(td1, 1.3)
         f = random_band_limited(grid, rng, band=100)
-        assert norm(op.apply(f), op.gauge()) == pytest.approx(norm(f), rel=1e-12)
+        assert norm(frozen_generator(op, f), op.gauge()) == pytest.approx(norm(f), rel=1e-12)
 
 
 RESOLVENT_ULPS = 8      # roundoff multiples allowed per bin by the identity check

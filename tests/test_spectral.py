@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from evofam import spectral
 from evofam.errors import ConfigurationError, NumericError
 from evofam.evolution import PropagatorEngine
-from evofam.spectral import (Grid, GridFunction, NormSpec, apply_multiplier, indicator,
-                             inverse_transform, load_function, mode, norm,
-                             random_band_limited, save_function,
+from evofam.spectral import (Grid, GridFunction, NormSpec, indicator, inverse_transform,
+                             load_function, mode, norm, random_band_limited, save_function,
                              spectral_tail_fraction, transform)
 from evofam.perturbation import MultiplierFamily, SmoothingComposite
-from reference import bessel_norm, heat_symbol, operator_norm, oscillating_symbol
+from reference import (apply_multiplier, bessel_norm, heat_symbol, operator_norm,
+                       oscillating_symbol)
 
 
 @pytest.mark.parametrize("rows,width,sizes", [
