@@ -6,25 +6,24 @@ a maximum over a seeded sample plan and on the doubled plan (refinement
 stability, in lieu of proof).  `cli.run_check` judges it against the cap
 (a "violation at cap", never an analytic disproof) or a named tolerance.
 The sector bound takes its sup over lambda in closed form per (t, xi)
-cell, so only t and xi are sampled; the C' sweep samples lambda on
-log-spaced moduli along the boundary rays plus interior rays.
+cell, so only t and xi are sampled.  So do C' and C: the sup of a
+difference quotient over pairs s < t is the sup of the time derivative,
+and per (t, xi) cell the derivatives |lambda| |d/dt a| / |lambda + a|^2 of
+|lambda| R(lambda, a(t)) and tau |d/dt a| e^{-tau Re a} of e^{-tau a(t)}
+have closed-form sups over the whole sector and over tau in (0, T]
+(`_resolvent_rate_sup`, `_semigroup_rate_sup`).  Only the sup over t is
+sampled: on the plan's uniform times plus every jump time, where a step
+term's rate is infinite; between samples the rate can exceed them, as
+every sampled sup here can.
 
 Every sampled sup goes through `_steepest`: a non-finite quotient reads
 as 2 cap (a violation at cap) and the first maximum in sample-then-bin
-order is the witness.  Lipschitz quotients |f(t) - f(s)|/(t - s) are
+order is the witness.  The A3 and cd quotients |f(t) - f(s)|/(t - s) are
 sampled on the pairs of a uniform base grid of [0, T] plus centred
-near-coincident pairs.  For fixed xi and lambda (or tau, or test vector)
-the triangle inequality puts the sup over all base pairs on a neighbouring
-pair, in an L2 norm as in modulus, so C', C and the cd quotients sweep
-neighbouring base pairs only; A3 divides by |a(s)| and sweeps all pairs.
-
-The C' quotient |lambda| |R(lambda, a(t)) - R(lambda, a(s))| / (t - s) is
-taken in the exact factored form |lambda| D / |(lambda + a(s))(lambda + a(t))|
-with the slope D = |a(t) - a(s)| / (t - s) computed once per plan (the cd
-quotients weight the same slope).  Pairs, lambdas, bins and reduction are
-those of the difference of reciprocals, so it is the same sampled sup; only
-rounding differs, and the factored form does not cancel on near-coincident
-pairs.
+near-coincident pairs.  For a fixed xi or test vector the triangle
+inequality puts the sup over all base pairs on a neighbouring pair, in an
+L2 norm as in modulus, so the cd quotients sweep neighbouring base pairs
+only; A3 divides by |a(s)| and sweeps all pairs.
 
 Three rules skip repeated work without moving a sup or its witness:
 * Columns: bins whose monomials (i xi)^alpha are all equal (after + 0.0, so
@@ -33,11 +32,13 @@ Three rules skip repeated work without moving a sup or its witness:
   its first bin.
 * Rows: times whose coefficients c_alpha(t) are all equal (`_time_classes`)
   have equal rows a(t, .), so the sector, theta*, kappa, Kato and pair
-  tables hold one row per class, at its first time.
+  tables hold one row per class, at its first time; the C' and C tables
+  key the classes on the rates c_alpha'(t) too, since equal coefficients
+  need not have equal rates.
 * Pairs: a pair whose times share a class has a(s, .) = a(t, .), so each
-  of its C', C, A3 and cd quotients is 0 or non-finite (2 cap) whatever
-  t - s is; `_pair_table` lists the first such pair per class and every
-  pair whose coefficients differ.
+  of its A3 and cd quotients is 0 or non-finite (2 cap) whatever t - s
+  is; `_pair_table` lists the first such pair per class and every pair
+  whose coefficients differ.
 A dropped column, row or pair repeats the quotients of one listed before
 it, so the first maximum in sample-row-column order, and with it the
 witness, lies on what is swept.  The reported counts (`samples`,
@@ -54,9 +55,7 @@ from .errors import ConfigurationError, DomainError
 from .spectral import Grid, memo, row_blocks
 from .symbols import SymbolSpec
 
-RAYS = 3                      # interior ray pairs of the C' sweep: args k/RAYS * theta
 PAIR_DELTAS = (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)   # widths of the centred pairs
-RESOLVENT_MODULUS_RANGE = (1e-2, 1e4)  # |lambda| range of the C' sweep
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,6 @@ class SamplePlan:
             time_samples=self.time_samples * 2,
             pair_grid=self.pair_grid * 2,
             resolvent_pair_grid=self.resolvent_pair_grid * 2,
-            resolvent_moduli=self.resolvent_moduli * 2,
-            tau_samples=self.tau_samples * 2,
             kato_lambdas=self.kato_lambdas * 2,
             kato_partitions=self.kato_partitions * 2,
         )
@@ -109,10 +106,13 @@ def _bin_classes(spec: SymbolSpec, grid: Grid):
     return memo(spec, "bin_classes", build, grid)
 
 
-def _time_classes(spec: SymbolSpec, ts: np.ndarray):
-    """The first time of each class of times whose coefficients c_alpha(t)
-    are all equal, in time order, and the class of every time."""
-    return _classes(np.stack([c(ts) for c in spec.coefficients.values()], axis=1))
+def _time_classes(spec: SymbolSpec, ts: np.ndarray, rates: bool = False):
+    """The first time of each class of times whose coefficients c_alpha(t),
+    and with `rates` their rates c_alpha'(t) too, are all equal, in time
+    order, and the class of every time."""
+    functions = [f for c in spec.coefficients.values()
+                 for f in ((c, c.derivative) if rates else (c,))]
+    return _classes(np.stack([f(ts) for f in functions], axis=1))
 
 
 def _symbol_matrix(spec: SymbolSpec, grid: Grid, ts: np.ndarray) -> np.ndarray:
@@ -125,11 +125,16 @@ def _symbol_matrix(spec: SymbolSpec, grid: Grid, ts: np.ndarray) -> np.ndarray:
     a first maximum over bins falls on the first bin of its class, so a
     sweep over the classes finds the same sup at the same witness;
     `_bin_xi` maps a column back to that bin."""
+    return spec.time_matrix(ts, _class_axes(spec, grid)).reshape(len(ts), -1)
+
+
+def _class_axes(spec: SymbolSpec, grid: Grid):
+    """Frequency axes of the first bin of each `_bin_classes` class, or the
+    grid's own axes when every bin is its own class."""
     first = _bin_classes(spec, grid)[0]
-    axes = grid.xi_axes() if len(first) == len(grid.xi_rows()) else memo(
+    return grid.xi_axes() if len(first) == len(grid.xi_rows()) else memo(
         spec, "class_axes", lambda: tuple(np.ascontiguousarray(grid.xi_rows()[first].T)),
         grid)
-    return spec.time_matrix(ts, axes).reshape(len(ts), -1)
 
 
 def _time_rows(spec: SymbolSpec, grid: Grid, samples: int):
@@ -144,12 +149,6 @@ def _time_rows(spec: SymbolSpec, grid: Grid, samples: int):
 def _bin_xi(spec: SymbolSpec, grid: Grid, column: int) -> list:
     """Frequency vector of the first bin of `_symbol_matrix`'s `column`."""
     return grid.xi_rows()[_bin_classes(spec, grid)[0][column]].tolist()
-
-
-def _sector_lambdas(theta: float, moduli: np.ndarray) -> np.ndarray:
-    """lambda = modulus * e^{i phi} on 2 RAYS + 1 arguments phi in [-theta, theta]."""
-    fractions = np.linspace(-1.0, 1.0, 2 * RAYS + 1)
-    return (moduli[None, :] * np.exp(1j * theta * fractions[:, None])).reshape(-1)
 
 
 def _refined(measure, plan: SamplePlan):
@@ -267,7 +266,7 @@ def largest_passing_theta(spec: SymbolSpec, grid: Grid,
     while that cell's sup exceeds cap.  nan if cap < 1, if some 1/|a| > cap
     (a = 0 included) or if theta* is not in (pi/2, pi)."""
     a = _time_rows(spec, grid, plan.time_samples)[2]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         if plan.cap < 1.0 or np.max(1.0 / np.abs(a)) > plan.cap:
             return float("nan")
     args = np.abs(np.angle(-a)).ravel()
@@ -396,7 +395,7 @@ def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int,
     triangle inequality puts on them).
 
     Only the `_swept_pairs` are listed.  Equal coefficients make a(s, .)
-    and a(t, .) the same doubles, so each C', C, A3 and cd quotient of such
+    and a(t, .) the same doubles, so each A3 and cd quotient of such
     a pair is 0 or non-finite (read as 2 cap) whatever t - s is: its row is
     that of the first pair with the same coefficients, which is listed
     earlier, and a first maximum never falls on a dropped row."""
@@ -424,7 +423,7 @@ def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int,
 class LipschitzComponent:
     value: float
     witness: dict
-    pair_count: int          # pairs the sup covers, times lambda or tau samples
+    pair_count: int          # A3: pairs the sup covers; C' and C: (t, xi) cells
     refined_value: float = float("nan")
     refinement_delta: float = float("nan")
 
@@ -435,31 +434,6 @@ def _lipschitz(measure, plan: SamplePlan) -> LipschitzComponent:
                               refined_value=fine, refinement_delta=delta)
 
 
-def _slope(a: np.ndarray, pairs) -> np.ndarray:
-    """|a(t) - a(s)| / (t - s) per (pair, bin): the factor of the C' and cd
-    quotients that depends on neither lambda nor the test vector."""
-    s, t, i, k = pairs
-    return np.abs(a[k] - a[i]) / (t - s)[:, None]
-
-
-def _pair_sweep(spec: SymbolSpec, grid: Grid, p: SamplePlan, grid_count: int,
-                quotient, key=None, samples=(None,), neighbours: bool = True):
-    """Steepest difference quotient |f_m(t) - f_m(s)| / (t - s) over (sample
-    m, pair) rows, its witness ({} when every quotient is 0) and the number
-    of (sample, pair) samples the sup covers.  `quotient(a, pairs)` gets the
-    symbol matrix and the pair table (s, t, row_s, row_t) once per plan and
-    returns `rows(m, lo, hi)`, sample m's quotients on pairs lo:hi, so what
-    does not depend on m is computed once."""
-    pairs, a, count = _pair_table(spec, grid, grid_count, neighbours)
-    s, t = pairs[:2]
-    value, (m, q, j) = _steepest(quotient(a, pairs), len(samples), len(s),
-                                 a.shape[1], p.cap)
-    witness = {} if value == 0.0 else {
-        "t": float(t[q]), "s": float(s[q]), "xi": _bin_xi(spec, grid, j),
-        "value": value, **({key: samples[m]} if key else {})}
-    return value, witness, count * len(samples)
-
-
 def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
                              plan: SamplePlan = SamplePlan()) -> LipschitzComponent:
     """L = max over pairs of max_xi |1 - a(t,.)/a(s,.)| / |t - s|.
@@ -468,68 +442,92 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
     coincides with the extrapolated version (the symbols commute).
     """
 
-    def quotient(a, pairs):
-        s, t, i, k = pairs
+    def measure(p: SamplePlan):
+        (s, t, i, k), a, count = _pair_table(spec, grid, p.pair_grid, neighbours=False)
         # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
-        return lambda _, lo, hi: (np.abs(a[i[lo:hi]] - a[k[lo:hi]]) / np.abs(a[i[lo:hi]])
-                                  / (t - s)[lo:hi, None])
+        quotient = lambda _, lo, hi: (np.abs(a[i[lo:hi]] - a[k[lo:hi]]) / np.abs(a[i[lo:hi]])
+                                      / (t - s)[lo:hi, None])
+        value, (_, q, j) = _steepest(quotient, 1, len(s), a.shape[1], p.cap)
+        witness = {} if value == 0.0 else {
+            "t": float(t[q]), "s": float(s[q]), "xi": _bin_xi(spec, grid, j), "value": value}
+        return value, witness, count
 
-    return _lipschitz(lambda p: _pair_sweep(spec, grid, p, p.pair_grid, quotient,
-                                            neighbours=False), plan)
+    return _lipschitz(measure, plan)
 
 
-def _resolvent_quotient(lam: complex, a_s: np.ndarray, a_t: np.ndarray,
-                        slope: np.ndarray) -> np.ndarray:
-    """|lambda| |R(lambda, a_t) - R(lambda, a_s)| / (t - s) from the slope
-    D = |a_t - a_s| / (t - s), as |lambda| D / |(lambda + a_s)(lambda + a_t)|.
-    It stays within a few eps of the exact quotient of its inputs, where the
-    difference of reciprocals loses about eps |lambda + a| / |a_t - a_s|."""
-    return abs(lam) * slope / np.abs((lam + a_s) * (lam + a_t))
+def _rate_sweep(spec: SymbolSpec, grid: Grid, p: SamplePlan, sup, argmax):
+    """Largest |d/dt a| sup(a) over the (t, xi) cells, its witness ({} when
+    it is 0) with `argmax(a)` at the witness cell, and the number of cells.
+    The times are the plan's `time_samples` uniform times on [0, T] plus
+    every jump time in (0, T], where a step term's rate is infinite, one row
+    per `_time_classes` class keyed on the coefficients and their rates.  A
+    zero rate reads 0 whatever sup(a) is, even where the pole -a lies in the
+    sector, as an autonomous row read 0 in a difference quotient."""
+    jumps = [t0 for c in spec.coefficients.values() for t0, jump in c.steps
+             if jump != 0 and 0.0 < t0 <= spec.horizon]
+    times = np.union1d(np.linspace(0.0, spec.horizon, p.time_samples), jumps)
+    ts = times[_time_classes(spec, times, rates=True)[0]]
+    a = _symbol_matrix(spec, grid, ts)
+    with np.errstate(invalid="ignore"):     # an infinite rate times (i 0)^alpha is NaN
+        rate = np.abs(spec.time_matrix(ts, _class_axes(spec, grid), derivative=True)
+                      ).reshape(len(ts), -1)
+    quotient = lambda _, lo, hi: np.where(rate[lo:hi] == 0.0, 0.0,
+                                          rate[lo:hi] * sup(a[lo:hi]))
+    value, (_, i, j) = _steepest(quotient, 1, len(ts), a.shape[1], p.cap)
+    witness = {} if value == 0.0 else {
+        "t": float(ts[i]), "xi": _bin_xi(spec, grid, j), "value": value, **argmax(a[i, j])}
+    return value, witness, len(times) * len(grid.xi_rows())
+
+
+def _resolvent_rate_sup(a: np.ndarray, theta: float) -> np.ndarray:
+    """Per bin, sup of |lambda|/|lambda + a|^2 over 0 < |lambda|, |arg lambda|
+    <= theta: 1/(4 |a| sin^2(psi/2)) with psi = |arg(-a)| - theta as in
+    `_sector_sup`, at lambda* = |a| e^{+-i theta} on the boundary ray nearer
+    -a (for each argument the sup over |lambda| sits at |lambda| = |a|, and
+    it grows as the argument nears that of -a); +inf if psi <= 0 (the pole
+    -a lies in the sector) or a = 0."""
+    psi = np.abs(np.angle(-a)) - theta
+    return np.where(psi > 0.0, 0.25 / (np.abs(a) * np.sin(0.5 * psi) ** 2), np.inf)
 
 
 def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
                               plan: SamplePlan = SamplePlan()) -> LipschitzComponent:
-    """C' = max of |lambda| max_xi |R(lambda,a(t)) - R(lambda,a(s))| / |t-s|
-    over pairs and sector lambda samples.
+    """C' = sup over t, xi and the whole sector of |lambda| |d/dt R(lambda, a(t))|
+    = |lambda| |d/dt a| / |lambda + a|^2, the sup over pairs s < t of
+    |lambda| |R(lambda, a(t)) - R(lambda, a(s))| / (t - s).
 
-    Each quotient is `_resolvent_quotient`'s factored form, with the slope
-    and the rows a(s), a(t) gathered once per plan.  Pairs, lambdas, bins
-    and the non-finite rule are those of the difference of reciprocals, so
-    the sup is the same sampled sup up to rounding.
+    The sup over lambda is `_resolvent_rate_sup`'s closed form, so C' =
+    sup |d/dt a| / (4 |a| sin^2(psi/2)) over the sampled (t, xi) cells of
+    `_rate_sweep`; the witness is (t, xi, lambda*).
     """
 
-    def measure(p: SamplePlan):
-        lams = _sector_lambdas(theta, np.geomspace(*RESOLVENT_MODULUS_RANGE,
-                                                   p.resolvent_moduli))
+    def argmax(a: complex) -> dict:
+        lam = abs(a) * np.exp(1j * np.sign(np.angle(-a)) * theta)
+        return {"lambda": [float(lam.real), float(lam.imag)]}
 
-        def quotient(a, pairs):
-            a_s, a_t, slope = a[pairs[2]], a[pairs[3]], _slope(a, pairs)
-            return lambda m, lo, hi: _resolvent_quotient(
-                lams[m], a_s[lo:hi], a_t[lo:hi], slope[lo:hi])
-
-        return _pair_sweep(spec, grid, p, p.resolvent_pair_grid, quotient, "lambda",
-                           [[float(lam.real), float(lam.imag)] for lam in lams])
-
-    return _lipschitz(measure, plan)
+    return _lipschitz(lambda p: _rate_sweep(
+        spec, grid, p, lambda a: _resolvent_rate_sup(a, theta), argmax), plan)
 
 
 def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
                               plan: SamplePlan = SamplePlan()) -> LipschitzComponent:
-    """C = max over tau, pairs of max_xi |e^{-tau a(t)} - e^{-tau a(s)}| / |t-s|."""
+    """C = sup over t, xi and tau in (0, T] of |d/dt e^{-tau a(t)}|
+    = tau |d/dt a| e^{-tau Re a}, the sup over pairs s < t of
+    |e^{-tau a(t)} - e^{-tau a(s)}| / (t - s).
 
-    def measure(p: SamplePlan):
-        taus = np.geomspace(1e-3, spec.horizon, p.tau_samples)
+    tau e^{-tau r} peaks at tau* = 1/r, so its sup over (0, T] is
+    g(r) = 1/(e r) if r >= 1/T and T e^{-T r} (at tau* = T) otherwise; C =
+    sup |d/dt a| g(Re a) over the sampled (t, xi) cells of `_rate_sweep`,
+    and the witness is (t, xi, tau*).
+    """
+    T = spec.horizon
 
-        def quotient(a, pairs):
-            s, t, i, k = pairs
-            return lambda m, lo, hi: (np.abs(np.exp(-taus[m] * a[k[lo:hi]])
-                                             - np.exp(-taus[m] * a[i[lo:hi]]))
-                                      / (t - s)[lo:hi, None])
+    def sup(a: np.ndarray) -> np.ndarray:
+        r = a.real
+        return np.where(r >= 1.0 / T, 1.0 / (np.e * r), T * np.exp(-T * r))
 
-        return _pair_sweep(spec, grid, p, p.resolvent_pair_grid, quotient, "tau",
-                           [float(tau) for tau in taus])
-
-    return _lipschitz(measure, plan)
+    argmax = lambda a: {"tau": float(1.0 / a.real) if a.real >= 1.0 / T else T}
+    return _lipschitz(lambda p: _rate_sweep(spec, grid, p, sup, argmax), plan)
 
 
 @dataclass(frozen=True)
@@ -584,10 +582,9 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
     caller measures Kato stability, the CD system's other half, once."""
     if not vectors:
         raise ConfigurationError("need at least one test vector")
-    pairs, a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
-    s, t = pairs[:2]
-    # the L2 sums run over every bin: each bin reads its class's slope
-    slope = _slope(a, pairs)[:, _bin_classes(spec, grid)[1]]
+    (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
+    # slopes |a(t) - a(s)| / (t - s); the L2 sums run over every bin, each reading its class's
+    slope = (np.abs(a[k] - a[i]) / (t - s)[:, None])[:, _bin_classes(spec, grid)[1]]
     a0 = np.abs(np.broadcast_to(spec.on_axes(0.0, grid.xi_axes()),
                                 grid.shape)).reshape(-1)
 

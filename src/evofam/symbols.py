@@ -74,6 +74,22 @@ class CoefficientFunction:
             value = value + jump * np.maximum(t - t0, 0.0)
         return value[()] if value.ndim == 0 else value
 
+    def derivative(self, t):
+        """Rate c'(t), exact for every term.  A step term that jumps at
+        t0 > 0 is a Dirac mass there: +inf at t = t0, 0 elsewhere (a jump
+        at t0 <= 0 is constant on t >= 0)."""
+        t = np.asarray(t)
+        value = np.zeros(t.shape, dtype=complex)
+        for degree, coef in self.poly:
+            value = value + coef * (degree * t ** (degree - 1))
+        for omega, ccos, csin in self.trig:
+            value = value + ccos * (-omega * np.sin(omega * t))
+            value = value + csin * (omega * np.cos(omega * t))
+        for t0, jump in self.steps:
+            if jump != 0 and t0 > 0:
+                value = value + np.where(t == t0, np.inf, 0.0)
+        return value[()] if value.ndim == 0 else value
+
     def lipschitz_bound(self, horizon: float) -> float:
         """Closed-form upper bound for the Lipschitz constant on [0, horizon].
 
@@ -171,15 +187,18 @@ class SymbolSpec:
         return self.combine({alpha: coef.antiderivative(t) - coef.antiderivative(s)
                              for alpha, coef in self.coefficients.items()}, xi_axes)
 
-    def time_matrix(self, ts: np.ndarray, xi_axes: tuple[np.ndarray, ...]) -> np.ndarray:
-        """a(t_i, xi) for a vector of times, shape (len(ts), *the axes' broadcast
-        shape), combined into it a `row_blocks` block of rows at a time."""
+    def time_matrix(self, ts: np.ndarray, xi_axes: tuple[np.ndarray, ...],
+                    derivative: bool = False) -> np.ndarray:
+        """a(t_i, xi) for a vector of times, or with `derivative` the rate
+        d/dt a(t_i, xi) from the coefficients' `derivative`, shape (len(ts),
+        *the axes' broadcast shape), combined into it a `row_blocks` block of
+        rows at a time."""
         ts = self.check_time(ts)
         shape = np.broadcast_shapes(*(ax.shape for ax in xi_axes))
         out = np.zeros((len(ts),) + shape, dtype=complex)
         for rows in row_blocks(len(ts), math.prod(shape)):
-            self.combine({alpha: coef(ts[rows]) for alpha, coef in self.coefficients.items()},
-                         xi_axes, out[rows])
+            self.combine({alpha: (coef.derivative if derivative else coef)(ts[rows])
+                          for alpha, coef in self.coefficients.items()}, xi_axes, out[rows])
         return out
 
 

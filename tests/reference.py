@@ -42,10 +42,18 @@ each piece backs an invariant the evolution-family theory rests on:
   sector constant passes the cap on the plan, as `largest_passing_theta`
   scanned before it took theta* in closed form, read from the closed-form
   sup on every (t, xi) cell; it must agree with theta* on every scan angle;
-* `reciprocal_resolvent_quotient` and `sampled_resolvent_lipschitz`: the
-  C' quotient as a difference of reciprocals, the form
-  `check_resolvent_lipschitz` took before it factored out the slope
-  |a(t) - a(s)|/(t - s); it cancels on near-coincident pairs;
+* `sector_lambdas`, `sampled_resolvent_lipschitz` and
+  `sampled_semigroup_lipschitz`: C' and C as `check_resolvent_lipschitz`
+  and `check_semigroup_lipschitz` sampled them before they took the
+  closed-form sups of the time derivative: difference quotients on the
+  neighbouring pairs of `_pair_table` times |lambda| on 2 RAYS + 1 rays
+  with moduli in RESOLVENT_MODULUS_RANGE, or times tau in [1e-3, T].  By
+  the mean value theorem each sweep is a lower bound on the closed form
+  over t, taken on a dense enough time grid;
+* `factored_resolvent_quotient` and `reciprocal_resolvent_quotient`: the C'
+  quotient with the slope |a(t) - a(s)|/(t - s) factored out, as the sweep
+  took it, and as a difference of reciprocals, which cancels on
+  near-coincident pairs;
 * `kato_reference`: the Kato product sweep one partition and one lambda
   at a time, as `check_kato_stability` measured it before it took one
   log|lambda + a| table per lambda; it must give the same record bit for bit;
@@ -77,9 +85,8 @@ each piece backs an invariant the evolution-family theory rests on:
 
 import numpy as np
 
-from evofam.assumptions import (RESOLVENT_MODULUS_RANGE, SamplePlan, StabilityCertificate,
-                                _pair_table, _partitions, _refined, _sector_lambdas,
-                                _sector_sup, _symbol_matrix)
+from evofam.assumptions import (SamplePlan, StabilityCertificate, _pair_table, _partitions,
+                                _refined, _sector_sup, _symbol_matrix)
 from evofam.errors import ConfigurationError, ConvergenceError, DomainError, NumericError
 from evofam.evolution import RULE_OFFSETS, PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
@@ -93,6 +100,8 @@ from evofam.transport import (TimeSpaceCoefficient, TransportProblem,
 SINGULAR_TOL = 1e-14    # |lambda + a| below which the resolvent is singular
 COCYCLE_TOL = 1e-10     # exact-engine cocycle (exponent additivity over ~1e2 bins)
 MODULUS_RANGE = (1e-3, 1e6)   # |lambda| range of the sampled sector sweep
+RAYS = 3                      # interior ray pairs of the lambda sweeps: args k/RAYS * theta
+RESOLVENT_MODULUS_RANGE = (1e-2, 1e4)  # |lambda| range of the sampled C' sweep
 THETA_SCAN = np.pi * np.linspace(0.55, 0.95, 9)   # angles of the sector-angle scan
 FAVARD_SAMPLES = 2.0 ** (-np.arange(41, dtype=float))   # t = 1 down to 2^-40, ratio 2
 
@@ -305,11 +314,17 @@ def cd_lipschitz_bound(spec: SymbolSpec, grid: Grid, vectors) -> float:
                              * grid.cell_volume)) for f in vectors)
 
 
+def sector_lambdas(theta: float, moduli: np.ndarray) -> np.ndarray:
+    """lambda = modulus * e^{i phi} on 2 RAYS + 1 arguments phi in [-theta, theta]."""
+    fractions = np.linspace(-1.0, 1.0, 2 * RAYS + 1)
+    return (moduli[None, :] * np.exp(1j * theta * fractions[:, None])).reshape(-1)
+
+
 def sampled_sector_ratios(a: np.ndarray, theta: float, moduli_per_ray: int) -> np.ndarray:
     """|lambda|/|lambda + a| at every lambda of the sampled sweep, shape
     (lambdas,) + a.shape: `moduli_per_ray` log-spaced moduli over
-    MODULUS_RANGE on the rays of `_sector_lambdas`."""
-    lams = _sector_lambdas(theta, np.geomspace(*MODULUS_RANGE, moduli_per_ray))
+    MODULUS_RANGE on the rays of `sector_lambdas`."""
+    lams = sector_lambdas(theta, np.geomspace(*MODULUS_RANGE, moduli_per_ray))
     lams = lams.reshape((-1,) + (1,) * np.ndim(a))
     return np.abs(lams) / np.abs(lams + a)
 
@@ -341,6 +356,14 @@ def theta_scan_reference(spec: SymbolSpec, grid: Grid, plan: SamplePlan) -> floa
     return best
 
 
+def factored_resolvent_quotient(lam: complex, a_s, a_t, slope):
+    """|lambda| |R(lambda, a_t) - R(lambda, a_s)| / (t - s) from the slope
+    D = |a_t - a_s| / (t - s), as |lambda| D / |(lambda + a_s)(lambda + a_t)|.
+    It stays within a few eps of the exact quotient of its inputs, where the
+    difference of reciprocals loses about eps |lambda + a| / |a_t - a_s|."""
+    return abs(lam) * slope / np.abs((lam + a_s) * (lam + a_t))
+
+
 def reciprocal_resolvent_quotient(lam: complex, a_s, a_t, dt):
     """|lambda| |1/(lambda + a_t) - 1/(lambda + a_s)| / dt in this order of
     operations."""
@@ -348,16 +371,27 @@ def reciprocal_resolvent_quotient(lam: complex, a_s, a_t, dt):
 
 
 def sampled_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
-                                plan: SamplePlan) -> float:
-    """C' on the plan's pairs and lambdas (no refinement) in the reciprocal
-    form, as `check_resolvent_lipschitz` measured it before the factored
-    quotient; quotients are assumed finite."""
+                                plan: SamplePlan, factored: bool = True) -> float:
+    """C' on the plan's neighbouring pairs and `resolvent_moduli` moduli per
+    ray (no refinement), in the factored or the reciprocal form; quotients
+    are assumed finite."""
     (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
-    lams = _sector_lambdas(theta, np.geomspace(*RESOLVENT_MODULUS_RANGE,
-                                               plan.resolvent_moduli))
+    lams = sector_lambdas(theta, np.geomspace(*RESOLVENT_MODULUS_RANGE,
+                                              plan.resolvent_moduli))
     dt = (t - s)[:, None]
-    return float(max(np.max(reciprocal_resolvent_quotient(lam, a[i], a[k], dt))
-                     for lam in lams))
+    slope = np.abs(a[k] - a[i]) / dt
+    quotient = ((lambda lam: factored_resolvent_quotient(lam, a[i], a[k], slope)) if factored
+                else (lambda lam: reciprocal_resolvent_quotient(lam, a[i], a[k], dt)))
+    return float(max(np.max(quotient(lam)) for lam in lams))
+
+
+def sampled_semigroup_lipschitz(spec: SymbolSpec, grid: Grid, plan: SamplePlan) -> float:
+    """C on the plan's neighbouring pairs and `tau_samples` log-spaced tau in
+    [1e-3, T] (no refinement); quotients are assumed finite."""
+    (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
+    dt = (t - s)[:, None]
+    return float(max(np.max(np.abs(np.exp(-tau * a[k]) - np.exp(-tau * a[i])) / dt)
+                     for tau in np.geomspace(1e-3, spec.horizon, plan.tau_samples)))
 
 
 def kato_reference(spec: SymbolSpec, grid: Grid, plan: SamplePlan = SamplePlan(),

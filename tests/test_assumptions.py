@@ -20,10 +20,12 @@ from evofam.assumptions import (SamplePlan, certify_cd_system,
 from evofam.errors import DomainError
 from evofam.spectral import Grid, GridFunction, NormSpec, norm, random_band_limited
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
-from reference import (THETA_SCAN, cd_lipschitz_bound, drift_symbol, heat_symbol,
+from reference import (RAYS, RESOLVENT_MODULUS_RANGE, THETA_SCAN, cd_lipschitz_bound,
+                       drift_symbol, factored_resolvent_quotient, heat_symbol,
                        kato_reference, oscillating_symbol, reciprocal_resolvent_quotient,
                        sampled_resolvent_lipschitz, sampled_sector_constant,
-                       sampled_sector_ratios, theta_scan_reference)
+                       sampled_sector_ratios, sampled_semigroup_lipschitz, sector_lambdas,
+                       theta_scan_reference)
 
 THETA = 3.0 * np.pi / 4.0
 
@@ -241,21 +243,21 @@ class TestLipschitz:
         assert check_resolvent_lipschitz(h1, grid, THETA, thin_plan).value == 0.0
 
     def test_nonelliptic_resolvent_constant_zero(self, grid):
-        # a = i xi does not depend on t: every slope, and so every quotient,
-        # is 0 on the base and on the refined plan of the bundled check
+        # a = i xi does not depend on t: every rate is 0, and so is every
+        # quotient, although the pole -a lies in the sector, on the base and
+        # on the refined plan of the bundled check
         rep = check_resolvent_lipschitz(drift_symbol(), grid, THETA, SamplePlan())
         assert rep.value == 0.0 and rep.refined_value == 0.0
         assert rep.witness == {}
 
-    def test_factored_sweep_matches_the_reciprocal_sweep(self, td1, grid, thin_plan,
-                                                         td1_suite):
+    def test_factored_sweep_matches_the_reciprocal_sweep(self, td1, grid, thin_plan):
         # same pairs, lambdas and bins; the reciprocal form loses about
-        # eps |lambda + a| / |a(t) - a(s)|, ~1.5e-7 at td1's witness
-        # (1e-9-wide pair, xi = 79, |lambda| = 1e4)
-        for plan, rep in ((thin_plan, check_resolvent_lipschitz(td1, grid, THETA, thin_plan)),
-                          (td1_suite["plan"], td1_suite["cprime"])):
-            sampled = sampled_resolvent_lipschitz(td1, grid, THETA, plan)
-            assert rep.value == pytest.approx(sampled, rel=1e-6)
+        # eps |lambda + a| / |a(t) - a(s)|, ~1.5e-7 at td1's default-plan
+        # witness (1e-9-wide pair, xi = 79, |lambda| = 1e4)
+        for plan in (thin_plan, SamplePlan()):
+            factored = sampled_resolvent_lipschitz(td1, grid, THETA, plan)
+            reciprocal = sampled_resolvent_lipschitz(td1, grid, THETA, plan, factored=False)
+            assert factored == pytest.approx(reciprocal, rel=1e-6)
 
     def test_td1_lemma_chain(self, td1, grid, thin_plan):
         a1 = check_sector(td1, grid, THETA, thin_plan)
@@ -269,15 +271,25 @@ class TestLipschitz:
         assert check_semigroup_lipschitz(h1, grid, thin_plan).value == 0.0
 
     def test_semigroup_overflow_is_a_violation(self, grid):
-        # backward heat: e^{-tau a} overflows at high |xi|, so every row of
-        # quotients holds a NaN next to its finite violations
+        # backward heat: T e^{-T Re a} overflows at high |xi|, so every row
+        # of quotients holds an inf next to its finite violations
         backward = SymbolSpec(dim=1, order=2, horizon=1.0, coefficients={
             (2,): CoefficientFunction(const=3.0, poly=((1, 1.0),)),
             (0,): constant(1.0)})
-        plan = SamplePlan(resolvent_pair_grid=10, tau_samples=8)
+        plan = SamplePlan(time_samples=16)
         rep = check_semigroup_lipschitz(backward, grid, plan)
         assert rep.value > plan.cap
-        assert rep.witness["value"] == rep.value and rep.witness["s"] < rep.witness["t"]
+        assert rep.witness["value"] == rep.value
+
+    def test_step_symbol_rates_blow_at_the_jump(self, step_symbol, grid, thin_plan):
+        # the rate of a step is infinite at its jump time, which the rate
+        # sweeps sample besides the plan's uniform times (t = 1 is not one)
+        assert 1.0 not in np.linspace(0.0, 2.0, thin_plan.time_samples)
+        for rep in (check_resolvent_lipschitz(step_symbol, grid, THETA, thin_plan),
+                    check_semigroup_lipschitz(step_symbol, grid, thin_plan)):
+            assert rep.value == rep.refined_value == 2.0 * thin_plan.cap
+            assert rep.witness["t"] == 1.0 and rep.witness["value"] == rep.value
+            assert rep.pair_count == (thin_plan.time_samples + 1) * len(grid.xi_rows())
 
 
 QUOTIENT_DELTAS = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
@@ -287,17 +299,15 @@ QUOTIENT_DELTAS = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 # event, so the draws stay the same from run to run
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(modulus=st.floats(1.0, 1e6), phase=st.floats(-0.95, 0.95),
-       lam_modulus=st.floats(*asm.RESOLVENT_MODULUS_RANGE),
-       ray=st.integers(0, 2 * asm.RAYS), delta=st.sampled_from(QUOTIENT_DELTAS))
+       lam_modulus=st.floats(*RESOLVENT_MODULUS_RANGE),
+       ray=st.integers(0, 2 * RAYS), delta=st.sampled_from(QUOTIENT_DELTAS))
 def test_factored_resolvent_quotient_is_accurate(modulus, phase, lam_modulus, ray, delta):
     # a(s) on A1's side of the sector (|arg a| < pi - theta), a(t) = a(s)(1 + delta)
     # and lambda on a sweep ray, all read as exact doubles; s = 0 and t = delta
     a_s = modulus * np.exp(1j * phase * (np.pi - THETA))
     a_t = a_s * (1.0 + delta)
-    lam = asm._sector_lambdas(THETA, np.array([lam_modulus]))[ray]
-    a = np.array([[a_s], [a_t]])
-    pairs = (np.array([0.0]), np.array([delta]), np.array([0]), np.array([1]))
-    factored = float(asm._resolvent_quotient(lam, a[0], a[1], asm._slope(a, pairs))[0, 0])
+    lam = sector_lambdas(THETA, np.array([lam_modulus]))[ray]
+    factored = float(factored_resolvent_quotient(lam, a_s, a_t, abs(a_t - a_s) / delta))
     reciprocal = float(reciprocal_resolvent_quotient(lam, a_s, a_t, delta))
     with mpmath.workdps(50):
         lam_, s_, t_ = (mpmath.mpc(z.real, z.imag) for z in (lam, a_s, a_t))
@@ -330,10 +340,7 @@ def test_neighbour_pairs_reach_the_all_pairs_sup(lead, slope, omega, cos, sin,
 
     def sups():
         cd = certify_cd_system(spec, grid, vectors, NEIGHBOUR_PLAN)
-        cprime = check_resolvent_lipschitz(spec, grid, THETA, NEIGHBOUR_PLAN)
-        c = check_semigroup_lipschitz(spec, grid, NEIGHBOUR_PLAN)
-        return [cprime.value, cprime.refined_value, c.value, c.refined_value,
-                cd.strong_lipschitz, cd.strong_lipschitz_xminus1]
+        return [cd.strong_lipschitz, cd.strong_lipschitz_xminus1]
 
     neighbours = sups()
     table = asm._pair_table
@@ -342,6 +349,92 @@ def test_neighbour_pairs_reach_the_all_pairs_sup(lead, slope, omega, cos, sin,
         every_pair = sups()
     assert neighbours == pytest.approx(every_pair, rel=1e-12, abs=0.0)
     assert all(v > 0.0 for v in neighbours)
+
+
+DENSE = 16              # time-sample factor of the closed forms the sweeps are held to
+# The closed forms take the exact sup over lambda and tau, but sample t at
+# spacing h = T / (16 n - 1); an interior maximum of the rate quotient q
+# falls between samples by at most (h^2 / 8) |q''| / q of q, 1.7e-5 |q''| / q
+# at n = 8, and with omega <= 6 the trig terms keep |q''| / q near
+# omega^2 = 36 (6e-4) where Re a >= 1/T.  The worst ratio of sweep to closed
+# form over 5145 corner and random draws of this strategy was 1.0001 (C).
+SWEEP_SLACK = 1e-3
+
+
+def assert_sweeps_below_the_closed_forms(spec, grid, plan):
+    """Each sampled sweep on `plan` is at most the closed form on DENSE times
+    the time samples, up to SWEEP_SLACK, or the closed form exceeds the cap:
+    there a value is a violation whatever its size, and where Re a < 0 the
+    rate quotient grows like e^{-T Re a}, faster than a fixed grid resolves
+    (C read 3.9e24 on a 16x plan against 3.93e24 in the sweep)."""
+    dense = replace(plan, time_samples=DENSE * plan.time_samples)
+    for sweep, closed in (
+            (sampled_resolvent_lipschitz(spec, grid, THETA, plan),
+             check_resolvent_lipschitz(spec, grid, THETA, dense).value),
+            (sampled_semigroup_lipschitz(spec, grid, plan),
+             check_semigroup_lipschitz(spec, grid, dense).value)):
+        assert sweep <= closed * (1.0 + SWEEP_SLACK) or closed > plan.cap
+
+
+@pytest.mark.parametrize("name", ["td1", "h1"])
+def test_sampled_sweeps_stay_below_the_closed_forms(name, grid, thin_plan, request):
+    assert_sweeps_below_the_closed_forms(request.getfixturevalue(name), grid, thin_plan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lead=st.floats(-3.0, -1.0), slope=st.floats(0.1, 0.5), omega=st.floats(0.5, 6.0),
+       cos=coefficients, sin=coefficients, shift=coefficients, drift=coefficients)
+def test_sampled_sweeps_stay_below_the_closed_forms_on_random_symbols(
+        lead, slope, omega, cos, sin, shift, drift):
+    # the neighbour-pair strategy above; on its own 8 time samples the
+    # closed form can read far below the sweep, so the plan is not thin in t
+    spec = SymbolSpec(dim=1, order=2, horizon=1.5, coefficients={
+        (2,): CoefficientFunction(const=lead, poly=((1, slope), (2, drift)),
+                                  trig=((omega, cos, sin),)),
+        (0,): CoefficientFunction(const=1.0 + 1j * shift, trig=((omega, sin, cos),))})
+    assert_sweeps_below_the_closed_forms(spec, Grid(1, 16, 2.0 * np.pi), NEIGHBOUR_PLAN)
+
+
+def mp_symbol(spec, t, xi):
+    """a(t, xi) and d/dt a(t, xi) at one cell in the working mpmath
+    precision, for step-free coefficients."""
+    t, a, rate = mpmath.mpf(t), mpmath.mpc(0), mpmath.mpc(0)
+    for alpha, c in spec.coefficients.items():
+        mono = mpmath.mpc(1)
+        for x, k in zip(xi, alpha):
+            mono *= (1j * mpmath.mpf(x)) ** k
+        value, slope = mpmath.mpc(c.const), mpmath.mpc(0)
+        for degree, coef in c.poly:
+            value += coef * t ** degree
+            slope += coef * degree * t ** (degree - 1)
+        for omega, ccos, csin in c.trig:
+            value += ccos * mpmath.cos(omega * t) + csin * mpmath.sin(omega * t)
+            slope += omega * (csin * mpmath.cos(omega * t) - ccos * mpmath.sin(omega * t))
+        a, rate = a + value * mono, rate + slope * mono
+    return a, rate
+
+
+def test_closed_form_witnesses_attain_the_sups(td1, td1_suite):
+    # the reported value is the quotient at (t, xi, lambda*) or (t, xi, tau*)
+    # to 50 digits, and a 1% move of lambda* (modulus, or argument into the
+    # sector) or of tau* does not raise it
+    cprime, c = td1_suite["cprime"].witness, td1_suite["csemi"].witness
+    with mpmath.workdps(50):
+        a, rate = mp_symbol(td1, cprime["t"], cprime["xi"])
+        resolvent = lambda lam: abs(rate) * abs(lam) / abs(lam + a) ** 2
+        lam = mpmath.mpc(*cprime["lambda"])
+        peak = resolvent(lam)
+        assert abs(peak - cprime["value"]) <= 1e-14 * peak
+        moved = [lam * 0.99, lam * 1.01, abs(lam) * mpmath.expj(0.99 * mpmath.arg(lam))]
+        assert all(resolvent(m) <= peak for m in moved)
+
+        a, rate = mp_symbol(td1, c["t"], c["xi"])
+        semigroup = lambda tau: tau * abs(rate) * mpmath.exp(-tau * a.real)
+        tau = mpmath.mpf(c["tau"])
+        peak = semigroup(tau)
+        assert abs(peak - c["value"]) <= 1e-14 * peak
+        assert tau * 1.01 <= td1.horizon
+        assert all(semigroup(m) <= peak for m in (tau * 0.99, tau * 1.01))
 
 
 class TestEquivalence:
@@ -487,7 +580,7 @@ def test_sweep_rules_leave_every_record_unchanged(dim, kind, lead, cross, drift,
     # all three rules off: every bin and every time its own class, so no
     # column, row or pair is dropped
     own_bins = lambda spec, grid: (np.arange(len(grid.xi_rows())),) * 2
-    own_times = lambda spec, ts: (np.arange(len(ts)),) * 2
+    own_times = lambda spec, ts, rates=False: (np.arange(len(ts)),) * 2
     with mock.patch.object(asm, "_bin_classes", own_bins), \
             mock.patch.object(asm, "_time_classes", own_times):
         np.testing.assert_equal(certifier_records(spec, grid, vectors, NEIGHBOUR_PLAN),
@@ -551,15 +644,12 @@ def test_autonomous_pair_sweeps_visit_one_pair_per_plan(spec, cd_sweeps, grid,
                                                         band_vectors):
     # every pair has a(s, .) = a(t, .); the counts still cover every pair
     plan = SamplePlan()
-    (a3, a3_rows), (cprime, c_rows), (c, semi_rows), (_, cd_rows) = map(steepest_rows, [
+    (a3, a3_rows), (_, cd_rows) = map(steepest_rows, [
         lambda: check_operator_lipschitz(spec, grid, plan),
-        lambda: check_resolvent_lipschitz(spec, grid, THETA, plan),
-        lambda: check_semigroup_lipschitz(spec, grid, plan),
         lambda: certify_cd_system(spec, grid, band_vectors, plan)])
-    assert a3_rows == c_rows == semi_rows == [1, 1]     # base and refined plan
+    assert a3_rows == [1, 1]     # base and refined plan
     assert cd_rows == [1] * cd_sweeps
-    assert (a3.pair_count, cprime.pair_count, c.pair_count) == (1453, 18900, 2700)
-    assert cprime.value == c.value == 0.0
+    assert a3.pair_count == 1453
 
 
 @pytest.mark.parametrize("spec", [heat_symbol(), drift_symbol()], ids=["h1", "nonelliptic"])
@@ -603,8 +693,9 @@ def test_td1_sweeps_every_pair_on_513_columns(td1, grid, thin_plan, band_vectors
               for count, neighbours in ((16, True), (32, True), (48, False), (96, False))]
     assert listed == [120, 248, 1457, 5225]
     assert td1_suite["a1"].samples == 128 * 1024
+    # C' and C count their (t, xi) cells
     assert (td1_suite["a3"].pair_count, td1_suite["cprime"].pair_count,
-            td1_suite["csemi"].pair_count) == (1457, 18900, 2700)
+            td1_suite["csemi"].pair_count) == (1457, 128 * 1024, 128 * 1024)
     assert td1_suite["kato"].partitions_tested == 196
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,18 @@ def test_favard_on_a_vanishing_symbol_keeps_the_failure_envelope(tmp_path, capsy
     assert set(doc) == {"subcommand", "seed", "config_hash", "environment",
                         "error", "witness", "residual", "stages"}
     assert doc["stages"] == []
+
+
+def test_check_on_a_subnormal_symbol_fails_without_warnings(tmp_path, capsys):
+    # a(t, 0) = 1e-310: 1/|a| overflows to inf, which fails a1 and a2, and
+    # theta* reads that overflow as nan without a RuntimeWarning
+    path = favard_h1(tmp_path, 1e-310)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--stable"]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_band_limited_data_solves_past_the_grid_reach(tmp_path):

@@ -30,9 +30,11 @@ ENTRY_POINTS = {"cli.main"}     # called by the console script, not by src
 KEPT_DEFAULTS = {"transport.transport_solve.cfl_safety"}
 # the functions that may call np.fft (besides fftfreq, which builds frequency axes)
 DFT_HOMES = {"spectral.transform", "spectral.inverse_transform"}
-# the closed-form sector sup took over the lambda sweep that read moduli_per_ray;
-# the field stays only while perfbench's THIN_PLAN and the config schema set it
-KEPT_PLAN_FIELDS = {"moduli_per_ray"}
+# the closed-form sector sup took over the lambda sweep that read moduli_per_ray,
+# and the closed-form C' and C sups over the lambda and tau sweeps that read
+# resolvent_moduli and tau_samples; the fields stay only while perfbench's
+# THIN_PLAN and the config schema set them
+KEPT_PLAN_FIELDS = {"moduli_per_ray", "resolvent_moduli", "tau_samples"}
 
 
 def _names(node) -> Counter:

@@ -13,6 +13,7 @@ from evofam.symbols import CoefficientFunction, SymbolSpec, certify_ellipticity,
 from reference import coefficient_lipschitz, drift_symbol, oscillating_symbol
 
 ANTIDERIVATIVE_TOL = 1e-12  # relative gap of closed form and quadrature
+DERIVATIVE_TOL = 1e-6       # gap of c' and a central difference, per max(1, L)
 
 
 @st.composite
@@ -68,6 +69,26 @@ class TestCoefficientFunction:
             quad += np.dot(weights, c(taus))
         closed = c.antiderivative(t) - c.antiderivative(s)
         assert abs(closed - quad) <= ANTIDERIVATIVE_TOL * max(1.0, abs(closed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=coefficients(), t=st.floats(0.0, 1.0))
+    def test_derivative_matches_central_difference(self, c, t):
+        """Off the steps, c'(t) equals the central difference of c with
+        h = 1e-4 / max(1, w), w the fastest frequency: its truncation,
+        h^2/6 sup|c'''|, and its rounding, about eps sup|c| / h, stay below
+        DERIVATIVE_TOL of max(1, L), and |c'(t)| <= L = lipschitz_bound(1).
+        A step term adds nothing off its jump time, and +inf at a jump
+        t0 > 0 with a nonzero jump."""
+        smooth = replace(c, steps=())
+        h = 1e-4 / max([1.0] + [omega for omega, _, _ in c.trig])
+        rate, bound = smooth.derivative(t), smooth.lipschitz_bound(1.0)
+        difference = (smooth(t + h) - smooth(t - h)) / (2.0 * h)
+        assert abs(rate - difference) <= DERIVATIVE_TOL * max(1.0, bound)
+        assert abs(rate) <= bound * (1.0 + 1e-12)
+        jumps = {t0 for t0, jump in c.steps if jump != 0 and t0 > 0}
+        assert c.derivative(t) == (np.inf + rate if t in jumps else rate)
+        for t0 in jumps:
+            assert np.isinf(c.derivative(t0))
 
     def test_lipschitz_bound_quadratic(self):
         # c(t) = t^2 on [0, 2] has sup |c'| = 4
