@@ -8,13 +8,13 @@ stability, in lieu of proof).  `cli.run_check` judges it against the cap
 The sector bound takes its sup over lambda in closed form per (t, xi)
 cell, so only t and xi are sampled.  So do C' and C: the sup of a
 difference quotient over pairs s < t is the sup of the time derivative,
-and per (t, xi) cell the derivatives |lambda| |d/dt a| / |lambda + a|^2 of
-|lambda| R(lambda, a(t)) and tau |d/dt a| e^{-tau Re a} of e^{-tau a(t)}
-have closed-form sups over the whole sector and over tau in (0, T]
-(`_resolvent_rate_sup`, `_semigroup_rate_sup`).  Only the sup over t is
-sampled: on the plan's uniform times plus every jump time, where a step
-term's rate is infinite; between samples the rate can exceed them, as
-every sampled sup here can.
+and per (t, xi) cell the moduli |lambda| |d/dt a| / |lambda + a|^2 of
+d/dt lambda R(lambda, a(t)) and tau |d/dt a| e^{-tau Re a} of
+d/dt e^{-tau a(t)} have closed-form sups over the whole sector and over
+tau in (0, T] (`check_resolvent_lipschitz`, `check_semigroup_lipschitz`).
+Only the sup over t is sampled: on the plan's uniform times plus every
+jump time, where a step term's rate is infinite; between samples the
+rate can exceed them, as every sampled sup here can.
 
 Every sampled sup goes through `_steepest`: a non-finite quotient reads
 as 2 cap (a violation at cap) and the first maximum in sample-then-bin
@@ -463,9 +463,10 @@ def _rate_sweep(spec: SymbolSpec, grid: Grid, p: SamplePlan, sup, argmax):
     per `_time_classes` class keyed on the coefficients and their rates.  A
     zero rate reads 0 whatever sup(a) is, even where the pole -a lies in the
     sector, as an autonomous row read 0 in a difference quotient."""
-    jumps = [t0 for c in spec.coefficients.values() for t0, jump in c.steps
-             if jump != 0 and 0.0 < t0 <= spec.horizon]
-    times = np.union1d(np.linspace(0.0, spec.horizon, p.time_samples), jumps)
+    times = np.linspace(0.0, spec.horizon, p.time_samples)
+    jumps = {t0 for c in spec.coefficients.values() for t0, jump in c.steps
+             if jump != 0 and 0.0 < t0 <= spec.horizon} - set(times.tolist())
+    times = np.sort(np.append(times, list(jumps)))   # np.union1d imports numpy.ma (1.3 MB)
     ts = times[_time_classes(spec, times, rates=True)[0]]
     a = _symbol_matrix(spec, grid, ts)
     with np.errstate(invalid="ignore"):     # an infinite rate times (i 0)^alpha is NaN
@@ -497,8 +498,9 @@ def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
     |lambda| |R(lambda, a(t)) - R(lambda, a(s))| / (t - s).
 
     The sup over lambda is `_resolvent_rate_sup`'s closed form, so C' =
-    sup |d/dt a| / (4 |a| sin^2(psi/2)) over the sampled (t, xi) cells of
-    `_rate_sweep`; the witness is (t, xi, lambda*).
+    sup |d/dt a| / (4 |a| sin^2(psi/2)) over the (t, xi) cells of
+    `_rate_sweep`, a lower bound on the sup over all t; the witness is
+    (t, xi, lambda*).
     """
 
     def argmax(a: complex) -> dict:
@@ -517,8 +519,8 @@ def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
 
     tau e^{-tau r} peaks at tau* = 1/r, so its sup over (0, T] is
     g(r) = 1/(e r) if r >= 1/T and T e^{-T r} (at tau* = T) otherwise; C =
-    sup |d/dt a| g(Re a) over the sampled (t, xi) cells of `_rate_sweep`,
-    and the witness is (t, xi, tau*).
+    sup |d/dt a| g(Re a) over the (t, xi) cells of `_rate_sweep`, a lower
+    bound on the sup over all t; the witness is (t, xi, tau*).
     """
     T = spec.horizon
 
@@ -583,7 +585,7 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
     if not vectors:
         raise ConfigurationError("need at least one test vector")
     (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
-    # slopes |a(t) - a(s)| / (t - s); the L2 sums run over every bin, each reading its class's
+    # slopes |a(t) - a(s)| / (t - s) per class; each bin of the L2 sums reads its class's
     slope = (np.abs(a[k] - a[i]) / (t - s)[:, None])[:, _bin_classes(spec, grid)[1]]
     a0 = np.abs(np.broadcast_to(spec.on_axes(0.0, grid.xi_axes()),
                                 grid.shape)).reshape(-1)

@@ -246,9 +246,10 @@ class TestLipschitz:
         # a = i xi does not depend on t: every rate is 0, and so is every
         # quotient, although the pole -a lies in the sector, on the base and
         # on the refined plan of the bundled check
-        rep = check_resolvent_lipschitz(drift_symbol(), grid, THETA, SamplePlan())
-        assert rep.value == 0.0 and rep.refined_value == 0.0
-        assert rep.witness == {}
+        for rep in (check_resolvent_lipschitz(drift_symbol(), grid, THETA, SamplePlan()),
+                    check_semigroup_lipschitz(drift_symbol(), grid, SamplePlan())):
+            assert rep.value == 0.0 and rep.refined_value == 0.0
+            assert rep.witness == {}
 
     def test_factored_sweep_matches_the_reciprocal_sweep(self, td1, grid, thin_plan):
         # same pairs, lambdas and bins; the reciprocal form loses about

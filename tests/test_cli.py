@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -399,6 +401,19 @@ def test_check_on_a_subnormal_symbol_fails_without_warnings(tmp_path, capsys):
                      "--stable"]) == 1
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert capsys.readouterr().err == ""
+
+
+def test_check_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique without return_inverse (so np.union1d too) imports numpy.ma,
+    # which stays resident, about 1.3 MB, for the rest of the process
+    from importlib import resources
+    config = resources.files("evofam.data").joinpath("configs").joinpath("td1.json")
+    code = ("import sys\nfrom evofam.cli import main\n"
+            f"main(['check', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+            "print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_band_limited_data_solves_past_the_grid_reach(tmp_path):
