@@ -2,28 +2,25 @@
 Lipschitz hypotheses for a time-dependent symbol family.
 
 Every checker returns measurements only: its constant, with a witness, as
-a maximum over a seeded sample plan and on the doubled plan (refinement
-stability, in lieu of proof).  `cli.run_check` judges it against the cap
-(a "violation at cap", never an analytic disproof) or a named tolerance.
-The sector bound takes its sup over lambda in closed form per (t, xi)
-cell, so only t and xi are sampled.  So do C' and C: the sup of a
-difference quotient over pairs s < t is the sup of the time derivative,
-and per (t, xi) cell the moduli |lambda| |d/dt a| / |lambda + a|^2 of
-d/dt lambda R(lambda, a(t)) and tau |d/dt a| e^{-tau Re a} of
-d/dt e^{-tau a(t)} have closed-form sups over the whole sector and over
-tau in (0, T] (`check_resolvent_lipschitz`, `check_semigroup_lipschitz`).
-Only the sup over t is sampled: on the plan's uniform times plus every
-jump time, where a step term's rate is infinite; between samples the
-rate can exceed them, as every sampled sup here can.
+a maximum over a seeded sample plan; M, kappa, L, C' and C also on the
+doubled plan (refinement stability, in lieu of proof).  `cli.run_check`
+judges each against the cap (a "violation at cap", never an analytic
+disproof) or a named tolerance.  The sector bound takes its sup over
+lambda in closed form per (t, xi) cell, so only t and xi are sampled.  So
+do C', C and cd (`CDSystemReport`): the sup of a difference quotient over
+pairs s < t is the sup of the time derivative, and per (t, xi) cell the
+moduli |lambda| |d/dt a| / |lambda + a|^2 of d/dt lambda R(lambda, a(t))
+and tau |d/dt a| e^{-tau Re a} of d/dt e^{-tau a(t)} have closed-form sups
+over the whole sector and over tau in (0, T] (`check_resolvent_lipschitz`,
+`check_semigroup_lipschitz`).  Only the sup over t is sampled, on the
+times of `_rate_rows`; between samples the rate can exceed them, as every
+sampled sup here can.
 
 Every sampled sup goes through `_steepest`: a non-finite quotient reads
 as 2 cap (a violation at cap) and the first maximum in sample-then-bin
-order is the witness.  The A3 and cd quotients |f(t) - f(s)|/(t - s) are
-sampled on the pairs of a uniform base grid of [0, T] plus centred
-near-coincident pairs.  For a fixed xi or test vector the triangle
-inequality puts the sup over all base pairs on a neighbouring pair, in an
-L2 norm as in modulus, so the cd quotients sweep neighbouring base pairs
-only; A3 divides by |a(s)| and sweeps all pairs.
+order is the witness.  The A3 quotient |1 - a(t)/a(s)|/(t - s) divides by
+|a(s)|, so it is no time derivative: it is sampled on every pair of a
+uniform base grid of [0, T] plus centred near-coincident pairs.
 
 Three rules skip repeated work without moving a sup or its witness:
 * Columns: bins whose monomials (i xi)^alpha are all equal (after + 0.0, so
@@ -32,13 +29,13 @@ Three rules skip repeated work without moving a sup or its witness:
   its first bin.
 * Rows: times whose coefficients c_alpha(t) are all equal (`_time_classes`)
   have equal rows a(t, .), so the sector, theta*, kappa, Kato and pair
-  tables hold one row per class, at its first time; the C' and C tables
-  key the classes on the rates c_alpha'(t) too, since equal coefficients
-  need not have equal rates.
+  tables hold one row per class, at its first time; the C', C and cd
+  tables key the classes on the rates c_alpha'(t) too, since equal
+  coefficients need not have equal rates.
 * Pairs: a pair whose times share a class has a(s, .) = a(t, .), so each
-  of its A3 and cd quotients is 0 or non-finite (2 cap) whatever t - s
-  is; `_pair_table` lists the first such pair per class and every pair
-  whose coefficients differ.
+  of its A3 quotients is 0 or non-finite (2 cap) whatever t - s is;
+  `_pair_table` lists the first such pair per class and every pair whose
+  coefficients differ.
 A dropped column, row or pair repeats the quotients of one listed before
 it, so the first maximum in sample-row-column order, and with it the
 witness, lies on what is swept.  The reported counts (`samples`,
@@ -51,8 +48,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .spectral import Grid, memo, row_blocks
+from .errors import ConfigurationError, DomainError, NumericError
+from .spectral import Grid, NormSpec, memo, row_blocks
 from .symbols import SymbolSpec
 
 PAIR_DELTAS = (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)   # widths of the centred pairs
@@ -60,7 +57,8 @@ PAIR_DELTAS = (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)   # widths of the centr
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Densities and seeds for every sampling sweep; `refined` doubles them."""
+    """Densities and seeds for every sampling sweep; `refined` doubles the
+    time samples and the A3 pair grid, for the refinement-stable constants."""
 
     seed: int = 1
     time_samples: int = 128
@@ -79,9 +77,6 @@ class SamplePlan:
             self,
             time_samples=self.time_samples * 2,
             pair_grid=self.pair_grid * 2,
-            resolvent_pair_grid=self.resolvent_pair_grid * 2,
-            kato_lambdas=self.kato_lambdas * 2,
-            kato_partitions=self.kato_partitions * 2,
         )
 
 
@@ -282,7 +277,11 @@ def largest_passing_theta(spec: SymbolSpec, grid: Grid,
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Kato stability: resolvent products and semigroup products."""
+    """Kato stability: resolvent products and semigroup products, measured
+    once.  With M = 1 and omega = -(min Re a over the sampled matrix), each
+    factor (lambda - omega)/|lambda + a| and e^{-tau (Re a + omega)} is at
+    most 1, since Re(lambda + a) >= lambda - omega > 0, so every ratio is at
+    most 1 + roundoff on any plan."""
 
     m: float
     omega: float
@@ -290,8 +289,6 @@ class StabilityCertificate:
     partitions_tested: int
     max_resolvent_ratio: float     # worst product / (M / (lambda - omega)^k)
     max_semigroup_ratio: float     # worst product / (M e^{omega sum tau})
-    refined_ratio: float = float("nan")
-    refinement_delta: float = float("nan")
 
 
 def _partitions(T: float, k: int, count: int, rng: np.random.Generator,
@@ -327,53 +324,47 @@ def check_kato_stability(spec: SymbolSpec, grid: Grid,
     that loop's `max` did, is the same bit for bit.
     """
     T = spec.horizon
+    rng = np.random.default_rng(plan.seed)
+    _, classes, a = _time_rows(spec, grid, plan.time_samples)
+    w = omega if omega is not None else -float(np.min(a.real))
+    lams = w + np.geomspace(1e-1, 1e3, plan.kato_lambdas)
+    anchors = np.linspace(0.0, T, 9)
 
-    def measure(p: SamplePlan):
-        rng = np.random.default_rng(p.seed)
-        _, classes, a = _time_rows(spec, grid, p.time_samples)
-        w = omega if omega is not None else -float(np.min(a.real))
-        lams = w + np.geomspace(1e-1, 1e3, p.kato_lambdas)
-        anchors = np.linspace(0.0, T, 9)
+    # per order k: the distinct factor rows, then the factor rows and the
+    # durations of every partition, (partitions, k) each
+    orders = []
+    for k in range(1, plan.kato_kmax + 1):
+        parts = np.array(_partitions(T, k, plan.kato_partitions, rng, anchors))
+        taus = np.array([rng.uniform(0.0, T / k, k) for _ in parts])
+        idx = classes[np.rint(parts / T * (plan.time_samples - 1)).astype(int)]
+        orders.append((k, idx[_classes(idx)[0]], idx, taus))
+    log_m = np.log(m)
 
-        # per order k: the distinct factor rows, then the factor rows and the
-        # durations of every partition, (partitions, k) each
-        orders = []
-        for k in range(1, p.kato_kmax + 1):
-            parts = np.array(_partitions(T, k, p.kato_partitions, rng, anchors))
-            taus = np.array([rng.uniform(0.0, T / k, k) for _ in parts])
-            idx = classes[np.rint(parts / T * (p.time_samples - 1)).astype(int)]
-            orders.append((k, idx[_classes(idx)[0]], idx, taus))
-        log_m = np.log(m)
+    def worst(log_prod, bound, best):
+        """`best` raised to the largest non-NaN exp(max_xi log_prod - bound)."""
+        return float(np.fmax.reduce(np.exp(np.max(log_prod, axis=1) - bound),
+                                    initial=best))
 
-        def worst(log_prod, bound, best):
-            """`best` raised to the largest non-NaN exp(max_xi log_prod - bound)."""
-            return float(np.fmax.reduce(np.exp(np.max(log_prod, axis=1) - bound),
-                                        initial=best))
-
-        worst_res, logs = 0.0, np.empty(a.shape)
-        for lam in lams:
-            for rows in row_blocks(*a.shape):
-                np.log(np.abs(lam + a[rows], out=logs[rows]), out=logs[rows])
-            log_gap = np.log(lam - w)
-            for k, rows, _, _ in orders:
-                for part in row_blocks(len(rows), k * a.shape[1]):
-                    worst_res = worst(-np.sum(logs[rows[part]], axis=1),
-                                      log_m - k * log_gap, worst_res)
-        # semigroup form with random nonnegative durations, on every partition
-        worst_semi = 0.0
-        for k, _, idx, taus in orders:
-            for part in row_blocks(len(idx), k * a.shape[1]):
-                worst_semi = worst(
-                    -np.sum(taus[part, :, None] * a.real[idx[part]], axis=1),
-                    log_m + w * np.sum(taus[part], axis=1), worst_semi)
-        tested = sum(len(idx) for _, _, idx, _ in orders)
-        return max(worst_res, worst_semi), w, worst_res, worst_semi, tested
-
-    (_, w, res_base, semi_base, tested), fine, delta = _refined(measure, plan)
+    worst_res, logs = 0.0, np.empty(a.shape)
+    for lam in lams:
+        for rows in row_blocks(*a.shape):
+            np.log(np.abs(lam + a[rows], out=logs[rows]), out=logs[rows])
+        log_gap = np.log(lam - w)
+        for k, rows, _, _ in orders:
+            for part in row_blocks(len(rows), k * a.shape[1]):
+                worst_res = worst(-np.sum(logs[rows[part]], axis=1),
+                                  log_m - k * log_gap, worst_res)
+    # semigroup form with random nonnegative durations, on every partition
+    worst_semi = 0.0
+    for k, _, idx, taus in orders:
+        for part in row_blocks(len(idx), k * a.shape[1]):
+            worst_semi = worst(
+                -np.sum(taus[part, :, None] * a.real[idx[part]], axis=1),
+                log_m + w * np.sum(taus[part], axis=1), worst_semi)
     return StabilityCertificate(
-        m=m, omega=w, kmax=plan.kato_kmax, partitions_tested=tested,
-        max_resolvent_ratio=res_base, max_semigroup_ratio=semi_base,
-        refined_ratio=fine, refinement_delta=delta)
+        m=m, omega=w, kmax=plan.kato_kmax,
+        partitions_tested=sum(len(idx) for _, _, idx, _ in orders),
+        max_resolvent_ratio=worst_res, max_semigroup_ratio=worst_semi)
 
 
 def _swept_pairs(s_class: np.ndarray, t_class: np.ndarray) -> np.ndarray:
@@ -385,26 +376,20 @@ def _swept_pairs(s_class: np.ndarray, t_class: np.ndarray) -> np.ndarray:
     return swept
 
 
-def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int,
-                neighbours: bool = True):
+def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int):
     """Pairs s < t as arrays (s, t, row_s, row_t) into the symbol matrix on
     the first time of each `_time_classes` class of their times (the Rows
     rule), that matrix, and the number of pairs the sup covers: every
-    base-grid pair plus the centred pairs.  With `neighbours` only
-    neighbouring base pairs are listed (exact for quotients whose sup the
-    triangle inequality puts on them).
+    base-grid pair plus the centred pairs.
 
     Only the `_swept_pairs` are listed.  Equal coefficients make a(s, .)
-    and a(t, .) the same doubles, so each A3 and cd quotient of such
-    a pair is 0 or non-finite (read as 2 cap) whatever t - s is: its row is
-    that of the first pair with the same coefficients, which is listed
-    earlier, and a first maximum never falls on a dropped row."""
+    and a(t, .) the same doubles, so each A3 quotient of such a pair is 0
+    or non-finite (read as 2 cap) whatever t - s is: its row is that of
+    the first pair with the same coefficients, which is listed earlier,
+    and a first maximum never falls on a dropped row."""
     T = spec.horizon
     base = np.linspace(0.0, T, grid_count)
     i, k = np.triu_indices(grid_count, 1)
-    covered = len(i)
-    if neighbours:
-        i, k = i[k == i + 1], k[k == i + 1]
     centers = np.append(base, 0.5 * T)
     half = np.asarray(PAIR_DELTAS)[:, None] / 2.0
     cs, ct = (centers - half).ravel(), (centers + half).ravel()
@@ -416,7 +401,7 @@ def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int,
     row_s, row_t = np.split(classes[rows], 2)
     swept = _swept_pairs(row_s, row_t)
     return ((s[swept], t[swept], row_s[swept], row_t[swept]),
-            _symbol_matrix(spec, grid, times[first]), covered + int(np.count_nonzero(keep)))
+            _symbol_matrix(spec, grid, times[first]), len(s))
 
 
 @dataclass(frozen=True)
@@ -443,7 +428,7 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
     """
 
     def measure(p: SamplePlan):
-        (s, t, i, k), a, count = _pair_table(spec, grid, p.pair_grid, neighbours=False)
+        (s, t, i, k), a, count = _pair_table(spec, grid, p.pair_grid)
         # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
         quotient = lambda _, lo, hi: (np.abs(a[i[lo:hi]] - a[k[lo:hi]]) / np.abs(a[i[lo:hi]])
                                       / (t - s)[lo:hi, None])
@@ -455,29 +440,38 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
     return _lipschitz(measure, plan)
 
 
-def _rate_sweep(spec: SymbolSpec, grid: Grid, p: SamplePlan, sup, argmax):
-    """Largest |d/dt a| sup(a) over the (t, xi) cells, its witness ({} when
-    it is 0) with `argmax(a)` at the witness cell, and the number of cells.
-    The times are the plan's `time_samples` uniform times on [0, T] plus
-    every jump time in (0, T], where a step term's rate is infinite, one row
-    per `_time_classes` class keyed on the coefficients and their rates.  A
-    zero rate reads 0 whatever sup(a) is, even where the pole -a lies in the
-    sector, as an autonomous row read 0 in a difference quotient."""
-    times = np.linspace(0.0, spec.horizon, p.time_samples)
+def _rate_rows(spec: SymbolSpec, grid: Grid, samples: int):
+    """The rate sweeps' times and table: the first time of each
+    `_time_classes` class, keyed on the coefficients and their rates, of
+    `samples` uniform times on [0, T] plus every jump time in (0, T], where
+    a step term's rate is infinite; |d/dt a| on those times and the
+    `_class_axes` columns (NaN where an infinite rate meets a zero
+    monomial); and the number of times."""
+    times = np.linspace(0.0, spec.horizon, samples)
     jumps = {t0 for c in spec.coefficients.values() for t0, jump in c.steps
              if jump != 0 and 0.0 < t0 <= spec.horizon} - set(times.tolist())
     times = np.sort(np.append(times, list(jumps)))   # np.union1d imports numpy.ma (1.3 MB)
     ts = times[_time_classes(spec, times, rates=True)[0]]
-    a = _symbol_matrix(spec, grid, ts)
     with np.errstate(invalid="ignore"):     # an infinite rate times (i 0)^alpha is NaN
         rate = np.abs(spec.time_matrix(ts, _class_axes(spec, grid), derivative=True)
                       ).reshape(len(ts), -1)
+    return ts, rate, len(times)
+
+
+def _rate_sweep(spec: SymbolSpec, grid: Grid, p: SamplePlan, sup, argmax):
+    """Largest |d/dt a| sup(a) over the (t, xi) cells of `_rate_rows`, its
+    witness ({} when it is 0) with `argmax(a)` at the witness cell, and the
+    number of cells.  A zero rate reads 0 whatever sup(a) is, even where the
+    pole -a lies in the sector, as an autonomous row read 0 in a difference
+    quotient."""
+    ts, rate, count = _rate_rows(spec, grid, p.time_samples)
+    a = _symbol_matrix(spec, grid, ts)
     quotient = lambda _, lo, hi: np.where(rate[lo:hi] == 0.0, 0.0,
                                           rate[lo:hi] * sup(a[lo:hi]))
     value, (_, i, j) = _steepest(quotient, 1, len(ts), a.shape[1], p.cap)
     witness = {} if value == 0.0 else {
         "t": float(ts[i]), "xi": _bin_xi(spec, grid, j), "value": value, **argmax(a[i, j])}
-    return value, witness, len(times) * len(grid.xi_rows())
+    return value, witness, count * len(grid.xi_rows())
 
 
 def _resolvent_rate_sup(a: np.ndarray, theta: float) -> np.ndarray:
@@ -568,41 +562,43 @@ def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
 @dataclass(frozen=True)
 class CDSystemReport:
     """Strong Lipschitz quotients of t -> A(t); the domain is constant by
-    construction of the multiplier model.  By the mean value theorem the
-    X-level quotient is at most sum_alpha Lip(a_alpha) |xi^alpha| pointwise.
+    construction of the multiplier model.  By Minkowski, ||(a(t) - a(s)) f^||
+    <= int_s^t ||d/dt a(r) f^|| dr with equality as s -> t, so the sup over
+    pairs of the quotient is sup_t ||d/dt a(t) f^||, in X and in X_{-1} alike.
     `cli.run_check` passes the CD system on Kato and each quotient <= cap."""
 
-    strong_lipschitz: float           # max over pairs and vectors, X level
+    strong_lipschitz: float           # max over times and vectors, X level
     strong_lipschitz_xminus1: float
     witness: dict
 
 
 def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
                       plan: SamplePlan = SamplePlan()) -> CDSystemReport:
-    """Strong Lipschitz quotients of t -> A(t) on the declared test vectors,
-    at the X level and in the X_{-1} gauge (inf where a(0,.) vanishes); the
-    caller measures Kato stability, the CD system's other half, once."""
+    """sup_t ||d/dt a(t) f^|| over the declared test vectors and the times of
+    `_rate_rows` (2 cap at a jump), at the X level and in the X_{-1} gauge of
+    `NormSpec` (inf where it is undefined); the witness is the steepest time.
+    The caller measures Kato stability, the CD system's other half, once."""
     if not vectors:
         raise ConfigurationError("need at least one test vector")
-    (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
-    # slopes |a(t) - a(s)| / (t - s) per class; each bin of the L2 sums reads its class's
-    slope = (np.abs(a[k] - a[i]) / (t - s)[:, None])[:, _bin_classes(spec, grid)[1]]
-    a0 = np.abs(np.broadcast_to(spec.on_axes(0.0, grid.xi_axes()),
-                                grid.shape)).reshape(-1)
-
+    ts, rate, _ = _rate_rows(spec, grid, plan.time_samples)
+    # each bin of the L2 sums reads its class's rate
+    rate = rate[:, _bin_classes(spec, grid)[1]]
     w = grid.cell_volume
     fhats = np.array([np.abs(f.values.reshape(-1)) for f in vectors])
 
-    def sup(weighted):
-        """Steepest L2 quotient ||weighted * f^|| over (vector, pair) and where it sits."""
+    def sup(weight):
+        """Steepest L2 norm ||rate * weight * f^|| over (vector, time) and where it sits."""
         quotient = lambda v, lo, hi: np.sqrt(
-            np.sum((weighted[lo:hi] * fhats[v]) ** 2, axis=1) * w)[:, None]
-        return _steepest(quotient, len(vectors), len(s), slope.shape[1], plan.cap)
+            np.sum((rate[lo:hi] * weight * fhats[v]) ** 2, axis=1) * w)[:, None]
+        return _steepest(quotient, len(vectors), len(ts), rate.shape[1], plan.cap)
 
-    worst_x, (_, q, _) = sup(slope)
-    witness = ({"t": float(t[q]), "s": float(s[q]), "quotient": worst_x}
-               if worst_x > 0.0 else {})
-    # the X_{-1} gauge is undefined where a(0,.) vanishes
-    worst_m1 = sup(slope / a0)[0] if np.all(a0 > 0.0) else float("inf")
+    worst_x, (_, i, _) = sup(1.0)
+    witness = {"t": float(ts[i]), "quotient": worst_x} if worst_x > 0.0 else {}
+    try:
+        weight = NormSpec(spec, 0.0).weight(grid).reshape(-1)
+    except NumericError:
+        worst_m1 = float("inf")
+    else:
+        worst_m1 = sup(weight)[0]
     return CDSystemReport(strong_lipschitz=worst_x, strong_lipschitz_xminus1=worst_m1,
                           witness=witness)

@@ -32,7 +32,7 @@ from .symbols import certify_ellipticity
 # Verdict tolerances.  The library returns measurements only; every verdict
 # is decided in this module, against the sample plan's cap or one of these.
 TAIL_WARN = 1e-8            # spectral tail mass above which box truncation pollutes the model
-REFINE_DELTA = 0.05         # max relative move of a sampled constant when the plan doubles
+REFINE_DELTA = 0.05         # max relative move of M, kappa, L, C' or C when the plan doubles
 CHAIN_SLACK = 0.05          # C' <= M^2 L (1 + slack): sampling slack of the lemma chain
 ROUNDOFF = 1e-12            # identities that hold exactly up to roundoff
 KATO_TOL = 1e-9             # Kato ratios may exceed 1 by roundoff only
@@ -146,7 +146,7 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
                    <= 1.0 + KATO_TOL)
     deltas = {
         "a1": a1.refinement_delta, "a2": a2.refinement_delta,
-        "a3": a3.refinement_delta, "kato": kato.refinement_delta,
+        "a3": a3.refinement_delta,
         "resolvent_lipschitz": cprime.refinement_delta,
         "semigroup_lipschitz": csemi.refinement_delta,
     }

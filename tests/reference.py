@@ -32,6 +32,9 @@ each piece backs an invariant the evolution-family theory rests on:
 * `coefficient_lipschitz` and `cd_lipschitz_bound`: the per-coefficient
   Lipschitz bounds, and from them the bound on the strong Lipschitz
   quotient that `certify_cd_system` samples;
+* `neighbour_pairs`: the pairs the difference-quotient sweeps below
+  sampled, neighbouring times of a uniform grid of [0, T] plus centred
+  pairs of the certifiers' PAIR_DELTAS widths, with a(s, .) and a(t, .);
 * the references below that sample times build their tables on every
   time of the plan, one row per time, where the certifiers take one row
   per `_time_classes` class: the Rows rule is checked against them;
@@ -42,21 +45,24 @@ each piece backs an invariant the evolution-family theory rests on:
   sector constant passes the cap on the plan, as `largest_passing_theta`
   scanned before it took theta* in closed form, read from the closed-form
   sup on every (t, xi) cell; it must agree with theta* on every scan angle;
-* `sector_lambdas`, `sampled_resolvent_lipschitz` and
-  `sampled_semigroup_lipschitz`: C' and C as `check_resolvent_lipschitz`
-  and `check_semigroup_lipschitz` sampled them before they took the
-  closed-form sups of the time derivative: difference quotients on the
-  neighbouring pairs of `_pair_table` times |lambda| on 2 RAYS + 1 rays
-  with moduli in RESOLVENT_MODULUS_RANGE, or times tau in [1e-3, T].  By
-  the mean value theorem each sweep is a lower bound on the closed form
-  over t, taken on a dense enough time grid;
+* `sector_lambdas`, `sampled_resolvent_lipschitz`,
+  `sampled_semigroup_lipschitz` and `sampled_cd_system`: C', C and the cd
+  quotients as `check_resolvent_lipschitz`, `check_semigroup_lipschitz`
+  and `certify_cd_system` sampled them before they took the closed-form
+  sups of the time derivative: difference quotients on `neighbour_pairs`
+  times |lambda| on 2 RAYS + 1 rays with moduli in
+  RESOLVENT_MODULUS_RANGE, or times tau in [1e-3, T], or L2 norms on test
+  vectors.  By the mean value theorem (Minkowski's inequality for the L2
+  norms) each sweep is a lower bound on the closed form over t, taken on
+  a dense enough time grid;
 * `factored_resolvent_quotient` and `reciprocal_resolvent_quotient`: the C'
   quotient with the slope |a(t) - a(s)|/(t - s) factored out, as the sweep
   took it, and as a difference of reciprocals, which cancels on
   near-coincident pairs;
 * `kato_reference`: the Kato product sweep one partition and one lambda
   at a time, as `check_kato_stability` measured it before it took one
-  log|lambda + a| table per lambda; it must give the same record bit for bit;
+  log|lambda + a| table per lambda, once on the plan; it must give the
+  same record bit for bit;
 * `product_formula_reference`: the frozen-coefficient product rules as
   `product_formula_errors` took them before it summed the coefficients:
   one row a(tau_j, .) per node from `time_matrix`, added in node order;
@@ -85,8 +91,8 @@ each piece backs an invariant the evolution-family theory rests on:
 
 import numpy as np
 
-from evofam.assumptions import (SamplePlan, StabilityCertificate, _pair_table, _partitions,
-                                _refined, _sector_sup, _symbol_matrix)
+from evofam.assumptions import (PAIR_DELTAS, SamplePlan, StabilityCertificate, _partitions,
+                                _sector_sup, _symbol_matrix)
 from evofam.errors import ConfigurationError, ConvergenceError, DomainError, NumericError
 from evofam.evolution import RULE_OFFSETS, PropagatorEngine
 from evofam.semigroup import FrozenOperator, gauss_legendre_panels
@@ -370,67 +376,92 @@ def reciprocal_resolvent_quotient(lam: complex, a_s, a_t, dt):
     return np.abs(lam) * np.abs(1.0 / (lam + a_t) - 1.0 / (lam + a_s)) / dt
 
 
+def neighbour_pairs(spec: SymbolSpec, grid: Grid, count: int):
+    """Times s < t of the neighbouring pairs of `count` uniform times on
+    [0, T] and of the centred pairs of widths PAIR_DELTAS around those
+    times and T/2 that fit in [0, T], with a(s, .) and a(t, .) on every bin,
+    shape (pairs, bins) each."""
+    T = spec.horizon
+    base = np.linspace(0.0, T, count)
+    centers, half = np.append(base, 0.5 * T), np.asarray(PAIR_DELTAS)[:, None] / 2.0
+    cs, ct = (centers - half).ravel(), (centers + half).ravel()
+    keep = (cs >= 0.0) & (ct <= T) & (ct > cs)
+    s, t = np.concatenate([base[:-1], cs[keep]]), np.concatenate([base[1:], ct[keep]])
+    table = lambda ts: spec.time_matrix(ts, grid.xi_axes()).reshape(len(ts), -1)
+    return s, t, table(s), table(t)
+
+
 def sampled_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
                                 plan: SamplePlan, factored: bool = True) -> float:
-    """C' on the plan's neighbouring pairs and `resolvent_moduli` moduli per
+    """C' on the plan's `neighbour_pairs` and `resolvent_moduli` moduli per
     ray (no refinement), in the factored or the reciprocal form; quotients
     are assumed finite."""
-    (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
+    s, t, a_s, a_t = neighbour_pairs(spec, grid, plan.resolvent_pair_grid)
     lams = sector_lambdas(theta, np.geomspace(*RESOLVENT_MODULUS_RANGE,
                                               plan.resolvent_moduli))
     dt = (t - s)[:, None]
-    slope = np.abs(a[k] - a[i]) / dt
-    quotient = ((lambda lam: factored_resolvent_quotient(lam, a[i], a[k], slope)) if factored
-                else (lambda lam: reciprocal_resolvent_quotient(lam, a[i], a[k], dt)))
+    slope = np.abs(a_t - a_s) / dt
+    quotient = ((lambda lam: factored_resolvent_quotient(lam, a_s, a_t, slope)) if factored
+                else (lambda lam: reciprocal_resolvent_quotient(lam, a_s, a_t, dt)))
     return float(max(np.max(quotient(lam)) for lam in lams))
 
 
 def sampled_semigroup_lipschitz(spec: SymbolSpec, grid: Grid, plan: SamplePlan) -> float:
-    """C on the plan's neighbouring pairs and `tau_samples` log-spaced tau in
+    """C on the plan's `neighbour_pairs` and `tau_samples` log-spaced tau in
     [1e-3, T] (no refinement); quotients are assumed finite."""
-    (s, t, i, k), a, _ = _pair_table(spec, grid, plan.resolvent_pair_grid)
+    s, t, a_s, a_t = neighbour_pairs(spec, grid, plan.resolvent_pair_grid)
     dt = (t - s)[:, None]
-    return float(max(np.max(np.abs(np.exp(-tau * a[k]) - np.exp(-tau * a[i])) / dt)
+    return float(max(np.max(np.abs(np.exp(-tau * a_t) - np.exp(-tau * a_s)) / dt)
                      for tau in np.geomspace(1e-3, spec.horizon, plan.tau_samples)))
+
+
+def sampled_cd_system(spec: SymbolSpec, grid: Grid, vectors, plan: SamplePlan):
+    """The X and X_{-1} cd quotients max ||(a(t) - a(s)) w f^|| / (t - s) over
+    the vectors f and the plan's `neighbour_pairs`, with w = 1 and
+    w = 1/|a(0, .)| (inf where that weight is not a finite double); by the
+    triangle inequality the neighbouring pairs carry the sup over all pairs
+    of their grid."""
+    s, t, a_s, a_t = neighbour_pairs(spec, grid, plan.resolvent_pair_grid)
+    slope = np.abs(a_t - a_s) / (t - s)[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        weight = 1.0 / np.abs(spec.time_matrix(np.zeros(1), grid.xi_axes()).reshape(-1))
+    fhats = [np.abs(f.values.reshape(-1)) for f in vectors]
+    sup = lambda w: max(float(np.max(np.sqrt(np.sum((slope * w * fhat) ** 2, axis=1)
+                                              * grid.cell_volume))) for fhat in fhats)
+    return sup(1.0), sup(weight) if np.all(np.isfinite(weight)) else float("inf")
 
 
 def kato_reference(spec: SymbolSpec, grid: Grid, plan: SamplePlan = SamplePlan(),
                    m: float = 1.0, omega: float | None = None) -> StabilityCertificate:
     """`check_kato_stability` as one loop over (partition, lambda): a log of
     |lambda + a| on every factor row of every partition."""
+    rng = np.random.default_rng(plan.seed)
+    ts = np.linspace(0.0, spec.horizon, plan.time_samples)
+    a = _symbol_matrix(spec, grid, ts)
+    w = omega if omega is not None else -float(np.min(a.real))
+    lams = w + np.geomspace(1e-1, 1e3, plan.kato_lambdas)
+    anchors = np.linspace(0.0, spec.horizon, 9)
+    t_index = lambda t: int(round(t / spec.horizon * (len(ts) - 1)))
 
-    def measure(p: SamplePlan):
-        rng = np.random.default_rng(p.seed)
-        ts = np.linspace(0.0, spec.horizon, p.time_samples)
-        a = _symbol_matrix(spec, grid, ts)
-        w = omega if omega is not None else -float(np.min(a.real))
-        lams = w + np.geomspace(1e-1, 1e3, p.kato_lambdas)
-        anchors = np.linspace(0.0, spec.horizon, 9)
-        t_index = lambda t: int(round(t / spec.horizon * (len(ts) - 1)))
-
-        worst_res, worst_semi, tested = 0.0, 0.0, 0
-        for k in range(1, p.kato_kmax + 1):
-            parts = _partitions(spec.horizon, k, p.kato_partitions, rng, anchors)
-            tested += len(parts)
-            for part in parts:
-                rows = a[[t_index(t) for t in part], :]
-                for lam in lams:
-                    log_prod = -np.sum(np.log(np.abs(lam + rows)), axis=0)
-                    bound = np.log(m) - k * np.log(lam - w)
-                    ratio = float(np.exp(np.max(log_prod) - bound))
-                    worst_res = max(worst_res, ratio)
-                # semigroup form with random nonnegative durations
-                taus = rng.uniform(0.0, spec.horizon / k, k)
-                log_semi = -np.sum(taus[:, None] * rows.real, axis=0)
-                bound = np.log(m) + w * float(np.sum(taus))
-                worst_semi = max(worst_semi, float(np.exp(np.max(log_semi) - bound)))
-        return max(worst_res, worst_semi), w, worst_res, worst_semi, tested
-
-    (_, w, res_base, semi_base, tested), fine, delta = _refined(measure, plan)
+    worst_res, worst_semi, tested = 0.0, 0.0, 0
+    for k in range(1, plan.kato_kmax + 1):
+        parts = _partitions(spec.horizon, k, plan.kato_partitions, rng, anchors)
+        tested += len(parts)
+        for part in parts:
+            rows = a[[t_index(t) for t in part], :]
+            for lam in lams:
+                log_prod = -np.sum(np.log(np.abs(lam + rows)), axis=0)
+                bound = np.log(m) - k * np.log(lam - w)
+                ratio = float(np.exp(np.max(log_prod) - bound))
+                worst_res = max(worst_res, ratio)
+            # semigroup form with random nonnegative durations
+            taus = rng.uniform(0.0, spec.horizon / k, k)
+            log_semi = -np.sum(taus[:, None] * rows.real, axis=0)
+            bound = np.log(m) + w * float(np.sum(taus))
+            worst_semi = max(worst_semi, float(np.exp(np.max(log_semi) - bound)))
     return StabilityCertificate(
         m=m, omega=w, kmax=plan.kato_kmax, partitions_tested=tested,
-        max_resolvent_ratio=res_base, max_semigroup_ratio=semi_base,
-        refined_ratio=fine, refinement_delta=delta)
+        max_resolvent_ratio=worst_res, max_semigroup_ratio=worst_semi)
 
 
 # product-rule blocks hold BLOCK_ELEMENTS / 4 values (64 KiB), which glibc keeps in the

@@ -403,6 +403,27 @@ def test_check_on_a_subnormal_symbol_fails_without_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cd_gauge_of_a_subnormal_reference_symbol_reads_inf_without_warnings(tmp_path,
+                                                                           capsys):
+    # a(0, 0) = 1e-310 + 0.5 sin 0: 1/|a(0, .)| overflows, so the X_{-1} gauge
+    # is undefined, as `NormSpec.weight` judges it, and the cd quotient in it
+    # reads inf although a(0, .) > 0 and the rate at xi = 0 is 0.5 cos t
+    config = bundled_config("td1")
+    config["grid"]["n"] = 64
+    config["symbol"]["coefficients"][1] = {"alpha": [0], "const": [1e-310, 0.0],
+                                           "trig": [[1.0, 0.0, 0.0, 0.5, 0.0]]}
+    path = write_config(tmp_path, config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--stable"]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    report = json.loads((tmp_path / "o" / "report.json").read_text())["report"]
+    assert float(report["cd_system"]["strong_lipschitz_xminus1"]) == math.inf
+    assert not report["verdicts"]["cd_system_xminus1"]
+    assert capsys.readouterr().err == ""
+
+
 def test_check_leaves_numpy_ma_unimported(tmp_path):
     # np.unique without return_inverse (so np.union1d too) imports numpy.ma,
     # which stays resident, about 1.3 MB, for the rest of the process
@@ -597,15 +618,19 @@ def test_perturb_builds_frequency_axes_once_per_grid(tmp_path, monkeypatch):
 
 def test_check_certifies_kato_once(td1_cfg_path, tmp_path, monkeypatch):
     from evofam import assumptions as asm
-    calls = []
-    kato = asm.check_kato_stability
+    calls, orders = [], []
+    kato, partitions = asm.check_kato_stability, asm._partitions
     monkeypatch.setattr(asm, "check_kato_stability",
                         lambda *a, **k: calls.append(a) or kato(*a, **k))
+    monkeypatch.setattr(asm, "_partitions",
+                        lambda *a: orders.append(a[1]) or partitions(*a))
     assert main(["check", "--config", str(td1_cfg_path), "--out", str(tmp_path),
                  "--stable"]) == 0
     text = (tmp_path / "report.json").read_text()
     report = json.loads(text)["report"]
     assert len(calls) == 1
+    # on the base plan only: one draw of partitions per order k = 1 .. kmax
+    assert orders == list(range(1, asm.SamplePlan().kato_kmax + 1))
     # one Kato record, under "kato"; the CD system keeps only its quotients
     assert text.count('"max_resolvent_ratio"') == 1
     assert set(report["cd_system"]) == {"strong_lipschitz", "strong_lipschitz_xminus1",

@@ -31,10 +31,12 @@ KEPT_DEFAULTS = {"transport.transport_solve.cfl_safety"}
 # the functions that may call np.fft (besides fftfreq, which builds frequency axes)
 DFT_HOMES = {"spectral.transform", "spectral.inverse_transform"}
 # the closed-form sector sup took over the lambda sweep that read moduli_per_ray,
-# and the closed-form C' and C sups over the lambda and tau sweeps that read
-# resolvent_moduli and tau_samples; the fields stay only while perfbench's
+# the closed-form C' and C sups over the lambda and tau sweeps that read
+# resolvent_moduli and tau_samples, and the closed-form cd sup over the pair
+# sweep that read resolvent_pair_grid; the fields stay only while perfbench's
 # THIN_PLAN and the config schema set them
-KEPT_PLAN_FIELDS = {"moduli_per_ray", "resolvent_moduli", "tau_samples"}
+KEPT_PLAN_FIELDS = {"moduli_per_ray", "resolvent_moduli", "resolvent_pair_grid",
+                    "tau_samples"}
 
 
 def _names(node) -> Counter:
