@@ -330,7 +330,7 @@ DENSE = 16              # time-sample factor of the closed forms the sweeps are 
 # at n = 8, and with omega <= 6 the trig terms keep |q''| / q near
 # omega^2 = 36 (6e-4) where Re a >= 1/T.  The worst ratio of sweep to closed
 # form over 5145 corner and random draws of this strategy was 1.0001 (C),
-# and over 1628 draws 1.00043 for the cd quotients.
+# and over 400 random draws 1.00015 for the cd quotients.
 SWEEP_SLACK = 1e-3
 
 
@@ -737,10 +737,10 @@ def test_kato_ratios_stay_at_one_on_every_plan(dim, kind, samples, lambdas, part
 def test_kato_logs_one_table_per_lambda(td1, grid, monkeypatch):
     # np.log sees each (time class, column) cell once per lambda, plus scalar
     # bound logs; a log per (partition, lambda) of the partition's factor
-    # rows fed it about 22.4 M elements on td1, against about 3.9 M, and
-    # the autonomous nonelliptic symbol has one time class per plan
+    # rows (`kato_reference`) feeds it about 5.7 M elements on td1, against
+    # about 0.79 M, and the autonomous nonelliptic symbol has one time class
     plan, log = SamplePlan(), np.log
-    for spec, rows in ((td1, lambda p: p.time_samples), (drift_symbol(), lambda p: 1)):
+    for spec, rows in ((td1, plan.time_samples), (drift_symbol(), 1)):
         columns, logged = len(asm._bin_classes(spec, grid)[0]), []
 
         def counting(x, *args, **kwargs):
@@ -750,7 +750,7 @@ def test_kato_logs_one_table_per_lambda(td1, grid, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np, "log", counting)
             check_kato_stability(spec, grid, plan)
-        assert sum(logged) <= plan.kato_lambdas * (rows(plan) * columns + plan.kato_kmax)
+        assert sum(logged) <= plan.kato_lambdas * (rows * columns + plan.kato_kmax)
 
 
 def test_symbol_matrix_builds_in_place(td1, grid):
