@@ -1,41 +1,39 @@
 """Numerical measurement of the sectoriality, stability, equivalence and
 Lipschitz hypotheses for a time-dependent symbol family.
 
-Every checker returns measurements only: its constant, with a witness, as
-a maximum over a seeded sample plan; M, kappa, L, C' and C also on the
-doubled plan (refinement stability, in lieu of proof).  `cli.run_check`
-judges each against the cap (a "violation at cap", never an analytic
-disproof) or a named tolerance.  The sector bound takes its sup over
-lambda in closed form per (t, xi) cell, so only t and xi are sampled.  So
-do C', C and cd (`CDSystemReport`): the sup of a difference quotient over
-pairs s < t is the sup of the time derivative, and per (t, xi) cell the
-moduli |lambda| |d/dt a| / |lambda + a|^2 of d/dt lambda R(lambda, a(t))
-and tau |d/dt a| e^{-tau Re a} of d/dt e^{-tau a(t)} have closed-form sups
-over the whole sector and over tau in (0, T] (`check_resolvent_lipschitz`,
-`check_semigroup_lipschitz`).  Only the sup over t is sampled, on the
-times of `_rate_rows`; between samples the rate can exceed them, as every
-sampled sup here can.
+Every checker returns measurements only; `cli.run_check` judges them
+against the cap (a "violation at cap", never an analytic disproof) or a
+named tolerance.  Each of M, kappa, L, C', C and cd is an interval [value,
+certified] around its sup over all t in [0, T]: the max over a seeded
+sample plan, with its witness, and an upper bound from the same tables.
+Every a(t, xi) lies within delta_0(xi) of a sampled row and every rate
+d/dt a(t, xi) within delta_1(xi) of a sampled rate (`_margins`), so
+`certified` takes each closed form at the worst point of those discs.
 
-Every sampled sup goes through `_steepest`: a non-finite quotient reads
-as 2 cap (a violation at cap) and the first maximum in sample-then-bin
-order is the witness.  The A3 quotient |1 - a(t)/a(s)|/(t - s) divides by
-|a(s)|, so it is no time derivative: it is sampled on every pair of a
-uniform base grid of [0, T] plus centred near-coincident pairs.
+The sups over lambda in the sector and over tau in (0, T] are closed forms
+per (t, xi) cell, so only t and xi are sampled: M, and C', C and cd
+(`CDSystemReport`) as sups of the time derivative, which bound every
+difference quotient over pairs s < t.  Every sweep goes through
+`_steepest`: a non-finite quotient reads as 2 cap (a violation at cap) and
+the first maximum in sample-then-bin order is the witness.  The A3 quotient
+|1 - a(t)/a(s)|/(t - s) divides by |a(s)|, so it is no time derivative: it
+is sampled on every pair of a uniform base grid of [0, T] plus centred
+near-coincident pairs.
 
-Three rules skip repeated work without moving a sup or its witness:
+Three rules skip repeated work without moving a sup, its witness or its
+certified bound:
 * Columns: bins whose monomials (i xi)^alpha are all equal (after + 0.0, so
   -0 and +0 agree; xi and -xi under even terms) have equal columns of
-  a(t, .) at every t, so `_symbol_matrix` holds one column per class, at
-  its first bin.
+  a(t, .) and equal margins, so `_symbol_matrix` holds one column per
+  class, at its first bin.
 * Rows: times whose coefficients c_alpha(t) are all equal (`_time_classes`)
   have equal rows a(t, .), so the sector, theta*, kappa, Kato and pair
   tables hold one row per class, at its first time; the C', C and cd
-  tables key the classes on the rates c_alpha'(t) too, since equal
-  coefficients need not have equal rates.
-* Pairs: a pair whose times share a class has a(s, .) = a(t, .), so each
-  of its A3 quotients is 0 or non-finite (2 cap) whatever t - s is;
-  `_pair_table` lists the first such pair per class and every pair whose
-  coefficients differ.
+  tables key the classes on the rates c_alpha'(t) too.
+* Pairs: a pair whose times share a class has a(s, .) = a(t, .), so its A3
+  quotients (0 or non-finite) and their certified bounds do not depend on
+  t - s; `_pair_table` lists the first such pair per class and every pair
+  whose coefficients differ.
 A dropped column, row or pair repeats the quotients of one listed before
 it, so the first maximum in sample-row-column order, and with it the
 witness, lies on what is swept.  The reported counts (`samples`,
@@ -44,7 +42,7 @@ witness, lies on what is swept.  The reported counts (`samples`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +55,7 @@ PAIR_DELTAS = (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)   # widths of the centr
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Densities and seeds for every sampling sweep; `refined` doubles the
-    time samples and the A3 pair grid, for the refinement-stable constants."""
+    """Densities and seeds for every sampling sweep."""
 
     seed: int = 1
     time_samples: int = 128
@@ -71,13 +68,6 @@ class SamplePlan:
     kato_partitions: int = 12
     kato_kmax: int = 8
     cap: float = 1e8
-
-    def refined(self) -> "SamplePlan":
-        return replace(
-            self,
-            time_samples=self.time_samples * 2,
-            pair_grid=self.pair_grid * 2,
-        )
 
 
 def _classes(table: np.ndarray):
@@ -135,23 +125,30 @@ def _class_axes(spec: SymbolSpec, grid: Grid):
 def _time_rows(spec: SymbolSpec, grid: Grid, samples: int):
     """The first time of each `_time_classes` class of `samples` uniform
     times on [0, T], the class of every time, and `_symbol_matrix` on the
-    first times (equal coefficients give equal rows)."""
-    ts = np.linspace(0.0, spec.horizon, samples)
-    first, classes = _time_classes(spec, ts)
-    return ts[first], classes, _symbol_matrix(spec, grid, ts[first])
+    first times (equal coefficients give equal rows); built once per
+    sample count."""
+    def build():
+        ts = np.linspace(0.0, spec.horizon, samples)
+        first, classes = _time_classes(spec, ts)
+        return ts[first], classes, _symbol_matrix(spec, grid, ts[first])
+    return memo(spec, ("time_rows", samples), build, grid)
+
+
+def _margins(spec: SymbolSpec, grid: Grid, samples: int):
+    """delta_0 and delta_1, the `SymbolSpec.t_margin`s of a(t, .) and of its
+    rate for `samples` uniform times, on the columns of `_symbol_matrix`."""
+    return tuple(spec.t_margin(samples, _class_axes(spec, grid), d).reshape(-1)
+                 for d in (False, True))
+
+
+def _reciprocal(x):
+    """1/x, and inf where a lower bound x on a modulus is not positive."""
+    return np.where(x > 0.0, 1.0 / x, np.inf)
 
 
 def _bin_xi(spec: SymbolSpec, grid: Grid, column: int) -> list:
     """Frequency vector of the first bin of `_symbol_matrix`'s `column`."""
     return grid.xi_rows()[_bin_classes(spec, grid)[0][column]].tolist()
-
-
-def _refined(measure, plan: SamplePlan):
-    """Base results of `measure` (constant first), the constant on the
-    refined plan, and the relative delta between the two constants."""
-    base = measure(plan)
-    fine = measure(plan.refined())[0]
-    return base, fine, abs(fine - base[0]) / max(base[0], 1e-300)
 
 
 def _steepest(quotient, samples: int, rows: int, width: int, cap: float):
@@ -184,28 +181,24 @@ def _steepest(quotient, samples: int, rows: int, width: int, cap: float):
 @dataclass(frozen=True)
 class SectorParams:
     """Sector bound: max over the sampled (t, xi) cells of 1/|a| and of the
-    exact sup over the sector of |lambda|/|lambda + a|; `samples` counts
-    the cells."""
+    exact sup over the sector of |lambda|/|lambda + a|; `samples` counts them."""
 
     theta: float
     m: float
+    certified: float
     witness: dict
     samples: int
-    refined_m: float = float("nan")
-    refinement_delta: float = float("nan")
 
 
-def _sector_sup(a: np.ndarray, theta: float) -> np.ndarray:
-    """Per bin, sup of |lambda|/|lambda + a| over 0 < |lambda|, |arg lambda| <= theta.
-
-    With psi = |arg(-a)| - theta, the angle from -a to the nearer boundary
-    ray, the sup is +inf if psi <= 0 (the pole -a lies in the sector),
-    1/sin psi if 0 < psi < pi/2, and 1 (as |lambda| -> inf) otherwise; it
-    is 1 at a = 0.
-    """
-    psi = np.abs(np.angle(-a)) - theta
+def _sector_sup(a: np.ndarray, theta: float, d0=0.0) -> np.ndarray:
+    """Per bin, sup of |lambda|/|lambda + b| over 0 < |lambda|, |arg lambda|
+    <= theta and |b - a| <= d0.  With psi = |arg(-a)| - theta - arcsin(d0/|a|),
+    the least angle from a -b to the nearer boundary ray, it is +inf if psi
+    <= 0 or d0 >= |a| (a pole -b lies in the sector), 1/sin psi if psi <
+    pi/2, and 1 (as |lambda| -> inf) otherwise; 1 at a = 0 when d0 = 0."""
+    psi = np.abs(np.angle(-a)) - theta - np.arcsin(d0 / np.abs(a))
     sup = np.where(psi > 0.0, 1.0 / np.sin(np.minimum(psi, np.pi / 2)), np.inf)
-    return np.where(a == 0, 1.0, sup)
+    return np.where((a == 0) & (d0 == 0), 1.0, sup)
 
 
 def _sector_argmax(a: complex, theta: float):
@@ -220,41 +213,35 @@ def _sector_argmax(a: complex, theta: float):
     return [float(lam.real), float(lam.imag)]
 
 
-def _sector_measure(spec: SymbolSpec, grid: Grid, theta: float, plan: SamplePlan):
-    """Sector constant M on `plan` (no refinement), its witness and the
-    number of (t, xi) cells."""
-    if not np.pi / 2 < theta < np.pi:
-        raise DomainError(f"theta must lie in (pi/2, pi), got {theta}")
-    ts, _, a = _time_rows(spec, grid, plan.time_samples)
-    # sample 0 is 1/|a|, sample 1 the sup over the sector of |lambda|/|lambda + a|
-    parts = (lambda b: 1.0 / np.abs(b), lambda b: _sector_sup(b, theta))
-    quotient = lambda m, lo, hi: parts[m](a[lo:hi])
-    value, (m, i, j) = _steepest(quotient, 2, len(ts), a.shape[1], plan.cap)
-    worst = {"kind": "resolvent_ratio" if m else "inverse_bound", "value": value,
-             "t": float(ts[i]), "lambda": _sector_argmax(a[i, j], theta) if m else None,
-             "xi": _bin_xi(spec, grid, j)}
-    return value, worst, plan.time_samples * len(grid.xi_rows())
-
-
 def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
                  plan: SamplePlan = SamplePlan()) -> SectorParams:
     """Assumption: resolvent bound M/|lambda| on the sector of angle theta.
 
     M is the max over the sampled (t, xi) cells of the exact sup over
     lambda in the sector (`_sector_sup`) and of |a|^{-1} (the
-    inverse-operator part of the assumption); the refined plan doubles
-    the time samples.
+    inverse-operator part of the assumption); `certified` takes both at the
+    worst b within delta_0 (from sup|c_alpha'|) of each sampled a.
     """
-    (m_base, witness, count), m_fine, delta = _refined(
-        lambda p: _sector_measure(spec, grid, theta, p), plan)
-    return SectorParams(theta=theta, m=m_base, witness=witness, samples=count,
-                        refined_m=m_fine, refinement_delta=delta)
+    if not np.pi / 2 < theta < np.pi:
+        raise DomainError(f"theta must lie in (pi/2, pi), got {theta}")
+    ts, _, a = _time_rows(spec, grid, plan.time_samples)
+    # sample 0 is 1/|b|, sample 1 the sup over the sector of |lambda|/|lambda + b|,
+    # at the worst b of the disc |b - a| <= d
+    parts = (lambda b, d: _reciprocal(np.abs(b) - d), lambda b, d: _sector_sup(b, theta, d))
+    sweep = lambda d: _steepest(lambda m, lo, hi: parts[m](a[lo:hi], d), 2, *a.shape, plan.cap)
+    value, (m, i, j) = sweep(0.0)
+    worst = {"kind": "resolvent_ratio" if m else "inverse_bound", "value": value,
+             "t": float(ts[i]), "lambda": _sector_argmax(a[i, j], theta) if m else None,
+             "xi": _bin_xi(spec, grid, j)}
+    return SectorParams(theta=theta, m=value,
+                        certified=sweep(_margins(spec, grid, plan.time_samples)[0])[0],
+                        witness=worst, samples=plan.time_samples * len(grid.xi_rows()))
 
 
 def largest_passing_theta(spec: SymbolSpec, grid: Grid,
                           plan: SamplePlan = SamplePlan()) -> float:
-    """theta*, the largest sector angle that passes the `a1` rule (M <= cap)
-    on the base plan, the plan that rule judges: min over the (t, xi) cells
+    """theta*, the largest sector angle whose sampled M passes the cap (the
+    `a1` rule judges the certified M, which is no smaller): min over the (t, xi) cells
     of |arg(-a)| - arcsin(1/cap), since `_sector_sup` does not grow with
     |arg(-a)| and so the first argmin cell bounds the rest.  Near pi the
     difference keeps few digits of psi, so theta* steps down one ulp at a time
@@ -407,16 +394,33 @@ def _pair_table(spec: SymbolSpec, grid: Grid, grid_count: int):
 @dataclass(frozen=True)
 class LipschitzComponent:
     value: float
+    certified: float
     witness: dict
     pair_count: int          # A3: pairs the sup covers; C' and C: (t, xi) cells
-    refined_value: float = float("nan")
-    refinement_delta: float = float("nan")
 
 
-def _lipschitz(measure, plan: SamplePlan) -> LipschitzComponent:
-    (value, witness, count), fine, delta = _refined(measure, plan)
-    return LipschitzComponent(value=value, witness=witness, pair_count=count,
-                              refined_value=fine, refinement_delta=delta)
+def _rate_rows(spec: SymbolSpec, grid: Grid, samples: int):
+    """The rate sweeps' tables, built once per sample count: the first time
+    of each `_time_classes` class, keyed on the coefficients and their rates,
+    of `samples` uniform times on [0, T] plus every jump time (infinite
+    rate), |d/dt a| (NaN where an infinite rate meets a zero monomial) and
+    `_symbol_matrix` on those times, and the number of times."""
+    def build():
+        times = np.linspace(0.0, spec.horizon, samples)
+        jumps = spec.jump_times() - set(times.tolist())
+        times = np.sort(np.append(times, list(jumps)))   # np.union1d imports numpy.ma (1.3 MB)
+        ts = times[_time_classes(spec, times, rates=True)[0]]
+        with np.errstate(invalid="ignore"):     # an infinite rate times (i 0)^alpha is NaN
+            rate = np.abs(spec.time_matrix(ts, _class_axes(spec, grid), derivative=True)
+                          ).reshape(len(ts), -1)
+        return ts, rate, _symbol_matrix(spec, grid, ts), len(times)
+    return memo(spec, ("rate_rows", samples), build, grid)
+
+
+def _widen(q, b, d0, d1):
+    """A3's quotient q = D/b of a slope D and b = |a(s)| at the worst point
+    of the discs, (D + d1)/(b - d0) (inf if b <= d0): q itself at d = 0."""
+    return (q + d1 / b) * _reciprocal(1.0 - d0 / b)
 
 
 def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
@@ -424,65 +428,54 @@ def check_operator_lipschitz(spec: SymbolSpec, grid: Grid,
     """L = max over pairs of max_xi |1 - a(t,.)/a(s,.)| / |t - s|.
 
     In the multiplier model this is exactly ||Id - A(t) A(s)^{-1}|| and
-    coincides with the extrapolated version (the symbols commute).
+    coincides with the extrapolated version (the symbols commute).  The slope
+    D(s, t) = int_0^1 d/dt a(s + u (t - s)) du is sup|c_alpha''|/2-Lipschitz
+    in s and in t alike, so on the pair grid's margins (h = half its spacing)
+    `certified` is the max of (D + delta_1)/(|a(s)| - delta_0) over its
+    pairs and its diagonal s = t, where D = d/dt a.
     """
-
-    def measure(p: SamplePlan):
-        (s, t, i, k), a, count = _pair_table(spec, grid, p.pair_grid)
-        # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
-        quotient = lambda _, lo, hi: (np.abs(a[i[lo:hi]] - a[k[lo:hi]]) / np.abs(a[i[lo:hi]])
-                                      / (t - s)[lo:hi, None])
-        value, (_, q, j) = _steepest(quotient, 1, len(s), a.shape[1], p.cap)
-        witness = {} if value == 0.0 else {
-            "t": float(t[q]), "s": float(s[q]), "xi": _bin_xi(spec, grid, j), "value": value}
-        return value, witness, count
-
-    return _lipschitz(measure, plan)
-
-
-def _rate_rows(spec: SymbolSpec, grid: Grid, samples: int):
-    """The rate sweeps' times and table: the first time of each
-    `_time_classes` class, keyed on the coefficients and their rates, of
-    `samples` uniform times on [0, T] plus every jump time in (0, T], where
-    a step term's rate is infinite; |d/dt a| on those times and the
-    `_class_axes` columns (NaN where an infinite rate meets a zero
-    monomial); and the number of times."""
-    times = np.linspace(0.0, spec.horizon, samples)
-    jumps = {t0 for c in spec.coefficients.values() for t0, jump in c.steps
-             if jump != 0 and 0.0 < t0 <= spec.horizon} - set(times.tolist())
-    times = np.sort(np.append(times, list(jumps)))   # np.union1d imports numpy.ma (1.3 MB)
-    ts = times[_time_classes(spec, times, rates=True)[0]]
-    with np.errstate(invalid="ignore"):     # an infinite rate times (i 0)^alpha is NaN
-        rate = np.abs(spec.time_matrix(ts, _class_axes(spec, grid), derivative=True)
-                      ).reshape(len(ts), -1)
-    return ts, rate, len(times)
+    (s, t, i, k), a, count = _pair_table(spec, grid, plan.pair_grid)
+    d0, d1 = _margins(spec, grid, plan.pair_grid)
+    # |1 - a(t)/a(s)| in difference form: exact 0 for autonomous rows
+    sweep = lambda d0, d1: _steepest(lambda _, lo, hi: _widen(
+        np.abs(a[i[lo:hi]] - a[k[lo:hi]]) / np.abs(a[i[lo:hi]]) / (t - s)[lo:hi, None],
+        np.abs(a[i[lo:hi]]), d0, d1), 1, len(s), a.shape[1], plan.cap)
+    value, (_, q, j) = sweep(0.0, 0.0)
+    witness = {} if value == 0.0 else {
+        "t": float(t[q]), "s": float(s[q]), "xi": _bin_xi(spec, grid, j), "value": value}
+    _, rate, b, _ = _rate_rows(spec, grid, plan.pair_grid)
+    diagonal = _steepest(lambda _, lo, hi: _widen(
+        rate[lo:hi] / np.abs(b[lo:hi]), np.abs(b[lo:hi]), d0, d1), 1, *b.shape, plan.cap)[0]
+    return LipschitzComponent(value=value, certified=max(sweep(d0, d1)[0], diagonal),
+                              witness=witness, pair_count=count)
 
 
 def _rate_sweep(spec: SymbolSpec, grid: Grid, p: SamplePlan, sup, argmax):
-    """Largest |d/dt a| sup(a) over the (t, xi) cells of `_rate_rows`, its
-    witness ({} when it is 0) with `argmax(a)` at the witness cell, and the
-    number of cells.  A zero rate reads 0 whatever sup(a) is, even where the
-    pole -a lies in the sector, as an autonomous row read 0 in a difference
-    quotient."""
-    ts, rate, count = _rate_rows(spec, grid, p.time_samples)
-    a = _symbol_matrix(spec, grid, ts)
-    quotient = lambda _, lo, hi: np.where(rate[lo:hi] == 0.0, 0.0,
-                                          rate[lo:hi] * sup(a[lo:hi]))
-    value, (_, i, j) = _steepest(quotient, 1, len(ts), a.shape[1], p.cap)
+    """Largest |d/dt a| sup(a, 0) over the (t, xi) cells of `_rate_rows`, its
+    witness ({} when it is 0) with `argmax(a)`, and the certified largest
+    (|d/dt a| + delta_1) sup(a, delta_0), sup(a, d) being the worst over
+    |b - a| <= d.  A zero rate reads 0 whatever sup(a) is, even where the
+    pole -a lies in the sector, as an autonomous row read 0 in a quotient."""
+    ts, rate, a, count = _rate_rows(spec, grid, p.time_samples)
+    sweep = lambda d0, d1: _steepest(lambda _, lo, hi: np.where(
+        rate[lo:hi] + d1 == 0.0, 0.0, (rate[lo:hi] + d1) * sup(a[lo:hi], d0)),
+        1, len(ts), a.shape[1], p.cap)
+    value, (_, i, j) = sweep(0.0, 0.0)
     witness = {} if value == 0.0 else {
         "t": float(ts[i]), "xi": _bin_xi(spec, grid, j), "value": value, **argmax(a[i, j])}
-    return value, witness, count * len(grid.xi_rows())
+    return LipschitzComponent(value=value,
+                              certified=sweep(*_margins(spec, grid, p.time_samples))[0],
+                              witness=witness, pair_count=count * len(grid.xi_rows()))
 
 
-def _resolvent_rate_sup(a: np.ndarray, theta: float) -> np.ndarray:
-    """Per bin, sup of |lambda|/|lambda + a|^2 over 0 < |lambda|, |arg lambda|
-    <= theta: 1/(4 |a| sin^2(psi/2)) with psi = |arg(-a)| - theta as in
-    `_sector_sup`, at lambda* = |a| e^{+-i theta} on the boundary ray nearer
-    -a (for each argument the sup over |lambda| sits at |lambda| = |a|, and
-    it grows as the argument nears that of -a); +inf if psi <= 0 (the pole
-    -a lies in the sector) or a = 0."""
-    psi = np.abs(np.angle(-a)) - theta
-    return np.where(psi > 0.0, 0.25 / (np.abs(a) * np.sin(0.5 * psi) ** 2), np.inf)
+def _resolvent_rate_sup(a: np.ndarray, theta: float, d0=0.0) -> np.ndarray:
+    """Per bin, sup of |lambda|/|lambda + b|^2 over 0 < |lambda|, |arg lambda|
+    <= theta and |b - a| <= d0: 1/(4 (|a| - d0) sin^2(psi/2)) with psi as in
+    `_sector_sup`, at lambda* = |a| e^{+-i theta} on the ray nearer -a when
+    d0 = 0 (per argument the sup sits at |lambda| = |a|, and it grows as the
+    argument nears that of -a); +inf if psi <= 0, d0 >= |a| or a = 0."""
+    psi = np.abs(np.angle(-a)) - theta - np.arcsin(d0 / np.abs(a))
+    return np.where(psi > 0.0, 0.25 / ((np.abs(a) - d0) * np.sin(0.5 * psi) ** 2), np.inf)
 
 
 def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
@@ -493,16 +486,17 @@ def check_resolvent_lipschitz(spec: SymbolSpec, grid: Grid, theta: float,
 
     The sup over lambda is `_resolvent_rate_sup`'s closed form, so C' =
     sup |d/dt a| / (4 |a| sin^2(psi/2)) over the (t, xi) cells of
-    `_rate_sweep`, a lower bound on the sup over all t; the witness is
-    (t, xi, lambda*).
+    `_rate_sweep`, witness (t, xi, lambda*); `certified` takes it at |a| -
+    delta_0 and psi - arcsin(delta_0/|a|) (delta_0 from sup|c_alpha'|),
+    times |d/dt a| + delta_1 (from sup|c_alpha''|).
     """
 
     def argmax(a: complex) -> dict:
         lam = abs(a) * np.exp(1j * np.sign(np.angle(-a)) * theta)
         return {"lambda": [float(lam.real), float(lam.imag)]}
 
-    return _lipschitz(lambda p: _rate_sweep(
-        spec, grid, p, lambda a: _resolvent_rate_sup(a, theta), argmax), plan)
+    return _rate_sweep(spec, grid, plan, lambda a, d: _resolvent_rate_sup(a, theta, d),
+                       argmax)
 
 
 def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
@@ -512,18 +506,19 @@ def check_semigroup_lipschitz(spec: SymbolSpec, grid: Grid,
     |e^{-tau a(t)} - e^{-tau a(s)}| / (t - s).
 
     tau e^{-tau r} peaks at tau* = 1/r, so its sup over (0, T] is
-    g(r) = 1/(e r) if r >= 1/T and T e^{-T r} (at tau* = T) otherwise; C =
-    sup |d/dt a| g(Re a) over the (t, xi) cells of `_rate_sweep`, a lower
-    bound on the sup over all t; the witness is (t, xi, tau*).
+    g(r) = 1/(e r) if r >= 1/T and T e^{-T r} (at tau* = T) otherwise, which
+    falls as r grows; C = sup |d/dt a| g(Re a) over the (t, xi) cells of
+    `_rate_sweep`, witness (t, xi, tau*), and `certified` is (|d/dt a| +
+    delta_1) g(Re a - delta_0), from sup|c_alpha''| and sup|c_alpha'|.
     """
     T = spec.horizon
 
-    def sup(a: np.ndarray) -> np.ndarray:
-        r = a.real
+    def sup(a: np.ndarray, d) -> np.ndarray:
+        r = a.real - d
         return np.where(r >= 1.0 / T, 1.0 / (np.e * r), T * np.exp(-T * r))
 
     argmax = lambda a: {"tau": float(1.0 / a.real) if a.real >= 1.0 / T else T}
-    return _lipschitz(lambda p: _rate_sweep(spec, grid, p, sup, argmax), plan)
+    return _rate_sweep(spec, grid, plan, sup, argmax)
 
 
 @dataclass(frozen=True)
@@ -531,32 +526,29 @@ class EquivalenceReport:
     """kappa with 1/kappa <= ||x||_{X_-1(A(t))} / ||x||_{X_-1} <= kappa."""
 
     kappa: float
+    certified: float
     witness_upper: dict
     witness_lower: dict
-    refined_kappa: float = float("nan")
-    refinement_delta: float = float("nan")
 
 
 def check_norm_equivalence(spec: SymbolSpec, grid: Grid,
                            plan: SamplePlan = SamplePlan()) -> EquivalenceReport:
     """kappa = max over t, xi of max(|a(t)/a(0)|, |a(0)/a(t)|), exact on the
-    diagonal model (both gauges are diagonal with those weights)."""
-
-    def measure(p: SamplePlan):
-        ts, _, a = _time_rows(spec, grid, p.time_samples)
-        upper = lambda _, lo, hi: np.abs(a[lo:hi] / a[0])
-        # the lower ratio inverts the upper one read by the non-finite rule
-        lower = lambda _, lo, hi: 1.0 / np.fmin(upper(_, lo, hi), 2.0 * p.cap)
-        sides = []
-        for ratio in (upper, lower):
-            value, (_, i, j) = _steepest(ratio, 1, len(ts), a.shape[1], p.cap)
-            sides.append({"t": float(ts[i]), "xi": _bin_xi(spec, grid, j),
-                          "value": value})
-        return max(sides[0]["value"], sides[1]["value"]), *sides
-
-    (kappa, upper, lower), kappa_fine, delta = _refined(measure, plan)
-    return EquivalenceReport(kappa=kappa, witness_upper=upper, witness_lower=lower,
-                             refined_kappa=kappa_fine, refinement_delta=delta)
+    diagonal model (both gauges are diagonal with those weights); `certified`
+    reads |a| +- delta_0 (from sup|c_alpha'|) for each sampled |a(t)|."""
+    ts, _, a = _time_rows(spec, grid, plan.time_samples)
+    a0 = np.abs(a[0])
+    upper = lambda d: lambda _, lo, hi: np.abs(a[lo:hi] / a[0]) + d / a0
+    # the lower ratio inverts the upper one at |a| - d, read by the non-finite rule
+    lower = lambda d: lambda _, lo, hi: _reciprocal(
+        np.fmin(np.abs(a[lo:hi] / a[0]) - d / a0, 2.0 * plan.cap))
+    d0, sides, certified = _margins(spec, grid, plan.time_samples)[0], [], 0.0
+    for ratio in (upper, lower):
+        value, (_, i, j) = _steepest(ratio(0.0), 1, *a.shape, plan.cap)
+        sides.append({"t": float(ts[i]), "xi": _bin_xi(spec, grid, j), "value": value})
+        certified = max(certified, _steepest(ratio(d0), 1, *a.shape, plan.cap)[0])
+    return EquivalenceReport(kappa=max(side["value"] for side in sides), certified=certified,
+                             witness_upper=sides[0], witness_lower=sides[1])
 
 
 @dataclass(frozen=True)
@@ -565,10 +557,13 @@ class CDSystemReport:
     construction of the multiplier model.  By Minkowski, ||(a(t) - a(s)) f^||
     <= int_s^t ||d/dt a(r) f^|| dr with equality as s -> t, so the sup over
     pairs of the quotient is sup_t ||d/dt a(t) f^||, in X and in X_{-1} alike.
-    `cli.run_check` passes the CD system on Kato and each quotient <= cap."""
+    `cli.run_check` passes the CD system on Kato and each certified
+    quotient <= cap."""
 
     strong_lipschitz: float           # max over times and vectors, X level
     strong_lipschitz_xminus1: float
+    certified: float                  # bounds on the sups over all t, X level
+    certified_xminus1: float
     witness: dict
 
 
@@ -577,28 +572,31 @@ def certify_cd_system(spec: SymbolSpec, grid: Grid, vectors,
     """sup_t ||d/dt a(t) f^|| over the declared test vectors and the times of
     `_rate_rows` (2 cap at a jump), at the X level and in the X_{-1} gauge of
     `NormSpec` (inf where it is undefined); the witness is the steepest time.
-    The caller measures Kato stability, the CD system's other half, once."""
+    Each certified bound is the largest ||(|d/dt a| + delta_1) f^||, delta_1
+    from sup|c_alpha''|; the caller measures Kato, the other half, once."""
     if not vectors:
         raise ConfigurationError("need at least one test vector")
-    ts, rate, _ = _rate_rows(spec, grid, plan.time_samples)
-    # each bin of the L2 sums reads its class's rate
-    rate = rate[:, _bin_classes(spec, grid)[1]]
+    ts, rate, _, _ = _rate_rows(spec, grid, plan.time_samples)
+    # each bin of the L2 sums reads its class's rate and margin
+    classes = _bin_classes(spec, grid)[1]
+    rate, d1 = rate[:, classes], _margins(spec, grid, plan.time_samples)[1][classes]
     w = grid.cell_volume
     fhats = np.array([np.abs(f.values.reshape(-1)) for f in vectors])
 
-    def sup(weight):
-        """Steepest L2 norm ||rate * weight * f^|| over (vector, time) and where it sits."""
+    def sup(weight, d):
+        """Steepest ||(rate + d) * weight * f^|| over (vector, time) and where it sits."""
         quotient = lambda v, lo, hi: np.sqrt(
-            np.sum((rate[lo:hi] * weight * fhats[v]) ** 2, axis=1) * w)[:, None]
+            np.sum(((rate[lo:hi] + d) * weight * fhats[v]) ** 2, axis=1) * w)[:, None]
         return _steepest(quotient, len(vectors), len(ts), rate.shape[1], plan.cap)
 
-    worst_x, (_, i, _) = sup(1.0)
+    worst_x, (_, i, _) = sup(1.0, 0.0)
     witness = {"t": float(ts[i]), "quotient": worst_x} if worst_x > 0.0 else {}
     try:
         weight = NormSpec(spec, 0.0).weight(grid).reshape(-1)
     except NumericError:
-        worst_m1 = float("inf")
+        worst_m1 = cert_m1 = float("inf")
     else:
-        worst_m1 = sup(weight)[0]
+        worst_m1, cert_m1 = sup(weight, 0.0)[0], sup(weight, d1)[0]
     return CDSystemReport(strong_lipschitz=worst_x, strong_lipschitz_xminus1=worst_m1,
+                          certified=sup(1.0, d1)[0], certified_xminus1=cert_m1,
                           witness=witness)

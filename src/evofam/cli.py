@@ -32,7 +32,6 @@ from .symbols import certify_ellipticity
 # Verdict tolerances.  The library returns measurements only; every verdict
 # is decided in this module, against the sample plan's cap or one of these.
 TAIL_WARN = 1e-8            # spectral tail mass above which box truncation pollutes the model
-REFINE_DELTA = 0.05         # max relative move of M, kappa, L, C' or C when the plan doubles
 CHAIN_SLACK = 0.05          # C' <= M^2 L (1 + slack): sampling slack of the lemma chain
 ROUNDOFF = 1e-12            # identities that hold exactly up to roundoff
 KATO_TOL = 1e-9             # Kato ratios may exceed 1 by roundoff only
@@ -101,10 +100,10 @@ def _product_orders(engine, s: float, t: float, f: GridFunction,
     return rows, orders, verdicts
 
 
-def _witness_row(check: str, constant: str, value, refined, delta, w: dict):
+def _witness_row(check: str, constant: str, value, certified, w: dict):
     lam = w.get("lambda") or [None, None]
     xi = w.get("xi")
-    return [check, constant, value, refined, delta,
+    return [check, constant, value, certified,
             w.get("t"), w.get("s"), w.get("tau"), lam[0], lam[1],
             ";".join(format(float(v), ".17g") for v in xi) if xi else None]
 
@@ -141,27 +140,21 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
     theta_star = asm.largest_passing_theta(spec, grid, plan)
     timer.mark("theta_scan")
 
+    # each constant passes on its certified bound over all t
     capped = lambda value: bool(value <= plan.cap)
     kato_ok = bool(max(kato.max_resolvent_ratio, kato.max_semigroup_ratio)
                    <= 1.0 + KATO_TOL)
-    deltas = {
-        "a1": a1.refinement_delta, "a2": a2.refinement_delta,
-        "a3": a3.refinement_delta,
-        "resolvent_lipschitz": cprime.refinement_delta,
-        "semigroup_lipschitz": csemi.refinement_delta,
-    }
     verdicts = {
         # c must clear the dip Re a_m can take between its time samples
         "ellipticity": bool(ellip.constant - ellip.margin > 0 and ellip.lower_bound > 0),
-        "a1": capped(a1.m), "a2": capped(a2.kappa), "a3": capped(a3.value),
+        "a1": capped(a1.certified), "a2": capped(a2.certified), "a3": capped(a3.certified),
         "kato": kato_ok,
-        "resolvent_lipschitz": capped(cprime.value),
-        "semigroup_lipschitz": capped(csemi.value),
+        "resolvent_lipschitz": capped(cprime.certified),
+        "semigroup_lipschitz": capped(csemi.certified),
         "lemma_chain": bool(cprime.value
                             <= a1.m**2 * a3.value * (1.0 + CHAIN_SLACK) + ROUNDOFF),
-        "cd_system_x": kato_ok and capped(cd.strong_lipschitz),
-        "cd_system_xminus1": kato_ok and capped(cd.strong_lipschitz_xminus1),
-        "refinement_stable": bool(all(d <= REFINE_DELTA for d in deltas.values())),
+        "cd_system_x": kato_ok and capped(cd.certified),
+        "cd_system_xminus1": kato_ok and capped(cd.certified_xminus1),
     }
 
     assumptions_doc = {
@@ -176,27 +169,19 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
                                     "pass_Xminus1": verdicts["cd_system_xminus1"]}
     dump_json(assumptions_doc, out / "assumptions.json")
 
-    header = ["check", "constant", "value", "refined_value", "rel_delta",
+    header = ["check", "constant", "value", "certified",
               "t", "s", "tau", "lambda_re", "lambda_im", "xi"]
-    rows = [
-        _witness_row("a1", "M", a1.m, a1.refined_m, a1.refinement_delta, a1.witness),
-        _witness_row("a2_upper", "kappa", a2.kappa, a2.refined_kappa,
-                     a2.refinement_delta, a2.witness_upper),
-        _witness_row("a2_lower", "kappa", a2.kappa, a2.refined_kappa,
-                     a2.refinement_delta, a2.witness_lower),
-        _witness_row("a3", "L", a3.value, a3.refined_value,
-                     a3.refinement_delta, a3.witness),
-        _witness_row("resolvent_lipschitz", "Cprime", cprime.value,
-                     cprime.refined_value, cprime.refinement_delta, cprime.witness),
-        _witness_row("semigroup_lipschitz", "C", csemi.value,
-                     csemi.refined_value, csemi.refinement_delta, csemi.witness),
-        _witness_row("cd_strong_lipschitz", "quotient", cd.strong_lipschitz,
-                     None, None, cd.witness),
-        _witness_row("ellipticity_c", "c", ellip.constant, None, None,
-                     {"t": ellip.witness_constant[0]}),
-        _witness_row("ellipticity_omega", "omega", ellip.lower_bound, None, None,
-                     {"t": ellip.witness_lower[0]}),
-    ]
+    rows = [_witness_row(*row) for row in [
+        ("a1", "M", a1.m, a1.certified, a1.witness),
+        ("a2_upper", "kappa", a2.kappa, a2.certified, a2.witness_upper),
+        ("a2_lower", "kappa", a2.kappa, a2.certified, a2.witness_lower),
+        ("a3", "L", a3.value, a3.certified, a3.witness),
+        ("resolvent_lipschitz", "Cprime", cprime.value, cprime.certified, cprime.witness),
+        ("semigroup_lipschitz", "C", csemi.value, csemi.certified, csemi.witness),
+        ("cd_strong_lipschitz", "quotient", cd.strong_lipschitz, cd.certified, cd.witness),
+        ("ellipticity_c", "c", ellip.constant, None, {"t": ellip.witness_constant[0]}),
+        ("ellipticity_omega", "omega", ellip.lower_bound, None, {"t": ellip.witness_lower[0]}),
+    ]]
     write_csv(out / "extrema.csv", header, rows)
 
     report = {
@@ -205,7 +190,6 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
         "lemma_chain": {"Cprime": cprime.value, "M2L": a1.m**2 * a3.value},
         "cd_system": cd,
         "largest_passing_theta": theta_star,
-        "refinement_deltas": deltas,
         "verdicts": verdicts,
     }
     return report

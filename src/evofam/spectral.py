@@ -65,7 +65,8 @@ def _read_only(table):
     """Lock an array, or the arrays of a tuple or dict."""
     parts = table.values() if isinstance(table, dict) else table
     for part in parts if isinstance(table, (tuple, dict)) else (table,):
-        part.flags.writeable = False
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
     return table
 
 

@@ -90,17 +90,17 @@ class CoefficientFunction:
                 value = value + np.where(t == t0, np.inf, 0.0)
         return value[()] if value.ndim == 0 else value
 
-    def lipschitz_bound(self, horizon: float) -> float:
-        """Closed-form upper bound for the Lipschitz constant on [0, horizon].
-
-        Term-by-term sup of |c'|: sum_k k |coef_k| T^(k-1) plus
-        sum_j w_j (|cos coef| + |sin coef|).  Infinite if a step term jumps.
-        """
-        bound = 0.0
+    def lipschitz_bound(self, horizon: float, derivative: bool = False) -> float:
+        """Closed-form upper bound for the Lipschitz constant on [0, horizon],
+        or with `derivative` for that of the rate c': term-by-term sup of |c'|,
+        sum_k k |coef_k| T^(k-1) plus sum_j w_j (|cos coef| + |sin coef|), or of
+        |c''| (k (k-1) T^(k-2) and w_j^2 in their place).  Infinite if a step
+        term jumps."""
+        order, bound = 1 + derivative, 0.0
         for degree, coef in self.poly:
-            bound += degree * abs(coef) * horizon ** (degree - 1)
+            bound += math.perm(degree, order) * abs(coef) * horizon ** (degree - order)
         for omega, ccos, csin in self.trig:
-            bound += omega * (abs(ccos) + abs(csin))
+            bound += omega ** order * (abs(ccos) + abs(csin))
         if any(jump != 0 for _, jump in self.steps):
             return float("inf")
         return bound
@@ -138,6 +138,34 @@ class SymbolSpec:
                 raise ConfigurationError(f"|{alpha}| exceeds order {self.order}")
         if not any(sum(alpha) == self.order for alpha in self.coefficients):
             raise ConfigurationError("no multi-index of full order present")
+
+    def jump_times(self) -> set:
+        """The times in (0, T] where a step term jumps."""
+        return {t0 for c in self.coefficients.values() for t0, jump in c.steps
+                if jump != 0 and 0.0 < t0 <= self.horizon}
+
+    def t_margin(self, samples: int, xi_axes: tuple[np.ndarray, ...] | None = None,
+                 derivative: bool = False) -> np.ndarray:
+        """How far a(t, xi) at any t in [0, T], or with `derivative` its rate,
+        lies from its value at one of `samples` uniform times: h sum_alpha
+        sup|c_alpha'| |xi^alpha| (sup|c_alpha''| with `derivative`), the sups
+        without step terms, on the axes' broadcast shape (no axes: |xi^alpha|
+        <= 1, the unit sphere of a principal part).  h is half the spacing
+        dt; with a jump in (0, T] it is dt (each t lies within dt of a sample
+        on its own piece) if every piece between jumps holds a sample, and
+        inf otherwise or for a rate, a Dirac mass at the jump."""
+        ts, jumps = np.linspace(0.0, self.horizon, samples), sorted(self.jump_times())
+        dt = self.horizon / max(samples - 1, 1)
+        pieces = np.diff(np.searchsorted(ts, jumps + [np.inf]))
+        h = (0.5 * dt if not jumps and samples > 1 else
+             dt if not (derivative and jumps) and np.all(pieces > 0) else np.inf)
+        bound = np.zeros(() if xi_axes is None else
+                         np.broadcast_shapes(*(ax.shape for ax in xi_axes)))
+        for alpha, c in self.coefficients.items():
+            sup = replace(c, steps=()).lipschitz_bound(self.horizon, derivative)
+            bound = bound + sup * (1.0 if xi_axes is None
+                                   else np.abs(self.monomials(xi_axes)[alpha]))
+        return np.full(bound.shape, np.inf) if h == np.inf else h * bound
 
     def check_time(self, t):
         t = np.asarray(t, dtype=float)
@@ -215,7 +243,7 @@ class EllipticityReport:
     witness_constant: tuple    # (t, xi) achieving c
     witness_lower: tuple       # (t, xi) achieving omega
     time_samples: int
-    margin: float              # max possible dip of Re a_m off the t-samples
+    margin: float              # max possible dip of Re a_m off the t-samples (`t_margin`)
 
 
 def certify_ellipticity(spec: SymbolSpec, time_samples: int,
@@ -236,7 +264,8 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int,
         sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
 
     leading = {alpha: c for alpha, c in spec.coefficients.items() if sum(alpha) == spec.order}
-    table = replace(spec, coefficients=leading).time_matrix(ts, tuple(sphere.T))
+    principal = replace(spec, coefficients=leading)
+    table = principal.time_matrix(ts, tuple(sphere.T))
     idx = np.unravel_index(np.argmin(table.real), table.shape)
     c_meas = float(table.real[idx])
     wit_c = (float(ts[idx[0]]), sphere[idx[1]].tolist())
@@ -246,21 +275,8 @@ def certify_ellipticity(spec: SymbolSpec, time_samples: int,
     omega_meas = float(full.real[jdx])
     wit_o = (float(ts[jdx[0]]), grid.xi_rows()[jdx[1]].tolist())
 
-    # Re a_m moves at most lip_m per unit time between the jumps of its step
-    # terms: half a gap from the nearer of two samples, a whole gap from the
-    # one sample beside a jump (or the only sample), and without bound on a
-    # piece with no sample
-    lip_m = sum(replace(c, steps=()).lipschitz_bound(spec.horizon) for c in leading.values())
-    jumps = sorted({t0 for c in leading.values() for t0, jump in c.steps
-                    if jump != 0 and 0.0 < t0 <= spec.horizon})
-    dt = spec.horizon / max(time_samples - 1, 1)
-    if not jumps and time_samples > 1:
-        margin = 0.5 * dt * lip_m
-    elif np.all(np.diff(np.searchsorted(ts, jumps + [np.inf])) > 0):
-        margin = dt * lip_m
-    else:
-        margin = float("inf")
-
+    # Re a_m moves off the samples at most as far as a_m does on the unit sphere
     return EllipticityReport(constant=c_meas, lower_bound=omega_meas,
                              witness_constant=wit_c, witness_lower=wit_o,
-                             time_samples=time_samples, margin=margin)
+                             time_samples=time_samples,
+                             margin=float(principal.t_margin(time_samples)))

@@ -82,6 +82,9 @@ each piece backs an invariant the evolution-family theory rests on:
   same states and residual bit for bit, and `whole_state` scatters its rows;
 * `heat_symbol`, `oscillating_symbol` and `drift_symbol`: the autonomous,
   time-dependent and non-elliptic symbols the fixtures are built from;
+* `SWEEP_SYMBOLS` and `sweep_symbol`: Hypothesis draws of d = 1 and 2
+  symbols whose principal coefficient is constant, oscillating or stepping
+  in t, with their grids, which the certifiers' properties are tested on;
 * `constant_field`: a constant transport coefficient, the case the
   characteristics oracle solves exactly;
 * `NaNOffTheGrid`: a diagonal family whose rows are NaN past a time except
@@ -90,6 +93,7 @@ each piece backs an invariant the evolution-family theory rests on:
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from evofam.assumptions import (PAIR_DELTAS, SamplePlan, StabilityCertificate, _partitions,
                                 _sector_sup, _symbol_matrix)
@@ -613,6 +617,33 @@ def whole_grid_duhamel(states: list, sigmas: np.ndarray, engine: PropagatorEngin
         current = step_mult * current
         worst = max(worst, plancherel_norm(states[j + 1] - current - acc, w) / xnorm)
     return worst
+
+
+complex_coefficients = st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+
+
+SWEEP_SYMBOLS = dict(lead=st.floats(1.0, 3.0), cross=complex_coefficients,
+                     drift=complex_coefficients, shift=complex_coefficients,
+                     odd=st.booleans(), omega=st.floats(0.5, 6.0),
+                     jump_time=st.floats(0.1, 1.4), jump=complex_coefficients)
+
+
+def sweep_symbol(dim, kind, lead, cross, drift, shift, odd, omega, jump_time, jump):
+    """a = lead (xi_1^2 [+ xi_2^2] + cross xi_1 xi_2) [+ drift i xi_1] + 1 + shift,
+    with lead's coefficient constant, oscillating or stepping in t, and its grid."""
+    time_part = {"trig": {"trig": ((omega, 0.3, -0.4j),)},
+                 "step": {"steps": ((jump_time, jump),)},
+                 "autonomous": {}}[kind]
+    unit = lambda j: tuple(int(k == j) for k in range(dim))
+    coefficients = {tuple(2 * e for e in unit(j)): CoefficientFunction(
+        const=-lead, **time_part) for j in range(dim)}
+    coefficients[(0,) * dim] = constant(1.0 + shift)
+    if dim == 2:
+        coefficients[(1, 1)] = constant(-cross)
+    if odd:
+        coefficients[unit(0)] = constant(drift)
+    spec = SymbolSpec(dim=dim, order=2, horizon=1.5, coefficients=coefficients)
+    return spec, Grid(dim, 16 if dim == 1 else 8, 2.0 * np.pi)
 
 
 def heat_symbol(shift: float = 1.0, dim: int = 1, horizon: float = 1.0) -> SymbolSpec:

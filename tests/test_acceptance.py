@@ -6,10 +6,13 @@ pass/fail line per criterion.
 
 import json
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evofam import assumptions as asm
 from evofam import perturbation as per
@@ -18,9 +21,13 @@ from evofam.evolution import PropagatorEngine, observed_orders, product_formula_
 from evofam.semigroup import FrozenOperator, favard_norm
 from evofam.spectral import GridFunction, indicator, mode, norm, \
     random_band_limited
-from reference import (aligned_ladder_cocycle, cocycle_defect, constant_field,
-                       derivative_defect, drift_symbol, dual_scale_moduli, favard_sweep,
-                       frozen_generator, laplace_transform_check, mass_balance_defect)
+from reference import (SWEEP_SYMBOLS, aligned_ladder_cocycle, cocycle_defect,
+                       constant_field, derivative_defect, drift_symbol, dual_scale_moduli,
+                       favard_sweep, frozen_generator, laplace_transform_check,
+                       mass_balance_defect, sampled_cd_system, sampled_resolvent_lipschitz,
+                       sampled_sector_constant, sampled_semigroup_lipschitz, sweep_symbol)
+
+THETA = 3.0 * np.pi / 4.0
 
 
 @pytest.fixture(scope="module")
@@ -91,18 +98,62 @@ def test_criterion_04_assumption_suite(td1_suite, grid, band_vectors):
     assert bad.witness["xi"] is not None
 
 
-def test_criterion_05_refinement_stability(td1_suite):
-    """Every constant measured on the doubled plan (M, kappa, L, C' and C)
-    moves at most 5% there."""
-    deltas = {
-        "a1": td1_suite["a1"].refinement_delta,
-        "a2": td1_suite["a2"].refinement_delta,
-        "a3": td1_suite["a3"].refinement_delta,
-        "cprime": td1_suite["cprime"].refinement_delta,
-        "csemi": td1_suite["csemi"].refinement_delta,
-    }
-    for name, delta in deltas.items():
-        assert delta <= 0.05, f"{name} moved {delta:.3%} under refinement"
+# a thin base plan: its certified bounds must hold on 4 and 16 times its samples
+CERTIFIED_PLAN = asm.SamplePlan(time_samples=8, pair_grid=8, resolvent_pair_grid=8,
+                                resolvent_moduli=3, tau_samples=3)
+SECTOR_ROUNDOFF = 1e-12     # the lambda sweep may pass the exact sector sup by roundoff
+
+
+def certified_constants(spec, grid, vectors, plan):
+    """(value, certified) of M, kappa, L, C', C and both cd quotients."""
+    a1 = asm.check_sector(spec, grid, THETA, plan)
+    a2 = asm.check_norm_equivalence(spec, grid, plan)
+    a3 = asm.check_operator_lipschitz(spec, grid, plan)
+    cprime = asm.check_resolvent_lipschitz(spec, grid, THETA, plan)
+    csemi = asm.check_semigroup_lipschitz(spec, grid, plan)
+    cd = asm.certify_cd_system(spec, grid, vectors, plan)
+    return {"M": (a1.m, a1.certified), "kappa": (a2.kappa, a2.certified),
+            "L": (a3.value, a3.certified), "Cprime": (cprime.value, cprime.certified),
+            "C": (csemi.value, csemi.certified),
+            "cd_x": (cd.strong_lipschitz, cd.certified),
+            "cd_xminus1": (cd.strong_lipschitz_xminus1, cd.certified_xminus1)}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(case=st.one_of(st.sampled_from(["td1", "h1"]), st.builds(
+    sweep_symbol, dim=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["trig", "step", "autonomous"]), **SWEEP_SYMBOLS)))
+@example(case="td1")
+@example(case="h1")
+def test_criterion_05_refinement_stability(case, td1, h1, grid):
+    """The certified bounds of the base plan hold under refinement: on 4 and
+    16 times its time samples and pair grid, every sampled M, kappa, L, C',
+    C and cd value, and the reference lambda and neighbour-pair sweeps, stay
+    at or below them (a value above the cap reads 2 cap, a violation
+    whatever its size); an autonomous symbol's bound is its value."""
+    spec, grid = ({"td1": td1, "h1": h1}[case], grid) if isinstance(case, str) else case
+    vectors = [random_band_limited(grid, np.random.default_rng(v), band=2) for v in range(2)]
+    base = certified_constants(spec, grid, vectors, CERTIFIED_PLAN)
+    bound = {name: certified for name, (_, certified) in base.items()}
+    cap = 2.0 * CERTIFIED_PLAN.cap
+    for factor in (1, 4, 16):
+        plan = replace(CERTIFIED_PLAN, time_samples=factor * CERTIFIED_PLAN.time_samples,
+                       pair_grid=factor * CERTIFIED_PLAN.pair_grid,
+                       resolvent_pair_grid=factor * CERTIFIED_PLAN.resolvent_pair_grid)
+        sampled = {name: value for name, (value, _) in
+                   certified_constants(spec, grid, vectors, plan).items()}
+        sampled["Cprime_pairs"] = sampled_resolvent_lipschitz(spec, grid, THETA, plan)
+        sampled["C_pairs"] = sampled_semigroup_lipschitz(spec, grid, plan)
+        sampled["cd_x_pairs"], sampled["cd_xminus1_pairs"] = sampled_cd_system(
+            spec, grid, vectors, plan)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sampled["M_lambdas"] = sampled_sector_constant(spec, grid, THETA, plan) \
+                / (1.0 + SECTOR_ROUNDOFF)
+        for name, value in sampled.items():
+            assert min(value, cap) <= bound[name.split("_pairs")[0].split("_lambdas")[0]], \
+                (name, factor, value)
+    if all(c.is_constant for c in spec.coefficients.values()):
+        assert all(value == certified for value, certified in base.values())
 
 
 def test_criterion_06_favard_identities(h1, td1, grid, xband):

@@ -20,12 +20,13 @@ from evofam.assumptions import (SamplePlan, certify_cd_system,
 from evofam.errors import DomainError
 from evofam.spectral import Grid, GridFunction, NormSpec, norm, random_band_limited
 from evofam.symbols import CoefficientFunction, SymbolSpec, constant
-from reference import (RAYS, RESOLVENT_MODULUS_RANGE, THETA_SCAN, cd_lipschitz_bound,
-                       drift_symbol, factored_resolvent_quotient, heat_symbol,
-                       kato_reference, oscillating_symbol, reciprocal_resolvent_quotient,
-                       sampled_cd_system, sampled_resolvent_lipschitz, sampled_sector_constant,
+from reference import (RAYS, RESOLVENT_MODULUS_RANGE, SWEEP_SYMBOLS, THETA_SCAN,
+                       cd_lipschitz_bound, drift_symbol, factored_resolvent_quotient,
+                       heat_symbol, kato_reference, oscillating_symbol,
+                       reciprocal_resolvent_quotient, sampled_cd_system,
+                       sampled_resolvent_lipschitz, sampled_sector_constant,
                        sampled_sector_ratios, sampled_semigroup_lipschitz, sector_lambdas,
-                       theta_scan_reference)
+                       sweep_symbol, theta_scan_reference)
 
 THETA = 3.0 * np.pi / 4.0
 
@@ -55,10 +56,10 @@ class TestSector:
         assert rep.m > thin_plan.cap
         assert rep.witness["value"] > thin_plan.cap
         # a = i xi puts the pole -a in the sector at every xi != 0 and
-        # vanishes at xi = 0: both parts are infinite, so both plans read
-        # 2 cap and the inverse bound, sample 0, keeps the witness
-        assert rep.m == rep.refined_m == 2.0 * thin_plan.cap
-        assert rep.refinement_delta == 0.0
+        # vanishes at xi = 0: both parts are infinite, so the value and its
+        # certified bound read 2 cap and the inverse bound, sample 0, keeps
+        # the witness
+        assert rep.m == rep.certified == 2.0 * thin_plan.cap
         assert rep.witness["kind"] == "inverse_bound"
         assert rep.witness["xi"] == [0.0] and rep.witness["lambda"] is None
 
@@ -67,7 +68,7 @@ class TestSector:
         for spec in (heat_symbol(), oscillating_symbol()):
             rep = check_sector(spec, grid, THETA, thin_plan)
             sampled = sampled_sector_constant(spec, grid, THETA, thin_plan)
-            assert sampled <= rep.m == rep.refined_m == 1.0 / np.sin(np.pi - THETA)
+            assert sampled <= rep.m == 1.0 / np.sin(np.pi - THETA) <= rep.certified
             assert sampled == pytest.approx(rep.m, rel=1e-5)
             assert rep.samples == thin_plan.time_samples * grid.n
 
@@ -227,12 +228,12 @@ class TestLipschitz:
         assert rep.witness["s"] < 1.0 < rep.witness["t"]
 
     def test_step_symbol_pair_tables_hold_one_row_per_side(self, step_symbol, grid):
-        # the pair tables of the default plan, base and refined, list 587 and
-        # 2317 pairs over 66 and 118 distinct times, but a(t, .) takes one
-        # value on each side of the jump
+        # the pair tables of the default pair grid and of twice it list 587
+        # and 2317 pairs over 66 and 118 distinct times, but a(t, .) takes
+        # one value on each side of the jump
         plan = SamplePlan()
         tables = [asm._pair_table(step_symbol, grid, count)
-                  for count in (plan.pair_grid, plan.refined().pair_grid)]
+                  for count in (plan.pair_grid, 2 * plan.pair_grid)]
         assert [len(s) for (s, _, _, _), _, _ in tables] == [587, 2317]
         assert [len(a) for _, a, _ in tables] == [2, 2]
 
@@ -241,11 +242,11 @@ class TestLipschitz:
 
     def test_nonelliptic_resolvent_constant_zero(self, grid):
         # a = i xi does not depend on t: every rate is 0, and so is every
-        # quotient, although the pole -a lies in the sector, on the base and
-        # on the refined plan of the bundled check
+        # quotient, although the pole -a lies in the sector, and so is each
+        # certified bound on the plan of the bundled check
         for rep in (check_resolvent_lipschitz(drift_symbol(), grid, THETA, SamplePlan()),
                     check_semigroup_lipschitz(drift_symbol(), grid, SamplePlan())):
-            assert rep.value == 0.0 and rep.refined_value == 0.0
+            assert rep.value == 0.0 and rep.certified == 0.0
             assert rep.witness == {}
 
     def test_factored_sweep_matches_the_reciprocal_sweep(self, td1, grid, thin_plan):
@@ -279,13 +280,27 @@ class TestLipschitz:
         assert rep.value > plan.cap
         assert rep.witness["value"] == rep.value
 
+    def test_undersampled_negative_symbol_fails_through_certified(self):
+        # a = xi^2 - 2 + 1.5 sin 7t has Re a < 0 at xi = 0, where the rate
+        # grows like e^{-T Re a}: 8 time samples read C = 1.89e7, under the
+        # cap, where 2048 read 4.57e10; the certified bound fails the first
+        # (5.7e20) and holds the second (5.23e10)
+        spec = SymbolSpec(dim=1, order=2, horizon=2.0 * np.pi, coefficients={
+            (2,): constant(-1.0), (0,): CoefficientFunction(const=-2.0, trig=((7.0, 0.0, 1.5),))})
+        grid = Grid(1, 16, 2.0 * np.pi)
+        coarse, fine = (check_semigroup_lipschitz(spec, grid, SamplePlan(time_samples=n))
+                        for n in (8, 2048))
+        assert coarse.value <= coarse.certified and coarse.value < SamplePlan().cap
+        assert coarse.certified > SamplePlan().cap and fine.value > SamplePlan().cap
+        assert fine.certified >= fine.value
+
     def test_step_symbol_rates_blow_at_the_jump(self, step_symbol, grid, thin_plan):
         # the rate of a step is infinite at its jump time, which the rate
         # sweeps sample besides the plan's uniform times (t = 1 is not one)
         assert 1.0 not in np.linspace(0.0, 2.0, thin_plan.time_samples)
         for rep in (check_resolvent_lipschitz(step_symbol, grid, THETA, thin_plan),
                     check_semigroup_lipschitz(step_symbol, grid, thin_plan)):
-            assert rep.value == rep.refined_value == 2.0 * thin_plan.cap
+            assert rep.value == rep.certified == 2.0 * thin_plan.cap
             assert rep.witness["t"] == 1.0 and rep.witness["value"] == rep.value
             assert rep.pair_count == (thin_plan.time_samples + 1) * len(grid.xi_rows())
 
@@ -476,10 +491,17 @@ class TestCommutingAndCD:
 
 class TestRefinementStability:
     def test_deltas_small_on_smooth_family(self, td1, grid, thin_plan):
-        a2 = check_norm_equivalence(td1, grid, thin_plan)
-        a3 = check_operator_lipschitz(td1, grid, thin_plan)
-        assert a2.refinement_delta <= 0.05
-        assert a3.refinement_delta <= 0.05
+        # the certified margin over the sampled value is first order in the
+        # sample spacing: on td1 kappa reads 7.2 % and L 43 % over on the thin
+        # plan, and 1.7 % and 8.9 % on 4 times its time samples and pair grid
+        dense = replace(thin_plan, time_samples=4 * thin_plan.time_samples,
+                        pair_grid=4 * thin_plan.pair_grid)
+        gaps = []
+        for plan in (thin_plan, dense):
+            a2 = check_norm_equivalence(td1, grid, plan)
+            a3 = check_operator_lipschitz(td1, grid, plan)
+            gaps.append(np.array([a2.certified / a2.kappa, a3.certified / a3.value]) - 1.0)
+        assert np.all(gaps[0] <= 0.5) and np.all(gaps[1] <= gaps[0] / 3.0)
 
     def test_monotone_under_refinement(self, td1, grid):
         coarse = check_operator_lipschitz(td1, grid,
@@ -510,33 +532,6 @@ def certifier_records(spec, grid, vectors, plan):
     }
 
 
-complex_coefficients = st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
-
-
-SWEEP_SYMBOLS = dict(lead=st.floats(1.0, 3.0), cross=complex_coefficients,
-                     drift=complex_coefficients, shift=complex_coefficients,
-                     odd=st.booleans(), omega=st.floats(0.5, 6.0),
-                     jump_time=st.floats(0.1, 1.4), jump=complex_coefficients)
-
-
-def sweep_symbol(dim, kind, lead, cross, drift, shift, odd, omega, jump_time, jump):
-    """a = lead (xi_1^2 [+ xi_2^2] + cross xi_1 xi_2) [+ drift i xi_1] + 1 + shift,
-    with lead's coefficient constant, oscillating or stepping in t, and its grid."""
-    time_part = {"trig": {"trig": ((omega, 0.3, -0.4j),)},
-                 "step": {"steps": ((jump_time, jump),)},
-                 "autonomous": {}}[kind]
-    unit = lambda j: tuple(int(k == j) for k in range(dim))
-    coefficients = {tuple(2 * e for e in unit(j)): CoefficientFunction(
-        const=-lead, **time_part) for j in range(dim)}
-    coefficients[(0,) * dim] = constant(1.0 + shift)
-    if dim == 2:
-        coefficients[(1, 1)] = constant(-cross)
-    if odd:
-        coefficients[unit(0)] = constant(drift)
-    spec = SymbolSpec(dim=dim, order=2, horizon=1.5, coefficients=coefficients)
-    return spec, Grid(dim, 16 if dim == 1 else 8, 2.0 * np.pi)
-
-
 @pytest.mark.parametrize("kind", ["trig", "step", "autonomous"])
 @pytest.mark.parametrize("dim", [1, 2])
 @settings(max_examples=6, deadline=None)
@@ -558,10 +553,11 @@ def test_sweep_rules_leave_every_record_unchanged(dim, kind, lead, cross, drift,
     # column, row or pair is dropped
     own_bins = lambda spec, grid: (np.arange(len(grid.xi_rows())),) * 2
     own_times = lambda spec, ts, rates=False: (np.arange(len(ts)),) * 2
+    # on a fresh copy of the spec: its time and rate tables are memoised
     with mock.patch.object(asm, "_bin_classes", own_bins), \
             mock.patch.object(asm, "_time_classes", own_times):
-        np.testing.assert_equal(certifier_records(spec, grid, vectors, NEIGHBOUR_PLAN),
-                                swept)
+        np.testing.assert_equal(certifier_records(replace(spec), grid, vectors,
+                                                  NEIGHBOUR_PLAN), swept)
         every = listed()
     # the rules took effect: xi and -xi share a class unless an odd term
     # tells them apart, an autonomous symbol sweeps one row and one pair,
@@ -581,13 +577,13 @@ def test_sweep_rules_leave_every_record_unchanged(dim, kind, lead, cross, drift,
 @given(cap=st.floats(np.log10(1.01), 9.0).map(lambda e: 10.0 ** e), **SWEEP_SYMBOLS)
 def test_theta_star_is_the_largest_passing_angle(dim, kind, cap, lead, cross, drift, shift,
                                                  odd, omega, jump_time, jump):
-    # the a1 rule on the base plan passes at theta* and at every scan angle
-    # below it, and fails above it; nan means no angle in (pi/2, pi) passes,
+    # the sampled M passes the cap at theta* and at every scan angle below
+    # it, and fails above it; nan means no angle in (pi/2, pi) passes,
     # and passing angles are those below some bound, so the least angle tells
     spec, grid = sweep_symbol(dim, kind, lead, cross, drift, shift, odd, omega,
                               jump_time, jump)
     plan = SamplePlan(time_samples=9, cap=cap)
-    passes = lambda theta: asm._sector_measure(spec, grid, float(theta), plan)[0] <= cap
+    passes = lambda theta: check_sector(spec, grid, float(theta), plan).m <= cap
     star = largest_passing_theta(spec, grid, plan)
     for theta in THETA_SCAN:
         assert passes(theta) == (theta <= star)
@@ -615,17 +611,18 @@ def steepest_rows(measure):
 
 
 # a(0, .) vanishes at xi = 0 on nonelliptic, so cd sweeps no X_{-1} quotient there
-@pytest.mark.parametrize("spec,cd_sweeps", [(heat_symbol(), 2), (drift_symbol(), 1)],
+@pytest.mark.parametrize("spec,cd_sweeps", [(heat_symbol(), 4), (drift_symbol(), 2)],
                          ids=["h1", "nonelliptic"])
 def test_autonomous_pair_sweeps_visit_one_pair_per_plan(spec, cd_sweeps, grid,
                                                         band_vectors):
     # every pair has a(s, .) = a(t, .) and every time the rate 0: A3 sweeps
-    # one pair per plan and cd one time; the counts still cover every pair
+    # one pair and cd one time, for the value and for its certified bound;
+    # the counts still cover every pair
     plan = SamplePlan()
     (a3, a3_rows), (_, cd_rows) = map(steepest_rows, [
         lambda: check_operator_lipschitz(spec, grid, plan),
         lambda: certify_cd_system(spec, grid, band_vectors, plan)])
-    assert a3_rows == [1, 1]     # base and refined plan
+    assert a3_rows == [1, 1, 1]     # value, certified bound, and its diagonal
     assert cd_rows == [1] * cd_sweeps
     assert a3.pair_count == 1453
 
@@ -633,8 +630,8 @@ def test_autonomous_pair_sweeps_visit_one_pair_per_plan(spec, cd_sweeps, grid,
 @pytest.mark.parametrize("spec", [heat_symbol(), drift_symbol()], ids=["h1", "nonelliptic"])
 def test_autonomous_time_sweeps_visit_one_row(spec, grid):
     # every time has the same coefficients: the sector, kappa, theta* and
-    # Kato tables hold one row per plan, and the counts still cover every
-    # (t, xi) cell and every partition
+    # Kato sweeps share one table of one row, and the counts still cover
+    # every (t, xi) cell and every partition
     heights, table = [], asm._symbol_matrix
     plan = SamplePlan()
 
@@ -647,8 +644,7 @@ def test_autonomous_time_sweeps_visit_one_row(spec, grid):
         check_norm_equivalence(spec, grid, plan)
         largest_passing_theta(spec, grid, plan)
         kato = check_kato_stability(spec, grid, plan)
-    # base and refined plan for sector and kappa; Kato and theta* read the base plan
-    assert heights == [1] * 6
+    assert heights == [1]
     assert sector.samples == 128 * 1024
     assert kato.partitions_tested == 196
 
@@ -663,10 +659,12 @@ def test_td1_sweeps_every_pair_on_513_columns(td1, grid, thin_plan, band_vectors
         widths.append(a.shape[1])
         return a
 
+    # a fresh copy of td1 builds each memoised table: the time rows, the pair
+    # table, and the rate rows of the time samples and of the pair grid
     with mock.patch.object(asm, "_symbol_matrix", spy):
-        certifier_records(td1, grid, band_vectors, thin_plan)
-    assert set(widths) == {513} and len(widths) > 8
-    # no td1 pair is zero-slope: the default plan's tables list every pair
+        certifier_records(replace(td1), grid, band_vectors, thin_plan)
+    assert set(widths) == {513} and len(widths) == 4
+    # no td1 pair is zero-slope: the pair tables of 48 and 96 points list every pair
     listed = [len(asm._pair_table(td1, grid, count)[0][0]) for count in (48, 96)]
     assert listed == [1457, 5225]
     assert td1_suite["a1"].samples == 128 * 1024
@@ -725,12 +723,12 @@ def test_kato_ratios_stay_at_one_on_every_plan(dim, kind, samples, lambdas, part
                                                jump_time, jump):
     # with M = 1 and omega = -(min Re a) of the sampled matrix, every factor
     # is at most 1, so both ratios stay within roundoff of 1 on the plan and
-    # on its refinement alike: Kato is measured once, with no refined rerun
+    # on twice its time samples alike: Kato is measured once
     spec, grid = sweep_symbol(dim, kind, lead, cross, drift, shift, odd, omega,
                               jump_time, jump)
     plan = SamplePlan(time_samples=samples, kato_lambdas=lambdas,
                       kato_partitions=partitions, kato_kmax=kmax)
-    for p in (plan, plan.refined()):
+    for p in (plan, replace(plan, time_samples=2 * samples)):
         assert kato_ratio(check_kato_stability(spec, grid, p)) <= 1.0 + KATO_TOL
 
 
@@ -754,8 +752,8 @@ def test_kato_logs_one_table_per_lambda(td1, grid, monkeypatch):
 
 
 def test_symbol_matrix_builds_in_place(td1, grid):
-    # the refined A3 table of td1 (1426 pair times x 513 columns, 11.7 MB) is
-    # built a block of rows at a time into its output: one block-sized term
+    # a td1 table of 1426 times x 513 columns (11.7 MB, A3's on a 96-point
+    # pair grid) is built a block of rows at a time into its output: one block-sized term
     # and numpy's broadcast buffer (under a block) beside the table, where a
     # whole-table sum held a second table
     ts = np.linspace(0.0, td1.horizon, 1426)

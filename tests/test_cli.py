@@ -249,17 +249,17 @@ def bundled_config(name):
                       .joinpath(f"{name}.json").read_text())
 
 
-def test_nonelliptic_check_fails_a1_but_is_refinement_stable(tmp_path):
+def test_nonelliptic_check_fails_a1_at_its_certified_bound(tmp_path):
     # a = i xi has its pole in the sector at every xi != 0 and vanishes at
-    # xi = 0, so a1 reads 2 cap on both plans: its refinement delta is 0
+    # xi = 0, so a1 reads 2 cap; a does not move with t, so its certified
+    # bound is the value
     path = write_config(tmp_path, bundled_config("nonelliptic"))
     assert main(["check", "--config", str(path), "--out", str(tmp_path),
                  "--stable"]) == 1
     from evofam.assumptions import SamplePlan
     report = json.loads((tmp_path / "report.json").read_text())["report"]
-    assert report["a1"]["m"] == report["a1"]["refined_m"] == 2.0 * SamplePlan().cap
-    assert report["refinement_deltas"]["a1"] == 0.0
-    assert not report["verdicts"]["a1"] and report["verdicts"]["refinement_stable"]
+    assert report["a1"]["m"] == report["a1"]["certified"] == 2.0 * SamplePlan().cap
+    assert not report["verdicts"]["a1"]
 
 
 # the saved state U(t,s) f is also the product rules' target, so evolve
@@ -632,9 +632,10 @@ def test_check_certifies_kato_once(td1_cfg_path, tmp_path, monkeypatch):
     # on the base plan only: one draw of partitions per order k = 1 .. kmax
     assert orders == list(range(1, asm.SamplePlan().kato_kmax + 1))
     # one Kato record, under "kato"; the CD system keeps only its quotients
+    # and their certified bounds
     assert text.count('"max_resolvent_ratio"') == 1
     assert set(report["cd_system"]) == {"strong_lipschitz", "strong_lipschitz_xminus1",
-                                        "witness"}
+                                        "certified", "certified_xminus1", "witness"}
 
 
 @pytest.mark.parametrize("name,code,most", [("td1", 0, 3), ("nonelliptic", 1, 2)])

@@ -85,6 +85,11 @@ class TestCoefficientFunction:
         difference = (smooth(t + h) - smooth(t - h)) / (2.0 * h)
         assert abs(rate - difference) <= DERIVATIVE_TOL * max(1.0, bound)
         assert abs(rate) <= bound * (1.0 + 1e-12)
+        # the central difference of c' averages c'' over [t - h, t + h], which
+        # lipschitz_bound(1 + h, derivative=True) bounds
+        curvature = (smooth.derivative(t + h) - smooth.derivative(t - h)) / (2.0 * h)
+        assert abs(curvature) <= (smooth.lipschitz_bound(1.0 + h, derivative=True)
+                                  * (1.0 + 1e-9) + DERIVATIVE_TOL)
         jumps = {t0 for t0, jump in c.steps if jump != 0 and t0 > 0}
         assert c.derivative(t) == (np.inf + rate if t in jumps else rate)
         for t0 in jumps:
