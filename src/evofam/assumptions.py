@@ -8,7 +8,8 @@ certified] around its sup over all t in [0, T]: the max over a seeded
 sample plan, with its witness, and an upper bound from the same tables.
 Every a(t, xi) lies within delta_0(xi) of a sampled row and every rate
 d/dt a(t, xi) within delta_1(xi) of a sampled rate (`_margins`), so
-`certified` takes each closed form at the worst point of those discs.
+`certified` takes each closed form at the worst point of those discs, and
+theta* is the largest sector angle whose certified M passes the cap.
 
 The sups over lambda in the sector and over tau in (0, T] are closed forms
 per (t, xi) cell, so only t and xi are sampled: M, and C', C and cd
@@ -240,24 +241,26 @@ def check_sector(spec: SymbolSpec, grid: Grid, theta: float,
 
 def largest_passing_theta(spec: SymbolSpec, grid: Grid,
                           plan: SamplePlan = SamplePlan()) -> float:
-    """theta*, the largest sector angle whose sampled M passes the cap (the
-    `a1` rule judges the certified M, which is no smaller): min over the (t, xi) cells
-    of |arg(-a)| - arcsin(1/cap), since `_sector_sup` does not grow with
-    |arg(-a)| and so the first argmin cell bounds the rest.  Near pi the
-    difference keeps few digits of psi, so theta* steps down one ulp at a time
-    while that cell's sup exceeds cap.  nan if cap < 1, if some 1/|a| > cap
-    (a = 0 included) or if theta* is not in (pi/2, pi)."""
+    """theta*, the largest sector angle whose certified M passes the cap (the
+    `a1` rule): min over the (t, xi) cells of |arg(-a)| - arcsin(delta_0/|a|)
+    - arcsin(1/cap), where `_sector_sup(a, theta, delta_0)` reaches cap; that
+    sup does not grow with psi, so the first argmin cell bounds the rest.
+    Near pi the difference keeps few digits of psi, so theta* steps down one
+    ulp at a time while that cell's sup exceeds cap.  nan if cap < 1, if some
+    1/(|a| - delta_0) > cap (|a| <= delta_0 included) or if theta* is not in
+    (pi/2, pi)."""
     a = _time_rows(spec, grid, plan.time_samples)[2]
-    with np.errstate(divide="ignore", over="ignore"):
-        if plan.cap < 1.0 or np.max(1.0 / np.abs(a)) > plan.cap:
+    d0 = np.broadcast_to(_margins(spec, grid, plan.time_samples)[0], a.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if plan.cap < 1.0 or np.max(_reciprocal(np.abs(a) - d0)) > plan.cap:
             return float("nan")
-    args = np.abs(np.angle(-a)).ravel()
+    args = (np.abs(np.angle(-a)) - np.arcsin(d0 / np.abs(a))).ravel()
     cell = np.argmin(args)
     theta = float(args[cell] - np.arcsin(1.0 / plan.cap))
     # in (pi/2, pi) each step raises psi, lowering the sup towards 1 <= cap
     if not np.pi / 2 < theta < np.pi:
         return float("nan")
-    while _sector_sup(a.flat[cell], theta) > plan.cap:
+    while _sector_sup(a.flat[cell], theta, d0.flat[cell]) > plan.cap:
         theta = float(np.nextafter(theta, 0.0))
     return theta if theta > np.pi / 2 else float("nan")
 

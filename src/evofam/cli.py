@@ -32,8 +32,6 @@ from .symbols import certify_ellipticity
 # Verdict tolerances.  The library returns measurements only; every verdict
 # is decided in this module, against the sample plan's cap or one of these.
 TAIL_WARN = 1e-8            # spectral tail mass above which box truncation pollutes the model
-CHAIN_SLACK = 0.05          # C' <= M^2 L (1 + slack): sampling slack of the lemma chain
-ROUNDOFF = 1e-12            # identities that hold exactly up to roundoff
 KATO_TOL = 1e-9             # Kato ratios may exceed 1 by roundoff only
 VOLTERRA_TOL = 1e-6         # Duhamel residual and oracle error of the Volterra solver
 # L1 decay bound e^{-mu_min (t - r)}: upwind decays by mu at cell centres and step
@@ -151,17 +149,16 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
         "kato": kato_ok,
         "resolvent_lipschitz": capped(cprime.certified),
         "semigroup_lipschitz": capped(csemi.certified),
-        "lemma_chain": bool(cprime.value
-                            <= a1.m**2 * a3.value * (1.0 + CHAIN_SLACK) + ROUNDOFF),
         "cd_system_x": kato_ok and capped(cd.certified),
         "cd_system_xminus1": kato_ok and capped(cd.certified_xminus1),
     }
 
     assumptions_doc = {
-        "a1": {"theta": theta, "M": a1.m, "witness": a1.witness},
-        "a2": {"kappa": a2.kappa}, "a3": {"L": a3.value},
+        "a1": {"theta": theta, "M": a1.m, "certified": a1.certified, "witness": a1.witness},
+        "a2": {"kappa": a2.kappa, "certified": a2.certified},
+        "a3": {"L": a3.value, "certified": a3.certified},
         "kato": {"M": kato.m, "omega": kato.omega, "kmax": kato.kmax},
-        "resolvent_lipschitz": {"Cprime": cprime.value},
+        "resolvent_lipschitz": {"Cprime": cprime.value, "certified": cprime.certified},
     }
     for name, doc in assumptions_doc.items():
         doc["pass"] = verdicts[name]
@@ -187,7 +184,6 @@ def run_check(config: dict, out: Path, seed: int, timer: StageTimer):
     report = {
         "ellipticity": ellip, "a1": a1, "a2": a2, "a3": a3, "kato": kato,
         "resolvent_lipschitz": cprime, "semigroup_lipschitz": csemi,
-        "lemma_chain": {"Cprime": cprime.value, "M2L": a1.m**2 * a3.value},
         "cd_system": cd,
         "largest_passing_theta": theta_star,
         "verdicts": verdicts,

@@ -42,9 +42,10 @@ each piece backs an invariant the evolution-family theory rests on:
   the sector bound was once measured by, a lower bound on the closed-form
   sup that `check_sector` takes;
 * `theta_scan_reference`: the largest of THETA_SCAN's nine angles whose
-  sector constant passes the cap on the plan, as `largest_passing_theta`
-  scanned before it took theta* in closed form, read from the closed-form
-  sup on every (t, xi) cell; it must agree with theta* on every scan angle;
+  certified sector constant passes the cap on the plan, as
+  `largest_passing_theta` scanned before it took theta* in closed form,
+  read from the closed-form sup at the worst point of each (t, xi) cell's
+  t-margin disc; it must agree with theta* on every scan angle;
 * `sector_lambdas`, `sampled_resolvent_lipschitz`,
   `sampled_semigroup_lipschitz` and `sampled_cd_system`: C', C and the cd
   quotients as `check_resolvent_lipschitz`, `check_semigroup_lipschitz`
@@ -353,15 +354,19 @@ def sampled_sector_constant(spec: SymbolSpec, grid: Grid, theta: float,
 
 
 def theta_scan_reference(spec: SymbolSpec, grid: Grid, plan: SamplePlan) -> float:
-    """Largest THETA_SCAN angle whose sector constant M on `plan` is at most
-    its cap (nan if none), one pass over every (t, xi) cell per angle: M
-    passes iff each cell's 1/|a| and sector sup is finite and at most cap."""
+    """Largest THETA_SCAN angle whose certified sector constant M on `plan`
+    is at most its cap (nan if none), one pass over every (t, xi) cell per
+    angle: M passes iff each cell's 1/(|a| - delta_0) and sector sup over
+    the disc |b - a| <= delta_0 is finite, positive and at most cap, with
+    delta_0 the `SymbolSpec.t_margin` of the plan's times."""
     a = spec.time_matrix(np.linspace(0.0, spec.horizon, plan.time_samples), grid.xi_axes())
+    d0 = spec.t_margin(plan.time_samples, grid.xi_axes())
     best = float("nan")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inverse = 1.0 / (np.abs(a) - d0)
         for theta in THETA_SCAN:
-            if np.all(1.0 / np.abs(a) <= plan.cap) and \
-                    np.all(_sector_sup(a, float(theta)) <= plan.cap):
+            if np.all((inverse > 0.0) & (inverse <= plan.cap)) and \
+                    np.all(_sector_sup(a, float(theta), d0) <= plan.cap):
                 best = float(theta)
     return best
 

@@ -100,17 +100,20 @@ class TestSector:
         assert best >= 0.9 * np.pi            # real spectrum: all angles pass
 
     @pytest.mark.parametrize("cap,stepped,sector", [(1.3, False, 1.3),
-                                                    (1e8, True, 99999996.16685514)])
+                                                    (1e8, True, 99999997.55463384)])
     def test_theta_star_in_closed_form(self, td1, grid, thin_plan, cap, stepped, sector):
-        # a >= 1 is real, so theta* = pi - arcsin(1/cap), where M reaches the
-        # cap; at 1e8 psi keeps 8 digits and M reads 100000000.6 there, so
+        # a >= 1 is real, so theta* = pi - max arcsin(delta_0/|a|) -
+        # arcsin(1/cap), where the certified M reaches the cap; at 1e8 psi
+        # keeps 8 digits and the certified M reads 100000002.0 there, so
         # theta* steps one ulp down from it
         plan = replace(thin_plan, cap=cap)
         star = largest_passing_theta(td1, grid, plan)
-        closed = np.pi - np.arcsin(1.0 / cap)
+        a = td1.time_matrix(np.linspace(0.0, td1.horizon, plan.time_samples), grid.xi_axes())
+        d0 = td1.t_margin(plan.time_samples, grid.xi_axes())
+        closed = np.pi - np.max(np.arcsin(d0 / np.abs(a))) - np.arcsin(1.0 / cap)
         assert star == (np.nextafter(closed, 0.0) if stepped else closed)
-        assert check_sector(td1, grid, star, plan).m == sector
-        assert check_sector(td1, grid, np.nextafter(star, 4.0), plan).m > cap
+        assert check_sector(td1, grid, star, plan).certified == sector
+        assert check_sector(td1, grid, np.nextafter(star, 4.0), plan).certified > cap
 
     @pytest.mark.parametrize("cap", [1.3, 1.46, 3.0, 3.03, 1e8])
     def test_theta_star_of_a_negative_symbol(self, cap):
@@ -122,10 +125,10 @@ class TestSector:
             (2,): constant(-1.0), (0,): constant(-2.0)})
         sector_sup, calls = asm._sector_sup, []
 
-        def counted(a, theta):
+        def counted(a, theta, d0=0.0):
             calls.append(theta)
             assert len(calls) < 10
-            return sector_sup(a, theta)
+            return sector_sup(a, theta, d0)
 
         with mock.patch.object(asm, "_sector_sup", counted):
             star = largest_passing_theta(spec, Grid(1, 8, 2.0 * np.pi),
@@ -577,13 +580,14 @@ def test_sweep_rules_leave_every_record_unchanged(dim, kind, lead, cross, drift,
 @given(cap=st.floats(np.log10(1.01), 9.0).map(lambda e: 10.0 ** e), **SWEEP_SYMBOLS)
 def test_theta_star_is_the_largest_passing_angle(dim, kind, cap, lead, cross, drift, shift,
                                                  odd, omega, jump_time, jump):
-    # the sampled M passes the cap at theta* and at every scan angle below
-    # it, and fails above it; nan means no angle in (pi/2, pi) passes,
-    # and passing angles are those below some bound, so the least angle tells
+    # the certified M, which `a1` judges, passes the cap at theta* and at
+    # every scan angle below it, and fails above it; nan means no angle in
+    # (pi/2, pi) passes, and passing angles are those below some bound, so
+    # the least angle tells
     spec, grid = sweep_symbol(dim, kind, lead, cross, drift, shift, odd, omega,
                               jump_time, jump)
     plan = SamplePlan(time_samples=9, cap=cap)
-    passes = lambda theta: check_sector(spec, grid, float(theta), plan).m <= cap
+    passes = lambda theta: check_sector(spec, grid, float(theta), plan).certified <= cap
     star = largest_passing_theta(spec, grid, plan)
     for theta in THETA_SCAN:
         assert passes(theta) == (theta <= star)
@@ -595,6 +599,55 @@ def test_theta_star_is_the_largest_passing_angle(dim, kind, cap, lead, cross, dr
     else:
         assert np.pi / 2 < star < np.pi and passes(star)
         assert star + 1e-9 >= np.pi or not passes(star + 1e-9)
+
+
+CHAIN_ULPS = 8      # the lemma chain's two sides are separate roundings of one psi
+
+
+def chain_ratios(spec, grid, theta, samples):
+    """Per finite (t, xi) cell of `_rate_rows` with a nonzero rate, C'(t, xi)
+    = |d/dt a| `_resolvent_rate_sup`(a, theta) over M(t, xi)^2 L(t, xi),
+    with M(t, xi) = max(1/|a|, `_sector_sup`(a, theta)) and L(t, xi) =
+    |d/dt a|/|a|, A3's diagonal."""
+    _, rate, a, _ = asm._rate_rows(spec, grid, samples)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cprime = rate * asm._resolvent_rate_sup(a, theta)
+        chain = np.maximum(1.0 / np.abs(a), asm._sector_sup(a, theta)) ** 2 * rate / np.abs(a)
+        finite = np.isfinite(cprime) & np.isfinite(chain) & (rate > 0.0)
+        return cprime[finite] / chain[finite]
+
+
+def assert_lemma_chain(spec, grid, theta, samples):
+    # C' <= M^2 L per cell: |a|/|lambda + a| and |lambda|/|lambda + a| share
+    # the sup 1/sin psi on the sector, so the ratio is cos^2(psi/2) <= 1
+    assert np.all(chain_ratios(spec, grid, theta, samples)
+                  <= 1.0 + CHAIN_ULPS * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("kind", ["trig", "step", "autonomous"])
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(theta=thetas, **SWEEP_SYMBOLS)
+def test_lemma_chain_holds_on_every_cell(dim, kind, theta, lead, cross, drift, shift, odd,
+                                         omega, jump_time, jump):
+    spec, grid = sweep_symbol(dim, kind, lead, cross, drift, shift, odd, omega,
+                              jump_time, jump)
+    assert_lemma_chain(spec, grid, theta, 9)
+
+
+@pytest.mark.parametrize("name", ["td1", "h1"])
+@settings(max_examples=10, deadline=None)
+@given(theta=thetas)
+def test_lemma_chain_holds_on_every_bundled_cell(name, theta, grid, request):
+    assert_lemma_chain(request.getfixturevalue(name), grid, theta, 48)
+
+
+def test_td1_lemma_chain_ratio_in_closed_form(td1, grid):
+    # a >= 1 is real, so psi = pi/4 at 3 pi/4 on every cell: C'/(M^2 L) reads
+    # cos^2(pi/8) = 0.854, where C'/(M L) would read cot(pi/8)/2 = 1.207
+    ratios = chain_ratios(td1, grid, THETA, 128)
+    assert ratios.size > 0
+    np.testing.assert_allclose(ratios, np.cos(np.pi / 8.0) ** 2, rtol=1e-12)
 
 
 def steepest_rows(measure):

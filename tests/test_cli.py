@@ -125,7 +125,8 @@ class TestCheckCommand:
 
     def test_theta_scan_reads_the_config_plan(self, tmp_path):
         # td1's sector constant is 1/sin(pi - theta), sqrt(2) at 0.75 pi, so a
-        # cap of 1.3 fails a1; theta* is where it reaches 1.3, pi - arcsin(1/1.3)
+        # cap of 1.3 fails a1; theta* is where its certified bound reaches 1.3,
+        # pi - max arcsin(delta_0/|a|) - arcsin(1/1.3) on the plan's 32 times
         config = fast_td1_config()
         config["plans"]["cap"] = 1.3
         path = write_config(tmp_path, config)
@@ -134,8 +135,8 @@ class TestCheckCommand:
         report = json.loads((tmp_path / "report.json").read_text())["report"]
         assert report["a1"]["m"] > 1.3 and not report["verdicts"]["a1"]
         assert report["largest_passing_theta"] < config["theta"]
-        assert report["largest_passing_theta"] == pytest.approx(
-            math.pi - math.asin(1.0 / 1.3), abs=1e-12)
+        assert report["largest_passing_theta"] == pytest.approx(2.1625770407012657,
+                                                                abs=1e-12)
 
 
 class TestDeterminism:
@@ -260,6 +261,34 @@ def test_nonelliptic_check_fails_a1_at_its_certified_bound(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())["report"]
     assert report["a1"]["m"] == report["a1"]["certified"] == 2.0 * SamplePlan().cap
     assert not report["verdicts"]["a1"]
+
+
+@pytest.mark.parametrize("cap", [1.3, 1.5, 1e8])
+@pytest.mark.parametrize("name", ["td1", "h1", "nonelliptic"])
+def test_check_passes_a1_at_the_reported_theta_star(name, cap, tmp_path):
+    # theta* solves the certified M, which a1 judges, for the cap: check
+    # passes a1 at theta* and the certified M exceeds the cap just above it;
+    # nonelliptic's pole lies in every sector, so it has no theta*
+    from evofam import config as cfg
+    from evofam.assumptions import check_sector
+    config = bundled_config(name)
+    config["plans"] = {"cap": cap}
+    path = write_config(tmp_path, config)
+    main(["check", "--config", str(path), "--out", str(tmp_path / "scan"), "--stable"])
+    star = float(json.loads((tmp_path / "scan" / "report.json").read_text())
+                 ["report"]["largest_passing_theta"])
+    assert np.isnan(star) == (name == "nonelliptic")
+    if np.isnan(star):
+        return
+    spec, grid = cfg.build_symbol(config["symbol"]), cfg.build_grid(config["grid"])
+    plan = cfg.build_plan(config["plans"], config["seed"])
+    assert check_sector(spec, grid, star, plan).certified <= cap
+    assert star + 1e-9 >= math.pi or check_sector(spec, grid, star + 1e-9, plan).certified > cap
+    config["theta"] = star
+    path = write_config(tmp_path, config)
+    main(["check", "--config", str(path), "--out", str(tmp_path / "at"), "--stable"])
+    report = json.loads((tmp_path / "at" / "report.json").read_text())["report"]
+    assert report["verdicts"]["a1"]
 
 
 # the saved state U(t,s) f is also the product rules' target, so evolve
